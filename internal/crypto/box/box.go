@@ -12,6 +12,27 @@
 // used for dialing invitations (§5.2): 32-byte ephemeral public key
 // followed by a box, for a total overhead of 48 bytes — matching the
 // paper's 80-byte invitations carrying a 32-byte payload.
+//
+// # Parsed keys
+//
+// Keys travel as raw 32-byte arrays (PrivateKey, PublicKey), but every
+// Diffie-Hellman runs on a DHKey, a private key parsed once. The handle
+// exists because of a cost crypto/ecdh hides: NewPrivateKey derives and
+// stores the public key eagerly, one base-point scalar mult, so building
+// the ecdh key from raw bytes for each exchange doubles the Curve25519
+// work — and that work is what sets a server's round latency (§8.2).
+// Whoever uses a key more than once (a chain server unwrapping a batch, a
+// client scanning an invitation bucket, a handshake) holds a DHKey and
+// pays one mult per exchange; a freshly generated ephemeral key stays a
+// DHKey from generation to its one exchange, two mults instead of three.
+// The raw-key functions (Precompute, PublicKeyOf, GenerateKey, SealBox,
+// OpenBox, OpenAnonymous) are few-line wrappers that parse and delegate:
+// DHKey.Precompute is the only place the X25519 → HSalsa20 path is
+// written.
+//
+// A DHKey holds secret key material, like the PrivateKey it was parsed
+// from: it has no String method and must not be logged or compared;
+// compare Public() values.
 package box
 
 import (
@@ -55,65 +76,73 @@ var (
 
 var curve = ecdh.X25519()
 
-// GenerateKey creates a fresh X25519 key pair using entropy from r
-// (crypto/rand.Reader if r is nil).
-func GenerateKey(r io.Reader) (PublicKey, PrivateKey, error) {
+// DHKey is a parsed X25519 private key: the handle every Diffie-Hellman
+// in this package runs on (see the package comment). It holds secret key
+// material — never log it, never compare it; compare Public() values
+// instead. A DHKey is immutable after construction, so any number of
+// goroutines may share one.
+type DHKey struct {
+	sk  *ecdh.PrivateKey
+	pub PublicKey
+}
+
+// NewDHKey parses a raw private key. This is where crypto/ecdh derives
+// the public key (one base-point scalar mult), so parse a long-lived key
+// once and keep the handle.
+func NewDHKey(priv *PrivateKey) (*DHKey, error) {
+	k := new(DHKey)
+	if err := k.parse(priv); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// parse is NewDHKey into k; split out so NewDHKey inlines and a
+// parse-use-discard caller's handle stays on its stack.
+func (k *DHKey) parse(priv *PrivateKey) error {
+	sk, err := curve.NewPrivateKey(priv[:])
+	if err != nil {
+		return err
+	}
+	k.set(sk)
+	return nil
+}
+
+// GenerateDHKey creates a fresh key using entropy from r (crypto/rand.Reader
+// if r is nil), drawn as one KeySize-byte read.
+func GenerateDHKey(r io.Reader) (*DHKey, error) {
 	if r == nil {
 		r = rand.Reader
 	}
-	priv, err := curve.GenerateKey(r)
+	sk, err := curve.GenerateKey(r)
 	if err != nil {
-		return PublicKey{}, PrivateKey{}, err
+		return nil, err
 	}
-	var pub PublicKey
-	var prv PrivateKey
-	copy(pub[:], priv.PublicKey().Bytes())
-	copy(prv[:], priv.Bytes())
-	return pub, prv, nil
+	k := new(DHKey)
+	k.set(sk)
+	return k, nil
 }
 
-// KeyPairFromSeed derives a deterministic key pair from a 32-byte seed.
-// Used for reproducible tests and simulations; the seed is hashed so any
-// distribution of seeds is acceptable.
-func KeyPairFromSeed(seed []byte) (PublicKey, PrivateKey) {
-	sum := sha256.Sum256(seed)
-	priv, err := curve.NewPrivateKey(sum[:])
-	if err != nil {
-		// A 32-byte input is always a valid X25519 private key.
-		panic("box: impossible: " + err.Error())
-	}
-	var pub PublicKey
-	var prv PrivateKey
-	copy(pub[:], priv.PublicKey().Bytes())
-	copy(prv[:], priv.Bytes())
-	return pub, prv
+func (k *DHKey) set(sk *ecdh.PrivateKey) {
+	k.sk = sk
+	copy(k.pub[:], sk.PublicKey().Bytes())
 }
 
-// PublicKeyOf returns the public key corresponding to a private key.
-func PublicKeyOf(priv *PrivateKey) (PublicKey, error) {
-	p, err := curve.NewPrivateKey(priv[:])
-	if err != nil {
-		return PublicKey{}, err
-	}
-	var pub PublicKey
-	copy(pub[:], p.PublicKey().Bytes())
-	return pub, nil
-}
+// Public returns the public key corresponding to k.
+func (k *DHKey) Public() PublicKey { return k.pub }
 
-// Precompute computes the NaCl box shared key for a (peer public, own
-// private) key pair: HSalsa20(X25519(priv, pub), 0). The shared key can be
-// used with Seal and Open; both directions of a conversation derive the
-// same key, exactly as in crypto_box_beforenm.
-func Precompute(peersPublic *PublicKey, priv *PrivateKey) (*[KeySize]byte, error) {
-	sk, err := curve.NewPrivateKey(priv[:])
-	if err != nil {
-		return nil, ErrKeyExchange
-	}
+// Precompute computes the NaCl box shared key between k and a peer's
+// public key: HSalsa20(X25519(k, peer), 0), exactly crypto_box_beforenm.
+// The shared key can be used with Seal and Open; both directions of a
+// conversation derive the same key. It costs one scalar mult. A peer key
+// that yields the all-zero shared secret (a low-order point) is rejected
+// with ErrKeyExchange.
+func (k *DHKey) Precompute(peersPublic *PublicKey) (*[KeySize]byte, error) {
 	pk, err := curve.NewPublicKey(peersPublic[:])
 	if err != nil {
 		return nil, ErrKeyExchange
 	}
-	dh, err := sk.ECDH(pk)
+	dh, err := k.sk.ECDH(pk)
 	if err != nil {
 		return nil, ErrKeyExchange
 	}
@@ -123,6 +152,51 @@ func Precompute(peersPublic *PublicKey, priv *PrivateKey) (*[KeySize]byte, error
 	var zeros [16]byte
 	salsa.HSalsa20(shared, &dhKey, &zeros)
 	return shared, nil
+}
+
+// GenerateKey creates a fresh X25519 key pair using entropy from r
+// (crypto/rand.Reader if r is nil).
+func GenerateKey(r io.Reader) (PublicKey, PrivateKey, error) {
+	k, err := GenerateDHKey(r)
+	if err != nil {
+		return PublicKey{}, PrivateKey{}, err
+	}
+	var priv PrivateKey
+	copy(priv[:], k.sk.Bytes())
+	return k.pub, priv, nil
+}
+
+// KeyPairFromSeed derives a deterministic key pair from a 32-byte seed.
+// Used for reproducible tests and simulations; the seed is hashed so any
+// distribution of seeds is acceptable.
+func KeyPairFromSeed(seed []byte) (PublicKey, PrivateKey) {
+	priv := PrivateKey(sha256.Sum256(seed))
+	k, err := NewDHKey(&priv)
+	if err != nil {
+		// A 32-byte input is always a valid X25519 private key.
+		panic("box: impossible: " + err.Error())
+	}
+	return k.pub, priv
+}
+
+// PublicKeyOf returns the public key corresponding to a private key.
+func PublicKeyOf(priv *PrivateKey) (PublicKey, error) {
+	k, err := NewDHKey(priv)
+	if err != nil {
+		return PublicKey{}, err
+	}
+	return k.pub, nil
+}
+
+// Precompute is DHKey.Precompute for a raw private key. It parses priv on
+// every call (two scalar mults in all); callers that use a key more than
+// once should hold a DHKey.
+func Precompute(peersPublic *PublicKey, priv *PrivateKey) (*[KeySize]byte, error) {
+	k, err := NewDHKey(priv)
+	if err != nil {
+		return nil, ErrKeyExchange
+	}
+	return k.Precompute(peersPublic)
 }
 
 // Seal encrypts and authenticates msg with XSalsa20-Poly1305 under the
@@ -246,32 +320,47 @@ func OpenBox(ct []byte, nonce *[NonceSize]byte, peersPublic *PublicKey, priv *Pr
 // the construction used for dialing invitations (§5.2); a 32-byte payload
 // yields the paper's 80-byte invitation.
 func SealAnonymous(msg []byte, recipient *PublicKey, rng io.Reader) ([]byte, error) {
-	epub, epriv, err := GenerateKey(rng)
+	ek, err := GenerateDHKey(rng)
 	if err != nil {
 		return nil, err
 	}
-	nonce := anonymousNonce(&epub, recipient)
-	boxed, err := SealBox(msg, &nonce, recipient, &epriv)
+	nonce := anonymousNonce(&ek.pub, recipient)
+	shared, err := ek.Precompute(recipient)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, KeySize+len(boxed))
-	out = append(out, epub[:]...)
-	out = append(out, boxed...)
+	out := make([]byte, KeySize+Overhead+len(msg))
+	copy(out, ek.pub[:])
+	SealInto(out[KeySize:], msg, &nonce, shared)
 	return out, nil
 }
 
-// OpenAnonymous decrypts a SealAnonymous ciphertext with the recipient's
-// private key. Used by dialing clients to trial-decrypt every invitation in
-// their dead drop (§5.1).
-func OpenAnonymous(ct []byte, recipientPub *PublicKey, recipientPriv *PrivateKey) ([]byte, error) {
+// OpenAnonymous decrypts a SealAnonymous ciphertext as the recipient k.
+// recipientPub is the public key the sender addressed — k.Public() for an
+// honest caller; it is bound into the nonce, so any other value fails
+// with ErrDecrypt. Dialing clients trial-decrypt every invitation in
+// their dead drop with one handle (§5.1).
+func (k *DHKey) OpenAnonymous(ct []byte, recipientPub *PublicKey) ([]byte, error) {
 	if len(ct) < AnonymousOverhead {
 		return nil, ErrDecrypt
 	}
 	var epub PublicKey
 	copy(epub[:], ct[:KeySize])
+	shared, err := k.Precompute(&epub)
+	if err != nil {
+		return nil, err
+	}
 	nonce := anonymousNonce(&epub, recipientPub)
-	return OpenBox(ct[KeySize:], &nonce, &epub, recipientPriv)
+	return Open(ct[KeySize:], &nonce, shared)
+}
+
+// OpenAnonymous is DHKey.OpenAnonymous for a raw private key.
+func OpenAnonymous(ct []byte, recipientPub *PublicKey, recipientPriv *PrivateKey) ([]byte, error) {
+	k, err := NewDHKey(recipientPriv)
+	if err != nil {
+		return nil, ErrKeyExchange
+	}
+	return k.OpenAnonymous(ct, recipientPub)
 }
 
 func anonymousNonce(epub, rpub *PublicKey) [NonceSize]byte {

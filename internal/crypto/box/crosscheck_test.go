@@ -10,9 +10,10 @@ import (
 
 // TestPrecomputeMatchesReferenceConstruction validates the full NaCl
 // "beforenm" pipeline against independent parts: the production
-// Precompute (crypto/ecdh + HSalsa20) must equal HSalsa20 applied to the
-// from-scratch RFC 7748 ladder's raw shared secret. This ties together
-// every DH code path in the repository.
+// Precompute (crypto/ecdh + HSalsa20) — through a parsed DHKey and through
+// the raw-key wrapper — must equal HSalsa20 applied to the from-scratch
+// RFC 7748 ladder's raw shared secret. This ties together every DH code
+// path in the repository.
 func TestPrecomputeMatchesReferenceConstruction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		alicePub, alicePriv, err := GenerateKey(rand.Reader)
@@ -27,6 +28,20 @@ func TestPrecomputeMatchesReferenceConstruction(t *testing.T) {
 		fast, err := Precompute(&bobPub, &alicePriv)
 		if err != nil {
 			t.Fatal(err)
+		}
+		alice, err := NewDHKey(&alicePriv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alice.Public() != alicePub {
+			t.Fatalf("iteration %d: parsed key's public half %x, generated %x", i, alice.Public(), alicePub)
+		}
+		parsed, err := alice.Precompute(&bobPub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *parsed != *fast {
+			t.Fatalf("iteration %d: parsed key %x != raw key %x", i, *parsed, *fast)
 		}
 
 		var scalar, point [32]byte

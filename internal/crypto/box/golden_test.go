@@ -88,4 +88,16 @@ func TestGoldenSeededIdentities(t *testing.T) {
 	if *shared2 != *shared {
 		t.Fatal("precompute asymmetric")
 	}
+	// And the same bytes from a parsed key.
+	bob, err := NewDHKey(&bPriv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared3, err := bob.Precompute(&aPub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bob.Public() != bPub || hex.EncodeToString(shared3[:]) != wantShared {
+		t.Fatalf("parsed key drifted: public %x, precomputed %x", bob.Public(), shared3)
+	}
 }

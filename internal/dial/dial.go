@@ -98,10 +98,20 @@ func (inv *Invitation) Seal(recipient *box.PublicKey, rng io.Reader) ([]byte, er
 // downloaded bucket (§5.1: "tries to decrypt every invitation to find any
 // that are meant for them").
 func OpenInvitation(sealed []byte, recipientPub *box.PublicKey, recipientPriv *box.PrivateKey) (*Invitation, bool) {
+	key, err := box.NewDHKey(recipientPriv)
+	if err != nil {
+		return nil, false
+	}
+	return openInvitation(sealed, recipientPub, key)
+}
+
+// openInvitation is OpenInvitation with the recipient's key already
+// parsed, so ScanBucket pays for the parse once per bucket.
+func openInvitation(sealed []byte, recipientPub *box.PublicKey, key *box.DHKey) (*Invitation, bool) {
 	if len(sealed) != InvitationSize {
 		return nil, false
 	}
-	pt, err := box.OpenAnonymous(sealed, recipientPub, recipientPriv)
+	pt, err := key.OpenAnonymous(sealed, recipientPub)
 	if err != nil || len(pt) != InvitationPayloadSize {
 		return nil, false
 	}
@@ -264,9 +274,13 @@ func (g NoiseGen) Generate(m uint32) [][]byte {
 // ScanBucket trial-decrypts every invitation in a downloaded bucket and
 // returns those addressed to the recipient.
 func ScanBucket(bucket [][]byte, recipientPub *box.PublicKey, recipientPriv *box.PrivateKey) []*Invitation {
+	key, err := box.NewDHKey(recipientPriv)
+	if err != nil {
+		return nil
+	}
 	var out []*Invitation
 	for _, sealed := range bucket {
-		if inv, ok := OpenInvitation(sealed, recipientPub, recipientPriv); ok {
+		if inv, ok := openInvitation(sealed, recipientPub, key); ok {
 			out = append(out, inv)
 		}
 	}

@@ -153,7 +153,10 @@ type Config struct {
 
 // Server is one running chain server.
 type Server struct {
-	cfg  Config
+	cfg Config
+	// key is cfg.Priv parsed once; every onion of every round is
+	// unwrapped with it (it is immutable, so round workers share it).
+	key  *box.DHKey
 	last bool
 	// router fans the last server's dead-drop exchange out to networked
 	// shard servers; nil for the in-process exchange.
@@ -197,11 +200,11 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Position < 0 || cfg.Position >= len(cfg.ChainPubs) {
 		return nil, fmt.Errorf("mixnet: position %d out of range for chain of %d", cfg.Position, len(cfg.ChainPubs))
 	}
-	pub, err := box.PublicKeyOf(&cfg.Priv)
+	key, err := box.NewDHKey(&cfg.Priv)
 	if err != nil {
 		return nil, fmt.Errorf("mixnet: server private key invalid: %w", err)
 	}
-	if pub != cfg.ChainPubs[cfg.Position] {
+	if key.Public() != cfg.ChainPubs[cfg.Position] {
 		return nil, fmt.Errorf("mixnet: private key does not match chain descriptor position %d", cfg.Position)
 	}
 	last := cfg.Position == len(cfg.ChainPubs)-1
@@ -235,6 +238,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
+		key:       key,
 		last:      last,
 		router:    router,
 		lastRound: make(map[wire.Proto]uint64),
@@ -316,7 +320,7 @@ func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
 	inner := make([][]byte, len(onions))
 	keys := make([]*[box.KeySize]byte, len(onions))
 	parallel.For(len(onions), s.cfg.Workers, func(i int) {
-		in, k, err := onion.UnwrapLayer(onions[i], &s.cfg.Priv, round, p)
+		in, k, err := onion.Unwrap(onions[i], s.key, round, p)
 		if err == nil {
 			inner[i], keys[i] = in, k
 		}
@@ -409,7 +413,7 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 
 	inner := make([][]byte, len(onions))
 	parallel.For(len(onions), s.cfg.Workers, func(i int) {
-		in, _, err := onion.UnwrapLayer(onions[i], &s.cfg.Priv, round, p)
+		in, _, err := onion.Unwrap(onions[i], s.key, round, p)
 		if err == nil {
 			inner[i] = in
 		}

@@ -1,0 +1,57 @@
+package onion
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"vuvuzela/internal/crypto/box"
+)
+
+// FuzzUnwrapLayer holds the two server-side entry points against each
+// other on arbitrary onion bytes: Unwrap with the key parsed once (what a
+// chain server runs) and the raw-key UnwrapLayer must return the same
+// payload and reply key or the same error, and must never accept bytes
+// that Wrap did not produce for this key, round and layer.
+func FuzzUnwrapLayer(f *testing.F) {
+	pub, priv := box.KeyPairFromSeed([]byte("fuzz-unwrap-server"))
+	key, err := box.NewDHKey(&priv)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const round, layer = 5, 1
+	// A fixed reader: fuzz workers are separate processes and must all
+	// build the same valid onion.
+	valid, _, err := Wrap([]byte("fuzz payload"), round, layer, []box.PublicKey{pub}, &countingReader{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, uint64(round), uint8(layer))
+	f.Add(valid, uint64(round+1), uint8(layer))
+	f.Add(valid[:LayerOverhead-1], uint64(round), uint8(layer))
+	// An all-zero (low-order) ephemeral key: the key exchange itself fails.
+	f.Add(make([]byte, LayerOverhead+8), uint64(round), uint8(layer))
+
+	f.Fuzz(func(t *testing.T, onion []byte, r uint64, l uint8) {
+		in1, k1, err1 := Unwrap(onion, key, r, int(l))
+		in2, k2, err2 := UnwrapLayer(onion, &priv, r, int(l))
+		if !errors.Is(err1, err2) || !errors.Is(err2, err1) {
+			t.Fatalf("parsed key: %v; raw key: %v", err1, err2)
+		}
+		if err1 != nil {
+			if !errors.Is(err1, ErrTooShort) && !errors.Is(err1, ErrDecrypt) {
+				t.Fatalf("unclassified error %v", err1)
+			}
+			if in1 != nil || k1 != nil || in2 != nil || k2 != nil {
+				t.Fatal("a failed unwrap returned data")
+			}
+			return
+		}
+		if !bytes.Equal(in1, in2) || *k1 != *k2 {
+			t.Fatal("parsed and raw key unwrap the same onion differently")
+		}
+		if !bytes.Equal(onion, valid) || r != round || l != layer {
+			t.Fatalf("accepted a forged onion (round %d, layer %d)", r, l)
+		}
+	})
+}

@@ -87,11 +87,11 @@ func Wrap(payload []byte, round uint64, startLayer int, pubs []box.PublicKey, rn
 	keys := make([]*[box.KeySize]byte, len(pubs))
 	onion := payload
 	for i := len(pubs) - 1; i >= 0; i-- {
-		epub, epriv, err := box.GenerateKey(rng)
+		eph, err := box.GenerateDHKey(rng)
 		if err != nil {
 			return nil, nil, err
 		}
-		shared, err := box.Precompute(&pubs[i], &epriv)
+		shared, err := eph.Precompute(&pubs[i])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -99,6 +99,7 @@ func Wrap(payload []byte, round uint64, startLayer int, pubs []box.PublicKey, rn
 
 		nonce := requestNonce(round, startLayer+i)
 		buf := make([]byte, box.KeySize+box.Overhead+len(onion))
+		epub := eph.Public()
 		copy(buf[:box.KeySize], epub[:])
 		box.SealInto(buf[box.KeySize:], onion, &nonce, shared)
 		onion = buf
@@ -106,16 +107,17 @@ func Wrap(payload []byte, round uint64, startLayer int, pubs []box.PublicKey, rn
 	return onion, keys, nil
 }
 
-// UnwrapLayer removes one onion layer as server `layer` (absolute chain
-// position) in round `round`. It returns the inner onion (or innermost
-// payload for the last server) and the shared key to seal the reply with.
-func UnwrapLayer(onion []byte, priv *box.PrivateKey, round uint64, layer int) ([]byte, *[box.KeySize]byte, error) {
+// Unwrap removes one onion layer as server `layer` (absolute chain
+// position) in round `round`, with the server's parsed key. It returns the
+// inner onion (or innermost payload for the last server) and the shared
+// key to seal the reply with.
+func Unwrap(onion []byte, key *box.DHKey, round uint64, layer int) ([]byte, *[box.KeySize]byte, error) {
 	if len(onion) < LayerOverhead {
 		return nil, nil, ErrTooShort
 	}
 	var epub box.PublicKey
 	copy(epub[:], onion[:box.KeySize])
-	shared, err := box.Precompute(&epub, priv)
+	shared, err := key.Precompute(&epub)
 	if err != nil {
 		return nil, nil, ErrDecrypt
 	}
@@ -127,8 +129,18 @@ func UnwrapLayer(onion []byte, priv *box.PrivateKey, round uint64, layer int) ([
 	return inner, shared, nil
 }
 
+// UnwrapLayer is Unwrap for a raw private key, parsed on every call; a
+// server unwrapping a batch parses its key once and calls Unwrap.
+func UnwrapLayer(onion []byte, priv *box.PrivateKey, round uint64, layer int) ([]byte, *[box.KeySize]byte, error) {
+	key, err := box.NewDHKey(priv)
+	if err != nil {
+		return nil, nil, ErrDecrypt
+	}
+	return Unwrap(onion, key, round, layer)
+}
+
 // SealReply encrypts a reply payload as server `layer` using the shared
-// key cached from UnwrapLayer (Algorithm 2 step 4).
+// key cached from Unwrap (Algorithm 2 step 4).
 func SealReply(reply []byte, key *[box.KeySize]byte, round uint64, layer int) []byte {
 	nonce := replyNonce(round, layer)
 	return box.Seal(reply, &nonce, key)

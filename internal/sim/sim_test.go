@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 )
@@ -285,4 +286,34 @@ func TestLinearFit(t *testing.T) {
 	if _, _, r2 := LinearFit([]float64{1}, []float64{1}); r2 != 0 {
 		t.Fatal("degenerate fit should return zero")
 	}
+}
+
+// TestMeasuredRoundNotBelowFloor: CryptoLowerBound calibrated on this
+// machine must stay a lower bound for a round measured on this machine.
+// It would not if MeasureDHThroughput timed more than the one scalar mult
+// a server pays per onion (the raw-key box.Precompute costs two): a round
+// of this shape measures ≈1.2× its floor, and ≈0.6× that doubled one.
+// Throughput is measured on both sides of every round and the faster
+// figure taken, and the median of five trials is judged, because a shared
+// CI box changes speed by that much from one second to the next.
+func TestMeasuredRoundNotBelowFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measurement")
+	}
+	const users, mu, servers = 200, 10, 3
+	ratios := make([]float64, 5)
+	for i := range ratios {
+		before := MeasureDHThroughput(50 * time.Millisecond)
+		p, err := MeasureConvoRound(users, mu, servers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := CostModel{DHOpsPerSec: math.Max(before, MeasureDHThroughput(50*time.Millisecond))}
+		ratios[i] = p.Latency.Seconds() / m.CryptoLowerBound(users, mu, servers).Seconds()
+	}
+	sort.Float64s(ratios)
+	if ratios[len(ratios)/2] < 1 {
+		t.Fatalf("measured round / crypto floor = %.2f (trials %.2f): the floor is not a floor", ratios[len(ratios)/2], ratios)
+	}
+	t.Logf("measured round / crypto floor: %.2f", ratios)
 }

@@ -280,15 +280,17 @@ func authErr(format string, args ...any) error {
 }
 
 func (s *Secure) clientHandshake() error {
-	pub, err := box.PublicKeyOf(&s.priv)
+	id, err := box.NewDHKey(&s.priv)
 	if err != nil {
 		return authErr("own key invalid: %v", err)
 	}
-	ePub, ePriv, err := box.GenerateKey(nil)
+	pub := id.Public()
+	eph, err := box.GenerateDHKey(nil)
 	if err != nil {
 		return err
 	}
-	ss, err := box.Precompute(&s.serverPub, &s.priv)
+	ePub := eph.Public()
+	ss, err := id.Precompute(&s.serverPub)
 	if err != nil {
 		return authErr("server key unusable: %v", err)
 	}
@@ -323,7 +325,7 @@ func (s *Secure) clientHandshake() error {
 		return authErr("handshake transcript mismatch")
 	}
 
-	ee, err := box.Precompute(&sEph, &ePriv)
+	ee, err := eph.Precompute(&sEph)
 	if err != nil {
 		return authErr("ephemeral exchange failed: %v", err)
 	}
@@ -333,10 +335,11 @@ func (s *Secure) clientHandshake() error {
 }
 
 func (s *Secure) serverHandshake() error {
-	pub, err := box.PublicKeyOf(&s.priv)
+	id, err := box.NewDHKey(&s.priv)
 	if err != nil {
 		return authErr("own key invalid: %v", err)
 	}
+	pub := id.Public()
 	msg1, err := s.readFrame()
 	if err != nil {
 		return err
@@ -368,7 +371,7 @@ func (s *Secure) serverHandshake() error {
 		return authErr("peer presented a zero key")
 	}
 
-	ss, err := box.Precompute(&clientPub, &s.priv)
+	ss, err := id.Precompute(&clientPub)
 	if err != nil {
 		return authErr("peer key unusable: %v", err)
 	}
@@ -381,10 +384,11 @@ func (s *Secure) serverHandshake() error {
 		return authErr("handshake transcript mismatch")
 	}
 
-	sEph, sEphPriv, err := box.GenerateKey(nil)
+	eph, err := box.GenerateDHKey(nil)
 	if err != nil {
 		return err
 	}
+	sEph := eph.Public()
 	n2 := hsNonce("hs2", cEph[:], sEph[:])
 	echo := make([]byte, 0, 2*box.KeySize)
 	echo = append(echo, sEph[:]...)
@@ -396,7 +400,7 @@ func (s *Secure) serverHandshake() error {
 		return err
 	}
 
-	ee, err := box.Precompute(&cEph, &sEphPriv)
+	ee, err := eph.Precompute(&cEph)
 	if err != nil {
 		return authErr("ephemeral exchange failed: %v", err)
 	}
