@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build test race shardtest restart-matrix fuzz bench-smoke bench bench-record bench-entry bench-privacy example-smoke clean
+.PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build test race shardtest restart-matrix fuzz bench-smoke bench bench-record bench-entry bench-privacy example-smoke loc clean
 
 check: lint build bench-smoke race shardtest restart-matrix fuzz
 
@@ -111,6 +111,11 @@ bench-entry:
 # (CI runs the -quick smoke form of the same command).
 bench-privacy:
 	$(GO) run ./cmd/vuvuzela-bench -json BENCH_privacy.json privacy
+
+# Non-test Go lines outside the benchmark module: the number ROADMAP's
+# aim 2 ("net non-test LOC goes down") and each CHANGES.md entry quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -148,15 +148,24 @@ func (c *Chain) ShardKeys() []box.PublicKey {
 	return out
 }
 
+// MaxServers is the longest chain a descriptor may list: each server adds
+// 48 bytes to every onion, and the entry tier drops a client whose onions
+// exceed a fixed size (internal/collector).
+const MaxServers = 64
+
 // Validate checks the structural invariants every tool relies on: at
-// least one server, no empty addresses, no zero keys, and no key shared
-// between two entries — a zero or duplicated key would silently undermine
-// the authenticated server-to-server channels keyed from this file.
+// least one and at most MaxServers servers, no empty addresses, no zero
+// keys, and no key shared between two entries — a zero or duplicated key
+// would silently undermine the authenticated server-to-server channels
+// keyed from this file.
 // LoadChain applies it to every chain read from disk, and keygen to every
 // chain it writes.
 func (c *Chain) Validate() error {
 	if len(c.Servers) == 0 {
 		return fmt.Errorf("config: chain has no servers")
+	}
+	if len(c.Servers) > MaxServers {
+		return fmt.Errorf("config: chain has %d servers, more than the %d supported", len(c.Servers), MaxServers)
 	}
 	seen := make(map[Key]string)
 	check := func(what string, s Server) error {

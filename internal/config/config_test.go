@@ -2,6 +2,7 @@ package config
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vuvuzela/internal/crypto/box"
@@ -183,6 +184,11 @@ func TestChainValidate(t *testing.T) {
 	}
 	if err := (&Chain{}).Validate(); err == nil {
 		t.Fatal("empty chain accepted")
+	}
+	c = good()
+	c.Servers = make([]Server, MaxServers+1)
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "more than") {
+		t.Fatalf("over-long chain: %v", err)
 	}
 
 	// LoadChain applies the same validation to files.

@@ -115,9 +115,7 @@ func TestAbortedRoundCleansPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.co.mu.Lock()
-	rs := r.co.pending[wire.ProtoConvo]
-	r.co.mu.Unlock()
+	rs := r.co.col.Pending(wire.ProtoConvo)
 	if rs == nil {
 		t.Fatal("no pending round after announce")
 	}
@@ -126,9 +124,7 @@ func TestAbortedRoundCleansPending(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("cancelled round returned no error")
 	}
-	r.co.mu.Lock()
-	stale := r.co.pending[wire.ProtoConvo]
-	r.co.mu.Unlock()
+	stale := r.co.col.Pending(wire.ProtoConvo)
 	if stale != nil {
 		t.Fatal("aborted round still pending")
 	}
@@ -139,11 +135,8 @@ func TestAbortedRoundCleansPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(150 * time.Millisecond)
-	rs.mu.Lock()
-	absorbed := len(rs.subs)
-	rs.mu.Unlock()
-	if absorbed != 0 {
-		t.Fatalf("aborted round absorbed %d submissions", absorbed)
+	if absorbed, _ := rs.Finish(); len(absorbed) != 0 {
+		t.Fatalf("aborted round absorbed %d submissions", len(absorbed))
 	}
 }
 

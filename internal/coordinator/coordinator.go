@@ -12,6 +12,14 @@
 // Clients may also connect to the coordinator directly (Serve) — small
 // deployments and tests skip the frontend tier entirely.
 //
+// Both ends of the coordinator are shared code. Round collection — the
+// bounded writer queues, the announce-time membership of a round, the
+// read loop — is internal/collector, the same code a frontend runs for
+// its clients; direct clients and frontend pipes are members of one
+// collector. The entry leg into the chain is a mixnet.ChainLeg, one
+// mixnet.Peer per protocol: the type behind every chain hop and shard
+// leg, with the one redial-and-resend policy (docs/WIRE.md §2.2).
+//
 // It coordinates both protocols: conversation rounds (with a reply path)
 // and dialing rounds (publish-only; clients fetch buckets from the CDN).
 // Rounds can be driven on timers (Start) or stepped manually
@@ -27,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"vuvuzela/internal/collector"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/dial"
 	"vuvuzela/internal/mixnet"
@@ -139,169 +148,18 @@ type Config struct {
 // Coordinator is a running entry server.
 type Coordinator struct {
 	cfg Config
+	// col holds the direct clients and the frontend pipes, and collects
+	// each round from both.
+	col *collector.Collector
+	// chain is the entry leg into server 0; nil under ChainLocal.
+	chain mixnet.ChainLeg
 
-	mu      sync.Mutex
-	clients map[*clientConn]struct{}
-	fronts  map[*clientConn]struct{}
-	pending map[wire.Proto]*roundState
-	convoR  uint64
-	dialR   uint64
-
-	chainMu sync.Mutex
-	chain   map[wire.Proto]*wire.Conn
+	mu     sync.Mutex
+	convoR uint64
+	dialR  uint64
 
 	closeOnce sync.Once
 	closeCh   chan struct{}
-}
-
-// clientConn is one connected client or entry-frontend pipe. Outbound
-// messages go through a buffered queue drained by a dedicated writer
-// goroutine, so one stalled peer can never block a round's
-// announce/reply loop — the entry-server DoS resilience §9 calls for. A
-// peer whose queue overflows is dropped.
-type clientConn struct {
-	conn   *wire.Conn
-	out    chan *wire.Message
-	closed chan struct{}
-	once   sync.Once
-	// front marks an entry-frontend pipe: its announces carry the
-	// submit-timeout budget, its submissions arrive as
-	// wire.KindFrontBatch, and its replies leave as
-	// wire.KindFrontReplies.
-	front bool
-}
-
-// errClientStalled marks a client dropped for not draining its queue.
-var errClientStalled = errors.New("coordinator: client stalled")
-
-func newClientConn(conn *wire.Conn) *clientConn {
-	cc := &clientConn{
-		conn:   conn,
-		out:    make(chan *wire.Message, 64),
-		closed: make(chan struct{}),
-	}
-	go cc.writeLoop()
-	return cc
-}
-
-func (cc *clientConn) writeLoop() {
-	for {
-		select {
-		case m := <-cc.out:
-			if err := cc.conn.Send(m); err != nil {
-				cc.close()
-				return
-			}
-		case <-cc.closed:
-			return
-		}
-	}
-}
-
-func (cc *clientConn) send(m *wire.Message) error {
-	select {
-	case cc.out <- m:
-		return nil
-	case <-cc.closed:
-		return errClientStalled
-	default:
-		// Queue full: the client is not reading. Drop it rather than
-		// let it hold up the round.
-		cc.close()
-		return errClientStalled
-	}
-}
-
-func (cc *clientConn) close() {
-	cc.once.Do(func() {
-		close(cc.closed)
-		cc.conn.Close()
-	})
-}
-
-// roundState collects one round's submissions from the announce-time
-// snapshot of direct clients and frontend pipes.
-type roundState struct {
-	round uint64
-	// perClient is the fixed number of onions each end client must
-	// submit (ConvoExchanges for conversations, 1 for dialing).
-	perClient int
-
-	mu sync.Mutex
-	// members is the announce-time snapshot: only these connections may
-	// contribute. A connection that joined after the announcement waits
-	// for the next round — letting it vote here would close the round
-	// early while the snapshot-ordered batch build dropped its onions.
-	members map[*clientConn]struct{}
-	// subs holds each member's recorded submission: exactly perClient
-	// onions for a direct client, M·perClient onions in demux order for
-	// a frontend's partial batch.
-	subs map[*clientConn][][]byte
-	// missing counts members that have neither submitted nor
-	// disconnected; full fires when it reaches zero.
-	missing int
-	// closed marks the round finished — batch built or aborted — after
-	// which record and drop are rejected.
-	closed bool
-	full   chan struct{}
-}
-
-// Round-membership rejections. Callers treat these as per-message noise
-// (drop the submission, keep the connection): none of them indicate a
-// broken peer, just unfortunate timing.
-var (
-	errRoundClosed = errors.New("coordinator: round closed")
-	errNotMember   = errors.New("coordinator: not in round snapshot")
-	errDuplicate   = errors.New("coordinator: duplicate submission")
-)
-
-// record stores a member's submission and closes the round once the
-// last outstanding member is accounted for. Non-members are rejected so
-// a late joiner can neither fire full early nor have its onions
-// silently dropped by the snapshot-ordered batch build.
-func (rs *roundState) record(cc *clientConn, onions [][]byte) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.closed {
-		return errRoundClosed
-	}
-	if _, ok := rs.members[cc]; !ok {
-		return errNotMember
-	}
-	if _, dup := rs.subs[cc]; dup {
-		return errDuplicate
-	}
-	rs.subs[cc] = onions
-	rs.missing--
-	if rs.missing == 0 {
-		close(rs.full)
-	}
-	return nil
-}
-
-// drop removes a disconnected member that has not submitted, so a round
-// with churn closes as soon as every remaining member has submitted
-// instead of burning the full SubmitTimeout waiting on a dead
-// connection. A member that already submitted keeps its slot — its
-// onions are in the batch whether or not anyone is left to receive the
-// reply.
-func (rs *roundState) drop(cc *clientConn) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.closed {
-		return
-	}
-	if _, ok := rs.members[cc]; !ok {
-		return
-	}
-	if _, submitted := rs.subs[cc]; submitted {
-		return
-	}
-	delete(rs.members, cc)
-	rs.missing--
-	if rs.missing == 0 {
-		close(rs.full)
-	}
 }
 
 // New creates a coordinator.
@@ -338,11 +196,14 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	co := &Coordinator{
 		cfg:     cfg,
-		clients: make(map[*clientConn]struct{}),
-		fronts:  make(map[*clientConn]struct{}),
-		pending: make(map[wire.Proto]*roundState),
-		chain:   make(map[wire.Proto]*wire.Conn),
+		col:     collector.New(0),
 		closeCh: make(chan struct{}),
+	}
+	if cfg.ChainLocal == nil {
+		// The entry leg always runs inside transport.Secure: the Peer
+		// verifies it reached the server holding ChainPub before the first
+		// onion crosses the wire.
+		co.chain = mixnet.NewChainLeg(cfg.Net, cfg.ChainAddr, cfg.Identity, cfg.ChainPub)
 	}
 	if cfg.RoundState != nil {
 		// Resume numbering after the highest rounds a previous process
@@ -357,37 +218,14 @@ func New(cfg Config) (*Coordinator, error) {
 // NumClients returns the number of directly connected clients (it does
 // not count end clients behind frontends, which the coordinator only
 // learns per round from each KindFrontBatch).
-func (co *Coordinator) NumClients() int {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return len(co.clients)
-}
+func (co *Coordinator) NumClients() int { return co.col.NumClients() }
 
 // NumFrontends returns the number of connected entry-frontend pipes.
-func (co *Coordinator) NumFrontends() int {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return len(co.fronts)
-}
+func (co *Coordinator) NumFrontends() int { return co.col.NumFronts() }
 
 // Serve accepts client connections until the listener closes.
 func (co *Coordinator) Serve(l net.Listener) error {
-	for {
-		raw, err := l.Accept()
-		if err != nil {
-			select {
-			case <-co.closeCh:
-				return nil
-			default:
-				return err
-			}
-		}
-		cc := newClientConn(wire.NewConn(raw))
-		co.mu.Lock()
-		co.clients[cc] = struct{}{}
-		co.mu.Unlock()
-		go co.readLoop(cc)
-	}
+	return mixnet.ServeLoop(l, co.closeCh, co.col.ServeClient)
 }
 
 // ServeFrontends accepts entry-frontend pipes until the listener
@@ -402,103 +240,20 @@ func (co *Coordinator) ServeFrontends(l net.Listener) error {
 	if co.cfg.FrontIdentity == (box.PrivateKey{}) {
 		return errors.New("coordinator: ServeFrontends needs Config.FrontIdentity")
 	}
-	for {
-		raw, err := l.Accept()
-		if err != nil {
-			select {
-			case <-co.closeCh:
-				return nil
-			default:
-				return err
-			}
-		}
-		go co.handleFrontend(raw)
-	}
+	return mixnet.ServeLoop(l, co.closeCh, co.handleFrontend)
 }
 
 // handleFrontend runs the secure handshake for one frontend pipe and
-// registers it. Unlike the chain's lazy accept path, the handshake runs
-// to completion under a deadline before registration: the coordinator
+// serves it. Unlike the chain's lazy accept path, the handshake runs to
+// completion under a deadline before registration: the coordinator
 // writes announcements proactively, so it cannot defer key agreement to
 // the first inbound frame.
 func (co *Coordinator) handleFrontend(raw net.Conn) {
 	sec := transport.SecureServerAny(raw, co.cfg.FrontIdentity)
-	raw.SetDeadline(time.Now().Add(mixnet.DefaultHandshakeTimeout))
-	if err := sec.Handshake(); err != nil {
-		sec.Close()
+	if mixnet.HandshakeWithin(sec) != nil {
 		return
 	}
-	raw.SetDeadline(time.Time{})
-	cc := newClientConn(wire.NewConn(sec))
-	cc.front = true
-	co.mu.Lock()
-	select {
-	case <-co.closeCh:
-		co.mu.Unlock()
-		cc.close()
-		return
-	default:
-	}
-	co.fronts[cc] = struct{}{}
-	co.mu.Unlock()
-	co.readLoop(cc)
-}
-
-// readLoop receives submissions from one connection — wire.KindSubmit
-// from a direct client, wire.KindFrontBatch from a frontend pipe — and
-// routes them to the open round. A malformed submission (wrong exchange
-// count, bad frontend framing) drops the connection, the same policy as
-// a stalled writer: the peer is broken, and silently ignoring it would
-// leave an honest-but-misconfigured client waiting forever for a reply
-// that can never be addressed to it. On disconnect, every pending round
-// is notified so churn no longer burns the full SubmitTimeout.
-func (co *Coordinator) readLoop(cc *clientConn) {
-	defer func() {
-		co.mu.Lock()
-		if cc.front {
-			delete(co.fronts, cc)
-		} else {
-			delete(co.clients, cc)
-		}
-		open := make([]*roundState, 0, len(co.pending))
-		for _, rs := range co.pending {
-			open = append(open, rs)
-		}
-		co.mu.Unlock()
-		cc.close()
-		for _, rs := range open {
-			rs.drop(cc)
-		}
-	}()
-	for {
-		msg, err := cc.conn.Recv()
-		if err != nil {
-			return
-		}
-		if cc.front {
-			if msg.Kind != wire.KindFrontBatch {
-				return // frontends speak only KindFrontBatch; drop the pipe
-			}
-		} else if msg.Kind != wire.KindSubmit {
-			continue
-		}
-		co.mu.Lock()
-		rs := co.pending[msg.Proto]
-		co.mu.Unlock()
-		if rs == nil || rs.round != msg.Round {
-			continue // late or unknown round: drop (client retries next round)
-		}
-		if cc.front {
-			if err := wire.CheckFrontBatch(msg, rs.perClient); err != nil {
-				return // malformed partial batch: drop the pipe
-			}
-		} else if len(msg.Body) != rs.perClient {
-			return // wrong exchange count: misconfigured client, drop it
-		}
-		// Membership and duplicate rejections are per-message noise, not
-		// a broken peer: keep the connection, drop the submission.
-		_ = rs.record(cc, msg.Body)
-	}
+	co.col.ServeFront(wire.NewConn(sec))
 }
 
 // commitRound burns a round number durably before any client sees its
@@ -516,24 +271,13 @@ func (co *Coordinator) commitRound(counter string, round uint64) error {
 	return nil
 }
 
-// participant is one batch contributor in snapshot order: a directly
-// connected client or a frontend's partial batch. Contributor i owns
-// batch[off : off+onions] where off is the sum of earlier onion counts.
-type participant struct {
-	cc *clientConn
-	// onions is how many batch entries the contributor supplied:
-	// perClient for a direct client, M·perClient for a frontend.
-	onions int
-	// clients is how many end clients those onions represent: 1 for a
-	// direct client, the KindFrontBatch M for a frontend.
-	clients int
-}
-
-// countClients sums the end clients behind a round's participants.
-func countClients(parts []participant) int {
+// countClients sums the end clients behind a round's contributors: one
+// per direct client, the KindFrontBatch M (its onions over perClient)
+// per frontend.
+func countClients(parts []collector.Part, perClient int) int {
 	n := 0
 	for _, p := range parts {
-		n += p.clients
+		n += p.Onions / perClient
 	}
 	return n
 }
@@ -543,7 +287,7 @@ func countClients(parts []participant) int {
 type convoRound struct {
 	round uint64
 	batch [][]byte
-	parts []participant
+	parts []collector.Part
 	// participants is the number of end clients in the batch — direct
 	// submitters plus every client batched behind a frontend.
 	participants int
@@ -567,7 +311,7 @@ func (co *Coordinator) collectConvo(ctx context.Context) (*convoRound, error) {
 		return cr, err
 	}
 	cr.batch, cr.parts = batch, parts
-	cr.participants = countClients(parts)
+	cr.participants = countClients(parts, k)
 	return cr, nil
 }
 
@@ -576,7 +320,7 @@ func (co *Coordinator) collectConvo(ctx context.Context) (*convoRound, error) {
 // rounds must stay ordered — the chain enforces strictly increasing
 // rounds — so callers run this stage on a single goroutine.
 func (co *Coordinator) chainConvo(cr *convoRound) ([][]byte, error) {
-	replies, err := co.forwardConvo(cr.round, cr.batch)
+	replies, err := co.forward(wire.ProtoConvo, cr.round, 0, cr.batch)
 	if err != nil {
 		return nil, err
 	}
@@ -593,20 +337,19 @@ func (co *Coordinator) chainConvo(cr *convoRound) ([][]byte, error) {
 func (co *Coordinator) fanoutConvo(cr *convoRound, replies [][]byte) {
 	off := 0
 	for _, p := range cr.parts {
-		slice := replies[off : off+p.onions]
-		off += p.onions
+		slice := replies[off : off+p.Onions]
+		off += p.Onions
 		var msg *wire.Message
-		if p.cc.front {
-			msg = wire.FrontRepliesMessage(wire.ProtoConvo, cr.round, uint32(p.clients), slice)
+		if p.Conn.Front() {
+			clients := uint32(p.Onions) / co.cfg.ConvoExchanges
+			msg = wire.FrontRepliesMessage(wire.ProtoConvo, cr.round, clients, slice)
 		} else {
 			msg = &wire.Message{
 				Kind: wire.KindReply, Proto: wire.ProtoConvo, Round: cr.round,
 				M: co.cfg.ConvoExchanges, Body: slice,
 			}
 		}
-		if err := p.cc.send(msg); err != nil {
-			p.cc.close()
-		}
+		p.Conn.Deliver(msg)
 	}
 }
 
@@ -790,7 +533,6 @@ func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, particip
 	co.mu.Lock()
 	co.dialR++
 	round = co.dialR
-	clients := len(co.clients)
 	co.mu.Unlock()
 	if err := co.commitRound(roundstate.DialCounter, round); err != nil {
 		return round, 0, err
@@ -803,18 +545,18 @@ func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, particip
 		// invitations. n counts direct clients only — end clients behind
 		// frontends are known only after collection, one round too late
 		// for the announcement.
-		m = dial.OptimalBuckets(clients, co.cfg.AutoBuckets, co.cfg.AutoBucketsMu)
+		m = dial.OptimalBuckets(co.col.NumClients(), co.cfg.AutoBuckets, co.cfg.AutoBucketsMu)
 	}
 	subs, parts, err := co.collect(ctx, wire.ProtoDial, round, m, 1)
 	if err != nil {
 		return round, 0, err
 	}
-	if err := co.forwardDial(round, m, subs); err != nil {
-		return round, countClients(parts), err
+	if _, err := co.forward(wire.ProtoDial, round, m, subs); err != nil {
+		return round, countClients(parts, 1), err
 	}
 	for _, p := range parts {
 		var msg *wire.Message
-		if p.cc.front {
+		if p.Conn.Front() {
 			// The dial acknowledgement on the frontend pipe: M echoes
 			// the bucket count, no body; the frontend fans out a
 			// KindReply ack to each of its clients.
@@ -822,42 +564,17 @@ func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, particip
 		} else {
 			msg = &wire.Message{Kind: wire.KindReply, Proto: wire.ProtoDial, Round: round, M: m}
 		}
-		if err := p.cc.send(msg); err != nil {
-			p.cc.close()
-		}
+		p.Conn.Deliver(msg)
 	}
-	return round, countClients(parts), nil
+	return round, countClients(parts, 1), nil
 }
 
 // collect announces a round and gathers submissions from every directly
 // connected client and frontend pipe, returning the flattened batch and
-// the snapshot-ordered participants (each owning a contiguous slice of
+// the snapshot-ordered contributors (each owning a contiguous slice of
 // the batch).
-func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint64, m uint32, perClient int) ([][]byte, []participant, error) {
-	co.mu.Lock()
-	snapshot := make([]*clientConn, 0, len(co.clients)+len(co.fronts))
-	for cc := range co.clients {
-		snapshot = append(snapshot, cc)
-	}
-	for cc := range co.fronts {
-		snapshot = append(snapshot, cc)
-	}
-	rs := &roundState{
-		round:     round,
-		perClient: perClient,
-		members:   make(map[*clientConn]struct{}, len(snapshot)),
-		subs:      make(map[*clientConn][][]byte, len(snapshot)),
-		missing:   len(snapshot),
-		full:      make(chan struct{}),
-	}
-	for _, cc := range snapshot {
-		rs.members[cc] = struct{}{}
-	}
-	if rs.missing == 0 {
-		close(rs.full)
-	}
-	co.pending[proto] = rs
-	co.mu.Unlock()
+func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint64, m uint32, perClient int) ([][]byte, []collector.Part, error) {
+	r := co.col.Open(proto, round, perClient)
 
 	announce := &wire.Message{Kind: wire.KindAnnounce, Proto: proto, Round: round, M: m}
 	// The frontend copy carries the coordinator's submit-timeout budget
@@ -865,139 +582,42 @@ func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint
 	// before the coordinator gives up on them; clients ignore the field.
 	frontAnnounce := *announce
 	frontAnnounce.Bucket = uint32(co.cfg.SubmitTimeout / time.Millisecond)
-	for _, cc := range snapshot {
+	for _, c := range r.Members() {
 		msg := announce
-		if cc.front {
+		if c.Front() {
 			msg = &frontAnnounce
 		}
-		if err := cc.send(msg); err != nil {
-			cc.close()
-		}
+		c.Deliver(msg)
 	}
 
 	timer := time.NewTimer(co.cfg.SubmitTimeout)
 	defer timer.Stop()
-	var roundErr error
 	select {
-	case <-rs.full:
+	case <-r.Full():
 	case <-timer.C:
 	case <-ctx.Done():
-		roundErr = ctx.Err()
+		r.Abandon()
+		return nil, nil, ctx.Err()
 	case <-co.closeCh:
-		roundErr = errors.New("coordinator: closed")
+		r.Abandon()
+		return nil, nil, errors.New("coordinator: closed")
 	}
-
-	// Retire the round on every exit path, abort included: a dead round
-	// left in pending would keep absorbing submissions forever, eating
-	// onions that clients meant for the next live round.
-	co.mu.Lock()
-	if co.pending[proto] == rs {
-		delete(co.pending, proto)
-	}
-	co.mu.Unlock()
-
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.closed = true
-	if roundErr != nil {
-		return nil, nil, roundErr
-	}
-	batch := make([][]byte, 0, len(rs.subs)*perClient)
-	parts := make([]participant, 0, len(rs.subs))
-	for _, cc := range snapshot {
-		onions, ok := rs.subs[cc]
-		if !ok {
-			continue
-		}
-		clients := 1
-		if cc.front {
-			clients = len(onions) / perClient
-		}
-		batch = append(batch, onions...)
-		parts = append(parts, participant{cc: cc, onions: len(onions), clients: clients})
-	}
+	batch, parts := r.Finish()
 	return batch, parts, nil
 }
 
-func (co *Coordinator) forwardConvo(round uint64, batch [][]byte) ([][]byte, error) {
-	if co.cfg.ChainLocal != nil {
-		return co.cfg.ChainLocal.ConvoRound(round, batch)
+// forward hands a batch to the chain head — in-process under ChainLocal,
+// otherwise over the entry leg — and returns its replies (none for
+// dialing).
+func (co *Coordinator) forward(proto wire.Proto, round uint64, m uint32, batch [][]byte) ([][]byte, error) {
+	head := co.cfg.ChainLocal
+	if head == nil {
+		return co.chain.Forward(proto, round, m, batch)
 	}
-	return co.chainRPC(wire.ProtoConvo, round, 0, batch)
-}
-
-func (co *Coordinator) forwardDial(round uint64, m uint32, batch [][]byte) error {
-	if co.cfg.ChainLocal != nil {
-		return co.cfg.ChainLocal.DialRound(round, m, batch)
+	if proto == wire.ProtoDial {
+		return nil, head.DialRound(round, m, batch)
 	}
-	_, err := co.chainRPC(wire.ProtoDial, round, m, batch)
-	return err
-}
-
-func (co *Coordinator) chainRPC(proto wire.Proto, round uint64, m uint32, batch [][]byte) ([][]byte, error) {
-	for attempt := 0; ; attempt++ {
-		conn, err := co.chainConn(proto)
-		if err != nil {
-			return nil, err
-		}
-		if err = conn.Send(&wire.Message{Kind: wire.KindBatch, Proto: proto, Round: round, M: m, Body: batch}); err == nil {
-			var resp *wire.Message
-			if resp, err = conn.Recv(); err == nil {
-				if resp.Kind == wire.KindError && resp.Proto == proto && resp.Round == round {
-					// The chain received the round and rejected it; no
-					// point retrying the same round. The rejection string
-					// carries the failing hop's own report (a dead
-					// successor, a shard, a replay refusal), so surface it
-					// as a RemoteError the caller can classify.
-					return nil, &mixnet.RemoteError{Addr: co.cfg.ChainAddr, Msg: resp.ErrorString()}
-				}
-				if resp.Kind != wire.KindReplies || resp.Round != round {
-					return nil, fmt.Errorf("coordinator: unexpected chain response")
-				}
-				return resp.Body, nil
-			}
-		}
-		co.dropChainConn(proto, conn)
-		if attempt == 1 {
-			return nil, fmt.Errorf("coordinator: chain rpc to %s: %w", co.cfg.ChainAddr, err)
-		}
-	}
-}
-
-// chainConn returns the chain-head connection for proto, dialing lazily.
-// The entry leg always runs inside transport.Secure: the coordinator
-// verifies it reached the server holding ChainPub before the first onion
-// crosses the wire.
-func (co *Coordinator) chainConn(proto wire.Proto) (*wire.Conn, error) {
-	co.chainMu.Lock()
-	defer co.chainMu.Unlock()
-	select {
-	case <-co.closeCh:
-		// A dead process makes no new connections: a round unwinding
-		// through a just-Closed coordinator must not redial the chain.
-		return nil, errors.New("coordinator: closed")
-	default:
-	}
-	if c := co.chain[proto]; c != nil {
-		return c, nil
-	}
-	raw, err := co.cfg.Net.Dial(co.cfg.ChainAddr)
-	if err != nil {
-		return nil, fmt.Errorf("coordinator: dialing chain %s: %w", co.cfg.ChainAddr, err)
-	}
-	sec := transport.SecureClient(raw, co.cfg.Identity, co.cfg.ChainPub)
-	c := wire.NewConn(sec)
-	co.chain[proto] = c
-	return c, nil
-}
-
-func (co *Coordinator) dropChainConn(proto wire.Proto, conn *wire.Conn) {
-	co.chainMu.Lock()
-	defer co.chainMu.Unlock()
-	if co.chain[proto] == conn {
-		conn.Close()
-		delete(co.chain, proto)
-	}
+	return head.ConvoRound(round, batch)
 }
 
 // Start drives rounds on timers until the context is cancelled: a
@@ -1094,20 +714,8 @@ func (co *Coordinator) loop(ctx context.Context, interval time.Duration, fn func
 func (co *Coordinator) Close() error {
 	co.closeOnce.Do(func() {
 		close(co.closeCh)
-		co.mu.Lock()
-		for cc := range co.clients {
-			cc.close()
-		}
-		for cc := range co.fronts {
-			cc.close()
-		}
-		co.mu.Unlock()
-		co.chainMu.Lock()
-		for proto, c := range co.chain {
-			c.Close()
-			delete(co.chain, proto)
-		}
-		co.chainMu.Unlock()
+		co.col.Close()
+		co.chain.Close()
 	})
 	return nil
 }

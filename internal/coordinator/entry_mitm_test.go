@@ -246,3 +246,60 @@ func TestEntryLegImpersonatorRejected(t *testing.T) {
 		t.Fatal("impostor never saw a connection")
 	}
 }
+
+// TestEntryLegWrongProtoReplyRejected: a chain head that answers a
+// conversation batch with a dialing-protocol KindReplies — right key,
+// right kind, right round — must fail the round and lose the
+// connection. The coordinator's own chain RPC used to check kind and
+// round only; the one mixnet.Peer validation now covers this leg as it
+// always covered the chain hops.
+func TestEntryLegWrongProtoReplyRejected(t *testing.T) {
+	mem := transport.NewMem()
+	pub, priv := box.KeyPairFromSeed([]byte("confused-chain-head"))
+	l, err := mem.Listen("chain-head")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var accepted atomic.Int32
+	severed := make(chan error, 8)
+	go func() {
+		for {
+			raw, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			go func() {
+				conn := wire.NewConn(transport.SecureServerAny(raw, priv))
+				defer conn.Close()
+				for {
+					msg, err := conn.Recv()
+					if err != nil {
+						severed <- err
+						return
+					}
+					conn.Send(&wire.Message{Kind: wire.KindReplies, Proto: wire.ProtoDial, Round: msg.Round, Body: msg.Body})
+				}
+			}()
+		}
+	}()
+
+	co, err := New(Config{Net: mem, ChainAddr: "chain-head", ChainPub: pub, SubmitTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	_, _, err = co.RunConvoRound(context.Background())
+	if !errors.Is(err, mixnet.ErrBadResponse) {
+		t.Fatalf("convo round answered with a dial-proto reply returned %v, want ErrBadResponse", err)
+	}
+	select {
+	case <-severed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("coordinator kept the connection to a chain head that answered the wrong protocol")
+	}
+	if n := accepted.Load(); n != 1 {
+		t.Fatalf("round was sent on %d connections; a wrong answer must not be resent", n)
+	}
+}

@@ -24,6 +24,11 @@
 // pipe's outbound queue is bounded (an overflowing partial batch is
 // dropped and its clients miss the round), and Config.MaxClients
 // refuses connections beyond the cap at accept time.
+//
+// The client side — writer queues, round membership, the read loop and
+// its churn handling — is internal/collector, the code the coordinator
+// runs for its own direct clients; what is written here is the pipe: the
+// long-lived dial to the coordinator and the demux of its reply slices.
 package frontend
 
 import (
@@ -34,7 +39,9 @@ import (
 	"sync"
 	"time"
 
+	"vuvuzela/internal/collector"
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
 )
@@ -46,9 +53,6 @@ const DefaultCollectBudget = 2 * time.Second
 
 // DefaultReconnectDelay is the pause between pipe reconnection attempts.
 const DefaultReconnectDelay = 500 * time.Millisecond
-
-// handshakeTimeout bounds the pipe's secure handshake.
-const handshakeTimeout = 10 * time.Second
 
 // Config describes an entry frontend.
 type Config struct {
@@ -89,12 +93,18 @@ type Config struct {
 // Frontend is a running entry frontend.
 type Frontend struct {
 	cfg Config
+	// col holds the clients and collects each round's partial batch.
+	col *collector.Collector
 
-	mu      sync.Mutex
-	clients map[*clientConn]struct{}
-	pending map[wire.Proto]*frontRound
-	await   map[roundKey]*sentRound
-	pipe    *pipe
+	mu    sync.Mutex
+	await map[roundKey]*sentRound
+	// pipe is the connection to the coordinator, nil while it is down.
+	// Its writes go through a small bounded queue: a frontend sends
+	// exactly one partial batch per announced round and the coordinator
+	// never has more than wire.MaxRoundsInFlight rounds open, so a full
+	// queue means the coordinator is not draining — the overflowing batch
+	// is shed rather than queued without bound.
+	pipe *collector.Conn
 
 	closeOnce sync.Once
 	closeCh   chan struct{}
@@ -123,19 +133,14 @@ func New(cfg Config) (*Frontend, error) {
 	}
 	return &Frontend{
 		cfg:     cfg,
-		clients: make(map[*clientConn]struct{}),
-		pending: make(map[wire.Proto]*frontRound),
+		col:     collector.New(cfg.MaxClients),
 		await:   make(map[roundKey]*sentRound),
 		closeCh: make(chan struct{}),
 	}, nil
 }
 
 // NumClients returns the number of connected clients.
-func (f *Frontend) NumClients() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.clients)
-}
+func (f *Frontend) NumClients() int { return f.col.NumClients() }
 
 // Connected reports whether the coordinator pipe is currently up.
 func (f *Frontend) Connected() bool {
@@ -149,27 +154,7 @@ func (f *Frontend) Connected() bool {
 // (load-shedding): a client that cannot be served this round should
 // retry another frontend rather than silently receive nothing.
 func (f *Frontend) Serve(l net.Listener) error {
-	for {
-		raw, err := l.Accept()
-		if err != nil {
-			select {
-			case <-f.closeCh:
-				return nil
-			default:
-				return err
-			}
-		}
-		f.mu.Lock()
-		if f.cfg.MaxClients > 0 && len(f.clients) >= f.cfg.MaxClients {
-			f.mu.Unlock()
-			raw.Close()
-			continue
-		}
-		cc := newClientConn(wire.NewConn(raw))
-		f.clients[cc] = struct{}{}
-		f.mu.Unlock()
-		go f.readLoop(cc)
-	}
+	return mixnet.ServeLoop(l, f.closeCh, f.col.ServeClient)
 }
 
 // Run maintains the coordinator pipe until the context is cancelled or
@@ -197,20 +182,21 @@ func (f *Frontend) runPipe(ctx context.Context) {
 	if err != nil {
 		return
 	}
+	// The one secured dial outside mixnet.Peer: the pipe is long-lived
+	// and the coordinator speaks first on it, so it is neither lazy nor
+	// request/response, and the handshake runs eagerly under a deadline.
 	sec := transport.SecureClient(raw, f.cfg.Identity, f.cfg.CoordPub)
-	raw.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := sec.Handshake(); err != nil {
-		sec.Close()
+	if mixnet.HandshakeWithin(sec) != nil {
 		return
 	}
-	raw.SetDeadline(time.Time{})
 
-	p := newPipe(wire.NewConn(sec))
+	conn := wire.NewConn(sec)
+	p := collector.NewConn(conn, wire.MaxRoundsInFlight)
 	f.mu.Lock()
 	select {
 	case <-f.closeCh:
 		f.mu.Unlock()
-		p.close()
+		p.Close()
 		return
 	default:
 	}
@@ -227,11 +213,11 @@ func (f *Frontend) runPipe(ctx context.Context) {
 		case <-f.closeCh:
 		case <-stop:
 		}
-		p.close()
+		p.Close()
 	}()
 
 	for {
-		msg, err := p.conn.Recv()
+		msg, err := conn.Recv()
 		if err != nil {
 			break
 		}
@@ -243,12 +229,12 @@ func (f *Frontend) runPipe(ctx context.Context) {
 				// The coordinator broke the reply framing; a corrupted
 				// demux would misroute onions between clients, so drop
 				// the pipe and resync on reconnect.
-				p.close()
+				p.Close()
 			}
 		}
 	}
 
-	p.close()
+	p.Close()
 	f.mu.Lock()
 	if f.pipe == p {
 		f.pipe = nil
@@ -260,8 +246,11 @@ func (f *Frontend) runPipe(ctx context.Context) {
 	f.mu.Unlock()
 }
 
-// startRound begins collecting one round announced on the pipe.
-func (f *Frontend) startRound(p *pipe, ann *wire.Message) {
+// startRound begins collecting one round announced on the pipe. A
+// previous round of the same protocol still collecting has been
+// abandoned by the coordinator (it announced a newer one); Open closes it
+// without sending.
+func (f *Frontend) startRound(p *collector.Conn, ann *wire.Message) {
 	budget := f.cfg.CollectBudget
 	if ann.Bucket > 0 {
 		// The coordinator's submit-timeout budget (milliseconds): use
@@ -269,34 +258,19 @@ func (f *Frontend) startRound(p *pipe, ann *wire.Message) {
 		// it stops waiting for this frontend.
 		budget = time.Duration(ann.Bucket) * time.Millisecond * 4 / 5
 	}
-
-	f.mu.Lock()
-	snapshot := make([]*clientConn, 0, len(f.clients))
-	for cc := range f.clients {
-		snapshot = append(snapshot, cc)
-	}
-	fr := newFrontRound(ann.Proto, ann.Round, perClientFor(ann), snapshot)
-	// A previous round of the same protocol still collecting has been
-	// abandoned by the coordinator (it announced a newer one); close it
-	// without sending.
-	if old := f.pending[ann.Proto]; old != nil {
-		old.abandon()
-	}
-	f.pending[ann.Proto] = fr
-	f.mu.Unlock()
+	perClient := perClientFor(ann)
+	r := f.col.Open(ann.Proto, ann.Round, perClient)
 
 	// Relay the announcement with the budget hint zeroed: the
 	// client-facing wire is identical to a direct coordinator
 	// connection.
 	relay := *ann
 	relay.Bucket = 0
-	for _, cc := range snapshot {
-		if err := cc.send(&relay); err != nil {
-			cc.close()
-		}
+	for _, c := range r.Members() {
+		c.Deliver(&relay)
 	}
 
-	go f.collectRound(p, fr, budget)
+	go f.collectRound(p, r, roundKey{ann.Proto, ann.Round}, perClient, budget)
 }
 
 // perClientFor derives the per-client onion count from an announcement:
@@ -314,31 +288,22 @@ func perClientFor(ann *wire.Message) int {
 // reply. An empty frontend submits its empty batch immediately, letting
 // the coordinator close the round early instead of waiting out the
 // submit timeout on an idle frontend.
-func (f *Frontend) collectRound(p *pipe, fr *frontRound, budget time.Duration) {
+func (f *Frontend) collectRound(p *collector.Conn, r *collector.Round, key roundKey, perClient int, budget time.Duration) {
 	timer := time.NewTimer(budget)
 	defer timer.Stop()
-	aborted := false
 	select {
-	case <-fr.full:
+	case <-r.Full():
 	case <-timer.C:
-	case <-p.closed:
-		aborted = true
+	case <-p.Closed():
+		r.Abandon()
+		return
 	case <-f.closeCh:
-		aborted = true
-	}
-
-	f.mu.Lock()
-	if f.pending[fr.proto] == fr {
-		delete(f.pending, fr.proto)
-	}
-	f.mu.Unlock()
-	onions, order := fr.finalize()
-	if aborted {
+		r.Abandon()
 		return
 	}
+	onions, order := r.Finish()
 
-	key := roundKey{fr.proto, fr.round}
-	sr := &sentRound{perClient: fr.perClient, order: order}
+	sr := &sentRound{perClient: perClient, order: order}
 	f.mu.Lock()
 	f.await[key] = sr
 	// Bound the demux state: the coordinator never has more than
@@ -357,8 +322,8 @@ func (f *Frontend) collectRound(p *pipe, fr *frontRound, budget time.Duration) {
 	}
 	f.mu.Unlock()
 
-	batch := wire.FrontBatchMessage(fr.proto, fr.round, uint32(len(order)), onions)
-	if err := p.send(batch); err != nil {
+	batch := wire.FrontBatchMessage(key.proto, key.round, uint32(len(order)), onions)
+	if !p.Send(batch) {
 		// Pipe gone or outbound queue overflowing: shed the round.
 		f.mu.Lock()
 		delete(f.await, key)
@@ -392,77 +357,29 @@ func (f *Frontend) deliver(msg *wire.Message) error {
 	if msg.Proto == wire.ProtoDial {
 		// The dial acknowledgement: fan a KindReply ack with the bucket
 		// count to every client in the batch.
-		for _, cc := range sr.order {
-			ack := &wire.Message{Kind: wire.KindReply, Proto: wire.ProtoDial, Round: msg.Round, M: msg.M}
-			if err := cc.send(ack); err != nil {
-				cc.close()
-			}
+		for _, part := range sr.order {
+			part.Conn.Deliver(&wire.Message{Kind: wire.KindReply, Proto: wire.ProtoDial, Round: msg.Round, M: msg.M})
 		}
 		return nil
 	}
 	k := sr.perClient
-	for i, cc := range sr.order {
-		reply := &wire.Message{
+	for i, part := range sr.order {
+		part.Conn.Deliver(&wire.Message{
 			Kind: wire.KindReply, Proto: wire.ProtoConvo, Round: msg.Round,
 			M: uint32(k), Body: msg.Body[i*k : (i+1)*k],
-		}
-		if err := cc.send(reply); err != nil {
-			cc.close()
-		}
+		})
 	}
 	return nil
-}
-
-// readLoop receives one client's submissions and routes them to the
-// open round, mirroring the coordinator's direct-client policy: a
-// malformed submission (wrong exchange count) drops the connection, a
-// late or duplicate one is per-message noise, and a disconnect notifies
-// every pending round so collection closes early.
-func (f *Frontend) readLoop(cc *clientConn) {
-	defer func() {
-		f.mu.Lock()
-		delete(f.clients, cc)
-		open := make([]*frontRound, 0, len(f.pending))
-		for _, fr := range f.pending {
-			open = append(open, fr)
-		}
-		f.mu.Unlock()
-		cc.close()
-		for _, fr := range open {
-			fr.drop(cc)
-		}
-	}()
-	for {
-		msg, err := cc.conn.Recv()
-		if err != nil {
-			return
-		}
-		if msg.Kind != wire.KindSubmit {
-			continue
-		}
-		f.mu.Lock()
-		fr := f.pending[msg.Proto]
-		f.mu.Unlock()
-		if fr == nil || fr.round != msg.Round {
-			continue
-		}
-		if len(msg.Body) != fr.perClient {
-			return // wrong exchange count: misconfigured client, drop it
-		}
-		_ = fr.record(cc, msg.Body)
-	}
 }
 
 // Close disconnects all clients and the pipe.
 func (f *Frontend) Close() error {
 	f.closeOnce.Do(func() {
 		close(f.closeCh)
+		f.col.Close()
 		f.mu.Lock()
-		for cc := range f.clients {
-			cc.close()
-		}
 		if f.pipe != nil {
-			f.pipe.close()
+			f.pipe.Close()
 			f.pipe = nil
 		}
 		f.mu.Unlock()
@@ -480,5 +397,5 @@ type roundKey struct {
 // clients in batch order, each owning perClient onions of the reply.
 type sentRound struct {
 	perClient int
-	order     []*clientConn
+	order     []collector.Part
 }

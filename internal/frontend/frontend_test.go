@@ -6,6 +6,9 @@ package frontend_test
 
 import (
 	"context"
+	"errors"
+	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -31,7 +34,10 @@ type tier struct {
 	net   *transport.Mem
 }
 
-func newTier(t *testing.T, feCfg frontend.Config) *tier {
+func newTier(t *testing.T, feCfg frontend.Config) *tier { return newTierK(t, feCfg, 1) }
+
+// newTierK is newTier with exchanges conversation exchanges per client.
+func newTierK(t *testing.T, feCfg frontend.Config, exchanges uint32) *tier {
 	t.Helper()
 	pubs, privs, err := mixnet.NewChainKeys(2)
 	if err != nil {
@@ -49,9 +55,10 @@ func newTier(t *testing.T, feCfg frontend.Config) *tier {
 		t.Fatal(err)
 	}
 	co, err := coordinator.New(coordinator.Config{
-		ChainLocal:    servers[0],
-		SubmitTimeout: 2 * time.Second,
-		FrontIdentity: frontPriv,
+		ChainLocal:     servers[0],
+		SubmitTimeout:  2 * time.Second,
+		FrontIdentity:  frontPriv,
+		ConvoExchanges: exchanges,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,5 +347,139 @@ func TestFrontendLoadShedding(t *testing.T) {
 	}
 	if n := tr.fe.NumClients(); n != 1 {
 		t.Fatalf("NumClients = %d after shedding, want 1", n)
+	}
+}
+
+// TestClientListenerPolicy runs the client-facing rules once per
+// listener a client can reach — the coordinator's own (coordinator.Serve)
+// and a frontend's (frontend.Serve). Both are the same collector, and a
+// client must not be able to tell which one it dialed: a late joiner
+// waits for the next round, a malformed submission drops the client, and
+// a frame header announcing more than a submission could hold is refused
+// before anything is allocated for it.
+func TestClientListenerPolicy(t *testing.T) {
+	listeners := []struct {
+		name, addr string
+		count      func(*tier) func() int
+	}{
+		{"direct", "entry", func(tr *tier) func() int { return tr.co.NumClients }},
+		{"frontend", "fe1", func(tr *tier) func() int { return tr.fe.NumClients }},
+	}
+	submit := func(t *testing.T, c *wire.Conn, tr *tier, round uint64, onions int) {
+		t.Helper()
+		msg := &wire.Message{Kind: wire.KindSubmit, Proto: wire.ProtoConvo, Round: round, Body: convoOnions(t, tr.chain, round, onions)}
+		if err := c.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runRound := func(tr *tier) chan int {
+		done := make(chan int, 1)
+		go func() {
+			_, n, _ := tr.co.RunConvoRound(context.Background())
+			done <- n
+		}()
+		return done
+	}
+	cases := []struct {
+		name      string
+		exchanges uint32 // 0: one
+		run       func(t *testing.T, tr *tier, addr string, count func() int)
+	}{
+		{"late joiner waits for the next round", 0, func(t *testing.T, tr *tier, addr string, count func() int) {
+			a := dialClient(t, tr.net, addr, count, 1)
+			b := dialClient(t, tr.net, addr, count, 2)
+			done := runRound(tr)
+			ann, err := a.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Recv(); err != nil {
+				t.Fatal(err)
+			}
+			late := dialClient(t, tr.net, addr, count, 3)
+			submit(t, late, tr, ann.Round, 1)
+			submit(t, a, tr, ann.Round, 1)
+			time.Sleep(200 * time.Millisecond)
+			select {
+			case n := <-done:
+				t.Fatalf("round closed with %d participants before member B submitted (late joiner counted toward the snapshot)", n)
+			default:
+			}
+			submit(t, b, tr, ann.Round, 1)
+			if n := <-done; n != 2 {
+				t.Fatalf("participants = %d, want both snapshot members", n)
+			}
+			for name, c := range map[string]*wire.Conn{"a": a, "b": b} {
+				reply, err := c.Recv()
+				if err != nil || reply.Kind != wire.KindReply || reply.Round != ann.Round {
+					t.Fatalf("%s reply: %+v err=%v", name, reply, err)
+				}
+			}
+		}},
+		{"malformed submission drops the client", 0, func(t *testing.T, tr *tier, addr string, count func() int) {
+			c := dialClient(t, tr.net, addr, count, 1)
+			done := runRound(tr)
+			ann, err := c.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			submit(t, c, tr, ann.Round, 2) // two onions where one was announced
+			if n := <-done; n != 0 {
+				t.Fatalf("malformed submission accepted: %d participants", n)
+			}
+			if _, err := c.Recv(); err == nil {
+				t.Fatal("client connection still alive")
+			}
+			if n := count(); n != 0 {
+				t.Fatalf("%d clients still registered", n)
+			}
+		}},
+		// The frame limit follows the round: 600 exchanges (221 KB here) is
+		// what bench/ submits from one connection on a 1-CPU host.
+		{"a submission as large as the round asks is accepted", 600, func(t *testing.T, tr *tier, addr string, count func() int) {
+			c := dialClient(t, tr.net, addr, count, 1)
+			done := runRound(tr)
+			ann, err := c.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			submit(t, c, tr, ann.Round, int(ann.M))
+			if n := <-done; n != 1 {
+				t.Fatalf("participants = %d, want the one client", n)
+			}
+			if reply, err := c.Recv(); err != nil || reply.Kind != wire.KindReply || len(reply.Body) != 600 {
+				t.Fatalf("reply: %+v err=%v", reply, err)
+			}
+		}},
+		{"oversized frame header is refused unallocated", 0, func(t *testing.T, tr *tier, addr string, count func() int) {
+			raw, err := tr.net.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			// wire.MaxFrameSize itself: within the global cap, so only
+			// the client leg's own limit refuses it.
+			if _, err := raw.Write([]byte{0x40, 0, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("listener kept the connection open waiting for a 1 GiB frame (read: %v)", err)
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+				t.Fatalf("a 4-byte header made the listener allocate %d MiB", grew>>20)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		for _, l := range listeners {
+			t.Run(tc.name+"/"+l.name, func(t *testing.T) {
+				tr := newTierK(t, frontend.Config{}, max(tc.exchanges, 1))
+				tc.run(t, tr, l.addr, l.count(tr))
+			})
+		}
 	}
 }

@@ -13,7 +13,10 @@
 // and the last server's shard fan-out — runs inside transport.Secure,
 // keyed by the chain descriptor's long-term keys; docs/WIRE.md
 // specifies the framing and docs/THREAT_MODEL.md maps each leg onto the
-// paper's adversary.
+// paper's adversary. The dialing side of every such leg is one type,
+// Peer (lazy dial, redial, the one resend policy, response validation);
+// the accepting side shares ServeLoop and the tracked-connection set
+// that makes Close a faithful process kill.
 package mixnet
 
 import (
@@ -162,16 +165,14 @@ type Server struct {
 	// shard servers; nil for the in-process exchange.
 	router *ShardRouter
 
+	// next is the networked successor; nil on the last server and under
+	// NextLocal.
+	next ChainLeg
+
 	mu        sync.Mutex
 	lastRound map[wire.Proto]uint64
-	next      map[wire.Proto]*wire.Conn
 
-	// connMu tracks accepted connections so Close severs them — a
-	// "crashed" server must not keep serving rounds through connections
-	// accepted before the crash (the sim harnesses rely on Close being a
-	// faithful process kill).
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	accepted connSet
 
 	closed  sync.Once
 	closeCh chan struct{}
@@ -242,9 +243,10 @@ func NewServer(cfg Config) (*Server, error) {
 		last:      last,
 		router:    router,
 		lastRound: make(map[wire.Proto]uint64),
-		next:      make(map[wire.Proto]*wire.Conn),
-		conns:     make(map[net.Conn]struct{}),
 		closeCh:   make(chan struct{}),
+	}
+	if !last && cfg.NextLocal == nil {
+		s.next = NewChainLeg(cfg.Net, cfg.NextAddr, cfg.Priv, cfg.ChainPubs[cfg.Position+1])
 	}
 	if cfg.RoundState != nil {
 		// Resume the replay counters a previous process committed: rounds
@@ -455,25 +457,22 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 	}
 
 	perm := shuffle.New(len(fwd), s.cfg.NoiseRand)
-	_, err := s.forwardDial(round, m, perm.Apply(fwd))
+	_, err := s.forward(wire.ProtoDial, round, m, perm.Apply(fwd))
 	return err
 }
 
-// forward sends a conversation batch to the successor and waits for its
-// replies.
+// forward hands a batch to the successor — in-process under NextLocal,
+// otherwise through the leg's Peer, which owns the redial-and-resend
+// policy — and returns its replies (none for dialing).
 func (s *Server) forward(proto wire.Proto, round uint64, m uint32, batch [][]byte) ([][]byte, error) {
-	if s.cfg.NextLocal != nil {
-		return s.cfg.NextLocal.ConvoRound(round, batch)
+	next := s.cfg.NextLocal
+	if next == nil {
+		return s.next.Forward(proto, round, m, batch)
 	}
-	return s.forwardWire(proto, round, m, batch)
-}
-
-// forwardDial sends a dialing batch to the successor.
-func (s *Server) forwardDial(round uint64, m uint32, batch [][]byte) ([][]byte, error) {
-	if s.cfg.NextLocal != nil {
-		return nil, s.cfg.NextLocal.DialRound(round, m, batch)
+	if proto == wire.ProtoDial {
+		return nil, next.DialRound(round, m, batch)
 	}
-	return s.forwardWire(wire.ProtoDial, round, m, batch)
+	return next.ConvoRound(round, batch)
 }
 
 // RemoteError is a round failure attributed to a specific peer: a
@@ -500,211 +499,48 @@ func (e *RemoteError) Error() string {
 // Unwrap exposes the underlying cause for errors.Is/As.
 func (e *RemoteError) Unwrap() error { return e.Err }
 
-// forwardWire performs the network RPC to the successor, lazily dialing
-// and redialing once on a stale connection. A RemoteError is returned
-// as-is without retrying: the successor received the round and rejected
-// it, so resending the same round cannot succeed.
-func (s *Server) forwardWire(proto wire.Proto, round uint64, m uint32, batch [][]byte) ([][]byte, error) {
-	for attempt := 0; ; attempt++ {
-		conn, err := s.nextConn(proto)
-		if err != nil {
-			return nil, err
-		}
-		replies, err := s.rpc(conn, proto, round, m, batch)
-		if err == nil {
-			return replies, nil
-		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			return nil, err
-		}
-		s.dropConn(proto, conn)
-		if attempt == 1 {
-			return nil, fmt.Errorf("mixnet: forwarding to %s: %w", s.cfg.NextAddr, err)
-		}
-	}
-}
-
-func (s *Server) rpc(conn *wire.Conn, proto wire.Proto, round uint64, m uint32, batch [][]byte) ([][]byte, error) {
-	msg := &wire.Message{Kind: wire.KindBatch, Proto: proto, Round: round, M: m, Body: batch}
-	if err := conn.Send(msg); err != nil {
-		return nil, err
-	}
-	resp, err := conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	if resp.Kind == wire.KindError && resp.Proto == proto && resp.Round == round {
-		return nil, &RemoteError{Addr: s.cfg.NextAddr, Msg: resp.ErrorString()}
-	}
-	if resp.Kind != wire.KindReplies || resp.Proto != proto || resp.Round != round {
-		return nil, fmt.Errorf("mixnet: unexpected response kind=%d proto=%d round=%d", resp.Kind, resp.Proto, resp.Round)
-	}
-	return resp.Body, nil
-}
-
-// nextConn returns the successor connection for proto, dialing lazily.
-// Every dial is wrapped in transport.SecureClient keyed by this server's
-// private key and the successor's chain-descriptor key, so a misdirected
-// or intercepted hop fails the handshake instead of leaking a batch.
-func (s *Server) nextConn(proto wire.Proto) (*wire.Conn, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	select {
-	case <-s.closeCh:
-		// A dead process makes no new connections: without this, a round
-		// unwinding through a just-Closed server could redial the
-		// successor and replay into it (the successor's round check would
-		// reject it, but the crash simulation should never dial at all).
-		return nil, errors.New("mixnet: server closed")
-	default:
-	}
-	if c := s.next[proto]; c != nil {
-		return c, nil
-	}
-	raw, err := s.cfg.Net.Dial(s.cfg.NextAddr)
-	if err != nil {
-		return nil, fmt.Errorf("mixnet: dialing successor %s: %w", s.cfg.NextAddr, err)
-	}
-	sec := transport.SecureClient(raw, s.cfg.Priv, s.cfg.ChainPubs[s.cfg.Position+1])
-	c := wire.NewConn(sec)
-	s.next[proto] = c
-	return c, nil
-}
-
-func (s *Server) dropConn(proto wire.Proto, conn *wire.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.next[proto] == conn {
-		conn.Close()
-		delete(s.next, proto)
-	}
-}
-
 // Serve accepts connections from the predecessor (or the entry server for
 // server 0) and processes batches until the listener closes.
 func (s *Server) Serve(l net.Listener) error {
-	return serveLoop(l, s.closeCh, s.handleConn)
-}
-
-// acceptSecure runs the accept-side handshake with the deadline rules
-// shared by chain and shard servers: the unauthenticated phase is
-// bounded so a peer that dials and never finishes the handshake cannot
-// pin a goroutine and socket per idle dial. The bound stays in place
-// until the peer's FIRST authenticated frame — the handshake hello
-// alone is replayable by a network observer (it completes the server's
-// side without yielding the replayer a session key), so completion of
-// the handshake does not yet prove a live, keyed peer; only an
-// authenticated record does. A real peer dials lazily and sends its
-// first frame immediately, so the deadline never bites a healthy
-// connection. The returned authenticated func clears the deadline; the
-// receive loop calls it once the first frame arrives. On error the
-// connection is already closed.
-func acceptSecure(raw net.Conn, sc *transport.Secure, timeout time.Duration) (*wire.Conn, func(), error) {
-	if timeout <= 0 {
-		timeout = DefaultHandshakeTimeout
-	}
-	c := wire.NewConn(sc)
-	raw.SetDeadline(time.Now().Add(timeout))
-	if err := sc.Handshake(); err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	cleared := false
-	authenticated := func() {
-		if !cleared {
-			raw.SetDeadline(time.Time{})
-			cleared = true
-		}
-	}
-	return c, authenticated, nil
-}
-
-// serveLoop is the accept lifecycle shared by Server and ShardServer:
-// one handler goroutine per connection (the handler wraps the raw stream
-// itself — the shard server interposes its authenticated channel first),
-// and a listener closed after Close reports a clean shutdown instead of
-// an error.
-func serveLoop(l net.Listener, closeCh <-chan struct{}, handle func(net.Conn)) error {
-	for {
-		raw, err := l.Accept()
-		if err != nil {
-			select {
-			case <-closeCh:
-				return nil
-			default:
-				return err
-			}
-		}
-		go handle(raw)
-	}
+	return ServeLoop(l, s.closeCh, s.handleConn)
 }
 
 // handleConn serves one predecessor (or entry) connection. The raw
 // stream is wrapped in transport.Secure before any frame is parsed:
 // position 0 runs the entry leg (it proves its own key to the dialer and
 // accepts any client static — the entry server is untrusted, §7), later
-// positions accept only their chain predecessor's descriptor key. The
-// unauthenticated phase is deadline-bounded by acceptSecure, exactly
-// like the shard servers.
+// positions accept only their chain predecessor's descriptor key.
 func (s *Server) handleConn(raw net.Conn) {
-	s.connMu.Lock()
-	if s.conns == nil {
-		// Closed before the handler ran.
-		s.connMu.Unlock()
-		raw.Close()
-		return
-	}
-	s.conns[raw] = struct{}{}
-	s.connMu.Unlock()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, raw)
-		s.connMu.Unlock()
-	}()
 	var sc *transport.Secure
 	if s.cfg.Position == 0 {
 		sc = transport.SecureServerAny(raw, s.cfg.Priv)
 	} else {
 		sc = transport.SecureServer(raw, s.cfg.Priv, []box.PublicKey{s.cfg.ChainPubs[s.cfg.Position-1]})
 	}
-	c, authenticated, err := acceptSecure(raw, sc, s.cfg.HandshakeTimeout)
+	s.accepted.serve(sc, s.cfg.HandshakeTimeout, false, s.answer)
+}
+
+// answer runs one received batch through the round. A failed round is
+// reported instead of closing the connection: the predecessor gets the
+// cause, and later rounds can still use this connection.
+func (s *Server) answer(msg *wire.Message) (wire.Message, bool) {
+	if msg.Kind != wire.KindBatch {
+		return wire.Message{}, false
+	}
+	resp := wire.Message{Kind: wire.KindReplies, Proto: msg.Proto, Round: msg.Round}
+	var err error
+	switch msg.Proto {
+	case wire.ProtoConvo:
+		resp.Body, err = s.ConvoRound(msg.Round, msg.Body)
+	case wire.ProtoDial:
+		err = s.DialRound(msg.Round, msg.M, msg.Body)
+	default:
+		return wire.Message{}, false
+	}
 	if err != nil {
-		return
+		return *wire.ErrorMessage(msg.Proto, msg.Round, err), true
 	}
-	defer c.Close()
-	for {
-		msg, err := c.Recv()
-		if err != nil {
-			return
-		}
-		authenticated()
-		if msg.Kind != wire.KindBatch {
-			return
-		}
-		resp := &wire.Message{Kind: wire.KindReplies, Proto: msg.Proto, Round: msg.Round}
-		switch msg.Proto {
-		case wire.ProtoConvo:
-			replies, err := s.ConvoRound(msg.Round, msg.Body)
-			if err != nil {
-				// Report the failure instead of closing the connection:
-				// the predecessor gets the cause, and later rounds can
-				// still use this connection.
-				resp = wire.ErrorMessage(msg.Proto, msg.Round, err)
-			} else {
-				resp.Body = replies
-			}
-		case wire.ProtoDial:
-			if err := s.DialRound(msg.Round, msg.M, msg.Body); err != nil {
-				resp = wire.ErrorMessage(msg.Proto, msg.Round, err)
-			}
-		default:
-			return
-		}
-		if err := c.Send(resp); err != nil {
-			return
-		}
-	}
+	return resp, true
 }
 
 // Close shuts the server down like a process kill: successor and shard
@@ -718,18 +554,8 @@ func (s *Server) Close() error {
 		if s.router != nil {
 			s.router.Close()
 		}
-		s.mu.Lock()
-		for proto, c := range s.next {
-			c.Close()
-			delete(s.next, proto)
-		}
-		s.mu.Unlock()
-		s.connMu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.conns = nil
-		s.connMu.Unlock()
+		s.next.Close()
+		s.accepted.closeAll()
 	})
 	return nil
 }

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -131,11 +130,7 @@ type ShardServer struct {
 	mu        sync.Mutex
 	lastRound uint64
 
-	// connMu tracks accepted connections so Close severs them — a
-	// "crashed" shard must not keep serving rounds through connections
-	// accepted before the crash.
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	accepted connSet
 
 	closed  sync.Once
 	closeCh chan struct{}
@@ -169,7 +164,7 @@ func NewShardServer(cfg ShardConfig) (*ShardServer, error) {
 		// are durably committed.
 		return nil, errors.New("mixnet: AllowRoundReuse together with a RoundState store — the store would silently never be written")
 	}
-	ss := &ShardServer{cfg: cfg, conns: make(map[net.Conn]struct{}), closeCh: make(chan struct{})}
+	ss := &ShardServer{cfg: cfg, closeCh: make(chan struct{})}
 	if cfg.RoundState != nil {
 		// Resume the replay counter a previous process committed: rounds
 		// consumed before the crash stay consumed.
@@ -204,8 +199,8 @@ func (s *ShardServer) ExchangeRound(round uint64, requests [][]byte) ([][]byte, 
 		if s.cfg.RoundState != nil {
 			// Write-ahead: commit the round as consumed BEFORE touching
 			// the dead drops. A crash after this point loses the round
-			// (the predecessor sees a failure and never blindly retries);
-			// a crash before it leaves the counter untouched. Either way
+			// (the router's one resend is refused from this counter); a
+			// crash before it leaves the counter untouched. Either way
 			// the same round can never be exchanged twice. If the disk
 			// refuses, the round fails without advancing the in-memory
 			// counter, so a healed disk can still accept it.
@@ -225,59 +220,30 @@ func (s *ShardServer) ExchangeRound(round uint64, requests [][]byte) ([][]byte, 
 // listener closes. Each accepted connection must complete the
 // authenticated handshake before any frame reaches the exchange.
 func (s *ShardServer) Serve(l net.Listener) error {
-	return serveLoop(l, s.closeCh, s.handleConn)
+	return ServeLoop(l, s.closeCh, s.handleConn)
 }
 
 func (s *ShardServer) handleConn(raw net.Conn) {
-	s.connMu.Lock()
-	if s.conns == nil {
-		// Closed before the handler ran.
-		s.connMu.Unlock()
-		raw.Close()
-		return
-	}
-	s.conns[raw] = struct{}{}
-	s.connMu.Unlock()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, raw)
-		s.connMu.Unlock()
-	}()
 	sc := transport.SecureServer(raw, s.cfg.Identity, s.cfg.Authorized)
-	// acceptSecure bounds the unauthenticated phase until the router's
-	// first authenticated frame, shared with the chain servers.
-	c, authenticated, err := acceptSecure(raw, sc, s.cfg.HandshakeTimeout)
+	// Each request is fully consumed before the next Recv: the round is
+	// exchanged (replies are fresh buffers or aliases consumed by the
+	// Send) and the response flushed, so the recycled receive buffer is
+	// safe and the per-round sub-batch allocation disappears.
+	s.accepted.serve(sc, s.cfg.HandshakeTimeout, true, s.answer)
+}
+
+// answer exchanges one received shard round. A mismatch or a failed
+// exchange is reported instead of closing the connection: the router
+// sees the cause, and a healthy next round can reuse the connection.
+func (s *ShardServer) answer(msg *wire.Message) (wire.Message, bool) {
+	if err := wire.CheckShardRound(msg, uint32(s.cfg.Index), uint32(s.cfg.NumShards)); err != nil {
+		return *wire.ErrorMessage(msg.Proto, msg.Round, err), true
+	}
+	replies, err := s.ExchangeRound(msg.Round, msg.Body)
 	if err != nil {
-		return
+		return *wire.ErrorMessage(msg.Proto, msg.Round, err), true
 	}
-	defer c.Close()
-	// Each iteration fully consumes msg before the next Recv: the round
-	// is exchanged (replies are fresh buffers or aliases consumed by the
-	// Send below) and the response flushed, so the recycled receive
-	// buffer is safe and the per-round sub-batch allocation disappears.
-	c.ReuseRecvBuffer(true)
-	for {
-		msg, err := c.Recv()
-		if err != nil {
-			// Includes transport.ErrAuth: an unauthenticated or
-			// tampering peer never gets a frame into the exchange.
-			return
-		}
-		authenticated()
-		var resp *wire.Message
-		if err := wire.CheckShardRound(msg, uint32(s.cfg.Index), uint32(s.cfg.NumShards)); err != nil {
-			// Report the mismatch instead of closing: the router sees the
-			// cause, and a healthy next round can reuse the connection.
-			resp = wire.ErrorMessage(msg.Proto, msg.Round, err)
-		} else if replies, err := s.ExchangeRound(msg.Round, msg.Body); err != nil {
-			resp = wire.ErrorMessage(msg.Proto, msg.Round, err)
-		} else {
-			resp = wire.ShardReplyMessage(msg.Round, uint32(s.cfg.Index), replies)
-		}
-		if err := c.Send(resp); err != nil {
-			return
-		}
-	}
+	return *wire.ShardReplyMessage(msg.Round, uint32(s.cfg.Index), replies), true
 }
 
 // Close shuts the server down, severing accepted connections (so a
@@ -286,12 +252,7 @@ func (s *ShardServer) handleConn(raw net.Conn) {
 func (s *ShardServer) Close() error {
 	s.closed.Do(func() {
 		close(s.closeCh)
-		s.connMu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.conns = nil
-		s.connMu.Unlock()
+		s.accepted.closeAll()
 	})
 	return nil
 }
@@ -325,18 +286,12 @@ type RouterConfig struct {
 // channels, and merges the replies back into exact request order.
 type ShardRouter struct {
 	cfg RouterConfig
-
-	mu     sync.Mutex
-	conns  map[int]*shardConn
-	closed bool
-}
-
-// shardConn pairs the framed connection with the secured one so
-// per-round read deadlines can be set (wire.Conn does not expose the
-// underlying net.Conn).
-type shardConn struct {
-	raw net.Conn
-	c   *wire.Conn
+	// peers holds the leg to each shard, in shard-index order. The shard
+	// leg is the one leg with a per-round Timeout (a shard answers from
+	// local state; a chain hop waits on the rest of the chain) and with
+	// receive-buffer reuse (round r's replies are merged, sealed and sent
+	// up the chain before round r+1's exchange is sent).
+	peers []*Peer
 }
 
 // NewShardRouter returns a router over the configured shard addresses.
@@ -366,10 +321,14 @@ func NewShardRouter(cfg RouterConfig) (*ShardRouter, error) {
 	if cfg.Policy != ShardAbort && cfg.Policy != ShardDegrade {
 		return nil, fmt.Errorf("mixnet: unknown shard policy %d", int(cfg.Policy))
 	}
-	return &ShardRouter{
-		cfg:   cfg,
-		conns: make(map[int]*shardConn),
-	}, nil
+	r := &ShardRouter{cfg: cfg, peers: make([]*Peer, len(cfg.Addrs))}
+	for s, addr := range cfg.Addrs {
+		r.peers[s] = &Peer{
+			Net: cfg.Net, Addr: addr, Priv: cfg.Identity, Pub: cfg.ShardPubs[s],
+			Timeout: cfg.Timeout, ReuseRecv: true,
+		}
+	}
+	return r, nil
 }
 
 // NumShards returns the fan-out width.
@@ -496,170 +455,34 @@ func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, [
 	return out, degraded, nil
 }
 
-// rpc runs one shard's round trip. The configured timeout covers the
-// whole exchange — send and receive — via a connection deadline: a shard
-// that accepts bytes but never drains them (full TCP window, stopped
-// process) stalls the Send, and without the deadline that would wedge
-// the fan-out barrier and the entire chain behind it. A Send failure
-// redials once and retries — a stale connection from a shard restart
-// typically surfaces as a write error before the frame reaches the peer,
-// and even if it did arrive, the shard's strictly-increasing round check
-// turns the retry into a clean rejection rather than a double exchange.
-// A failure after the frame is in flight (Recv error, timeout, bad
-// reply) is never retried: the shard may have consumed the round. An
-// authentication failure is never retried either — redialing a forged
-// peer cannot help.
+// rpc runs one shard's round trip through its Peer and sorts the failure
+// for the Abort/Degrade merge. Whatever an authenticated shard said that
+// was not a valid reply — an echoed rejection (the round number was
+// consumed), a frame that authenticated but does not parse or does not
+// answer the request, a short reply batch — is a refusedError; what is
+// left is the shard being unreachable or silent.
 func (r *ShardRouter) rpc(s int, round uint64, sub [][]byte) ([][]byte, error) {
-	for attempt := 0; ; attempt++ {
-		conn, err := r.conn(s)
-		if err != nil {
-			return nil, err
-		}
-		if r.cfg.Timeout > 0 {
-			conn.raw.SetDeadline(time.Now().Add(r.cfg.Timeout))
-		}
-		if err := conn.c.Send(wire.ShardRoundMessage(round, uint32(s), sub)); err != nil {
-			r.drop(s, conn)
-			// A timed-out write means the shard is up but not draining;
-			// redialing would just burn a second full timeout on the same
-			// stalled peer. Only a fast write error (stale connection from
-			// a shard restart) is worth one retry.
-			if attempt == 1 || errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, transport.ErrAuth) {
-				return nil, err
-			}
-			continue
-		}
-		return r.recvReply(s, conn, round, len(sub))
+	resp, err := r.peers[s].Do(wire.ShardRoundMessage(round, uint32(s), sub), func(resp *wire.Message) error {
+		return wire.CheckShardReply(resp, round, uint32(s), len(sub))
+	})
+	if err == nil {
+		return resp.Body, nil
 	}
-}
-
-func (r *ShardRouter) recvReply(s int, conn *shardConn, round uint64, want int) ([][]byte, error) {
-	resp, err := conn.c.Recv()
-	if r.cfg.Timeout > 0 {
-		conn.raw.SetDeadline(time.Time{})
+	var remote *RemoteError
+	if errors.As(err, &remote) {
+		// Exchange names the shard and its address itself.
+		return nil, &refusedError{errors.New(remote.Msg)}
 	}
-	if err != nil {
-		r.drop(s, conn)
-		if errors.Is(err, wire.ErrMalformed) || errors.Is(err, wire.ErrFrameTooLarge) {
-			// The bytes authenticated (the record layer verified them)
-			// but do not parse as a frame: the shard itself is sending
-			// garbage. Misbehavior, not an outage — never degradable.
-			return nil, &refusedError{err}
-		}
-		return nil, err
-	}
-	if resp.Kind == wire.KindError && resp.Round == round {
-		// The shard received the round and rejected it; the connection
-		// stays usable for the next round. An authenticated rejection is
-		// never degradable — it means the round number was consumed.
-		return nil, &refusedError{errors.New(resp.ErrorString())}
-	}
-	if err := wire.CheckShardReply(resp, round, uint32(s), want); err != nil {
-		// Desynchronized stream (stale round, duplicate reply, wrong
-		// shard): drop the connection so the next round starts clean.
-		// The frame authenticated, so this is shard misbehavior, not a
-		// network fault.
-		r.drop(s, conn)
+	if errors.Is(err, ErrBadResponse) {
 		return nil, &refusedError{err}
 	}
-	return resp.Body, nil
-}
-
-// conn returns shard s's connection, dialing lazily and wrapping every
-// dial in the authenticated channel. The dial runs outside the router
-// mutex — a slow connect to one shard must not block the other shards'
-// goroutines — and is bounded by the router timeout, since a blackholed
-// address would otherwise hold the round for the OS connect timeout
-// regardless of Timeout.
-func (r *ShardRouter) conn(s int) (*shardConn, error) {
-	r.mu.Lock()
-	if r.closed {
-		// A dead process makes no new connections — a round unwinding
-		// through a just-Closed router must not redial its shards.
-		r.mu.Unlock()
-		return nil, errors.New("shard router closed")
-	}
-	if c := r.conns[s]; c != nil {
-		r.mu.Unlock()
-		return c, nil
-	}
-	r.mu.Unlock()
-
-	raw, err := r.dial(r.cfg.Addrs[s])
-	if err != nil {
-		return nil, fmt.Errorf("dialing %s: %w", r.cfg.Addrs[s], err)
-	}
-	sec := transport.SecureClient(raw, r.cfg.Identity, r.cfg.ShardPubs[s])
-	c := &shardConn{raw: sec, c: wire.NewConn(sec)}
-	// Rounds on one shard connection are strictly sequential: round r's
-	// replies are merged, sealed, and sent up the chain before round
-	// r+1's exchange issues the next Recv, so the recycled receive
-	// buffer is never overwritten while a previous reply is still live.
-	c.c.ReuseRecvBuffer(true)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		sec.Close()
-		return nil, errors.New("shard router closed")
-	}
-	if existing := r.conns[s]; existing != nil {
-		// Lost a race with a concurrent dial to the same shard.
-		sec.Close()
-		return existing, nil
-	}
-	r.conns[s] = c
-	return c, nil
-}
-
-// dial bounds Network.Dial by the router timeout. The Network interface
-// has no cancellation, so on timeout the in-flight dial is abandoned to
-// a drainer goroutine that closes the connection if the connect ever
-// completes — bounded in practice by the OS connect timeout.
-func (r *ShardRouter) dial(addr string) (net.Conn, error) {
-	if r.cfg.Timeout <= 0 {
-		return r.cfg.Net.Dial(addr)
-	}
-	type result struct {
-		c   net.Conn
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		c, err := r.cfg.Net.Dial(addr)
-		ch <- result{c, err}
-	}()
-	t := time.NewTimer(r.cfg.Timeout)
-	defer t.Stop()
-	select {
-	case res := <-ch:
-		return res.c, res.err
-	case <-t.C:
-		go func() {
-			if res := <-ch; res.c != nil {
-				res.c.Close()
-			}
-		}()
-		return nil, fmt.Errorf("connect timeout after %v", r.cfg.Timeout)
-	}
-}
-
-func (r *ShardRouter) drop(s int, conn *shardConn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.conns[s] == conn {
-		conn.c.Close()
-		delete(r.conns, s)
-	}
+	return nil, err
 }
 
 // Close drops all shard connections and refuses new dials.
 func (r *ShardRouter) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-	for s, c := range r.conns {
-		c.c.Close()
-		delete(r.conns, s)
+	for _, p := range r.peers {
+		p.Close()
 	}
 	return nil
 }

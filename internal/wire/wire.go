@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // Kind identifies a message type.
@@ -259,7 +260,8 @@ const (
 )
 
 var (
-	// ErrFrameTooLarge indicates an incoming frame exceeded MaxFrameSize.
+	// ErrFrameTooLarge indicates an incoming frame exceeded MaxFrameSize
+	// or the connection's own receive limit (SetRecvLimit).
 	ErrFrameTooLarge = errors.New("wire: frame too large")
 	// ErrMalformed indicates a structurally invalid frame.
 	ErrMalformed = errors.New("wire: malformed frame")
@@ -336,6 +338,8 @@ type Conn struct {
 	w *bufio.Writer
 	c io.Closer
 
+	// limit is the largest frame Recv accepts (SetRecvLimit).
+	limit atomic.Uint32
 	// reuse enables the recycled receive buffer (ReuseRecvBuffer).
 	reuse bool
 	// rbuf is the recycled payload buffer Recv reads into when reuse is
@@ -345,11 +349,25 @@ type Conn struct {
 
 // NewConn wraps rwc (typically a net.Conn) for framed message exchange.
 func NewConn(rwc io.ReadWriteCloser) *Conn {
-	return &Conn{
+	c := &Conn{
 		r: bufio.NewReaderSize(rwc, 1<<16),
 		w: bufio.NewWriterSize(rwc, 1<<16),
 		c: rwc,
 	}
+	c.limit.Store(MaxFrameSize)
+	return c
+}
+
+// SetRecvLimit sets the largest frame this connection's Recv accepts, in
+// place of the global MaxFrameSize, to a frame of `parts` body parts of
+// partLen bytes each (never more than MaxFrameSize). The length prefix is
+// all a receiver has seen when it sizes the payload buffer, so on a leg
+// anyone can dial the limit is what four bytes from a stranger can make
+// it allocate. A longer frame fails Recv with ErrFrameTooLarge before any
+// allocation; the stream is then out of sync and must be closed. Safe to
+// call while another goroutine is in Recv.
+func (c *Conn) SetRecvLimit(parts, partLen int) {
+	c.limit.Store(uint32(min(headerSize+uint64(parts)*uint64(4+partLen), MaxFrameSize)))
 }
 
 // ReuseRecvBuffer switches Recv to a recycled per-connection receive
@@ -388,7 +406,7 @@ func (c *Conn) Recv() (*Message, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
+	if n > c.limit.Load() {
 		return nil, ErrFrameTooLarge
 	}
 	var payload []byte

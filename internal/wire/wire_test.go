@@ -195,3 +195,46 @@ func BenchmarkEncodeBatch1k(b *testing.B) {
 		m.Encode()
 	}
 }
+
+// TestConnRecvLimit: a connection's own receive limit decides from the
+// length prefix alone — a frame at the limit is read, one byte over is
+// ErrFrameTooLarge before any payload arrives, and the global cap still
+// applies to a connection that set none.
+func TestConnRecvLimit(t *testing.T) {
+	msg := &Message{Kind: KindSubmit, Proto: ProtoConvo, Round: 1, Body: [][]byte{make([]byte, 416)}}
+	size := uint32(len(msg.Encode()))
+	for _, tc := range []struct {
+		name  string
+		limit int // the part length of a one-part limit; 0: leave the default
+		hdr   uint32
+		want  error
+	}{
+		{"at the limit", 416, size, nil},
+		{"one over the limit", 415, size, ErrFrameTooLarge},
+		{"default admits the global cap", 0, size, nil},
+		{"default refuses past the global cap", 0, MaxFrameSize + 1, ErrFrameTooLarge},
+		{"a limit never exceeds the global cap", MaxFrameSize, MaxFrameSize + 1, ErrFrameTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			ca := NewConn(a)
+			defer ca.Close()
+			defer b.Close()
+			if tc.limit != 0 {
+				ca.SetRecvLimit(1, tc.limit)
+			}
+			go func() {
+				// The header first, on its own: a refusal must not wait
+				// for (or read) a single payload byte.
+				b.Write([]byte{byte(tc.hdr >> 24), byte(tc.hdr >> 16), byte(tc.hdr >> 8), byte(tc.hdr)})
+				if tc.want == nil {
+					b.Write(msg.Encode())
+				}
+			}()
+			got, err := ca.Recv()
+			if !errors.Is(err, tc.want) || (err == nil && len(got.Body) != 1) {
+				t.Fatalf("Recv = %+v, %v; want %v", got, err, tc.want)
+			}
+		})
+	}
+}
