@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build test race shardtest restart-matrix fuzz bench-smoke bench bench-record bench-entry bench-privacy example-smoke loc clean
+.PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build test race shardtest restart-matrix fuzz bench-smoke bench bench-privacy example-smoke loc clean
 
 check: lint build bench-smoke race shardtest restart-matrix fuzz
 
@@ -89,21 +89,10 @@ bench-smoke:
 example-smoke:
 	./examples/chain/smoke.sh
 
-# Short benchmark pass over the scalability-critical paths.
+# Short benchmark pass over the scalability-critical paths and the secure
+# record layer (both AEAD suites, MB/s and allocs/record).
 bench:
-	$(GO) test -run NONE -bench 'ShardedExchange|PipelinedRounds|ServiceProcess' -benchtime 3x ./...
-
-# Secure record layer: steady-state MB/s and allocs/record for both AEAD
-# suites plus the onion-unwrap rate, regenerating BENCH_transport.json
-# (CI runs the -quick smoke form of the same command).
-bench-record:
-	$(GO) run ./cmd/vuvuzela-bench -json BENCH_transport.json record
-
-# Entry-tier load sweep: sustained round latency vs connected clients,
-# direct coordinator vs the stateless frontend tier, regenerating
-# BENCH_entry.json (CI runs the -quick smoke form of the same command).
-bench-entry:
-	$(GO) run ./cmd/vuvuzela-bench -json BENCH_entry.json entry
+	$(GO) test -run NONE -bench 'ShardedExchange|PipelinedRounds|ServiceProcess|SecureRecord' -benchtime 3x ./...
 
 # Traffic-analysis evaluation: empirical two-world adversary advantage
 # (compromised servers and wire observer, across degradation/churn/restart

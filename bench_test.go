@@ -11,6 +11,7 @@
 package vuvuzela
 
 import (
+	crand "crypto/rand"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -19,6 +20,7 @@ import (
 
 	"vuvuzela/internal/convo"
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/deaddrop"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
 	"vuvuzela/internal/sim"
@@ -136,7 +138,7 @@ func BenchmarkFig11ChainLength(b *testing.B) {
 // overhead.
 func BenchmarkShardedExchange(b *testing.B) {
 	const n = 1 << 16
-	reqs := sim.CollidingExchangeRequests(n)
+	reqs := collidingExchangeRequests(n)
 	configs := []struct {
 		name   string
 		shards int
@@ -165,10 +167,33 @@ func BenchmarkShardedExchange(b *testing.B) {
 	}
 }
 
+// collidingExchangeRequests builds n well-formed innermost exchange
+// requests as colliding pairs (plus one unpaired request if n is odd) —
+// the worst-case all-matched load for the last server's dead-drop table.
+func collidingExchangeRequests(n int) [][]byte {
+	reqs := make([][]byte, n)
+	for j := 0; j < n/2; j++ {
+		a := make([]byte, convo.RequestSize)
+		crand.Read(a)
+		b := make([]byte, convo.RequestSize)
+		copy(b, a[:deaddrop.IDSize]) // same drop as a
+		crand.Read(b[deaddrop.IDSize:])
+		reqs[2*j], reqs[2*j+1] = a, b
+	}
+	if n%2 == 1 {
+		b := make([]byte, convo.RequestSize)
+		crand.Read(b)
+		reqs[n-1] = b
+	}
+	return reqs
+}
+
 // BenchmarkPipelinedRounds compares serial round execution (window=1)
-// against overlapped rounds (window≥2) through the full coordinator +
-// chain + loopback-client stack — the cross-round half of the
-// scalability tentpole.
+// against overlapped rounds (window≥2) through a full sim.ChainNet —
+// coordinator, served chain, loopback clients — the cross-round half of
+// the scalability tentpole, and the one ConvoWindow > 1 timing in the repo.
+// Each timed run includes connecting its clients, as RunRounds brings its
+// own.
 func BenchmarkPipelinedRounds(b *testing.B) {
 	const (
 		users   = 24
@@ -184,13 +209,27 @@ func BenchmarkPipelinedRounds(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var total time.Duration
 			for i := 0; i < b.N; i++ {
-				pt, err := sim.MeasurePipelinedRounds(users, mu, servers, rounds, window)
+				cn, err := sim.NewChainNet(sim.ChainNetConfig{
+					Servers: servers, Mu: mu, ConvoWindow: window, SubmitTimeout: 10 * time.Second,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				total += pt.PerRound()
+				// One round outside the measurement dials and handshakes
+				// every leg.
+				if _, err := cn.RunRounds(users, 1); err != nil {
+					cn.Close()
+					b.Fatal(err)
+				}
+				start := time.Now()
+				_, err = cn.RunRounds(users, rounds)
+				total += time.Since(start)
+				cn.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
-			b.ReportMetric((total / time.Duration(b.N)).Seconds(), "s/round")
+			b.ReportMetric((total / time.Duration(b.N*rounds)).Seconds(), "s/round")
 		})
 	}
 }

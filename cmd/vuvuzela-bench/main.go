@@ -3,42 +3,41 @@
 // numbers). Analytic figures are exact; performance figures print both a
 // paper-scale prediction from the calibrated cost model and, with
 // -measure, real scaled-down rounds run through the actual protocol
-// stack on this machine.
+// stack on this machine. `privacy` runs the traffic-analysis evaluation
+// (internal/eval) and, with -json, regenerates BENCH_privacy.json.
+//
+// It is the reproduction of the paper's figures, not the repository's
+// performance benchmark: round latency, throughput and the per-layer
+// timings (record layer, handshake, shard RPC, frontend collection, onion
+// unwrap) are bench/ — `bash bench/run.sh`, BENCHMARK.json.
 //
 // Usage:
 //
-//	vuvuzela-bench fig6|fig7|fig8|fig9|fig10|fig11|posterior|costs|bandwidth|attack|all
+//	vuvuzela-bench [-measure] [-scale N] fig6|fig7|fig8|fig9|fig10|fig11|posterior|costs|bandwidth|buckets|attack|all
+//	vuvuzela-bench [-quick] [-json FILE] privacy
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"net"
 	"os"
-	"runtime"
 	"time"
 
-	"vuvuzela/internal/convo"
-	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/eval"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
 	"vuvuzela/internal/sim"
 	"vuvuzela/internal/strawman"
-	"vuvuzela/internal/transport"
 )
 
 var (
 	measure = flag.Bool("measure", false, "also run real scaled-down rounds on this machine")
 	scale   = flag.Int("scale", 500, "scale divisor for measured runs (users and µ divided by this)")
-	secure  = flag.Bool("secure", false, "shardnet: also measure the authenticated-transport overhead (handshake latency, record-layer throughput vs raw)")
-	degrade = flag.Bool("degrade", false, "shardnet: also measure degraded rounds (k shards killed, ShardPolicy=Degrade)")
-	jsonOut = flag.String("json", "", "shardnet/record: write the measured points to this file (e.g. BENCH_shardnet.json, BENCH_transport.json)")
-	quick   = flag.Bool("quick", false, "record/entry/privacy: smoke mode with minimal iterations (CI)")
+	jsonOut = flag.String("json", "", "privacy: write the measured points to this file (BENCH_privacy.json)")
+	quick   = flag.Bool("quick", false, "privacy: smoke mode with minimal rounds (CI)")
 )
 
 func main() {
@@ -71,16 +70,6 @@ func main() {
 			buckets()
 		case "attack":
 			attack()
-		case "shard":
-			shard()
-		case "shardnet":
-			shardnet()
-		case "record":
-			record()
-		case "pipeline":
-			pipeline()
-		case "entry":
-			entry()
 		case "privacy":
 			privacyEval()
 		case "all":
@@ -95,11 +84,6 @@ func main() {
 			bandwidth()
 			buckets()
 			attack()
-			shard()
-			shardnet()
-			record()
-			pipeline()
-			entry()
 			privacyEval()
 		default:
 			usage()
@@ -108,7 +92,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: vuvuzela-bench [-measure] [-scale N] fig6|fig7|fig8|fig9|fig10|fig11|posterior|costs|bandwidth|attack|shard|shardnet|record|pipeline|entry|privacy|all")
+	fmt.Fprintln(os.Stderr, "usage: vuvuzela-bench [-measure] [-scale N] fig6|fig7|fig8|fig9|fig10|fig11|posterior|costs|bandwidth|buckets|attack|all\n       vuvuzela-bench [-quick] [-json FILE] privacy")
 	os.Exit(2)
 }
 
@@ -300,365 +284,6 @@ func buckets() {
 	}
 	fmt.Println("  paper: m = n·f/µ balances the two; at the optimum each bucket")
 	fmt.Println("  holds roughly equal real and (per-server) noise invitations")
-}
-
-// shard times the last server's dead-drop exchange at 64k all-matched
-// requests, sequential vs sharded — the per-round scalability claim of
-// §8 ("Vuvuzela's servers are highly parallel").
-func shard() {
-	header("sharded dead-drop exchange: 64k requests through convo.Service.Process")
-	const n = 1 << 16
-	reqs := sim.CollidingExchangeRequests(n)
-	const iters = 5
-	run := func(shards int) time.Duration {
-		svc := convo.Service{Shards: shards}
-		svc.Process(1, reqs) // warm up
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			svc.Process(uint64(i+2), reqs)
-		}
-		return time.Since(start) / iters
-	}
-	seq := run(1)
-	fmt.Printf("  %-14s %12v  (%.0f req/s)\n", "sequential", seq.Round(time.Microsecond), n/seq.Seconds())
-	seen := map[int]bool{1: true}
-	for _, shards := range []int{8, 32, 4 * runtime.NumCPU()} {
-		if seen[shards] {
-			continue
-		}
-		seen[shards] = true
-		d := run(shards)
-		fmt.Printf("  %-14s %12v  (%.0f req/s, %.2fx)\n",
-			fmt.Sprintf("shards=%d", shards), d.Round(time.Microsecond), n/d.Seconds(), seq.Seconds()/d.Seconds())
-	}
-	fmt.Printf("  (%d cores; the sharded series scales with cores and shows only\n", runtime.NumCPU())
-	fmt.Println("  partitioning overhead on a single-core machine)")
-}
-
-// shardnetPoint is one measured shardnet round for the JSON baseline.
-// Killed/Degraded carry no omitempty so the degraded-series control
-// point (killed=0) stays distinguishable from a healthy rounds[] entry.
-type shardnetPoint struct {
-	Shards    int     `json:"shards"`
-	Killed    int     `json:"killed"`
-	Degraded  int     `json:"degraded"`
-	LatencyMS float64 `json:"latency_ms"`
-}
-
-// secureOverheadPoint records the authenticated-transport microbench.
-type secureOverheadPoint struct {
-	HandshakeMS  float64 `json:"handshake_ms"`
-	RawMBps      float64 `json:"raw_mb_per_s"`
-	SecureMBps   float64 `json:"secure_mb_per_s"`
-	OverheadX    float64 `json:"overhead_x"`
-	PayloadBytes int     `json:"payload_bytes"`
-}
-
-// shardnetBaseline is the full -json output shape.
-type shardnetBaseline struct {
-	Users    int                  `json:"users"`
-	Mu       int                  `json:"mu"`
-	Servers  int                  `json:"servers"`
-	Cores    int                  `json:"cores"`
-	Rounds   []shardnetPoint      `json:"rounds"`
-	Secure   *secureOverheadPoint `json:"secure_overhead,omitempty"`
-	Degraded []shardnetPoint      `json:"degraded_rounds,omitempty"`
-}
-
-// shardnet times a full conversation round through a chain whose last
-// hop fans out to networked shard servers (in-memory wire, always inside
-// the authenticated channel), sequential (1 shard) vs wider fan-outs —
-// the end-to-end half of the horizontal last-server scaling claim.
-// -secure adds the transport-crypto microbench, -degrade the degraded-
-// round latency, -json writes every point to a baseline file.
-func shardnet() {
-	header("networked shard fan-out: one round through a 2-server chain + N shard servers")
-	const (
-		users = 512
-		mu    = 30
-	)
-	base := shardnetBaseline{Users: users, Mu: mu, Servers: 2, Cores: runtime.NumCPU()}
-	fmt.Printf("  %d conversing users, µ=%d, in-memory transport, authenticated leg:\n", users, mu)
-	var seq time.Duration
-	for _, shards := range []int{1, 2, 4, 8} {
-		pt, err := sim.MeasureShardNetRound(users, mu, 2, shards)
-		if err != nil {
-			fmt.Println("  error:", err)
-			return
-		}
-		label := fmt.Sprintf("shards=%d", shards)
-		speedup := ""
-		if shards == 1 {
-			seq = pt.Latency
-		} else if pt.Latency > 0 {
-			speedup = fmt.Sprintf("  (%.2fx vs 1 shard)", seq.Seconds()/pt.Latency.Seconds())
-		}
-		fmt.Printf("  %-10s %12v%s\n", label, pt.Latency.Round(time.Millisecond), speedup)
-		base.Rounds = append(base.Rounds, shardnetPoint{Shards: shards, LatencyMS: ms(pt.Latency)})
-	}
-	fmt.Printf("  (%d cores; each shard is its own process in production — gains\n", runtime.NumCPU())
-	fmt.Println("  need real machines, this verifies the fan-out plumbing and overhead)")
-
-	if *secure {
-		base.Secure = secureOverhead()
-	}
-	if *degrade {
-		base.Degraded = degradedRounds(users, mu)
-	}
-	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(&base, "", "  ")
-		if err != nil {
-			fmt.Println("  json error:", err)
-			return
-		}
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-			fmt.Println("  json error:", err)
-			return
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// secureOverhead measures what the authenticated channel costs on this
-// machine: handshake latency and record-layer throughput against a raw
-// in-memory pipe moving the same bytes.
-func secureOverhead() *secureOverheadPoint {
-	header("authenticated transport overhead (transport.Secure vs raw pipe)")
-	cPub, cPriv := box.KeyPairFromSeed([]byte("bench-client"))
-	sPub, sPriv := box.KeyPairFromSeed([]byte("bench-server"))
-
-	// Handshake latency, averaged over fresh connections.
-	const hsIters = 20
-	start := time.Now()
-	for i := 0; i < hsIters; i++ {
-		cc, sc := net.Pipe()
-		client := transport.SecureClient(cc, cPriv, sPub)
-		server := transport.SecureServer(sc, sPriv, []box.PublicKey{cPub})
-		done := make(chan struct{})
-		go func() { server.Handshake(); close(done) }()
-		if err := client.Handshake(); err != nil {
-			fmt.Println("  error:", err)
-			return nil
-		}
-		<-done
-		cc.Close()
-		sc.Close()
-	}
-	hs := time.Since(start) / hsIters
-
-	const payload = 8 << 20 // 8 MB in 64 KB writes
-	pump := func(mk func() (io.Writer, io.Reader, func())) float64 {
-		w, r, closeFn := mk()
-		defer closeFn()
-		buf := make([]byte, 64<<10)
-		done := make(chan struct{})
-		go func() {
-			sink := make([]byte, 64<<10)
-			total := 0
-			for total < payload {
-				n, err := r.Read(sink)
-				if err != nil {
-					break
-				}
-				total += n
-			}
-			close(done)
-		}()
-		start := time.Now()
-		for sent := 0; sent < payload; sent += len(buf) {
-			if _, err := w.Write(buf); err != nil {
-				return 0
-			}
-		}
-		<-done
-		return float64(payload) / (1 << 20) / time.Since(start).Seconds()
-	}
-
-	// One warmup pass, then the median of several timed runs: a single
-	// cold pump is noisy (page faults, handshake, buffer growth, scheduler
-	// warmup) and a flaky baseline poisons every later comparison.
-	const runs = 5
-	measureMBps := func(mk func() (io.Writer, io.Reader, func())) float64 {
-		pump(mk)
-		vals := make([]float64, 0, runs)
-		for i := 0; i < runs; i++ {
-			vals = append(vals, pump(mk))
-		}
-		return median(vals)
-	}
-	raw := measureMBps(func() (io.Writer, io.Reader, func()) {
-		cc, sc := net.Pipe()
-		return cc, sc, func() { cc.Close(); sc.Close() }
-	})
-	sec := measureMBps(func() (io.Writer, io.Reader, func()) {
-		cc, sc := net.Pipe()
-		client := transport.SecureClient(cc, cPriv, sPub)
-		server := transport.SecureServer(sc, sPriv, []box.PublicKey{cPub})
-		return client, server, func() { cc.Close(); sc.Close() }
-	})
-	overhead := 0.0
-	if sec > 0 {
-		overhead = raw / sec
-	}
-	fmt.Printf("  handshake: %v/connection (amortized across all rounds of a deployment)\n", hs.Round(time.Microsecond))
-	fmt.Printf("  raw pipe:  %8.1f MB/s\n", raw)
-	fmt.Printf("  secured:   %8.1f MB/s  (%.2fx slowdown: XSalsa20-Poly1305 both ways)\n", sec, overhead)
-	return &secureOverheadPoint{
-		HandshakeMS: ms(hs), RawMBps: raw, SecureMBps: sec,
-		OverheadX: overhead, PayloadBytes: payload,
-	}
-}
-
-// degradedRounds measures rounds that zero-fill killed shards under
-// ShardPolicy=Degrade, against the healthy 4-shard baseline.
-func degradedRounds(users, mu int) []shardnetPoint {
-	header("graceful degradation: 4-shard rounds with k shards killed (policy=degrade)")
-	var out []shardnetPoint
-	for _, kill := range []int{0, 1, 2} {
-		pt, degraded, err := sim.MeasureDegradedShardNetRound(users, mu, 2, 4, kill)
-		if err != nil {
-			fmt.Println("  error:", err)
-			return out
-		}
-		fmt.Printf("  killed=%d  %12v  (%d shards zero-filled)\n",
-			kill, pt.Latency.Round(time.Millisecond), degraded)
-		out = append(out, shardnetPoint{Shards: 4, Killed: kill, Degraded: degraded, LatencyMS: ms(pt.Latency)})
-	}
-	fmt.Println("  (a degraded round completes for every surviving shard's users;")
-	fmt.Println("  dead shards' replies are zero-filled — observable metadata, see README)")
-	return out
-}
-
-// pipeline compares serial vs overlapped round execution through the
-// full coordinator + chain + loopback-client stack.
-func pipeline() {
-	header("pipelined conversation rounds: serial vs overlapped windows")
-	const (
-		users   = 24
-		mu      = 20
-		servers = 3
-		rounds  = 8
-	)
-	fmt.Printf("  %d clients, µ=%d, %d servers, %d rounds:\n", users, mu, servers, rounds)
-	for _, window := range []int{1, 2, 4} {
-		pt, err := sim.MeasurePipelinedRounds(users, mu, servers, rounds, window)
-		if err != nil {
-			fmt.Println("  error:", err)
-			return
-		}
-		label := fmt.Sprintf("window=%d", window)
-		if window == 1 {
-			label = "serial"
-		}
-		fmt.Printf("  %-10s %12v/round\n", label, pt.PerRound().Round(time.Microsecond))
-	}
-	fmt.Println("  (window w lets round r+1 collect submissions while round r")
-	fmt.Println("  traverses the chain; gains require spare cores)")
-}
-
-// entryPoint is one measured entry-tier load point for the JSON baseline.
-type entryPoint struct {
-	Frontends int     `json:"frontends"`
-	Clients   int     `json:"clients"`
-	Rounds    int     `json:"rounds"`
-	LatencyMS float64 `json:"round_latency_ms"`
-}
-
-// entryBaseline is the full -json output shape of the entry sweep
-// (BENCH_entry.json): a direct-coordinator series and a frontend-tier
-// series over the same client grid.
-type entryBaseline struct {
-	Servers   int          `json:"servers"`
-	Cores     int          `json:"cores"`
-	Frontends int          `json:"frontends"`
-	Direct    []entryPoint `json:"direct"`
-	Front     []entryPoint `json:"front"`
-}
-
-// entry drives the client-swarm load generator through full in-memory
-// deployments: every client on the coordinator (direct) vs the same
-// swarm spread across stateless frontends feeding partial batches over
-// one pipe. Every point requires full participation and reply delivery,
-// so each measurement is also an end-to-end correctness check. -quick
-// shrinks the sweep to a CI smoke, -json writes BENCH_entry.json.
-func entry() {
-	header("entry tier: sustained round latency vs connected clients (direct vs frontends)")
-	const (
-		servers   = 2
-		frontends = 2
-	)
-	clientCounts := []int{64, 192, 384}
-	rounds := 8
-	timeout := 10 * time.Second
-	if *quick {
-		clientCounts = []int{8}
-		rounds = 2
-		timeout = 5 * time.Second
-	}
-	base := entryBaseline{Servers: servers, Cores: runtime.NumCPU(), Frontends: frontends}
-	run := func(fe int, counts []int) []entryPoint {
-		label := "direct"
-		if fe > 0 {
-			label = fmt.Sprintf("%d frontends", fe)
-		}
-		var pts []entryPoint
-		for _, n := range counts {
-			pt, err := sim.MeasureEntryLoad(fe, n, rounds, servers, timeout)
-			if err != nil {
-				fmt.Println("  error:", err)
-				return pts
-			}
-			fmt.Printf("  %-12s %6d clients  %12v/round\n",
-				label, n, pt.RoundLatency.Round(time.Millisecond))
-			pts = append(pts, entryPoint{
-				Frontends: fe, Clients: n, Rounds: pt.Rounds, LatencyMS: ms(pt.RoundLatency),
-			})
-		}
-		return pts
-	}
-	fmt.Printf("  %d chain servers, every client participates in every round:\n", servers)
-	base.Direct = run(0, clientCounts)
-	// The frontend series extends past the direct grid: the interesting
-	// question is how many clients the tier sustains at the direct
-	// baseline's worst latency, not just matched-count overhead.
-	frontCounts := clientCounts
-	if !*quick {
-		frontCounts = append(append([]int{}, clientCounts...), clientCounts[len(clientCounts)-1]*3/2)
-	}
-	base.Front = run(frontends, frontCounts)
-	if n := len(base.Direct); n > 0 && len(base.Front) >= n {
-		d, f := base.Direct[n-1], base.Front[n-1]
-		fmt.Printf("  at %d clients the frontend tier costs %.2fx the direct path\n",
-			d.Clients, f.LatencyMS/d.LatencyMS)
-		sustained := 0
-		for _, pt := range base.Front {
-			if pt.LatencyMS <= d.LatencyMS && pt.Clients > sustained {
-				sustained = pt.Clients
-			}
-		}
-		if sustained > 0 {
-			fmt.Printf("  frontend tier sustains %d clients within the direct baseline's\n", sustained)
-			fmt.Printf("  %d-client latency (%.0fms)\n", d.Clients, d.LatencyMS)
-		}
-	}
-	fmt.Printf("  (%d cores, one machine; the coordinator holds zero client\n", runtime.NumCPU())
-	fmt.Println("  connections behind frontends, so capacity scales with frontend")
-	fmt.Println("  machines added — this verifies the split costs ≈nothing per round)")
-
-	if *jsonOut != "" {
-		buf, err := json.MarshalIndent(&base, "", "  ")
-		if err != nil {
-			fmt.Println("  json error:", err)
-			return
-		}
-		if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-			fmt.Println("  json error:", err)
-			return
-		}
-		fmt.Printf("  wrote %s\n", *jsonOut)
-	}
 }
 
 // privacyPoint is one scenario's measured distinguishing advantage for

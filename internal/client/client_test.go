@@ -31,7 +31,7 @@ func newTestNet(t *testing.T) *testNet {
 		t.Fatal(err)
 	}
 	store := cdn.NewStore(0)
-	servers, err := mixnet.NewLocalChain(pubs, privs, mixnet.Config{
+	_, addrs, stopChain, err := mixnet.StartChain(net, pubs, privs, mixnet.Config{
 		ConvoNoise: noise.Fixed{N: 3},
 		DialNoise:  noise.Fixed{N: 2},
 		Workers:    2,
@@ -39,8 +39,9 @@ func newTestNet(t *testing.T) *testNet {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(stopChain)
 	co, err := coordinator.New(coordinator.Config{
-		ChainLocal:    servers[0],
+		Net: net, ChainAddr: addrs[0], ChainPub: pubs[0],
 		DialBuckets:   2,
 		SubmitTimeout: 2 * time.Second,
 	})

@@ -22,14 +22,15 @@ func TestClientWithoutCDN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers, err := mixnet.NewLocalChain(pubs, privs, mixnet.Config{
+	_, addrs, stopChain, err := mixnet.StartChain(net, pubs, privs, mixnet.Config{
 		DialNoise: noise.Fixed{N: 1},
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stopChain()
 	co, err := coordinator.New(coordinator.Config{
-		ChainLocal:    servers[0],
+		Net: net, ChainAddr: addrs[0], ChainPub: pubs[0],
 		SubmitTimeout: time.Second,
 	})
 	if err != nil {

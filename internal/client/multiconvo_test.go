@@ -23,7 +23,7 @@ func newMultiNet(t *testing.T, exchanges uint32) *testNet {
 		t.Fatal(err)
 	}
 	store := cdn.NewStore(0)
-	servers, err := mixnet.NewLocalChain(pubs, privs, mixnet.Config{
+	_, addrs, stopChain, err := mixnet.StartChain(net, pubs, privs, mixnet.Config{
 		ConvoNoise: noise.Fixed{N: 2},
 		DialNoise:  noise.Fixed{N: 1},
 		Workers:    2,
@@ -31,8 +31,9 @@ func newMultiNet(t *testing.T, exchanges uint32) *testNet {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(stopChain)
 	co, err := coordinator.New(coordinator.Config{
-		ChainLocal:     servers[0],
+		Net: net, ChainAddr: addrs[0], ChainPub: pubs[0],
 		ConvoExchanges: exchanges,
 		SubmitTimeout:  2 * time.Second,
 	})

@@ -46,20 +46,17 @@ import (
 
 // Config describes the entry server.
 type Config struct {
-	// Net is the transport used to dial the first chain server.
-	// Exactly one of ChainAddr+Net+ChainPub (networked server 0) or
-	// ChainLocal (in-process chain head) must be set.
+	// Net is the transport the first chain server is dialed over: TCP in
+	// a deployment, transport.Mem in tests. Net, ChainAddr and ChainPub
+	// are all required — the chain is only ever reached over a wire.
 	Net transport.Network
 	// ChainAddr is the first chain server's listen address.
 	ChainAddr string
-	// ChainLocal, if set, is an in-process chain head used instead of
-	// dialing ChainAddr over Net.
-	ChainLocal *mixnet.Server
 
 	// ChainPub is the first chain server's long-term public key from the
-	// chain descriptor. Required whenever ChainAddr is set: the entry leg
-	// always runs inside transport.Secure, with the coordinator
-	// authenticating the server's key — a misdirected or intercepted dial
+	// chain descriptor. The entry leg always runs inside
+	// transport.Secure, with the coordinator authenticating the server's
+	// key — a misdirected or intercepted dial
 	// fails the handshake instead of handing the batch to an impostor
 	// (docs/THREAT_MODEL.md).
 	ChainPub box.PublicKey
@@ -151,7 +148,7 @@ type Coordinator struct {
 	// col holds the direct clients and the frontend pipes, and collects
 	// each round from both.
 	col *collector.Collector
-	// chain is the entry leg into server 0; nil under ChainLocal.
+	// chain is the entry leg into server 0.
 	chain mixnet.ChainLeg
 
 	mu     sync.Mutex
@@ -164,23 +161,21 @@ type Coordinator struct {
 
 // New creates a coordinator.
 func New(cfg Config) (*Coordinator, error) {
-	if cfg.ChainLocal == nil && (cfg.ChainAddr == "" || cfg.Net == nil) {
+	if cfg.ChainAddr == "" || cfg.Net == nil {
 		return nil, errors.New("coordinator: no chain configured")
 	}
-	if cfg.ChainLocal == nil {
-		if cfg.ChainPub == (box.PublicKey{}) {
-			return nil, errors.New("coordinator: networked chain needs the first server's public key (Config.ChainPub)")
+	if cfg.ChainPub == (box.PublicKey{}) {
+		return nil, errors.New("coordinator: the chain needs the first server's public key (Config.ChainPub)")
+	}
+	if cfg.Identity == (box.PrivateKey{}) {
+		// The chain accepts any client key on the entry leg; a fresh
+		// per-process identity keeps the channel keyed without any
+		// registration step.
+		_, priv, err := box.GenerateKey(nil)
+		if err != nil {
+			return nil, fmt.Errorf("coordinator: generating entry identity: %w", err)
 		}
-		if cfg.Identity == (box.PrivateKey{}) {
-			// The chain accepts any client key on the entry leg; a fresh
-			// per-process identity keeps the channel keyed without any
-			// registration step.
-			_, priv, err := box.GenerateKey(nil)
-			if err != nil {
-				return nil, fmt.Errorf("coordinator: generating entry identity: %w", err)
-			}
-			cfg.Identity = priv
-		}
+		cfg.Identity = priv
 	}
 	if cfg.DialBuckets == 0 {
 		cfg.DialBuckets = 1
@@ -195,15 +190,13 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.ConvoWindow = wire.MaxRoundsInFlight
 	}
 	co := &Coordinator{
-		cfg:     cfg,
-		col:     collector.New(0),
-		closeCh: make(chan struct{}),
-	}
-	if cfg.ChainLocal == nil {
+		cfg: cfg,
+		col: collector.New(0),
 		// The entry leg always runs inside transport.Secure: the Peer
 		// verifies it reached the server holding ChainPub before the first
 		// onion crosses the wire.
-		co.chain = mixnet.NewChainLeg(cfg.Net, cfg.ChainAddr, cfg.Identity, cfg.ChainPub)
+		chain:   mixnet.NewChainLeg(cfg.Net, cfg.ChainAddr, cfg.Identity, cfg.ChainPub),
+		closeCh: make(chan struct{}),
 	}
 	if cfg.RoundState != nil {
 		// Resume numbering after the highest rounds a previous process
@@ -320,7 +313,7 @@ func (co *Coordinator) collectConvo(ctx context.Context) (*convoRound, error) {
 // rounds must stay ordered — the chain enforces strictly increasing
 // rounds — so callers run this stage on a single goroutine.
 func (co *Coordinator) chainConvo(cr *convoRound) ([][]byte, error) {
-	replies, err := co.forward(wire.ProtoConvo, cr.round, 0, cr.batch)
+	replies, err := co.chain.Forward(wire.ProtoConvo, cr.round, 0, cr.batch)
 	if err != nil {
 		return nil, err
 	}
@@ -551,7 +544,7 @@ func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, particip
 	if err != nil {
 		return round, 0, err
 	}
-	if _, err := co.forward(wire.ProtoDial, round, m, subs); err != nil {
+	if _, err := co.chain.Forward(wire.ProtoDial, round, m, subs); err != nil {
 		return round, countClients(parts, 1), err
 	}
 	for _, p := range parts {
@@ -604,20 +597,6 @@ func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint
 	}
 	batch, parts := r.Finish()
 	return batch, parts, nil
-}
-
-// forward hands a batch to the chain head — in-process under ChainLocal,
-// otherwise over the entry leg — and returns its replies (none for
-// dialing).
-func (co *Coordinator) forward(proto wire.Proto, round uint64, m uint32, batch [][]byte) ([][]byte, error) {
-	head := co.cfg.ChainLocal
-	if head == nil {
-		return co.chain.Forward(proto, round, m, batch)
-	}
-	if proto == wire.ProtoDial {
-		return nil, head.DialRound(round, m, batch)
-	}
-	return head.ConvoRound(round, batch)
 }
 
 // Start drives rounds on timers until the context is cancelled: a

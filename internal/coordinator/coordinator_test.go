@@ -15,7 +15,7 @@ import (
 	"vuvuzela/internal/wire"
 )
 
-// rig is a coordinator with a local chain and a raw wire connection posing
+// rig is a coordinator with a served chain and a raw wire connection posing
 // as a client, letting tests exercise protocol-level behavior directly.
 type rig struct {
 	co    *Coordinator
@@ -31,14 +31,16 @@ func newRig(t *testing.T, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	store := cdn.NewStore(0)
-	servers, err := mixnet.NewLocalChain(pubs, privs, mixnet.Config{
+	net := transport.NewMem()
+	_, addrs, stopChain, err := mixnet.StartChain(net, pubs, privs, mixnet.Config{
 		ConvoNoise: noise.Fixed{N: 1},
 		DialNoise:  noise.Fixed{N: 1},
 	}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ChainLocal = servers[0]
+	t.Cleanup(stopChain)
+	cfg.Net, cfg.ChainAddr, cfg.ChainPub = net, addrs[0], pubs[0]
 	if cfg.SubmitTimeout == 0 {
 		cfg.SubmitTimeout = 300 * time.Millisecond
 	}
@@ -46,7 +48,6 @@ func newRig(t *testing.T, cfg Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := transport.NewMem()
 	l, err := net.Listen("entry")
 	if err != nil {
 		t.Fatal(err)

@@ -26,9 +26,9 @@ import (
 	"vuvuzela/internal/wire"
 )
 
-// frontRig wires a coordinator with a local single-server chain and a
-// frontend-pipe listener on listenNet ("entry-front"). The pipe is the
-// only networked leg, so a MITM wrapped around the dialing side sees
+// frontRig wires a coordinator with a single-server chain and a
+// frontend-pipe listener, both on listenNet ("server-0", "entry-front").
+// The pipe is the only leg a test dials through its MITM, so the tap sees
 // exactly the KindFrontBatch/KindFrontReplies stream.
 func frontRig(t *testing.T, listenNet *transport.Mem) (*Coordinator, []box.PublicKey, box.PublicKey) {
 	t.Helper()
@@ -36,13 +36,13 @@ func frontRig(t *testing.T, listenNet *transport.Mem) (*Coordinator, []box.Publi
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := mixnet.NewServer(mixnet.Config{Position: 0, ChainPubs: pubs, Priv: privs[0]})
+	_, addrs, stopChain, err := mixnet.StartChain(listenNet, pubs, privs, mixnet.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frontPub, frontPriv := box.KeyPairFromSeed([]byte("front-pipe-key"))
 	co, err := New(Config{
-		ChainLocal:    srv,
+		Net: listenNet, ChainAddr: addrs[0], ChainPub: pubs[0],
 		FrontIdentity: frontPriv,
 		SubmitTimeout: 300 * time.Millisecond,
 	})
@@ -57,7 +57,7 @@ func frontRig(t *testing.T, listenNet *transport.Mem) (*Coordinator, []box.Publi
 	t.Cleanup(func() {
 		co.Close()
 		l.Close()
-		srv.Close()
+		stopChain()
 	})
 	return co, pubs, frontPub
 }

@@ -10,18 +10,20 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/roundstate"
+	"vuvuzela/internal/transport"
 )
 
-// localChainHead builds a single-server in-process chain with its own
-// durable counters, standing in for a chain that remembers consumed
-// rounds across the coordinator's restarts.
-func localChainHead(t *testing.T) *mixnet.Server {
+// servedChainHead serves a single-server chain with its own durable
+// counters, standing in for a chain that remembers consumed rounds across
+// the coordinator's restarts, and returns the Config that reaches it.
+func servedChainHead(t *testing.T) Config {
 	t.Helper()
 	store, err := roundstate.OpenCounters(filepath.Join(t.TempDir(), "chain.rounds"))
 	if err != nil {
@@ -29,25 +31,21 @@ func localChainHead(t *testing.T) *mixnet.Server {
 	}
 	t.Cleanup(func() { store.Close() })
 	pub, priv := box.KeyPairFromSeed([]byte("coord-rs-chain"))
-	srv, err := mixnet.NewServer(mixnet.Config{
-		Position:   0,
-		ChainPubs:  []box.PublicKey{pub},
-		Priv:       priv,
-		RoundState: store,
-	})
+	mem := transport.NewMem()
+	_, addrs, stop, err := mixnet.StartChain(mem, []box.PublicKey{pub}, []box.PrivateKey{priv},
+		mixnet.Config{RoundState: store}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv
+	t.Cleanup(stop)
+	return Config{Net: mem, ChainAddr: addrs[0], ChainPub: pub}
 }
 
-func newCoordWithState(t *testing.T, chain *mixnet.Server, store *roundstate.Counters) *Coordinator {
+func newCoordWithState(t *testing.T, chain Config, store *roundstate.Counters) *Coordinator {
 	t.Helper()
-	co, err := New(Config{
-		ChainLocal:    chain,
-		RoundState:    store,
-		SubmitTimeout: time.Millisecond,
-	})
+	chain.RoundState = store
+	chain.SubmitTimeout = time.Millisecond
+	co, err := New(chain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +57,7 @@ func newCoordWithState(t *testing.T, chain *mixnet.Server, store *roundstate.Cou
 // numbering where the dead process left it, and the chain — which
 // consumed those rounds — accepts the continuation.
 func TestCoordinatorRoundStateResumesNumbering(t *testing.T) {
-	chain := localChainHead(t)
+	chain := servedChainHead(t)
 	path := filepath.Join(t.TempDir(), "entry.rounds")
 	store, err := roundstate.OpenCounters(path)
 	if err != nil {
@@ -101,7 +99,7 @@ func TestCoordinatorRoundStateResumesNumbering(t *testing.T) {
 // round state rejects it as a replay — the wedge the coordinator's own
 // persistence exists to prevent.
 func TestCoordinatorWithoutStateReissuesConsumedRounds(t *testing.T) {
-	chain := localChainHead(t)
+	chain := servedChainHead(t)
 	co := newCoordWithState(t, chain, nil)
 	ctx := context.Background()
 	if round, _, err := co.RunConvoRound(ctx); err != nil || round != 1 {
@@ -115,8 +113,11 @@ func TestCoordinatorWithoutStateReissuesConsumedRounds(t *testing.T) {
 	if round != 1 {
 		t.Fatalf("stateless restart announced round %d, want the re-issued 1", round)
 	}
-	if !errors.Is(err, mixnet.ErrRoundReplay) {
-		t.Fatalf("chain accepted the re-issued round 1: err %v, want ErrRoundReplay", err)
+	// The refusal crossed the entry leg, so it is the head's own report
+	// quoted in a RemoteError, as chainnet_test.go's replay rows read it.
+	var remote *mixnet.RemoteError
+	if !errors.As(err, &remote) || remote.Addr != chain.ChainAddr || !strings.Contains(remote.Msg, mixnet.ErrRoundReplay.Error()) {
+		t.Fatalf("chain accepted the re-issued round 1: err %v, want a RemoteError from %s carrying ErrRoundReplay", err, chain.ChainAddr)
 	}
 }
 
@@ -125,7 +126,7 @@ func TestCoordinatorWithoutStateReissuesConsumedRounds(t *testing.T) {
 // round (with a healed disk it would proceed) skips the wasted number
 // rather than reusing it.
 func TestCoordinatorRoundStateCommitFailureFailsRound(t *testing.T) {
-	chain := localChainHead(t)
+	chain := servedChainHead(t)
 	dir := filepath.Join(t.TempDir(), "state")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)

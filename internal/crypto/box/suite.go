@@ -9,8 +9,8 @@ import (
 // 24-byte nonces. Vuvuzela's default suite is XSalsa20-Poly1305 (NaCl,
 // matching the paper); an AES-256-GCM suite is provided so deployments
 // with AES hardware can trade the paper's cipher for an order of
-// magnitude more record-layer throughput (see `vuvuzela-bench record`
-// and the ablation benches in bench_test.go). Both suites share the
+// magnitude more record-layer throughput (see BenchmarkSecureRecord in
+// internal/transport and the ablation benches in bench_test.go). Both suites share the
 // tag(16) || ciphertext layout, so they are interchangeable on the wire.
 type Suite interface {
 	// Name identifies the suite.

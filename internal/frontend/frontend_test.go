@@ -43,19 +43,21 @@ func newTierK(t *testing.T, feCfg frontend.Config, exchanges uint32) *tier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers, err := mixnet.NewLocalChain(pubs, privs, mixnet.Config{
+	net := transport.NewMem()
+	_, addrs, stopChain, err := mixnet.StartChain(net, pubs, privs, mixnet.Config{
 		ConvoNoise: noise.Fixed{N: 1},
 		DialNoise:  noise.Fixed{N: 1},
 	}, cdn.NewStore(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(stopChain)
 	frontPub, frontPriv, err := box.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	co, err := coordinator.New(coordinator.Config{
-		ChainLocal:     servers[0],
+		Net: net, ChainAddr: addrs[0], ChainPub: pubs[0],
 		SubmitTimeout:  2 * time.Second,
 		FrontIdentity:  frontPriv,
 		ConvoExchanges: exchanges,
@@ -63,7 +65,6 @@ func newTierK(t *testing.T, feCfg frontend.Config, exchanges uint32) *tier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := transport.NewMem()
 	le, err := net.Listen("entry")
 	if err != nil {
 		t.Fatal(err)

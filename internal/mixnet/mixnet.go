@@ -4,12 +4,13 @@
 // last server, performs the dead-drop exchange / invitation bucketing),
 // then unshuffles, strips its noise, and seals each reply on the way back.
 //
-// A server can run over the network (Serve/handleConn, speaking the wire
-// protocol to its predecessor and successor) or fully in-process via
-// NextLocal chaining, which the tests, examples, and the evaluation
-// harness use.
+// A server always runs over a transport.Network (Serve/handleConn,
+// speaking the wire protocol to its predecessor and successor): TCP in a
+// deployment, transport.Mem in tests, examples and the evaluation harness.
+// There is no in-process shortcut between hops — the wire is what the
+// paper's adversary watches (§2.1), so it is what every test exercises.
 //
-// Every networked leg — the entry leg into server 0, each chain hop,
+// Every leg — the entry leg into server 0, each chain hop,
 // and the last server's shard fan-out — runs inside transport.Secure,
 // keyed by the chain descriptor's long-term keys; docs/WIRE.md
 // specifies the framing and docs/THREAT_MODEL.md maps each leg onto the
@@ -107,18 +108,14 @@ type Config struct {
 	// out-of-band reporting as coordinator.Config.OnRoundError.
 	OnShardDegraded func(round uint64, shard int, addr string, err error)
 
-	// Exactly one of the following must be set unless this is the last
-	// server: NextAddr+Net for a networked successor, or NextLocal for
-	// in-process chaining. Networked legs always run inside
-	// transport.Secure keyed by Priv and ChainPubs — there is no
-	// plaintext hop (docs/THREAT_MODEL.md).
 	// Net is the byte-stream substrate this server dials its successor
-	// (and, on the last server, its shards) over.
+	// (and, on the last server, its shards) over. Required, with NextAddr,
+	// unless this is the last server. Every leg runs inside
+	// transport.Secure keyed by Priv and ChainPubs — there is no plaintext
+	// hop (docs/THREAT_MODEL.md).
 	Net transport.Network
-	// NextAddr is the networked successor's listen address.
+	// NextAddr is the successor's listen address.
 	NextAddr string
-	// NextLocal chains to the successor in-process (tests, evaluation).
-	NextLocal *Server
 
 	// HandshakeTimeout bounds how long an accepted connection may sit
 	// unauthenticated before being dropped (0 = DefaultHandshakeTimeout).
@@ -165,8 +162,7 @@ type Server struct {
 	// shard servers; nil for the in-process exchange.
 	router *ShardRouter
 
-	// next is the networked successor; nil on the last server and under
-	// NextLocal.
+	// next is the leg to the successor; nil on the last server.
 	next ChainLeg
 
 	mu        sync.Mutex
@@ -187,7 +183,7 @@ var (
 	// not match the forwarded batch.
 	ErrReplyMismatch = errors.New("mixnet: reply count does not match batch")
 	// ErrNoSuccessor rejects a non-last server configured without a
-	// successor.
+	// successor to dial (Config.Net and Config.NextAddr).
 	ErrNoSuccessor = errors.New("mixnet: no successor configured")
 )
 
@@ -209,7 +205,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("mixnet: private key does not match chain descriptor position %d", cfg.Position)
 	}
 	last := cfg.Position == len(cfg.ChainPubs)-1
-	if !last && cfg.NextLocal == nil && (cfg.NextAddr == "" || cfg.Net == nil) {
+	if !last && (cfg.NextAddr == "" || cfg.Net == nil) {
 		return nil, ErrNoSuccessor
 	}
 	if cfg.AllowRoundReuse && cfg.RoundState != nil {
@@ -245,7 +241,7 @@ func NewServer(cfg Config) (*Server, error) {
 		lastRound: make(map[wire.Proto]uint64),
 		closeCh:   make(chan struct{}),
 	}
-	if !last && cfg.NextLocal == nil {
+	if !last {
 		s.next = NewChainLeg(cfg.Net, cfg.NextAddr, cfg.Priv, cfg.ChainPubs[cfg.Position+1])
 	}
 	if cfg.RoundState != nil {
@@ -377,7 +373,7 @@ func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
 
 		// Step 3a: shuffle and forward.
 		perm := shuffle.New(len(fwd), s.cfg.NoiseRand)
-		down, err := s.forward(wire.ProtoConvo, round, 0, perm.Apply(fwd))
+		down, err := s.next.Forward(wire.ProtoConvo, round, 0, perm.Apply(fwd))
 		if err != nil {
 			return nil, err
 		}
@@ -457,22 +453,8 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 	}
 
 	perm := shuffle.New(len(fwd), s.cfg.NoiseRand)
-	_, err := s.forward(wire.ProtoDial, round, m, perm.Apply(fwd))
+	_, err := s.next.Forward(wire.ProtoDial, round, m, perm.Apply(fwd))
 	return err
-}
-
-// forward hands a batch to the successor — in-process under NextLocal,
-// otherwise through the leg's Peer, which owns the redial-and-resend
-// policy — and returns its replies (none for dialing).
-func (s *Server) forward(proto wire.Proto, round uint64, m uint32, batch [][]byte) ([][]byte, error) {
-	next := s.cfg.NextLocal
-	if next == nil {
-		return s.next.Forward(proto, round, m, batch)
-	}
-	if proto == wire.ProtoDial {
-		return nil, next.DialRound(round, m, batch)
-	}
-	return next.ConvoRound(round, batch)
 }
 
 // RemoteError is a round failure attributed to a specific peer: a
@@ -576,31 +558,56 @@ func NewChainKeys(n int) ([]box.PublicKey, []box.PrivateKey, error) {
 	return pubs, privs, nil
 }
 
-// NewLocalChain builds an in-process chain of servers from per-server
-// configs templated by base: position i feeds position i+1 directly. The
-// base's Position, NextLocal, and Buckets fields are overridden as needed;
-// bucketSink is attached to the last server.
-func NewLocalChain(pubs []box.PublicKey, privs []box.PrivateKey, base Config, bucketSink BucketSink) ([]*Server, error) {
+// StartChain builds and serves a whole chain on network, wired exactly as
+// separate processes would be: position i is listened for at "server-<i>",
+// served, and dials position i+1 inside transport.Secure. Each server's
+// config is base with Position, ChainPubs, Priv, Net and NextAddr filled
+// in; bucketSink and base's shard fan-out fields apply to the last server
+// only. It returns the servers, their addresses (the entry leg dials
+// addrs[0] under pubs[0]) and a function that stops all of them. Tests,
+// the facade and the figure harness stand their chains up with it;
+// killing, restarting or persisting individual nodes is sim.ChainNet's
+// job.
+func StartChain(network transport.Network, pubs []box.PublicKey, privs []box.PrivateKey, base Config, bucketSink BucketSink) (servers []*Server, addrs []string, stop func(), err error) {
 	n := len(pubs)
-	servers := make([]*Server, n)
-	for i := n - 1; i >= 0; i-- {
+	servers = make([]*Server, 0, n)
+	addrs = make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("server-%d", i)
+	}
+	var listeners []net.Listener
+	stop = func() {
+		for i, srv := range servers {
+			listeners[i].Close()
+			srv.Close()
+		}
+	}
+	for i := 0; i < n; i++ {
 		cfg := base
 		cfg.Position = i
 		cfg.ChainPubs = pubs
 		cfg.Priv = privs[i]
-		cfg.Net = nil
-		cfg.NextAddr = ""
+		cfg.Net = network
 		if i == n-1 {
 			cfg.Buckets = bucketSink
 		} else {
-			cfg.NextLocal = servers[i+1]
-			cfg.Buckets = nil
+			cfg.NextAddr = addrs[i+1]
+			cfg.ShardAddrs, cfg.ShardPubs = nil, nil
 		}
 		srv, err := NewServer(cfg)
 		if err != nil {
-			return nil, err
+			stop()
+			return nil, nil, nil, err
 		}
-		servers[i] = srv
+		l, err := network.Listen(addrs[i])
+		if err != nil {
+			srv.Close()
+			stop()
+			return nil, nil, nil, err
+		}
+		go srv.Serve(l)
+		servers = append(servers, srv)
+		listeners = append(listeners, l)
 	}
-	return servers, nil
+	return servers, addrs, stop, nil
 }

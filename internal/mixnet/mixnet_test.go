@@ -35,7 +35,8 @@ func (s *sink) last() *dial.Buckets {
 	return s.buckets[len(s.buckets)-1]
 }
 
-// localChain builds an in-process chain of n servers with the given noise.
+// localChain serves a chain of n servers with the given noise on its own
+// in-memory network, stopped when the test ends.
 func localChain(t testing.TB, n int, convoNoise, dialNoise noise.Distribution) ([]*Server, []box.PublicKey, *sink) {
 	t.Helper()
 	pubs, privs, err := NewChainKeys(n)
@@ -43,7 +44,7 @@ func localChain(t testing.TB, n int, convoNoise, dialNoise noise.Distribution) (
 		t.Fatal(err)
 	}
 	snk := &sink{}
-	servers, err := NewLocalChain(pubs, privs, Config{
+	servers, _, stop, err := StartChain(transport.NewMem(), pubs, privs, Config{
 		ConvoNoise: convoNoise,
 		DialNoise:  dialNoise,
 		Workers:    4,
@@ -51,6 +52,7 @@ func localChain(t testing.TB, n int, convoNoise, dialNoise noise.Distribution) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(stop)
 	return servers, pubs, snk
 }
 
@@ -423,13 +425,14 @@ func BenchmarkConvoRound3Chain100(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	servers, err := NewLocalChain(pubs, privs, Config{
+	servers, _, stop, err := StartChain(transport.NewMem(), pubs, privs, Config{
 		ConvoNoise:      noise.Fixed{N: 10},
 		AllowRoundReuse: true,
 	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer stop()
 	alice := newUser(b, "alice")
 	onions := make([][]byte, 100)
 	for i := range onions {

@@ -1,16 +1,16 @@
 package sim
 
-// ChainNet is the full-chain fault-injection harness: a coordinator
+// ChainNet is the package's one deployment harness: a coordinator
 // (entry server), every chain server, and optionally networked dead-drop
-// shard servers, all wired over an in-memory transport exactly as the
-// production processes are over TCP — entry dials server 0, server i
-// dials server i+1, the last server fans out to the shards, every leg
-// inside transport.Secure. Unlike ShardNet (whose chain hops run
-// in-process), every node here is independently killable and
-// restartable, which is what the chain-wide crash/restart matrix needs:
-// with a StateDir, each node persists its round state the same way the
-// real binaries do with -round-state, so a restart exercises the durable
-// rejoin path for every role, not just the shard leg.
+// shard servers and entry frontends, all wired over an in-memory
+// transport exactly as the production processes are over TCP — entry
+// dials server 0, server i dials server i+1, the last server fans out to
+// the shards, every leg inside transport.Secure. Every node is
+// independently killable and restartable, which is what the shard fault
+// suites and the chain-wide crash/restart matrix need: with a StateDir,
+// each node persists its round state the same way the real binaries do
+// with -round-state, so a restart exercises the durable rejoin path for
+// every role.
 
 import (
 	"context"
@@ -185,7 +185,7 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 		cfg:       cfg,
 	}
 
-	// Dead-drop shard servers, exactly as in ShardNet.
+	// Dead-drop shard servers, each authorizing the last chain server's key.
 	if cfg.Shards > 0 {
 		shardPubs, shardPrivs, err := mixnet.NewChainKeys(cfg.Shards)
 		if err != nil {

@@ -106,22 +106,3 @@ func TestFrontNetEntryRestart(t *testing.T) {
 		t.Fatalf("round numbering went backwards across the entry restart: %v then %v", first, second)
 	}
 }
-
-// TestMeasureEntryLoad: the load generator measures a real point and
-// enforces full participation while doing it.
-func TestMeasureEntryLoad(t *testing.T) {
-	pt, err := MeasureEntryLoad(2, 8, 2, 2, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Clients != 8 || pt.Frontends != 2 || pt.RoundLatency <= 0 {
-		t.Fatalf("bad point: %+v", pt)
-	}
-	direct, err := MeasureEntryLoad(0, 8, 2, 2, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Frontends != 0 || direct.RoundLatency <= 0 {
-		t.Fatalf("bad baseline point: %+v", direct)
-	}
-}

@@ -12,6 +12,7 @@ import (
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/onion"
 	"vuvuzela/internal/parallel"
+	"vuvuzela/internal/transport"
 )
 
 // MeasureDHThroughput benchmarks this machine's aggregate X25519
@@ -74,12 +75,29 @@ func (p MeasuredPoint) Throughput() float64 {
 	return float64(p.Msgs) / p.Latency.Seconds()
 }
 
-// MeasureConvoRound runs one real conversation round through an
-// in-process chain: `users` conversing clients (half pairs exchanging
-// messages), fixed noise µ per mixing server (the paper's evaluation also
-// fixes noise at exactly µ, §8.1). Request building is excluded from the
-// timing — the paper measures server-side round latency with client load
-// generated by separate machines.
+// measuredChain serves a fresh chain on its own in-memory network, wired as
+// separate processes would be (mixnet.StartChain). The returned stop must
+// be called: fig9/fig11 and the benchmarks build one chain per point.
+func measuredChain(servers int, base mixnet.Config, sink mixnet.BucketSink) (*mixnet.Server, []box.PublicKey, func(), error) {
+	pubs, privs, err := mixnet.NewChainKeys(servers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	chain, _, stop, err := mixnet.StartChain(transport.NewMem(), pubs, privs, base, sink)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return chain[0], pubs, stop, nil
+}
+
+// MeasureConvoRound runs one real conversation round through a served
+// chain: `users` conversing clients (half pairs exchanging messages),
+// fixed noise µ per mixing server (the paper's evaluation also fixes noise
+// at exactly µ, §8.1). Request building is excluded from the timing — the
+// paper measures server-side round latency with client load generated by
+// separate machines — and so is connection setup: the hops dial and
+// handshake on their first round, so an empty round 1 warms them up and
+// round 2 is the one timed (Figures 9–11 are steady-state rounds).
 func MeasureConvoRound(users, mu, servers int) (MeasuredPoint, error) {
 	return MeasureConvoRoundWorkers(users, mu, servers, 0)
 }
@@ -88,26 +106,26 @@ func MeasureConvoRound(users, mu, servers int) (MeasuredPoint, error) {
 // worker-pool size per server (0 = all cores) — used by the worker-
 // scaling ablation bench.
 func MeasureConvoRoundWorkers(users, mu, servers, workers int) (MeasuredPoint, error) {
-	pubs, privs, err := mixnet.NewChainKeys(servers)
-	if err != nil {
-		return MeasuredPoint{}, err
-	}
-	chain, err := mixnet.NewLocalChain(pubs, privs, mixnet.Config{
+	head, pubs, stop, err := measuredChain(servers, mixnet.Config{
 		ConvoNoise: noise.Fixed{N: mu},
 		Workers:    workers,
 	}, nil)
 	if err != nil {
 		return MeasuredPoint{}, err
 	}
+	defer stop()
 
-	const round = 1
+	const round = 2
 	onions, err := conversingOnions(users, round, pubs)
 	if err != nil {
 		return MeasuredPoint{}, err
 	}
+	if _, err := head.ConvoRound(round-1, nil); err != nil {
+		return MeasuredPoint{}, fmt.Errorf("sim: warm-up round: %w", err)
+	}
 
 	start := time.Now()
-	replies, err := chain[0].ConvoRound(round, onions)
+	replies, err := head.ConvoRound(round, onions)
 	elapsed := time.Since(start)
 	if err != nil {
 		return MeasuredPoint{}, err
@@ -175,21 +193,19 @@ func conversingOnions(users int, round uint64, pubs []box.PublicKey) ([][]byte, 
 
 // MeasureDialRound runs one real dialing round: `users` clients of whom
 // dialingFraction dial (the rest no-op), fixed per-bucket noise µd, m
-// buckets.
+// buckets. As in MeasureConvoRound, an empty round 1 warms the hops up and
+// round 2 is timed.
 func MeasureDialRound(users int, dialingFraction float64, muD int, m uint32, servers int) (MeasuredPoint, error) {
-	pubs, privs, err := mixnet.NewChainKeys(servers)
-	if err != nil {
-		return MeasuredPoint{}, err
-	}
 	store := &captureSink{}
-	chain, err := mixnet.NewLocalChain(pubs, privs, mixnet.Config{
+	head, pubs, stop, err := measuredChain(servers, mixnet.Config{
 		DialNoise: noise.Fixed{N: muD},
 	}, store)
 	if err != nil {
 		return MeasuredPoint{}, err
 	}
+	defer stop()
 
-	const round = 1
+	const round = 2
 	dialers := int(float64(users) * dialingFraction)
 	onions := make([][]byte, users)
 	buildErr := parallel.ForErr(users, 0, func(i int) error {
@@ -214,13 +230,17 @@ func MeasureDialRound(users int, dialingFraction float64, muD int, m uint32, ser
 		return MeasuredPoint{}, buildErr
 	}
 
+	if err := head.DialRound(round-1, m, nil); err != nil {
+		return MeasuredPoint{}, fmt.Errorf("sim: warm-up round: %w", err)
+	}
+
 	start := time.Now()
-	err = chain[0].DialRound(round, m, onions)
+	err = head.DialRound(round, m, onions)
 	elapsed := time.Since(start)
 	if err != nil {
 		return MeasuredPoint{}, err
 	}
-	if store.got == nil {
+	if store.got == nil || store.got.Round != round {
 		return MeasuredPoint{}, fmt.Errorf("sim: no buckets published")
 	}
 	return MeasuredPoint{Users: users, Mu: muD, Servers: servers, Latency: elapsed, Msgs: dialers}, nil

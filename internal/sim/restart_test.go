@@ -19,13 +19,13 @@ import (
 // dialShardAsRouter opens an authenticated connection to shard i using
 // the router's identity — what a (resurrected or replaying) last chain
 // server would hold.
-func dialShardAsRouter(t *testing.T, net transport.Network, sn *ShardNet, i int) *wire.Conn {
+func dialShardAsRouter(t *testing.T, cn *ChainNet, i int) *wire.Conn {
 	t.Helper()
-	raw, err := net.Dial(sn.Addrs[i])
+	raw, err := cn.cfg.Net.Dial(cn.ShardAddrs[i])
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := wire.NewConn(transport.SecureClient(raw, sn.RouterPriv, sn.ShardPubs[i]))
+	conn := wire.NewConn(transport.SecureClient(raw, cn.Privs[len(cn.Privs)-1], cn.ShardPubs[i]))
 	t.Cleanup(func() { conn.Close() })
 	return conn
 }
@@ -49,34 +49,34 @@ func shardRoundTrip(t *testing.T, conn *wire.Conn, round uint64, shard uint32) *
 // its connection by lazy redial.
 func TestShardCrashRestartRejoins(t *testing.T) {
 	defer LeakCheck(t)()
-	sn, err := NewShardNet(ShardNetConfig{
+	cn, err := NewChainNet(ChainNetConfig{
 		Servers: 2, Shards: 2, Mu: 1,
 		StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sn.Close()
+	defer cn.Close()
 
 	for round := uint64(1); round <= 2; round++ {
-		if err := runRound(t, sn, round); err != nil {
+		if err := runRound(t, cn, round); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 
-	if err := sn.RestartShard(1); err != nil {
+	if err := cn.RestartShard(1); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if got := sn.Shards[1].LastRound(); got != 2 {
+	if got := cn.Shards[1].LastRound(); got != 2 {
 		t.Fatalf("restarted shard resumed at round %d, want 2 (from disk)", got)
 	}
 
 	// The chain proceeds: round 3 exchanges real messages through the
 	// restarted shard (every shard consumes every round number).
-	if err := runRound(t, sn, 3); err != nil {
+	if err := runRound(t, cn, 3); err != nil {
 		t.Fatalf("round 3 after restart: %v", err)
 	}
-	if got := sn.Shards[1].LastRound(); got != 3 {
+	if got := cn.Shards[1].LastRound(); got != 3 {
 		t.Fatalf("restarted shard at round %d after round 3, want 3", got)
 	}
 }
@@ -88,27 +88,25 @@ func TestShardCrashRestartRejoins(t *testing.T) {
 // degrades around.
 func TestShardRestartStaleReplayAborts(t *testing.T) {
 	defer LeakCheck(t)()
-	mem := transport.NewMem()
-	sn, err := NewShardNet(ShardNetConfig{
+	cn, err := NewChainNet(ChainNetConfig{
 		Servers: 2, Shards: 2, Mu: 1,
-		Net:      mem,
 		StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sn.Close()
+	defer cn.Close()
 
 	for round := uint64(1); round <= 2; round++ {
-		if err := runRound(t, sn, round); err != nil {
+		if err := runRound(t, cn, round); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	if err := sn.RestartShard(0); err != nil {
+	if err := cn.RestartShard(0); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 
-	conn := dialShardAsRouter(t, mem, sn, 0)
+	conn := dialShardAsRouter(t, cn, 0)
 	for _, stale := range []uint64{1, 2} {
 		resp := shardRoundTrip(t, conn, stale, 0)
 		if resp.Kind != wire.KindError {
@@ -130,22 +128,21 @@ func TestShardRestartStaleReplayAborts(t *testing.T) {
 // persistence closes.
 func TestShardRestartWithoutStateReplays(t *testing.T) {
 	defer LeakCheck(t)()
-	mem := transport.NewMem()
-	sn, err := NewShardNet(ShardNetConfig{Servers: 2, Shards: 2, Mu: 1, Net: mem})
+	cn, err := NewChainNet(ChainNetConfig{Servers: 2, Shards: 2, Mu: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sn.Close()
+	defer cn.Close()
 
 	for round := uint64(1); round <= 2; round++ {
-		if err := runRound(t, sn, round); err != nil {
+		if err := runRound(t, cn, round); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	if err := sn.RestartShard(0); err != nil {
+	if err := cn.RestartShard(0); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	conn := dialShardAsRouter(t, mem, sn, 0)
+	conn := dialShardAsRouter(t, cn, 0)
 	if resp := shardRoundTrip(t, conn, 1, 0); resp.Kind != wire.KindShardReply {
 		t.Fatalf("memory-only restart rejected the replay (kind %d) — control expectation changed?", resp.Kind)
 	}
@@ -162,33 +159,32 @@ func TestShardCrashDuringOutageThenRejoin(t *testing.T) {
 	mem := transport.NewMem()
 	faulty := transport.NewFaulty(mem)
 	var degraded []int
-	sn, err := NewShardNet(ShardNetConfig{
+	cn, err := NewChainNet(ChainNetConfig{
 		Servers: 2, Shards: 2, Mu: 1,
-		Net:      mem,
-		DialNet:  faulty,
-		Policy:   mixnet.ShardDegrade,
-		StateDir: t.TempDir(),
-		OnDegraded: func(round uint64, shard int, addr string, err error) {
+		Net:          mem,
+		ShardDialNet: faulty,
+		ShardPolicy:  mixnet.ShardDegrade,
+		StateDir:     t.TempDir(),
+		OnShardDegraded: func(round uint64, shard int, addr string, err error) {
 			degraded = append(degraded, shard)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sn.Close()
+	defer cn.Close()
 
-	if err := runRound(t, sn, 1); err != nil {
+	if err := runRound(t, cn, 1); err != nil {
 		t.Fatalf("round 1: %v", err)
 	}
 
 	// Crash: sever the shard and blackhole its address. Rounds 2 and 3
 	// degrade around it.
-	faulty.Break(sn.Addrs[0])
-	sn.listeners[0].Close()
-	sn.Shards[0].Close()
+	faulty.Break(cn.ShardAddrs[0])
+	cn.KillShard(0)
 	for round := uint64(2); round <= 3; round++ {
-		pairs := buildPairs(t, sn, round, 6, 2)
-		if _, err := runPairsRound(t, sn, round, pairs); err != nil {
+		pairs := buildPairs(t, cn, round, 6, 2)
+		if _, err := runPairsRound(t, cn, round, pairs); err != nil {
 			t.Fatalf("degraded round %d: %v", round, err)
 		}
 	}
@@ -199,22 +195,22 @@ func TestShardCrashDuringOutageThenRejoin(t *testing.T) {
 	// Recover: restart the process and heal the network. The shard's
 	// durable counter says 1; the next chain round is 4 — it must rejoin
 	// cleanly.
-	faulty.Restore(sn.Addrs[0])
-	if err := sn.RestartShard(0); err != nil {
+	faulty.Restore(cn.ShardAddrs[0])
+	if err := cn.RestartShard(0); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if got := sn.Shards[0].LastRound(); got != 1 {
+	if got := cn.Shards[0].LastRound(); got != 1 {
 		t.Fatalf("restarted shard resumed at round %d, want 1", got)
 	}
 	degraded = degraded[:0]
-	if err := runRound(t, sn, 4); err != nil {
+	if err := runRound(t, cn, 4); err != nil {
 		t.Fatalf("round 4 after rejoin: %v", err)
 	}
 	if len(degraded) != 0 {
 		t.Fatalf("round 4 degraded shards %v after the shard rejoined", degraded)
 	}
 	// And the missed rounds are gone for good: replaying one aborts.
-	conn := dialShardAsRouter(t, mem, sn, 0)
+	conn := dialShardAsRouter(t, cn, 0)
 	if resp := shardRoundTrip(t, conn, 1, 0); resp.Kind != wire.KindError {
 		t.Fatalf("stale round replay after rejoin got kind %d, want error", resp.Kind)
 	}
@@ -223,15 +219,15 @@ func TestShardCrashDuringOutageThenRejoin(t *testing.T) {
 // TestRestartShardValidation: restarting a shard that does not exist is
 // an error, not a panic.
 func TestRestartShardValidation(t *testing.T) {
-	sn, err := NewShardNet(ShardNetConfig{Servers: 1, Shards: 1})
+	cn, err := NewChainNet(ChainNetConfig{Servers: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sn.Close()
-	if err := sn.RestartShard(5); err == nil {
+	defer cn.Close()
+	if err := cn.RestartShard(5); err == nil {
 		t.Fatal("restarting shard 5 of 1 succeeded")
 	}
-	if err := sn.RestartShard(-1); err == nil {
+	if err := cn.RestartShard(-1); err == nil {
 		t.Fatal("restarting shard -1 succeeded")
 	}
 }

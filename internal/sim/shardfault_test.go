@@ -18,15 +18,15 @@ import (
 	"vuvuzela/internal/transport"
 )
 
-// TestShardNetChainEquivalence is the acceptance core: an end-to-end
+// TestShardFanoutChainEquivalence is the acceptance core: an end-to-end
 // conversation round through a 3-server chain whose last hop fans out to
 // networked shard servers — over authenticated channels — is
-// byte-identical to the sequential in-process path and to the in-process
-// sharded path, for 1, 2, 4, 8, and a non-power-of-two shard count, and
-// under BOTH shard policies (Degrade with zero failures must change
-// nothing). The batch mixes real conversations, an idle (fake-request)
-// client, and malformed onions.
-func TestShardNetChainEquivalence(t *testing.T) {
+// byte-identical to the last server's own sequential table and to its
+// in-process sharded table, for 1, 2, 4, 8, and a non-power-of-two shard
+// count, and under BOTH shard policies (Degrade with zero failures must
+// change nothing). The batch mixes real conversations, an idle
+// (fake-request) client, and malformed onions.
+func TestShardFanoutChainEquivalence(t *testing.T) {
 	defer LeakCheck(t)()
 	const servers = 3
 	const round = 1
@@ -39,8 +39,9 @@ func TestShardNetChainEquivalence(t *testing.T) {
 	}
 	onions := equivalenceBatch(t, round, pubs)
 
-	seqChain := localChainWithShards(t, pubs, privs, mu, 0)
-	want, err := seqChain[0].ConvoRound(round, onions)
+	seqHead, stopSeq := chainWithKeys(t, transport.NewMem(), pubs, privs, mixnet.Config{ConvoNoise: noise.Fixed{N: mu}})
+	defer stopSeq()
+	want, err := seqHead.ConvoRound(round, onions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +50,9 @@ func TestShardNetChainEquivalence(t *testing.T) {
 	}
 
 	// In-process sharded last server.
-	inprocChain := localChainWithShards(t, pubs, privs, mu, 4)
-	inproc, err := inprocChain[0].ConvoRound(round, onions)
+	inprocHead, stopInproc := chainWithKeys(t, transport.NewMem(), pubs, privs, mixnet.Config{ConvoNoise: noise.Fixed{N: mu}, Shards: 4})
+	defer stopInproc()
+	inproc, err := inprocHead.ConvoRound(round, onions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +66,13 @@ func TestShardNetChainEquivalence(t *testing.T) {
 	}
 	for _, shards := range shardCounts {
 		for _, policy := range []mixnet.ShardPolicy{mixnet.ShardAbort, mixnet.ShardDegrade} {
-			sn := shardNetWithKeys(t, pubs, privs, mu, shards, policy)
-			got, err := sn.Head().ConvoRound(round, onions)
+			head, stop := shardFanoutWithKeys(t, pubs, privs, mu, shards, policy)
+			got, err := head.ConvoRound(round, onions)
+			stop()
 			if err != nil {
-				sn.Close()
 				t.Fatalf("shards=%d policy=%v: %v", shards, policy, err)
 			}
 			compareReplies(t, "networked", got, want)
-			sn.Close()
 		}
 	}
 }
@@ -124,42 +125,33 @@ func compareReplies(t *testing.T, label string, got, want [][]byte) {
 	}
 }
 
-// localChainWithShards builds an in-process chain over the given keys
-// with an in-process (Shards) last-server table.
-func localChainWithShards(t *testing.T, pubs []box.PublicKey, privs []box.PrivateKey, mu, shards int) []*mixnet.Server {
+// chainWithKeys serves a chain over pre-made keys on mem, so several
+// topologies can process byte-identical onions. It returns the head, where
+// rounds enter, and the chain's stop function.
+func chainWithKeys(t *testing.T, mem *transport.Mem, pubs []box.PublicKey, privs []box.PrivateKey, base mixnet.Config) (*mixnet.Server, func()) {
 	t.Helper()
-	n := len(pubs)
-	chain := make([]*mixnet.Server, n)
-	for i := n - 1; i >= 0; i-- {
-		cfg := mixnet.Config{Position: i, ChainPubs: pubs, Priv: privs[i], Shards: shards}
-		if i < n-1 {
-			cfg.NextLocal = chain[i+1]
-			cfg.ConvoNoise = noise.Fixed{N: mu}
-		}
-		srv, err := mixnet.NewServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chain[i] = srv
+	chain, _, stop, err := mixnet.StartChain(mem, pubs, privs, base, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return chain
+	return chain[0], stop
 }
 
-// shardNetWithKeys is NewShardNet over pre-made chain keys, so multiple
-// topologies can process byte-identical onions. Shard identities are
-// deterministic per index; the last chain server's key is the authorized
-// router key, as in production.
-func shardNetWithKeys(t *testing.T, pubs []box.PublicKey, privs []box.PrivateKey, mu, shards int, policy mixnet.ShardPolicy) *ShardNet {
+// shardFanoutWithKeys is chainWithKeys with the last server routing to
+// `shards` networked shard servers (each splitting its own table in two).
+// Shard identities are deterministic per index; the last chain server's
+// key is the authorized router key, as in production.
+func shardFanoutWithKeys(t *testing.T, pubs []box.PublicKey, privs []box.PrivateKey, mu, shards int, policy mixnet.ShardPolicy) (*mixnet.Server, func()) {
 	t.Helper()
 	mem := transport.NewMem()
-	sn := &ShardNet{Pubs: pubs}
-	routerPub := pubs[len(pubs)-1]
+	base := mixnet.Config{ConvoNoise: noise.Fixed{N: mu}, ShardPolicy: policy}
+	var stops []func()
 	for i := 0; i < shards; i++ {
 		shardPub, shardPriv := box.KeyPairFromSeed([]byte("equiv-shard-" + string(rune('0'+i))))
 		ss, err := mixnet.NewShardServer(mixnet.ShardConfig{
 			Index: i, NumShards: shards, Subshards: 2,
 			Identity:   shardPriv,
-			Authorized: []box.PublicKey{routerPub},
+			Authorized: []box.PublicKey{pubs[len(pubs)-1]},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -170,59 +162,68 @@ func shardNetWithKeys(t *testing.T, pubs []box.PublicKey, privs []box.PrivateKey
 			t.Fatal(err)
 		}
 		go ss.Serve(l)
-		sn.Shards = append(sn.Shards, ss)
-		sn.ShardPubs = append(sn.ShardPubs, shardPub)
-		sn.Addrs = append(sn.Addrs, addr)
-		sn.listeners = append(sn.listeners, l)
+		stops = append(stops, func() { l.Close(); ss.Close() })
+		base.ShardAddrs = append(base.ShardAddrs, addr)
+		base.ShardPubs = append(base.ShardPubs, shardPub)
 	}
-	n := len(pubs)
-	sn.Chain = make([]*mixnet.Server, n)
-	for i := n - 1; i >= 0; i-- {
-		cfg := mixnet.Config{Position: i, ChainPubs: pubs, Priv: privs[i]}
-		if i == n-1 {
-			cfg.Net = mem
-			cfg.ShardAddrs = sn.Addrs
-			cfg.ShardPubs = sn.ShardPubs
-			cfg.ShardPolicy = policy
-		} else {
-			cfg.NextLocal = sn.Chain[i+1]
-			cfg.ConvoNoise = noise.Fixed{N: mu}
+	head, stopChain := chainWithKeys(t, mem, pubs, privs, base)
+	return head, func() {
+		stopChain()
+		for _, stop := range stops {
+			stop()
 		}
-		srv, err := mixnet.NewServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sn.Chain[i] = srv
 	}
-	return sn
 }
 
 // faultNet builds a 2-server chain with `shards` shard servers behind a
 // transport.Faulty dialer, so tests can kill/hang individual shards.
-func faultNet(t *testing.T, shards int, timeout time.Duration) (*ShardNet, *transport.Faulty) {
+func faultNet(t *testing.T, shards int, timeout time.Duration) (*ChainNet, *transport.Faulty) {
 	t.Helper()
 	return faultNetPolicy(t, shards, timeout, mixnet.ShardAbort, nil)
 }
 
 func faultNetPolicy(t *testing.T, shards int, timeout time.Duration, policy mixnet.ShardPolicy,
-	onDegraded func(round uint64, shard int, addr string, err error)) (*ShardNet, *transport.Faulty) {
+	onDegraded func(round uint64, shard int, addr string, err error)) (*ChainNet, *transport.Faulty) {
 	t.Helper()
 	mem := transport.NewMem()
 	faulty := transport.NewFaulty(mem)
-	sn, err := NewShardNet(ShardNetConfig{
-		Servers:      2,
-		Shards:       shards,
-		Mu:           2,
-		ShardTimeout: timeout,
-		Policy:       policy,
-		OnDegraded:   onDegraded,
-		Net:          mem,
-		DialNet:      faulty,
+	cn, err := NewChainNet(ChainNetConfig{
+		Servers:         2,
+		Shards:          shards,
+		Mu:              2,
+		ShardTimeout:    timeout,
+		ShardPolicy:     policy,
+		OnShardDegraded: onDegraded,
+		Net:             mem,
+		ShardDialNet:    faulty,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sn, faulty
+	return cn, faulty
+}
+
+// wantRemoteVia asserts what the head of a 2-server chain — like any
+// production predecessor — sees when the shard leg behind its successor
+// fails: the cause crossed the hop as a KindError string, so it is a
+// *mixnet.RemoteError naming the next hop whose message carries the
+// router's own report (every want). The router-side typed errors are
+// asserted where they are still Go errors, in internal/mixnet's shard
+// suites.
+func wantRemoteVia(t *testing.T, err error, hop string, want ...string) {
+	t.Helper()
+	var remote *mixnet.RemoteError
+	if !errors.As(err, &remote) {
+		t.Fatalf("round returned %v, want RemoteError", err)
+	}
+	if remote.Addr != hop {
+		t.Fatalf("RemoteError names %q, want the next hop %q", remote.Addr, hop)
+	}
+	for _, w := range want {
+		if !strings.Contains(remote.Msg, w) {
+			t.Fatalf("RemoteError cause %q does not carry %q", remote.Msg, w)
+		}
+	}
 }
 
 // convoPair is one conversing pair's round state: the onions to submit
@@ -239,7 +240,7 @@ type convoPair struct {
 // buildPairs constructs `n` conversing pairs for a round and computes
 // which shard each pair's drop routes to, so fault tests can predict
 // exactly which conversations a dead shard takes down.
-func buildPairs(t *testing.T, sn *ShardNet, round uint64, n, shards int) []*convoPair {
+func buildPairs(t *testing.T, cn *ChainNet, round uint64, n, shards int) []*convoPair {
 	t.Helper()
 	pairs := make([]*convoPair, n)
 	for i := range pairs {
@@ -270,11 +271,11 @@ func buildPairs(t *testing.T, sn *ShardNet, round uint64, n, shards int) []*conv
 		var id deaddrop.ID
 		copy(id[:], reqA.Marshal()[:deaddrop.IDSize])
 		p.shard = deaddrop.ShardOf(id, shards)
-		p.oA, p.aKeys, err = onion.Wrap(reqA.Marshal(), round, 0, sn.Pubs, nil)
+		p.oA, p.aKeys, err = onion.Wrap(reqA.Marshal(), round, 0, cn.Pubs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.oB, p.bKeys, err = onion.Wrap(reqB.Marshal(), round, 0, sn.Pubs, nil)
+		p.oB, p.bKeys, err = onion.Wrap(reqB.Marshal(), round, 0, cn.Pubs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,13 +286,13 @@ func buildPairs(t *testing.T, sn *ShardNet, round uint64, n, shards int) []*conv
 
 // runPairsRound submits every pair's onions in one round and returns
 // each pair's decode outcome: true if the pair exchanged ping/pong.
-func runPairsRound(t *testing.T, sn *ShardNet, round uint64, pairs []*convoPair) ([]bool, error) {
+func runPairsRound(t *testing.T, cn *ChainNet, round uint64, pairs []*convoPair) ([]bool, error) {
 	t.Helper()
 	onions := make([][]byte, 0, 2*len(pairs))
 	for _, p := range pairs {
 		onions = append(onions, p.oA, p.oB)
 	}
-	replies, err := sn.Head().ConvoRound(round, onions)
+	replies, err := cn.Servers[0].ConvoRound(round, onions)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +321,7 @@ func runPairsRound(t *testing.T, sn *ShardNet, round uint64, pairs []*convoPair)
 // runRound drives one conversation round with a fresh conversing pair and
 // verifies the pair actually exchanged messages — catching any reply
 // reordering after a recovered fault.
-func runRound(t *testing.T, sn *ShardNet, round uint64) error {
+func runRound(t *testing.T, cn *ChainNet, round uint64) error {
 	t.Helper()
 	aPub, aPriv := box.KeyPairFromSeed([]byte("fault-alice"))
 	bPub, bPriv := box.KeyPairFromSeed([]byte("fault-bob"))
@@ -340,16 +341,16 @@ func runRound(t *testing.T, sn *ShardNet, round uint64) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oA, aKeys, err := onion.Wrap(reqA.Marshal(), round, 0, sn.Pubs, nil)
+	oA, aKeys, err := onion.Wrap(reqA.Marshal(), round, 0, cn.Pubs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oB, bKeys, err := onion.Wrap(reqB.Marshal(), round, 0, sn.Pubs, nil)
+	oB, bKeys, err := onion.Wrap(reqB.Marshal(), round, 0, cn.Pubs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	replies, err := sn.Head().ConvoRound(round, [][]byte{oA, oB})
+	replies, err := cn.Servers[0].ConvoRound(round, [][]byte{oA, oB})
 	if err != nil {
 		return err
 	}
@@ -379,28 +380,18 @@ func runRound(t *testing.T, sn *ShardNet, round uint64) error {
 // the same router.
 func TestShardFaultKilledShard(t *testing.T) {
 	defer LeakCheck(t)()
-	sn, faulty := faultNet(t, 4, 0)
-	defer sn.Close()
+	cn, faulty := faultNet(t, 4, 0)
+	defer cn.Close()
 
-	if err := runRound(t, sn, 1); err != nil {
+	if err := runRound(t, cn, 1); err != nil {
 		t.Fatalf("healthy round: %v", err)
 	}
 
-	faulty.Break(sn.Addrs[2])
-	err := runRound(t, sn, 2)
-	var remote *mixnet.RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("round with killed shard returned %v, want RemoteError", err)
-	}
-	if remote.Addr != sn.Addrs[2] {
-		t.Fatalf("RemoteError names %q, want the killed shard %q", remote.Addr, sn.Addrs[2])
-	}
-	if !strings.Contains(remote.Msg, "shard 2") {
-		t.Fatalf("RemoteError cause %q does not identify shard 2", remote.Msg)
-	}
+	faulty.Break(cn.ShardAddrs[2])
+	wantRemoteVia(t, runRound(t, cn, 2), cn.ServerAddrs[1], cn.ShardAddrs[2], "shard 2")
 
-	faulty.Restore(sn.Addrs[2])
-	if err := runRound(t, sn, 3); err != nil {
+	faulty.Restore(cn.ShardAddrs[2])
+	if err := runRound(t, cn, 3); err != nil {
 		t.Fatalf("round after shard recovery: %v", err)
 	}
 }
@@ -415,29 +406,22 @@ func TestShardFaultHungShard(t *testing.T) {
 	if testing.Short() {
 		timeout = 100 * time.Millisecond
 	}
-	sn, faulty := faultNet(t, 3, timeout)
-	defer sn.Close()
+	cn, faulty := faultNet(t, 3, timeout)
+	defer cn.Close()
 
-	if err := runRound(t, sn, 1); err != nil {
+	if err := runRound(t, cn, 1); err != nil {
 		t.Fatalf("healthy round: %v", err)
 	}
 
-	faulty.Hang(sn.Addrs[1])
+	faulty.Hang(cn.ShardAddrs[1])
 	start := time.Now()
-	err := runRound(t, sn, 2)
-	var remote *mixnet.RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("round with hung shard returned %v, want RemoteError", err)
-	}
-	if remote.Addr != sn.Addrs[1] {
-		t.Fatalf("RemoteError names %q, want the hung shard %q", remote.Addr, sn.Addrs[1])
-	}
+	wantRemoteVia(t, runRound(t, cn, 2), cn.ServerAddrs[1], cn.ShardAddrs[1])
 	if elapsed := time.Since(start); elapsed > 10*timeout {
 		t.Fatalf("hung shard stalled the round for %v with a %v timeout", elapsed, timeout)
 	}
 
-	faulty.Restore(sn.Addrs[1])
-	if err := runRound(t, sn, 3); err != nil {
+	faulty.Restore(cn.ShardAddrs[1])
+	if err := runRound(t, cn, 3); err != nil {
 		t.Fatalf("round after hang recovery: %v", err)
 	}
 }
@@ -448,26 +432,19 @@ func TestShardFaultHungShard(t *testing.T) {
 // round.
 func TestShardFaultErroringShard(t *testing.T) {
 	defer LeakCheck(t)()
-	sn, _ := faultNet(t, 4, 0)
-	defer sn.Close()
+	cn, _ := faultNet(t, 4, 0)
+	defer cn.Close()
 
-	if err := runRound(t, sn, 1); err != nil {
+	if err := runRound(t, cn, 1); err != nil {
 		t.Fatalf("healthy round: %v", err)
 	}
 	// Consume round 2 on shard 3 directly, so the chain's round 2
 	// arrives there as a replay and is rejected by the shard itself.
-	if _, err := sn.Shards[3].ExchangeRound(2, nil); err != nil {
+	if _, err := cn.Shards[3].ExchangeRound(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	err := runRound(t, sn, 2)
-	var remote *mixnet.RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("round rejected by shard returned %v, want RemoteError", err)
-	}
-	if remote.Addr != sn.Addrs[3] || !strings.Contains(remote.Msg, "round") {
-		t.Fatalf("RemoteError %q/%q does not carry shard 3's replay cause", remote.Addr, remote.Msg)
-	}
-	if err := runRound(t, sn, 3); err != nil {
+	wantRemoteVia(t, runRound(t, cn, 2), cn.ServerAddrs[1], cn.ShardAddrs[3], "round")
+	if err := runRound(t, cn, 3); err != nil {
 		t.Fatalf("round after shard-side rejection: %v", err)
 	}
 }
@@ -496,17 +473,17 @@ func TestShardFaultMatrixDegrade(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			degraded := make(map[int]bool)
-			sn, faulty := faultNetPolicy(t, shards, 300*time.Millisecond, mixnet.ShardDegrade,
+			cn, faulty := faultNetPolicy(t, shards, 300*time.Millisecond, mixnet.ShardDegrade,
 				func(round uint64, shard int, addr string, err error) {
 					mu.Lock()
 					degraded[shard] = true
 					mu.Unlock()
 				})
-			defer sn.Close()
+			defer cn.Close()
 
 			// Round 1: healthy; every pair converses.
-			pairs := buildPairs(t, sn, 1, 10, shards)
-			ok, err := runPairsRound(t, sn, 1, pairs)
+			pairs := buildPairs(t, cn, 1, 10, shards)
+			ok, err := runPairsRound(t, cn, 1, pairs)
 			if err != nil {
 				t.Fatalf("healthy round: %v", err)
 			}
@@ -521,18 +498,18 @@ func TestShardFaultMatrixDegrade(t *testing.T) {
 
 			dead := make(map[int]bool)
 			for _, s := range tc.kill {
-				faulty.Break(sn.Addrs[s])
+				faulty.Break(cn.ShardAddrs[s])
 				dead[s] = true
 			}
 			for _, s := range tc.hang {
-				faulty.Hang(sn.Addrs[s])
+				faulty.Hang(cn.ShardAddrs[s])
 				dead[s] = true
 			}
 
 			// Round 2: degraded; outcomes split exactly along shard
 			// liveness.
-			pairs2 := buildPairs(t, sn, 2, 10, shards)
-			ok2, err := runPairsRound(t, sn, 2, pairs2)
+			pairs2 := buildPairs(t, cn, 2, 10, shards)
+			ok2, err := runPairsRound(t, cn, 2, pairs2)
 			if err != nil {
 				t.Fatalf("degraded round: %v", err)
 			}
@@ -559,10 +536,10 @@ func TestShardFaultMatrixDegrade(t *testing.T) {
 
 			// Round 3: healed; everything converses again.
 			for s := range dead {
-				faulty.Restore(sn.Addrs[s])
+				faulty.Restore(cn.ShardAddrs[s])
 			}
-			pairs3 := buildPairs(t, sn, 3, 6, shards)
-			ok3, err := runPairsRound(t, sn, 3, pairs3)
+			pairs3 := buildPairs(t, cn, 3, 6, shards)
+			ok3, err := runPairsRound(t, cn, 3, pairs3)
 			if err != nil {
 				t.Fatalf("healed round: %v", err)
 			}
@@ -575,101 +552,67 @@ func TestShardFaultMatrixDegrade(t *testing.T) {
 	}
 }
 
-// TestShardNetMITMTamperAbortsRound: end-to-end through the chain, a
+// TestShardLegMITMTamperAbortsRound: end-to-end through the chain, a
 // man-in-the-middle flipping one byte of the (encrypted) router→shard
 // traffic aborts the round with an authentication error — even under
 // ShardPolicy=Degrade, because the shard's authenticated alert tells the
 // router the leg is under attack, not down. Disarming the tap recovers
 // the next round over a fresh connection.
-func TestShardNetMITMTamperAbortsRound(t *testing.T) {
+func TestShardLegMITMTamperAbortsRound(t *testing.T) {
 	defer LeakCheck(t)()
 	mem := transport.NewMem()
 	mitm := transport.NewMITM(mem)
 	var armed atomic.Bool
-	sn, err := NewShardNet(ShardNetConfig{
+	cn, err := NewChainNet(ChainNetConfig{
 		Servers: 2, Shards: 3, Mu: 2,
-		Policy:  mixnet.ShardDegrade,
-		Net:     mem,
-		DialNet: mitm,
-		OnDegraded: func(round uint64, shard int, addr string, err error) {
+		ShardPolicy:  mixnet.ShardDegrade,
+		Net:          mem,
+		ShardDialNet: mitm,
+		OnShardDegraded: func(round uint64, shard int, addr string, err error) {
 			t.Errorf("round %d degraded shard %d around an active tamper: %v", round, shard, err)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sn.Close()
+	defer cn.Close()
 	// The tap must exist before the router dials; it stays passive until
 	// armed, so round 1 runs clean over the intercepted connection.
-	mitm.Intercept(sn.Addrs[1], func(dir transport.Direction, index int, rec []byte) [][]byte {
+	mitm.Intercept(cn.ShardAddrs[1], func(dir transport.Direction, index int, rec []byte) [][]byte {
 		if armed.Load() && dir == transport.ClientToServer && index >= 1 {
 			rec[len(rec)/3] ^= 0x01
 		}
 		return [][]byte{rec}
 	})
 
-	if err := runRound(t, sn, 1); err != nil {
+	if err := runRound(t, cn, 1); err != nil {
 		t.Fatalf("healthy round through passive tap: %v", err)
 	}
 
 	armed.Store(true)
-	err = runRound(t, sn, 2)
+	err = runRound(t, cn, 2)
 	if err == nil {
 		t.Fatal("round with tampered shard leg succeeded")
 	}
-	var remote *mixnet.RemoteError
-	if !errors.As(err, &remote) || remote.Addr != sn.Addrs[1] {
-		t.Fatalf("tampered leg returned %v, want RemoteError naming %q", err, sn.Addrs[1])
-	}
-	if !errors.Is(err, transport.ErrAuth) {
-		t.Fatalf("tampered leg returned %v, want an ErrAuth-classified abort", err)
-	}
+	wantRemoteVia(t, err, cn.ServerAddrs[1], cn.ShardAddrs[1], transport.ErrAuth.Error())
 
 	armed.Store(false)
-	if err := runRound(t, sn, 3); err != nil {
+	if err := runRound(t, cn, 3); err != nil {
 		t.Fatalf("round after tamper stopped: %v", err)
 	}
 }
 
-// TestShardNetClosesClean: a shard net with active connections shuts down
-// without leaking goroutines — the LeakCheck is the assertion.
-func TestShardNetClosesClean(t *testing.T) {
+// TestShardFanoutClosesClean: a chain with a live shard fan-out whose
+// round was driven straight at the head (no coordinator round ever ran)
+// shuts down without leaking goroutines — the LeakCheck is the assertion.
+func TestShardFanoutClosesClean(t *testing.T) {
 	defer LeakCheck(t)()
-	sn, err := NewShardNet(ShardNetConfig{Servers: 3, Shards: 4, Mu: 1})
+	cn, err := NewChainNet(ChainNetConfig{Servers: 3, Shards: 4, Mu: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runRound(t, sn, 1); err != nil {
+	if err := runRound(t, cn, 1); err != nil {
 		t.Fatal(err)
 	}
-	sn.Close()
-}
-
-// TestMeasureShardNetRound exercises the bench harness entry point.
-func TestMeasureShardNetRound(t *testing.T) {
-	defer LeakCheck(t)()
-	pt, err := MeasureShardNetRound(8, 2, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Users != 8 || pt.Latency <= 0 {
-		t.Fatalf("bad point: %+v", pt)
-	}
-}
-
-// TestMeasureDegradedShardNetRound exercises the degraded-round bench
-// entry point: the round completes with exactly the killed shards
-// degraded.
-func TestMeasureDegradedShardNetRound(t *testing.T) {
-	defer LeakCheck(t)()
-	pt, degraded, err := MeasureDegradedShardNetRound(8, 2, 2, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Users != 8 || pt.Latency <= 0 {
-		t.Fatalf("bad point: %+v", pt)
-	}
-	if degraded != 1 {
-		t.Fatalf("%d shards degraded, want 1", degraded)
-	}
+	cn.Close()
 }

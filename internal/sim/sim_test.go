@@ -244,6 +244,19 @@ func TestMeasureDialRoundRuns(t *testing.T) {
 	}
 }
 
+// TestMeasureRoundsStopTheirChain: each measured point serves a chain of
+// its own, and the figure loops take many points — none may outlive the
+// call that built it.
+func TestMeasureRoundsStopTheirChain(t *testing.T) {
+	defer LeakCheck(t)()
+	if _, err := MeasureConvoRound(4, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MeasureDialRound(4, 0.5, 1, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMeasureDHThroughput sanity-checks the micro-benchmark.
 func TestMeasureDHThroughput(t *testing.T) {
 	if testing.Short() {

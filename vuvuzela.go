@@ -7,8 +7,9 @@
 // them with Laplace noise sized by differential privacy.
 //
 // This package is the public facade. It re-exports the key types, wires
-// complete deployments together (in-process for tests and evaluation,
-// networked for real use), and exposes the privacy-analysis toolkit used
+// a complete deployment together inside one process (the production
+// wiring over an in-memory transport; the cmd/ binaries run the same
+// nodes over TCP), and exposes the privacy-analysis toolkit used
 // to choose noise parameters. The building blocks live in internal/
 // packages: the NaCl crypto suite, onion encryption, the mixnet chain
 // server, the conversation and dialing protocols, the entry-server
@@ -30,6 +31,7 @@ package vuvuzela
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -143,9 +145,13 @@ var DefaultConvoNoise = NoiseParams{Mu: 300000, B: 13800}
 // §8.1, with the b=770 correction documented in EXPERIMENTS.md).
 var DefaultDialNoise = NoiseParams{Mu: 13000, B: 770}
 
-// Network is a complete in-process Vuvuzela deployment: a chain of mixnet
-// servers, a CDN, an entry-server coordinator, and an in-memory transport
-// that clients connect over.
+// Network is a complete Vuvuzela deployment inside one process, wired
+// exactly as the production binaries are: the chain servers, the CDN and
+// the entry-server coordinator each listen on an in-memory transport,
+// the coordinator dials server 0, every server dials its successor, and
+// every one of those legs runs inside transport.Secure keyed by the chain
+// descriptor — only the transport under the wire protocol differs from a
+// TCP deployment.
 type Network struct {
 	// Chain holds the servers' public keys in chain order; clients
 	// onion-encrypt for these.
@@ -155,10 +161,12 @@ type Network struct {
 	co        *coordinator.Coordinator
 	store     *cdn.Store
 	exchanges uint32
+	// stop closes everything NewInProcessNetwork started besides co, in
+	// reverse order: the two listeners, then the chain.
+	stop []func()
 
-	mu        sync.Mutex
-	listeners []interface{ Close() error }
-	clients   []*Client
+	mu      sync.Mutex
+	clients []*Client
 }
 
 // NewInProcessNetwork assembles a full deployment inside the process.
@@ -183,18 +191,21 @@ func NewInProcessNetwork(opts Options) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := cdn.NewStore(0)
-	servers, err := mixnet.NewLocalChain(pubs, privs, mixnet.Config{
+	n := &Network{Chain: pubs, mem: transport.NewMem(), store: cdn.NewStore(0), exchanges: opts.ConvoExchanges}
+	_, addrs, stopChain, err := mixnet.StartChain(n.mem, pubs, privs, mixnet.Config{
 		ConvoNoise: opts.ConvoNoise.dist(),
 		DialNoise:  opts.DialNoise.dist(),
 		Workers:    opts.Workers,
 		Shards:     opts.Shards,
-	}, store)
+	}, n.store)
 	if err != nil {
 		return nil, err
 	}
-	co, err := coordinator.New(coordinator.Config{
-		ChainLocal:     servers[0],
+	n.stop = append(n.stop, stopChain)
+	n.co, err = coordinator.New(coordinator.Config{
+		Net:            n.mem,
+		ChainAddr:      addrs[0],
+		ChainPub:       pubs[0],
 		DialBuckets:    opts.DialBuckets,
 		AutoBuckets:    opts.AutoBuckets,
 		AutoBucketsMu:  opts.DialNoise.Mu,
@@ -203,27 +214,30 @@ func NewInProcessNetwork(opts Options) (*Network, error) {
 		ConvoWindow:    opts.ConvoWindow,
 	})
 	if err != nil {
+		n.stopAll()
 		return nil, err
 	}
-
-	mem := transport.NewMem()
-	n := &Network{Chain: pubs, mem: mem, co: co, store: store, exchanges: opts.ConvoExchanges}
-
-	entryL, err := mem.Listen("entry")
-	if err != nil {
+	if err := n.serve("entry", n.co.Serve); err != nil {
+		n.Close()
 		return nil, err
 	}
-	go co.Serve(entryL)
-	n.listeners = append(n.listeners, entryL)
-
-	cdnL, err := mem.Listen("cdn")
-	if err != nil {
+	if err := n.serve("cdn", n.store.Serve); err != nil {
+		n.Close()
 		return nil, err
 	}
-	go store.Serve(cdnL)
-	n.listeners = append(n.listeners, cdnL)
-
 	return n, nil
+}
+
+// serve listens on addr, hands the listener to accept on its own
+// goroutine, and registers the listener's close with stop.
+func (n *Network) serve(addr string, accept func(net.Listener) error) error {
+	l, err := n.mem.Listen(addr)
+	if err != nil {
+		return err
+	}
+	go accept(l)
+	n.stop = append(n.stop, func() { l.Close() })
+	return nil
 }
 
 // NewClient connects a client with keys derived from name (deterministic,
@@ -306,18 +320,22 @@ func (n *Network) roundLoop(ctx context.Context, every time.Duration, fn func())
 	}
 }
 
-// Close shuts the deployment down.
+// Close shuts the deployment down: the clients, the coordinator, its
+// listeners and every chain server.
 func (n *Network) Close() {
 	n.mu.Lock()
 	clients := n.clients
-	listeners := n.listeners
 	n.mu.Unlock()
 	for _, c := range clients {
 		c.Close()
 	}
 	n.co.Close()
-	for _, l := range listeners {
-		l.Close()
+	n.stopAll()
+}
+
+func (n *Network) stopAll() {
+	for i := len(n.stop) - 1; i >= 0; i-- {
+		n.stop[i]()
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"vuvuzela/internal/sim"
 )
 
 func waitFor(t *testing.T, c *Client, timeout time.Duration, match func(Event) bool) Event {
@@ -187,4 +189,40 @@ func TestNoiseParamsDist(t *testing.T) {
 	if got := lap.dist().Sample(nil); got < 0 {
 		t.Fatalf("laplace sample negative: %d", got)
 	}
+}
+
+// TestNetworkCloseStopsEverything: the chain behind a Network is served —
+// listeners, accept loops, one handler per hop connection — so Close must
+// stop all of it, not only the coordinator: after a conversation and a
+// dialing round have dialed every leg, no goroutine outlives Close, and
+// the process can stand up another deployment.
+func TestNetworkCloseStopsEverything(t *testing.T) {
+	defer sim.LeakCheck(t)()
+	small := Options{
+		ConvoNoise: &NoiseParams{Mu: 3, Fixed: true},
+		DialNoise:  &NoiseParams{Mu: 2, Fixed: true},
+	}
+	net, err := NewInProcessNetwork(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"alice", "bob"} {
+		if _, err := net.NewClient(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	if _, n, err := net.RunConvoRound(ctx); err != nil || n != 2 {
+		t.Fatalf("convo round: n=%d err=%v", n, err)
+	}
+	if _, n, err := net.RunDialRound(ctx); err != nil || n != 2 {
+		t.Fatalf("dial round: n=%d err=%v", n, err)
+	}
+	net.Close()
+
+	again, err := NewInProcessNetwork(small)
+	if err != nil {
+		t.Fatalf("second deployment: %v", err)
+	}
+	again.Close()
 }
