@@ -60,9 +60,9 @@ shardtest:
 restart-matrix:
 	$(GO) test -race -run 'Restart|Rejoin|RoundState|Reissues' -timeout 5m ./...
 
-# Short coverage-guided smoke over the authenticated-transport parsers
-# and the round-state loaders (each target also runs its seed corpus in
-# every plain `go test`).
+# Short coverage-guided smoke over the authenticated-transport parsers,
+# the round-state loaders and both directions of the onion (each target
+# also runs its seed corpus in every plain `go test`).
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzSecureHandshakeServer$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzSecureHandshakeClient$$' -fuzztime 10s
@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/roundstate -run '^$$' -fuzz 'FuzzRoundStateLoad$$' -fuzztime 10s
 	$(GO) test ./internal/crypto/box -run '^$$' -fuzz 'FuzzOpenInto$$' -fuzztime 10s
 	$(GO) test ./internal/onion -run '^$$' -fuzz 'FuzzUnwrapLayer$$' -fuzztime 10s
+	$(GO) test ./internal/onion -run '^$$' -fuzz 'FuzzPathSeal$$' -fuzztime 10s
 
 # The repository's benchmark (bench/, BENCHMARK.json) is its own module,
 # so `go build ./...`, `go test ./...` and `vuvuzela-vet ./...` above never

@@ -1,8 +1,10 @@
 package mixnet_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -159,5 +161,67 @@ func TestStartChain(t *testing.T) {
 				l.Close()
 			}
 		})
+	}
+}
+
+// refillRunning reports whether any goroutine is refilling a server's
+// noise-path pool right now.
+func refillRunning() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("mixnet.(*pathPool).refill"))
+}
+
+// TestCloseWaitsForNoiseRefill lands Close in the middle of a round and of
+// the refill behind it — the successor, played by the test, closes server
+// 0 the moment its batch arrives. Close must return only after the refill
+// goroutines have exited (they would otherwise burn CPU into whatever
+// runs next and outlive the keys they hold), and the round it cut off
+// must fail with an error, not hang or panic.
+func TestCloseWaitsForNoiseRefill(t *testing.T) {
+	defer sim.LeakCheck(t)()
+	mem := transport.NewMem()
+	pubs, privs, err := mixnet.NewChainKeys(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := mixnet.NewServer(mixnet.Config{
+		Position: 0, ChainPubs: pubs, Priv: privs[0],
+		ConvoNoise: noise.Fixed{N: 150},
+		Net:        mem, NextAddr: "successor",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+
+	l, err := mem.Listen("successor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	during, after := make(chan bool, 1), make(chan bool, 1)
+	go func() {
+		raw, err := l.Accept()
+		if err != nil {
+			return
+		}
+		conn := wire.NewConn(transport.SecureServer(raw, privs[1], []box.PublicKey{pubs[0]}))
+		defer conn.Close()
+		if _, err := conn.Recv(); err != nil {
+			return
+		}
+		during <- refillRunning()
+		first.Close()
+		after <- refillRunning()
+	}()
+
+	if _, err := first.ConvoRound(1, nil); err == nil {
+		t.Fatal("a round whose server closed under it reported success")
+	}
+	if !<-during {
+		t.Fatal("no refill was running when the batch reached the successor: Close had nothing to wait for")
+	}
+	if <-after {
+		t.Fatal("Close returned while a refill goroutine was still running")
 	}
 }

@@ -4,6 +4,13 @@
 // last server, performs the dead-drop exchange / invitation bucketing),
 // then unshuffles, strips its noise, and seals each reply on the way back.
 //
+// Algorithm 2 step 2 reads "seal noise under pre-agreed paths" here: the
+// key agreement behind a noise onion (onion.NewPath) depends only on the
+// downstream public keys, so a mixing server keeps a pool of agreed paths
+// (pathPool), refilled while it waits on its successor, and a round only
+// draws its noise counts, generates the payloads and seals them
+// (onion.Path.Seal). Nothing round-bound is computed ahead.
+//
 // A server always runs over a transport.Network (Serve/handleConn,
 // speaking the wire protocol to its predecessor and successor): TCP in a
 // deployment, transport.Mem in tests, examples and the evaluation harness.
@@ -23,7 +30,6 @@ package mixnet
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -67,11 +73,9 @@ type Config struct {
 	DialNoise noise.Distribution
 	// NoiseSrc seeds the Laplace draws (nil = crypto/rand).
 	NoiseSrc noise.Source
-	// NoiseRand supplies noise payload bytes and the shuffle permutation
-	// (nil = crypto/rand). Deterministic only in tests.
-	NoiseRand io.Reader
 
-	// Workers bounds the parallel crypto workers (0 = GOMAXPROCS).
+	// Workers bounds the parallel crypto workers of a round, and of the
+	// noise-path refill between rounds (0 = GOMAXPROCS).
 	Workers int
 
 	// Shards partitions the last server's dead-drop table by the leading
@@ -164,6 +168,9 @@ type Server struct {
 
 	// next is the leg to the successor; nil on the last server.
 	next ChainLeg
+	// pool holds pre-agreed paths for this server's noise onions; nil on
+	// the last server, which wraps none.
+	pool *pathPool
 
 	mu        sync.Mutex
 	lastRound map[wire.Proto]uint64
@@ -243,6 +250,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if !last {
 		s.next = NewChainLeg(cfg.Net, cfg.NextAddr, cfg.Priv, cfg.ChainPubs[cfg.Position+1])
+		s.pool = newPathPool(cfg.ChainPubs[cfg.Position+1:], cfg.Workers)
 	}
 	if cfg.RoundState != nil {
 		// Resume the replay counters a previous process committed: rounds
@@ -354,25 +362,19 @@ func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
 			replies = convo.Service{Shards: s.cfg.Shards, Workers: s.cfg.Workers}.Process(round, fwd)
 		}
 	} else {
-		// Step 2: generate cover traffic wrapped for the rest of the
-		// chain.
+		// Step 2: generate cover traffic and seal it under pre-agreed
+		// paths through the rest of the chain.
 		if s.cfg.ConvoNoise != nil {
-			gen := convo.NoiseGen{Dist: s.cfg.ConvoNoise, Src: s.cfg.NoiseSrc, Rand: s.cfg.NoiseRand}
-			payloads := gen.Generate()
-			noiseOnions := make([][]byte, len(payloads))
-			wrapErr := parallel.ForErr(len(payloads), s.cfg.Workers, func(i int) error {
-				o, _, err := onion.Wrap(payloads[i], round, p+1, s.cfg.ChainPubs[p+1:], nil)
-				noiseOnions[i] = o
-				return err
-			})
-			if wrapErr != nil {
-				return nil, fmt.Errorf("mixnet: wrapping noise: %w", wrapErr)
+			gen := convo.NoiseGen{Dist: s.cfg.ConvoNoise, Src: s.cfg.NoiseSrc}
+			noiseOnions, err := s.sealNoise(gen.Generate(), round)
+			if err != nil {
+				return nil, err
 			}
 			fwd = append(fwd, noiseOnions...)
 		}
 
 		// Step 3a: shuffle and forward.
-		perm := shuffle.New(len(fwd), s.cfg.NoiseRand)
+		perm := shuffle.New(len(fwd), nil)
 		down, err := s.next.Forward(wire.ProtoConvo, round, 0, perm.Apply(fwd))
 		if err != nil {
 			return nil, err
@@ -398,6 +400,20 @@ func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// sealNoise turns a round's noise payloads into onions for the rest of the
+// chain, each under a path of its own from the pool.
+func (s *Server) sealNoise(payloads [][]byte, round uint64) ([][]byte, error) {
+	paths, err := s.pool.get(len(payloads))
+	if err != nil {
+		return nil, fmt.Errorf("mixnet: agreeing noise paths: %w", err)
+	}
+	onions := make([][]byte, len(payloads))
+	parallel.For(len(payloads), s.cfg.Workers, func(i int) {
+		onions[i] = paths[i].Seal(payloads[i], round, s.cfg.Position+1)
+	})
+	return onions, nil
 }
 
 // DialRound processes one dialing round with m invitation buckets. The
@@ -427,7 +443,7 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 		// File invitations into buckets; the service adds the last
 		// server's own per-bucket noise (§5.3) and the sink publishes to
 		// the CDN (§5.5).
-		svc := dial.Service{Noise: s.cfg.DialNoise, Src: s.cfg.NoiseSrc, Rand: s.cfg.NoiseRand}
+		svc := dial.Service{Noise: s.cfg.DialNoise, Src: s.cfg.NoiseSrc}
 		buckets := svc.Process(round, m, fwd)
 		if s.cfg.Buckets != nil {
 			s.cfg.Buckets.Publish(buckets)
@@ -435,24 +451,18 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 		return nil
 	}
 
-	// Mixing servers add per-bucket noise invitations wrapped for the
+	// Mixing servers add per-bucket noise invitations sealed for the
 	// remaining chain.
 	if s.cfg.DialNoise != nil {
-		gen := dial.NoiseGen{Dist: s.cfg.DialNoise, Src: s.cfg.NoiseSrc, Rand: s.cfg.NoiseRand}
-		payloads := gen.Generate(m)
-		noiseOnions := make([][]byte, len(payloads))
-		wrapErr := parallel.ForErr(len(payloads), s.cfg.Workers, func(i int) error {
-			o, _, err := onion.Wrap(payloads[i], round, p+1, s.cfg.ChainPubs[p+1:], nil)
-			noiseOnions[i] = o
+		gen := dial.NoiseGen{Dist: s.cfg.DialNoise, Src: s.cfg.NoiseSrc}
+		noiseOnions, err := s.sealNoise(gen.Generate(m), round)
+		if err != nil {
 			return err
-		})
-		if wrapErr != nil {
-			return fmt.Errorf("mixnet: wrapping dial noise: %w", wrapErr)
 		}
 		fwd = append(fwd, noiseOnions...)
 	}
 
-	perm := shuffle.New(len(fwd), s.cfg.NoiseRand)
+	perm := shuffle.New(len(fwd), nil)
 	_, err := s.next.Forward(wire.ProtoDial, round, m, perm.Apply(fwd))
 	return err
 }
@@ -529,7 +539,9 @@ func (s *Server) answer(msg *wire.Message) (wire.Message, bool) {
 // connections are dropped, accepted connections are severed (a
 // "crashed" server must not keep serving rounds through connections
 // accepted before the crash), and no new successor dial will be made; a
-// Serve loop returns after its listener is closed by the caller.
+// Serve loop returns after its listener is closed by the caller. A mixing
+// server's pre-agreed noise paths are dropped, and Close returns only once
+// the goroutines refilling them have exited.
 func (s *Server) Close() error {
 	s.closed.Do(func() {
 		close(s.closeCh)
@@ -538,6 +550,9 @@ func (s *Server) Close() error {
 		}
 		s.next.Close()
 		s.accepted.closeAll()
+		if s.pool != nil {
+			s.pool.close()
+		}
 	})
 	return nil
 }

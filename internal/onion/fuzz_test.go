@@ -55,3 +55,46 @@ func FuzzUnwrapLayer(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPathSeal seals arbitrary payloads along 1–3 layer paths at
+// arbitrary rounds and chain positions: every layer must unwrap under the
+// round and position it was sealed for and the payload must come back
+// intact, whatever its length relative to the in-place seal's 32-byte
+// first block.
+func FuzzPathSeal(f *testing.F) {
+	var pubs [3]box.PublicKey
+	var keys [3]*box.DHKey
+	for i := range pubs {
+		pub, priv := box.KeyPairFromSeed([]byte{'f', 'u', 'z', 'z', '-', 's', 'e', 'a', 'l', byte(i)})
+		key, err := box.NewDHKey(&priv)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pubs[i], keys[i] = pub, key
+	}
+	f.Add([]byte("fuzz payload"), uint8(3), uint64(5), uint8(0))
+	f.Add([]byte{}, uint8(1), uint64(0), uint8(2))
+	f.Add(make([]byte, 32), uint8(2), uint64(1<<63), uint8(1))
+	f.Add(make([]byte, 33), uint8(2), uint64(7), uint8(254))
+
+	f.Fuzz(func(t *testing.T, payload []byte, layers uint8, round uint64, startLayer uint8) {
+		n := int(layers)%3 + 1
+		start := int(startLayer)
+		path, err := NewPath(pubs[:n], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := path.Seal(payload, round, start)
+		if len(cur) != Size(len(payload), n) {
+			t.Fatalf("onion is %d bytes, want %d", len(cur), Size(len(payload), n))
+		}
+		for i := 0; i < n; i++ {
+			if cur, _, err = Unwrap(cur, keys[i], round, start+i); err != nil {
+				t.Fatalf("layer %d of %d: %v", i, n, err)
+			}
+		}
+		if !bytes.Equal(cur, payload) {
+			t.Fatal("payload did not survive the onion")
+		}
+	})
+}

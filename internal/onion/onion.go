@@ -14,6 +14,13 @@
 // opposite direction. Nonces are derived deterministically from (round,
 // layer, direction); this is safe because every onion uses fresh ephemeral
 // keys, so no (key, nonce) pair ever repeats.
+//
+// Building an onion is two steps with one implementation each: NewPath
+// draws the ephemeral keys and runs the Diffie-Hellman (nearly all of the
+// cost, and independent of round and payload), Path.Seal encrypts a
+// payload under it. Wrap is NewPath followed by Seal; a mixing server
+// calls the halves apart so its cover traffic's key agreement happens
+// before the round (mixnet).
 package onion
 
 import (
@@ -74,37 +81,83 @@ func deriveNonce(dir byte, round uint64, layer int) [box.NonceSize]byte {
 	return nonce
 }
 
+// hop is one layer of a Path: the layer's ephemeral public key and the
+// key agreed between it and that layer's server.
+type hop struct {
+	epub box.PublicKey
+	key  *[box.KeySize]byte
+}
+
+// Path is the key agreement for one onion, done ahead of the payload: a
+// fresh ephemeral key per layer and the shared key each one agrees with
+// its server. It is nearly all of an onion's cost and depends only on the
+// servers' public keys — not on the round, the layer numbering or the
+// payload — so a mixing server agrees its noise onions' paths before the
+// round that uses them. A Path holds secret key material, and is
+// single-use: Seal it once, because two onions under the same ephemeral
+// keys are linkable on the wire and repeat a (key, nonce) pair within a
+// round.
+type Path struct {
+	hops []hop
+}
+
+// NewPath agrees keys with the servers whose public keys are given in
+// chain order. It draws one box.KeySize-byte ephemeral key per layer from
+// rng (crypto/rand if nil), innermost layer first, and does the two scalar
+// mults per layer that are the expensive half of Wrap.
+func NewPath(pubs []box.PublicKey, rng io.Reader) (Path, error) {
+	hops := make([]hop, len(pubs))
+	for i := len(pubs) - 1; i >= 0; i-- {
+		eph, err := box.GenerateDHKey(rng)
+		if err != nil {
+			return Path{}, err
+		}
+		shared, err := eph.Precompute(&pubs[i])
+		if err != nil {
+			return Path{}, err
+		}
+		hops[i] = hop{epub: eph.Public(), key: shared}
+	}
+	return Path{hops: hops}, nil
+}
+
+// Seal onion-encrypts payload along the path for round `round`, the
+// path's first server sitting at absolute chain position startLayer (see
+// Wrap). It is the cheap half of Wrap — one buffer of the final onion
+// size, each layer sealed in place from the innermost outward — and must
+// be called at most once per Path.
+func (p Path) Seal(payload []byte, round uint64, startLayer int) []byte {
+	n := len(p.hops)
+	out := make([]byte, Size(len(payload), n))
+	copy(out[n*LayerOverhead:], payload)
+	for i := n - 1; i >= 0; i-- {
+		layer := out[i*LayerOverhead:]
+		copy(layer[:box.KeySize], p.hops[i].epub[:])
+		nonce := requestNonce(round, startLayer+i)
+		box.SealInto(layer[box.KeySize:], layer[LayerOverhead:], &nonce, p.hops[i].key)
+	}
+	return out
+}
+
 // Wrap onion-encrypts payload for the servers whose public keys are given
-// in chain order. startLayer is the absolute chain position of the first
-// key in pubs: clients pass 0 with the full chain; a mixing server at
-// position i generating noise passes i+1 with the tail of the chain
-// (Algorithm 2 step 2 — noise must be indistinguishable from real requests
-// to all downstream servers).
+// in chain order: NewPath followed by Seal. startLayer is the absolute
+// chain position of the first key in pubs: clients pass 0 with the full
+// chain; a mixing server at position i generating noise seals under
+// position i+1 with the tail of the chain (Algorithm 2 step 2 — noise
+// must be indistinguishable from real requests to all downstream servers).
 //
 // It returns the wire onion and the per-layer shared keys, ordered to
 // match pubs, which the caller needs to unwrap the layered reply.
 func Wrap(payload []byte, round uint64, startLayer int, pubs []box.PublicKey, rng io.Reader) ([]byte, []*[box.KeySize]byte, error) {
-	keys := make([]*[box.KeySize]byte, len(pubs))
-	onion := payload
-	for i := len(pubs) - 1; i >= 0; i-- {
-		eph, err := box.GenerateDHKey(rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		shared, err := eph.Precompute(&pubs[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		keys[i] = shared
-
-		nonce := requestNonce(round, startLayer+i)
-		buf := make([]byte, box.KeySize+box.Overhead+len(onion))
-		epub := eph.Public()
-		copy(buf[:box.KeySize], epub[:])
-		box.SealInto(buf[box.KeySize:], onion, &nonce, shared)
-		onion = buf
+	path, err := NewPath(pubs, rng)
+	if err != nil {
+		return nil, nil, err
 	}
-	return onion, keys, nil
+	keys := make([]*[box.KeySize]byte, len(path.hops))
+	for i := range path.hops {
+		keys[i] = path.hops[i].key
+	}
+	return path.Seal(payload, round, startLayer), keys, nil
 }
 
 // Unwrap removes one onion layer as server `layer` (absolute chain
