@@ -61,8 +61,9 @@ restart-matrix:
 	$(GO) test -race -run 'Restart|Rejoin|RoundState|Reissues' -timeout 5m ./...
 
 # Short coverage-guided smoke over the authenticated-transport parsers,
-# the round-state loaders and both directions of the onion (each target
-# also runs its seed corpus in every plain `go test`).
+# the round-state loaders and torn slot writes, and both directions of
+# the onion (each target also runs its seed corpus in every plain
+# `go test`).
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzSecureHandshakeServer$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzSecureHandshakeClient$$' -fuzztime 10s
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzCheckFrontBatch$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzCheckFrontReplies$$' -fuzztime 10s
 	$(GO) test ./internal/roundstate -run '^$$' -fuzz 'FuzzRoundStateLoad$$' -fuzztime 10s
+	$(GO) test ./internal/roundstate -run '^$$' -fuzz 'FuzzSlotTear$$' -fuzztime 10s
 	$(GO) test ./internal/crypto/box -run '^$$' -fuzz 'FuzzOpenInto$$' -fuzztime 10s
 	$(GO) test ./internal/onion -run '^$$' -fuzz 'FuzzUnwrapLayer$$' -fuzztime 10s
 	$(GO) test ./internal/onion -run '^$$' -fuzz 'FuzzPathSeal$$' -fuzztime 10s

@@ -366,7 +366,7 @@ func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
 		// paths through the rest of the chain.
 		if s.cfg.ConvoNoise != nil {
 			gen := convo.NoiseGen{Dist: s.cfg.ConvoNoise, Src: s.cfg.NoiseSrc}
-			noiseOnions, err := s.sealNoise(gen.Generate(), round)
+			noiseOnions, err := s.sealNoise(s.pool.get, gen.Generate(), round)
 			if err != nil {
 				return nil, err
 			}
@@ -403,9 +403,10 @@ func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
 }
 
 // sealNoise turns a round's noise payloads into onions for the rest of the
-// chain, each under a path of its own from the pool.
-func (s *Server) sealNoise(payloads [][]byte, round uint64) ([][]byte, error) {
-	paths, err := s.pool.get(len(payloads))
+// chain, each under a path of its own from the pool: get is the pool's
+// get or getDial, by the round's protocol.
+func (s *Server) sealNoise(get func(int) ([]onion.Path, error), payloads [][]byte, round uint64) ([][]byte, error) {
+	paths, err := get(len(payloads))
 	if err != nil {
 		return nil, fmt.Errorf("mixnet: agreeing noise paths: %w", err)
 	}
@@ -455,7 +456,7 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 	// remaining chain.
 	if s.cfg.DialNoise != nil {
 		gen := dial.NoiseGen{Dist: s.cfg.DialNoise, Src: s.cfg.NoiseSrc}
-		noiseOnions, err := s.sealNoise(gen.Generate(m), round)
+		noiseOnions, err := s.sealNoise(s.pool.getDial, gen.Generate(m), round)
 		if err != nil {
 			return err
 		}

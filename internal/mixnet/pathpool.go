@@ -14,9 +14,10 @@ import (
 // the Diffie-Hellman that is nearly all of a noise onion's cost and
 // depends on nothing a round decides — so that a round only seals its
 // noise payloads. The pool refills while the server waits on its
-// successor, to as many paths as the last round took; nothing about the
-// next round is drawn, sealed or numbered ahead of it, and paths serve
-// conversation and dialing rounds alike.
+// successor, to as many paths as the last conversation round and the
+// last dialing round took between them (the two can be in flight
+// together); nothing about the next round is drawn, sealed or numbered
+// ahead of it, and paths serve both protocols alike.
 //
 // Its shared keys tell noise from real onions on the wire for as long as
 // they are held: the pool lives in memory only, is handed to no log,
@@ -32,8 +33,9 @@ type pathPool struct {
 	mu sync.Mutex
 	// paths are agreed and not yet handed out.
 	paths []onion.Path
-	// want is what the last get asked for: the depth a refill restores.
-	want int
+	// convo and dial are what the last get and the last getDial asked
+	// for: a refill restores their sum.
+	convo, dial int
 	// running counts the refill goroutines; outside mu each of them is
 	// agreeing exactly one path.
 	running int
@@ -54,10 +56,15 @@ func newPathPool(pubs []box.PublicKey, workers int) *pathPool {
 	return &pathPool{pubs: pubs, workers: workers}
 }
 
-// get returns exactly n unused paths: those the pool holds, the rest
-// agreed now, as a round without a pool would. It then starts the refill
-// back up to n.
-func (pl *pathPool) get(n int) ([]onion.Path, error) {
+// get returns exactly n unused paths for a conversation round: those the
+// pool holds, the rest agreed now, as a round without a pool would. It
+// then starts the refill back up to n plus the last dialing round's take.
+func (pl *pathPool) get(n int) ([]onion.Path, error) { return pl.take(&pl.convo, n) }
+
+// getDial is get for a dialing round.
+func (pl *pathPool) getDial(n int) ([]onion.Path, error) { return pl.take(&pl.dial, n) }
+
+func (pl *pathPool) take(last *int, n int) ([]onion.Path, error) {
 	out := make([]onion.Path, n)
 	pl.mu.Lock()
 	held := min(n, len(pl.paths))
@@ -66,7 +73,7 @@ func (pl *pathPool) get(n int) ([]onion.Path, error) {
 	// The pool must not keep a handed-out path's keys reachable.
 	clear(pl.paths[rest:])
 	pl.paths = pl.paths[:rest]
-	pl.want = n
+	*last = n
 	pl.inline += n - held
 	pl.mu.Unlock()
 
@@ -80,7 +87,7 @@ func (pl *pathPool) get(n int) ([]onion.Path, error) {
 
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	for !pl.closed && pl.running < pl.workers && len(pl.paths)+pl.running < pl.want {
+	for !pl.closed && pl.running < pl.workers && len(pl.paths)+pl.running < pl.convo+pl.dial {
 		pl.running++
 		pl.refills.Add(1)
 		go pl.refill()
@@ -90,7 +97,8 @@ func (pl *pathPool) get(n int) ([]onion.Path, error) {
 
 // refill agrees paths one at a time, appending each as it is ready so a
 // round that arrives mid-refill takes what there is, until the pool and
-// the other refill goroutines between them cover want or the pool closes.
+// the other refill goroutines between them cover convo + dial or the pool
+// closes.
 // A failed agreement ends it quietly: the next get meets the same failure
 // inline and reports it to its round.
 func (pl *pathPool) refill() {
@@ -103,7 +111,7 @@ func (pl *pathPool) refill() {
 		}
 		// Go round again only if the pool plus the one path each of the
 		// other refills has in hand still falls short.
-		if err != nil || pl.closed || len(pl.paths)+pl.running-1 >= pl.want {
+		if err != nil || pl.closed || len(pl.paths)+pl.running-1 >= pl.convo+pl.dial {
 			pl.running--
 			pl.mu.Unlock()
 			return

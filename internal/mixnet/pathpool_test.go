@@ -183,11 +183,11 @@ func TestNoisePathsSingleUse(t *testing.T) {
 	if want := rounds*(2+3+4) + (1 + 2*2); total != want {
 		t.Fatalf("tap saw %d onions, want %d", total, want)
 	}
-	// Round 1 agrees its 7 paths cold; the dialing round takes 4 and tops
-	// the pool back up to 4, 3 short of the conversation round after it;
-	// all else comes pre-agreed.
-	if got := servers[0].pool.inline; got != 7+3 {
-		t.Fatalf("%d paths agreed inline, want 10", got)
+	// Round 1 agrees its 7 paths cold; the dialing round takes 4 of the 7
+	// refilled behind round 3 and the pool tops itself up to 7 + 4, so the
+	// conversation round after it, like all else, comes pre-agreed.
+	if got := servers[0].pool.inline; got != 7 {
+		t.Fatalf("%d paths agreed inline, want 7", got)
 	}
 }
 
@@ -285,25 +285,44 @@ func TestPathPoolGetExact(t *testing.T) {
 
 // TestSteadyRoundAgreesNothingInline is the point of the pool: once the
 // refill behind round r has finished, round r+1 with the same noise total
-// runs no key agreement of its own. A new or restarted server has no pool
-// to resume — its first round pays in full, as every round used to.
+// runs no key agreement of its own — also when a dialing round, with its
+// smaller take, ran in between: the pool's depth follows each protocol's
+// last round, not the last caller's. A new or restarted server has no
+// pool to resume — its first round of each protocol pays in full, as
+// every round used to.
 func TestSteadyRoundAgreesNothingInline(t *testing.T) {
-	servers, pubs, _, _ := tappedChain(t, 3, noise.Fixed{N: 6}, nil)
+	servers, pubs, _, _ := tappedChain(t, 3, noise.Fixed{N: 6}, noise.Fixed{N: 2})
 	const noisePerRound = 6 + 6
+	const dialBuckets, dialNoise = 2, 2 * 2
 	pool := servers[0].pool
 	if len(pool.paths) != 0 || pool.running != 0 {
 		t.Fatalf("a new server holds %d paths with %d refills running", len(pool.paths), pool.running)
 	}
 	alice := newUser(t, "alice")
-	for round := uint64(1); round <= 3; round++ {
+	wantInline, wantHeld := noisePerRound, noisePerRound
+	for round := uint64(1); round <= 5; round++ {
 		o, _, _ := alice.convoOnion(t, round, pubs, nil, nil)
 		if _, err := servers[0].ConvoRound(round, [][]byte{o}); err != nil {
 			t.Fatal(err)
 		}
 		waitRefilled(servers[0])
-		if pool.inline != noisePerRound || len(pool.paths) != noisePerRound {
-			t.Fatalf("after round %d: %d paths agreed inline (want %d, all in round 1), %d held (want %d)",
-				round, pool.inline, noisePerRound, len(pool.paths), noisePerRound)
+		if pool.inline != wantInline || len(pool.paths) != wantHeld {
+			t.Fatalf("after round %d: %d paths agreed inline (want %d, none of them here), %d held (want %d)",
+				round, pool.inline, wantInline, len(pool.paths), wantHeld)
+		}
+		if round == 2 || round == 4 {
+			// The first dialing round finds the 12 paths the conversation
+			// rounds keep and agrees nothing; from then on the pool holds
+			// both protocols' takes, and neither round finds it short.
+			if err := servers[0].DialRound(round/2, dialBuckets, nil); err != nil {
+				t.Fatal(err)
+			}
+			waitRefilled(servers[0])
+			wantHeld = noisePerRound + dialNoise
+			if pool.inline != wantInline || len(pool.paths) != wantHeld {
+				t.Fatalf("after the dialing round behind round %d: %d paths agreed inline (want %d), %d held (want %d)",
+					round, pool.inline, wantInline, len(pool.paths), wantHeld)
+			}
 		}
 	}
 }

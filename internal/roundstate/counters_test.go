@@ -88,12 +88,19 @@ func TestCountersRefuseCorruptFile(t *testing.T) {
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "r")
+			// Bare, as the text format that preceded the slots held it,
+			// and as the payload of a slot whose checksum holds.
 			if err := os.WriteFile(path, []byte(content), 0o600); err != nil {
 				t.Fatal(err)
 			}
 			if c, err := OpenCounters(path); err == nil {
 				c.Close()
 				t.Fatalf("corrupt file %q opened as zero counters — replay window reopened", content)
+			}
+			writeSlots(t, path, slotImage(1, content), blankSlot())
+			if c, err := OpenCounters(path); err == nil {
+				c.Close()
+				t.Fatalf("corrupt payload %q opened as zero counters — replay window reopened", content)
 			}
 		})
 	}
@@ -123,7 +130,7 @@ func TestCountersDoubleOpenRefused(t *testing.T) {
 		t.Fatal("second OpenCounters of a held file succeeded")
 	}
 	// A Store and a Counters pointed at the same path must also exclude
-	// each other — they share the .lock sidecar.
+	// each other — the lock is on the state file itself.
 	if s, err := Open(path); err == nil {
 		s.Close()
 		t.Fatal("Store opened a path held by a live Counters")

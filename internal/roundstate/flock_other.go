@@ -4,8 +4,8 @@ package roundstate
 
 import "os"
 
-// lockFile is a no-op where flock is unavailable: the counter's
-// atomic-rename durability still holds, but two live processes sharing
-// one state file are not detected on these platforms (deployment
-// targets are unix).
+// lockFile is a no-op where flock is unavailable: the slot file's
+// torn-write safety still holds, but two live processes sharing one
+// state file are not detected on these platforms (deployment targets
+// are unix).
 func lockFile(*os.File) error { return nil }

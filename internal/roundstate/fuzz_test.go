@@ -1,36 +1,53 @@
 package roundstate
 
 // FuzzRoundStateLoad hammers the two on-disk loaders with arbitrary
-// file contents — corrupt counters, truncated files, trailing bytes,
-// non-decimal content. The loaders front the one file whose silent
-// mis-parse reopens the round-replay window, so the invariants are:
-// never panic, never accept a file the canonical serialization would
-// not reproduce, and whatever loads must round-trip bit-for-bit through
-// close-and-reopen (a counter that drifts across restarts is a replay
-// window too).
+// file contents — damaged slots, truncated files, trailing bytes,
+// payloads that do not parse, files in the text format that preceded the
+// slots. The loaders front the one file whose silent mis-load reopens
+// the round-replay window, so the invariants are: never panic, never
+// accept a file and then refuse it unchanged, and whatever loads must
+// round-trip bit-for-bit through close-and-reopen (a counter that drifts
+// across restarts is a replay window too) and take a further commit.
+//
+// FuzzSlotTear is TestTornWriteTable over arbitrary counters: whatever
+// the two payloads, a commit torn at any byte opens at the old counters
+// or the new ones.
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 func FuzzRoundStateLoad(f *testing.F) {
+	store := append(slotImage(1, "41\n"), slotImage(2, "42\n")...)
+	counters := append(slotImage(3, "convo 9\ndial 2\n"), slotImage(2, "convo 8\ndial 2\n")...)
 	seeds := [][]byte{
-		[]byte("42\n"),                  // valid Store
-		[]byte("convo 9\ndial 2\n"),     // valid Counters
-		[]byte(""),                      // empty file
-		[]byte("convo 9"),               // truncated: no final newline
-		[]byte("convo 9\ndial"),         // truncated mid-line
-		[]byte("convo 9\nconvo 10\n"),   // duplicate counter
-		[]byte("convo ten\n"),           // non-decimal
-		[]byte("-3\n"),                  // negative Store counter
-		[]byte("18446744073709551616\n"), // uint64 overflow
-		[]byte("18446744073709551615\n"), // valid saturated counter
-		[]byte("convo 9\n\x00trail"),    // trailing bytes
-		[]byte(" 5\n"),                  // empty name
-		[]byte("convo  5\n"),            // double space: value " 5"
-		[]byte("convo 5\r\n"),           // CR in value
+		store,                  // valid Store, newest in slot 1
+		counters,               // valid Counters, newest in slot 0
+		{},                     // created, never written
+		make([]byte, 700),      // creation cut short
+		make([]byte, fileSize), // created, never committed
+		append(slotImage(1, "18446744073709551615\n"), blankSlot()...), // saturated counter
+		flipBit(store, slotSize+3),                                     // bit flip: magic
+		flipBit(store, slotSize+11),                                    // bit flip: sequence
+		flipBit(store, slotSize+15),                                    // bit flip: payload length
+		flipBit(store, slotSize+17),                                    // bit flip: payload
+		flipBit(store, slotSize+16+3+3),                                // bit flip: checksum
+		flipBit(store, slotSize+100),                                   // bit flip: padding
+		flipBit(flipBit(store, 17), 512+17),                            // both slots damaged
+		store[:fileSize-1],                                             // truncated by a byte
+		store[:slotSize],                                               // truncated to one slot
+		store[:slotSize+20],                                            // truncated mid-slot
+		append(bytes.Clone(store), 0),                                  // trailing byte
+		append(slotImage(1, "convo 9\nconvo 10\n"), blankSlot()...),    // checksummed, duplicate counter
+		append(slotImage(1, "18446744073709551616\n"), blankSlot()...), // checksummed, uint64 overflow
+		append(slotImage(1, "convo 5\r\n"), blankSlot()...),            // checksummed, CR in value
+		append(slotImage(math.MaxUint64, "1\n"), blankSlot()...),       // sequence with no successor
+		[]byte("42\n"),                                                 // text format: Store
+		[]byte("convo 9\ndial 2\n"),                                    // text format: Counters
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -105,5 +122,28 @@ func FuzzRoundStateLoad(f *testing.F) {
 			}
 			c3.Close()
 		}
+	})
+}
+
+func FuzzSlotTear(f *testing.F) {
+	f.Add(uint64(9), uint64(4), uint64(1), "", uint16(17))
+	f.Add(uint64(1), uint64(0), uint64(1), "x", uint16(0))
+	f.Add(uint64(99999), uint64(7), uint64(900001), "frontend-3", uint16(512))
+	f.Add(uint64(math.MaxUint64-2), uint64(math.MaxUint64), uint64(1), "z", uint16(300))
+	f.Fuzz(func(t *testing.T, convo, dial, step uint64, extra string, cut uint16) {
+		if convo == 0 || step == 0 || convo+step+1 <= convo {
+			t.Skip("needs a committed counter with two rounds left above it")
+		}
+		if extra != "" && (!validCounterName(extra) || len(extra) > 200 || extra == ConvoCounter || extra == DialCounter) {
+			t.Skip("not a third counter's name")
+		}
+		before, after, slot := tearPair(t, func(c *Counters) {
+			commit(t, c, ConvoCounter, convo)
+			commit(t, c, DialCounter, dial)
+			if extra != "" {
+				commit(t, c, extra, 1)
+			}
+		}, func(c *Counters) { commit(t, c, ConvoCounter, convo+step) })
+		checkTear(t, before, after, slot, int(cut)%(slotSize+1), convo, convo+step, dial)
 	})
 }

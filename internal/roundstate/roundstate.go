@@ -4,34 +4,53 @@
 //
 // The mixnet's safety against round replay (a server must never process
 // the same round twice with fresh noise — docs/THREAT_MODEL.md) rests on
-// a strictly-increasing round check that PR 2 kept only in memory: any
-// crash reset it to zero, and the recovering operator had to choose
-// between refusing all traffic and disabling the check. This package
-// closes that gap with the smallest possible durable store: one file
-// holding decimal counters, updated write-ahead (the round number is
-// committed to disk BEFORE the round's work runs, so a crash mid-round
-// can only lose a round, never replay one) via the classic
-// write-temp → fsync → rename → fsync-dir sequence, which is atomic on
-// POSIX filesystems — a torn write leaves the previous counters, never
-// corrupt or regressed ones. An advisory flock on a sidecar .lock file
-// guards against two live processes sharing one counter (e.g. a
-// supervisor starting the replacement server before the old process
-// exits): the second Open fails loudly instead of both processes
-// accepting the same round.
+// a strictly-increasing round check; kept only in memory, any crash
+// resets it to zero. This package is the smallest durable store for it:
+// one file, opened once and held, updated write-ahead (the round number
+// is committed to disk BEFORE the round's work runs, so a crash mid-round
+// can only lose a round, never replay one) by one in-place write and one
+// fsync per commit.
 //
-// Two store shapes share that machinery: Store holds a single counter
-// (a dead-drop shard runs only the conversation exchange), and Counters
-// holds independent named counters in one file (a chain server and the
-// coordinator each track the conversation and dialing protocols
-// separately).
+// The file is exactly 1024 bytes: two 512-byte slots, slot 0 at offset 0
+// and slot 1 at offset 512, each laid out as
+//
+//	offset  size  field
+//	0       4     magic "VZRS"
+//	4       8     sequence, big-endian: 1 for the first commit, +1 per
+//	              commit; odd sequences live in slot 0, even ones in slot 1
+//	12      4     payload length n, big-endian, at most 492
+//	16      n     payload, text: Store "<decimal>\n"; Counters one
+//	              "<name> <decimal>\n" line per counter, sorted by name
+//	16+n    4     CRC-32 (IEEE) of bytes 0 … 16+n, big-endian
+//	20+n    …     zeros up to 512, not interpreted
+//
+// A commit overwrites the slot holding the OLDER sequence, so a torn
+// write can damage only that slot: its checksum fails and the other slot
+// still holds the previous commit — the right answer, because the torn
+// commit never returned. Open takes the checksummed slot with the highest
+// sequence, treats what a crash during creation leaves (an empty or
+// all-zero file of at most 1024 bytes) as a fresh store, and refuses
+// everything else: silently resetting a counter is exactly the replay
+// window the store exists to close. The exclusive advisory flock on the
+// file makes a second live process's Open fail loudly (e.g. a supervisor
+// starting the replacement server before the old one exits) instead of
+// both accepting the same round.
+//
+// Two payload shapes share that file: Store holds a single counter (a
+// dead-drop shard runs only the conversation exchange), and Counters
+// holds independent named counters (a chain server and the coordinator
+// each track the conversation and dialing protocols separately).
 package roundstate
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,127 +66,178 @@ const ConvoCounter = "convo"
 // wire.ProtoDial rounds.
 const DialCounter = "dial"
 
-// openLock takes the exclusive advisory lock guarding path, so a second
-// process (or a second store in this process) pointed at the same
-// counter file fails instead of both passing the replay check for the
-// same round.
-func openLock(path string) (*os.File, error) {
-	lock, err := os.OpenFile(path+".lock", os.O_CREATE|os.O_RDWR, 0o600)
+// The slot geometry of the package comment.
+const (
+	slotSize   = 512
+	fileSize   = 2 * slotSize
+	slotHeader = 16
+	maxPayload = slotSize - slotHeader - 4
+	slotMagic  = "VZRS"
+)
+
+// slotOf is the slot a commit with sequence seq is written to.
+func slotOf(seq uint64) int { return int(seq+1) & 1 }
+
+// decodeSlot returns the sequence and payload of a slot whose magic,
+// length and checksum all hold.
+func decodeSlot(b []byte) (seq uint64, payload []byte, ok bool) {
+	n := binary.BigEndian.Uint32(b[12:])
+	if string(b[:4]) != slotMagic || n > maxPayload {
+		return 0, nil, false
+	}
+	end := slotHeader + int(n)
+	ok = crc32.ChecksumIEEE(b[:end]) == binary.BigEndian.Uint32(b[end:])
+	return binary.BigEndian.Uint64(b[4:]), b[slotHeader:end], ok
+}
+
+// slotFile is the held-open, exclusively locked two-slot file under both
+// store shapes, whose Commit methods serialize on mu.
+type slotFile struct {
+	path string
+	info os.FileInfo // the open file's identity: commit checks path still names it
+
+	mu  sync.Mutex
+	f   *os.File       // nil once closed
+	seq uint64         // the newest valid slot's sequence, 0 in a fresh file
+	buf [slotSize]byte // the next slot's image, encoded in place
+}
+
+// open opens path, creating it if need be, takes the advisory lock and
+// returns the newest valid slot's payload; sf.seq stays 0 for a fresh
+// store. On an error the caller closes sf.
+func (sf *slotFile) open(path string) (payload []byte, err error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("roundstate: %w", err)
 	}
-	if err := lockFile(lock); err != nil {
-		lock.Close()
+	sf.path, sf.f = path, f
+	if err := lockFile(f); err != nil {
 		return nil, fmt.Errorf("roundstate: %s is held by another live process (flock: %w) — two servers must never share a round counter", path, err)
 	}
-	return lock, nil
+	if sf.info, err = f.Stat(); err != nil {
+		return nil, fmt.Errorf("roundstate: %w", err)
+	}
+	data, err := io.ReadAll(io.LimitReader(f, fileSize+1))
+	if err != nil {
+		return nil, fmt.Errorf("roundstate: reading %s: %w", path, err)
+	}
+	if len(data) <= fileSize && len(bytes.Trim(data, "\x00")) == 0 {
+		return nil, sf.create()
+	}
+	for i := 0; i < 2 && len(data) == fileSize; i++ {
+		seq, p, ok := decodeSlot(data[i*slotSize:][:slotSize])
+		if !ok {
+			continue // torn, damaged or never written: the other slot decides
+		}
+		if seq == 0 || seq == ^uint64(0) || slotOf(seq) != i {
+			return nil, fmt.Errorf("roundstate: %s is corrupt (slot %d carries sequence %d, which no commit writes there): refusing to reset the replay counter", path, i, seq)
+		}
+		if seq > sf.seq {
+			sf.seq, payload = seq, p
+		}
+	}
+	if sf.seq == 0 {
+		return nil, fmt.Errorf("roundstate: %s is corrupt or predates the two-slot format (%d bytes, no %d-byte slot with a valid checksum): refusing to reset the replay counter", path, len(data), slotSize)
+	}
+	return payload, nil
 }
 
-// writeAtomic durably replaces path with data: every step of the
-// temp-write → fsync → rename → directory-fsync sequence must succeed,
-// or the error propagates and the previous contents stay visible — a
-// crash at any point exposes either the old file or the new one, never
-// an empty or torn one.
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
+// create zeroes both slots and makes the file and its directory entry
+// durable — the one time the directory is opened or synced.
+func (sf *slotFile) create() error {
+	if _, err := sf.f.WriteAt(make([]byte, fileSize), 0); err != nil {
 		return fmt.Errorf("roundstate: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("roundstate: writing %s: %w", tmp, err)
-	}
-	// fsync the data before the rename: rename-then-crash must expose
-	// the new contents or the old ones, never an empty file.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("roundstate: syncing %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("roundstate: closing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := sf.f.Sync(); err != nil {
 		return fmt.Errorf("roundstate: %w", err)
 	}
-	// fsync the directory so the rename itself survives a crash. A
-	// failure here means the commit may not be durable yet, so it must
-	// fail the round like any other step — returning nil would let the
-	// round run on a counter that can still be lost.
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("roundstate: syncing directory of %s: %w", path, err)
-	}
-	if err := dir.Sync(); err != nil {
+	dir, err := os.Open(filepath.Dir(sf.path))
+	if err == nil {
+		err = dir.Sync()
 		dir.Close()
-		return fmt.Errorf("roundstate: syncing directory of %s: %w", path, err)
 	}
-	if err := dir.Close(); err != nil {
-		return fmt.Errorf("roundstate: syncing directory of %s: %w", path, err)
+	if err != nil {
+		return fmt.Errorf("roundstate: syncing directory of %s: %w", sf.path, err)
 	}
 	return nil
 }
 
-// Store persists a monotonically increasing round counter in a single
-// file, exclusively held by this process until Close (or process exit)
-// releases the advisory lock. It is safe for concurrent use within the
-// process; Commit serializes internally.
-type Store struct {
-	path string
-	lock *os.File
+// commit durably replaces the older slot with payload (which a caller
+// builds in buf[slotHeader:slotHeader] to allocate nothing): one WriteAt
+// and one Sync on the held descriptor, both of which must succeed or
+// sf.seq stays put. The caller holds mu.
+func (sf *slotFile) commit(payload []byte) error {
+	if sf.f == nil {
+		return fmt.Errorf("roundstate: %s is closed", sf.path)
+	}
+	n := len(payload)
+	if n > maxPayload {
+		return fmt.Errorf("roundstate: %d bytes of counters do not fit a %d-byte slot of %s", n, slotSize, sf.path)
+	}
+	seq, b, end := sf.seq+1, sf.buf[:], slotHeader+n
+	copy(b, slotMagic)
+	copy(b[slotHeader:], payload)
+	binary.BigEndian.PutUint64(b[4:], seq)
+	binary.BigEndian.PutUint32(b[12:], uint32(n))
+	binary.BigEndian.PutUint32(b[end:], crc32.ChecksumIEEE(b[:end]))
+	clear(b[end+4:])
+	// A state file deleted or replaced under a running server would keep
+	// accepting commits into an inode the next process never opens.
+	if st, err := os.Stat(sf.path); err != nil {
+		return fmt.Errorf("roundstate: %w", err)
+	} else if !os.SameFile(st, sf.info) {
+		return fmt.Errorf("roundstate: %s no longer names the open state file: refusing to commit where a restart would not find it", sf.path)
+	}
+	if _, err := sf.f.WriteAt(b, int64(slotOf(seq))*slotSize); err != nil {
+		return fmt.Errorf("roundstate: %w", err)
+	}
+	if err := sf.f.Sync(); err != nil {
+		return fmt.Errorf("roundstate: %w", err)
+	}
+	sf.seq = seq
+	return nil
+}
 
-	mu   sync.Mutex
+// Close releases the file and with it the advisory lock, so another
+// process (or a reopened store) may take over the counters. A crashed
+// process releases it implicitly. Close does not remove the file.
+func (sf *slotFile) Close() error {
+	sf.mu.Lock()
+	defer sf.mu.Unlock()
+	if sf.f == nil {
+		return nil
+	}
+	err := sf.f.Close() // closing the descriptor drops the flock
+	sf.f = nil
+	return err
+}
+
+// Store persists a monotonically increasing round counter in a single
+// file, exclusively held by this process until Close (or process exit).
+// It is safe for concurrent use; Commit serializes internally.
+type Store struct {
+	slotFile
 	last uint64
 }
 
-// Open reads the counter at path, creating the state lazily on first
-// Commit if the file does not exist yet, and takes an exclusive
-// advisory lock on path.lock for the Store's lifetime. A counter file
-// that exists but does not parse is an error, not a zero counter:
-// silently resetting the counter is exactly the replay window the store
-// exists to close.
+// Open reads the counter at path, creating the file if it does not exist
+// yet, and holds it open under an exclusive advisory lock for the
+// Store's lifetime. A file that exists but does not load is an error,
+// not a zero counter.
 func Open(path string) (*Store, error) {
-	lock, err := openLock(path)
+	s := &Store{}
+	payload, err := s.open(path)
+	if err == nil && s.seq > 0 {
+		digits, terminated := bytes.CutSuffix(payload, []byte("\n"))
+		if s.last, err = strconv.ParseUint(string(digits), 10, 64); err != nil || !terminated {
+			err = fmt.Errorf("roundstate: %s is corrupt (%q): refusing to reset the replay counter", path, payload)
+		}
+	}
 	if err != nil {
+		s.Close()
 		return nil, err
 	}
-	s := &Store{path: path, lock: lock}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return s, nil
-	}
-	if err != nil {
-		s.Close()
-		return nil, fmt.Errorf("roundstate: reading %s: %w", path, err)
-	}
-	last, perr := strconv.ParseUint(string(bytes.TrimSpace(data)), 10, 64)
-	if perr != nil {
-		s.Close()
-		return nil, fmt.Errorf("roundstate: %s is corrupt (%q): refusing to reset the replay counter", path, bytes.TrimSpace(data))
-	}
-	s.last = last
 	return s, nil
-}
-
-// Path returns the backing file's path.
-func (s *Store) Path() string { return s.path }
-
-// Close releases the advisory lock so another process (or a reopened
-// Store) may take over the counter. A crashed process releases it
-// implicitly. Close does not remove the counter file.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lock == nil {
-		return nil
-	}
-	err := s.lock.Close() // closing the descriptor drops the flock
-	s.lock = nil
-	return err
 }
 
 // Last returns the highest committed round (0 if none).
@@ -189,65 +259,68 @@ func (s *Store) Commit(round uint64) error {
 	if round <= s.last {
 		return nil
 	}
-	if s.lock == nil {
-		return fmt.Errorf("roundstate: %s is closed", s.path)
-	}
-	if err := writeAtomic(s.path, []byte(fmt.Sprintf("%d\n", round))); err != nil {
+	if err := s.commit(appendCounter(s.buf[slotHeader:slotHeader], "", round)); err != nil {
 		return err
 	}
 	s.last = round
 	return nil
 }
 
-// Counters persists independent monotonically increasing round counters
-// — one per name — in a single file, exclusively held by this process
-// until Close releases the advisory lock. A chain server keeps its
-// conversation and dialing counters here (the two protocols number
-// rounds independently), and the coordinator keeps the round numbers it
-// has announced. Safe for concurrent use within the process; Commit
-// serializes internally.
-type Counters struct {
-	path string
-	lock *os.File
-
-	mu   sync.Mutex
-	last map[string]uint64
+// counter is one named round counter of a Counters store.
+type counter struct {
+	name string
+	last uint64
 }
 
-// OpenCounters reads the named counters at path, creating the state
-// lazily on first Commit if the file does not exist yet, and takes an
-// exclusive advisory lock on path.lock for the store's lifetime. A file
-// that exists but does not parse — a corrupt value, a duplicated or
-// malformed name, trailing bytes — is an error, never a zero counter.
+// appendCounter appends one payload line: "name value\n", or "value\n"
+// for the Store's nameless counter.
+func appendCounter(p []byte, name string, last uint64) []byte {
+	if name != "" {
+		p = append(append(p, name...), ' ')
+	}
+	return append(strconv.AppendUint(p, last, 10), '\n')
+}
+
+// findCounter returns where name is, or belongs, in the sorted cs.
+func findCounter(cs []counter, name string) (int, bool) {
+	return slices.BinarySearchFunc(cs, name, func(c counter, name string) int { return strings.Compare(c.name, name) })
+}
+
+// Counters persists independent monotonically increasing round counters
+// — one per name — in a single file, exclusively held by this process
+// until Close. A chain server keeps its conversation and dialing
+// counters here (the two protocols number rounds independently), and the
+// coordinator the round numbers it has announced. Safe for concurrent
+// use; Commit serializes internally.
+type Counters struct {
+	slotFile
+	last []counter // sorted by name at insert: the payload's order
+}
+
+// OpenCounters is Open for named counters. A file that exists but does
+// not load — no valid slot, a corrupt value, a duplicated or malformed
+// name, trailing bytes — is an error, never a zero counter.
 func OpenCounters(path string) (*Counters, error) {
-	lock, err := openLock(path)
+	c := &Counters{}
+	payload, err := c.open(path)
+	if err == nil {
+		if c.last, err = parseCounters(payload); err != nil {
+			err = fmt.Errorf("roundstate: %s is corrupt (%w): refusing to reset the replay counters", path, err)
+		}
+	}
 	if err != nil {
+		c.Close()
 		return nil, err
 	}
-	c := &Counters{path: path, lock: lock, last: make(map[string]uint64)}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("roundstate: reading %s: %w", path, err)
-	}
-	last, perr := parseCounters(data)
-	if perr != nil {
-		c.Close()
-		return nil, fmt.Errorf("roundstate: %s is corrupt (%v): refusing to reset the replay counters", path, perr)
-	}
-	c.last = last
 	return c, nil
 }
 
-// parseCounters decodes the Counters file format: zero or more
+// parseCounters decodes the Counters payload: zero or more
 // newline-terminated "name value" lines, names unique and free of
 // whitespace, values decimal uint64. Anything else is corruption — the
 // caller refuses the file rather than guessing.
-func parseCounters(data []byte) (map[string]uint64, error) {
-	last := make(map[string]uint64)
+func parseCounters(data []byte) ([]counter, error) {
+	var last []counter
 	for len(data) > 0 {
 		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
@@ -259,14 +332,15 @@ func parseCounters(data []byte) (map[string]uint64, error) {
 		if !ok || !validCounterName(name) {
 			return nil, fmt.Errorf("malformed line %q", line)
 		}
-		if _, dup := last[name]; dup {
+		at, dup := findCounter(last, name)
+		if dup {
 			return nil, fmt.Errorf("duplicate counter %q", name)
 		}
 		n, err := strconv.ParseUint(value, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("counter %q has non-decimal value %q", name, value)
 		}
-		last[name] = n
+		last = slices.Insert(last, at, counter{name, n})
 	}
 	return last, nil
 }
@@ -285,69 +359,46 @@ func validCounterName(name string) bool {
 	return true
 }
 
-// Path returns the backing file's path.
-func (c *Counters) Path() string { return c.path }
-
-// Close releases the advisory lock so another process (or a reopened
-// store) may take over the counters. A crashed process releases it
-// implicitly. Close does not remove the counter file.
-func (c *Counters) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lock == nil {
-		return nil
-	}
-	err := c.lock.Close()
-	c.lock = nil
-	return err
-}
-
 // Last returns the highest round committed under name (0 if none).
 func (c *Counters) Last(name string) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.last[name]
+	if at, ok := findCounter(c.last, name); ok {
+		return c.last[at].last
+	}
+	return 0
 }
 
 // Commit durably records round as consumed under name, leaving every
-// other counter untouched. Callers invoke it BEFORE acting on the round
-// (write-ahead), exactly as Store.Commit: once it returns nil, a crash
-// at any later point leaves counters that reject the round's replay; on
-// failure nothing advances. A round at or below the committed counter
-// is a no-op; counters never move backwards.
+// other counter untouched, BEFORE the caller acts on the round — exactly
+// as Store.Commit: on failure nothing advances, a round at or below the
+// committed counter is a no-op, and counters never move backwards.
 func (c *Counters) Commit(name string, round uint64) error {
 	if !validCounterName(name) {
 		return fmt.Errorf("roundstate: invalid counter name %q", name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if round <= c.last[name] {
+	at, found := findCounter(c.last, name)
+	if round == 0 || found && round <= c.last[at].last {
 		return nil
 	}
-	if c.lock == nil {
-		return fmt.Errorf("roundstate: %s is closed", c.path)
+	if !found {
+		c.last = slices.Insert(c.last, at, counter{name: name})
 	}
-	names := make([]string, 0, len(c.last)+1)
-	seen := false
-	for n := range c.last {
-		names = append(names, n)
-		seen = seen || n == name
-	}
-	if !seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var buf bytes.Buffer
-	for _, n := range names {
-		v := c.last[n]
-		if n == name {
-			v = round
+	p := c.buf[slotHeader:slotHeader]
+	for i, o := range c.last {
+		if i == at {
+			o.last = round
 		}
-		fmt.Fprintf(&buf, "%s %d\n", n, v)
+		p = appendCounter(p, o.name, o.last)
 	}
-	if err := writeAtomic(c.path, buf.Bytes()); err != nil {
+	if err := c.commit(p); err != nil {
+		if !found {
+			c.last = slices.Delete(c.last, at, at+1)
+		}
 		return err
 	}
-	c.last[name] = round
+	c.last[at].last = round
 	return nil
 }

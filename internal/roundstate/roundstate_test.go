@@ -77,11 +77,22 @@ func TestCommitNeverRegresses(t *testing.T) {
 
 func TestCorruptFileRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r")
-	if err := os.WriteFile(path, []byte("not-a-counter\n"), 0o600); err != nil {
-		t.Fatal(err)
+	// Bare, as the text format that preceded the slots held it (a valid
+	// old-format counter is refused like a corrupt one: there is no
+	// legacy reader), and as the payload of a slot whose checksum holds.
+	for _, content := range []string{"not-a-counter\n", "42\n"} {
+		if err := os.WriteFile(path, []byte(content), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); err == nil {
+			t.Fatalf("state file %q opened as zero — replay window reopened", content)
+		}
 	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("corrupt state file opened as zero — replay window reopened")
+	for _, payload := range []string{"not-a-counter\n", "42", " 42\n", "42\n\n", "convo 42\n"} {
+		writeSlots(t, path, slotImage(1, payload), blankSlot())
+		if _, err := Open(path); err == nil {
+			t.Fatalf("slot payload %q opened — replay window reopened", payload)
+		}
 	}
 }
 
@@ -96,8 +107,9 @@ func TestLeftoverTmpIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	// A crash between write and rename leaves a .tmp; reopening must see
-	// the committed counter, not the orphan.
+	// The rename-based format this one replaced left a .tmp behind when it
+	// crashed between write and rename; a state directory may still hold
+	// one. Reopening must see the committed counter, not the orphan.
 	if err := os.WriteFile(path+".tmp", []byte("9999\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
