@@ -10,9 +10,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build test race shardtest restart-matrix fuzz bench-smoke bench bench-privacy example-smoke loc clean
+.PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build test race allocs shardtest restart-matrix fuzz bench-smoke bench bench-privacy example-smoke loc clean
 
-check: lint build bench-smoke race shardtest restart-matrix fuzz
+check: lint build bench-smoke race allocs shardtest restart-matrix fuzz
 
 vet:
 	$(GO) vet ./...
@@ -46,6 +46,13 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# The allocation pins (a hop's round at 3 per onion, a steady Send at 0,
+# the record layer at 0, ...). The race detector instruments allocations,
+# so they sit in `//go:build !race` files that `race` above never
+# compiles: of `check`'s targets only this one runs them.
+allocs:
+	$(GO) test -run 'Allocs' ./internal/...
 
 # The shard fan-out, secure-transport, MITM, degradation, and
 # fault-injection suites at full depth (the -short race pass above runs

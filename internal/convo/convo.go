@@ -100,14 +100,14 @@ func UnpadMessage(p [PayloadSize]byte) ([]byte, error) {
 // by direction to avoid reuse: it binds the round number and the sender's
 // public key.
 func messageNonce(round uint64, sender *box.PublicKey) [box.NonceSize]byte {
-	h := sha256.New()
-	h.Write([]byte("vuvuzela-convo-msg"))
-	var r [8]byte
-	binary.BigEndian.PutUint64(r[:], round)
-	h.Write(r[:])
-	h.Write(sender[:])
+	const tag = "vuvuzela-convo-msg"
+	var in [len(tag) + 8 + box.KeySize]byte
+	copy(in[:], tag)
+	binary.BigEndian.PutUint64(in[len(tag):], round)
+	copy(in[len(tag)+8:], sender[:])
+	sum := sha256.Sum256(in[:])
 	var nonce [box.NonceSize]byte
-	copy(nonce[:], h.Sum(nil))
+	copy(nonce[:], sum[:])
 	return nonce
 }
 
@@ -122,21 +122,18 @@ func SealMessage(secret *[32]byte, round uint64, sender *box.PublicKey, payload 
 }
 
 // OpenMessage decrypts a sealed message produced by the peer in the given
-// round. sender is the peer's public key. It returns ErrDecrypt (via
-// box.Open) if the ciphertext is not from the peer — which is also how a
-// client recognizes the zero payload returned for an unmatched drop.
+// round, straight into the returned array. sender is the peer's public
+// key. It returns box.ErrDecrypt if the ciphertext is not from the peer —
+// which is also how a client recognizes the zero payload returned for an
+// unmatched drop — and ErrBadRequest if it is not SealedSize long.
 func OpenMessage(secret *[32]byte, round uint64, sender *box.PublicKey, sealed []byte) ([PayloadSize]byte, error) {
 	var payload [PayloadSize]byte
-	nonce := messageNonce(round, sender)
-	pt, err := box.Open(sealed, &nonce, secret)
-	if err != nil {
-		return payload, err
-	}
-	if len(pt) != PayloadSize {
+	if len(sealed) != SealedSize {
 		return payload, ErrBadRequest
 	}
-	copy(payload[:], pt)
-	return payload, nil
+	nonce := messageNonce(round, sender)
+	err := box.OpenInto(payload[:], sealed, &nonce, secret)
+	return payload, err
 }
 
 // Request is the innermost exchange request processed by the last server:
@@ -153,17 +150,6 @@ func (r *Request) Marshal() []byte {
 	copy(out[:deaddrop.IDSize], r.DeadDrop[:])
 	copy(out[deaddrop.IDSize:], r.Sealed[:])
 	return out
-}
-
-// ParseRequest decodes a fixed-size exchange request.
-func ParseRequest(b []byte) (*Request, error) {
-	if len(b) != RequestSize {
-		return nil, ErrBadRequest
-	}
-	var r Request
-	copy(r.DeadDrop[:], b[:deaddrop.IDSize])
-	copy(r.Sealed[:], b[deaddrop.IDSize:])
-	return &r, nil
 }
 
 // BuildRequest assembles Alice's exchange request for a round (Algorithm 1
@@ -315,41 +301,44 @@ type NoiseGen struct {
 	Rand io.Reader
 }
 
-// Generate returns the round's noise requests: singles + 2·⌈n2/2⌉ paired
-// requests, in that order. Counts() reports the split for accounting.
+// Generate returns the round's noise requests, singles + 2·⌈n2/2⌉ paired
+// ones in that order, as views into one buffer: Draw, then Fill.
 func (g NoiseGen) Generate() [][]byte {
+	singles, pairs := g.Draw()
+	out := make([][]byte, singles+2*pairs)
+	buf := make([]byte, len(out)*RequestSize)
+	for i := range out {
+		out[i] = buf[i*RequestSize : (i+1)*RequestSize : (i+1)*RequestSize]
+	}
+	g.Fill(out, singles)
+	return out
+}
+
+// Draw samples the round's noise counts: n1 single accesses and ⌈n2/2⌉
+// pairs, singles + 2·pairs requests in all.
+func (g NoiseGen) Draw() (singles, pairs int) {
+	n1 := g.Dist.Sample(g.Src)
+	n2 := g.Dist.Sample(g.Src)
+	return n1, (n2 + 1) / 2
+}
+
+// Fill writes the noise requests of one Draw into dst, whose
+// singles + 2·pairs elements are RequestSize bytes each — for a mixing
+// server, the tails of the onions it is about to seal: the first
+// `singles` each target a random drop, the rest pair up on one.
+func (g NoiseGen) Fill(dst [][]byte, singles int) {
 	rng := g.Rand
 	if rng == nil {
 		rng = rand.Reader
 	}
-	n1 := g.Dist.Sample(g.Src)
-	n2 := g.Dist.Sample(g.Src)
-	pairs := (n2 + 1) / 2
-
-	out := make([][]byte, 0, n1+2*pairs)
-	for i := 0; i < n1; i++ {
-		out = append(out, randomRequest(rng, nil))
-	}
-	for i := 0; i < pairs; i++ {
-		var id deaddrop.ID
-		mustRead(rng, id[:])
-		out = append(out, randomRequest(rng, &id))
-		out = append(out, randomRequest(rng, &id))
-	}
-	return out
-}
-
-// randomRequest builds a noise exchange request; if id is nil a random
-// drop is chosen.
-func randomRequest(rng io.Reader, id *deaddrop.ID) []byte {
-	b := make([]byte, RequestSize)
-	if id != nil {
-		copy(b[:deaddrop.IDSize], id[:])
-		mustRead(rng, b[deaddrop.IDSize:])
-	} else {
+	for _, b := range dst[:singles] {
 		mustRead(rng, b)
 	}
-	return b
+	for pair := dst[singles:]; len(pair) >= 2; pair = pair[2:] {
+		mustRead(rng, pair[0])
+		copy(pair[1], pair[0][:deaddrop.IDSize])
+		mustRead(rng, pair[1][deaddrop.IDSize:])
+	}
 }
 
 func mustRead(rng io.Reader, b []byte) {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/deaddrop"
 	"vuvuzela/internal/noise"
 )
 
@@ -182,15 +183,15 @@ func TestRequestMarshalParse(t *testing.T) {
 	if len(wire) != RequestSize {
 		t.Fatalf("wire size %d, want %d", len(wire), RequestSize)
 	}
-	back, err := ParseRequest(wire)
-	if err != nil {
-		t.Fatal(err)
+	// The last server reads the request back where it lies: drop ID, then
+	// the sealed message (what its drop partner is handed); any other
+	// length gets a zero reply.
+	if deaddrop.ID(wire) != req.DeadDrop || [SealedSize]byte(wire[deaddrop.IDSize:]) != req.Sealed {
+		t.Fatal("layout mismatch")
 	}
-	if back.DeadDrop != req.DeadDrop || back.Sealed != req.Sealed {
-		t.Fatal("parse mismatch")
-	}
-	if _, err := ParseRequest(wire[:RequestSize-1]); err == nil {
-		t.Fatal("short request accepted")
+	replies := Service{}.Process(11, [][]byte{wire, wire[:RequestSize-1], wire})
+	if !bytes.Equal(replies[0], req.Sealed[:]) || !bytes.Equal(replies[2], req.Sealed[:]) || !IsZeroReply(replies[1]) {
+		t.Fatal("exchange did not pair the two well-formed requests around the short one")
 	}
 }
 

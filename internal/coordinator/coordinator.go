@@ -313,7 +313,7 @@ func (co *Coordinator) collectConvo(ctx context.Context) (*convoRound, error) {
 // rounds must stay ordered — the chain enforces strictly increasing
 // rounds — so callers run this stage on a single goroutine.
 func (co *Coordinator) chainConvo(cr *convoRound) ([][]byte, error) {
-	replies, err := co.chain.Forward(wire.ProtoConvo, cr.round, 0, cr.batch)
+	replies, err := co.chain.Forward(wire.ProtoConvo, cr.round, 0, cr.batch, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -544,7 +544,7 @@ func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, particip
 	if err != nil {
 		return round, 0, err
 	}
-	if _, err := co.chain.Forward(wire.ProtoDial, round, m, subs); err != nil {
+	if _, err := co.chain.Forward(wire.ProtoDial, round, m, subs, nil); err != nil {
 		return round, countClients(parts, 1), err
 	}
 	for _, p := range parts {

@@ -25,10 +25,11 @@
 // client scanning an invitation bucket, a handshake) holds a DHKey and
 // pays one mult per exchange; a freshly generated ephemeral key stays a
 // DHKey from generation to its one exchange, two mults instead of three.
-// The raw-key functions (Precompute, PublicKeyOf, GenerateKey, SealBox,
-// OpenBox, OpenAnonymous) are few-line wrappers that parse and delegate:
-// DHKey.Precompute is the only place the X25519 → HSalsa20 path is
-// written.
+// The raw-key functions (Precompute, PublicKeyOf, GenerateKey) are
+// few-line wrappers that parse and delegate: DHKey.PrecomputeInto is the
+// only place the X25519 → HSalsa20 path is written, and it writes the key
+// into the caller's storage so that a server agreeing one per onion
+// allocates none of its own.
 //
 // A DHKey holds secret key material, like the PrivateKey it was parsed
 // from: it has no String method and must not be logged or compared;
@@ -138,20 +139,31 @@ func (k *DHKey) Public() PublicKey { return k.pub }
 // that yields the all-zero shared secret (a low-order point) is rejected
 // with ErrKeyExchange.
 func (k *DHKey) Precompute(peersPublic *PublicKey) (*[KeySize]byte, error) {
+	shared := new([KeySize]byte)
+	if err := k.PrecomputeInto(shared, peersPublic); err != nil {
+		return nil, err
+	}
+	return shared, nil
+}
+
+// PrecomputeInto is Precompute writing the shared key into storage the
+// caller owns — a server unwrapping a batch keeps one slab of keys per
+// round. What still allocates is inside crypto/ecdh: the parsed peer key
+// (2) and the raw shared secret (1). peersPublic is handed to crypto/ecdh
+// through an interface, so a stack value passed here moves to the heap;
+// point it at bytes that already live there.
+func (k *DHKey) PrecomputeInto(shared *[KeySize]byte, peersPublic *PublicKey) error {
 	pk, err := curve.NewPublicKey(peersPublic[:])
 	if err != nil {
-		return nil, ErrKeyExchange
+		return ErrKeyExchange
 	}
 	dh, err := k.sk.ECDH(pk)
 	if err != nil {
-		return nil, ErrKeyExchange
+		return ErrKeyExchange
 	}
-	var dhKey [KeySize]byte
-	copy(dhKey[:], dh)
-	shared := new([KeySize]byte)
 	var zeros [16]byte
-	salsa.HSalsa20(shared, &dhKey, &zeros)
-	return shared, nil
+	salsa.HSalsa20(shared, (*[KeySize]byte)(dh), &zeros)
+	return nil
 }
 
 // GenerateKey creates a fresh X25519 key pair using entropy from r
@@ -293,26 +305,6 @@ func OpenInto(out, ct []byte, nonce *[NonceSize]byte, key *[KeySize]byte) error 
 	return nil
 }
 
-// SealBox encrypts msg from the sender (private key) to the recipient
-// (public key): crypto_box.
-func SealBox(msg []byte, nonce *[NonceSize]byte, peersPublic *PublicKey, priv *PrivateKey) ([]byte, error) {
-	shared, err := Precompute(peersPublic, priv)
-	if err != nil {
-		return nil, err
-	}
-	return Seal(msg, nonce, shared), nil
-}
-
-// OpenBox decrypts a box from the sender (public key) to the recipient
-// (private key): crypto_box_open.
-func OpenBox(ct []byte, nonce *[NonceSize]byte, peersPublic *PublicKey, priv *PrivateKey) ([]byte, error) {
-	shared, err := Precompute(peersPublic, priv)
-	if err != nil {
-		return nil, err
-	}
-	return Open(ct, nonce, shared)
-}
-
 // SealAnonymous encrypts msg to the recipient's public key from a fresh
 // ephemeral key pair, so the ciphertext cannot be linked to the sender:
 // epk(32) || box(msg). The nonce is derived as SHA-256(epk || rpk)[:24],
@@ -352,15 +344,6 @@ func (k *DHKey) OpenAnonymous(ct []byte, recipientPub *PublicKey) ([]byte, error
 	}
 	nonce := anonymousNonce(&epub, recipientPub)
 	return Open(ct[KeySize:], &nonce, shared)
-}
-
-// OpenAnonymous is DHKey.OpenAnonymous for a raw private key.
-func OpenAnonymous(ct []byte, recipientPub *PublicKey, recipientPriv *PrivateKey) ([]byte, error) {
-	k, err := NewDHKey(recipientPriv)
-	if err != nil {
-		return nil, ErrKeyExchange
-	}
-	return k.OpenAnonymous(ct, recipientPub)
 }
 
 func anonymousNonce(epub, rpub *PublicKey) [NonceSize]byte {

@@ -93,11 +93,7 @@ func TestBoxBothDirections(t *testing.T) {
 
 	var nonce [NonceSize]byte
 	nonce[0] = 42
-	ct, err := SealBox([]byte("hello bob"), &nonce, &bobPub, &alicePriv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := OpenBox(ct, &nonce, &alicePub, &bobPriv)
+	pt, err := Open(Seal([]byte("hello bob"), &nonce, ka), &nonce, kb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +107,17 @@ func TestBoxWrongRecipient(t *testing.T) {
 	alicePub, alicePriv := mustKeyPair(t)
 	bobPub, _ := mustKeyPair(t)
 	_, evePriv := mustKeyPair(t)
-
-	var nonce [NonceSize]byte
-	ct, err := SealBox([]byte("secret"), &nonce, &bobPub, &alicePriv)
+	toBob, err := Precompute(&bobPub, &alicePriv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenBox(ct, &nonce, &alicePub, &evePriv); err == nil {
+	asEve, err := Precompute(&alicePub, &evePriv)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var nonce [NonceSize]byte
+	if _, err := Open(Seal([]byte("secret"), &nonce, toBob), &nonce, asEve); err == nil {
 		t.Fatal("eve opened alice's box to bob")
 	}
 }
@@ -157,7 +157,11 @@ func TestSealAnonymousRoundTrip(t *testing.T) {
 	if len(msg) == 32 && len(ct) != 80 {
 		t.Fatalf("invitation size %d, want 80 (paper §8.1)", len(ct))
 	}
-	pt, err := OpenAnonymous(ct, &rPub, &rPriv)
+	r, err := NewDHKey(&rPriv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := r.OpenAnonymous(ct, &rPub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +177,11 @@ func TestOpenAnonymousWrongKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenAnonymous(ct, &oPub, &oPriv); err == nil {
+	o, err := NewDHKey(&oPriv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.OpenAnonymous(ct, &oPub); err == nil {
 		t.Fatal("wrong recipient opened anonymous box")
 	}
 }

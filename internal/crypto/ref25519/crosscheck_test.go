@@ -1,10 +1,10 @@
-package box
+package ref25519
 
 import (
 	"crypto/rand"
 	"testing"
 
-	"vuvuzela/internal/crypto/ref25519"
+	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/crypto/salsa"
 )
 
@@ -16,20 +16,20 @@ import (
 // path in the repository.
 func TestPrecomputeMatchesReferenceConstruction(t *testing.T) {
 	for i := 0; i < 5; i++ {
-		alicePub, alicePriv, err := GenerateKey(rand.Reader)
+		alicePub, alicePriv, err := box.GenerateKey(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bobPub, bobPriv, err := GenerateKey(rand.Reader)
+		bobPub, bobPriv, err := box.GenerateKey(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		fast, err := Precompute(&bobPub, &alicePriv)
+		fast, err := box.Precompute(&bobPub, &alicePriv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		alice, err := NewDHKey(&alicePriv)
+		alice, err := box.NewDHKey(&alicePriv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +47,11 @@ func TestPrecomputeMatchesReferenceConstruction(t *testing.T) {
 		var scalar, point [32]byte
 		copy(scalar[:], alicePriv[:])
 		copy(point[:], bobPub[:])
-		raw, err := ref25519.X25519(&scalar, &point)
+		raw, err := X25519(&scalar, &point)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ref [KeySize]byte
+		var ref [box.KeySize]byte
 		var zeros [16]byte
 		salsa.HSalsa20(&ref, &raw, &zeros)
 
@@ -60,7 +60,7 @@ func TestPrecomputeMatchesReferenceConstruction(t *testing.T) {
 		}
 
 		// The reverse direction agrees too.
-		back, err := Precompute(&alicePub, &bobPriv)
+		back, err := box.Precompute(&alicePub, &bobPriv)
 		if err != nil {
 			t.Fatal(err)
 		}

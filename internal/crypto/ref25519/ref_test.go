@@ -5,9 +5,9 @@
 // Vuvuzela's prototype also relied on via Go's optimized Curve25519
 // assembly, paper §7). This package exists so the repository contains a
 // complete, independently-written implementation of every cryptographic
-// primitive the system depends on; tests cross-check it against crypto/ecdh
-// and the RFC 7748 vectors. It is not constant-time and must not be used
-// for real traffic.
+// primitive the system depends on; tests cross-check it against crypto/ecdh,
+// the RFC 7748 vectors and the production box.Precompute. It is not
+// constant-time and is compiled into tests only: no binary carries it.
 package ref25519
 
 import (

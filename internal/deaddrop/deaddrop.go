@@ -19,18 +19,26 @@ type ID [IDSize]byte
 // Table accumulates the exchange requests of one round. The zero value is
 // not usable; call NewTable.
 type Table struct {
-	// byDrop maps drop ID to the request indexes that accessed it, in
-	// arrival order.
-	byDrop map[ID][]int
+	// drops holds the state of every drop accessed so far.
+	drops map[ID]drop
 	// payloads holds each request's deposited payload, indexed by arrival.
 	payloads [][]byte
+	// partner holds, per request, the request it is paired with, or -1.
+	partner []int
 }
+
+// drop is one dead drop's state: how many requests accessed it, and which
+// of them still waits for a partner (its index plus one; 0 for none).
+// Pairing as requests arrive, instead of listing them per drop, keeps a
+// round's table to a handful of allocations.
+type drop struct{ accesses, waiting int }
 
 // NewTable returns an empty table with capacity hints for n requests.
 func NewTable(n int) *Table {
 	return &Table{
-		byDrop:   make(map[ID][]int, n),
+		drops:    make(map[ID]drop, n),
 		payloads: make([][]byte, 0, n),
+		partner:  make([]int, 0, n),
 	}
 }
 
@@ -40,7 +48,17 @@ func NewTable(n int) *Table {
 func (t *Table) Add(id ID, payload []byte) int {
 	idx := len(t.payloads)
 	t.payloads = append(t.payloads, payload)
-	t.byDrop[id] = append(t.byDrop[id], idx)
+	d := t.drops[id]
+	d.accesses++
+	if d.waiting > 0 {
+		t.partner[d.waiting-1] = idx
+		t.partner = append(t.partner, d.waiting-1)
+		d.waiting = 0
+	} else {
+		t.partner = append(t.partner, -1)
+		d.waiting = idx + 1
+	}
+	t.drops[id] = d
 	return idx
 }
 
@@ -56,18 +74,22 @@ func (t *Table) Len() int { return len(t.payloads) }
 // adversarial traffic; pairing in arrival order keeps the reply size
 // invariant without revealing anything new.
 func (t *Table) Exchange() [][]byte {
+	// The zero payloads are cut from one buffer.
+	unpaired := 0
+	for i, p := range t.partner {
+		if p < 0 {
+			unpaired += len(t.payloads[i])
+		}
+	}
+	zeros := make([]byte, unpaired)
 	replies := make([][]byte, len(t.payloads))
-	for _, idxs := range t.byDrop {
-		i := 0
-		for ; i+1 < len(idxs); i += 2 {
-			a, b := idxs[i], idxs[i+1]
-			replies[a] = t.payloads[b]
-			replies[b] = t.payloads[a]
+	for i, p := range t.partner {
+		if p >= 0 {
+			replies[i] = t.payloads[p]
+			continue
 		}
-		if i < len(idxs) {
-			a := idxs[i]
-			replies[a] = make([]byte, len(t.payloads[a]))
-		}
+		n := len(t.payloads[i])
+		replies[i], zeros = zeros[:n:n], zeros[n:]
 	}
 	return replies
 }
@@ -76,8 +98,8 @@ func (t *Table) Exchange() [][]byte {
 // number of drops accessed once (m1), twice (m2), and more than twice
 // (more; only adversarial traffic produces these).
 func (t *Table) Histogram() (m1, m2, more int) {
-	for _, idxs := range t.byDrop {
-		switch len(idxs) {
+	for _, d := range t.drops {
+		switch d.accesses {
 		case 1:
 			m1++
 		case 2:

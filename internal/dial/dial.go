@@ -8,7 +8,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"io"
 	"math"
 
@@ -35,11 +34,6 @@ const (
 	// drop that is not used by any recipient", §5.2). The last server
 	// discards these without storing them.
 	NoOpBucket = ^uint32(0)
-)
-
-var (
-	// ErrBadRequest indicates a malformed dialing request.
-	ErrBadRequest = errors.New("dial: malformed dialing request")
 )
 
 // BucketOf maps a user's long-term public key to its invitation dead drop:
@@ -135,17 +129,6 @@ func (r *Request) Marshal() []byte {
 	return out
 }
 
-// ParseRequest decodes a fixed-size dialing request.
-func ParseRequest(b []byte) (*Request, error) {
-	if len(b) != RequestSize {
-		return nil, ErrBadRequest
-	}
-	var r Request
-	r.Bucket = binary.BigEndian.Uint32(b[:bucketPrefix])
-	copy(r.Sealed[:], b[bucketPrefix:])
-	return &r, nil
-}
-
 // BuildRequest assembles a client's dialing request for a round. If
 // recipient is non-nil, it seals an invitation carrying senderPub to the
 // recipient's bucket; if recipient is nil it builds the idle request: a
@@ -221,11 +204,12 @@ func (s Service) Process(round uint64, m uint32, requests [][]byte) *Buckets {
 	}
 	data := make([][]byte, m)
 	for _, b := range requests {
-		req, err := ParseRequest(b)
-		if err != nil || req.Bucket >= m {
+		if len(b) != RequestSize {
 			continue
 		}
-		data[req.Bucket] = append(data[req.Bucket], req.Sealed[:]...)
+		if bucket := binary.BigEndian.Uint32(b[:bucketPrefix]); bucket < m {
+			data[bucket] = append(data[bucket], b[bucketPrefix:]...)
+		}
 	}
 	// Last server's own noise, directly into each bucket.
 	if s.Noise != nil {
@@ -251,24 +235,47 @@ type NoiseGen struct {
 	Rand io.Reader          // CSPRNG for the fake invitation bytes
 }
 
-// Generate returns the round's noise requests for m buckets.
+// Generate returns the round's noise requests for m buckets, as views
+// into one buffer: Draw, then Fill.
 func (g NoiseGen) Generate(m uint32) [][]byte {
+	counts, total := g.Draw(m)
+	out := make([][]byte, total)
+	buf := make([]byte, total*RequestSize)
+	for i := range out {
+		out[i] = buf[i*RequestSize : (i+1)*RequestSize : (i+1)*RequestSize]
+	}
+	g.Fill(out, counts)
+	return out
+}
+
+// Draw samples how many noise invitations each of the m buckets gets
+// this round, and their total.
+func (g NoiseGen) Draw(m uint32) (counts []int, total int) {
+	counts = make([]int, m)
+	for i := range counts {
+		counts[i] = g.Dist.Sample(g.Src)
+		total += counts[i]
+	}
+	return counts, total
+}
+
+// Fill writes the noise requests of one Draw into dst, whose elements are
+// RequestSize bytes each — for a mixing server, the tails of the onions
+// it is about to seal — bucket by bucket.
+func (g NoiseGen) Fill(dst [][]byte, counts []int) {
 	rng := g.Rand
 	if rng == nil {
 		rng = rand.Reader
 	}
-	var out [][]byte
-	for i := uint32(0); i < m; i++ {
-		n := g.Dist.Sample(g.Src)
-		for j := 0; j < n; j++ {
-			req := Request{Bucket: i}
-			if _, err := io.ReadFull(rng, req.Sealed[:]); err != nil {
+	for bucket, n := range counts {
+		for _, b := range dst[:n] {
+			binary.BigEndian.PutUint32(b[:bucketPrefix], uint32(bucket))
+			if _, err := io.ReadFull(rng, b[bucketPrefix:]); err != nil {
 				panic("dial: randomness source failed: " + err.Error())
 			}
-			out = append(out, req.Marshal())
 		}
+		dst = dst[n:]
 	}
-	return out
 }
 
 // ScanBucket trial-decrypts every invitation in a downloaded bucket and

@@ -144,7 +144,7 @@ func TestStartChain(t *testing.T) {
 			if n > 1 {
 				_, stranger := box.KeyPairFromSeed([]byte("chain-stranger"))
 				leg := mixnet.NewChainLeg(mem, addrs[1], stranger, pubs[1])
-				_, err := leg.Forward(wire.ProtoConvo, round+1, 0, nil)
+				_, err := leg.Forward(wire.ProtoConvo, round+1, 0, nil, nil)
 				leg.Close()
 				var remote *mixnet.RemoteError
 				if err == nil || errors.As(err, &remote) || servers[1].LastRound(wire.ProtoConvo) != round {

@@ -11,6 +11,16 @@
 // draws its noise counts, generates the payloads and seals them
 // (onion.Path.Seal). Nothing round-bound is computed ahead.
 //
+// A round runs in the frame it arrived in. A served connection receives
+// into one recycled buffer; convoRound and dialRound remove this server's
+// layer from each onion where it lies, forward (or exchange) views of the
+// same bytes, and keep one buffer per round for the reply keys, one for
+// the cover traffic and one for the replies — those two, being sent, are
+// always fresh, so a refused onion's reply slot is zeros and never an
+// earlier round's bytes. Per onion that leaves the three allocations of
+// crypto/ecdh's key exchange (TestRoundAllocs). The exported ConvoRound
+// and DialRound copy the caller's batch once and run the same round.
+//
 // A server always runs over a transport.Network (Serve/handleConn,
 // speaking the wire protocol to its predecessor and successor): TCP in a
 // deployment, transport.Mem in tests, examples and the evaluation harness.
@@ -186,9 +196,10 @@ var (
 	// ErrRoundReplay rejects a round at or below the last processed one
 	// (the strictly-increasing round check, docs/THREAT_MODEL.md).
 	ErrRoundReplay = errors.New("mixnet: round not newer than previous round")
-	// ErrReplyMismatch rejects a successor's reply batch whose size does
-	// not match the forwarded batch.
-	ErrReplyMismatch = errors.New("mixnet: reply count does not match batch")
+	// ErrReplyMismatch rejects a successor's or a shard's replies that do
+	// not match the batch sent: the wrong number of them, or one that is
+	// not of the layer's fixed size. It arrives wrapped in ErrBadResponse.
+	ErrReplyMismatch = errors.New("mixnet: replies do not match batch")
 	// ErrNoSuccessor rejects a non-last server configured without a
 	// successor to dial (Config.Net and Config.NextAddr).
 	ErrNoSuccessor = errors.New("mixnet: no successor configured")
@@ -315,30 +326,63 @@ func (s *Server) chainLen() int { return len(s.cfg.ChainPubs) }
 
 // ConvoRound processes one conversation round (Algorithm 2): the incoming
 // onions are this server's layer; the returned replies align with them.
+// The caller's onions are left untouched: the round runs on a copy, where
+// a served connection runs it on the received frame itself.
 func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
+	return s.convoRound(round, cloneBatch(onions))
+}
+
+// cloneBatch copies a batch into one buffer.
+func cloneBatch(batch [][]byte) [][]byte {
+	total := 0
+	for _, b := range batch {
+		total += len(b)
+	}
+	buf := make([]byte, 0, total)
+	out := make([][]byte, len(batch))
+	for i, b := range batch {
+		buf = append(buf, b...)
+		out[i] = buf[len(buf)-len(b) : len(buf) : len(buf)]
+	}
+	return out
+}
+
+// unwrapBatch removes this server's layer from every onion in place and
+// compacts the batch to the inner onions that authenticated, in arrival
+// order: idx[j] is the slot real[j] arrived in, keys[idx[j]] the key its
+// reply is sealed with. An onion that fails is left exactly as it arrived.
+func (s *Server) unwrapBatch(round uint64, onions [][]byte) (real [][]byte, idx []int, keys [][box.KeySize]byte) {
+	keys = make([][box.KeySize]byte, len(onions))
+	parallel.For(len(onions), s.cfg.Workers, func(i int) {
+		// A nil inner onion marks the failure.
+		onions[i], _ = onion.UnwrapInPlace(onions[i], s.key, &keys[i], round, s.cfg.Position)
+	})
+	idx = make([]int, 0, len(onions))
+	real = onions[:0]
+	for i, in := range onions {
+		if in != nil {
+			idx = append(idx, i)
+			real = append(real, in)
+		}
+	}
+	return real, idx, keys
+}
+
+// convoRound is the one conversation round: onions is the round's working
+// memory. Each layer is removed in place, so the batch forwarded (or
+// exchanged) is views into it, and it may be recycled once the returned
+// replies — always a fresh buffer — have been sent.
+func (s *Server) convoRound(round uint64, onions [][]byte) ([][]byte, error) {
 	if err := s.checkRound(wire.ProtoConvo, round); err != nil {
 		return nil, err
 	}
 	p := s.cfg.Position
-	expectedReplySize := convo.SealedSize + box.Overhead*(s.chainLen()-p)
+	// What the rest of the chain owes per onion; this server's reply adds
+	// its own layer.
+	innerReply := convo.SealedSize + box.Overhead*(s.chainLen()-p-1)
 
 	// Step 1: collect and decrypt requests.
-	inner := make([][]byte, len(onions))
-	keys := make([]*[box.KeySize]byte, len(onions))
-	parallel.For(len(onions), s.cfg.Workers, func(i int) {
-		in, k, err := onion.Unwrap(onions[i], s.key, round, p)
-		if err == nil {
-			inner[i], keys[i] = in, k
-		}
-	})
-	fwdIdx := make([]int, 0, len(onions))
-	fwd := make([][]byte, 0, len(onions))
-	for i := range inner {
-		if keys[i] != nil {
-			fwdIdx = append(fwdIdx, i)
-			fwd = append(fwd, inner[i])
-		}
-	}
+	fwd, fwdIdx, keys := s.unwrapBatch(round, onions)
 	nReal := len(fwd)
 
 	var replies [][]byte
@@ -366,79 +410,105 @@ func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
 		// paths through the rest of the chain.
 		if s.cfg.ConvoNoise != nil {
 			gen := convo.NoiseGen{Dist: s.cfg.ConvoNoise, Src: s.cfg.NoiseSrc}
-			noiseOnions, err := s.sealNoise(s.pool.get, gen.Generate(), round)
+			singles, pairs := gen.Draw()
+			noiseOnions, err := s.sealNoise(s.pool.get, singles+2*pairs, convo.RequestSize, round,
+				func(payloads [][]byte) { gen.Fill(payloads, singles) })
 			if err != nil {
 				return nil, err
 			}
 			fwd = append(fwd, noiseOnions...)
 		}
 
-		// Step 3a: shuffle and forward.
+		// Step 3a: shuffle and forward. A successor that answers with the
+		// wrong number of replies, or one of the wrong size, fails the
+		// round: every reply below is sealed into a fixed-size slot.
 		perm := shuffle.New(len(fwd), nil)
-		down, err := s.next.Forward(wire.ProtoConvo, round, 0, perm.Apply(fwd))
+		down, err := s.next.Forward(wire.ProtoConvo, round, 0, perm.Apply(fwd), func(resp *wire.Message) error {
+			return checkReplies(resp.Body, len(fwd), innerReply)
+		})
 		if err != nil {
 			return nil, err
-		}
-		if len(down) != len(fwd) {
-			return nil, ErrReplyMismatch
 		}
 		// Unshuffle, then strip this server's noise replies.
 		replies = perm.Invert(down)[:nReal]
 	}
 
 	// Step 4: encrypt results and return them, aligned with the incoming
-	// batch; undecryptable requests get fixed-size zero replies so the
-	// batch shape is preserved.
-	out := make([][]byte, len(onions))
+	// batch, in one fresh buffer; the slots of undecryptable requests stay
+	// zero, so the batch shape is preserved.
+	out := slab(len(onions), innerReply+onion.ReplyOverhead)
 	parallel.For(nReal, s.cfg.Workers, func(j int) {
 		i := fwdIdx[j]
-		out[i] = onion.SealReply(replies[j], keys[i], round, p)
+		onion.SealReplyInto(out[i], replies[j], &keys[i], round, p)
 	})
-	for i := range out {
-		if out[i] == nil {
-			out[i] = make([]byte, expectedReplySize)
-		}
-	}
 	return out, nil
 }
 
-// sealNoise turns a round's noise payloads into onions for the rest of the
-// chain, each under a path of its own from the pool: get is the pool's
-// get or getDial, by the round's protocol.
-func (s *Server) sealNoise(get func(int) ([]onion.Path, error), payloads [][]byte, round uint64) ([][]byte, error) {
-	paths, err := get(len(payloads))
+// slab returns n slices of size bytes each, cut from one fresh zeroed
+// buffer: what a round sends is built in one of these per kind, never in
+// memory an earlier round used.
+func slab(n, size int) [][]byte {
+	buf := make([]byte, n*size)
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = buf[i*size : (i+1)*size : (i+1)*size]
+	}
+	return out
+}
+
+// checkReplies is the test every batch of replies must pass before it is
+// sealed and passed upstream: one reply per request, each of the layer's
+// fixed size.
+func checkReplies(replies [][]byte, n, size int) error {
+	if len(replies) != n {
+		return fmt.Errorf("%w: %d replies for %d requests", ErrReplyMismatch, len(replies), n)
+	}
+	for i, r := range replies {
+		if len(r) != size {
+			return fmt.Errorf("%w: reply %d is %d bytes, want %d", ErrReplyMismatch, i, len(r), size)
+		}
+	}
+	return nil
+}
+
+// sealNoise builds a round's n noise onions for the rest of the chain in
+// one fresh buffer, each under a path of its own from the pool (get is the
+// pool's get or getDial, by the round's protocol): fill writes the
+// payloads, payloadLen bytes each, into the onions' tails, and every onion
+// is then sealed where it lies.
+func (s *Server) sealNoise(get func(int) ([]onion.Path, error), n, payloadLen int, round uint64, fill func(payloads [][]byte)) ([][]byte, error) {
+	paths, err := get(n)
 	if err != nil {
 		return nil, fmt.Errorf("mixnet: agreeing noise paths: %w", err)
 	}
-	onions := make([][]byte, len(payloads))
-	parallel.For(len(payloads), s.cfg.Workers, func(i int) {
-		onions[i] = paths[i].Seal(payloads[i], round, s.cfg.Position+1)
+	layers := s.chainLen() - s.cfg.Position - 1
+	onions := slab(n, onion.Size(payloadLen, layers))
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = onions[i][layers*onion.LayerOverhead:]
+	}
+	fill(payloads)
+	parallel.For(n, s.cfg.Workers, func(i int) {
+		paths[i].SealInPlace(onions[i], round, s.cfg.Position+1)
 	})
 	return onions, nil
 }
 
 // DialRound processes one dialing round with m invitation buckets. The
 // dialing protocol has no reply path (§5.1: clients download their bucket
-// from the CDN), so DialRound only returns an error.
+// from the CDN), so DialRound only returns an error. Like ConvoRound it
+// runs on a copy of the caller's onions.
 func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
+	return s.dialRound(round, m, cloneBatch(onions))
+}
+
+// dialRound is the one dialing round, over onions as its working memory
+// (see convoRound).
+func (s *Server) dialRound(round uint64, m uint32, onions [][]byte) error {
 	if err := s.checkRound(wire.ProtoDial, round); err != nil {
 		return err
 	}
-	p := s.cfg.Position
-
-	inner := make([][]byte, len(onions))
-	parallel.For(len(onions), s.cfg.Workers, func(i int) {
-		in, _, err := onion.Unwrap(onions[i], s.key, round, p)
-		if err == nil {
-			inner[i] = in
-		}
-	})
-	fwd := make([][]byte, 0, len(onions))
-	for _, in := range inner {
-		if in != nil {
-			fwd = append(fwd, in)
-		}
-	}
+	fwd, _, _ := s.unwrapBatch(round, onions)
 
 	if s.last {
 		// File invitations into buckets; the service adds the last
@@ -456,7 +526,9 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 	// remaining chain.
 	if s.cfg.DialNoise != nil {
 		gen := dial.NoiseGen{Dist: s.cfg.DialNoise, Src: s.cfg.NoiseSrc}
-		noiseOnions, err := s.sealNoise(s.pool.getDial, gen.Generate(m), round)
+		counts, total := gen.Draw(m)
+		noiseOnions, err := s.sealNoise(s.pool.getDial, total, dial.RequestSize, round,
+			func(payloads [][]byte) { gen.Fill(payloads, counts) })
 		if err != nil {
 			return err
 		}
@@ -464,7 +536,7 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 	}
 
 	perm := shuffle.New(len(fwd), nil)
-	_, err := s.next.Forward(wire.ProtoDial, round, m, perm.Apply(fwd))
+	_, err := s.next.Forward(wire.ProtoDial, round, m, perm.Apply(fwd), nil)
 	return err
 }
 
@@ -510,12 +582,13 @@ func (s *Server) handleConn(raw net.Conn) {
 	} else {
 		sc = transport.SecureServer(raw, s.cfg.Priv, []box.PublicKey{s.cfg.ChainPubs[s.cfg.Position-1]})
 	}
-	s.accepted.serve(sc, s.cfg.HandshakeTimeout, false, s.answer)
+	s.accepted.serve(sc, s.cfg.HandshakeTimeout, s.answer)
 }
 
-// answer runs one received batch through the round. A failed round is
-// reported instead of closing the connection: the predecessor gets the
-// cause, and later rounds can still use this connection.
+// answer runs one received batch through the round, with the received
+// frame as the round's working memory. A failed round is reported instead
+// of closing the connection: the predecessor gets the cause, and later
+// rounds can still use this connection.
 func (s *Server) answer(msg *wire.Message) (wire.Message, bool) {
 	if msg.Kind != wire.KindBatch {
 		return wire.Message{}, false
@@ -524,9 +597,9 @@ func (s *Server) answer(msg *wire.Message) (wire.Message, bool) {
 	var err error
 	switch msg.Proto {
 	case wire.ProtoConvo:
-		resp.Body, err = s.ConvoRound(msg.Round, msg.Body)
+		resp.Body, err = s.convoRound(msg.Round, msg.Body)
 	case wire.ProtoDial:
-		err = s.DialRound(msg.Round, msg.M, msg.Body)
+		err = s.dialRound(msg.Round, msg.M, msg.Body)
 	default:
 		return wire.Message{}, false
 	}

@@ -82,7 +82,7 @@ func tappedChain(t *testing.T, n int, convoNoise, dialNoise noise.Distribution) 
 					tap.batches = append(tap.batches, tappedBatch{msg.Proto, msg.Round, msg.Body})
 					tap.mu.Unlock()
 					resp := &wire.Message{Kind: wire.KindReplies, Proto: msg.Proto, Round: msg.Round}
-					if resp.Body, err = onward.Forward(msg.Proto, msg.Round, msg.M, msg.Body); err != nil {
+					if resp.Body, err = onward.Forward(msg.Proto, msg.Round, msg.M, msg.Body, nil); err != nil {
 						resp = wire.ErrorMessage(msg.Proto, msg.Round, err)
 					}
 					if conn.Send(resp) != nil {
@@ -148,6 +148,7 @@ func TestNoisePathsSingleUse(t *testing.T) {
 		if r == rounds/2 {
 			// A dialing round in the middle takes from the pool the
 			// conversation rounds filled, and they from what it leaves.
+			waitRefilled(servers[0])
 			const m = 2
 			req, err := dial.BuildRequest(&alice.pub, &bob.pub, m, nil)
 			if err != nil {

@@ -86,10 +86,12 @@ func NewChainLeg(network transport.Network, addr string, priv box.PrivateKey, pu
 }
 
 // Forward sends one round's batch down the leg and returns the replies
-// (none for dialing). A rejection comes back as a *RemoteError carrying
-// the failing hop's own report for the caller to classify.
-func (l ChainLeg) Forward(proto wire.Proto, round uint64, m uint32, batch [][]byte) ([][]byte, error) {
-	resp, err := l[proto].Do(&wire.Message{Kind: wire.KindBatch, Proto: proto, Round: round, M: m, Body: batch}, nil)
+// (none for dialing) once they pass check, the caller's test of their
+// shape (nil: none; see Peer.Do). A rejection comes back as a
+// *RemoteError carrying the failing hop's own report for the caller to
+// classify.
+func (l ChainLeg) Forward(proto wire.Proto, round uint64, m uint32, batch [][]byte, check func(*wire.Message) error) ([][]byte, error) {
+	resp, err := l[proto].Do(&wire.Message{Kind: wire.KindBatch, Proto: proto, Round: round, M: m, Body: batch}, check)
 	if err != nil {
 		return nil, err
 	}
@@ -322,9 +324,12 @@ type connSet struct {
 // yielding the replayer a session key), so a completed handshake does not
 // yet prove a live, keyed peer; only an authenticated record does. A real
 // Peer dials lazily and sends its first frame at once, so the deadline
-// never bites a healthy connection. With reuse, each request is valid only
-// until its answer is sent.
-func (cs *connSet) serve(sc *transport.Secure, timeout time.Duration, reuse bool, answer func(*wire.Message) (wire.Message, bool)) {
+// never bites a healthy connection. Requests are received into one
+// recycled buffer (wire.Conn.ReuseRecvBuffer): each is answer's to use as
+// working memory — a chain server unwraps the batch in place in it — and
+// is valid only until its answer is sent, so an answer must not alias it
+// beyond the bytes Send copies out.
+func (cs *connSet) serve(sc *transport.Secure, timeout time.Duration, answer func(*wire.Message) (wire.Message, bool)) {
 	cs.mu.Lock()
 	if cs.closed {
 		cs.mu.Unlock()
@@ -347,7 +352,7 @@ func (cs *connSet) serve(sc *transport.Secure, timeout time.Duration, reuse bool
 	sc.SetDeadline(time.Now().Add(timeout))
 	c := wire.NewConn(sc)
 	defer c.Close()
-	c.ReuseRecvBuffer(reuse)
+	c.ReuseRecvBuffer(true)
 	for first := true; ; first = false {
 		msg, err := c.Recv()
 		if err != nil {

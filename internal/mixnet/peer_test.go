@@ -265,6 +265,78 @@ func TestPeerPolicy(t *testing.T) {
 	}
 }
 
+// TestReplySizePolicy: a successor or a shard that answers with the right
+// number of replies, one of them the wrong size, said something wrong with
+// the right key: the round fails as ErrBadResponse (carrying
+// ErrReplyMismatch), is never resent and — on the shard leg — never
+// degraded around. Before the check the off-size reply was sealed and
+// passed upstream with a nil error; sealing into fixed-size slots, it
+// would be a panic.
+func TestReplySizePolicy(t *testing.T) {
+	resize := func(kind wire.Kind, size, delta int) func(int, *wire.Message) (*wire.Message, bool) {
+		return func(_ int, req *wire.Message) (*wire.Message, bool) {
+			resp := &wire.Message{Kind: kind, Proto: req.Proto, Round: req.Round, Bucket: req.Bucket}
+			for range req.Body {
+				resp.Body = append(resp.Body, make([]byte, size))
+			}
+			resp.Body[1] = make([]byte, size+delta)
+			return resp, false
+		}
+	}
+	for name, delta := range map[string]int{"1 byte short": -1, "16 bytes long": 16} {
+		t.Run("successor/"+name, func(t *testing.T) {
+			mem := transport.NewMem()
+			pubs, privs, err := NewChainKeys(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote := startLegRemote(t, mem, "remote", privs[1], false, resize(wire.KindReplies, convo.SealedSize+box.Overhead, delta))
+			hop, err := NewServer(Config{Position: 0, ChainPubs: pubs, Priv: privs[0], Net: mem, NextAddr: "remote"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hop.Close()
+			var batch [][]byte
+			for i := 0; i < 3; i++ {
+				o, _, _ := newUser(t, "u").convoOnion(t, 1, pubs, nil, nil)
+				batch = append(batch, o)
+			}
+			replies, err := hop.ConvoRound(1, batch)
+			var asRemote *RemoteError
+			if replies != nil || !errors.Is(err, ErrBadResponse) || !errors.Is(err, ErrReplyMismatch) || errors.As(err, &asRemote) {
+				t.Fatalf("round with an off-size reply returned %d replies, %v", len(replies), err)
+			}
+			if d, r := remote.counts(); d != 1 || r != 1 {
+				t.Fatalf("%d dials and %d sends, want 1 and 1: a wrong answer is never resent", d, r)
+			}
+		})
+		t.Run("shard/"+name, func(t *testing.T) {
+			mem := transport.NewMem()
+			pub, priv := box.KeyPairFromSeed([]byte("leg-remote"))
+			_, myPriv := box.KeyPairFromSeed([]byte("leg-peer"))
+			remote := startLegRemote(t, mem, "remote", priv, false, resize(wire.KindShardReply, convo.SealedSize, delta))
+			var degraded atomic.Int32
+			router, err := NewShardRouter(RouterConfig{
+				Net: mem, Addrs: []string{"remote"}, ShardPubs: []box.PublicKey{pub}, Identity: myPriv,
+				Policy: ShardDegrade, OnDegraded: func(uint64, int, string, error) { degraded.Add(1) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer router.Close()
+			reqs := [][]byte{make([]byte, convo.RequestSize), make([]byte, convo.RequestSize), make([]byte, convo.RequestSize)}
+			replies, err := router.Exchange(1, reqs)
+			var asRemote *RemoteError
+			if replies != nil || !errors.As(err, &asRemote) || !errors.Is(err, ErrBadResponse) || !errors.Is(err, ErrReplyMismatch) {
+				t.Fatalf("exchange with an off-size reply returned %d replies, %v", len(replies), err)
+			}
+			if d, r := remote.counts(); d != 1 || r != 1 || degraded.Load() != 0 {
+				t.Fatalf("%d dials, %d sends, %d degraded: want 1, 1, 0", d, r, degraded.Load())
+			}
+		})
+	}
+}
+
 // TestPeerClosedNeverDials: a dead process makes no new connections.
 func TestPeerClosedNeverDials(t *testing.T) {
 	mem := transport.NewMem()

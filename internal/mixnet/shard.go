@@ -225,11 +225,9 @@ func (s *ShardServer) Serve(l net.Listener) error {
 
 func (s *ShardServer) handleConn(raw net.Conn) {
 	sc := transport.SecureServer(raw, s.cfg.Identity, s.cfg.Authorized)
-	// Each request is fully consumed before the next Recv: the round is
-	// exchanged (replies are fresh buffers or aliases consumed by the
-	// Send) and the response flushed, so the recycled receive buffer is
-	// safe and the per-round sub-batch allocation disappears.
-	s.accepted.serve(sc, s.cfg.HandshakeTimeout, true, s.answer)
+	// The replies alias the request (each is its drop partner's payload),
+	// which connSet.serve recycles only after they have been sent.
+	s.accepted.serve(sc, s.cfg.HandshakeTimeout, s.answer)
 }
 
 // answer exchanges one received shard round. A mismatch or a failed
@@ -459,11 +457,14 @@ func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, [
 // for the Abort/Degrade merge. Whatever an authenticated shard said that
 // was not a valid reply — an echoed rejection (the round number was
 // consumed), a frame that authenticated but does not parse or does not
-// answer the request, a short reply batch — is a refusedError; what is
-// left is the shard being unreachable or silent.
+// answer the request, a short reply batch, a reply of the wrong size — is
+// a refusedError; what is left is the shard being unreachable or silent.
 func (r *ShardRouter) rpc(s int, round uint64, sub [][]byte) ([][]byte, error) {
 	resp, err := r.peers[s].Do(wire.ShardRoundMessage(round, uint32(s), sub), func(resp *wire.Message) error {
-		return wire.CheckShardReply(resp, round, uint32(s), len(sub))
+		if err := wire.CheckShardReply(resp, round, uint32(s), len(sub)); err != nil {
+			return err
+		}
+		return checkReplies(resp.Body, len(sub), convo.SealedSize)
 	})
 	if err == nil {
 		return resp.Body, nil

@@ -5,18 +5,21 @@
 package onion
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
 	"vuvuzela/internal/crypto/box"
 )
 
-// TestUnwrapAllocs pins what a server pays per onion with its key parsed
-// once: the onion's ephemeral key copied out (1) and parsed (2), the raw
-// and the derived shared secret (2) and the inner onion (1). The raw-key
-// UnwrapLayer adds the private key's parse — crypto/ecdh derives and
-// stores the public key, 4 more — which is the work the parsed key takes
-// out of the round.
+// TestUnwrapAllocs pins what a server pays per onion, unwrapping in the
+// frame it received with its key parsed once: 3, all inside crypto/ecdh
+// (the onion's ephemeral key parsed, 2, and the raw shared secret, 1) —
+// the ephemeral key is read where it lies, the reply key and the inner
+// onion are written into memory the round already owns. The copying
+// Unwrap adds its copy of the onion and the reply key it returns (5); the
+// raw-key UnwrapLayer adds the private key's parse, where crypto/ecdh
+// derives and stores the public key (9).
 func TestUnwrapAllocs(t *testing.T) {
 	pubs, privs := testChain(t, 3)
 	wire, _, err := Wrap(make([]byte, 256), 9, 0, pubs, nil)
@@ -27,18 +30,60 @@ func TestUnwrapAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed := testing.AllocsPerRun(100, func() {
+	// One fresh onion per run, copied outside the measured function: the
+	// in-place path consumes the bytes it is handed.
+	const runs = 100
+	bufs := make([][]byte, runs+1)
+	for i := range bufs {
+		bufs[i] = bytes.Clone(wire)
+	}
+	var shared [box.KeySize]byte
+	next := 0
+	inPlace := testing.AllocsPerRun(runs, func() {
+		if _, err := UnwrapInPlace(bufs[next], key, &shared, 9, 0); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	parsed := testing.AllocsPerRun(runs, func() {
 		if _, _, err := Unwrap(wire, key, 9, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	raw := testing.AllocsPerRun(100, func() {
+	raw := testing.AllocsPerRun(runs, func() {
 		if _, _, err := UnwrapLayer(wire, &privs[0], 9, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if parsed != 6 || raw != 10 {
-		t.Fatalf("Unwrap allocates %.0f times per onion (want 6), UnwrapLayer %.0f (want 10)", parsed, raw)
+	if inPlace != 3 || parsed != 5 || raw != 9 {
+		t.Fatalf("per onion, UnwrapInPlace allocates %.0f times (want 3), Unwrap %.0f (want 5), UnwrapLayer %.0f (want 9)", inPlace, parsed, raw)
+	}
+}
+
+// TestReplyAllocs pins the reply path: a server seals into its round's
+// buffer for nothing, and a client opens all three layers in the one copy
+// UnwrapReply makes.
+func TestReplyAllocs(t *testing.T) {
+	pubs, _ := testChain(t, 3)
+	_, keys, err := Wrap(make([]byte, 272), 9, 0, pubs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := make([]byte, 256)
+	out := make([]byte, ReplySize(len(reply), 1))
+	if n := testing.AllocsPerRun(100, func() { SealReplyInto(out, reply, keys[2], 9, 2) }); n != 0 {
+		t.Errorf("SealReplyInto allocates %.0f times, want 0", n)
+	}
+	for layer := 2; layer >= 0; layer-- {
+		reply = SealReply(reply, keys[layer], 9, layer)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := UnwrapReply(reply, 9, 0, keys); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Errorf("UnwrapReply over 3 layers allocates %.0f times, want 1", n)
 	}
 }
 

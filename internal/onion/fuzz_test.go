@@ -8,11 +8,12 @@ import (
 	"vuvuzela/internal/crypto/box"
 )
 
-// FuzzUnwrapLayer holds the two server-side entry points against each
-// other on arbitrary onion bytes: Unwrap with the key parsed once (what a
-// chain server runs) and the raw-key UnwrapLayer must return the same
-// payload and reply key or the same error, and must never accept bytes
-// that Wrap did not produce for this key, round and layer.
+// FuzzUnwrapLayer holds the server-side entry points against each other
+// on arbitrary onion bytes: UnwrapInPlace (what a chain server runs, in
+// the frame it received), Unwrap on a copy with the key parsed once and
+// the raw-key UnwrapLayer must return the same payload and reply key or
+// the same error, must never accept bytes that Wrap did not produce for
+// this key, round and layer, and must leave a refused onion as it was.
 func FuzzUnwrapLayer(f *testing.F) {
 	pub, priv := box.KeyPairFromSeed([]byte("fuzz-unwrap-server"))
 	key, err := box.NewDHKey(&priv)
@@ -37,6 +38,20 @@ func FuzzUnwrapLayer(f *testing.F) {
 		in2, k2, err2 := UnwrapLayer(onion, &priv, r, int(l))
 		if !errors.Is(err1, err2) || !errors.Is(err2, err1) {
 			t.Fatalf("parsed key: %v; raw key: %v", err1, err2)
+		}
+		// The in-place path under both: same verdict, the same bytes where
+		// it accepts, and not one byte written where it refuses.
+		buf := bytes.Clone(onion)
+		var k3 [box.KeySize]byte
+		in3, err3 := UnwrapInPlace(buf, key, &k3, r, int(l))
+		if !errors.Is(err3, err1) || !errors.Is(err1, err3) {
+			t.Fatalf("in place: %v; on a copy: %v", err3, err1)
+		}
+		if err3 != nil && !bytes.Equal(buf, onion) {
+			t.Fatal("a refused onion was modified in place")
+		}
+		if err3 == nil && (!bytes.Equal(in3, in1) || k3 != *k1) {
+			t.Fatal("in-place and copying unwrap disagree")
 		}
 		if err1 != nil {
 			if !errors.Is(err1, ErrTooShort) && !errors.Is(err1, ErrDecrypt) {

@@ -21,9 +21,17 @@
 // payload under it. Wrap is NewPath followed by Seal; a mixing server
 // calls the halves apart so its cover traffic's key agreement happens
 // before the round (mixnet).
+//
+// Each direction is written once, in place: UnwrapInPlace decrypts a layer
+// where the onion lies (writing nothing unless it authenticates),
+// Path.SealInPlace and SealReplyInto encrypt into memory the caller owns,
+// so a server's round allocates per onion only what crypto/ecdh does.
+// Unwrap, UnwrapLayer, Seal, SealReply and UnwrapReply are the same
+// functions on a copy, for callers that keep their input.
 package onion
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -123,20 +131,28 @@ func NewPath(pubs []box.PublicKey, rng io.Reader) (Path, error) {
 
 // Seal onion-encrypts payload along the path for round `round`, the
 // path's first server sitting at absolute chain position startLayer (see
-// Wrap). It is the cheap half of Wrap — one buffer of the final onion
-// size, each layer sealed in place from the innermost outward — and must
-// be called at most once per Path.
+// Wrap). It is the cheap half of Wrap: one buffer of the final onion size
+// with the payload copied to its tail, handed to SealInPlace.
 func (p Path) Seal(payload []byte, round uint64, startLayer int) []byte {
-	n := len(p.hops)
-	out := make([]byte, Size(len(payload), n))
-	copy(out[n*LayerOverhead:], payload)
-	for i := n - 1; i >= 0; i-- {
-		layer := out[i*LayerOverhead:]
+	out := make([]byte, Size(len(payload), len(p.hops)))
+	copy(out[len(p.hops)*LayerOverhead:], payload)
+	p.SealInPlace(out, round, startLayer)
+	return out
+}
+
+// SealInPlace is Seal over a buffer the caller owns: onion is the final
+// onion's size and already holds the payload in its tail, after
+// len(pubs)·LayerOverhead bytes that are overwritten; each layer is sealed
+// where it lies, from the innermost outward. A mixing server seals a
+// round's cover traffic this way into one slab. Like Seal it must be
+// called at most once per Path.
+func (p Path) SealInPlace(onion []byte, round uint64, startLayer int) {
+	for i := len(p.hops) - 1; i >= 0; i-- {
+		layer := onion[i*LayerOverhead:]
 		copy(layer[:box.KeySize], p.hops[i].epub[:])
 		nonce := requestNonce(round, startLayer+i)
 		box.SealInto(layer[box.KeySize:], layer[LayerOverhead:], &nonce, p.hops[i].key)
 	}
-	return out
 }
 
 // Wrap onion-encrypts payload for the servers whose public keys are given
@@ -160,30 +176,44 @@ func Wrap(payload []byte, round uint64, startLayer int, pubs []box.PublicKey, rn
 	return path.Seal(payload, round, startLayer), keys, nil
 }
 
-// Unwrap removes one onion layer as server `layer` (absolute chain
-// position) in round `round`, with the server's parsed key. It returns the
-// inner onion (or innermost payload for the last server) and the shared
-// key to seal the reply with.
-func Unwrap(onion []byte, key *box.DHKey, round uint64, layer int) ([]byte, *[box.KeySize]byte, error) {
+// UnwrapInPlace removes one onion layer as server `layer` (absolute chain
+// position) in round `round`, with the server's parsed key, using the
+// onion's own bytes as working memory: the inner onion (or innermost
+// payload for the last server) is decrypted where it lies and returned as
+// onion[LayerOverhead:], and the key to seal the reply with is written to
+// shared. Nothing is written into onion unless the layer authenticates —
+// a failed attempt leaves it bit for bit as it was; shared is then
+// meaningless.
+func UnwrapInPlace(onion []byte, key *box.DHKey, shared *[box.KeySize]byte, round uint64, layer int) ([]byte, error) {
 	if len(onion) < LayerOverhead {
-		return nil, nil, ErrTooShort
+		return nil, ErrTooShort
 	}
-	var epub box.PublicKey
-	copy(epub[:], onion[:box.KeySize])
-	shared, err := key.Precompute(&epub)
-	if err != nil {
-		return nil, nil, ErrDecrypt
+	// The ephemeral key is read where it lies: a copy would move to the
+	// heap (box.DHKey.PrecomputeInto).
+	if err := key.PrecomputeInto(shared, (*box.PublicKey)(onion[:box.KeySize])); err != nil {
+		return nil, ErrDecrypt
 	}
 	nonce := requestNonce(round, layer)
-	inner, err := box.Open(onion[box.KeySize:], &nonce, shared)
-	if err != nil {
-		return nil, nil, ErrDecrypt
+	inner := onion[LayerOverhead:]
+	if err := box.OpenInto(inner, onion[box.KeySize:], &nonce, shared); err != nil {
+		return nil, ErrDecrypt
+	}
+	return inner, nil
+}
+
+// Unwrap is UnwrapInPlace on a copy of the onion, for callers that keep
+// theirs: it returns the inner onion and the shared key, each freshly
+// allocated.
+func Unwrap(onion []byte, key *box.DHKey, round uint64, layer int) (inner []byte, shared *[box.KeySize]byte, err error) {
+	shared = new([box.KeySize]byte)
+	if inner, err = UnwrapInPlace(bytes.Clone(onion), key, shared, round, layer); err != nil {
+		return nil, nil, err
 	}
 	return inner, shared, nil
 }
 
 // UnwrapLayer is Unwrap for a raw private key, parsed on every call; a
-// server unwrapping a batch parses its key once and calls Unwrap.
+// server unwrapping a batch parses its key once and calls UnwrapInPlace.
 func UnwrapLayer(onion []byte, priv *box.PrivateKey, round uint64, layer int) ([]byte, *[box.KeySize]byte, error) {
 	key, err := box.NewDHKey(priv)
 	if err != nil {
@@ -192,33 +222,37 @@ func UnwrapLayer(onion []byte, priv *box.PrivateKey, round uint64, layer int) ([
 	return Unwrap(onion, key, round, layer)
 }
 
-// SealReply encrypts a reply payload as server `layer` using the shared
-// key cached from Unwrap (Algorithm 2 step 4).
-func SealReply(reply []byte, key *[box.KeySize]byte, round uint64, layer int) []byte {
+// SealReplyInto encrypts a reply payload as server `layer` under the
+// shared key UnwrapInPlace produced (Algorithm 2 step 4), into out, which
+// is ReplyOverhead longer than reply; a server seals a round's replies
+// into one slab.
+func SealReplyInto(out, reply []byte, key *[box.KeySize]byte, round uint64, layer int) {
 	nonce := replyNonce(round, layer)
-	return box.Seal(reply, &nonce, key)
+	box.SealInto(out, reply, &nonce, key)
 }
 
-// OpenReply removes one reply layer with the shared key for `layer`,
-// as recorded by Wrap (Algorithm 1 step 3).
-func OpenReply(ct []byte, key *[box.KeySize]byte, round uint64, layer int) ([]byte, error) {
-	nonce := replyNonce(round, layer)
-	pt, err := box.Open(ct, &nonce, key)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return pt, nil
+// SealReply is SealReplyInto a fresh buffer.
+func SealReply(reply []byte, key *[box.KeySize]byte, round uint64, layer int) []byte {
+	out := make([]byte, ReplyOverhead+len(reply))
+	SealReplyInto(out, reply, key, round, layer)
+	return out
 }
 
 // UnwrapReply removes all reply layers in chain order using the shared
-// keys returned by Wrap, yielding the innermost reply payload.
+// keys returned by Wrap, yielding the innermost reply payload
+// (Algorithm 1 step 3). The reply is copied once and every layer opened
+// in place in that copy; ct is left untouched.
 func UnwrapReply(ct []byte, round uint64, startLayer int, keys []*[box.KeySize]byte) ([]byte, error) {
-	var err error
-	for i := 0; i < len(keys); i++ {
-		ct, err = OpenReply(ct, keys[i], round, startLayer+i)
-		if err != nil {
-			return nil, err
+	buf := bytes.Clone(ct)
+	for i, key := range keys {
+		if len(buf) < ReplyOverhead {
+			return nil, ErrDecrypt
 		}
+		nonce := replyNonce(round, startLayer+i)
+		if err := box.OpenInto(buf[ReplyOverhead:], buf, &nonce, key); err != nil {
+			return nil, ErrDecrypt
+		}
+		buf = buf[ReplyOverhead:]
 	}
-	return ct, nil
+	return buf, nil
 }

@@ -15,7 +15,10 @@ type Permutation []int
 
 // New draws a uniformly random permutation of n elements via Fisher-Yates,
 // reading randomness from rng (crypto/rand.Reader if nil). Modulo bias is
-// eliminated by rejection sampling.
+// eliminated by rejection sampling. The 8-byte draws are read in bulk —
+// one read for a batch of a few thousand, topped up only by as many draws
+// as were rejected — and consumed in stream order, so a given stream
+// yields the permutation it would if each draw were read on its own.
 func New(n int, rng io.Reader) Permutation {
 	if rng == nil {
 		rng = rand.Reader
@@ -24,31 +27,37 @@ func New(n int, rng io.Reader) Permutation {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
-		j := uniformInt(rng, i+1)
-		p[i], p[j] = p[j], p[i]
+	if n < 2 {
+		return p
+	}
+	// pending holds the draws read and not yet consumed; a read fetches
+	// one for each element still to place, at most a buffer of them.
+	buf := make([]byte, 8*min(n-1, maxBulkDraws))
+	var pending []byte
+	for i := n - 1; i > 0; {
+		if len(pending) == 0 {
+			pending = buf[:min(8*i, len(buf))]
+			if _, err := io.ReadFull(rng, pending); err != nil {
+				// A server that cannot shuffle randomly must not proceed:
+				// a predictable permutation voids the mixnet property.
+				panic("shuffle: randomness source failed: " + err.Error())
+			}
+		}
+		v := binary.BigEndian.Uint64(pending)
+		pending = pending[8:]
+		// Accept v below the largest multiple of i+1 that fits a uint64.
+		m := uint64(i + 1)
+		if v < (^uint64(0)/m)*m {
+			j := int(v % m)
+			p[i], p[j] = p[j], p[i]
+			i--
+		}
 	}
 	return p
 }
 
-// uniformInt returns a uniform integer in [0, n) without modulo bias.
-func uniformInt(rng io.Reader, n int) int {
-	max := uint64(n)
-	// Largest multiple of n that fits in a uint64.
-	limit := (^uint64(0) / max) * max
-	var buf [8]byte
-	for {
-		if _, err := io.ReadFull(rng, buf[:]); err != nil {
-			// A server that cannot shuffle randomly must not proceed:
-			// a predictable permutation voids the mixnet property.
-			panic("shuffle: randomness source failed: " + err.Error())
-		}
-		v := binary.BigEndian.Uint64(buf[:])
-		if v < limit {
-			return int(v % max)
-		}
-	}
-}
+// maxBulkDraws bounds New's read buffer (32 KiB).
+const maxBulkDraws = 4096
 
 // Apply permutes src into a new slice: out[p[i]] = src[i].
 func (p Permutation) Apply(src [][]byte) [][]byte {

@@ -2,10 +2,110 @@ package shuffle
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// perElement is New as it was before the draws were read in bulk: one
+// 8-byte read per draw. It is the reference TestBulkReadSamePermutation
+// holds New to.
+func perElement(n int, rng io.Reader) Permutation {
+	p := make(Permutation, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		max := uint64(i + 1)
+		limit := (^uint64(0) / max) * max
+		var buf [8]byte
+		for {
+			if _, err := io.ReadFull(rng, buf[:]); err != nil {
+				panic(err)
+			}
+			if v := binary.BigEndian.Uint64(buf[:]); v < limit {
+				j := int(v % max)
+				p[i], p[j] = p[j], p[i]
+				break
+			}
+		}
+	}
+	return p
+}
+
+// rejecting is a seeded stream in which every draw at an index divisible
+// by `every` is all ones — above every rejection limit, so refused for
+// every element.
+type rejecting struct {
+	rng   *rand.Rand
+	every int
+	draws int
+	buf   []byte
+}
+
+func (r *rejecting) Read(p []byte) (int, error) {
+	for i := range p {
+		if len(r.buf) == 0 {
+			r.buf = make([]byte, 8)
+			if r.draws%r.every == 0 {
+				for j := range r.buf {
+					r.buf[j] = 0xff
+				}
+			} else {
+				r.rng.Read(r.buf)
+			}
+			r.draws++
+		}
+		p[i], r.buf = r.buf[0], r.buf[1:]
+	}
+	return len(p), nil
+}
+
+// TestBulkReadSamePermutation: reading the draws in bulk consumes the
+// stream exactly as one read per draw did — same permutation, same number
+// of bytes taken — with and without rejections, within one buffer and
+// across several.
+func TestBulkReadSamePermutation(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 620, maxBulkDraws, maxBulkDraws + 2, 3*maxBulkDraws + 17} {
+		for _, every := range []int{1 << 30, 7, 2} { // no rejections, some, every other draw
+			a := &rejecting{rng: rand.New(rand.NewSource(int64(n))), every: every}
+			b := &rejecting{rng: rand.New(rand.NewSource(int64(n))), every: every}
+			if every < 1<<30 {
+				a.draws, b.draws = 1, 1 // start on an accepted draw: index 0 would always be refused
+			}
+			got, want := New(n, a), perElement(n, b)
+			if len(got) != n {
+				t.Fatalf("n=%d: length %d", n, len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d, rejecting every %d: permutations differ at %d", n, every, i)
+				}
+			}
+			if a.draws != b.draws {
+				t.Fatalf("n=%d, rejecting every %d: took %d draws from the stream, one at a time takes %d", n, every, a.draws, b.draws)
+			}
+		}
+	}
+}
+
+// TestFailedSourcePanics: a server that cannot shuffle randomly must not
+// proceed.
+func TestFailedSourcePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New returned a permutation from a failed randomness source")
+		}
+	}()
+	New(10, io.MultiReader(bytes.NewReader(make([]byte, 12)), failing{}))
+}
+
+type failing struct{}
+
+func (failing) Read([]byte) (int, error) { return 0, errors.New("entropy exhausted") }
 
 func TestNewIsPermutation(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 10, 1000} {

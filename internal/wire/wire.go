@@ -279,7 +279,11 @@ func (m *Message) size() int {
 
 // Encode serializes the message payload (without the frame length).
 func (m *Message) Encode() []byte {
-	buf := make([]byte, 0, m.size())
+	return m.appendTo(make([]byte, 0, m.size()))
+}
+
+// appendTo appends the encoded payload to buf.
+func (m *Message) appendTo(buf []byte) []byte {
 	buf = append(buf, byte(m.Kind), byte(m.Proto))
 	buf = binary.BigEndian.AppendUint64(buf, m.Round)
 	buf = binary.BigEndian.AppendUint32(buf, m.M)
@@ -345,6 +349,8 @@ type Conn struct {
 	// rbuf is the recycled payload buffer Recv reads into when reuse is
 	// on; decoded messages alias it until the next Recv.
 	rbuf []byte
+	// sbuf is the buffer Send encodes every frame into.
+	sbuf []byte
 }
 
 // NewConn wraps rwc (typically a net.Conn) for framed message exchange.
@@ -375,23 +381,30 @@ func (c *Conn) SetRecvLimit(parts, partLen int) {
 // *Message returned by Recv — including every Body slice — aliases that
 // buffer and is valid only until the next Recv on this Conn; callers
 // must finish with (or copy out of) one message before receiving the
-// next. Meant for high-volume request/reply loops that fully consume
-// each message per iteration, like the router↔shard leg, where the
-// per-message allocation otherwise dominates the round's garbage.
+// next. Meant for request/reply loops that fully consume each message
+// per iteration — every served chain and shard leg, whose servers use
+// the received frame as the round's working memory, and the router's
+// side of the shard leg (docs/WIRE.md §2, "Buffer ownership").
 func (c *Conn) ReuseRecvBuffer(on bool) { c.reuse = on }
 
-// Send writes one message frame and flushes it.
+// Send writes one message frame and flushes it. The frame is encoded into
+// a buffer the connection keeps and grows to its largest frame, so a
+// steady stream of frames allocates nothing; the transport is handed the
+// same bytes in the same writes as if each frame had a buffer of its own.
+// m is not retained.
 func (c *Conn) Send(m *Message) error {
-	payload := m.Encode()
-	if len(payload) > MaxFrameSize {
+	n := m.size()
+	if n > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
+	if cap(c.sbuf) < 4+n {
+		c.sbuf = make([]byte, 0, 4+n)
+	}
+	frame := m.appendTo(binary.BigEndian.AppendUint32(c.sbuf[:0], uint32(n)))
+	if _, err := c.w.Write(frame[:4]); err != nil {
 		return fmt.Errorf("wire: send header: %w", err)
 	}
-	if _, err := c.w.Write(payload); err != nil {
+	if _, err := c.w.Write(frame[4:]); err != nil {
 		return fmt.Errorf("wire: send payload: %w", err)
 	}
 	return c.w.Flush()
