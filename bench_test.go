@@ -11,20 +11,16 @@
 package vuvuzela
 
 import (
-	crand "crypto/rand"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
-	"vuvuzela/internal/convo"
 	"vuvuzela/internal/crypto/box"
-	"vuvuzela/internal/deaddrop"
+	"vuvuzela/internal/eval"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
 	"vuvuzela/internal/sim"
-	"vuvuzela/internal/strawman"
 )
 
 // BenchmarkFig6Sensitivity regenerates the Figure 6 sensitivity table.
@@ -131,63 +127,6 @@ func BenchmarkFig11ChainLength(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedExchange measures the last server's dead-drop exchange
-// (convo.Service.Process) at 64k requests, sequential vs sharded — the
-// per-round half of the scalability tentpole. The sharded series scales
-// with cores; on a single-core runner it shows only the partitioning
-// overhead.
-func BenchmarkShardedExchange(b *testing.B) {
-	const n = 1 << 16
-	reqs := collidingExchangeRequests(n)
-	configs := []struct {
-		name   string
-		shards int
-	}{
-		{"sequential", 1},
-		{"shards=8", 8},
-		{"shards=32", 32},
-		{"shards=4xCPU", 4 * runtime.NumCPU()},
-	}
-	seen := map[int]bool{}
-	for _, cfg := range configs {
-		if seen[cfg.shards] {
-			continue
-		}
-		seen[cfg.shards] = true
-		b.Run(cfg.name, func(b *testing.B) {
-			svc := convo.Service{Shards: cfg.shards}
-			b.SetBytes(int64(n * convo.RequestSize))
-			for i := 0; i < b.N; i++ {
-				replies := svc.Process(uint64(i+1), reqs)
-				if len(replies) != n {
-					b.Fatal("bad reply count")
-				}
-			}
-		})
-	}
-}
-
-// collidingExchangeRequests builds n well-formed innermost exchange
-// requests as colliding pairs (plus one unpaired request if n is odd) —
-// the worst-case all-matched load for the last server's dead-drop table.
-func collidingExchangeRequests(n int) [][]byte {
-	reqs := make([][]byte, n)
-	for j := 0; j < n/2; j++ {
-		a := make([]byte, convo.RequestSize)
-		crand.Read(a)
-		b := make([]byte, convo.RequestSize)
-		copy(b, a[:deaddrop.IDSize]) // same drop as a
-		crand.Read(b[deaddrop.IDSize:])
-		reqs[2*j], reqs[2*j+1] = a, b
-	}
-	if n%2 == 1 {
-		b := make([]byte, convo.RequestSize)
-		crand.Read(b)
-		reqs[n-1] = b
-	}
-	return reqs
-}
-
 // BenchmarkPipelinedRounds compares serial round execution (window=1)
 // against overlapped rounds (window≥2) through a full sim.ChainNet —
 // coordinator, served chain, loopback clients — the cross-round half of
@@ -259,28 +198,24 @@ func BenchmarkDHThroughput(b *testing.B) {
 func BenchmarkAttackAdvantage(b *testing.B) {
 	b.Run("no-noise", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			exp := strawman.MixnetExperiment{Rounds: 10}
-			talking, idle, err := exp.Run()
+			res, err := eval.Experiment{Rounds: 10}.Run()
 			if err != nil {
 				b.Fatal(err)
 			}
-			adv, _ := strawman.BestAdvantage(talking, idle)
-			b.ReportMetric(adv, "advantage")
+			b.ReportMetric(res.Advantage, "advantage")
 		}
 	})
 	b.Run("laplace-noise", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			exp := strawman.MixnetExperiment{
-				Rounds:      10,
-				MiddleNoise: noise.Laplace{Mu: 40, B: 10},
-				NoiseSrc:    rand.New(rand.NewSource(int64(i))),
-			}
-			talking, idle, err := exp.Run()
+			res, err := eval.Experiment{
+				Rounds:   10,
+				Noise:    noise.Laplace{Mu: 40, B: 10},
+				NoiseSrc: rand.New(rand.NewSource(int64(i))),
+			}.Run()
 			if err != nil {
 				b.Fatal(err)
 			}
-			adv, _ := strawman.BestAdvantage(talking, idle)
-			b.ReportMetric(adv, "advantage")
+			b.ReportMetric(res.Advantage, "advantage")
 		}
 	})
 }

@@ -3,8 +3,11 @@
 // numbers). Analytic figures are exact; performance figures print both a
 // paper-scale prediction from the calibrated cost model and, with
 // -measure, real scaled-down rounds run through the actual protocol
-// stack on this machine. `privacy` runs the traffic-analysis evaluation
-// (internal/eval) and, with -json, regenerates BENCH_privacy.json.
+// stack on this machine. `attack` and `privacy` are both internal/eval:
+// `attack` is the §4.2 discard attack on eval.Experiment's default
+// topology, with and without noise; `privacy` scores it across fault
+// scenarios and adversary positions and, with -json, regenerates
+// BENCH_privacy.json (`make eval-smoke` is its -quick form).
 //
 // It is the reproduction of the paper's figures, not the repository's
 // performance benchmark: round latency, throughput and the per-layer
@@ -30,7 +33,6 @@ import (
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
 	"vuvuzela/internal/sim"
-	"vuvuzela/internal/strawman"
 )
 
 var (
@@ -391,29 +393,27 @@ func privacyEval() {
 
 func attack() {
 	header("§4.2: discard attack — adversary advantage with and without noise")
-	exp := strawman.MixnetExperiment{Rounds: 60}
-	talking, idle, err := exp.Run()
+	// eval.Experiment's defaults are the attack's topology: 3 servers, the
+	// target pair as the only clients, noise from the honest middle server.
+	res, err := eval.Experiment{Rounds: 60}.Run()
 	if err != nil {
 		fmt.Println("  error:", err)
 		return
 	}
-	adv, thr := strawman.BestAdvantage(talking, idle)
-	fmt.Printf("  mixnet WITHOUT noise: advantage %.2f (threshold m2 ≥ %d) — broken\n", adv, thr)
+	fmt.Printf("  mixnet WITHOUT noise: advantage %.2f (threshold m2 ≥ %d) — broken\n", res.Advantage, res.Threshold)
 
-	exp = strawman.MixnetExperiment{
-		Rounds:      60,
-		MiddleNoise: noise.Laplace{Mu: 60, B: 15},
-		NoiseSrc:    rand.New(rand.NewSource(1)),
-	}
-	talking, idle, err = exp.Run()
+	res, err = eval.Experiment{
+		Rounds:   60,
+		Noise:    noise.Laplace{Mu: 60, B: 15},
+		NoiseSrc: rand.New(rand.NewSource(1)),
+	}.Run()
 	if err != nil {
 		fmt.Println("  error:", err)
 		return
 	}
-	adv, thr = strawman.BestAdvantage(talking, idle)
 	eps := 4.0 / 15
 	fmt.Printf("  mixnet WITH Laplace(60,15) noise from one honest server:\n")
 	fmt.Printf("    advantage %.2f (threshold m2 ≥ %d); per-round ε=%.2f bounds it near e^ε−1=%.2f\n",
-		adv, thr, eps, math.Exp(eps)-1)
+		res.Advantage, res.Threshold, eps, math.Exp(eps)-1)
 	fmt.Println("  (production noise µ=300K makes the per-round leak ε=0.00029)")
 }

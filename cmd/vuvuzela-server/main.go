@@ -34,8 +34,7 @@ func main() {
 	mode := flag.String("mode", "chain", `"chain" runs a mixnet link; "shard" runs one dead-drop shard server`)
 	shardIndex := flag.Int("shard-index", -1, "this shard's index into the chain config's shards list (shard mode)")
 	fixedNoise := flag.Bool("fixed-noise", false, "add exactly µ noise instead of sampling Laplace (evaluation mode, §8.1)")
-	workers := flag.Int("workers", 0, "crypto worker goroutines (0 = all cores)")
-	shards := flag.Int("shards", 0, "in-process dead-drop sub-tables (0 or 1 = one sequential table); applies to the last server, or within each shard server")
+	workers := flag.Int("workers", 0, "crypto worker goroutines (chain mode; 0 = all cores)")
 	shardTimeout := flag.Duration("shard-timeout", time.Minute, "per-round RPC timeout to each shard server (last server only; 0 = wait forever)")
 	shardPolicy := flag.String("shard-policy", "abort", `"abort" fails the round on any shard failure; "degrade" zero-fills an unreachable shard's replies and completes the round (authentication failures still abort; zero-filled replies are observable round metadata — see README)`)
 	roundState := flag.String("round-state", "", `file durably recording the last-committed rounds, so a restarted server rejoins without replaying consumed rounds (chain and shard mode; empty = in-memory only; strongly recommended in production — see docs/THREAT_MODEL.md)`)
@@ -66,9 +65,9 @@ func main() {
 
 	switch *mode {
 	case "chain":
-		runChain(chain, key, *fixedNoise, *workers, *shards, *shardTimeout, policy, *roundState)
+		runChain(chain, key, *fixedNoise, *workers, *shardTimeout, policy, *roundState)
 	case "shard":
-		runShard(chain, key, *shardIndex, *workers, *shards, *roundState)
+		runShard(chain, key, *shardIndex, *roundState)
 	default:
 		log.Fatalf("unknown -mode %q (want chain or shard)", *mode)
 	}
@@ -83,7 +82,7 @@ func checkKey(priv box.PrivateKey, want config.Key, what string) {
 	}
 }
 
-func runChain(chain *config.Chain, key *config.ServerKey, fixedNoise bool, workers, shards int, shardTimeout time.Duration, policy mixnet.ShardPolicy, statePath string) {
+func runChain(chain *config.Chain, key *config.ServerKey, fixedNoise bool, workers int, shardTimeout time.Duration, policy mixnet.ShardPolicy, statePath string) {
 	pos := key.Position
 	if pos < 0 || pos >= len(chain.Servers) {
 		log.Fatalf("key position %d out of range for %d-server chain", pos, len(chain.Servers))
@@ -107,7 +106,6 @@ func runChain(chain *config.Chain, key *config.ServerKey, fixedNoise bool, worke
 		ConvoNoise: convoNoise,
 		DialNoise:  dialNoise,
 		Workers:    workers,
-		Shards:     shards,
 		//vuvuzela:allow plaintexttransport substrate only: mixnet wraps every successor and shard dial in transport.SecureClient
 		Net: transport.TCP{},
 	}
@@ -178,7 +176,7 @@ func runChain(chain *config.Chain, key *config.ServerKey, fixedNoise bool, worke
 	}
 }
 
-func runShard(chain *config.Chain, key *config.ServerKey, index, workers, subshards int, statePath string) {
+func runShard(chain *config.Chain, key *config.ServerKey, index int, statePath string) {
 	if len(chain.Shards) == 0 {
 		log.Fatal("chain config lists no shard servers; generate one with vuvuzela-keygen chain -shards N")
 	}
@@ -197,8 +195,6 @@ func runShard(chain *config.Chain, key *config.ServerKey, index, workers, subsha
 	cfg := mixnet.ShardConfig{
 		Index:      index,
 		NumShards:  len(chain.Shards),
-		Subshards:  subshards,
-		Workers:    workers,
 		Identity:   priv,
 		Authorized: []box.PublicKey{routerKey},
 	}

@@ -17,13 +17,13 @@ import (
 	"math"
 	"math/rand"
 
+	"vuvuzela/internal/eval"
 	"vuvuzela/internal/noise"
-	"vuvuzela/internal/strawman"
 )
 
 func main() {
 	fmt.Println("1. Strawman single server (Figure 4)")
-	links := strawman.StrawmanExperiment(3)
+	links := strawmanExperiment(3)
 	fmt.Println("   after 3 rounds the compromised server has observed:")
 	for pair, count := range links {
 		fmt.Printf("     %s ↔ %s in %d rounds\n", pair[0], pair[1], count)
@@ -34,33 +34,31 @@ func main() {
 	fmt.Println("2. Mixnet without noise vs the §4.2 discard attack")
 	fmt.Println("   (adversary controls servers 1 and 3; drops all requests except")
 	fmt.Println("   Alice's and Bob's; reads m2 = drops-accessed-twice at server 3)")
-	exp := strawman.MixnetExperiment{Rounds: 40}
-	talking, idle, err := exp.Run()
+	// eval.Experiment's defaults are this attack: a 3-server chain, only
+	// the target pair as clients, noise from the honest middle server.
+	res, err := eval.Experiment{Rounds: 40}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	adv, thr := strawman.BestAdvantage(talking, idle)
-	fmt.Printf("   adversary advantage: %.2f with rule \"talking if m2 ≥ %d\"\n", adv, thr)
+	fmt.Printf("   adversary advantage: %.2f with rule \"talking if m2 ≥ %d\"\n", res.Advantage, res.Threshold)
 	fmt.Printf("   (m2 was %d in every talking round, %d in every idle round)\n",
-		talking[0].M2, idle[0].M2)
+		res.Talking[0].M2, res.Idle[0].M2)
 	fmt.Println("   → one round suffices to unmask the pair")
 	fmt.Println()
 
 	fmt.Println("3. The same attack against Vuvuzela (honest middle server adds")
 	fmt.Println("   Laplace(µ=60, b=15) cover traffic — scaled down from the paper's")
 	fmt.Println("   µ=300,000 so the demo runs in seconds)")
-	exp = strawman.MixnetExperiment{
-		Rounds:      80,
-		MiddleNoise: noise.Laplace{Mu: 60, B: 15},
-		NoiseSrc:    rand.New(rand.NewSource(42)),
-	}
-	talking, idle, err = exp.Run()
+	res, err = eval.Experiment{
+		Rounds:   80,
+		Noise:    noise.Laplace{Mu: 60, B: 15},
+		NoiseSrc: rand.New(rand.NewSource(42)),
+	}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	adv, thr = strawman.BestAdvantage(talking, idle)
 	eps := 4.0 / 15
-	fmt.Printf("   adversary advantage: %.2f (best threshold m2 ≥ %d)\n", adv, thr)
+	fmt.Printf("   adversary advantage: %.2f (best threshold m2 ≥ %d)\n", res.Advantage, res.Threshold)
 	fmt.Printf("   differential privacy bounds it: per-round ε = 4/b = %.3f → max ≈ e^ε−1 = %.2f\n",
 		eps, math.Exp(eps)-1)
 	fmt.Println("   → with production noise (b=13,800) the per-round bound is 0.0003,")

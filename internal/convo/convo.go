@@ -203,16 +203,7 @@ func OpenReply(secret *[32]byte, round uint64, peerPub *box.PublicKey, reply []b
 
 // Service is the last server's conversation round processor (Algorithm 2
 // step 3b): it matches exchange requests through a dead-drop table.
-type Service struct {
-	// Shards partitions the dead-drop table by the leading bits of the
-	// drop ID so the exchange runs one independent sub-table per shard
-	// (deaddrop.ShardedTable). 0 or 1 keeps the single sequential table.
-	// Any shard count produces byte-identical replies.
-	Shards int
-	// Workers bounds the goroutines used for parallel shard processing
-	// (0 = GOMAXPROCS). Ignored when Shards <= 1.
-	Workers int
-}
+type Service struct{}
 
 // Process performs the dead-drop exchange for one round. Each element of
 // requests is an innermost request (RequestSize bytes); malformed requests
@@ -222,41 +213,19 @@ func (s Service) Process(round uint64, requests [][]byte) [][]byte {
 	// if malformed.
 	slot := make([]int, len(requests))
 
-	var exchanged [][]byte
-	if s.Shards <= 1 {
-		// Single-pass hot path: insert straight into the table while
-		// scanning, no intermediate staging.
-		tab := deaddrop.NewTable(len(requests))
-		for i, b := range requests {
-			if len(b) != RequestSize {
-				slot[i] = -1
-				continue
-			}
-			var id deaddrop.ID
-			copy(id[:], b[:deaddrop.IDSize])
-			slot[i] = tab.Add(id, b[deaddrop.IDSize:])
+	// Single pass: insert straight into the table while scanning, no
+	// intermediate staging.
+	tab := deaddrop.NewTable(len(requests))
+	for i, b := range requests {
+		if len(b) != RequestSize {
+			slot[i] = -1
+			continue
 		}
-		exchanged = tab.Exchange()
-	} else {
-		// Sharded path: stage ids/payloads once, then ingest and exchange
-		// per shard in parallel.
-		ids := make([]deaddrop.ID, 0, len(requests))
-		payloads := make([][]byte, 0, len(requests))
-		for i, b := range requests {
-			if len(b) != RequestSize {
-				slot[i] = -1
-				continue
-			}
-			var id deaddrop.ID
-			copy(id[:], b[:deaddrop.IDSize])
-			slot[i] = len(ids)
-			ids = append(ids, id)
-			payloads = append(payloads, b[deaddrop.IDSize:])
-		}
-		tab := deaddrop.NewShardedTable(s.Shards, len(ids))
-		tab.AddBatch(ids, payloads, s.Workers)
-		exchanged = tab.Exchange(s.Workers)
+		var id deaddrop.ID
+		copy(id[:], b[:deaddrop.IDSize])
+		slot[i] = tab.Add(id, b[deaddrop.IDSize:])
 	}
+	exchanged := tab.Exchange()
 
 	replies := make([][]byte, len(requests))
 	for i := range requests {

@@ -10,11 +10,27 @@
 // drop", §4.1). Drops do not persist across rounds.
 package deaddrop
 
+import "encoding/binary"
+
 // IDSize is the dead-drop identifier size: 128 bits (§3.1).
 const IDSize = 16
 
 // ID names a dead drop within a single round.
 type ID [IDSize]byte
+
+// ShardOf maps a drop ID to its shard among `shards` partitions: the
+// leading 64 bits of the ID reduced mod the shard count. IDs are uniform
+// (they are hash outputs, convo.DeadDropID), so shards balance for any
+// shard count, including non-powers of two. A drop's ID fully determines
+// its shard, so both requests of a conversation land on the same shard:
+// this is the routing rule of the networked shard fan-out
+// (mixnet.ShardRouter).
+func ShardOf(id ID, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	return int(binary.BigEndian.Uint64(id[:8]) % uint64(shards))
+}
 
 // Table accumulates the exchange requests of one round. The zero value is
 // not usable; call NewTable.

@@ -167,3 +167,24 @@ func BenchmarkExchange10k(b *testing.B) {
 		tab.Exchange()
 	}
 }
+
+func TestShardOfDeterministicAndInRange(t *testing.T) {
+	for _, shards := range []int{-3, 0, 1, 2, 8, 17} {
+		for trial := 0; trial < 100; trial++ {
+			var d ID
+			rand.Read(d[:])
+			s := ShardOf(d, shards)
+			if s < 0 || (s >= shards && s != 0) {
+				t.Fatalf("shard %d out of range [0,%d)", s, shards)
+			}
+			if s != ShardOf(d, shards) {
+				t.Fatal("ShardOf not deterministic")
+			}
+		}
+	}
+	// The rule itself: the leading 64 bits, big-endian, mod the count.
+	d := ID{7: 11}
+	if got := ShardOf(d, 4); got != 3 {
+		t.Fatalf("ShardOf(…0b, 4) = %d, want 3", got)
+	}
+}

@@ -7,13 +7,20 @@
 // measures the adversary's empirical distinguishing advantage against
 // the (ε,δ) accounting in internal/privacy.
 //
-// The design generalizes the strawman §4.2 experiment's two-world
-// setup: the same deployment is run once in a world where Alice and
-// Bob converse and once where both are idle, the adversary records a
-// per-round observation in each, and a threshold distinguisher is
-// scored on how well it separates the worlds. Differential privacy for
-// the observables means the best advantage is bounded by e^ε − 1 + δ
-// per round; docs/EVAL.md explains how to read the measurements.
+// Every measurement is the two-world setup of the paper's Figure 2: the
+// same deployment is run once in a world where Alice and Bob converse
+// and once where both are idle, the adversary records a per-round
+// observation in each, and a threshold distinguisher is scored on how
+// well it separates the worlds. An Experiment's defaults are the §4.2
+// discard attack itself (three servers, the pair as the only clients,
+// noise from the honest middle server); Scenario and Position generalize
+// it. Differential privacy for the observables means the best advantage
+// is bounded by e^ε − 1 + δ per round; docs/EVAL.md explains how to read
+// the measurements.
+//
+// The deployment, its fault injection (Kill / Restart by listen address)
+// and its clients (sim.Swarm, ChainNet.WaitReady) are all internal/sim's:
+// this package adds the adversary's taps, the scenarios and the scoring.
 package eval
 
 // Observation is what the adversary records from one completed

@@ -186,9 +186,10 @@ func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, 
 	}
 	defer cn.Close()
 
-	sw := newSwarm(cfg.Net, cn.Pubs, e.buildClients(cn, conversing))
-	defer sw.close()
-	run := &Run{Chain: cn, Conversing: conversing, Rounds: e.Rounds, sw: sw}
+	clients := e.buildClients(conversing)
+	sw := cn.NewSwarm(clients, nil)
+	defer sw.Close()
+	run := &Run{Chain: cn, Conversing: conversing, Rounds: e.Rounds, sw: sw, clients: len(clients)}
 	if err := run.WaitReady(5 * time.Second); err != nil {
 		return nil, 0, err
 	}
@@ -230,50 +231,28 @@ func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, 
 }
 
 // buildClients derives the swarm population: Alice and Bob (with real
-// dead-drop secrets only in the talking world) plus IdleClients idle
-// cover clients, assigned round-robin over the live entry addresses.
-func (e Experiment) buildClients(cn *sim.ChainNet, conversing bool) []*swarmClient {
-	addrs := entryAddrs(cn)
+// dead-drop secrets only in the talking world) followed by IdleClients
+// idle cover clients.
+func (e Experiment) buildClients(conversing bool) []sim.SwarmClient {
 	alicePub, alicePriv := box.KeyPairFromSeed([]byte("eval-alice"))
 	bobPub, bobPriv := box.KeyPairFromSeed([]byte("eval-bob"))
-	clients := []*swarmClient{
-		{addr: addrs[0], pub: alicePub},
-		{addr: addrs[1%len(addrs)], pub: bobPub},
-	}
+	clients := []sim.SwarmClient{{Pub: alicePub}, {Pub: bobPub}}
 	if conversing {
 		// DeriveSecret cannot fail on seed-derived curve keys.
 		if secretA, err := convo.DeriveSecret(&alicePriv, &bobPub); err == nil {
-			clients[0].secret = secretA
-			clients[0].msg = []byte("hi")
+			clients[0].Secret = secretA
+			clients[0].Msg = []byte("hi")
 		}
 		if secretB, err := convo.DeriveSecret(&bobPriv, &alicePub); err == nil {
-			clients[1].secret = secretB
-			clients[1].msg = []byte("hi")
+			clients[1].Secret = secretB
+			clients[1].Msg = []byte("hi")
 		}
 	}
 	for i := 0; i < e.IdleClients; i++ {
 		pub, _ := box.KeyPairFromSeed([]byte(fmt.Sprintf("eval-idle-%d", i)))
-		clients = append(clients, &swarmClient{
-			addr: addrs[(2+i)%len(addrs)],
-			pub:  pub,
-		})
+		clients = append(clients, sim.SwarmClient{Pub: pub})
 	}
 	return clients
-}
-
-// entryAddrs lists where clients connect: the live frontends when the
-// deployment has a frontend tier, the coordinator otherwise.
-func entryAddrs(cn *sim.ChainNet) []string {
-	addrs := make([]string, 0, len(cn.FrontAddrs))
-	for i, fe := range cn.Fronts {
-		if fe != nil {
-			addrs = append(addrs, cn.FrontAddrs[i])
-		}
-	}
-	if len(addrs) == 0 {
-		addrs = append(addrs, cn.EntryAddr)
-	}
-	return addrs
 }
 
 // lockedSource serializes a caller-supplied noise source: the noisy
@@ -299,8 +278,8 @@ type histTap struct {
 }
 
 // observe is the ConvoObserver hook: m2 and the overflow count `more`
-// fold together, as in the strawman — the §4.2 distinguisher only
-// cares how many drops were accessed at least twice.
+// fold together: the §4.2 distinguisher only cares how many drops were
+// accessed at least twice.
 func (h *histTap) observe(round uint64, m1, m2, more int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"vuvuzela/internal/mixnet"
@@ -21,7 +20,9 @@ type Run struct {
 	// Rounds is the number of conversation rounds this world will run.
 	Rounds int
 
-	sw *swarm
+	sw      *sim.Swarm
+	clients int // swarm size: Alice, Bob, then the idle cover clients
+	kicked  int // KickIdleClient calls so far
 }
 
 // WaitReady blocks until every swarm client is registered with the
@@ -29,35 +30,19 @@ type Run struct {
 // timeout expires. Scenario hooks call it after a restart so the next
 // round doesn't race the rejoin.
 func (r *Run) WaitReady(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		clients := 0
-		if r.Chain.Coord != nil {
-			clients += r.Chain.Coord.NumClients()
-		}
-		live := 0
-		for _, fe := range r.Chain.Fronts {
-			if fe != nil {
-				live++
-				clients += fe.NumClients()
-			}
-		}
-		if clients == len(r.sw.clients) && (r.Chain.Coord == nil || r.Chain.Coord.NumFrontends() == live) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("eval: %d of %d clients connected after %v", clients, len(r.sw.clients), timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return r.Chain.WaitReady(r.clients, timeout)
 }
 
-// KickIdleClient severs one idle cover client's connection; the client
-// reconnects on its own, so repeated kicks model leave/rejoin churn at
-// constant population. Alice and Bob are never kicked. A no-op when
-// the experiment has no idle clients.
+// KickIdleClient severs one idle cover client's connection, round-robin
+// so churn spreads over the cover population; the client reconnects on
+// its own, so repeated kicks model leave/rejoin churn at constant
+// population. Alice and Bob are never kicked. A no-op when the
+// experiment has no idle clients.
 func (r *Run) KickIdleClient() {
-	r.sw.kickIdle()
+	if idle := r.clients - 2; idle > 0 {
+		r.sw.Kick(2 + r.kicked%idle)
+		r.kicked++
+	}
 }
 
 // RunDialRound drives one dialing round through the deployment (the
@@ -109,7 +94,7 @@ func DegradedShards(dead int) Scenario {
 		},
 		Start: func(r *Run) error {
 			for i := 0; i < dead; i++ {
-				r.Chain.KillShard(i)
+				r.Chain.Kill(r.Chain.ShardAddrs[i])
 			}
 			return nil
 		},
@@ -143,12 +128,12 @@ func MidRunRestart() Scenario {
 				return nil
 			}
 			if len(r.Chain.Fronts) > 0 {
-				if err := r.Chain.RestartFrontend(0); err != nil {
+				if err := r.Chain.Restart(r.Chain.FrontAddrs[0]); err != nil {
 					return err
 				}
 			}
 			if len(r.Chain.Servers) >= 3 {
-				if err := r.Chain.RestartServer(1); err != nil {
+				if err := r.Chain.Restart(r.Chain.ServerAddrs[1]); err != nil {
 					return err
 				}
 			}

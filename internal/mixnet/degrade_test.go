@@ -32,7 +32,7 @@ func shardOfRequest(b []byte, n int) int {
 func TestDegradeZeroFailuresIdentical(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(21))
 	for _, shards := range []int{1, 4, 5} {
-		fix := startShards(t, shards, 0)
+		fix := startShards(t, shards)
 		router := fix.routerOn(t, fix.mem, 0, ShardDegrade, func(round uint64, shard int, addr string, err error) {
 			t.Errorf("healthy round degraded shard %d: %v", shard, err)
 		})
@@ -67,7 +67,7 @@ func TestDegradeZeroFillsDeadShards(t *testing.T) {
 	const shards = 5
 	rng := mrand.New(mrand.NewSource(33))
 	for _, kill := range [][]int{{2}, {0, 3}, {1, 2, 4}} {
-		fix := startShards(t, shards, 0)
+		fix := startShards(t, shards)
 		faulty := transport.NewFaulty(fix.mem)
 		var mu sync.Mutex
 		reported := make(map[int]error)
@@ -151,7 +151,7 @@ func TestDegradeZeroFillsDeadShards(t *testing.T) {
 // instead of aborting the round.
 func TestDegradeHungShardZeroFilled(t *testing.T) {
 	const shards = 3
-	fix := startShards(t, shards, 0)
+	fix := startShards(t, shards)
 	defer fix.stop()
 	faulty := transport.NewFaulty(fix.mem)
 	router := fix.routerOn(t, faulty, 200*time.Millisecond, ShardDegrade, nil)
@@ -183,7 +183,7 @@ func TestDegradeHungShardZeroFilled(t *testing.T) {
 // degraded around.
 func TestDegradeNeverMasksAuthFailure(t *testing.T) {
 	const shards = 4
-	fix := startShards(t, shards, 0)
+	fix := startShards(t, shards)
 	defer fix.stop()
 	mitm := transport.NewMITM(fix.mem)
 	// Tamper every server→client record after the handshake on shard 2.
@@ -218,7 +218,7 @@ func TestDegradeNeverMasksAuthFailure(t *testing.T) {
 // silently re-answered.
 func TestDegradeStillRejectsStaleRound(t *testing.T) {
 	const shards = 3
-	fix := startShards(t, shards, 0)
+	fix := startShards(t, shards)
 	defer fix.stop()
 	router := fix.routerOn(t, fix.mem, 0, ShardDegrade, func(round uint64, shard int, addr string, err error) {
 		t.Errorf("stale-round rejection on shard %d was degraded around: %v", shard, err)
@@ -307,7 +307,7 @@ func TestDegradeNeverMasksMalformedFrames(t *testing.T) {
 // strictly opt-in.
 func TestDegradeAbortPolicyUnchanged(t *testing.T) {
 	const shards = 3
-	fix := startShards(t, shards, 0)
+	fix := startShards(t, shards)
 	defer fix.stop()
 	faulty := transport.NewFaulty(fix.mem)
 	router := fix.routerOn(t, faulty, 0, ShardAbort, nil)
@@ -431,7 +431,7 @@ func TestSilentPlaintextShardDegradesNotLeaks(t *testing.T) {
 // shard server never answers a plaintext router; the frames die in the
 // handshake.
 func TestSecureShardRefusesPlaintextRouter(t *testing.T) {
-	fix := startShards(t, 2, 0)
+	fix := startShards(t, 2)
 	defer fix.stop()
 	raw, err := fix.mem.Dial(addrName(0))
 	if err != nil {

@@ -88,14 +88,6 @@ type Config struct {
 	// noise-path refill between rounds (0 = GOMAXPROCS).
 	Workers int
 
-	// Shards partitions the last server's dead-drop table by the leading
-	// bits of the drop ID, running the exchange as independent per-shard
-	// tables (deaddrop.ShardedTable). 0 or 1 keeps the single sequential
-	// table; only the last server reads this. When ShardAddrs is set the
-	// exchange instead runs on networked shard servers and Shards is
-	// ignored (each shard server has its own Subshards setting).
-	Shards int
-
 	// ShardAddrs, set only on the last server, lists the networked
 	// dead-drop shard servers (`vuvuzela-server -mode shard`): the
 	// exchange is partitioned by drop-ID prefix and fanned out over Net
@@ -403,7 +395,7 @@ func (s *Server) convoRound(round uint64, onions [][]byte) ([][]byte, error) {
 			}
 			replies = exchanged
 		} else {
-			replies = convo.Service{Shards: s.cfg.Shards, Workers: s.cfg.Workers}.Process(round, fwd)
+			replies = convo.Service{}.Process(round, fwd)
 		}
 	} else {
 		// Step 2: generate cover traffic and seal it under pre-agreed
@@ -609,21 +601,24 @@ func (s *Server) answer(msg *wire.Message) (wire.Message, bool) {
 	return resp, true
 }
 
-// Close shuts the server down like a process kill: successor and shard
-// connections are dropped, accepted connections are severed (a
-// "crashed" server must not keep serving rounds through connections
-// accepted before the crash), and no new successor dial will be made; a
-// Serve loop returns after its listener is closed by the caller. A mixing
-// server's pre-agreed noise paths are dropped, and Close returns only once
-// the goroutines refilling them have exited.
+// Close shuts the server down like a process kill: accepted connections
+// are severed (a "crashed" server must not keep serving rounds through
+// connections accepted before the crash) — first, so a round in flight
+// cannot report the dropped successor or shard leg upstream as an
+// authenticated error, which a dead process could not have sent and
+// which would keep the predecessor from retrying into a replacement —
+// then successor and shard connections are dropped, and no new successor
+// dial will be made; a Serve loop returns after its listener is closed by
+// the caller. A mixing server's pre-agreed noise paths are dropped, and
+// Close returns only once the goroutines refilling them have exited.
 func (s *Server) Close() error {
 	s.closed.Do(func() {
 		close(s.closeCh)
+		s.accepted.closeAll()
 		if s.router != nil {
 			s.router.Close()
 		}
 		s.next.Close()
-		s.accepted.closeAll()
 		if s.pool != nil {
 			s.pool.close()
 		}

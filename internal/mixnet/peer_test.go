@@ -383,7 +383,7 @@ func (n *cutNet) Dial(addr string) (net.Conn, error) {
 // send and zero-filled here.) A shard that is dead or unreachable — the
 // resend cannot reach it either — still degrades.
 func TestDegradeCutAfterDeliveryAborts(t *testing.T) {
-	fix := startShards(t, 2, 0)
+	fix := startShards(t, 2)
 	defer fix.stop()
 	cut := &cutNet{Network: fix.mem, conns: make(map[string]net.Conn)}
 	mitm := transport.NewMITM(cut)

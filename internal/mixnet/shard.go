@@ -80,12 +80,9 @@ type ShardConfig struct {
 	// NumShards is the total shard count in the chain descriptor; frames
 	// carrying an index outside [0, NumShards) are rejected.
 	NumShards int
-	// Subshards splits this shard's own dead-drop table across cores
-	// (deaddrop.ShardedTable), compounding the horizontal fan-out with
-	// in-process parallelism. 0 or 1 keeps one sequential table.
-	Subshards int
-	// Workers bounds the goroutines used by the sub-table exchange
-	// (0 = GOMAXPROCS).
+	// Workers bounds nothing: a shard's exchange is one sequential table.
+	// The field remains only because bench/deploy.go sets it; a
+	// benchmark-only change can drop both.
 	Workers int
 	// AllowRoundReuse disables the strictly-increasing round check
 	// (tests and adversary simulations only).
@@ -212,8 +209,7 @@ func (s *ShardServer) ExchangeRound(round uint64, requests [][]byte) ([][]byte, 
 		s.lastRound = round
 		s.mu.Unlock()
 	}
-	svc := convo.Service{Shards: s.cfg.Subshards, Workers: s.cfg.Workers}
-	return svc.Process(round, requests), nil
+	return convo.Service{}.Process(round, requests), nil
 }
 
 // Serve accepts router connections and processes shard rounds until the

@@ -46,7 +46,7 @@ func testShardKeys(t testing.TB, n int) ([]box.PublicKey, []box.PrivateKey) {
 
 // startShards launches n shard servers on a fresh in-memory network and
 // returns the fixture with keys and a shutdown func.
-func startShards(t testing.TB, n, subshards int) *shardFixture {
+func startShards(t testing.TB, n int) *shardFixture {
 	t.Helper()
 	fix := &shardFixture{mem: transport.NewMem()}
 	fix.routerPub, fix.routerPriv = testRouterKeys(t)
@@ -55,7 +55,7 @@ func startShards(t testing.TB, n, subshards int) *shardFixture {
 	var stops []func()
 	for i := 0; i < n; i++ {
 		ss, err := NewShardServer(ShardConfig{
-			Index: i, NumShards: n, Subshards: subshards,
+			Index: i, NumShards: n,
 			Identity:   fix.shardPrivs[i],
 			Authorized: []box.PublicKey{fix.routerPub},
 		})
@@ -139,9 +139,9 @@ func mixedRequests(rng *mrand.Rand, n int) [][]byte {
 
 // TestShardRouterEquivalence is the correctness core: the networked
 // fan-out — now running entirely inside authenticated channels —
-// produces byte-identical replies to the sequential table and to the
-// in-process sharded table, for 1, 2, 8, and a non-power-of-two shard
-// count, on batches with colliding and malformed drop IDs.
+// produces byte-identical replies to the sequential table, for 1, 2, 8,
+// and a non-power-of-two shard count, on batches with colliding and
+// malformed drop IDs.
 func TestShardRouterEquivalence(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(11))
 	trials := 12
@@ -149,26 +149,22 @@ func TestShardRouterEquivalence(t *testing.T) {
 		trials = 4
 	}
 	for _, shards := range []int{1, 2, 8, 5} {
-		fix := startShards(t, shards, 2)
+		fix := startShards(t, shards)
 		router := fix.router(t, 0, ShardAbort)
 		for trial := 0; trial < trials; trial++ {
 			round := uint64(trial + 1)
 			reqs := mixedRequests(rng, rng.Intn(200))
 			want := convo.Service{}.Process(round, reqs)
-			inproc := convo.Service{Shards: shards}.Process(round, reqs)
 			got, err := router.Exchange(round, reqs)
 			if err != nil {
 				t.Fatalf("shards=%d trial=%d: %v", shards, trial, err)
 			}
-			if len(got) != len(want) || len(inproc) != len(want) {
-				t.Fatalf("shards=%d trial=%d: reply counts %d/%d/%d", shards, trial, len(got), len(inproc), len(want))
+			if len(got) != len(want) {
+				t.Fatalf("shards=%d trial=%d: reply counts %d/%d", shards, trial, len(got), len(want))
 			}
 			for i := range want {
 				if !bytes.Equal(got[i], want[i]) {
 					t.Fatalf("shards=%d trial=%d: networked reply %d differs from sequential", shards, trial, i)
-				}
-				if !bytes.Equal(inproc[i], want[i]) {
-					t.Fatalf("shards=%d trial=%d: in-process reply %d differs from sequential", shards, trial, i)
 				}
 			}
 		}
@@ -180,7 +176,7 @@ func TestShardRouterEquivalence(t *testing.T) {
 // TestShardRouterEmptyRound: an empty batch still fans out (every shard
 // sees every round) and merges to zero replies.
 func TestShardRouterEmptyRound(t *testing.T) {
-	fix := startShards(t, 3, 0)
+	fix := startShards(t, 3)
 	defer fix.stop()
 	router := fix.router(t, 0, ShardAbort)
 	defer router.Close()
@@ -197,7 +193,7 @@ func TestShardRouterEmptyRound(t *testing.T) {
 // twice, and the router surfaces that as a RemoteError naming the shard —
 // the guard that makes retrying a consumed round fail cleanly.
 func TestShardRoundReplayRejected(t *testing.T) {
-	fix := startShards(t, 2, 0)
+	fix := startShards(t, 2)
 	defer fix.stop()
 	router := fix.router(t, 0, ShardAbort)
 	defer router.Close()
@@ -222,7 +218,7 @@ func TestShardRoundReplayRejected(t *testing.T) {
 // connection. The probe authenticates with the router's key — an
 // unauthenticated probe would not get as far as frame validation.
 func TestShardMisroutedFrameRejected(t *testing.T) {
-	fix := startShards(t, 4, 0)
+	fix := startShards(t, 4)
 	defer fix.stop()
 	raw, err := fix.mem.Dial(addrName(2))
 	if err != nil {

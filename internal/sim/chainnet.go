@@ -5,31 +5,30 @@ package sim
 // shard servers and entry frontends, all wired over an in-memory
 // transport exactly as the production processes are over TCP — entry
 // dials server 0, server i dials server i+1, the last server fans out to
-// the shards, every leg inside transport.Secure. Every node is
-// independently killable and restartable, which is what the shard fault
-// suites and the chain-wide crash/restart matrix need: with a StateDir,
-// each node persists its round state the same way the real binaries do
-// with -round-state, so a restart exercises the durable rejoin path for
-// every role.
+// the shards, every leg inside transport.Secure. Every process is one
+// row of a node table, named by its listen address (the name
+// transport.Faulty and transport.MITM use for the leg that ends there),
+// and Kill / Restart take that name: with a StateDir, each node persists
+// its round state the same way the real binaries do with -round-state,
+// so a restart exercises the durable rejoin path for every role.
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"vuvuzela/internal/convo"
 	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/frontend"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/noise"
-	"vuvuzela/internal/onion"
 	"vuvuzela/internal/roundstate"
 	"vuvuzela/internal/transport"
-	"vuvuzela/internal/wire"
 )
 
 // ChainNetConfig describes a fully networked in-memory deployment.
@@ -41,10 +40,10 @@ type ChainNetConfig struct {
 	Shards int
 	// Frontends is the number of stateless entry frontends in front of
 	// the coordinator; 0 keeps every client directly on the coordinator
-	// (the pre-split topology). With frontends, RunRounds distributes
-	// its clients round-robin over the live frontends, and the
-	// coordinator additionally listens on FrontPipeAddr for their
-	// authenticated pipes.
+	// (the pre-split topology). With frontends, a Swarm distributes its
+	// clients round-robin over the live frontends, and the coordinator
+	// additionally listens on FrontPipeAddr for their authenticated
+	// pipes.
 	Frontends int
 	// Mu is the fixed conversation noise per mixing server (0 = none).
 	Mu int
@@ -67,7 +66,7 @@ type ChainNetConfig struct {
 	// StateDir, if set, gives every node a durable round-state file —
 	// the coordinator and each chain server a roundstate.Counters
 	// (entry.rounds, server-<i>.rounds), each shard a roundstate.Store
-	// (shard-<i>.round) — so Restart* simulates a crash and recovery
+	// (shard-<i>.round) — so Restart simulates a crash and recovery
 	// with replay protection intact, exactly as the production
 	// `-round-state` wiring. Empty runs every node memory-only (the
 	// replay-window control).
@@ -112,18 +111,19 @@ type ChainNet struct {
 	// use them to speak to a server directly, as a (replaying)
 	// predecessor would.
 	Privs []box.PrivateKey
-	// Coord is the entry server; Restart* replaces it, so grab it fresh
-	// after a RestartEntry.
+	// Coord is the entry server, nil while it is killed; Restart replaces
+	// it, so grab it fresh after restarting EntryAddr.
 	Coord *coordinator.Coordinator
 	// Servers is the chain, head first; nil entries are killed nodes.
 	Servers []*mixnet.Server
-	// Shards are the networked shard servers (empty when Shards == 0).
+	// Shards are the networked shard servers (empty when Shards == 0);
+	// nil entries are killed nodes.
 	Shards []*mixnet.ShardServer
 	// ShardPubs are the shards' long-term public keys, by index.
 	ShardPubs []box.PublicKey
 	// Fronts are the entry frontends (empty when Frontends == 0); nil
-	// entries are killed nodes. Restart* replaces entries, so grab them
-	// fresh after a RestartFrontend.
+	// entries are killed nodes. Restart replaces entries, so grab them
+	// fresh after restarting a FrontAddrs address.
 	Fronts []*frontend.Frontend
 	// EntryAddr is the coordinator's client-facing listen address.
 	EntryAddr string
@@ -138,29 +138,46 @@ type ChainNet struct {
 	// ShardAddrs are the shard servers' listen addresses, by index.
 	ShardAddrs []string
 
-	cfg        ChainNetConfig
-	coordCfg   coordinator.Config
-	serverCfgs []mixnet.Config
-	shardCfgs  []mixnet.ShardConfig
-	frontCfgs  []frontend.Config
-
-	entryStatePath   string
-	serverStatePaths []string
-	shardStatePaths  []string
-
-	entryL       net.Listener
-	frontPipeL   net.Listener
-	serverLs     []net.Listener
-	shardLs      []net.Listener
-	frontLs      []net.Listener
-	frontCancels []context.CancelFunc
+	cfg   ChainNetConfig
+	nodes []*node // in boot order; Close runs it backwards
 
 	roundMu sync.Mutex
 	rounds  []uint64
 }
 
+// node is one process of the deployment. What differs between the roles
+// is data here, so the kill and restart order is written once, in kill
+// and ChainNet.Restart.
+type node struct {
+	// addrs are the listen addresses; addrs[0] names the node.
+	addrs []string
+	// statePath is the durable round-state file ("" = memory-only) and
+	// open how to open it (roundstate.Open or roundstate.OpenCounters).
+	statePath string
+	open      func(path string) (io.Closer, error)
+	// stopFirst has Restart kill the running process before its
+	// replacement starts, not after it listens: a frontend holds no round
+	// state a replay could target, and two processes of one frontend
+	// would both hold a pipe into the coordinator.
+	stopFirst bool
+	// boot builds a fresh process around the just-opened round state
+	// (nil when memory-only) and serves it on ls, one listener per addr.
+	boot func(state io.Closer, ls []net.Listener) (io.Closer, error)
+	// set publishes the process in its exported slot (Coord, Servers[i],
+	// ...); nil clears the slot.
+	set func(proc io.Closer)
+
+	ls    []net.Listener
+	proc  io.Closer // nil while the node is down
+	state io.Closer
+}
+
+// openStore and openCounters adapt the two round-state openers to node.open.
+func openStore(path string) (io.Closer, error)    { return roundstate.Open(path) }
+func openCounters(path string) (io.Closer, error) { return roundstate.OpenCounters(path) }
+
 // NewChainNet starts the shard servers, the chain servers (each on its
-// own listener), and the coordinator.
+// own listener, last server first), the coordinator, and the frontends.
 func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 	if cfg.Servers < 1 || cfg.Shards < 0 {
 		return nil, fmt.Errorf("sim: chain net needs >= 1 server and >= 0 shards, got %d/%d", cfg.Servers, cfg.Shards)
@@ -182,7 +199,25 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 	cn := &ChainNet{
 		Pubs: pubs, Privs: privs,
 		EntryAddr: "entry",
+		Servers:   make([]*mixnet.Server, cfg.Servers),
+		Shards:    make([]*mixnet.ShardServer, cfg.Shards),
+		Fronts:    make([]*frontend.Frontend, cfg.Frontends),
 		cfg:       cfg,
+	}
+	for i := 0; i < cfg.Servers; i++ {
+		cn.ServerAddrs = append(cn.ServerAddrs, fmt.Sprintf("server-%d", i))
+	}
+	for i := 0; i < cfg.Shards; i++ {
+		cn.ShardAddrs = append(cn.ShardAddrs, fmt.Sprintf("shard-%d", i))
+	}
+	for i := 0; i < cfg.Frontends; i++ {
+		cn.FrontAddrs = append(cn.FrontAddrs, fmt.Sprintf("front-%d", i))
+	}
+	statePath := func(name string) string {
+		if cfg.StateDir == "" {
+			return ""
+		}
+		return filepath.Join(cfg.StateDir, name)
 	}
 
 	// Dead-drop shard servers, each authorizing the last chain server's key.
@@ -192,49 +227,35 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 			return nil, err
 		}
 		cn.ShardPubs = shardPubs
-		routerPub := pubs[cfg.Servers-1]
 		for i := 0; i < cfg.Shards; i++ {
 			sc := mixnet.ShardConfig{
 				Index:      i,
 				NumShards:  cfg.Shards,
 				Workers:    cfg.Workers,
 				Identity:   shardPrivs[i],
-				Authorized: []box.PublicKey{routerPub},
+				Authorized: []box.PublicKey{pubs[cfg.Servers-1]},
 			}
-			statePath := ""
-			if cfg.StateDir != "" {
-				statePath = filepath.Join(cfg.StateDir, fmt.Sprintf("shard-%d.round", i))
-				store, err := roundstate.Open(statePath)
-				if err != nil {
-					cn.Close()
-					return nil, err
-				}
-				sc.RoundState = store
-			}
-			// Record the config before anything can fail, so Close always
-			// releases the store's lock.
-			cn.shardCfgs = append(cn.shardCfgs, sc)
-			cn.shardStatePaths = append(cn.shardStatePaths, statePath)
-			cn.ShardAddrs = append(cn.ShardAddrs, fmt.Sprintf("shard-%d", i))
-			cn.Shards = append(cn.Shards, nil)
-			cn.shardLs = append(cn.shardLs, nil)
-			if err := cn.startShard(i); err != nil {
-				cn.Close()
-				return nil, err
-			}
+			cn.nodes = append(cn.nodes, &node{
+				addrs:     []string{cn.ShardAddrs[i]},
+				statePath: statePath(fmt.Sprintf("shard-%d.round", i)),
+				open:      openStore,
+				boot: func(state io.Closer, ls []net.Listener) (io.Closer, error) {
+					sc := sc
+					sc.RoundState, _ = state.(*roundstate.Store)
+					ss, err := mixnet.NewShardServer(sc)
+					if err != nil {
+						return nil, err
+					}
+					go ss.Serve(ls[0])
+					return ss, nil
+				},
+				set: func(proc io.Closer) { cn.Shards[i], _ = proc.(*mixnet.ShardServer) },
+			})
 		}
 	}
 
 	// Chain servers, each listening for its predecessor and dialing its
 	// successor over the wire.
-	cn.Servers = make([]*mixnet.Server, cfg.Servers)
-	cn.serverLs = make([]net.Listener, cfg.Servers)
-	cn.serverCfgs = make([]mixnet.Config, cfg.Servers)
-	cn.serverStatePaths = make([]string, cfg.Servers)
-	cn.ServerAddrs = make([]string, cfg.Servers)
-	for i := 0; i < cfg.Servers; i++ {
-		cn.ServerAddrs[i] = fmt.Sprintf("server-%d", i)
-	}
 	for i := cfg.Servers - 1; i >= 0; i-- {
 		mc := mixnet.Config{
 			Position:  i,
@@ -276,23 +297,26 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 				}
 			}
 		}
-		if cfg.StateDir != "" {
-			cn.serverStatePaths[i] = filepath.Join(cfg.StateDir, fmt.Sprintf("server-%d.rounds", i))
-			store, err := roundstate.OpenCounters(cn.serverStatePaths[i])
-			if err != nil {
-				cn.Close()
-				return nil, err
-			}
-			mc.RoundState = store
-		}
-		cn.serverCfgs[i] = mc
-		if err := cn.startServer(i); err != nil {
-			cn.Close()
-			return nil, err
-		}
+		cn.nodes = append(cn.nodes, &node{
+			addrs:     []string{cn.ServerAddrs[i]},
+			statePath: statePath(fmt.Sprintf("server-%d.rounds", i)),
+			open:      openCounters,
+			boot: func(state io.Closer, ls []net.Listener) (io.Closer, error) {
+				mc := mc
+				mc.RoundState, _ = state.(*roundstate.Counters)
+				srv, err := mixnet.NewServer(mc)
+				if err != nil {
+					return nil, err
+				}
+				go srv.Serve(ls[0])
+				return srv, nil
+			},
+			set: func(proc io.Closer) { cn.Servers[i], _ = proc.(*mixnet.Server) },
+		})
 	}
 
-	// The entry server.
+	// The entry server; with a frontend tier it owns a second listener,
+	// for the frontends' authenticated pipes.
 	cc := coordinator.Config{
 		Net:           cfg.Net,
 		ChainAddr:     cn.ServerAddrs[0],
@@ -300,45 +324,63 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 		SubmitTimeout: cfg.SubmitTimeout,
 		ConvoWindow:   cfg.ConvoWindow,
 	}
+	entryAddrs := []string{cn.EntryAddr}
 	var frontPub box.PublicKey
 	if cfg.Frontends > 0 {
 		pub, priv, err := box.GenerateKey(nil)
 		if err != nil {
-			cn.Close()
 			return nil, err
 		}
-		frontPub = pub
-		cc.FrontIdentity = priv
+		frontPub, cc.FrontIdentity = pub, priv
 		cn.FrontPipeAddr = "entry-front"
+		entryAddrs = append(entryAddrs, cn.FrontPipeAddr)
 	}
-	if cfg.StateDir != "" {
-		cn.entryStatePath = filepath.Join(cfg.StateDir, "entry.rounds")
-		store, err := roundstate.OpenCounters(cn.entryStatePath)
-		if err != nil {
-			cn.Close()
-			return nil, err
-		}
-		cc.RoundState = store
-	}
-	cn.coordCfg = cc
-	if err := cn.startEntry(); err != nil {
-		cn.Close()
-		return nil, err
-	}
+	cn.nodes = append(cn.nodes, &node{
+		addrs:     entryAddrs,
+		statePath: statePath("entry.rounds"),
+		open:      openCounters,
+		boot: func(state io.Closer, ls []net.Listener) (io.Closer, error) {
+			cc := cc
+			cc.RoundState, _ = state.(*roundstate.Counters)
+			co, err := coordinator.New(cc)
+			if err != nil {
+				return nil, err
+			}
+			go co.Serve(ls[0])
+			if len(ls) > 1 {
+				go co.ServeFrontends(ls[1])
+			}
+			return co, nil
+		},
+		set: func(proc io.Closer) { cn.Coord, _ = proc.(*coordinator.Coordinator) },
+	})
 
 	// The entry frontends, each holding its own slice of the clients.
+	fc := frontend.Config{
+		Net:            cfg.Net,
+		CoordAddr:      cn.FrontPipeAddr,
+		CoordPub:       frontPub,
+		ReconnectDelay: 50 * time.Millisecond,
+	}
 	for i := 0; i < cfg.Frontends; i++ {
-		cn.frontCfgs = append(cn.frontCfgs, frontend.Config{
-			Net:            cfg.Net,
-			CoordAddr:      cn.FrontPipeAddr,
-			CoordPub:       frontPub,
-			ReconnectDelay: 50 * time.Millisecond,
+		cn.nodes = append(cn.nodes, &node{
+			addrs:     []string{cn.FrontAddrs[i]},
+			stopFirst: true,
+			boot: func(_ io.Closer, ls []net.Listener) (io.Closer, error) {
+				fe, err := frontend.New(fc)
+				if err != nil {
+					return nil, err
+				}
+				go fe.Serve(ls[0])
+				go fe.Run(context.Background()) // until fe.Close
+				return fe, nil
+			},
+			set: func(proc io.Closer) { cn.Fronts[i], _ = proc.(*frontend.Frontend) },
 		})
-		cn.FrontAddrs = append(cn.FrontAddrs, fmt.Sprintf("front-%d", i))
-		cn.Fronts = append(cn.Fronts, nil)
-		cn.frontLs = append(cn.frontLs, nil)
-		cn.frontCancels = append(cn.frontCancels, nil)
-		if err := cn.startFrontend(i); err != nil {
+	}
+
+	for _, n := range cn.nodes {
+		if err := cn.start(n); err != nil {
 			cn.Close()
 			return nil, err
 		}
@@ -346,85 +388,139 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 	return cn, nil
 }
 
-// startFrontend boots frontend i from its recorded config.
-func (cn *ChainNet) startFrontend(i int) error {
-	fe, err := frontend.New(cn.frontCfgs[i])
-	if err != nil {
-		return err
-	}
-	l, err := cn.cfg.Net.Listen(cn.FrontAddrs[i])
-	if err != nil {
-		fe.Close()
-		return err
-	}
-	go fe.Serve(l)
-	ctx, cancel := context.WithCancel(context.Background())
-	go fe.Run(ctx)
-	cn.Fronts[i] = fe
-	cn.frontLs[i] = l
-	cn.frontCancels[i] = cancel
-	return nil
-}
-
-// startShard boots shard i from its recorded config.
-func (cn *ChainNet) startShard(i int) error {
-	ss, err := mixnet.NewShardServer(cn.shardCfgs[i])
-	if err != nil {
-		return err
-	}
-	l, err := cn.cfg.Net.Listen(cn.ShardAddrs[i])
-	if err != nil {
-		return err
-	}
-	go ss.Serve(l)
-	cn.Shards[i] = ss
-	cn.shardLs[i] = l
-	return nil
-}
-
-// startServer boots chain server i from its recorded config.
-func (cn *ChainNet) startServer(i int) error {
-	srv, err := mixnet.NewServer(cn.serverCfgs[i])
-	if err != nil {
-		return err
-	}
-	l, err := cn.cfg.Net.Listen(cn.ServerAddrs[i])
-	if err != nil {
-		srv.Close()
-		return err
-	}
-	go srv.Serve(l)
-	cn.Servers[i] = srv
-	cn.serverLs[i] = l
-	return nil
-}
-
-// startEntry boots the coordinator from its recorded config, including
-// its frontend-pipe listener when the net runs a frontend tier.
-func (cn *ChainNet) startEntry() error {
-	co, err := coordinator.New(cn.coordCfg)
-	if err != nil {
-		return err
-	}
-	l, err := cn.cfg.Net.Listen(cn.EntryAddr)
-	if err != nil {
-		co.Close()
-		return err
-	}
-	go co.Serve(l)
-	if cn.FrontPipeAddr != "" {
-		fl, err := cn.cfg.Net.Listen(cn.FrontPipeAddr)
+// start boots n's process: round state re-read from disk, listeners
+// bound, process serving and published. The caller has closed any
+// previous listeners on n's addresses.
+func (cn *ChainNet) start(n *node) error {
+	if n.statePath != "" {
+		// A real restart re-reads the file — reusing the old in-memory
+		// store would hide a counter that never hit the disk — and the
+		// dead process's flock on it is gone by then.
+		if n.state != nil {
+			n.state.Close()
+			n.state = nil
+		}
+		state, err := n.open(n.statePath)
 		if err != nil {
-			l.Close()
-			co.Close()
 			return err
 		}
-		go co.ServeFrontends(fl)
-		cn.frontPipeL = fl
+		n.state = state
 	}
-	cn.Coord = co
-	cn.entryL = l
+	ls := make([]net.Listener, 0, len(n.addrs))
+	for _, addr := range n.addrs {
+		l, err := cn.cfg.Net.Listen(addr)
+		if err != nil {
+			closeListeners(ls)
+			return err
+		}
+		ls = append(ls, l)
+	}
+	proc, err := n.boot(n.state, ls)
+	if err != nil {
+		closeListeners(ls)
+		return err
+	}
+	n.ls, n.proc = ls, proc
+	n.set(proc)
 	return nil
+}
+
+func closeListeners(ls []net.Listener) {
+	for _, l := range ls {
+		l.Close()
+	}
+}
+
+// kill severs n's listeners and every connection of its process, clears
+// its exported slot, and releases its round-state lock (a real process
+// death releases the flock implicitly).
+func (n *node) kill() {
+	if n.proc != nil {
+		closeListeners(n.ls)
+		n.proc.Close()
+		n.proc = nil
+		n.set(nil)
+	}
+	if n.state != nil {
+		n.state.Close()
+		n.state = nil
+	}
+}
+
+// node returns the node listening on addr, or nil.
+func (cn *ChainNet) node(addr string) *node {
+	for _, n := range cn.nodes {
+		for _, a := range n.addrs {
+			if a == addr {
+				return n
+			}
+		}
+	}
+	return nil
+}
+
+// Nodes names every process of the deployment by its listen address
+// (the entry by EntryAddr), in boot order: shards, chain servers last
+// first, the entry, frontends. These are the names Kill and Restart
+// take, and the ones transport.Faulty and transport.MITM give the legs
+// that end at each node.
+func (cn *ChainNet) Nodes() []string {
+	addrs := make([]string, len(cn.nodes))
+	for i, n := range cn.nodes {
+		addrs[i] = n.addrs[0]
+	}
+	return addrs
+}
+
+// Kill simulates the process listening on addr crashing: its listeners
+// and every connection are severed, its exported slot (Coord,
+// Servers[i], ...) goes nil, and its round-state lock is released.
+// Clients and any in-flight round observe the death; the node stays
+// down until Restart. An unknown address or a node already down is a
+// no-op.
+func (cn *ChainNet) Kill(addr string) {
+	if n := cn.node(addr); n != nil {
+		n.kill()
+	}
+}
+
+// Restart simulates the process listening on addr crashing (if still
+// up) and a fresh one taking over on the same address with the same
+// key, re-reading its round state from disk when the net was built with
+// StateDir; without one it starts over at round 1 — the control case a
+// durable chain rejects. The new listener is up before the old
+// connections are severed, so a peer's redial after noticing the crash
+// lands on the replacement — the worst case for replay, since the retry
+// of an in-flight round reaches a process that must refuse it from the
+// durable counter. Frontends hold no round state: the old process stops
+// first, and after an entry restart the running ones reconnect their
+// pipes on their own.
+func (cn *ChainNet) Restart(addr string) error {
+	n := cn.node(addr)
+	if n == nil {
+		return fmt.Errorf("sim: no node listens on %q", addr)
+	}
+	if n.stopFirst {
+		n.kill()
+	}
+	old := n.proc
+	// Stop accepting on the old address first so the replacement can
+	// bind; existing connections stay up until old.Close below.
+	closeListeners(n.ls)
+	if err := cn.start(n); err != nil {
+		return err
+	}
+	if old != nil {
+		old.Close()
+	}
+	return nil
+}
+
+// Close shuts every node down and releases every round-state lock.
+func (cn *ChainNet) Close() {
+	for i := len(cn.nodes) - 1; i >= 0; i-- {
+		cn.nodes[i].kill()
+	}
 }
 
 // noisyServer reports whether chain position i should add conversation
@@ -451,238 +547,10 @@ func (cn *ChainNet) ExchangedRounds() []uint64 {
 	return append([]uint64(nil), cn.rounds...)
 }
 
-// KillServer simulates chain server i crashing: its listener and every
-// connection are severed and its round-state lock is released (a real
-// process death releases the flock implicitly). The node stays down
-// until RestartServer.
-func (cn *ChainNet) KillServer(i int) {
-	if i < 0 || i >= len(cn.Servers) || cn.Servers[i] == nil {
-		return
-	}
-	cn.serverLs[i].Close()
-	cn.Servers[i].Close()
-	cn.Servers[i] = nil
-	if st := cn.serverCfgs[i].RoundState; st != nil {
-		st.Close()
-	}
-}
-
-// RestartServer simulates chain server i crashing (if still up) and a
-// fresh process taking over on the same address with the same key,
-// re-reading its round state from disk when the net was built with
-// StateDir. The new listener is up before the old connections are
-// severed, so a peer's redial after noticing the crash lands on the
-// replacement — the worst case for replay, since the retry of an
-// in-flight round reaches a server that must refuse it from the durable
-// counter.
-func (cn *ChainNet) RestartServer(i int) error {
-	if i < 0 || i >= len(cn.Servers) {
-		return fmt.Errorf("sim: no server %d to restart", i)
-	}
-	old := cn.Servers[i]
-	if old != nil {
-		// Stop accepting on the old address first so the replacement can
-		// bind; existing connections stay up until the kill below.
-		cn.serverLs[i].Close()
-	}
-	mc := cn.serverCfgs[i]
-	if cn.serverStatePaths[i] != "" {
-		// A real restart re-reads the file; reusing the old in-memory
-		// store would hide a counter that never hit the disk.
-		if mc.RoundState != nil {
-			mc.RoundState.Close()
-		}
-		store, err := roundstate.OpenCounters(cn.serverStatePaths[i])
-		if err != nil {
-			return err
-		}
-		mc.RoundState = store
-		cn.serverCfgs[i] = mc
-	}
-	if err := cn.startServer(i); err != nil {
-		return err
-	}
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-// KillShard simulates shard i crashing, like KillServer.
-func (cn *ChainNet) KillShard(i int) {
-	if i < 0 || i >= len(cn.Shards) || cn.Shards[i] == nil {
-		return
-	}
-	cn.shardLs[i].Close()
-	cn.Shards[i].Close()
-	cn.Shards[i] = nil
-	if st := cn.shardCfgs[i].RoundState; st != nil {
-		st.Close()
-	}
-}
-
-// RestartShard simulates shard i crashing (if still up) and a fresh
-// process taking over, resuming its durable counter when the net was
-// built with StateDir.
-func (cn *ChainNet) RestartShard(i int) error {
-	if i < 0 || i >= len(cn.Shards) {
-		return fmt.Errorf("sim: no shard %d to restart", i)
-	}
-	old := cn.Shards[i]
-	if old != nil {
-		cn.shardLs[i].Close()
-	}
-	sc := cn.shardCfgs[i]
-	if cn.shardStatePaths[i] != "" {
-		if sc.RoundState != nil {
-			sc.RoundState.Close()
-		}
-		store, err := roundstate.Open(cn.shardStatePaths[i])
-		if err != nil {
-			return err
-		}
-		sc.RoundState = store
-		cn.shardCfgs[i] = sc
-	}
-	if err := cn.startShard(i); err != nil {
-		return err
-	}
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-// KillEntry simulates the coordinator crashing: every client and chain
-// connection is severed and its round-state lock is released. Clients
-// (and any in-flight round) observe the death; RestartEntry brings a
-// fresh process up on the same address.
-func (cn *ChainNet) KillEntry() {
-	if cn.Coord == nil {
-		return
-	}
-	cn.entryL.Close()
-	if cn.frontPipeL != nil {
-		cn.frontPipeL.Close()
-		cn.frontPipeL = nil
-	}
-	cn.Coord.Close()
-	cn.Coord = nil // killed nodes are nil, as in the server/shard slots
-	if st := cn.coordCfg.RoundState; st != nil {
-		st.Close()
-	}
-}
-
-// KillFrontend simulates entry frontend i crashing: its clients and its
-// coordinator pipe are severed. Frontends hold zero round state, so
-// RestartFrontend needs no disk — a fresh process on the same address
-// rejoins the deployment at the next round.
-func (cn *ChainNet) KillFrontend(i int) {
-	if i < 0 || i >= len(cn.Fronts) || cn.Fronts[i] == nil {
-		return
-	}
-	cn.frontCancels[i]()
-	cn.frontLs[i].Close()
-	cn.Fronts[i].Close()
-	cn.Fronts[i] = nil
-}
-
-// RestartFrontend simulates frontend i crashing (if still up) and a
-// fresh stateless process taking over on the same address.
-func (cn *ChainNet) RestartFrontend(i int) error {
-	if i < 0 || i >= len(cn.Fronts) {
-		return fmt.Errorf("sim: no frontend %d to restart", i)
-	}
-	cn.KillFrontend(i)
-	return cn.startFrontend(i)
-}
-
-// RestartEntry simulates the coordinator crashing (if still up) and a
-// fresh entry process starting on the same address. With a StateDir the
-// replacement resumes round numbering from disk; without one it starts
-// over at round 1 — the control case a durable chain rejects. Running
-// frontends notice the dead pipe and reconnect to the replacement on
-// their own.
-func (cn *ChainNet) RestartEntry() error {
-	if cn.Coord != nil {
-		cn.entryL.Close()
-		if cn.frontPipeL != nil {
-			cn.frontPipeL.Close()
-			cn.frontPipeL = nil
-		}
-	}
-	cc := cn.coordCfg
-	if cn.entryStatePath != "" {
-		if cc.RoundState != nil {
-			cc.RoundState.Close()
-		}
-		store, err := roundstate.OpenCounters(cn.entryStatePath)
-		if err != nil {
-			return err
-		}
-		cc.RoundState = store
-		cn.coordCfg = cc
-	}
-	old := cn.Coord
-	cn.Coord = nil
-	if err := cn.startEntry(); err != nil {
-		return err
-	}
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-// Close shuts every node down and releases every round-state lock.
-func (cn *ChainNet) Close() {
-	for i := range cn.Fronts {
-		cn.KillFrontend(i)
-	}
-	if cn.Coord != nil {
-		cn.entryL.Close()
-		if cn.frontPipeL != nil {
-			cn.frontPipeL.Close()
-		}
-		cn.Coord.Close()
-	}
-	if st := cn.coordCfg.RoundState; st != nil {
-		st.Close()
-	}
-	for i, srv := range cn.Servers {
-		if srv != nil {
-			cn.serverLs[i].Close()
-			srv.Close()
-		}
-	}
-	for _, mc := range cn.serverCfgs {
-		if mc.RoundState != nil {
-			mc.RoundState.Close()
-		}
-	}
-	for i, ss := range cn.Shards {
-		if ss != nil {
-			cn.shardLs[i].Close()
-			ss.Close()
-		}
-	}
-	for _, sc := range cn.shardCfgs {
-		if sc.RoundState != nil {
-			sc.RoundState.Close()
-		}
-	}
-}
-
-// clientReply pairs a delivered reply with the client that received it.
-type clientReply struct {
-	client int
-	round  uint64
-}
-
-// clientAddrs returns where fresh clients should connect: the live
-// frontends round-robin when the net runs a frontend tier, otherwise
-// the coordinator directly.
-func (cn *ChainNet) clientAddrs() []string {
+// ClientAddrs returns where fresh clients should connect: the live
+// frontends when the net runs a frontend tier, otherwise the
+// coordinator directly.
+func (cn *ChainNet) ClientAddrs() []string {
 	addrs := make([]string, 0, len(cn.FrontAddrs))
 	for i, fe := range cn.Fronts {
 		if fe != nil {
@@ -695,143 +563,97 @@ func (cn *ChainNet) clientAddrs() []string {
 	return addrs
 }
 
-// connectedClients sums clients across the coordinator and the live
-// frontends.
-func (cn *ChainNet) connectedClients() int {
-	total := 0
-	if cn.Coord != nil {
-		total += cn.Coord.NumClients()
-	}
-	for _, fe := range cn.Fronts {
-		if fe != nil {
-			total += fe.NumClients()
+// WaitReady blocks until exactly `clients` clients are registered across
+// the coordinator and the live frontends and every live frontend's pipe
+// is connected at both ends — before that, an announcement misses
+// somebody — or fails when the timeout expires. With the entry down there is no
+// coordinator to announce a round, which is an error at once.
+func (cn *ChainNet) WaitReady(clients int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		if cn.Coord == nil {
+			return errors.New("sim: entry is down")
 		}
-	}
-	return total
-}
-
-// RunRounds drives n conversation rounds through the entry tier with
-// `clients` fresh loopback clients, each answering every announcement
-// with an indistinguishable fake request (exactly what an idle
-// production client sends). Clients connect round-robin across the live
-// frontends when the net was built with a frontend tier, directly to
-// the coordinator otherwise. It fails unless every announced round
-// completes with every client participating and every client receives
-// every round's reply; it returns the delivered round numbers in
-// delivery order. Rounds run through the coordinator's pipeline when
-// the net was built with ConvoWindow > 1.
-func (cn *ChainNet) RunRounds(clients, n int) ([]uint64, error) {
-	conns := make([]*wire.Conn, 0, clients)
-	var wg sync.WaitGroup
-	replyCh := make(chan clientReply, clients*(n+1))
-	closeAll := func() {
-		for _, c := range conns {
-			c.Close()
-		}
-		wg.Wait()
-	}
-	addrs := cn.clientAddrs()
-	for i := 0; i < clients; i++ {
-		raw, err := cn.cfg.Net.Dial(addrs[i%len(addrs)])
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("sim: dialing entry tier: %w", err)
-		}
-		conn := wire.NewConn(raw)
-		conns = append(conns, conn)
-		wg.Add(1)
-		go func(idx int, conn *wire.Conn) {
-			defer wg.Done()
-			for {
-				msg, err := conn.Recv()
-				if err != nil {
-					return
-				}
-				if msg.Proto != wire.ProtoConvo {
-					continue
-				}
-				switch msg.Kind {
-				case wire.KindAnnounce:
-					req, err := convo.BuildRequest(nil, msg.Round, nil, nil)
-					if err != nil {
-						return
-					}
-					o, _, err := onion.Wrap(req.Marshal(), msg.Round, 0, cn.Pubs, nil)
-					if err != nil {
-						return
-					}
-					if err := conn.Send(&wire.Message{
-						Kind: wire.KindSubmit, Proto: wire.ProtoConvo, Round: msg.Round, Body: [][]byte{o},
-					}); err != nil {
-						return
-					}
-				case wire.KindReply:
-					replyCh <- clientReply{idx, msg.Round}
+		registered, live, dialed := cn.Coord.NumClients(), 0, 0
+		for _, fe := range cn.Fronts {
+			if fe != nil {
+				live++
+				registered += fe.NumClients()
+				if fe.Connected() {
+					dialed++
 				}
 			}
-		}(i, conn)
+		}
+		// Both ends must agree: the coordinator alone may still be counting
+		// the pipe of a frontend that was just killed.
+		pipes := cn.Coord.NumFrontends()
+		if registered == clients && pipes == live && dialed == live {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sim: %d of %d clients registered and %d of %d frontend pipes connected after %v",
+				registered, clients, pipes, live, timeout)
+		}
+		time.Sleep(time.Millisecond)
 	}
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for cn.connectedClients() != clients {
-		if time.Now().After(deadline) {
-			closeAll()
-			return nil, fmt.Errorf("sim: %d of %d clients registered", cn.connectedClients(), clients)
-		}
-		time.Sleep(time.Millisecond)
+// RunRounds drives n conversation rounds through the entry tier with a
+// fresh Swarm of `clients` idle clients. It fails unless every
+// announced round completes with every client participating and every
+// client receives every round's reply; it returns the delivered round
+// numbers in delivery order. Rounds run through the coordinator's
+// pipeline when the net was built with ConvoWindow > 1.
+func (cn *ChainNet) RunRounds(clients, n int) ([]uint64, error) {
+	var (
+		mu          sync.Mutex
+		delivered   []uint64
+		outstanding = clients * n
+		allIn       = make(chan struct{})
+	)
+	if outstanding == 0 {
+		close(allIn)
 	}
-	// With a frontend tier, every live frontend's pipe must be up before
-	// the first announcement, or its clients miss the round.
-	live := 0
-	for _, fe := range cn.Fronts {
-		if fe != nil {
-			live++
+	sw := cn.NewSwarm(make([]SwarmClient, clients), func(client int, round uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		if client == 0 {
+			delivered = append(delivered, round)
 		}
-	}
-	for cn.Coord.NumFrontends() != live {
-		if time.Now().After(deadline) {
-			closeAll()
-			return nil, fmt.Errorf("sim: %d of %d frontend pipes connected", cn.Coord.NumFrontends(), live)
+		if outstanding--; outstanding == 0 {
+			close(allIn)
 		}
-		time.Sleep(time.Millisecond)
+	})
+	defer sw.Close()
+	if err := cn.WaitReady(clients, 5*time.Second); err != nil {
+		return nil, err
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	participants, err := cn.Coord.RunConvoRounds(ctx, n)
 	if err != nil {
-		closeAll()
 		return nil, err
 	}
 	if len(participants) != n {
-		closeAll()
 		return nil, fmt.Errorf("sim: %d rounds completed, want %d", len(participants), n)
 	}
 	for r, p := range participants {
 		if p != clients {
-			closeAll()
 			return nil, fmt.Errorf("sim: round %d of the batch had %d participants, want %d", r+1, p, clients)
 		}
 	}
 
 	// Fanout is asynchronous: wait for every client's reply to every
 	// round before tearing the clients down.
-	var delivered []uint64
-	need := clients * n
-	timer := time.NewTimer(10 * time.Second)
-	defer timer.Stop()
-	for need > 0 {
-		select {
-		case r := <-replyCh:
-			if r.client == 0 {
-				delivered = append(delivered, r.round)
-			}
-			need--
-		case <-timer.C:
-			closeAll()
-			return nil, fmt.Errorf("sim: timed out waiting for replies (%d outstanding)", need)
-		}
+	select {
+	case <-allIn:
+	case <-time.After(10 * time.Second):
 	}
-	closeAll()
+	mu.Lock()
+	defer mu.Unlock()
+	if outstanding > 0 {
+		return nil, fmt.Errorf("sim: timed out waiting for replies (%d outstanding)", outstanding)
+	}
 	return delivered, nil
 }

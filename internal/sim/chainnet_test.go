@@ -204,11 +204,11 @@ func TestChainRestartMatrix(t *testing.T) {
 		replayInto int
 	}
 	roles := []role{
-		{"entry", func(cn *ChainNet) { cn.KillEntry() }, (*ChainNet).RestartEntry, "", -2},
-		{"server-head", func(cn *ChainNet) { cn.KillServer(0) }, func(cn *ChainNet) error { return cn.RestartServer(0) }, "server-0", 0},
-		{"server-middle", func(cn *ChainNet) { cn.KillServer(1) }, func(cn *ChainNet) error { return cn.RestartServer(1) }, "server-1", 1},
-		{"server-last", func(cn *ChainNet) { cn.KillServer(2) }, func(cn *ChainNet) error { return cn.RestartServer(2) }, "server-2", 2},
-		{"shard", func(cn *ChainNet) { cn.KillShard(1) }, func(cn *ChainNet) error { return cn.RestartShard(1) }, "shard-1", -1},
+		{"entry", func(cn *ChainNet) { cn.Kill(cn.EntryAddr) }, func(cn *ChainNet) error { return cn.Restart(cn.EntryAddr) }, "", -2},
+		{"server-head", func(cn *ChainNet) { cn.Kill(cn.ServerAddrs[0]) }, func(cn *ChainNet) error { return cn.Restart(cn.ServerAddrs[0]) }, "server-0", 0},
+		{"server-middle", func(cn *ChainNet) { cn.Kill(cn.ServerAddrs[1]) }, func(cn *ChainNet) error { return cn.Restart(cn.ServerAddrs[1]) }, "server-1", 1},
+		{"server-last", func(cn *ChainNet) { cn.Kill(cn.ServerAddrs[2]) }, func(cn *ChainNet) error { return cn.Restart(cn.ServerAddrs[2]) }, "server-2", 2},
+		{"shard", func(cn *ChainNet) { cn.Kill(cn.ShardAddrs[1]) }, func(cn *ChainNet) error { return cn.Restart(cn.ShardAddrs[1]) }, "shard-1", -1},
 	}
 	phases := []string{"before-rounds", "down-mid-round", "between-pipelined"}
 	if testing.Short() {
@@ -369,7 +369,7 @@ func TestChainRestartMidRoundServer(t *testing.T) {
 	}()
 	waitExchanged(t, cn, 2) // round 2 is now held at the shard leg
 
-	if err := cn.RestartServer(1); err != nil {
+	if err := cn.Restart(cn.ServerAddrs[1]); err != nil {
 		t.Fatalf("mid-round restart: %v", err)
 	}
 	err := <-res
@@ -424,7 +424,7 @@ func TestChainRestartMidRoundHead(t *testing.T) {
 	}()
 	waitExchanged(t, cn, 2)
 
-	if err := cn.RestartServer(0); err != nil {
+	if err := cn.Restart(cn.ServerAddrs[0]); err != nil {
 		t.Fatalf("mid-round restart: %v", err)
 	}
 	err := <-res
@@ -473,7 +473,7 @@ func TestChainRestartMidRoundLastServer(t *testing.T) {
 	waitExchanged(t, cn, 2) // round 2 committed at the last server, held on its shard leg
 
 	last := len(cn.Servers) - 1
-	if err := cn.RestartServer(last); err != nil {
+	if err := cn.Restart(cn.ServerAddrs[last]); err != nil {
 		t.Fatalf("mid-round restart: %v", err)
 	}
 	err := <-res
@@ -527,7 +527,7 @@ func TestChainRestartMidRoundEntry(t *testing.T) {
 	}()
 	waitExchanged(t, cn, 2) // the chain has consumed round 2
 
-	if err := cn.RestartEntry(); err != nil {
+	if err := cn.Restart(cn.EntryAddr); err != nil {
 		t.Fatalf("mid-round entry restart: %v", err)
 	}
 	if err := <-res; err == nil {
@@ -565,7 +565,7 @@ func TestChainRestartEntryWithoutStateWedges(t *testing.T) {
 	}
 	wantRounds(t, rounds, 1, 2)
 
-	if err := cn.RestartEntry(); err != nil {
+	if err := cn.Restart(cn.EntryAddr); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	_, err = cn.RunRounds(1, 1)
@@ -601,16 +601,16 @@ func TestChainFullRestartReplayProtection(t *testing.T) {
 	wantRounds(t, rounds, 1, 2)
 
 	for i := range cn.Servers {
-		if err := cn.RestartServer(i); err != nil {
+		if err := cn.Restart(cn.ServerAddrs[i]); err != nil {
 			t.Fatalf("restart server %d: %v", i, err)
 		}
 	}
 	for i := range cn.Shards {
-		if err := cn.RestartShard(i); err != nil {
+		if err := cn.Restart(cn.ShardAddrs[i]); err != nil {
 			t.Fatalf("restart shard %d: %v", i, err)
 		}
 	}
-	if err := cn.RestartEntry(); err != nil {
+	if err := cn.Restart(cn.EntryAddr); err != nil {
 		t.Fatalf("restart entry: %v", err)
 	}
 
@@ -643,16 +643,16 @@ func TestChainFullRestartWithoutStateReplays(t *testing.T) {
 	wantRounds(t, rounds, 1, 2)
 
 	for i := range cn.Servers {
-		if err := cn.RestartServer(i); err != nil {
+		if err := cn.Restart(cn.ServerAddrs[i]); err != nil {
 			t.Fatalf("restart server %d: %v", i, err)
 		}
 	}
 	for i := range cn.Shards {
-		if err := cn.RestartShard(i); err != nil {
+		if err := cn.Restart(cn.ShardAddrs[i]); err != nil {
 			t.Fatalf("restart shard %d: %v", i, err)
 		}
 	}
-	if err := cn.RestartEntry(); err != nil {
+	if err := cn.Restart(cn.EntryAddr); err != nil {
 		t.Fatalf("restart entry: %v", err)
 	}
 
@@ -695,7 +695,7 @@ func TestChainRestartPipelinedWindowDrains(t *testing.T) {
 	}()
 	waitExchanged(t, cn, 1) // round 1 held at the shard leg; 2 and 3 collecting behind it
 
-	if err := cn.RestartServer(1); err != nil {
+	if err := cn.Restart(cn.ServerAddrs[1]); err != nil {
 		t.Fatalf("mid-window restart: %v", err)
 	}
 	select {

@@ -53,7 +53,7 @@ func TestFrontNetFrontendRestart(t *testing.T) {
 	if _, err := cn.RunRounds(4, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := cn.RestartFrontend(1); err != nil {
+	if err := cn.Restart(cn.FrontAddrs[1]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cn.RunRounds(4, 2); err != nil {
@@ -70,7 +70,7 @@ func TestFrontNetFrontendKilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cn.Close()
-	cn.KillFrontend(0)
+	cn.Kill(cn.FrontAddrs[0])
 	start := time.Now()
 	if _, err := cn.RunRounds(4, 2); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestFrontNetEntryRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cn.RestartEntry(); err != nil {
+	if err := cn.Restart(cn.EntryAddr); err != nil {
 		t.Fatal(err)
 	}
 	second, err := cn.RunRounds(4, 2)

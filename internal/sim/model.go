@@ -18,6 +18,13 @@
 // The substitution (simulated testbed → model + scaled measurement) is
 // recorded in DESIGN.md; EXPERIMENTS.md compares model output against
 // every number the paper reports.
+//
+// The package is also the one in-memory deployment harness (chainnet.go,
+// swarm.go): ChainNet runs every role of a deployment in one process as
+// a table of nodes named by listen address — Nodes, Kill, Restart — with
+// one self-healing client population, Swarm, and WaitReady to tell when
+// the entry tier has re-formed. The fault suites here, internal/eval's
+// adversarial experiments and the root benchmarks all drive that harness.
 package sim
 
 import (

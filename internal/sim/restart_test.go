@@ -64,7 +64,7 @@ func TestShardCrashRestartRejoins(t *testing.T) {
 		}
 	}
 
-	if err := cn.RestartShard(1); err != nil {
+	if err := cn.Restart(cn.ShardAddrs[1]); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	if got := cn.Shards[1].LastRound(); got != 2 {
@@ -102,7 +102,7 @@ func TestShardRestartStaleReplayAborts(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	if err := cn.RestartShard(0); err != nil {
+	if err := cn.Restart(cn.ShardAddrs[0]); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 
@@ -139,7 +139,7 @@ func TestShardRestartWithoutStateReplays(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	if err := cn.RestartShard(0); err != nil {
+	if err := cn.Restart(cn.ShardAddrs[0]); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	conn := dialShardAsRouter(t, cn, 0)
@@ -181,7 +181,7 @@ func TestShardCrashDuringOutageThenRejoin(t *testing.T) {
 	// Crash: sever the shard and blackhole its address. Rounds 2 and 3
 	// degrade around it.
 	faulty.Break(cn.ShardAddrs[0])
-	cn.KillShard(0)
+	cn.Kill(cn.ShardAddrs[0])
 	for round := uint64(2); round <= 3; round++ {
 		pairs := buildPairs(t, cn, round, 6, 2)
 		if _, err := runPairsRound(t, cn, round, pairs); err != nil {
@@ -196,7 +196,7 @@ func TestShardCrashDuringOutageThenRejoin(t *testing.T) {
 	// durable counter says 1; the next chain round is 4 — it must rejoin
 	// cleanly.
 	faulty.Restore(cn.ShardAddrs[0])
-	if err := cn.RestartShard(0); err != nil {
+	if err := cn.Restart(cn.ShardAddrs[0]); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	if got := cn.Shards[0].LastRound(); got != 1 {
@@ -224,10 +224,10 @@ func TestRestartShardValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cn.Close()
-	if err := cn.RestartShard(5); err == nil {
+	if err := cn.Restart("shard-5"); err == nil {
 		t.Fatal("restarting shard 5 of 1 succeeded")
 	}
-	if err := cn.RestartShard(-1); err == nil {
+	if err := cn.Restart("shard--1"); err == nil {
 		t.Fatal("restarting shard -1 succeeded")
 	}
 }

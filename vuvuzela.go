@@ -126,10 +126,6 @@ type Options struct {
 	SubmitTimeout time.Duration
 	// Workers bounds per-server crypto parallelism (0 = all cores).
 	Workers int
-	// Shards partitions the last server's dead-drop table into
-	// independent sub-tables keyed by the leading bits of the drop ID,
-	// parallelizing the exchange step (0 or 1 = one sequential table).
-	Shards int
 	// ConvoWindow is the number of conversation rounds RunConvoRounds
 	// may keep in flight at once: round r+1 collects submissions while
 	// round r traverses the chain (0 or 1 = strictly serial rounds).
@@ -196,7 +192,6 @@ func NewInProcessNetwork(opts Options) (*Network, error) {
 		ConvoNoise: opts.ConvoNoise.dist(),
 		DialNoise:  opts.DialNoise.dist(),
 		Workers:    opts.Workers,
-		Shards:     opts.Shards,
 	}, n.store)
 	if err != nil {
 		return nil, err
