@@ -220,26 +220,6 @@ func BenchmarkAttackAdvantage(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationAEADSuite compares the paper's NaCl suite against the
-// AES-GCM alternative on protocol-sized messages — the "fast
-// cryptographic primitives" design choice of §1.
-func BenchmarkAblationAEADSuite(b *testing.B) {
-	for _, suite := range []box.Suite{box.NaClSuite{}, box.GCMSuite{}} {
-		b.Run(suite.Name(), func(b *testing.B) {
-			var key [box.KeySize]byte
-			var nonce [box.NonceSize]byte
-			msg := make([]byte, 256)
-			b.SetBytes(256)
-			for i := 0; i < b.N; i++ {
-				ct := suite.Seal(msg, &nonce, &key)
-				if _, err := suite.Open(ct, &nonce, &key); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationNoiseSampling compares Laplace sampling against the
 // paper's fixed-noise evaluation mode (§8.1) — confirming sampling is not
 // a bottleneck.

@@ -28,9 +28,6 @@ type Store struct {
 	rounds map[uint64]*dial.Buckets
 	order  []uint64
 	retain int
-
-	subsMu sync.Mutex
-	subs   []chan uint64
 }
 
 // NewStore returns a store retaining the given number of rounds
@@ -46,9 +43,10 @@ func NewStore(retain int) *Store {
 }
 
 // Publish stores a round's buckets, evicting the oldest beyond the
-// retention window, and wakes any subscribers.
+// retention window.
 func (s *Store) Publish(b *dial.Buckets) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.rounds[b.Round]; !ok {
 		s.order = append(s.order, b.Round)
 	}
@@ -58,27 +56,6 @@ func (s *Store) Publish(b *dial.Buckets) {
 		s.order = s.order[1:]
 		delete(s.rounds, old)
 	}
-	s.mu.Unlock()
-
-	s.subsMu.Lock()
-	for _, ch := range s.subs {
-		select {
-		case ch <- b.Round:
-		default:
-		}
-	}
-	s.subsMu.Unlock()
-}
-
-// Subscribe returns a channel receiving the round number of each future
-// publication. The channel has a small buffer; slow receivers miss
-// notifications (they can still fetch by round).
-func (s *Store) Subscribe() <-chan uint64 {
-	ch := make(chan uint64, 16)
-	s.subsMu.Lock()
-	s.subs = append(s.subs, ch)
-	s.subsMu.Unlock()
-	return ch
 }
 
 // Buckets returns a round's full bucket set, if retained.
@@ -115,6 +92,9 @@ func (s *Store) Serve(l net.Listener) error {
 
 func (s *Store) handleConn(c *wire.Conn) {
 	defer c.Close()
+	// Anyone can dial this listener and a KindBucketReq has no body: a
+	// longer frame is refused before anything is allocated for it.
+	c.SetRecvLimit(0, 0)
 	for {
 		msg, err := c.Recv()
 		if err != nil {

@@ -2,6 +2,9 @@ package cdn
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -61,20 +64,6 @@ func TestRepublishSameRound(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	s := NewStore(0)
-	ch := s.Subscribe()
-	s.Publish(buckets(7, []byte("x")))
-	select {
-	case r := <-ch:
-		if r != 7 {
-			t.Fatalf("notified round %d", r)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no notification")
-	}
-}
-
 func TestServeFetch(t *testing.T) {
 	net := transport.NewMem()
 	s := NewStore(0)
@@ -113,5 +102,52 @@ func TestServeFetch(t *testing.T) {
 	// Multiple fetches on one connection.
 	if got, err = Fetch(conn, 3, 0); err != nil || string(got) != "zero" {
 		t.Fatalf("second fetch: %q %v", got, err)
+	}
+}
+
+// TestServeRefusesOversizedFrame: the CDN listener is public and
+// unauthenticated, so the four bytes of a length prefix are all a
+// stranger needs to send. A prefix announcing wire.MaxFrameSize — within
+// the global cap, so only the listener's own limit refuses it — must get
+// the connection closed with nothing allocated for the payload, and a
+// valid fetch still works on the same listener.
+func TestServeRefusesOversizedFrame(t *testing.T) {
+	net := transport.NewMem()
+	s := NewStore(0)
+	s.Publish(buckets(3, []byte("zero")))
+	l, err := net.Listen("cdn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go s.Serve(l)
+
+	raw, err := net.Dial("cdn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := raw.Write([]byte{0x40, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("listener kept the connection open waiting for a 1 GiB frame (read: %v)", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("a 4-byte header made the listener allocate %d MiB", grew>>20)
+	}
+
+	raw2, err := net.Dial("cdn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := wire.NewConn(raw2)
+	defer conn.Close()
+	if got, err := Fetch(conn, 3, 0); err != nil || string(got) != "zero" {
+		t.Fatalf("fetch after the refused frame: %q %v", got, err)
 	}
 }

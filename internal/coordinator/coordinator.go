@@ -186,9 +186,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.SubmitTimeout == 0 {
 		cfg.SubmitTimeout = 5 * time.Second
 	}
-	if cfg.ConvoWindow > wire.MaxRoundsInFlight {
-		cfg.ConvoWindow = wire.MaxRoundsInFlight
-	}
+	cfg.ConvoWindow = max(1, min(cfg.ConvoWindow, wire.MaxRoundsInFlight))
 	co := &Coordinator{
 		cfg: cfg,
 		col: collector.New(0),
@@ -372,28 +370,13 @@ func (co *Coordinator) RunConvoRound(ctx context.Context) (round uint64, partici
 // deliver their replies (clients who submitted are never stranded); a
 // chain error or context cancellation aborts the pipeline.
 func (co *Coordinator) RunConvoRounds(ctx context.Context, n int) ([]int, error) {
-	window := co.cfg.ConvoWindow
-	if window < 1 {
-		window = 1
-	}
 	participants := make([]int, 0, n)
-	if window == 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			_, p, err := co.RunConvoRound(ctx)
-			if err != nil {
-				return participants, err
-			}
-			participants = append(participants, p)
-		}
-		return participants, nil
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	errCh := make(chan error, 2)
 	i := 0
-	co.runConvoPipeline(ctx, window, convoStageHooks{
+	co.runConvoPipeline(ctx, convoStageHooks{
 		// next runs on the collector goroutine; i is touched nowhere else.
 		next: func() bool { i++; return i <= n },
 		onCollectErr: func(_ uint64, err error) bool {
@@ -450,12 +433,14 @@ type convoStageHooks struct {
 }
 
 // runConvoPipeline is the shared three-stage conversation pipeline:
-// collect → chain → fanout, with at most `window` rounds in flight
-// (slots are taken before announcing and released after fanout). The
-// chain stage is a single goroutine forwarding rounds in collection
-// order, so the mixnet's strictly-increasing round check stays
-// satisfied. Blocks until every stage has drained.
-func (co *Coordinator) runConvoPipeline(ctx context.Context, window int, h convoStageHooks) {
+// collect → chain → fanout, with at most ConvoWindow rounds in flight
+// (slots are taken before announcing and released after fanout; a window
+// of 1 runs whole rounds one after another). The chain stage is a single
+// goroutine forwarding rounds in collection order, so the mixnet's
+// strictly-increasing round check stays satisfied. Blocks until every
+// stage has drained.
+func (co *Coordinator) runConvoPipeline(ctx context.Context, h convoStageHooks) {
+	window := co.cfg.ConvoWindow
 	type chained struct {
 		cr      *convoRound
 		replies [][]byte
@@ -601,24 +586,17 @@ func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint
 
 // Start drives rounds on timers until the context is cancelled: a
 // conversation round every ConvoInterval and a dialing round every
-// DialInterval (if set). With ConvoWindow > 1, conversation rounds run
-// through the same collect → chain → fanout pipeline as RunConvoRounds,
-// so round r+1's announcement and collection overlap round r's chain
-// traversal instead of the timer goroutine serializing whole rounds.
+// DialInterval (if set). Conversation rounds run through the same
+// collect → chain → fanout pipeline as RunConvoRounds, so with
+// ConvoWindow > 1 round r+1's announcement and collection overlap round
+// r's chain traversal.
 // Round failures are transient — the next tick starts a fresh round —
 // but each one is surfaced through Config.OnRoundError so a persistent
 // cause (an unreachable chain, a dead dead-drop shard) is visible
 // instead of silently swallowed.
 func (co *Coordinator) Start(ctx context.Context) {
 	if co.cfg.ConvoInterval > 0 {
-		if co.cfg.ConvoWindow > 1 {
-			go co.convoPipeline(ctx)
-		} else {
-			go co.loop(ctx, co.cfg.ConvoInterval, func() {
-				round, _, err := co.RunConvoRound(ctx)
-				co.reportRoundError(wire.ProtoConvo, round, err)
-			})
-		}
+		go co.convoPipeline(ctx)
 	}
 	if co.cfg.DialInterval > 0 {
 		go co.loop(ctx, co.cfg.DialInterval, func() {
@@ -628,16 +606,16 @@ func (co *Coordinator) Start(ctx context.Context) {
 	}
 }
 
-// convoPipeline is timer mode's pipelined conversation driver: the
-// shared runConvoPipeline stages, paced by the ConvoInterval ticker and
-// bounded by ConvoWindow in-flight rounds. Unlike RunConvoRounds —
-// whose callers want the error — a chain failure here is reported
-// through OnRoundError and the pipeline keeps ticking, matching serial
-// timer mode's behavior; only shutdown (context or Close) ends it.
+// convoPipeline is timer mode's conversation driver: the shared
+// runConvoPipeline stages, paced by the ConvoInterval ticker. Unlike
+// RunConvoRounds — whose callers want the error — a failed round here,
+// in collection (a refused round-state commit) or in the chain, is
+// reported through OnRoundError and the pipeline keeps ticking; only
+// shutdown (context or Close) ends it, through next.
 func (co *Coordinator) convoPipeline(ctx context.Context) {
 	t := time.NewTicker(co.cfg.ConvoInterval)
 	defer t.Stop()
-	co.runConvoPipeline(ctx, co.cfg.ConvoWindow, convoStageHooks{
+	co.runConvoPipeline(ctx, convoStageHooks{
 		next: func() bool {
 			select {
 			case <-ctx.Done():
@@ -649,11 +627,8 @@ func (co *Coordinator) convoPipeline(ctx context.Context) {
 			}
 		},
 		onCollectErr: func(round uint64, err error) bool {
-			// Collection fails only on shutdown or a round-state commit
-			// failure; the latter needs the operator (a broken disk), so
-			// stopping the pipeline is right either way.
 			co.reportRoundError(wire.ProtoConvo, round, err)
-			return false
+			return true
 		},
 		onChainErr: func(round uint64, err error) bool {
 			co.reportRoundError(wire.ProtoConvo, round, err)

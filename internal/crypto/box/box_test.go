@@ -209,45 +209,41 @@ func TestAnonymousUnlinkable(t *testing.T) {
 	}
 }
 
-// TestSuitesRoundTrip exercises both AEAD suites through the Suite
-// interface.
+// TestSuitesRoundTrip: a sealed box is Overhead bytes longer than its
+// message, opens to it, and is refused after one flipped bit.
 func TestSuitesRoundTrip(t *testing.T) {
-	for _, s := range []Suite{NaClSuite{}, GCMSuite{}} {
-		var key [KeySize]byte
-		var nonce [NonceSize]byte
-		rand.Read(key[:])
-		rand.Read(nonce[:])
-		msg := []byte("suite test payload")
-		ct := s.Seal(msg, &nonce, &key)
-		if len(ct) != len(msg)+s.Overhead() {
-			t.Fatalf("%s: overhead mismatch", s.Name())
-		}
-		pt, err := s.Open(ct, &nonce, &key)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if !bytes.Equal(pt, msg) {
-			t.Fatalf("%s: plaintext mismatch", s.Name())
-		}
-		ct[len(ct)-1] ^= 1
-		if _, err := s.Open(ct, &nonce, &key); err == nil {
-			t.Fatalf("%s: accepted tampered ciphertext", s.Name())
-		}
+	var key [KeySize]byte
+	var nonce [NonceSize]byte
+	rand.Read(key[:])
+	rand.Read(nonce[:])
+	msg := []byte("suite test payload")
+	ct := Seal(msg, &nonce, &key)
+	if len(ct) != len(msg)+Overhead {
+		t.Fatal("overhead mismatch")
+	}
+	pt, err := Open(ct, &nonce, &key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pt, msg) {
+		t.Fatal("plaintext mismatch")
+	}
+	ct[len(ct)-1] ^= 1
+	if _, err := Open(ct, &nonce, &key); err == nil {
+		t.Fatal("accepted tampered ciphertext")
 	}
 }
 
 // TestSealOpenQuick is a property test across arbitrary keys, nonces, and
-// messages for both suites.
+// messages.
 func TestSealOpenQuick(t *testing.T) {
-	for _, s := range []Suite{NaClSuite{}, GCMSuite{}} {
-		f := func(key [KeySize]byte, nonce [NonceSize]byte, msg []byte) bool {
-			ct := s.Seal(msg, &nonce, &key)
-			pt, err := s.Open(ct, &nonce, &key)
-			return err == nil && bytes.Equal(pt, msg)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
+	f := func(key [KeySize]byte, nonce [NonceSize]byte, msg []byte) bool {
+		ct := Seal(msg, &nonce, &key)
+		pt, err := Open(ct, &nonce, &key)
+		return err == nil && bytes.Equal(pt, msg)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -295,16 +291,5 @@ func BenchmarkOpen256B(b *testing.B) {
 		if _, err := Open(ct, &nonce, &key); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkGCMSeal256B(b *testing.B) {
-	var key [KeySize]byte
-	var nonce [NonceSize]byte
-	s := GCMSuite{}
-	msg := make([]byte, 256)
-	b.SetBytes(256)
-	for i := 0; i < b.N; i++ {
-		s.Seal(msg, &nonce, &key)
 	}
 }

@@ -62,48 +62,50 @@ func TestOpenIntoRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestKeyedSuites checks both suites' Keyed form round-trips against the
-// allocating Seal/Open path byte-for-byte (so the Keyed fast path cannot
-// drift from the wire layout), and rejects tampering.
+// TestKeyedSuites checks the caller-buffer forms the record layer runs
+// on — SealInto and OpenInto, both apart from and in place in the
+// message's own buffer — against the allocating Seal/Open path
+// byte-for-byte (so the fast path cannot drift from the wire layout), and
+// rejects tampering. The subtest keeps the cipher's name.
 func TestKeyedSuites(t *testing.T) {
-	for _, s := range []Suite{NaClSuite{}, GCMSuite{}} {
-		t.Run(s.Name(), func(t *testing.T) {
-			var key [KeySize]byte
-			var nonce [NonceSize]byte
-			copy(key[:], bytes.Repeat([]byte{3}, KeySize))
-			nonce[0] = 1
-			k := s.Key(&key)
-			if k.Overhead() != s.Overhead() {
-				t.Fatal("Keyed overhead disagrees with the suite")
+	t.Run("xsalsa20poly1305", func(t *testing.T) {
+		var key [KeySize]byte
+		var nonce [NonceSize]byte
+		copy(key[:], bytes.Repeat([]byte{3}, KeySize))
+		nonce[0] = 1
+		for _, n := range []int{0, 1, 32, 65, 1 << 12} {
+			msg := bytes.Repeat([]byte{byte(n)}, n)
+			want := Seal(msg, &nonce, &key)
+
+			out := make([]byte, Overhead+n)
+			SealInto(out, msg, &nonce, &key)
+			if !bytes.Equal(out, want) {
+				t.Fatalf("SealInto(%d bytes) disagrees with Seal", n)
 			}
-			for _, n := range []int{0, 1, 32, 65, 1 << 12} {
-				msg := bytes.Repeat([]byte{byte(n)}, n)
-				want := s.Seal(msg, &nonce, &key)
 
-				// Overhead() bytes of tail capacity: the seal-scratch
-				// contract.
-				out := make([]byte, s.Overhead()+n, 2*s.Overhead()+n)
-				k.SealInto(out, msg, &nonce)
-				if !bytes.Equal(out, want) {
-					t.Fatalf("SealInto(%d bytes) disagrees with Seal", n)
-				}
-
-				pt := make([]byte, n)
-				if err := k.OpenInto(pt, append([]byte(nil), want...), &nonce); err != nil {
-					t.Fatalf("OpenInto(%d bytes): %v", n, err)
-				}
-				if !bytes.Equal(pt, msg) {
-					t.Fatalf("OpenInto(%d bytes) disagrees with the plaintext", n)
-				}
-
-				mut := append([]byte(nil), want...)
-				mut[n/2] ^= 1
-				if err := k.OpenInto(pt, mut, &nonce); !errors.Is(err, ErrDecrypt) {
-					t.Fatalf("tampered box accepted: %v", err)
-				}
+			// In place: the message staged behind the tag slot.
+			rec := make([]byte, Overhead+n)
+			copy(rec[Overhead:], msg)
+			SealInto(rec, rec[Overhead:], &nonce, &key)
+			if !bytes.Equal(rec, want) {
+				t.Fatalf("in-place SealInto(%d bytes) disagrees with Seal", n)
 			}
-		})
-	}
+
+			pt := make([]byte, n)
+			if err := OpenInto(pt, append([]byte(nil), want...), &nonce, &key); err != nil {
+				t.Fatalf("OpenInto(%d bytes): %v", n, err)
+			}
+			if !bytes.Equal(pt, msg) {
+				t.Fatalf("OpenInto(%d bytes) disagrees with the plaintext", n)
+			}
+
+			mut := append([]byte(nil), want...)
+			mut[n/2] ^= 1
+			if err := OpenInto(pt, mut, &nonce, &key); !errors.Is(err, ErrDecrypt) {
+				t.Fatalf("tampered box accepted: %v", err)
+			}
+		}
+	})
 }
 
 // FuzzOpenInto mirrors the SealInto coverage for the opening direction:

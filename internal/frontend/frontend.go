@@ -77,14 +77,6 @@ type Config struct {
 	// degrades by turning clients away, not by slowing every round.
 	MaxClients int
 
-	// CollectBudget bounds how long a round collects client submissions
-	// when the announcement carries no budget hint (0 uses
-	// DefaultCollectBudget). When the coordinator's announcement does
-	// carry its submit-timeout budget, the frontend uses 4/5 of that
-	// instead, closing its partial batch before the coordinator gives
-	// up on it.
-	CollectBudget time.Duration
-
 	// ReconnectDelay is the pause between pipe reconnection attempts
 	// (0 uses DefaultReconnectDelay).
 	ReconnectDelay time.Duration
@@ -124,9 +116,6 @@ func New(cfg Config) (*Frontend, error) {
 			return nil, fmt.Errorf("frontend: generating pipe identity: %w", err)
 		}
 		cfg.Identity = priv
-	}
-	if cfg.CollectBudget == 0 {
-		cfg.CollectBudget = DefaultCollectBudget
 	}
 	if cfg.ReconnectDelay == 0 {
 		cfg.ReconnectDelay = DefaultReconnectDelay
@@ -251,7 +240,7 @@ func (f *Frontend) runPipe(ctx context.Context) {
 // abandoned by the coordinator (it announced a newer one); Open closes it
 // without sending.
 func (f *Frontend) startRound(p *collector.Conn, ann *wire.Message) {
-	budget := f.cfg.CollectBudget
+	budget := DefaultCollectBudget
 	if ann.Bucket > 0 {
 		// The coordinator's submit-timeout budget (milliseconds): use
 		// 4/5 of it so the partial batch reaches the coordinator before

@@ -286,9 +286,6 @@ func counterName(proto wire.Proto) string {
 	}
 }
 
-// IsLast reports whether this server holds the dead drops.
-func (s *Server) IsLast() bool { return s.last }
-
 // checkRound enforces strictly increasing rounds per protocol. With a
 // RoundState store the round is committed to disk write-ahead — BEFORE
 // any onion is unwrapped — so a crash at any later point leaves a

@@ -63,12 +63,12 @@ const (
 	// largest every reader MUST accept (docs/WIRE.md §1.3). The bound
 	// caps what a malicious length prefix can make the reader allocate.
 	maxRecordPlain = 1 << 20
-	// defaultRecordPlain is the record size writers use unless
-	// configured otherwise (WithRecordSize). Larger records amortize the
-	// per-record tag, nonce setup, and framing over more payload;
-	// readers accept every size up to maxRecordPlain, including the
-	// 64 KiB records of pre-coalescing writers.
-	defaultRecordPlain = 1 << 18
+	// recordPlain is the data payload this writer puts in one record
+	// (docs/WIRE.md §1.3). Larger records amortize the per-record tag,
+	// nonce setup, and framing over more payload; readers accept every
+	// size up to maxRecordPlain, including the 64 KiB records of
+	// pre-coalescing writers.
+	recordPlain = 1 << 18
 	// maxHandshakeFrame bounds the handshake messages (both are ~113
 	// bytes; anything bigger is not this protocol).
 	maxHandshakeFrame = 512
@@ -104,15 +104,6 @@ type Secure struct {
 	conn net.Conn
 	priv box.PrivateKey
 
-	// suite is the record AEAD suite (box.DefaultSuite unless WithSuite
-	// overrides it). Both ends must be configured with the same suite —
-	// there is no negotiation to downgrade; a mismatch fails the first
-	// record with ErrAuth (docs/WIRE.md §1.3).
-	suite box.Suite
-	// recordPlain is the writer's record payload size in bytes,
-	// defaultRecordPlain unless WithRecordSize overrides it.
-	recordPlain int
-
 	isClient bool
 	// serverPub is the expected peer key (client role).
 	serverPub box.PublicKey
@@ -127,23 +118,15 @@ type Secure struct {
 	hsErr  error
 	peer   box.PublicKey
 	key    [box.KeySize]byte
-	// aead is the record suite bound to the session key, built once when
-	// the handshake completes (per-key setup like the AES key schedule
-	// must not run per record).
-	aead box.Keyed
 
 	rdMu  sync.Mutex
 	rdCtr uint64
 	// rdHdr is the reusable 4-byte record length prefix buffer (a local
 	// array would escape through the io.ReadFull interface call).
 	rdHdr [4]byte
-	// rdNonce is the reusable receive-direction record nonce.
-	rdNonce [box.NonceSize]byte
-	// rdRec is the reusable ciphertext buffer one record is read into.
+	// rdRec is the reusable buffer one record is read into and opened
+	// in; rdBuf aliases it, so it is only refilled once rdBuf is drained.
 	rdRec []byte
-	// rdPt is the reusable plaintext buffer records decrypt into; rdBuf
-	// aliases it, so it is only overwritten once rdBuf is drained.
-	rdPt []byte
 	// rdBuf is the undelivered remainder of the last data record.
 	rdBuf []byte
 	rdErr error
@@ -153,13 +136,9 @@ type Secure struct {
 	// direction without blocking behind an in-flight Write.
 	wrMu  sync.Mutex
 	wrCtr uint64
-	// wrNonce is the reusable send-direction record nonce.
-	wrNonce [box.NonceSize]byte
-	// wrPt is the reusable plaintext staging buffer (type byte + chunk).
-	wrPt []byte
-	// wrCt is the reusable ciphertext buffer, with Overhead tail
-	// capacity for suites that need seal scratch (box.Keyed contract).
-	wrCt []byte
+	// wrRec is the reusable record buffer: type byte + chunk are staged
+	// behind the tag slot and sealed where they lie.
+	wrRec []byte
 	// wrHdr is the 4-byte record length prefix.
 	wrHdr [4]byte
 	// wrVecBase is the two-element backing store for the vectored
@@ -174,56 +153,18 @@ type Secure struct {
 	wrErr  error
 }
 
-// SecureOption configures a Secure connection at construction time.
-type SecureOption func(*Secure)
-
-// WithSuite selects the record AEAD suite (default box.DefaultSuite,
-// XSalsa20-Poly1305). Both ends of a connection must be configured with
-// the same suite; the choice is deployment configuration, not
-// negotiated, so a mismatch fails the first record closed with ErrAuth.
-// Handshake authentication is NaCl boxes regardless of the record suite.
-func WithSuite(s box.Suite) SecureOption {
-	return func(c *Secure) { c.suite = s }
-}
-
-// WithRecordSize sets the largest data payload this side places in one
-// record, in bytes. Values are clamped to [1, the protocol cap of 1 MiB]
-// (docs/WIRE.md §1.3); readers always accept every record size up to the
-// cap, so the two ends need not agree.
-func WithRecordSize(n int) SecureOption {
-	return func(c *Secure) {
-		if n < 1 {
-			n = 1
-		}
-		if n > maxRecordPlain {
-			n = maxRecordPlain
-		}
-		c.recordPlain = n
-	}
-}
-
-// newSecure applies defaults and options shared by all constructors.
-func newSecure(s *Secure, opts []SecureOption) *Secure {
-	s.suite = box.DefaultSuite
-	s.recordPlain = defaultRecordPlain
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
-
 // SecureClient wraps the dialing side of a connection: priv is this
 // peer's long-term key and serverPub the key the remote listener must
 // prove it holds (from the chain descriptor).
-func SecureClient(conn net.Conn, priv box.PrivateKey, serverPub box.PublicKey, opts ...SecureOption) *Secure {
-	return newSecure(&Secure{conn: conn, priv: priv, isClient: true, serverPub: serverPub}, opts)
+func SecureClient(conn net.Conn, priv box.PrivateKey, serverPub box.PublicKey) *Secure {
+	return &Secure{conn: conn, priv: priv, isClient: true, serverPub: serverPub}
 }
 
 // SecureServer wraps the accepting side of a connection: priv is this
 // peer's long-term key and authorized the static keys allowed to drive
 // it. Any other peer fails the handshake with ErrAuth.
-func SecureServer(conn net.Conn, priv box.PrivateKey, authorized []box.PublicKey, opts ...SecureOption) *Secure {
-	return newSecure(&Secure{conn: conn, priv: priv, authorized: authorized}, opts)
+func SecureServer(conn net.Conn, priv box.PrivateKey, authorized []box.PublicKey) *Secure {
+	return &Secure{conn: conn, priv: priv, authorized: authorized}
 }
 
 // SecureServerAny wraps the accepting side of a connection that
@@ -236,8 +177,8 @@ func SecureServer(conn net.Conn, priv box.PrivateKey, authorized []box.PublicKey
 // or a future direct client), but deliberately does not restrict who may
 // submit batches, because the entry role is untrusted in the paper's
 // threat model and gains nothing by holding a well-known key.
-func SecureServerAny(conn net.Conn, priv box.PrivateKey, opts ...SecureOption) *Secure {
-	return newSecure(&Secure{conn: conn, priv: priv, anyPeer: true}, opts)
+func SecureServerAny(conn net.Conn, priv box.PrivateKey) *Secure {
+	return &Secure{conn: conn, priv: priv, anyPeer: true}
 }
 
 // Peer returns the authenticated remote static key; the zero key before
@@ -269,7 +210,6 @@ func (s *Secure) Handshake() error {
 		s.hsErr = err
 		return err
 	}
-	s.aead = s.suite.Key(&s.key)
 	s.wrVecBase = make(net.Buffers, 2)
 	s.hsDone = true
 	return nil
@@ -441,19 +381,14 @@ func hsNonce(label string, parts ...[]byte) [box.NonceSize]byte {
 	return n
 }
 
-// recordNonce fills the implicit per-record nonce: one byte of
+// recordNonce is the implicit per-record nonce: one byte of
 // direction and a strictly increasing counter. The counter never crosses
 // the wire, so a replayed or reordered record decrypts under the wrong
-// nonce and fails authentication. The nonce is filled in place (each
-// direction owns a reusable nonce field) because a local array passed
-// through the box.Keyed interface escapes to the heap — one of the three
-// per-record allocations this layer eliminates.
-func recordNonce(n *[box.NonceSize]byte, dir byte, ctr uint64) {
+// nonce and fails authentication.
+func recordNonce(dir byte, ctr uint64) (n [box.NonceSize]byte) {
 	n[0] = dir
 	binary.BigEndian.PutUint64(n[1:9], ctr)
-	for i := 9; i < box.NonceSize; i++ {
-		n[i] = 0
-	}
+	return n
 }
 
 func (s *Secure) dirOut() byte {
@@ -539,9 +474,8 @@ func (s *Secure) Read(p []byte) (int, error) {
 			}
 			return 0, err
 		}
-		ovh := s.aead.Overhead()
 		n := binary.BigEndian.Uint32(s.rdHdr[:])
-		if n < uint32(ovh)+1 || n > maxRecordPlain+1+uint32(ovh) {
+		if n < box.Overhead+1 || n > box.Overhead+1+maxRecordPlain {
 			s.fail(authErr("record of %d bytes", n))
 			return 0, s.rdErr
 		}
@@ -556,13 +490,11 @@ func (s *Secure) Read(p []byte) (int, error) {
 			s.rdErr = fmt.Errorf("transport: record stream desynchronized: %w", err)
 			return 0, err
 		}
-		ptLen := int(n) - ovh
-		if cap(s.rdPt) < ptLen {
-			s.rdPt = make([]byte, ptLen)
-		}
-		pt := s.rdPt[:ptLen]
-		recordNonce(&s.rdNonce, s.dirIn(), s.rdCtr)
-		if err := s.aead.OpenInto(pt, ct, &s.rdNonce); err != nil {
+		// Opened where it was read: OpenInto writes nothing before the
+		// tag verifies, so rdRec never holds forged plaintext.
+		pt := ct[box.Overhead:]
+		nonce := recordNonce(s.dirIn(), s.rdCtr)
+		if err := box.OpenInto(pt, ct, &nonce, &s.key); err != nil {
 			s.fail(authErr("record %d rejected (tampered, replayed, or reordered)", s.rdCtr))
 			return 0, s.rdErr
 		}
@@ -631,47 +563,45 @@ func (s *Secure) fail(err error) {
 	}
 	defer s.wrMu.Unlock()
 	s.conn.SetWriteDeadline(time.Now().Add(alertTimeout))
-	s.sealAndSend(alertRecord)
+	s.sealAndSend(recAlert, nil)
 }
 
-// alertRecord is the one-byte fatal-alert plaintext.
-var alertRecord = []byte{recAlert}
-
-// writeRecord seals one data-path record (type byte already included in
-// pt) under the next write-direction nonce, refusing on a poisoned
+// writeRecord seals chunk as one data record, refusing on a poisoned
 // direction. Caller holds wrMu.
-func (s *Secure) writeRecord(pt []byte) error {
+func (s *Secure) writeRecord(chunk []byte) error {
 	s.wrStMu.Lock()
 	err := s.wrErr
 	s.wrStMu.Unlock()
 	if err != nil {
 		return err
 	}
-	return s.sealAndSend(pt)
+	return s.sealAndSend(recData, chunk)
 }
 
-// sealAndSend seals one record into the reusable write buffers and sends
-// the 4-byte header + ciphertext as one vectored write (net.Buffers hits
-// writev on TCP, so coalescing costs no copy). Caller holds wrMu. A
-// failed write poisons the whole direction: the record for nonce wrCtr
-// may be partially on the wire, and sealing different plaintext under
-// the same (key, nonce) — e.g. a retry after a write deadline — would
-// reuse the keystream and authenticator key. The connection must be
-// dropped instead.
-func (s *Secure) sealAndSend(pt []byte) error {
-	ovh := s.aead.Overhead()
-	recordNonce(&s.wrNonce, s.dirOut(), s.wrCtr)
-	ctLen := ovh + len(pt)
-	if cap(s.wrCt) < ctLen+ovh {
-		// Overhead bytes of tail capacity beyond the ciphertext: the
-		// box.Keyed seal-scratch contract.
-		s.wrCt = make([]byte, ctLen, ctLen+ovh)
+// sealAndSend stages typ ‖ chunk behind the tag slot of the reusable
+// record buffer, seals it where it lies under the next write-direction
+// nonce, and sends the 4-byte header + record as one vectored write
+// (net.Buffers hits writev on TCP, so coalescing costs no copy). Caller
+// holds wrMu. A failed write poisons the whole direction: the record for
+// nonce wrCtr may be partially on the wire, and sealing different
+// plaintext under the same (key, nonce) — e.g. a retry after a write
+// deadline — would reuse the keystream and authenticator key. The
+// connection must be dropped instead.
+func (s *Secure) sealAndSend(typ byte, chunk []byte) error {
+	n := box.Overhead + 1 + len(chunk)
+	if cap(s.wrRec) < n {
+		// Write sends its largest chunk first, so this grows at most once
+		// per call and never past one full record.
+		s.wrRec = make([]byte, n)
 	}
-	ct := s.wrCt[:ctLen]
-	s.aead.SealInto(ct, pt, &s.wrNonce)
-	binary.BigEndian.PutUint32(s.wrHdr[:], uint32(ctLen))
+	rec := s.wrRec[:n]
+	rec[box.Overhead] = typ
+	copy(rec[box.Overhead+1:], chunk)
+	nonce := recordNonce(s.dirOut(), s.wrCtr)
+	box.SealInto(rec, rec[box.Overhead:], &nonce, &s.key)
+	binary.BigEndian.PutUint32(s.wrHdr[:], uint32(n))
 	s.wrVecBase[0] = s.wrHdr[:]
-	s.wrVecBase[1] = ct
+	s.wrVecBase[1] = rec
 	// WriteTo consumes its receiver, so hand it a throwaway view and
 	// keep the base intact for the next record.
 	s.wrVec = s.wrVecBase
@@ -688,8 +618,8 @@ func (s *Secure) sealAndSend(pt []byte) error {
 }
 
 // Write implements net.Conn: p is split into encrypted data records of
-// at most the configured record size (WithRecordSize). The steady-state
-// path reuses the connection's staging buffers and allocates nothing.
+// at most recordPlain bytes. The steady-state path reuses the
+// connection's record buffer and allocates nothing.
 func (s *Secure) Write(p []byte) (int, error) {
 	if err := s.Handshake(); err != nil {
 		return 0, err
@@ -697,24 +627,12 @@ func (s *Secure) Write(p []byte) (int, error) {
 	s.wrMu.Lock()
 	defer s.wrMu.Unlock()
 	total := 0
-	max := s.recordPlain
-	if cap(s.wrPt) < 1+max {
-		grow := 1 + max
-		if grow > 1+len(p) {
-			// Never hold more staging than the largest write needs.
-			grow = 1 + len(p)
-		}
-		if cap(s.wrPt) < grow {
-			s.wrPt = make([]byte, 0, grow)
-		}
-	}
 	for len(p) > 0 {
 		chunk := p
-		if len(chunk) > max {
-			chunk = chunk[:max]
+		if len(chunk) > recordPlain {
+			chunk = chunk[:recordPlain]
 		}
-		pt := append(append(s.wrPt[:0], recData), chunk...)
-		if err := s.writeRecord(pt); err != nil {
+		if err := s.writeRecord(chunk); err != nil {
 			return total, err
 		}
 		total += len(chunk)
