@@ -82,6 +82,23 @@ func checkKey(priv box.PrivateKey, want config.Key, what string) {
 	}
 }
 
+// openRoundState opens the -round-state file of either mode and logs where
+// the process resumes; "" is nil, the memory-only counters (a shard's dial
+// counter is always 0: it runs only the conversation exchange).
+func openRoundState(path string) *roundstate.Counters {
+	if path == "" {
+		log.Printf("WARNING: no -round-state file; a restart of this process resets its replay protection")
+		return nil
+	}
+	store, err := roundstate.OpenCounters(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("round state in %s (resuming after convo round %d, dial round %d)",
+		path, store.Last(roundstate.ConvoCounter), store.Last(roundstate.DialCounter))
+	return store
+}
+
 func runChain(chain *config.Chain, key *config.ServerKey, fixedNoise bool, workers int, shardTimeout time.Duration, policy mixnet.ShardPolicy, statePath string) {
 	pos := key.Position
 	if pos < 0 || pos >= len(chain.Servers) {
@@ -125,18 +142,7 @@ func runChain(chain *config.Chain, key *config.ServerKey, fixedNoise bool, worke
 		cfg.NextAddr = chain.Servers[pos+1].Addr
 	}
 
-	if statePath != "" {
-		store, err := roundstate.OpenCounters(statePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.RoundState = store
-		log.Printf("round state in %s (resuming after convo round %d, dial round %d)",
-			statePath, store.Last(roundstate.ConvoCounter), store.Last(roundstate.DialCounter))
-	} else {
-		log.Printf("WARNING: no -round-state file; a restart of this server resets its replay protection")
-	}
-
+	cfg.RoundState = openRoundState(statePath)
 	srv, err := mixnet.NewServer(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -198,16 +204,7 @@ func runShard(chain *config.Chain, key *config.ServerKey, index int, statePath s
 		Identity:   priv,
 		Authorized: []box.PublicKey{routerKey},
 	}
-	if statePath != "" {
-		store, err := roundstate.Open(statePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.RoundState = store
-		log.Printf("round state in %s (resuming after round %d)", statePath, store.Last())
-	} else {
-		log.Printf("WARNING: no -round-state file; a restart of this shard resets its replay protection")
-	}
+	cfg.RoundState = openRoundState(statePath)
 	ss, err := mixnet.NewShardServer(cfg)
 	if err != nil {
 		log.Fatal(err)

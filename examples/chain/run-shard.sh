@@ -2,7 +2,7 @@
 # Runs dead-drop shard $1 of the examples/chain deployment. The
 # -round-state file makes the shard's replay protection survive
 # restarts: kill it mid-run and start it again — it rejoins the chain
-# without AllowRoundReuse, and stale-round replays still abort.
+# at the round it left off, and stale-round replays still abort.
 set -euo pipefail
 cd "$(dirname "$0")"
 i=${1:?usage: run-shard.sh INDEX}

@@ -154,7 +154,8 @@ func (c *Chain) ShardKeys() []box.PublicKey {
 const MaxServers = 64
 
 // Validate checks the structural invariants every tool relies on: at
-// least one and at most MaxServers servers, no empty addresses, no zero
+// least one and at most MaxServers servers, no empty addresses (the
+// entry's included: it would listen on a random port), no zero
 // keys, and no key shared between two entries — a zero or duplicated key
 // would silently undermine the authenticated server-to-server channels
 // keyed from this file.
@@ -166,6 +167,9 @@ func (c *Chain) Validate() error {
 	}
 	if len(c.Servers) > MaxServers {
 		return fmt.Errorf("config: chain has %d servers, more than the %d supported", len(c.Servers), MaxServers)
+	}
+	if c.EntryAddr == "" {
+		return fmt.Errorf("config: chain has no entry_addr")
 	}
 	seen := make(map[Key]string)
 	check := func(what string, s Server) error {

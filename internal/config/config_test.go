@@ -110,7 +110,8 @@ func TestChainShardsRoundTrip(t *testing.T) {
 	sh0, _ := box.KeyPairFromSeed([]byte("shard0"))
 	sh1, _ := box.KeyPairFromSeed([]byte("shard1"))
 	chain := &Chain{
-		Servers: []Server{{Addr: "127.0.0.1:2719", PublicKey: Key(pub)}},
+		EntryAddr: "127.0.0.1:2718",
+		Servers:   []Server{{Addr: "127.0.0.1:2719", PublicKey: Key(pub)}},
 		Shards: []Server{
 			{Addr: "127.0.0.1:2731", PublicKey: Key(sh0)},
 			{Addr: "127.0.0.1:2732", PublicKey: Key(sh1)},
@@ -149,8 +150,9 @@ func TestChainValidate(t *testing.T) {
 	pub1, _ := box.KeyPairFromSeed([]byte("v1"))
 	good := func() *Chain {
 		return &Chain{
-			Servers: []Server{{Addr: "a:1", PublicKey: Key(pub0)}},
-			Shards:  []Server{{Addr: "a:2", PublicKey: Key(pub1)}},
+			EntryAddr: "a:0",
+			Servers:   []Server{{Addr: "a:1", PublicKey: Key(pub0)}},
+			Shards:    []Server{{Addr: "a:2", PublicKey: Key(pub1)}},
 		}
 	}
 	if err := good().Validate(); err != nil {
@@ -181,6 +183,11 @@ func TestChainValidate(t *testing.T) {
 	c.Shards[0].Addr = ""
 	if err := c.Validate(); err == nil {
 		t.Fatal("shard without an address accepted")
+	}
+	c = good()
+	c.EntryAddr = ""
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "entry_addr") {
+		t.Fatalf("chain without an entry address: %v", err)
 	}
 	if err := (&Chain{}).Validate(); err == nil {
 		t.Fatal("empty chain accepted")

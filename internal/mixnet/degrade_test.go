@@ -278,10 +278,10 @@ func TestDegradeNeverMasksMalformedFrames(t *testing.T) {
 		}
 	}()
 
-	router, err := NewShardRouter(RouterConfig{
-		Net: mem, Addrs: []string{"garbage"}, ShardPubs: []box.PublicKey{evilPub},
-		Identity: routerPriv, Policy: ShardDegrade,
-		OnDegraded: func(round uint64, shard int, addr string, err error) {
+	router, err := NewShardRouter(Config{
+		Net: mem, ShardAddrs: []string{"garbage"}, ShardPubs: []box.PublicKey{evilPub},
+		Priv: routerPriv, ShardPolicy: ShardDegrade,
+		OnShardDegraded: func(round uint64, shard int, addr string, err error) {
 			t.Errorf("malformed-frame misbehavior on shard %d was degraded around: %v", shard, err)
 		},
 	})
@@ -358,9 +358,9 @@ func TestPlaintextShardRefusedByRouter(t *testing.T) {
 		}
 	}()
 
-	router, err := NewShardRouter(RouterConfig{
-		Net: mem, Addrs: []string{"plain"}, ShardPubs: []box.PublicKey{plainPub},
-		Identity: routerPriv, Timeout: time.Second, Policy: ShardDegrade,
+	router, err := NewShardRouter(Config{
+		Net: mem, ShardAddrs: []string{"plain"}, ShardPubs: []box.PublicKey{plainPub},
+		Priv: routerPriv, ShardTimeout: time.Second, ShardPolicy: ShardDegrade,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -403,9 +403,9 @@ func TestSilentPlaintextShardDegradesNotLeaks(t *testing.T) {
 		}
 	}()
 
-	router, err := NewShardRouter(RouterConfig{
-		Net: mem, Addrs: []string{"mute"}, ShardPubs: []box.PublicKey{plainPub},
-		Identity: routerPriv, Timeout: time.Second, Policy: ShardDegrade,
+	router, err := NewShardRouter(Config{
+		Net: mem, ShardAddrs: []string{"mute"}, ShardPubs: []box.PublicKey{plainPub},
+		Priv: routerPriv, ShardTimeout: time.Second, ShardPolicy: ShardDegrade,
 	})
 	if err != nil {
 		t.Fatal(err)

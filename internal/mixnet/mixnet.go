@@ -35,9 +35,16 @@
 // Peer (lazy dial, redial, the one resend policy, response validation);
 // the accepting side shares ServeLoop and the tracked-connection set
 // that makes Close a faithful process kill.
+//
+// No round runs twice: before touching a round a chain server
+// (checkRound) and a shard (ExchangeRound) hand its number to the one
+// guard, roundstate.Counters' Advance, which refuses what is not newer and
+// commits what is — to Config.RoundState's file, or with none configured
+// to the same counters in memory.
 package mixnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -123,13 +130,6 @@ type Config struct {
 	// NextAddr is the successor's listen address.
 	NextAddr string
 
-	// HandshakeTimeout bounds how long an accepted connection may sit
-	// unauthenticated before being dropped (0 = DefaultHandshakeTimeout).
-	// Serve wraps every accepted connection in transport.Secure: server 0
-	// authenticates itself to the untrusted entry leg (any client key may
-	// drive it), later positions accept only their predecessor's key.
-	HandshakeTimeout time.Duration
-
 	// Buckets receives dialing buckets if this is the last server.
 	Buckets BucketSink
 
@@ -145,8 +145,8 @@ type Config struct {
 	// server unwraps a single onion, so a restarted server seeded from
 	// the same store rejects every round the previous process consumed
 	// instead of re-running it with fresh noise (the §4.2 replay window;
-	// docs/THREAT_MODEL.md §3). NewServer resumes the counters from the
-	// store.
+	// docs/THREAT_MODEL.md §3). Nil keeps the same counters in memory
+	// only: a restart forgets them.
 	RoundState *roundstate.Counters
 
 	// ConvoObserver, if set on the last server, receives the observable
@@ -173,9 +173,9 @@ type Server struct {
 	// pool holds pre-agreed paths for this server's noise onions; nil on
 	// the last server, which wraps none.
 	pool *pathPool
-
-	mu        sync.Mutex
-	lastRound map[wire.Proto]uint64
+	// rounds is the replay guard: cfg.RoundState, or the same counters in
+	// memory only.
+	rounds *roundstate.Counters
 
 	accepted connSet
 
@@ -186,8 +186,10 @@ type Server struct {
 // Errors returned by round processing.
 var (
 	// ErrRoundReplay rejects a round at or below the last processed one
-	// (the strictly-increasing round check, docs/THREAT_MODEL.md).
-	ErrRoundReplay = errors.New("mixnet: round not newer than previous round")
+	// (the strictly-increasing round check, docs/THREAT_MODEL.md): it is
+	// roundstate.ErrReplay, the refusal of the one guard chain servers
+	// and shards share.
+	ErrRoundReplay = roundstate.ErrReplay
 	// ErrReplyMismatch rejects a successor's or a shard's replies that do
 	// not match the batch sent: the wrong number of them, or one that is
 	// not of the layer's fixed size. It arrives wrapped in ErrBadResponse.
@@ -229,37 +231,23 @@ func NewServer(cfg Config) (*Server, error) {
 		if !last {
 			return nil, errors.New("mixnet: only the last server may have shard servers")
 		}
-		r, err := NewShardRouter(RouterConfig{
-			Net:        cfg.Net,
-			Addrs:      cfg.ShardAddrs,
-			ShardPubs:  cfg.ShardPubs,
-			Identity:   cfg.Priv,
-			Timeout:    cfg.ShardTimeout,
-			Policy:     cfg.ShardPolicy,
-			OnDegraded: cfg.OnShardDegraded,
-		})
+		r, err := NewShardRouter(cfg)
 		if err != nil {
 			return nil, err
 		}
 		router = r
 	}
 	s := &Server{
-		cfg:       cfg,
-		key:       key,
-		last:      last,
-		router:    router,
-		lastRound: make(map[wire.Proto]uint64),
-		closeCh:   make(chan struct{}),
+		cfg:     cfg,
+		key:     key,
+		last:    last,
+		router:  router,
+		rounds:  cmp.Or(cfg.RoundState, new(roundstate.Counters)),
+		closeCh: make(chan struct{}),
 	}
 	if !last {
 		s.next = NewChainLeg(cfg.Net, cfg.NextAddr, cfg.Priv, cfg.ChainPubs[cfg.Position+1])
 		s.pool = newPathPool(cfg.ChainPubs[cfg.Position+1:], cfg.Workers)
-	}
-	if cfg.RoundState != nil {
-		// Resume the replay counters a previous process committed: rounds
-		// consumed before the crash stay consumed.
-		s.lastRound[wire.ProtoConvo] = cfg.RoundState.Last(roundstate.ConvoCounter)
-		s.lastRound[wire.ProtoDial] = cfg.RoundState.Last(roundstate.DialCounter)
 	}
 	return s, nil
 }
@@ -268,9 +256,7 @@ func NewServer(cfg Config) (*Server, error) {
 // proto (from the durable store after a restart, when one is
 // configured).
 func (s *Server) LastRound(proto wire.Proto) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastRound[proto]
+	return s.rounds.Last(counterName(proto))
 }
 
 // counterName maps a wire protocol onto its named counter in the
@@ -286,27 +272,18 @@ func counterName(proto wire.Proto) string {
 	}
 }
 
-// checkRound enforces strictly increasing rounds per protocol. With a
-// RoundState store the round is committed to disk write-ahead — BEFORE
-// any onion is unwrapped — so a crash at any later point leaves a
-// counter that rejects the round's replay; if the disk refuses, the
-// round fails without advancing the in-memory counter, and a healed
-// disk can still accept it.
+// checkRound consumes the round, BEFORE any onion is unwrapped: rounds
+// are strictly increasing per protocol, and with a RoundState store an
+// accepted one is on disk by the time this returns (roundstate.Counters'
+// Advance — a refused write advances nothing, so a healed disk can still
+// accept the round).
 func (s *Server) checkRound(proto wire.Proto, round uint64) error {
 	if s.cfg.AllowRoundReuse {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if round <= s.lastRound[proto] {
-		return fmt.Errorf("%w: %d after %d", ErrRoundReplay, round, s.lastRound[proto])
+	if err := s.rounds.Advance(counterName(proto), round); err != nil {
+		return fmt.Errorf("mixnet: server %d: %w", s.cfg.Position, err)
 	}
-	if s.cfg.RoundState != nil {
-		if err := s.cfg.RoundState.Commit(counterName(proto), round); err != nil {
-			return fmt.Errorf("mixnet: server %d cannot persist round %d: %w", s.cfg.Position, round, err)
-		}
-	}
-	s.lastRound[proto] = round
 	return nil
 }
 
@@ -571,7 +548,7 @@ func (s *Server) handleConn(raw net.Conn) {
 	} else {
 		sc = transport.SecureServer(raw, s.cfg.Priv, []box.PublicKey{s.cfg.ChainPubs[s.cfg.Position-1]})
 	}
-	s.accepted.serve(sc, s.cfg.HandshakeTimeout, s.answer)
+	s.accepted.serve(sc, DefaultHandshakeTimeout, s.answer)
 }
 
 // answer runs one received batch through the round, with the received

@@ -316,9 +316,9 @@ func TestReplySizePolicy(t *testing.T) {
 			_, myPriv := box.KeyPairFromSeed([]byte("leg-peer"))
 			remote := startLegRemote(t, mem, "remote", priv, false, resize(wire.KindShardReply, convo.SealedSize, delta))
 			var degraded atomic.Int32
-			router, err := NewShardRouter(RouterConfig{
-				Net: mem, Addrs: []string{"remote"}, ShardPubs: []box.PublicKey{pub}, Identity: myPriv,
-				Policy: ShardDegrade, OnDegraded: func(uint64, int, string, error) { degraded.Add(1) },
+			router, err := NewShardRouter(Config{
+				Net: mem, ShardAddrs: []string{"remote"}, ShardPubs: []box.PublicKey{pub}, Priv: myPriv,
+				ShardPolicy: ShardDegrade, OnShardDegraded: func(uint64, int, string, error) { degraded.Add(1) },
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -7,16 +7,20 @@ package mixnet
 
 import (
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/roundstate"
+	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
 )
 
-func shardWithState(t *testing.T, store *roundstate.Store) *ShardServer {
+func shardWithState(t *testing.T, store *roundstate.Counters) *ShardServer {
 	t.Helper()
 	routerPub, _ := box.KeyPairFromSeed([]byte("rs-router"))
 	_, priv := box.KeyPairFromSeed([]byte("rs-shard"))
@@ -37,7 +41,7 @@ func shardWithState(t *testing.T, store *roundstate.Store) *ShardServer {
 // and accepts the next one — no AllowRoundReuse involved.
 func TestShardServerRoundStatePersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard-0.round")
-	store, err := roundstate.Open(path)
+	store, err := roundstate.OpenCounters(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +59,7 @@ func TestShardServerRoundStatePersists(t *testing.T) {
 	// on real process death; explicit here), and a new process opens
 	// the same file.
 	store.Close()
-	store2, err := roundstate.Open(path)
+	store2, err := roundstate.OpenCounters(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,7 @@ func TestShardServerRoundStateWriteFailureAborts(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	store, err := roundstate.Open(filepath.Join(dir, "shard-0.round"))
+	store, err := roundstate.OpenCounters(filepath.Join(dir, "shard-0.round"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +218,7 @@ func TestChainServerRoundStateWriteFailureAborts(t *testing.T) {
 }
 
 // TestNewServerRejectsReuseWithState: AllowRoundReuse and a RoundState
-// store contradict each other and are refused at construction, exactly
-// as on the shard server.
+// store contradict each other and are refused at construction.
 func TestNewServerRejectsReuseWithState(t *testing.T) {
 	store, err := roundstate.OpenCounters(filepath.Join(t.TempDir(), "r"))
 	if err != nil {
@@ -231,5 +234,109 @@ func TestNewServerRejectsReuseWithState(t *testing.T) {
 		RoundState:      store,
 	}); err == nil {
 		t.Fatal("NewServer accepted AllowRoundReuse together with a RoundState store")
+	}
+}
+
+// TestRoundStateConcurrentDelivery: two connections deliver one round to
+// a served last server, and to a served shard, at the same moment. The
+// check and its commit are one critical section (roundstate.Counters'
+// Advance), so exactly one delivery runs the round and the other is told,
+// in an authenticated KindError, that it is a replay — with the counter
+// in memory and with it in a file.
+func TestRoundStateConcurrentDelivery(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		open := func(name string) *roundstate.Counters {
+			if !durable {
+				return nil
+			}
+			store, err := roundstate.OpenCounters(filepath.Join(t.TempDir(), name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { store.Close() })
+			return store
+		}
+		mem := transport.NewMem()
+		serve := func(addr string, serve func(net.Listener) error) {
+			l, err := mem.Listen(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { l.Close() })
+			go serve(l)
+		}
+
+		srv := lastServerWithState(t, open("server-0.rounds"))
+		defer srv.Close()
+		serve("last", srv.Serve)
+		deliverTwice(t, wire.KindReplies, func() *wire.Conn {
+			return dialEntry(t, mem, "last", srv.cfg.ChainPubs[0])
+		}, func(round uint64) *wire.Message {
+			return &wire.Message{Kind: wire.KindBatch, Proto: wire.ProtoConvo, Round: round}
+		})
+
+		ss := shardWithState(t, open("shard-0.round"))
+		defer ss.Close()
+		serve("shard", ss.Serve)
+		_, routerPriv := box.KeyPairFromSeed([]byte("rs-router"))
+		shardPub, _ := box.KeyPairFromSeed([]byte("rs-shard"))
+		deliverTwice(t, wire.KindShardReply, func() *wire.Conn {
+			raw, err := mem.Dial("shard")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return wire.NewConn(transport.SecureClient(raw, routerPriv, shardPub))
+		}, func(round uint64) *wire.Message { return wire.ShardRoundMessage(round, 0, nil) })
+	}
+}
+
+// deliverTwice opens two connections, runs one round of its own on each
+// (so both are past the handshake), then sends each of five further
+// rounds down both at once: every time one answer must be of kind ok and
+// the other a KindError carrying ErrRoundReplay.
+func deliverTwice(t *testing.T, ok wire.Kind, dial func() *wire.Conn, round func(uint64) *wire.Message) {
+	t.Helper()
+	conns := [2]*wire.Conn{dial(), dial()}
+	rpc := func(c *wire.Conn, r uint64) *wire.Message {
+		if err := c.Send(round(r)); err != nil {
+			t.Error(err)
+			return &wire.Message{}
+		}
+		resp, err := c.Recv()
+		if err != nil {
+			t.Error(err)
+			return &wire.Message{}
+		}
+		return resp
+	}
+	for i, c := range conns {
+		defer c.Close()
+		if resp := rpc(c, uint64(i+1)); resp.Kind != ok {
+			t.Fatalf("round %d: kind %d: %s", i+1, resp.Kind, resp.ErrorString())
+		}
+	}
+	for r := uint64(3); r < 8; r++ {
+		var resps [2]*wire.Message
+		var wg sync.WaitGroup
+		for i, c := range conns {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resps[i] = rpc(c, r)
+			}()
+		}
+		wg.Wait()
+		ran, refused := 0, 0
+		for _, resp := range resps {
+			switch {
+			case resp.Kind == ok:
+				ran++
+			case resp.Kind == wire.KindError && strings.Contains(resp.ErrorString(), ErrRoundReplay.Error()):
+				refused++
+			}
+		}
+		if ran != 1 || refused != 1 {
+			t.Fatalf("round %d delivered twice: %d ran, %d refused as replays (kinds %d, %d)", r, ran, refused, resps[0].Kind, resps[1].Kind)
+		}
 	}
 }

@@ -27,6 +27,7 @@
 package mixnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -84,18 +85,15 @@ type ShardConfig struct {
 	// The field remains only because bench/deploy.go sets it; a
 	// benchmark-only change can drop both.
 	Workers int
-	// AllowRoundReuse disables the strictly-increasing round check
-	// (tests and adversary simulations only).
-	AllowRoundReuse bool
 
 	// RoundState, if set, durably persists the round counter behind the
-	// strictly-increasing check (write-ahead: a round is committed to
+	// strictly-increasing check, as roundstate.ConvoCounter in a Counters
+	// file like a chain server's (write-ahead: a round is committed to
 	// disk before its exchange runs). A restarted shard seeded from the
-	// same store rejoins the chain with replay protection intact — the
-	// alternative, AllowRoundReuse, reopens the §4.2 replay window for
-	// every round before the crash. NewShardServer resumes the counter
-	// from RoundState.Last.
-	RoundState *roundstate.Store
+	// same store rejoins the chain with replay protection intact; nil
+	// keeps the counter in memory only, and a restart then reopens the
+	// §4.2 replay window for every round before the crash.
+	RoundState *roundstate.Counters
 
 	// Identity is this shard's long-term private key (the one whose
 	// public half the chain descriptor lists for this shard). Required:
@@ -123,9 +121,9 @@ const DefaultHandshakeTimeout = 10 * time.Second
 // replayed frame kills the connection before it reaches the exchange.
 type ShardServer struct {
 	cfg ShardConfig
-
-	mu        sync.Mutex
-	lastRound uint64
+	// rounds is the replay guard: cfg.RoundState, or the same counter in
+	// memory only.
+	rounds *roundstate.Counters
 
 	accepted connSet
 
@@ -155,27 +153,17 @@ func NewShardServer(cfg ShardConfig) (*ShardServer, error) {
 			return nil, errors.New("mixnet: zero key in shard server authorized list")
 		}
 	}
-	if cfg.AllowRoundReuse && cfg.RoundState != nil {
-		// Contradictory: with the round check disabled the store would
-		// never be written, while its presence tells the operator rounds
-		// are durably committed.
-		return nil, errors.New("mixnet: AllowRoundReuse together with a RoundState store — the store would silently never be written")
-	}
-	ss := &ShardServer{cfg: cfg, closeCh: make(chan struct{})}
-	if cfg.RoundState != nil {
-		// Resume the replay counter a previous process committed: rounds
-		// consumed before the crash stay consumed.
-		ss.lastRound = cfg.RoundState.Last()
-	}
-	return ss, nil
+	return &ShardServer{
+		cfg:     cfg,
+		rounds:  cmp.Or(cfg.RoundState, new(roundstate.Counters)),
+		closeCh: make(chan struct{}),
+	}, nil
 }
 
 // LastRound reports the highest round this shard has committed (from the
 // durable store after a restart, when one is configured).
 func (s *ShardServer) LastRound() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastRound
+	return s.rounds.Last(roundstate.ConvoCounter)
 }
 
 // ExchangeRound runs this shard's slice of one round's dead-drop exchange
@@ -186,28 +174,13 @@ func (s *ShardServer) LastRound() uint64 {
 // does not care which policy the router runs — a stale round is rejected
 // under Degrade too.
 func (s *ShardServer) ExchangeRound(round uint64, requests [][]byte) ([][]byte, error) {
-	if !s.cfg.AllowRoundReuse {
-		s.mu.Lock()
-		if round <= s.lastRound {
-			last := s.lastRound
-			s.mu.Unlock()
-			return nil, fmt.Errorf("%w: %d after %d", ErrRoundReplay, round, last)
-		}
-		if s.cfg.RoundState != nil {
-			// Write-ahead: commit the round as consumed BEFORE touching
-			// the dead drops. A crash after this point loses the round
-			// (the router's one resend is refused from this counter); a
-			// crash before it leaves the counter untouched. Either way
-			// the same round can never be exchanged twice. If the disk
-			// refuses, the round fails without advancing the in-memory
-			// counter, so a healed disk can still accept it.
-			if err := s.cfg.RoundState.Commit(round); err != nil {
-				s.mu.Unlock()
-				return nil, fmt.Errorf("mixnet: shard %d cannot persist round %d: %w", s.cfg.Index, round, err)
-			}
-		}
-		s.lastRound = round
-		s.mu.Unlock()
+	// Write-ahead: the round is consumed BEFORE the dead drops are
+	// touched. A crash after this point loses the round (the router's one
+	// resend is refused from this counter); a crash before it leaves the
+	// counter untouched. Either way the same round can never be exchanged
+	// twice.
+	if err := s.rounds.Advance(roundstate.ConvoCounter, round); err != nil {
+		return nil, fmt.Errorf("mixnet: shard %d: %w", s.cfg.Index, err)
 	}
 	return convo.Service{}.Process(round, requests), nil
 }
@@ -251,35 +224,15 @@ func (s *ShardServer) Close() error {
 	return nil
 }
 
-// RouterConfig describes the last chain server's shard fan-out.
-type RouterConfig struct {
-	// Net is the substrate the router dials shards over.
-	Net transport.Network
-	// Addrs lists the shard addresses in shard-index order.
-	Addrs []string
-	// ShardPubs are the shards' long-term public keys, aligned with
-	// Addrs (from the chain descriptor). Required: the router only
-	// talks to a shard that proves its listed key.
-	ShardPubs []box.PublicKey
-	// Identity is the router's own long-term private key (the last
-	// chain server's), which the shards authorize. Required.
-	Identity box.PrivateKey
-	// Timeout bounds each shard's per-round RPC (0 = wait forever).
-	Timeout time.Duration
-	// Policy selects Abort (default) or Degrade on shard failure.
-	Policy ShardPolicy
-	// OnDegraded, if set, receives every shard the router degraded
-	// around (Degrade policy only), once per shard per round — the
-	// operator's signal that the round ran at reduced capacity.
-	OnDegraded func(round uint64, shard int, addr string, err error)
-}
-
 // ShardRouter is the last chain server's fan-out client: it partitions
 // each round's innermost exchange requests by drop-ID prefix, forwards
 // every partition to its shard server concurrently over authenticated
 // channels, and merges the replies back into exact request order.
 type ShardRouter struct {
-	cfg RouterConfig
+	// cfg is the last server's Config, of which the router reads Net,
+	// ShardAddrs, ShardPubs, Priv (the key the shards authorize),
+	// ShardTimeout, ShardPolicy and OnShardDegraded.
+	cfg Config
 	// peers holds the leg to each shard, in shard-index order. The shard
 	// leg is the one leg with a per-round Timeout (a shard answers from
 	// local state; a chain hop waits on the rest of the chain) and with
@@ -288,45 +241,42 @@ type ShardRouter struct {
 	peers []*Peer
 }
 
-// NewShardRouter returns a router over the configured shard addresses.
-// Connections are dialed lazily and kept across rounds; key material is
-// mandatory — there is no plaintext path to a shard.
-func NewShardRouter(cfg RouterConfig) (*ShardRouter, error) {
+// NewShardRouter returns a router over the shard addresses of the last
+// server's cfg. Connections are dialed lazily and kept across rounds; key
+// material is mandatory — there is no plaintext path to a shard.
+func NewShardRouter(cfg Config) (*ShardRouter, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("mixnet: shard router needs a network")
 	}
-	if len(cfg.Addrs) == 0 {
+	if len(cfg.ShardAddrs) == 0 {
 		return nil, errors.New("mixnet: shard router needs at least one shard address")
 	}
-	if len(cfg.ShardPubs) != len(cfg.Addrs) {
-		return nil, fmt.Errorf("mixnet: shard router has %d keys for %d shards", len(cfg.ShardPubs), len(cfg.Addrs))
+	if len(cfg.ShardPubs) != len(cfg.ShardAddrs) {
+		return nil, fmt.Errorf("mixnet: shard router has %d keys for %d shards", len(cfg.ShardPubs), len(cfg.ShardAddrs))
 	}
 	for i, k := range cfg.ShardPubs {
 		if k == (box.PublicKey{}) {
 			return nil, fmt.Errorf("mixnet: shard %d has a zero public key", i)
 		}
 	}
-	if cfg.Identity == (box.PrivateKey{}) {
+	if cfg.Priv == (box.PrivateKey{}) {
 		return nil, errors.New("mixnet: shard router needs an identity key")
 	}
-	if _, err := box.PublicKeyOf(&cfg.Identity); err != nil {
+	if _, err := box.PublicKeyOf(&cfg.Priv); err != nil {
 		return nil, fmt.Errorf("mixnet: shard router identity key invalid: %w", err)
 	}
-	if cfg.Policy != ShardAbort && cfg.Policy != ShardDegrade {
-		return nil, fmt.Errorf("mixnet: unknown shard policy %d", int(cfg.Policy))
+	if cfg.ShardPolicy != ShardAbort && cfg.ShardPolicy != ShardDegrade {
+		return nil, fmt.Errorf("mixnet: unknown shard policy %d", int(cfg.ShardPolicy))
 	}
-	r := &ShardRouter{cfg: cfg, peers: make([]*Peer, len(cfg.Addrs))}
-	for s, addr := range cfg.Addrs {
+	r := &ShardRouter{cfg: cfg, peers: make([]*Peer, len(cfg.ShardAddrs))}
+	for s, addr := range cfg.ShardAddrs {
 		r.peers[s] = &Peer{
-			Net: cfg.Net, Addr: addr, Priv: cfg.Identity, Pub: cfg.ShardPubs[s],
-			Timeout: cfg.Timeout, ReuseRecv: true,
+			Net: cfg.Net, Addr: addr, Priv: cfg.Priv, Pub: cfg.ShardPubs[s],
+			Timeout: cfg.ShardTimeout, ReuseRecv: true,
 		}
 	}
 	return r, nil
 }
-
-// NumShards returns the fan-out width.
-func (r *ShardRouter) NumShards() int { return len(r.cfg.Addrs) }
 
 // refusedError marks a response from an authenticated shard that rejects
 // or malforms the round — a replay rejection, a desynchronized stream, a
@@ -371,7 +321,7 @@ func (r *ShardRouter) Exchange(round uint64, requests [][]byte) ([][]byte, error
 // (zero-filled) this round, in ascending shard order; the list is empty
 // for a fully healthy round and always empty under ShardAbort.
 func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, []int, error) {
-	n := len(r.cfg.Addrs)
+	n := len(r.cfg.ShardAddrs)
 	// Partition by drop-ID prefix, preserving arrival order within each
 	// shard — the property that makes per-shard pairing identical to the
 	// global table's.
@@ -406,7 +356,7 @@ func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, [
 	for s, err := range errs {
 		if err != nil && !degradable(err) {
 			return nil, nil, &RemoteError{
-				Addr: r.cfg.Addrs[s],
+				Addr: r.cfg.ShardAddrs[s],
 				Msg:  fmt.Sprintf("shard %d: %v", s, err),
 				Err:  err,
 			}
@@ -417,9 +367,9 @@ func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, [
 		if err == nil {
 			continue
 		}
-		if r.cfg.Policy != ShardDegrade {
+		if r.cfg.ShardPolicy != ShardDegrade {
 			return nil, nil, &RemoteError{
-				Addr: r.cfg.Addrs[s],
+				Addr: r.cfg.ShardAddrs[s],
 				Msg:  fmt.Sprintf("shard %d: %v", s, err),
 				Err:  err,
 			}
@@ -433,8 +383,8 @@ func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, [
 		}
 		perShard[s] = zeros
 		degraded = append(degraded, s)
-		if r.cfg.OnDegraded != nil {
-			r.cfg.OnDegraded(round, s, r.cfg.Addrs[s], err)
+		if r.cfg.OnShardDegraded != nil {
+			r.cfg.OnShardDegraded(round, s, r.cfg.ShardAddrs[s], err)
 		}
 	}
 

@@ -94,14 +94,14 @@ func (fix *shardFixture) router(t testing.TB, timeout time.Duration, policy Shar
 func (fix *shardFixture) routerOn(t testing.TB, net transport.Network, timeout time.Duration, policy ShardPolicy,
 	onDegraded func(round uint64, shard int, addr string, err error)) *ShardRouter {
 	t.Helper()
-	r, err := NewShardRouter(RouterConfig{
-		Net:        net,
-		Addrs:      fix.addrs,
-		ShardPubs:  fix.shardPubs,
-		Identity:   fix.routerPriv,
-		Timeout:    timeout,
-		Policy:     policy,
-		OnDegraded: onDegraded,
+	r, err := NewShardRouter(Config{
+		Net:             net,
+		ShardAddrs:      fix.addrs,
+		ShardPubs:       fix.shardPubs,
+		Priv:            fix.routerPriv,
+		ShardTimeout:    timeout,
+		ShardPolicy:     policy,
+		OnShardDegraded: onDegraded,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,15 +300,15 @@ func TestShardDuplicateReplyDesync(t *testing.T) {
 		if rounds == 2 {
 			// Desync: replay the previous round's reply frame ahead of
 			// the real one (a duplicate shard reply).
-			if err := conn.Send(wire.ShardReplyMessage(msg.Round-1, msg.ShardIndex(), replies)); err != nil {
+			if err := conn.Send(wire.ShardReplyMessage(msg.Round-1, msg.Bucket, replies)); err != nil {
 				return false
 			}
 		}
-		return conn.Send(wire.ShardReplyMessage(msg.Round, msg.ShardIndex(), replies)) == nil
+		return conn.Send(wire.ShardReplyMessage(msg.Round, msg.Bucket, replies)) == nil
 	})
 
-	router, err := NewShardRouter(RouterConfig{
-		Net: mem, Addrs: []string{"evil"}, ShardPubs: []box.PublicKey{evilPub}, Identity: routerPriv,
+	router, err := NewShardRouter(Config{
+		Net: mem, ShardAddrs: []string{"evil"}, ShardPubs: []box.PublicKey{evilPub}, Priv: routerPriv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,11 +343,11 @@ func TestShardReplyCountMismatchRejected(t *testing.T) {
 		for i := 0; i+1 < len(msg.Body); i++ {
 			replies = append(replies, make([]byte, convo.SealedSize))
 		}
-		return conn.Send(wire.ShardReplyMessage(msg.Round, msg.ShardIndex(), replies)) == nil
+		return conn.Send(wire.ShardReplyMessage(msg.Round, msg.Bucket, replies)) == nil
 	})
 
-	router, err := NewShardRouter(RouterConfig{
-		Net: mem, Addrs: []string{"short"}, ShardPubs: []box.PublicKey{shortPub}, Identity: routerPriv,
+	router, err := NewShardRouter(Config{
+		Net: mem, ShardAddrs: []string{"short"}, ShardPubs: []box.PublicKey{shortPub}, Priv: routerPriv,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,9 +389,9 @@ func TestShardSendStallTimesOut(t *testing.T) {
 		}
 	}()
 
-	router, err := NewShardRouter(RouterConfig{
-		Net: mem, Addrs: []string{"stalled"}, ShardPubs: []box.PublicKey{stalledPub},
-		Identity: routerPriv, Timeout: 150 * time.Millisecond,
+	router, err := NewShardRouter(Config{
+		Net: mem, ShardAddrs: []string{"stalled"}, ShardPubs: []box.PublicKey{stalledPub},
+		Priv: routerPriv, ShardTimeout: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -558,25 +558,25 @@ func TestShardConfigValidation(t *testing.T) {
 
 	shardPub, _ := box.KeyPairFromSeed([]byte("cfg-shard"))
 	mem := transport.NewMem()
-	if _, err := NewShardRouter(RouterConfig{Addrs: []string{"x"}, ShardPubs: []box.PublicKey{shardPub}, Identity: routerPriv}); err == nil {
+	if _, err := NewShardRouter(Config{ShardAddrs: []string{"x"}, ShardPubs: []box.PublicKey{shardPub}, Priv: routerPriv}); err == nil {
 		t.Fatal("nil network accepted")
 	}
-	if _, err := NewShardRouter(RouterConfig{Net: mem, Identity: routerPriv}); err == nil {
+	if _, err := NewShardRouter(Config{Net: mem, Priv: routerPriv}); err == nil {
 		t.Fatal("empty address list accepted")
 	}
-	if _, err := NewShardRouter(RouterConfig{Net: mem, Addrs: []string{"x"}, Identity: routerPriv}); err == nil {
+	if _, err := NewShardRouter(Config{Net: mem, ShardAddrs: []string{"x"}, Priv: routerPriv}); err == nil {
 		t.Fatal("router without shard keys accepted — plaintext fan-out must be unreachable")
 	}
-	if _, err := NewShardRouter(RouterConfig{Net: mem, Addrs: []string{"x"},
-		ShardPubs: []box.PublicKey{{}}, Identity: routerPriv}); err == nil {
+	if _, err := NewShardRouter(Config{Net: mem, ShardAddrs: []string{"x"},
+		ShardPubs: []box.PublicKey{{}}, Priv: routerPriv}); err == nil {
 		t.Fatal("zero shard key accepted")
 	}
-	if _, err := NewShardRouter(RouterConfig{Net: mem, Addrs: []string{"x"},
+	if _, err := NewShardRouter(Config{Net: mem, ShardAddrs: []string{"x"},
 		ShardPubs: []box.PublicKey{shardPub}}); err == nil {
 		t.Fatal("router without an identity key accepted")
 	}
-	if _, err := NewShardRouter(RouterConfig{Net: mem, Addrs: []string{"x"},
-		ShardPubs: []box.PublicKey{shardPub}, Identity: routerPriv, Policy: ShardPolicy(99)}); err == nil {
+	if _, err := NewShardRouter(Config{Net: mem, ShardAddrs: []string{"x"},
+		ShardPubs: []box.PublicKey{shardPub}, Priv: routerPriv, ShardPolicy: ShardPolicy(99)}); err == nil {
 		t.Fatal("unknown shard policy accepted")
 	}
 

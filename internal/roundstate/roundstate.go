@@ -1,13 +1,17 @@
-// Package roundstate durably persists a server's last-committed round
-// counters, so a restarted process rejoins the chain with its replay
-// protection intact instead of falling back to AllowRoundReuse.
+// Package roundstate holds the round numbers a role has consumed and the
+// one guard over them: Counters.Advance refuses a round that is not above
+// everything consumed under its name and commits an accepted one, under
+// one lock. Backed by a file (OpenCounters) the numbers survive a crash,
+// so a restarted process rejoins the chain with its replay protection
+// intact instead of falling back to AllowRoundReuse; the zero Counters
+// runs the same guard in memory only.
 //
 // The mixnet's safety against round replay (a server must never process
 // the same round twice with fresh noise — docs/THREAT_MODEL.md) rests on
-// a strictly-increasing round check; kept only in memory, any crash
-// resets it to zero. This package is the smallest durable store for it:
-// one file, opened once and held, updated write-ahead (the round number
-// is committed to disk BEFORE the round's work runs, so a crash mid-round
+// that strictly-increasing check; kept only in memory, any crash resets
+// it to zero. This package is the smallest durable store for it: one
+// file, opened once and held, updated write-ahead (the round number is
+// committed to disk BEFORE the round's work runs, so a crash mid-round
 // can only lose a round, never replay one) by one in-place write and one
 // fsync per commit.
 //
@@ -19,8 +23,8 @@
 //	4       8     sequence, big-endian: 1 for the first commit, +1 per
 //	              commit; odd sequences live in slot 0, even ones in slot 1
 //	12      4     payload length n, big-endian, at most 492
-//	16      n     payload, text: Store "<decimal>\n"; Counters one
-//	              "<name> <decimal>\n" line per counter, sorted by name
+//	16      n     payload, text: one "<name> <decimal>\n" line per
+//	              counter, sorted by name
 //	16+n    4     CRC-32 (IEEE) of bytes 0 … 16+n, big-endian
 //	20+n    …     zeros up to 512, not interpreted
 //
@@ -36,15 +40,17 @@
 // starting the replacement server before the old one exits) instead of
 // both accepting the same round.
 //
-// Two payload shapes share that file: Store holds a single counter (a
-// dead-drop shard runs only the conversation exchange), and Counters
-// holds independent named counters (a chain server and the coordinator
-// each track the conversation and dialing protocols separately).
+// There is one payload shape, independent named counters: a chain server
+// and the coordinator each track the conversation and dialing protocols
+// separately, and a dead-drop shard, which runs only the conversation
+// exchange, keeps the one ConvoCounter. (Before PR 24 a shard's payload
+// was a bare "<decimal>\n"; such a file is refused like any corrupt one.)
 package roundstate
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -90,10 +96,10 @@ func decodeSlot(b []byte) (seq uint64, payload []byte, ok bool) {
 	return binary.BigEndian.Uint64(b[4:]), b[slotHeader:end], ok
 }
 
-// slotFile is the held-open, exclusively locked two-slot file under both
-// store shapes, whose Commit methods serialize on mu.
+// slotFile is the held-open, exclusively locked two-slot file under a
+// Counters, whose methods serialize on mu.
 type slotFile struct {
-	path string
+	path string      // "" under a memory-only Counters, which has no file
 	info os.FileInfo // the open file's identity: commit checks path still names it
 
 	mu  sync.Mutex
@@ -212,72 +218,15 @@ func (sf *slotFile) Close() error {
 	return err
 }
 
-// Store persists a monotonically increasing round counter in a single
-// file, exclusively held by this process until Close (or process exit).
-// It is safe for concurrent use; Commit serializes internally.
-type Store struct {
-	slotFile
-	last uint64
-}
-
-// Open reads the counter at path, creating the file if it does not exist
-// yet, and holds it open under an exclusive advisory lock for the
-// Store's lifetime. A file that exists but does not load is an error,
-// not a zero counter.
-func Open(path string) (*Store, error) {
-	s := &Store{}
-	payload, err := s.open(path)
-	if err == nil && s.seq > 0 {
-		digits, terminated := bytes.CutSuffix(payload, []byte("\n"))
-		if s.last, err = strconv.ParseUint(string(digits), 10, 64); err != nil || !terminated {
-			err = fmt.Errorf("roundstate: %s is corrupt (%q): refusing to reset the replay counter", path, payload)
-		}
-	}
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// Last returns the highest committed round (0 if none).
-func (s *Store) Last() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
-}
-
-// Commit durably records round as consumed. Callers invoke it BEFORE
-// acting on the round (write-ahead): once Commit returns nil, a crash
-// at any later point leaves a counter that rejects the round's replay.
-// On failure the in-memory counter stays put (a retry of the same round
-// re-commits harmlessly). A round at or below the committed counter is
-// a no-op; the counter never moves backwards.
-func (s *Store) Commit(round uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if round <= s.last {
-		return nil
-	}
-	if err := s.commit(appendCounter(s.buf[slotHeader:slotHeader], "", round)); err != nil {
-		return err
-	}
-	s.last = round
-	return nil
-}
-
 // counter is one named round counter of a Counters store.
 type counter struct {
 	name string
 	last uint64
 }
 
-// appendCounter appends one payload line: "name value\n", or "value\n"
-// for the Store's nameless counter.
+// appendCounter appends one payload line: "name value\n".
 func appendCounter(p []byte, name string, last uint64) []byte {
-	if name != "" {
-		p = append(append(p, name...), ' ')
-	}
+	p = append(append(p, name...), ' ')
 	return append(strconv.AppendUint(p, last, 10), '\n')
 }
 
@@ -286,20 +235,29 @@ func findCounter(cs []counter, name string) (int, bool) {
 	return slices.BinarySearchFunc(cs, name, func(c counter, name string) int { return strings.Compare(c.name, name) })
 }
 
-// Counters persists independent monotonically increasing round counters
-// — one per name — in a single file, exclusively held by this process
-// until Close. A chain server keeps its conversation and dialing
-// counters here (the two protocols number rounds independently), and the
-// coordinator the round numbers it has announced. Safe for concurrent
-// use; Commit serializes internally.
+// ErrReplay is Advance's refusal of a round at or below one already
+// consumed under the same name (the strictly-increasing round check,
+// docs/THREAT_MODEL.md §3).
+var ErrReplay = errors.New("roundstate: round not newer than previous round")
+
+// Counters holds independent monotonically increasing round counters —
+// one per name. A chain server keeps its conversation and dialing
+// counters here (the two protocols number rounds independently), a shard
+// its conversation counter, and the coordinator the round numbers it has
+// announced. From OpenCounters they live in a single file, exclusively
+// held by this process until Close; the zero value is ready to use and
+// keeps them in memory only, so a restart forgets every consumed round.
+// Safe for concurrent use; Advance serializes internally.
 type Counters struct {
 	slotFile
 	last []counter // sorted by name at insert: the payload's order
 }
 
-// OpenCounters is Open for named counters. A file that exists but does
-// not load — no valid slot, a corrupt value, a duplicated or malformed
-// name, trailing bytes — is an error, never a zero counter.
+// OpenCounters reads the counters at path, creating the file if it does
+// not exist yet, and holds it open under an exclusive advisory lock for
+// the Counters' lifetime. A file that exists but does not load — no valid
+// slot, a corrupt value, a duplicated or malformed name, trailing bytes —
+// is an error, never a zero counter.
 func OpenCounters(path string) (*Counters, error) {
 	c := &Counters{}
 	payload, err := c.open(path)
@@ -314,6 +272,11 @@ func OpenCounters(path string) (*Counters, error) {
 	}
 	return c, nil
 }
+
+// Open is OpenCounters. A shard's file had a shape of its own under this
+// name; the name remains only because bench/deploy.go calls it, and a
+// benchmark-only change can drop both.
+func Open(path string) (*Counters, error) { return OpenCounters(path) }
 
 // parseCounters decodes the Counters payload: zero or more
 // newline-terminated "name value" lines, names unique and free of
@@ -369,36 +332,58 @@ func (c *Counters) Last(name string) uint64 {
 	return 0
 }
 
-// Commit durably records round as consumed under name, leaving every
-// other counter untouched, BEFORE the caller acts on the round — exactly
-// as Store.Commit: on failure nothing advances, a round at or below the
-// committed counter is a no-op, and counters never move backwards.
-func (c *Counters) Commit(name string, round uint64) error {
+// Advance consumes round under name, leaving every other counter
+// untouched: ErrReplay unless round is above every round consumed under
+// name (so round 0 never passes), otherwise the round is recorded — with
+// a file behind the counters, durably, by one in-place write and fsync —
+// and nil returned. Callers invoke it BEFORE acting on the round
+// (write-ahead): once Advance returns nil, no later call, in this process
+// or after a crash, accepts the round again. The check and the commit
+// share one lock, so of concurrent calls for one round exactly one wins.
+// If the write fails nothing advances, and the same round is accepted
+// once the disk takes it.
+func (c *Counters) Advance(name string, round uint64) error {
 	if !validCounterName(name) {
 		return fmt.Errorf("roundstate: invalid counter name %q", name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	at, found := findCounter(c.last, name)
-	if round == 0 || found && round <= c.last[at].last {
-		return nil
+	var last uint64
+	if found {
+		last = c.last[at].last
+	}
+	if round <= last {
+		return fmt.Errorf("%w: %d after %d", ErrReplay, round, last)
 	}
 	if !found {
 		c.last = slices.Insert(c.last, at, counter{name: name})
 	}
-	p := c.buf[slotHeader:slotHeader]
-	for i, o := range c.last {
-		if i == at {
-			o.last = round
+	if c.path != "" {
+		p := c.buf[slotHeader:slotHeader]
+		for i, o := range c.last {
+			if i == at {
+				o.last = round
+			}
+			p = appendCounter(p, o.name, o.last)
 		}
-		p = appendCounter(p, o.name, o.last)
-	}
-	if err := c.commit(p); err != nil {
-		if !found {
-			c.last = slices.Delete(c.last, at, at+1)
+		if err := c.commit(p); err != nil {
+			if !found {
+				c.last = slices.Delete(c.last, at, at+1)
+			}
+			return err
 		}
-		return err
 	}
 	c.last[at].last = round
+	return nil
+}
+
+// Commit is Advance for a caller that numbers its own rounds (the
+// coordinator): a round at or below the consumed counter is a no-op, not
+// an error.
+func (c *Counters) Commit(name string, round uint64) error {
+	if err := c.Advance(name, round); !errors.Is(err, ErrReplay) {
+		return err
+	}
 	return nil
 }

@@ -47,17 +47,11 @@ func flipBit(img []byte, at int) []byte {
 	return img
 }
 
-// openBoth opens path with both loaders in turn and reports what each
-// made of it: the Store counter, the Counters convo/dial pair.
-func openBoth(t testing.TB, path string) (store uint64, serr error, convo, dial uint64, cerr error) {
+// openLast opens path and reports the convo/dial pair it loaded.
+func openLast(t testing.TB, path string) (convo, dial uint64, err error) {
 	t.Helper()
-	s, serr := Open(path)
-	if serr == nil {
-		store = s.Last()
-		s.Close()
-	}
-	c, cerr := OpenCounters(path)
-	if cerr == nil {
+	c, err := OpenCounters(path)
+	if err == nil {
 		convo, dial = c.Last(ConvoCounter), c.Last(DialCounter)
 		c.Close()
 	}
@@ -218,29 +212,29 @@ func TestSlotDamageTable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r")
 	for name, damage := range damages {
 		writeSlots(t, path, older, damage(newer))
-		if _, _, convo, _, err := openBoth(t, path); err != nil || convo != 7 {
+		if convo, _, err := openLast(t, path); err != nil || convo != 7 {
 			t.Errorf("%s in the newer slot: opened at %d, %v; want the older slot's 7", name, convo, err)
 		}
 		writeSlots(t, path, damage(older), newer)
-		if _, _, convo, _, err := openBoth(t, path); err != nil || convo != 8 {
+		if convo, _, err := openLast(t, path); err != nil || convo != 8 {
 			t.Errorf("%s in the older slot: opened at %d, %v; want the newer slot's 8", name, convo, err)
 		}
 		if name == "zeroed" {
 			continue // two blank slots are a fresh store
 		}
 		writeSlots(t, path, damage(older), damage(newer))
-		if _, serr, _, _, cerr := openBoth(t, path); serr == nil || cerr == nil {
-			t.Errorf("%s in both slots: opened (%v, %v), want both loaders to refuse", name, serr, cerr)
+		if _, _, err := openLast(t, path); err == nil {
+			t.Errorf("%s in both slots: opened, want it refused", name)
 		}
 		// A first commit that tore has no older slot to fall back on.
 		writeSlots(t, path, damage(slotImage(1, "convo 1\n")), blankSlot())
-		if _, serr, _, _, cerr := openBoth(t, path); serr == nil || cerr == nil {
-			t.Errorf("%s in the only slot written: opened (%v, %v), want both loaders to refuse", name, serr, cerr)
+		if _, _, err := openLast(t, path); err == nil {
+			t.Errorf("%s in the only slot written: opened, want it refused", name)
 		}
 	}
 	// Padding is not interpreted.
 	writeSlots(t, path, older, flipBit(newer, 500))
-	if _, _, convo, _, err := openBoth(t, path); err != nil || convo != 8 {
+	if convo, _, err := openLast(t, path); err != nil || convo != 8 {
 		t.Errorf("flipped padding bit: opened at %d, %v; want 8", convo, err)
 	}
 
@@ -257,26 +251,29 @@ func TestSlotDamageTable(t *testing.T) {
 		"short-by-one":           {older, newer[:511]},
 		"zeros-too-long":         {blankSlot(), blankSlot(), {0}},
 		"short-nonzero":          {[]byte("convo 7\n")},
+		// A shard's state file as written before PR 24, its one counter a
+		// bare "<n>\n": both slots intact, and never read as zero.
+		"pre-PR-24-shard":       {slotImage(1, "41\n"), slotImage(2, "42\n")},
+		"pre-PR-24-shard-first": {slotImage(1, "1\n"), blankSlot()},
 	}
 	for name, pieces := range refused {
 		writeSlots(t, path, pieces...)
-		if s, serr, _, _, cerr := openBoth(t, path); serr == nil || cerr == nil {
-			t.Errorf("%s: opened (Store %d %v, Counters %v), want both loaders to refuse", name, s, serr, cerr)
+		if convo, dial, err := openLast(t, path); err == nil {
+			t.Errorf("%s: opened at %d/%d, want it refused", name, convo, dial)
 		}
 	}
-	// A slot with no counters in it is a Counters file; a Store always
-	// has its one.
+	// A slot with no counters in it is a valid file.
 	writeSlots(t, path, slotImage(1, ""), blankSlot())
-	if _, serr, _, _, cerr := openBoth(t, path); serr == nil || cerr != nil {
-		t.Errorf("empty payload: Store %v (want refused), Counters %v (want opened)", serr, cerr)
+	if _, _, err := openLast(t, path); err != nil {
+		t.Errorf("empty payload: %v", err)
 	}
 
 	// What a crash during creation leaves is a fresh store, and opening
 	// it completes the creation.
 	for name, img := range map[string][]byte{"empty": {}, "short-zeros": make([]byte, 300), "zeros": make([]byte, 1024)} {
 		writeSlots(t, path, img)
-		if s, serr, convo, dial, cerr := openBoth(t, path); serr != nil || cerr != nil || s != 0 || convo != 0 || dial != 0 {
-			t.Errorf("%s: %d %v, %d/%d %v; want a fresh store from both loaders", name, s, serr, convo, dial, cerr)
+		if convo, dial, err := openLast(t, path); err != nil || convo != 0 || dial != 0 {
+			t.Errorf("%s: %d/%d %v; want a fresh store", name, convo, dial, err)
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, make([]byte, 1024)) {
 			t.Errorf("%s: after open the file holds %d bytes (%v), want 1024 zeros", name, len(got), err)
@@ -329,9 +326,9 @@ func TestRandomCommitReopen(t *testing.T) {
 // TestCommitAllocs: a commit encodes into the held slot buffer — names
 // kept sorted at insert, strconv.AppendUint — so what is left is the
 // os.Stat behind the same-file check (2 allocations on go1.24; the bound
-// leaves room for another Stat). At the parent commit (name slice +
-// sort + fmt.Fprintf into a bytes.Buffer, then create/rename/open-dir)
-// Counters.Commit allocated 16 times and Store.Commit 12.
+// leaves room for another Stat), through Commit and through Advance. Before
+// PR 20 (name slice + sort + fmt.Fprintf into a bytes.Buffer, then
+// create/rename/open-dir) Counters.Commit allocated 16 times.
 func TestCommitAllocs(t *testing.T) {
 	c, err := OpenCounters(filepath.Join(t.TempDir(), "c"))
 	if err != nil {
@@ -349,18 +346,13 @@ func TestCommitAllocs(t *testing.T) {
 	}); n > 4 {
 		t.Errorf("Counters.Commit allocates %v times, want at most 4", n)
 	}
-	s, err := Open(filepath.Join(t.TempDir(), "s"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	if n := testing.AllocsPerRun(50, func() {
 		round++
-		if err := s.Commit(round); err != nil {
+		if err := c.Advance(ConvoCounter, round); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 4 {
-		t.Errorf("Store.Commit allocates %v times, want at most 4", n)
+		t.Errorf("Counters.Advance allocates %v times, want at most 4", n)
 	}
 }
 
@@ -370,24 +362,22 @@ func TestCommitAllocs(t *testing.T) {
 func TestCommitFailsWhenFileReplaced(t *testing.T) {
 	for _, replace := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), "r")
-		s, err := Open(path)
+		s, err := OpenCounters(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Commit(1); err != nil {
-			t.Fatal(err)
-		}
+		commit(t, s, ConvoCounter, 1)
 		if err := os.Remove(path); err != nil {
 			t.Fatal(err)
 		}
 		if replace {
 			writeSlots(t, path, blankSlot(), blankSlot())
 		}
-		if err := s.Commit(2); err == nil {
+		if err := s.Commit(ConvoCounter, 2); err == nil {
 			t.Fatalf("replace=%v: commit into an orphaned state file reported success", replace)
 		}
-		if s.Last() != 1 {
-			t.Fatalf("replace=%v: in-memory counter advanced to %d past a failed commit", replace, s.Last())
+		if s.Last(ConvoCounter) != 1 {
+			t.Fatalf("replace=%v: in-memory counter advanced to %d past a failed commit", replace, s.Last(ConvoCounter))
 		}
 		s.Close()
 	}
@@ -414,7 +404,7 @@ func TestOversizedCountersRefused(t *testing.T) {
 	}
 	commit(t, c, ConvoCounter, 6)
 	c.Close()
-	if _, _, convo, _, err := openBoth(t, path); err != nil || convo != 6 {
+	if convo, _, err := openLast(t, path); err != nil || convo != 6 {
 		t.Fatalf("after a refused oversized commit: convo %d, %v", convo, err)
 	}
 }

@@ -63,13 +63,12 @@ type ChainNetConfig struct {
 	// Net). Wrap Net in a transport.Faulty here to hold a round in
 	// flight at the shard leg while a test kills a node upstream.
 	ShardDialNet transport.Network
-	// StateDir, if set, gives every node a durable round-state file —
-	// the coordinator and each chain server a roundstate.Counters
-	// (entry.rounds, server-<i>.rounds), each shard a roundstate.Store
-	// (shard-<i>.round) — so Restart simulates a crash and recovery
-	// with replay protection intact, exactly as the production
-	// `-round-state` wiring. Empty runs every node memory-only (the
-	// replay-window control).
+	// StateDir, if set, gives every node a durable round-state file, a
+	// roundstate.Counters — the coordinator's entry.rounds, each chain
+	// server's server-<i>.rounds, each shard's shard-<i>.round — so
+	// Restart simulates a crash and recovery with replay protection
+	// intact, exactly as the production `-round-state` wiring. Empty
+	// runs every node memory-only (the replay-window control).
 	StateDir string
 	// ConvoNoise, if set, replaces the Mu-based fixed conversation
 	// noise with an arbitrary distribution (e.g. the production
@@ -151,10 +150,8 @@ type ChainNet struct {
 type node struct {
 	// addrs are the listen addresses; addrs[0] names the node.
 	addrs []string
-	// statePath is the durable round-state file ("" = memory-only) and
-	// open how to open it (roundstate.Open or roundstate.OpenCounters).
+	// statePath is the durable round-state file ("" = memory-only).
 	statePath string
-	open      func(path string) (io.Closer, error)
 	// stopFirst has Restart kill the running process before its
 	// replacement starts, not after it listens: a frontend holds no round
 	// state a replay could target, and two processes of one frontend
@@ -162,19 +159,15 @@ type node struct {
 	stopFirst bool
 	// boot builds a fresh process around the just-opened round state
 	// (nil when memory-only) and serves it on ls, one listener per addr.
-	boot func(state io.Closer, ls []net.Listener) (io.Closer, error)
+	boot func(state *roundstate.Counters, ls []net.Listener) (io.Closer, error)
 	// set publishes the process in its exported slot (Coord, Servers[i],
 	// ...); nil clears the slot.
 	set func(proc io.Closer)
 
 	ls    []net.Listener
 	proc  io.Closer // nil while the node is down
-	state io.Closer
+	state *roundstate.Counters
 }
-
-// openStore and openCounters adapt the two round-state openers to node.open.
-func openStore(path string) (io.Closer, error)    { return roundstate.Open(path) }
-func openCounters(path string) (io.Closer, error) { return roundstate.OpenCounters(path) }
 
 // NewChainNet starts the shard servers, the chain servers (each on its
 // own listener, last server first), the coordinator, and the frontends.
@@ -238,10 +231,9 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 			cn.nodes = append(cn.nodes, &node{
 				addrs:     []string{cn.ShardAddrs[i]},
 				statePath: statePath(fmt.Sprintf("shard-%d.round", i)),
-				open:      openStore,
-				boot: func(state io.Closer, ls []net.Listener) (io.Closer, error) {
+				boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, error) {
 					sc := sc
-					sc.RoundState, _ = state.(*roundstate.Store)
+					sc.RoundState = state
 					ss, err := mixnet.NewShardServer(sc)
 					if err != nil {
 						return nil, err
@@ -300,10 +292,9 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 		cn.nodes = append(cn.nodes, &node{
 			addrs:     []string{cn.ServerAddrs[i]},
 			statePath: statePath(fmt.Sprintf("server-%d.rounds", i)),
-			open:      openCounters,
-			boot: func(state io.Closer, ls []net.Listener) (io.Closer, error) {
+			boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, error) {
 				mc := mc
-				mc.RoundState, _ = state.(*roundstate.Counters)
+				mc.RoundState = state
 				srv, err := mixnet.NewServer(mc)
 				if err != nil {
 					return nil, err
@@ -338,10 +329,9 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 	cn.nodes = append(cn.nodes, &node{
 		addrs:     entryAddrs,
 		statePath: statePath("entry.rounds"),
-		open:      openCounters,
-		boot: func(state io.Closer, ls []net.Listener) (io.Closer, error) {
+		boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, error) {
 			cc := cc
-			cc.RoundState, _ = state.(*roundstate.Counters)
+			cc.RoundState = state
 			co, err := coordinator.New(cc)
 			if err != nil {
 				return nil, err
@@ -366,7 +356,7 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 		cn.nodes = append(cn.nodes, &node{
 			addrs:     []string{cn.FrontAddrs[i]},
 			stopFirst: true,
-			boot: func(_ io.Closer, ls []net.Listener) (io.Closer, error) {
+			boot: func(_ *roundstate.Counters, ls []net.Listener) (io.Closer, error) {
 				fe, err := frontend.New(fc)
 				if err != nil {
 					return nil, err
@@ -400,7 +390,7 @@ func (cn *ChainNet) start(n *node) error {
 			n.state.Close()
 			n.state = nil
 		}
-		state, err := n.open(n.statePath)
+		state, err := roundstate.OpenCounters(n.statePath)
 		if err != nil {
 			return err
 		}

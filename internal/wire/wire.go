@@ -108,10 +108,6 @@ func ShardReplyMessage(round uint64, shard uint32, replies [][]byte) *Message {
 	return &Message{Kind: KindShardReply, Proto: ProtoConvo, Round: round, Bucket: shard, Body: replies}
 }
 
-// ShardIndex returns the shard index carried by a shard round or reply
-// frame (the Bucket field, unused by those kinds otherwise).
-func (m *Message) ShardIndex() uint32 { return m.Bucket }
-
 // CheckShardRound validates an incoming frame as the round fan-out for
 // shard `shard` of a `numShards`-way partition. It never panics on
 // attacker-controlled frames; any mismatch is rejected with ErrShardFrame.
