@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 # The most non-test Go lines `make loc` may report (ROADMAP aim 2). A PR
 # that needs more raises this in its own diff, where a reviewer sees it.
-LOC_CEILING = 14543
+LOC_CEILING = 15711
 
 .PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build test race allocs shardtest restart-matrix fuzz bench-smoke bench bench-privacy eval-smoke example-smoke loc loc-check clean
 
@@ -72,8 +72,8 @@ restart-matrix:
 	$(GO) test -race -run 'Restart|Rejoin|RoundState|Reissues' -timeout 5m ./...
 
 # Short coverage-guided smoke over the authenticated-transport parsers,
-# the round-state loaders and torn slot writes, and both directions of
-# the onion (each target also runs its seed corpus in every plain
+# the round-state loaders and torn slot writes, the fixed-base comb
+# against crypto/ecdh's ladder, and both directions of the onion (each target also runs its seed corpus in every plain
 # `go test`).
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzSecureHandshakeServer$$' -fuzztime 10s
@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/roundstate -run '^$$' -fuzz 'FuzzRoundStateLoad$$' -fuzztime 10s
 	$(GO) test ./internal/roundstate -run '^$$' -fuzz 'FuzzSlotTear$$' -fuzztime 10s
 	$(GO) test ./internal/crypto/box -run '^$$' -fuzz 'FuzzOpenInto$$' -fuzztime 10s
+	$(GO) test ./internal/crypto/x25519 -run '^$$' -fuzz 'FuzzComb$$' -fuzztime 10s
 	$(GO) test ./internal/onion -run '^$$' -fuzz 'FuzzUnwrapLayer$$' -fuzztime 10s
 	$(GO) test ./internal/onion -run '^$$' -fuzz 'FuzzPathSeal$$' -fuzztime 10s
 

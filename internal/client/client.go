@@ -12,6 +12,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"vuvuzela/internal/cdn"
@@ -130,7 +131,10 @@ type pendingSlot struct {
 
 // Client is a running Vuvuzela client.
 type Client struct {
-	cfg    Config
+	cfg Config
+	// chain is cfg.ChainPubs parsed once: every round's onions agree
+	// their keys on its tables.
+	chain  []*box.Peer
 	entry  *wire.Conn
 	events chan Event
 
@@ -158,7 +162,8 @@ var (
 	ErrClosed = errors.New("client: closed")
 )
 
-// Dial connects to the entry server and starts the client loop.
+// Dial connects to the entry server and starts the client loop. It parses
+// cfg.ChainPubs first and refuses a key box.NewPeer refuses.
 func Dial(cfg Config) (*Client, error) {
 	if cfg.EventBuf <= 0 {
 		cfg.EventBuf = 256
@@ -166,12 +171,17 @@ func Dial(cfg Config) (*Client, error) {
 	if cfg.MaxConversations <= 0 {
 		cfg.MaxConversations = 1
 	}
+	chain, err := box.NewPeers(cfg.ChainPubs)
+	if err != nil {
+		return nil, fmt.Errorf("client: chain key: %w", err)
+	}
 	raw, err := cfg.Net.Dial(cfg.EntryAddr)
 	if err != nil {
 		return nil, fmt.Errorf("client: connecting to entry server: %w", err)
 	}
 	c := &Client{
 		cfg:     cfg,
+		chain:   chain,
 		entry:   wire.NewConn(raw),
 		events:  make(chan Event, cfg.EventBuf),
 		convos:  make(map[box.PublicKey]*conversation),
@@ -423,7 +433,7 @@ func (c *Client) onConvoAnnounce(round uint64, exchanges uint32) {
 			c.emit(ErrorEvent{Err: err})
 			return
 		}
-		wireOnion, keys, err := onion.Wrap(req.Marshal(), round, 0, c.cfg.ChainPubs, nil)
+		wireOnion, keys, err := c.wrap(req.Marshal(), round, nil)
 		if err != nil {
 			c.emit(ErrorEvent{Err: err})
 			return
@@ -450,6 +460,17 @@ func (c *Client) onConvoAnnounce(round uint64, exchanges uint32) {
 	if err != nil {
 		c.emit(ErrorEvent{Err: err})
 	}
+}
+
+// wrap onion-encrypts payload for the whole chain: onion.Wrap's bytes and
+// reply keys, with every layer agreed on the chain's tables. rng is nil
+// (crypto/rand) but in tests.
+func (c *Client) wrap(payload []byte, round uint64, rng io.Reader) ([]byte, []*[box.KeySize]byte, error) {
+	path, err := onion.NewPath(c.chain, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	return path.Seal(payload, round, 0), path.Keys(), nil
 }
 
 // onConvoReply unwraps a round's replies and feeds each slot's
@@ -558,7 +579,7 @@ func (c *Client) onDialAnnounce(round uint64, m uint32) {
 		c.emit(ErrorEvent{Err: err})
 		return
 	}
-	wireOnion, _, err := onion.Wrap(req.Marshal(), round, 0, c.cfg.ChainPubs, nil)
+	wireOnion, _, err := c.wrap(req.Marshal(), round, nil)
 	if err != nil {
 		c.emit(ErrorEvent{Err: err})
 		return

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/noise"
+	"vuvuzela/internal/onion"
 	"vuvuzela/internal/transport"
 )
 
@@ -161,5 +163,56 @@ func TestGoBackNWindowFull(t *testing.T) {
 	}
 	if n := alice.QueueLen(); n != 0 {
 		t.Fatalf("queue not drained: %d", n)
+	}
+}
+
+// seededStream is a fixed byte stream that answers crypto/ecdh's one-byte
+// coin-flip reads (inside onion.Wrap's key generation) without advancing,
+// so that the two onion builders below draw the same keys.
+type seededStream struct{ pos int }
+
+func (r *seededStream) Read(p []byte) (int, error) {
+	if len(p) == 1 {
+		p[0] = 0
+		return 1, nil
+	}
+	for i := range p {
+		p[i] = byte((r.pos+i)*13 + 5)
+	}
+	r.pos += len(p)
+	return len(p), nil
+}
+
+// TestClientOnionMatchesWrap: a client builds its onions on the chain
+// parsed once at Dial (onion.NewPath + Seal, each layer on the keys'
+// tables); under one seeded stream they are onion.Wrap's bytes, and the
+// reply keys are Wrap's too.
+func TestClientOnionMatchesWrap(t *testing.T) {
+	pubs, _, err := mixnet.NewChainKeys(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := box.NewPeers(pubs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{chain: chain}
+	payload := bytes.Repeat([]byte("request "), 34)
+	const round = 77
+	got, gotKeys, err := c.wrap(payload, round, &seededStream{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantKeys, err := onion.Wrap(payload, round, 0, pubs, &seededStream{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("client onion differs from onion.Wrap's:\n got %x\nwant %x", got, want)
+	}
+	for i := range wantKeys {
+		if *gotKeys[i] != *wantKeys[i] {
+			t.Fatalf("layer %d: reply keys differ", i)
+		}
 	}
 }

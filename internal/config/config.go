@@ -158,7 +158,9 @@ const MaxServers = 64
 // entry's included: it would listen on a random port), no zero
 // keys, and no key shared between two entries — a zero or duplicated key
 // would silently undermine the authenticated server-to-server channels
-// keyed from this file.
+// keyed from this file — and no key that box.NewPeer refuses: a value
+// that is not a curve25519 point has no private half any server could
+// hold, yet clients and mixing servers would wrap toward it every round.
 // LoadChain applies it to every chain read from disk, and keygen to every
 // chain it writes.
 func (c *Chain) Validate() error {
@@ -178,6 +180,9 @@ func (c *Chain) Validate() error {
 		}
 		if s.PublicKey == (Key{}) {
 			return fmt.Errorf("config: %s has a zero public key", what)
+		}
+		if _, err := box.NewPeer((*box.PublicKey)(&s.PublicKey)); err != nil {
+			return fmt.Errorf("config: %s: %w", what, err)
 		}
 		if prev, ok := seen[s.PublicKey]; ok {
 			return fmt.Errorf("config: %s shares its public key with %s", what, prev)

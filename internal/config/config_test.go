@@ -142,8 +142,8 @@ func TestChainShardsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChainValidate: zero keys, duplicate keys, and missing addresses
-// are rejected — both directly and through LoadChain, so a malformed or
+// TestChainValidate: zero keys, duplicate keys, keys that are not curve
+// points, and missing addresses are rejected — both directly and through LoadChain, so a malformed or
 // tampered descriptor cannot key the server-to-server channels.
 func TestChainValidate(t *testing.T) {
 	pub0, _ := box.KeyPairFromSeed([]byte("v0"))
@@ -178,6 +178,11 @@ func TestChainValidate(t *testing.T) {
 	c.Shards = append(c.Shards, Server{Addr: "a:3", PublicKey: Key(pub1)})
 	if err := c.Validate(); err == nil {
 		t.Fatal("two shards sharing a key accepted")
+	}
+	c = good()
+	c.Servers[0].PublicKey = Key{2} // u = 2: a point of the twist, not the curve
+	if err := c.Validate(); err == nil {
+		t.Fatal("a server key that is not a curve25519 point accepted")
 	}
 	c = good()
 	c.Shards[0].Addr = ""

@@ -16,35 +16,48 @@
 // # Parsed keys
 //
 // Keys travel as raw 32-byte arrays (PrivateKey, PublicKey), but every
-// Diffie-Hellman runs on a DHKey, a private key parsed once. The handle
-// exists because of a cost crypto/ecdh hides: NewPrivateKey derives and
-// stores the public key eagerly, one base-point scalar mult, so building
-// the ecdh key from raw bytes for each exchange doubles the Curve25519
-// work — and that work is what sets a server's round latency (§8.2).
-// Whoever uses a key more than once (a chain server unwrapping a batch, a
-// client scanning an invitation bucket, a handshake) holds a DHKey and
-// pays one mult per exchange; a freshly generated ephemeral key stays a
-// DHKey from generation to its one exchange, two mults instead of three.
-// The raw-key functions (Precompute, PublicKeyOf, GenerateKey) are
-// few-line wrappers that parse and delegate: DHKey.PrecomputeInto is the
-// only place the X25519 → HSalsa20 path is written, and it writes the key
-// into the caller's storage so that a server agreeing one per onion
-// allocates none of its own.
+// Diffie-Hellman runs on a parsed handle: a DHKey for your own key, a Peer
+// for a fixed other side.
 //
-// A DHKey holds secret key material, like the PrivateKey it was parsed
-// from: it has no String method and must not be logged or compared;
-// compare Public() values.
+// A DHKey is a private key parsed once. It exists because of a cost
+// crypto/ecdh hides: NewPrivateKey derives and stores the public key
+// eagerly, one base-point scalar mult, so building the ecdh key from raw
+// bytes for each exchange doubles the Curve25519 work — and that work is
+// what sets a server's round latency (§8.2). Whoever uses a key more than
+// once (a chain server unwrapping a batch, a client scanning an invitation
+// bucket, a handshake) holds a DHKey and pays one mult per exchange; a
+// freshly generated ephemeral key stays a DHKey from generation to its one
+// exchange, two mults instead of three. The raw-key functions (Precompute,
+// PublicKeyOf, GenerateKey) are few-line wrappers that parse and delegate,
+// and DHKey.PrecomputeInto writes the key into the caller's storage so
+// that a server agreeing one per onion allocates none of its own. A DHKey
+// holds secret key material, like the PrivateKey it was parsed from: it
+// has no String method and must not be logged or compared; compare
+// Public() values.
+//
+// A Peer is a public key parsed once for a party that many fresh
+// ephemeral keys agree with: a mixing server's downstream chain, a
+// client's whole chain. Both scalar mults of such an agreement have a
+// fixed base, the generator and the peer's key, so Peer.Agree runs them on
+// comb tables built ahead (internal/crypto/x25519; the generator's once
+// per process, the peer's by NewPeer) at about half the ladder's cost, and
+// returns the bytes an ephemeral DHKey's PrecomputeInto would. Every
+// exchange whose base is someone's fresh ephemeral key — a server
+// unwrapping an onion, OpenAnonymous, the transport handshake — and the
+// one-shot SealAnonymous stay on crypto/ecdh.
 package box
 
 import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"errors"
 	"io"
 
 	"vuvuzela/internal/crypto/poly1305"
 	"vuvuzela/internal/crypto/salsa"
+	"vuvuzela/internal/crypto/x25519"
 )
 
 const (
@@ -164,6 +177,68 @@ func (k *DHKey) PrecomputeInto(shared *[KeySize]byte, peersPublic *PublicKey) er
 	var zeros [16]byte
 	salsa.HSalsa20(shared, (*[KeySize]byte)(dh), &zeros)
 	return nil
+}
+
+// Peer is a parsed X25519 public key that fresh ephemeral keys agree with
+// (see the package comment): its comb table is built once, by NewPeer. It
+// holds only public data and is immutable, so any number of goroutines may
+// share one.
+type Peer struct {
+	table *x25519.Table
+}
+
+// NewPeer parses a peer's public key, building its table (a fraction of a
+// millisecond). It refuses a value that is not a point of Curve25519 (a
+// twist point), which no X25519 key pair has as its public half; a
+// low-order point is accepted here and refused by Agree.
+func NewPeer(pub *PublicKey) (*Peer, error) {
+	t, err := x25519.NewTable((*[KeySize]byte)(pub))
+	if err != nil {
+		return nil, err
+	}
+	return &Peer{table: t}, nil
+}
+
+// NewPeers is NewPeer for each key of a chain, in order.
+func NewPeers(pubs []PublicKey) ([]*Peer, error) {
+	peers := make([]*Peer, len(pubs))
+	for i := range pubs {
+		var err error
+		if peers[i], err = NewPeer(&pubs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return peers, nil
+}
+
+// Agree draws a fresh ephemeral key from rng (crypto/rand.Reader if nil)
+// as one KeySize-byte read, writes the NaCl box key it shares with p into
+// shared — HSalsa20(X25519(e, p), 0), what the ephemeral DHKey's
+// PrecomputeInto would give — and returns the ephemeral public key. It
+// allocates nothing. A low-order peer key yields the all-zero secret and
+// ErrKeyExchange; on any error shared is zeroed.
+func (p *Peer) Agree(shared *[KeySize]byte, rng io.Reader) (PublicKey, error) {
+	if rng == nil {
+		rng = rand.Reader
+	}
+	// The scalar is read through shared: a local array handed to an
+	// io.Reader would move to the heap.
+	if _, err := io.ReadFull(rng, shared[:]); err != nil {
+		clear(shared[:])
+		return PublicKey{}, err
+	}
+	var epub PublicKey
+	var dh [KeySize]byte
+	x25519.BaseTable().Mul((*[KeySize]byte)(&epub), shared)
+	p.table.Mul(&dh, shared)
+	var zero [KeySize]byte
+	if subtle.ConstantTimeCompare(dh[:], zero[:]) == 1 {
+		clear(shared[:])
+		return PublicKey{}, ErrKeyExchange
+	}
+	var zeros [16]byte
+	salsa.HSalsa20(shared, &dh, &zeros)
+	return epub, nil
 }
 
 // GenerateKey creates a fresh X25519 key pair using entropy from r

@@ -46,6 +46,19 @@ func TestPrecomputeRejectsLowOrderPeer(t *testing.T) {
 		if _, err := key.OpenAnonymous(ct, &pub); !errors.Is(err, ErrKeyExchange) {
 			t.Errorf("peer %s: DHKey.OpenAnonymous: %v, want ErrKeyExchange", h, err)
 		}
+		// As a parsed Peer: −1 (ecff…7f) is a twist point, which NewPeer
+		// refuses; every other one parses and fails the agreement.
+		p, err := NewPeer(&peer)
+		if twist := h[:2] == "ec"; (err != nil) != twist {
+			t.Errorf("peer %s: NewPeer: %v, want an error %v", h, err, twist)
+		}
+		if err != nil {
+			continue
+		}
+		var shared [KeySize]byte
+		if _, err := p.Agree(&shared, nil); !errors.Is(err, ErrKeyExchange) || shared != ([KeySize]byte{}) {
+			t.Errorf("peer %s: Peer.Agree: %v, want ErrKeyExchange and a zeroed key", h, err)
+		}
 	}
 }
 
@@ -83,6 +96,43 @@ func TestDHKeyShared(t *testing.T) {
 				pt, err := key.OpenAnonymous(sealed, &rPub)
 				if err != nil || !bytes.Equal(pt, msg) || key.Public() != rPub {
 					t.Errorf("shared key: open anonymous %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPeerShared: a mixing server's pool refills agree with one parsed
+// Peer per downstream key from several goroutines, so concurrent use must
+// be safe (go test -race -count=10) and every agreement must open with the
+// server's key.
+func TestPeerShared(t *testing.T) {
+	sPub, sPriv := mustKeyPair(t)
+	server, err := NewDHKey(&sPriv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := NewPeer(&sPub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				var shared [KeySize]byte
+				epub, err := peer.Agree(&shared, nil)
+				if err != nil {
+					t.Errorf("Agree: %v", err)
+					return
+				}
+				want, err := server.Precompute(&epub)
+				if err != nil || *want != shared {
+					t.Errorf("the server derives another key from %x: %v", epub, err)
 					return
 				}
 			}

@@ -104,11 +104,16 @@ func DegradedShards(dead int) Scenario {
 // ClientChurn kicks one idle cover client before every round; the
 // client reconnects immediately, so the population is constant but
 // membership churns — the PR 8 churn matrix's workload under the
-// adversary's eye.
+// adversary's eye. Each kick waits for the previous kicked client to be
+// back, so a round misses at most one cover client however slowly the
+// rejoin runs.
 func ClientChurn() Scenario {
 	return Scenario{
 		Name: "churn",
 		BeforeRound: func(r *Run, i int) error {
+			if err := r.WaitReady(5 * time.Second); err != nil {
+				return err
+			}
 			r.KickIdleClient()
 			return nil
 		},

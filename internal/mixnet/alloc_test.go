@@ -83,7 +83,7 @@ func TestSealNoiseAllocs(t *testing.T) {
 	cost := func(n int) float64 {
 		paths := make([]onion.Path, n)
 		for i := range paths {
-			if paths[i], err = onion.NewPath(pubs[1:], nil); err != nil {
+			if paths[i], err = onion.NewPath(s.pool.peers, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -97,5 +97,35 @@ func TestSealNoiseAllocs(t *testing.T) {
 	}
 	if few, many := cost(10), cost(300); few != many || many > 8 {
 		t.Fatalf("sealing 10 noise onions allocates %.0f times and 300 %.0f: want the same, at most 8", few, many)
+	}
+}
+
+// TestPathAgreeAllocs: agreeing a noise onion's path — what the pool's
+// refill and a short round's inline top-up do by the hundred — allocates
+// the path and nothing else, at any depth: the downstream keys are parsed
+// once, at NewServer, and each layer's agreement runs on their tables
+// (box.Peer.Agree). On crypto/ecdh it was 10.5 per layer + 1.
+func TestPathAgreeAllocs(t *testing.T) {
+	pubs, privs, err := NewChainKeys(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Config{Position: 0, ChainPubs: pubs, Priv: privs[0], Workers: 1, Net: transport.NewMem(), NextAddr: "unused"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// A closed pool agrees every path inline and starts no refill.
+	s.pool.close()
+	cost := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if paths, err := s.pool.get(n); err != nil || len(paths) != n {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := cost(10), cost(110)
+	if perPath := (many - few) / 100; perPath != 1 {
+		t.Fatalf("a two-layer noise path allocates %.2f times, want 1", perPath)
 	}
 }

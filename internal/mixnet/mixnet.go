@@ -9,7 +9,9 @@
 // downstream public keys, so a mixing server keeps a pool of agreed paths
 // (pathPool), refilled while it waits on its successor, and a round only
 // draws its noise counts, generates the payloads and seals them
-// (onion.Path.Seal). Nothing round-bound is computed ahead.
+// (onion.Path.Seal). Nothing round-bound is computed ahead. NewServer
+// parses the downstream keys once (box.Peer), so that every agreement runs
+// on fixed-base tables, and refuses a key that is no curve point.
 //
 // A round runs in the frame it arrived in. A served connection receives
 // into one recycled buffer; convoRound and dialRound remove this server's
@@ -204,7 +206,9 @@ var (
 // lists at Position: every networked leg — accepting the predecessor (or
 // the entry leg at position 0) and dialing the successor — is
 // authenticated with it, so a mismatched key could never complete a
-// handshake anyway and is rejected here instead of at the first round.
+// handshake anyway and is rejected here instead of at the first round. So
+// is a downstream key box.NewPeer refuses: every noise onion agrees a key
+// with each of them.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Position < 0 || cfg.Position >= len(cfg.ChainPubs) {
 		return nil, fmt.Errorf("mixnet: position %d out of range for chain of %d", cfg.Position, len(cfg.ChainPubs))
@@ -217,8 +221,14 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("mixnet: private key does not match chain descriptor position %d", cfg.Position)
 	}
 	last := cfg.Position == len(cfg.ChainPubs)-1
-	if !last && (cfg.NextAddr == "" || cfg.Net == nil) {
-		return nil, ErrNoSuccessor
+	var downstream []*box.Peer
+	if !last {
+		if cfg.NextAddr == "" || cfg.Net == nil {
+			return nil, ErrNoSuccessor
+		}
+		if downstream, err = box.NewPeers(cfg.ChainPubs[cfg.Position+1:]); err != nil {
+			return nil, fmt.Errorf("mixnet: downstream chain key: %w", err)
+		}
 	}
 	if cfg.AllowRoundReuse && cfg.RoundState != nil {
 		// Contradictory: with the round check disabled the store would
@@ -247,7 +257,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if !last {
 		s.next = NewChainLeg(cfg.Net, cfg.NextAddr, cfg.Priv, cfg.ChainPubs[cfg.Position+1])
-		s.pool = newPathPool(cfg.ChainPubs[cfg.Position+1:], cfg.Workers)
+		s.pool = newPathPool(downstream, cfg.Workers)
 	}
 	return s, nil
 }

@@ -24,8 +24,8 @@ import (
 // metric or store, gives each path out once, and is dropped on close
 // (docs/THREAT_MODEL.md §3, "Pre-agreed noise paths").
 type pathPool struct {
-	// pubs is the rest of the chain, in order.
-	pubs []box.PublicKey
+	// peers is the rest of the chain, in order, parsed once by NewServer.
+	peers []*box.Peer
 	// workers is the server's Config.Workers, resolved: it bounds a get's
 	// inline agreement and the refill goroutines alike.
 	workers int
@@ -47,13 +47,13 @@ type pathPool struct {
 	refills sync.WaitGroup
 }
 
-// newPathPool returns an empty pool of paths to the servers holding pubs:
-// the first round agrees its paths itself.
-func newPathPool(pubs []box.PublicKey, workers int) *pathPool {
+// newPathPool returns an empty pool of paths to peers: the first round
+// agrees its paths itself.
+func newPathPool(peers []*box.Peer, workers int) *pathPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &pathPool{pubs: pubs, workers: workers}
+	return &pathPool{peers: peers, workers: workers}
 }
 
 // get returns exactly n unused paths for a conversation round: those the
@@ -78,7 +78,7 @@ func (pl *pathPool) take(last *int, n int) ([]onion.Path, error) {
 	pl.mu.Unlock()
 
 	err := parallel.ForErr(n-held, pl.workers, func(i int) (err error) {
-		out[held+i], err = onion.NewPath(pl.pubs, nil)
+		out[held+i], err = onion.NewPath(pl.peers, nil)
 		return err
 	})
 	if err != nil {
@@ -104,7 +104,7 @@ func (pl *pathPool) take(last *int, n int) ([]onion.Path, error) {
 func (pl *pathPool) refill() {
 	defer pl.refills.Done()
 	for {
-		path, err := onion.NewPath(pl.pubs, nil)
+		path, err := onion.NewPath(pl.peers, nil)
 		pl.mu.Lock()
 		if err == nil && !pl.closed {
 			pl.paths = append(pl.paths, path)

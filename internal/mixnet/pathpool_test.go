@@ -1,12 +1,14 @@
 package mixnet
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
 
 	"vuvuzela/internal/convo"
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/crypto/x25519"
 	"vuvuzela/internal/dial"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/onion"
@@ -255,7 +257,11 @@ func TestPathPoolGetExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := newPathPool(pubs, 2)
+	peers, err := box.NewPeers(pubs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := newPathPool(peers, 2)
 	defer pl.close()
 	seen := make(map[box.PublicKey]bool)
 	for _, step := range []struct{ n, inline, left int }{
@@ -341,7 +347,11 @@ func TestPathPoolCloseMidRefill(t *testing.T) {
 	if testing.Short() {
 		n = 100
 	}
-	pl := newPathPool(pubs[1:], 2)
+	peers, err := box.NewPeers(pubs[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := newPathPool(peers, 2)
 	if _, err := pl.get(n); err != nil {
 		t.Fatal(err)
 	}
@@ -382,5 +392,26 @@ func TestPathPoolCloseMidRefill(t *testing.T) {
 	}
 	if err := last.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewServerRefusesTwistKey: a downstream chain key that is not a
+// curve25519 point (u = 2 lies on the twist) has no private half any
+// server could hold, yet every noise onion would agree a key with it:
+// NewServer refuses it once, where it used to start and fail every round.
+func TestNewServerRefusesTwistKey(t *testing.T) {
+	pubs, privs, err := NewChainKeys(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pubs[2] = box.PublicKey{2}
+	for pos := 0; pos < 2; pos++ {
+		s, err := NewServer(Config{Position: pos, ChainPubs: pubs, Priv: privs[pos], Net: transport.NewMem(), NextAddr: "unused"})
+		if !errors.Is(err, x25519.ErrNotOnCurve) {
+			if s != nil {
+				s.Close()
+			}
+			t.Fatalf("server %d started toward a twist point: %v", pos, err)
+		}
 	}
 }

@@ -102,15 +102,18 @@ func meanAllocs(runs int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// TestWrapAllocs pins the allocation cost of building an onion against
-// what Wrap cost when it sealed each layer into a buffer of its own: a
-// mean of 12.5, 24 and 35.5 for 1, 2 and 3 layers (10.5 per layer for the
-// key agreement, one buffer per layer, one key slice). Sealing in one
-// buffer must leave a client's 3-layer Wrap at least one allocation
-// cheaper, and a mixing server's NewPath + Seal — what every noise onion
-// costs — no dearer than the old Wrap of the same depth.
+// TestWrapAllocs pins the allocation cost of building an onion. A noise
+// onion — what a mixing server builds by the hundred per round — is
+// NewPath over parsed peers, whose agreements allocate nothing, then Seal:
+// the path and the onion, 2 at any depth (it was 10.5 per layer + 2 on
+// crypto/ecdh's ladder). A client's one-shot Wrap of raw keys stays on the
+// ladder, each layer's key agreed into the path's own storage: a mean of
+// 9.5 per layer (the ephemeral key's generation, with a coin-flip byte,
+// and the exchange) + 3 (the path, the onion, the key slice), where it was
+// 10.5 + 2.
 func TestWrapAllocs(t *testing.T) {
 	pubs, _ := testChain(t, 3)
+	peers := testPeers(t, pubs)
 	payload := make([]byte, 272)
 	const slack = 0.25 // the coin flips average out to ±0.03 over 1000 runs
 	wrap3 := meanAllocs(1000, func() {
@@ -118,19 +121,19 @@ func TestWrapAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if wrap3 > 35.5-1+slack {
-		t.Errorf("Wrap over 3 layers allocates %.2f times, want at most 34.5", wrap3)
+	if wrap3 > 3*9.5+3+slack {
+		t.Errorf("Wrap over 3 layers allocates %.2f times, want at most 31.5", wrap3)
 	}
-	for layers, was := range map[int]float64{1: 12.5, 2: 24} {
+	for layers := 1; layers <= 3; layers++ {
 		got := meanAllocs(1000, func() {
-			path, err := NewPath(pubs[3-layers:], nil)
+			path, err := NewPath(peers[3-layers:], nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			path.Seal(payload, 9, 3-layers)
 		})
-		if got > was+slack {
-			t.Errorf("NewPath + Seal over %d layers allocates %.2f times, Wrap used to take %.1f", layers, got, was)
+		if got != 2 {
+			t.Errorf("NewPath + Seal over %d layers allocates %.2f times, want 2", layers, got)
 		}
 	}
 }

@@ -92,10 +92,11 @@ func FuzzPathSeal(f *testing.F) {
 	f.Add(make([]byte, 32), uint8(2), uint64(1<<63), uint8(1))
 	f.Add(make([]byte, 33), uint8(2), uint64(7), uint8(254))
 
+	peers := testPeers(f, pubs[:])
 	f.Fuzz(func(t *testing.T, payload []byte, layers uint8, round uint64, startLayer uint8) {
 		n := int(layers)%3 + 1
 		start := int(startLayer)
-		path, err := NewPath(pubs[:n], nil)
+		path, err := NewPath(peers[:n], nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,6 +63,15 @@ func TestWrapGolden(t *testing.T) {
 	if len(rng.reads) != 3 || rng.reads[0] != 32 || rng.reads[1] != 32 || rng.reads[2] != 32 {
 		t.Fatalf("Wrap read %v from its source, want three 32-byte reads", rng.reads)
 	}
+	// The comb path — what mixing servers and clients build — gives the
+	// same bytes from the same stream.
+	path, err := NewPath(testPeers(t, pubs), &countingReader{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed := hex.EncodeToString(path.Seal(payload, round, 0)); sealed != goldenWrap {
+		t.Fatalf("NewPath + Seal drifted:\n got %s\nwant %s", sealed, goldenWrap)
+	}
 
 	// The first read keys the innermost layer: the outermost layer's
 	// ephemeral public key is that of the third 32 bytes of the stream.

@@ -15,12 +15,15 @@
 // layer, direction); this is safe because every onion uses fresh ephemeral
 // keys, so no (key, nonce) pair ever repeats.
 //
-// Building an onion is two steps with one implementation each: NewPath
-// draws the ephemeral keys and runs the Diffie-Hellman (nearly all of the
-// cost, and independent of round and payload), Path.Seal encrypts a
-// payload under it. Wrap is NewPath followed by Seal; a mixing server
-// calls the halves apart so its cover traffic's key agreement happens
-// before the round (mixnet).
+// Building an onion is two steps: NewPath draws the ephemeral keys and
+// runs the Diffie-Hellman (nearly all of the cost, and independent of
+// round and payload), Path.Seal encrypts a payload under it. NewPath takes
+// the servers as box.Peers, parsed once, so both scalar mults of every
+// layer run on fixed-base tables; a mixing server calls it for its cover
+// traffic ahead of the round (mixnet), a client for each round's onions.
+// Wrap is the same two steps for raw public keys and a one-shot caller:
+// it agrees each layer on crypto/ecdh's ladder, where a table would cost
+// more than it saves, and seals with the same Path.Seal.
 //
 // Each direction is written once, in place: UnwrapInPlace decrypts a layer
 // where the onion lies (writing nothing unless it authenticates),
@@ -93,7 +96,7 @@ func deriveNonce(dir byte, round uint64, layer int) [box.NonceSize]byte {
 // key agreed between it and that layer's server.
 type hop struct {
 	epub box.PublicKey
-	key  *[box.KeySize]byte
+	key  [box.KeySize]byte
 }
 
 // Path is the key agreement for one onion, done ahead of the payload: a
@@ -109,24 +112,32 @@ type Path struct {
 	hops []hop
 }
 
-// NewPath agrees keys with the servers whose public keys are given in
-// chain order. It draws one box.KeySize-byte ephemeral key per layer from
-// rng (crypto/rand if nil), innermost layer first, and does the two scalar
-// mults per layer that are the expensive half of Wrap.
-func NewPath(pubs []box.PublicKey, rng io.Reader) (Path, error) {
-	hops := make([]hop, len(pubs))
-	for i := len(pubs) - 1; i >= 0; i-- {
-		eph, err := box.GenerateDHKey(rng)
+// NewPath agrees keys with the servers whose parsed public keys are given
+// in chain order (box.Peer: each agreement's two scalar mults run on
+// fixed-base tables). It draws one box.KeySize-byte ephemeral key per
+// layer from rng (crypto/rand if nil), innermost layer first — the stream
+// Wrap draws — and allocates the path and nothing else.
+func NewPath(peers []*box.Peer, rng io.Reader) (Path, error) {
+	hops := make([]hop, len(peers))
+	for i := len(peers) - 1; i >= 0; i-- {
+		epub, err := peers[i].Agree(&hops[i].key, rng)
 		if err != nil {
 			return Path{}, err
 		}
-		shared, err := eph.Precompute(&pubs[i])
-		if err != nil {
-			return Path{}, err
-		}
-		hops[i] = hop{epub: eph.Public(), key: shared}
+		hops[i].epub = epub
 	}
 	return Path{hops: hops}, nil
+}
+
+// Keys returns the path's per-layer shared keys in chain order, which the
+// sender needs to unwrap the layered reply (UnwrapReply). They alias the
+// path.
+func (p Path) Keys() []*[box.KeySize]byte {
+	keys := make([]*[box.KeySize]byte, len(p.hops))
+	for i := range p.hops {
+		keys[i] = &p.hops[i].key
+	}
+	return keys
 }
 
 // Seal onion-encrypts payload along the path for round `round`, the
@@ -151,29 +162,37 @@ func (p Path) SealInPlace(onion []byte, round uint64, startLayer int) {
 		layer := onion[i*LayerOverhead:]
 		copy(layer[:box.KeySize], p.hops[i].epub[:])
 		nonce := requestNonce(round, startLayer+i)
-		box.SealInto(layer[box.KeySize:], layer[LayerOverhead:], &nonce, p.hops[i].key)
+		box.SealInto(layer[box.KeySize:], layer[LayerOverhead:], &nonce, &p.hops[i].key)
 	}
 }
 
 // Wrap onion-encrypts payload for the servers whose public keys are given
-// in chain order: NewPath followed by Seal. startLayer is the absolute
-// chain position of the first key in pubs: clients pass 0 with the full
-// chain; a mixing server at position i generating noise seals under
-// position i+1 with the tail of the chain (Algorithm 2 step 2 — noise
-// must be indistinguishable from real requests to all downstream servers).
+// in chain order. startLayer is the absolute chain position of the first
+// key in pubs: clients pass 0 with the full chain; a mixing server at
+// position i generating noise seals under position i+1 with the tail of
+// the chain (Algorithm 2 step 2 — noise must be indistinguishable from
+// real requests to all downstream servers).
 //
 // It returns the wire onion and the per-layer shared keys, ordered to
-// match pubs, which the caller needs to unwrap the layered reply.
+// match pubs, which the caller needs to unwrap the layered reply. It is
+// the one-shot form of NewPath followed by Seal, for raw keys: a table
+// per key would cost more than it saves once, so each layer generates an
+// ephemeral box.DHKey and agrees on crypto/ecdh's ladder. Under a stream
+// that answers crypto/ecdh's one-byte coin-flip reads without advancing,
+// its bytes are NewPath's (TestPathSealMatchesWrap).
 func Wrap(payload []byte, round uint64, startLayer int, pubs []box.PublicKey, rng io.Reader) ([]byte, []*[box.KeySize]byte, error) {
-	path, err := NewPath(pubs, rng)
-	if err != nil {
-		return nil, nil, err
+	path := Path{hops: make([]hop, len(pubs))}
+	for i := len(pubs) - 1; i >= 0; i-- {
+		eph, err := box.GenerateDHKey(rng)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := eph.PrecomputeInto(&path.hops[i].key, &pubs[i]); err != nil {
+			return nil, nil, err
+		}
+		path.hops[i].epub = eph.Public()
 	}
-	keys := make([]*[box.KeySize]byte, len(path.hops))
-	for i := range path.hops {
-		keys[i] = path.hops[i].key
-	}
-	return path.Seal(payload, round, startLayer), keys, nil
+	return path.Seal(payload, round, startLayer), path.Keys(), nil
 }
 
 // UnwrapInPlace removes one onion layer as server `layer` (absolute chain

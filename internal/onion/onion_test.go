@@ -24,6 +24,16 @@ func testChain(t testing.TB, n int) ([]box.PublicKey, []box.PrivateKey) {
 	return pubs, privs
 }
 
+// testPeers parses pubs as NewPath takes them.
+func testPeers(t testing.TB, pubs []box.PublicKey) []*box.Peer {
+	t.Helper()
+	peers, err := box.NewPeers(pubs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return peers
+}
+
 // TestWrapUnwrapFullChain walks an onion through chains of length 1..6 (the
 // range evaluated in Figure 11) and the reply back out.
 func TestWrapUnwrapFullChain(t *testing.T) {

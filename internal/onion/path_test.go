@@ -3,6 +3,7 @@ package onion
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"vuvuzela/internal/crypto/box"
@@ -38,6 +39,7 @@ func layeredWrap(t *testing.T, payload []byte, round uint64, startLayer int, pub
 // Every layer then unwraps, and the keys Wrap returns open the reply.
 func TestPathSealMatchesWrap(t *testing.T) {
 	pubs, privs := testChain(t, 3)
+	peers := testPeers(t, pubs)
 	const round = 41
 	const requestSize = 272 // convo.RequestSize, which imports this package
 	for layers := 1; layers <= 3; layers++ {
@@ -53,9 +55,18 @@ func TestPathSealMatchesWrap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				path, err := NewPath(pubs[start:], &countingReader{})
+				rng := &countingReader{}
+				path, err := NewPath(peers[start:], rng)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if len(rng.reads) != layers || slices.ContainsFunc(rng.reads, func(n int) bool { return n != box.KeySize }) {
+					t.Fatalf("NewPath read %v from its source, want %d reads of %d bytes", rng.reads, layers, box.KeySize)
+				}
+				for i, k := range path.Keys() {
+					if *k != *keys[i] {
+						t.Fatalf("layer %d: NewPath and Wrap agree different keys", start+i)
+					}
 				}
 				sealed := path.Seal(payload, round, start)
 				if !bytes.Equal(wrapped, want) || !bytes.Equal(sealed, want) {
@@ -88,12 +99,13 @@ func TestPathSealMatchesWrap(t *testing.T) {
 	}
 }
 
-// TestNewPathRejectsBadKey: a low-order server key fails the agreement,
-// as it did inside Wrap.
+// TestNewPathRejectsBadKey: a low-order server key parses (box.NewPeer
+// refuses only twist points) and fails the agreement, as it does inside
+// Wrap.
 func TestNewPathRejectsBadKey(t *testing.T) {
 	pubs, _ := testChain(t, 2)
 	pubs[1] = box.PublicKey{}
-	if _, err := NewPath(pubs, nil); err == nil {
+	if _, err := NewPath(testPeers(t, pubs), nil); err == nil {
 		t.Fatal("NewPath agreed a key with the all-zero public key")
 	}
 	if _, _, err := Wrap([]byte("x"), 1, 0, pubs, nil); err == nil {
