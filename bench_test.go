@@ -1,10 +1,10 @@
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation, plus ablation benches for the design choices called
-// out in DESIGN.md. The analytic figures (6–8) benchmark their exact
+// paper's evaluation, plus ablation benches for noise sampling and the
+// crypto worker pool. The analytic figures (6–8) benchmark their exact
 // regeneration; the performance figures (9–11) run real rounds through
 // the full protocol stack at laptop scale (users and noise scaled down
-// ~500× from the paper's testbed; see EXPERIMENTS.md for the mapping
-// back to paper scale via the calibrated cost model).
+// ~500× from the paper's testbed; internal/sim's CostModel maps them back
+// to paper scale).
 //
 // The same series, printed in paper-comparable form, come from
 // `go run ./cmd/vuvuzela-bench all`.
@@ -16,8 +16,10 @@ import (
 	"testing"
 	"time"
 
+	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/eval"
+	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
 	"vuvuzela/internal/sim"
@@ -149,7 +151,9 @@ func BenchmarkPipelinedRounds(b *testing.B) {
 			var total time.Duration
 			for i := 0; i < b.N; i++ {
 				cn, err := sim.NewChainNet(sim.ChainNetConfig{
-					Servers: servers, Mu: mu, ConvoWindow: window, SubmitTimeout: 10 * time.Second,
+					Servers: servers,
+					Chain:   mixnet.Config{ConvoNoise: noise.Fixed{N: mu}},
+					Entry:   coordinator.Config{ConvoWindow: window, SubmitTimeout: 10 * time.Second},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -3,9 +3,11 @@
 // numbers). Analytic figures are exact; performance figures print both a
 // paper-scale prediction from the calibrated cost model and, with
 // -measure, real scaled-down rounds run through the actual protocol
-// stack on this machine. `attack` and `privacy` are both internal/eval:
-// `attack` is the §4.2 discard attack on eval.Experiment's default
-// topology, with and without noise; `privacy` scores it across fault
+// stack on this machine (each at the head of a fresh sim.ChainNet;
+// `make figures-smoke` is the CI-sized run). `attack` and `privacy` are
+// both internal/eval: `attack` is the §4.2 discard attack on
+// eval.Experiment's default topology, with and without noise; `privacy`
+// scores it across fault
 // scenarios and adversary positions and, with -json, regenerates
 // BENCH_privacy.json (`make eval-smoke` is its -quick form).
 //
@@ -47,6 +49,10 @@ func main() {
 	cmds := flag.Args()
 	if len(cmds) == 0 {
 		usage()
+	}
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "vuvuzela-bench: -scale %d: the divisor must be at least 1\n", *scale)
+		os.Exit(2)
 	}
 	for _, cmd := range cmds {
 		switch cmd {
@@ -148,7 +154,7 @@ func fig8() {
 	header("Figure 8: dialing privacy (e^ε', δ') vs rounds k")
 	printCurves(privacy.Dialing, []privacy.Params{
 		{Mu: 8000, B: 500},
-		{Mu: 13000, B: 770}, // paper prints b=7,700 — see EXPERIMENTS.md
+		{Mu: 13000, B: 770}, // paper prints b=7,700 — see vuvuzela.DefaultDialNoise
 		{Mu: 20000, B: 1130},
 	}, 1000, 16000)
 	fmt.Println("paper: ≈1,200 / 3,500 / 8,000 dialing rounds respectively")

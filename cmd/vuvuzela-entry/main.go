@@ -64,8 +64,6 @@ func main() {
 		ChainPub:      box.PublicKey(chain.Servers[0].PublicKey),
 		DialBuckets:   chain.DialBuckets,
 		SubmitTimeout: *submitTimeout,
-		ConvoInterval: *convoEvery,
-		DialInterval:  *dialEvery,
 		ConvoWindow:   *convoWindow,
 		RoundState:    store,
 		FrontIdentity: frontKey,
@@ -103,7 +101,7 @@ func main() {
 	log.Printf("vuvuzela entry server on %s → chain head %s (convo %v, dial %v)",
 		chain.EntryAddr, chain.Servers[0].Addr, *convoEvery, *dialEvery)
 
-	co.Start(context.Background())
+	co.Start(context.Background(), *convoEvery, *dialEvery)
 	if err := co.Serve(l); err != nil {
 		log.Fatal(err)
 	}

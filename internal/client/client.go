@@ -42,9 +42,6 @@ type Config struct {
 	// CDNAddr is the invitation CDN's listen address.
 	CDNAddr string
 
-	// EventBuf sizes the event channel (default 256).
-	EventBuf int
-
 	// MaxConversations caps how many conversations can be active at
 	// once (default 1, the paper's prototype). The coordinator announces
 	// the fixed exchange count per round; a client whose cap is below it
@@ -93,6 +90,10 @@ func (InvitationEvent) isEvent() {}
 func (ConvoRoundEvent) isEvent() {}
 func (DialRoundEvent) isEvent()  {}
 func (ErrorEvent) isEvent()      {}
+
+// eventBuf is how many events Events holds for an application that has
+// not drained it; beyond that they are dropped (see Events).
+const eventBuf = 256
 
 // sendWindow is the go-back-N window: how many messages may be in flight
 // unacknowledged. One data frame is sent per round (the protocol's fixed
@@ -165,9 +166,6 @@ var (
 // Dial connects to the entry server and starts the client loop. It parses
 // cfg.ChainPubs first and refuses a key box.NewPeer refuses.
 func Dial(cfg Config) (*Client, error) {
-	if cfg.EventBuf <= 0 {
-		cfg.EventBuf = 256
-	}
 	if cfg.MaxConversations <= 0 {
 		cfg.MaxConversations = 1
 	}
@@ -183,7 +181,7 @@ func Dial(cfg Config) (*Client, error) {
 		cfg:     cfg,
 		chain:   chain,
 		entry:   wire.NewConn(raw),
-		events:  make(chan Event, cfg.EventBuf),
+		events:  make(chan Event, eventBuf),
 		convos:  make(map[box.PublicKey]*conversation),
 		pending: make(map[uint64][]pendingSlot),
 		closeCh: make(chan struct{}),
@@ -615,10 +613,17 @@ func (c *Client) onDialComplete(round uint64, m uint32) {
 }
 
 // fetchBucket retrieves one bucket from the CDN, lazily maintaining the
-// connection.
+// connection. A fetch that gets cdnMu after Close dials nothing: Close
+// closes closeCh before it takes cdnMu to close the connection, so a
+// connection opened here afterwards would outlive the client.
 func (c *Client) fetchBucket(round uint64, bucket uint32) ([]byte, error) {
 	c.cdnMu.Lock()
 	defer c.cdnMu.Unlock()
+	select {
+	case <-c.closeCh:
+		return nil, ErrClosed
+	default:
+	}
 	for attempt := 0; ; attempt++ {
 		if c.cdnConn == nil {
 			raw, err := c.cfg.Net.Dial(c.cfg.CDNAddr)

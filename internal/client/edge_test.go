@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -86,12 +87,15 @@ func TestEventOverflowDoesNotBlock(t *testing.T) {
 		Net:       tn.net,
 		EntryAddr: "entry",
 		CDNAddr:   "cdn",
-		EventBuf:  1, // overflow after a single event
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Fill the buffer, so every event of the rounds below overflows it.
+	for len(c.events) < cap(c.events) {
+		c.emit(ConvoRoundEvent{})
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for tn.co.NumClients() < 1 {
 		if time.Now().After(deadline) {
@@ -105,6 +109,21 @@ func TestEventOverflowDoesNotBlock(t *testing.T) {
 		if _, n, err := tn.co.RunConvoRound(ctx); err != nil || n != 1 {
 			t.Fatalf("round %d: n=%d err=%v", i, n, err)
 		}
+	}
+}
+
+// TestFetchAfterCloseDialsNothing: a dialing round's bucket fetch that
+// runs after Close — its acknowledgement was read just before — must not
+// open a CDN connection, which nothing would ever close.
+func TestFetchAfterCloseDialsNothing(t *testing.T) {
+	tn := newTestNet(t)
+	c := tn.dialClient(t, "late-fetch", 1)
+	c.Close()
+	if _, err := c.fetchBucket(1, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("fetch after Close: %v, want ErrClosed", err)
+	}
+	if c.cdnConn != nil {
+		t.Fatal("fetch after Close left a CDN connection open")
 	}
 }
 

@@ -9,9 +9,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/wire"
 )
 
 // Key is a hex-encoded 32-byte key in JSON.
@@ -161,8 +163,9 @@ const MaxServers = 64
 // keyed from this file — and no key that box.NewPeer refuses: a value
 // that is not a curve25519 point has no private half any server could
 // hold, yet clients and mixing servers would wrap toward it every round.
-// LoadChain applies it to every chain read from disk, and keygen to every
-// chain it writes.
+// The noise parameters of both protocols must give differential privacy
+// at all (checkNoise). LoadChain applies it to every chain read from
+// disk, and keygen to every chain it writes.
 func (c *Chain) Validate() error {
 	if len(c.Servers) == 0 {
 		return fmt.Errorf("config: chain has no servers")
@@ -212,6 +215,28 @@ func (c *Chain) Validate() error {
 				return fmt.Errorf("config: frontend %d has no address", i)
 			}
 		}
+	}
+	// A mixing server's conversation noise is singles plus pairs, ≈ 2µ
+	// requests a round; its dialing noise is µ per bucket.
+	if err := checkNoise("convo", c.ConvoNoiseMu, c.ConvoNoiseB, 2); err != nil {
+		return err
+	}
+	return checkNoise("dial", c.DialNoiseMu, c.DialNoiseB, float64(max(1, c.DialBuckets)))
+}
+
+// checkNoise refuses one protocol's Laplace(µ, b) unless it is noise: a b
+// that is not a finite positive number voids the privacy accounting (at
+// b = 0 every server adds exactly µ, which hides nothing), a µ that is not
+// a number or negative adds none, and a µ whose round of noise — µ times
+// perMu requests — cannot fit one wire frame would fail every round.
+func checkNoise(proto string, mu, b, perMu float64) error {
+	switch {
+	case !(b > 0) || math.IsInf(b, 1):
+		return fmt.Errorf("config: %s_noise_b is %v, want a finite b > 0 (b = 0 is no differential privacy)", proto, b)
+	case !(mu >= 0):
+		return fmt.Errorf("config: %s_noise_mu is %v, want µ >= 0", proto, mu)
+	case mu*perMu > wire.MaxBodyParts:
+		return fmt.Errorf("config: %s_noise_mu is %v: a round of that noise does not fit one frame of %d requests", proto, mu, wire.MaxBodyParts)
 	}
 	return nil
 }

@@ -1,11 +1,13 @@
 package config
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/wire"
 )
 
 func TestChainRoundTrip(t *testing.T) {
@@ -116,6 +118,8 @@ func TestChainShardsRoundTrip(t *testing.T) {
 			{Addr: "127.0.0.1:2731", PublicKey: Key(sh0)},
 			{Addr: "127.0.0.1:2732", PublicKey: Key(sh1)},
 		},
+		ConvoNoiseMu: 300000, ConvoNoiseB: 13800,
+		DialNoiseMu: 13000, DialNoiseB: 770,
 	}
 	path := filepath.Join(dir, "chain.json")
 	if err := Save(path, chain); err != nil {
@@ -144,15 +148,19 @@ func TestChainShardsRoundTrip(t *testing.T) {
 
 // TestChainValidate: zero keys, duplicate keys, keys that are not curve
 // points, and missing addresses are rejected — both directly and through LoadChain, so a malformed or
-// tampered descriptor cannot key the server-to-server channels.
+// tampered descriptor cannot key the server-to-server channels — and so
+// are noise parameters that give no differential privacy or could not fit
+// a round's noise in one frame.
 func TestChainValidate(t *testing.T) {
 	pub0, _ := box.KeyPairFromSeed([]byte("v0"))
 	pub1, _ := box.KeyPairFromSeed([]byte("v1"))
 	good := func() *Chain {
 		return &Chain{
-			EntryAddr: "a:0",
-			Servers:   []Server{{Addr: "a:1", PublicKey: Key(pub0)}},
-			Shards:    []Server{{Addr: "a:2", PublicKey: Key(pub1)}},
+			EntryAddr:    "a:0",
+			Servers:      []Server{{Addr: "a:1", PublicKey: Key(pub0)}},
+			Shards:       []Server{{Addr: "a:2", PublicKey: Key(pub1)}},
+			ConvoNoiseMu: 300000, ConvoNoiseB: 13800,
+			DialNoiseMu: 13000, DialNoiseB: 770,
 		}
 	}
 	if err := good().Validate(); err != nil {
@@ -203,6 +211,54 @@ func TestChainValidate(t *testing.T) {
 		t.Fatalf("over-long chain: %v", err)
 	}
 
+	// Noise, for both protocols: b must be a finite positive number, µ a
+	// non-negative one whose round of noise fits one frame.
+	for _, tc := range []struct {
+		name string
+		edit func(c *Chain)
+		want string
+	}{
+		{"convo b missing", func(c *Chain) { c.ConvoNoiseB = 0 }, "convo_noise_b"},
+		{"convo b negative", func(c *Chain) { c.ConvoNoiseB = -1 }, "convo_noise_b"},
+		{"convo b NaN", func(c *Chain) { c.ConvoNoiseB = math.NaN() }, "convo_noise_b"},
+		{"convo b infinite", func(c *Chain) { c.ConvoNoiseB = math.Inf(1) }, "convo_noise_b"},
+		{"convo µ negative", func(c *Chain) { c.ConvoNoiseMu = -1 }, "convo_noise_mu"},
+		{"convo µ NaN", func(c *Chain) { c.ConvoNoiseMu = math.NaN() }, "convo_noise_mu"},
+		{"convo µ infinite", func(c *Chain) { c.ConvoNoiseMu = math.Inf(1) }, "convo_noise_mu"},
+		{"convo µ beyond a frame", func(c *Chain) { c.ConvoNoiseMu = 1e300 }, "convo_noise_mu"},
+		{"convo µ just beyond a frame", func(c *Chain) { c.ConvoNoiseMu = wire.MaxBodyParts/2 + 1 }, "convo_noise_mu"},
+		{"dial b missing", func(c *Chain) { c.DialNoiseB = 0 }, "dial_noise_b"},
+		{"dial b negative", func(c *Chain) { c.DialNoiseB = -770 }, "dial_noise_b"},
+		{"dial µ negative", func(c *Chain) { c.DialNoiseMu = -13000 }, "dial_noise_mu"},
+		{"dial µ beyond a frame over its buckets", func(c *Chain) {
+			c.DialBuckets = 4
+			c.DialNoiseMu = wire.MaxBodyParts/4 + 1
+		}, "dial_noise_mu"},
+	} {
+		c := good()
+		tc.edit(c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want a refusal naming %s", tc.name, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(c *Chain)
+	}{
+		{"no noise at all", func(c *Chain) { c.ConvoNoiseMu, c.DialNoiseMu = 0, 0 }},
+		{"convo µ at a frame", func(c *Chain) { c.ConvoNoiseMu = wire.MaxBodyParts / 2 }},
+		{"dial µ at a frame over its buckets", func(c *Chain) {
+			c.DialBuckets = 4
+			c.DialNoiseMu = wire.MaxBodyParts / 4
+		}},
+	} {
+		c := good()
+		tc.edit(c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: refused: %v", tc.name, err)
+		}
+	}
+
 	// LoadChain applies the same validation to files.
 	dir := t.TempDir()
 	bad := good()
@@ -213,5 +269,13 @@ func TestChainValidate(t *testing.T) {
 	}
 	if _, err := LoadChain(path); err == nil {
 		t.Fatal("LoadChain accepted a chain with duplicate keys")
+	}
+	bad = good()
+	bad.ConvoNoiseB = 0
+	if err := Save(path, bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadChain(path); err == nil {
+		t.Fatal("LoadChain accepted a chain whose conversation noise has b = 0")
 	}
 }

@@ -113,14 +113,6 @@ type Config struct {
 	// prune per-round reply state beyond that depth.
 	ConvoWindow int
 
-	// ConvoInterval is the conversation-round period in timer mode
-	// (Start). The paper's prototype uses sub-minute conversation rounds
-	// (§5.2).
-	ConvoInterval time.Duration
-	// DialInterval is the dialing-round period in timer mode; the
-	// prototype uses 10-minute dialing rounds (§8.3).
-	DialInterval time.Duration
-
 	// RoundState, if set, durably persists the announced round numbers
 	// (roundstate.ConvoCounter / roundstate.DialCounter), write-ahead: a
 	// round number is committed to disk BEFORE its announcement reaches a
@@ -584,9 +576,11 @@ func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint
 	return batch, parts, nil
 }
 
-// Start drives rounds on timers until the context is cancelled: a
-// conversation round every ConvoInterval and a dialing round every
-// DialInterval (if set). Conversation rounds run through the same
+// Start drives rounds on timers until the context is cancelled or the
+// coordinator closes: a conversation round every convoEvery and a
+// dialing round every dialEvery; 0 disables a protocol's timer. The paper's
+// prototype uses sub-minute conversation rounds (§5.2) and 10-minute
+// dialing rounds (§8.3). Conversation rounds run through the same
 // collect → chain → fanout pipeline as RunConvoRounds, so with
 // ConvoWindow > 1 round r+1's announcement and collection overlap round
 // r's chain traversal.
@@ -594,12 +588,12 @@ func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint
 // but each one is surfaced through Config.OnRoundError so a persistent
 // cause (an unreachable chain, a dead dead-drop shard) is visible
 // instead of silently swallowed.
-func (co *Coordinator) Start(ctx context.Context) {
-	if co.cfg.ConvoInterval > 0 {
-		go co.convoPipeline(ctx)
+func (co *Coordinator) Start(ctx context.Context, convoEvery, dialEvery time.Duration) {
+	if convoEvery > 0 {
+		go co.convoPipeline(ctx, convoEvery)
 	}
-	if co.cfg.DialInterval > 0 {
-		go co.loop(ctx, co.cfg.DialInterval, func() {
+	if dialEvery > 0 {
+		go co.loop(ctx, dialEvery, func() {
 			round, _, err := co.RunDialRound(ctx)
 			co.reportRoundError(wire.ProtoDial, round, err)
 		})
@@ -607,13 +601,13 @@ func (co *Coordinator) Start(ctx context.Context) {
 }
 
 // convoPipeline is timer mode's conversation driver: the shared
-// runConvoPipeline stages, paced by the ConvoInterval ticker. Unlike
+// runConvoPipeline stages, paced by a ticker of period every. Unlike
 // RunConvoRounds — whose callers want the error — a failed round here,
 // in collection (a refused round-state commit) or in the chain, is
 // reported through OnRoundError and the pipeline keeps ticking; only
 // shutdown (context or Close) ends it, through next.
-func (co *Coordinator) convoPipeline(ctx context.Context) {
-	t := time.NewTicker(co.cfg.ConvoInterval)
+func (co *Coordinator) convoPipeline(ctx context.Context, every time.Duration) {
+	t := time.NewTicker(every)
 	defer t.Stop()
 	co.runConvoPipeline(ctx, convoStageHooks{
 		next: func() bool {

@@ -46,7 +46,6 @@ func TestStartKeepsTickingAfterCommitFailure(t *testing.T) {
 				RoundState:    store,
 				SubmitTimeout: time.Millisecond,
 				ConvoWindow:   window,
-				ConvoInterval: 5 * time.Millisecond,
 				OnRoundError: func(proto wire.Proto, round uint64, err error) {
 					failures <- roundFailure{proto, round, err}
 				},
@@ -57,7 +56,7 @@ func TestStartKeepsTickingAfterCommitFailure(t *testing.T) {
 			defer co.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			co.Start(ctx)
+			co.Start(ctx, 5*time.Millisecond, 0)
 
 			var last uint64
 			deadline := time.After(5 * time.Second)

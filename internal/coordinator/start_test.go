@@ -43,8 +43,6 @@ func TestStartSurfacesDialRoundErrors(t *testing.T) {
 		ChainAddr:     "unreachable-chain",
 		ChainPub:      unreachableChainKey(),
 		SubmitTimeout: time.Millisecond,
-		ConvoInterval: 5 * time.Millisecond,
-		DialInterval:  5 * time.Millisecond,
 		OnRoundError: func(proto wire.Proto, round uint64, err error) {
 			failures <- roundFailure{proto, round, err}
 		},
@@ -56,7 +54,7 @@ func TestStartSurfacesDialRoundErrors(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	co.Start(ctx)
+	co.Start(ctx, 5*time.Millisecond, 5*time.Millisecond)
 
 	var gotDial, gotConvo bool
 	deadline := time.After(5 * time.Second)
@@ -134,7 +132,6 @@ func TestStartPipelinesConvoRounds(t *testing.T) {
 		ChainAddr:     "chain",
 		ChainPub:      chainPub,
 		ConvoWindow:   3,
-		ConvoInterval: 10 * time.Millisecond,
 		SubmitTimeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -190,7 +187,7 @@ func TestStartPipelinesConvoRounds(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	co.Start(ctx)
+	co.Start(ctx, 10*time.Millisecond, 0)
 
 	// Phase 1: round 2's announcement must arrive while round 1's reply
 	// is held in the chain.
@@ -235,14 +232,13 @@ func TestStartNilCallbackStillTicks(t *testing.T) {
 		ChainAddr:     "unreachable-chain",
 		ChainPub:      unreachableChainKey(),
 		SubmitTimeout: time.Millisecond,
-		DialInterval:  5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	co.Start(ctx)
+	co.Start(ctx, 0, 5*time.Millisecond)
 	time.Sleep(30 * time.Millisecond)
 	cancel()
 }

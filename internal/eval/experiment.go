@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"vuvuzela/internal/convo"
+	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
 	"vuvuzela/internal/sim"
@@ -151,17 +153,15 @@ func (e Experiment) noisyServers() []int {
 // runWorld boots one deployment, runs the scenario and the rounds, and
 // returns the adversary's observations plus the failed-round count.
 func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, int, error) {
-	cfg := sim.ChainNetConfig{
-		Servers:       e.Servers,
-		Shards:        e.Shards,
-		Frontends:     e.Frontends,
-		SubmitTimeout: e.SubmitTimeout,
-		ConvoNoise:    e.Noise,
-		NoiseSrc:      src,
-		NoisyServers:  e.noisyServers(),
-	}
 	hist := &histTap{obs: make(map[uint64]Observation)}
-	cfg.ConvoObserver = hist.observe
+	cfg := sim.ChainNetConfig{
+		Servers:      e.Servers,
+		Shards:       e.Shards,
+		Frontends:    e.Frontends,
+		NoisyServers: e.noisyServers(),
+		Chain:        mixnet.Config{ConvoNoise: e.Noise, NoiseSrc: src, ConvoObserver: hist.observe},
+		Entry:        coordinator.Config{SubmitTimeout: e.SubmitTimeout},
+	}
 
 	base := transport.NewMem()
 	var tap *wireTrace

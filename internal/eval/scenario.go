@@ -90,7 +90,7 @@ func DegradedShards(dead int) Scenario {
 			if cfg.Shards < dead+1 {
 				cfg.Shards = dead + 1
 			}
-			cfg.ShardPolicy = mixnet.ShardDegrade
+			cfg.Chain.ShardPolicy = mixnet.ShardDegrade
 		},
 		Start: func(r *Run) error {
 			for i := 0; i < dead; i++ {

@@ -1,10 +1,8 @@
 package mixnet_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -31,8 +29,8 @@ func (s *lastBuckets) Publish(b *dial.Buckets) {
 	s.b = b
 }
 
-// TestStartChain: the chain constructor every test, the facade and the
-// figure harness share builds the production wiring at every length — a
+// TestStartChain: the bare-chain constructor the lower packages' tests
+// share builds the production wiring at every length — a
 // conversation round entered at the head exchanges a pair's messages and a
 // dialing round publishes the invitation, a hop past the head admits
 // only its predecessor's key, and stop leaves neither a goroutine nor a
@@ -164,13 +162,6 @@ func TestStartChain(t *testing.T) {
 	}
 }
 
-// refillRunning reports whether any goroutine is refilling a server's
-// noise-path pool right now.
-func refillRunning() bool {
-	buf := make([]byte, 1<<20)
-	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("mixnet.(*pathPool).refill"))
-}
-
 // TestCloseWaitsForNoiseRefill lands Close in the middle of a round and of
 // the refill behind it — the successor, played by the test, closes server
 // 0 the moment its batch arrives. Close must return only after the refill
@@ -199,7 +190,7 @@ func TestCloseWaitsForNoiseRefill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	during, after := make(chan bool, 1), make(chan bool, 1)
+	during, after := make(chan int, 1), make(chan int, 1)
 	go func() {
 		raw, err := l.Accept()
 		if err != nil {
@@ -210,18 +201,18 @@ func TestCloseWaitsForNoiseRefill(t *testing.T) {
 		if _, err := conn.Recv(); err != nil {
 			return
 		}
-		during <- refillRunning()
+		during <- mixnet.RefillsRunning(first)
 		first.Close()
-		after <- refillRunning()
+		after <- mixnet.RefillsRunning(first)
 	}()
 
 	if _, err := first.ConvoRound(1, nil); err == nil {
 		t.Fatal("a round whose server closed under it reported success")
 	}
-	if !<-during {
+	if <-during == 0 {
 		t.Fatal("no refill was running when the batch reached the successor: Close had nothing to wait for")
 	}
-	if <-after {
-		t.Fatal("Close returned while a refill goroutine was still running")
+	if n := <-after; n != 0 {
+		t.Fatalf("Close returned while %d refill goroutine(s) were still running", n)
 	}
 }

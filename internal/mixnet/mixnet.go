@@ -632,10 +632,12 @@ func NewChainKeys(n int) ([]box.PublicKey, []box.PrivateKey, error) {
 // config is base with Position, ChainPubs, Priv, Net and NextAddr filled
 // in; bucketSink and base's shard fan-out fields apply to the last server
 // only. It returns the servers, their addresses (the entry leg dials
-// addrs[0] under pubs[0]) and a function that stops all of them. Tests,
-// the facade and the figure harness stand their chains up with it;
-// killing, restarting or persisting individual nodes is sim.ChainNet's
-// job.
+// addrs[0] under pubs[0]) and a function that stops all of them. Only
+// tests call it: those of this package and of coordinator, frontend and
+// client, which need a bare served chain and — for the packages
+// internal/sim imports — cannot import sim. Every other in-process
+// deployment is sim.ChainNet, which also kills, restarts and persists
+// individual nodes.
 func StartChain(network transport.Network, pubs []box.PublicKey, privs []box.PrivateKey, base Config, bucketSink BucketSink) (servers []*Server, addrs []string, stop func(), err error) {
 	n := len(pubs)
 	servers = make([]*Server, 0, n)

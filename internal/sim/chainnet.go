@@ -10,7 +10,10 @@ package sim
 // transport.Faulty and transport.MITM use for the leg that ends there),
 // and Kill / Restart take that name: with a StateDir, each node persists
 // its round state the same way the real binaries do with -round-state,
-// so a restart exercises the durable rejoin path for every role.
+// so a restart exercises the durable rejoin path for every role. It is
+// the one in-process deployment: the fault suites, internal/eval, the
+// measured figures (measure.go) and the public facade
+// (vuvuzela.NewInProcessNetwork) all stand theirs up here.
 
 import (
 	"context"
@@ -19,6 +22,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,12 +30,15 @@ import (
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/frontend"
 	"vuvuzela/internal/mixnet"
-	"vuvuzela/internal/noise"
 	"vuvuzela/internal/roundstate"
 	"vuvuzela/internal/transport"
 )
 
-// ChainNetConfig describes a fully networked in-memory deployment.
+// ChainNetConfig describes a fully networked in-memory deployment: its
+// topology and substrate, plus one template per role. What a role is
+// configured with — noise, workers, shard policy, submit timeout, the
+// pipelining window, the roles' own hooks — is that role's Config, set
+// in the template; NewChainNet fills in only the wiring.
 type ChainNetConfig struct {
 	// Servers is the chain length (>= 1).
 	Servers int
@@ -45,24 +52,11 @@ type ChainNetConfig struct {
 	// additionally listens on FrontPipeAddr for their authenticated
 	// pipes.
 	Frontends int
-	// Mu is the fixed conversation noise per mixing server (0 = none).
-	Mu int
-	// Workers bounds each server's crypto/exchange goroutines.
-	Workers int
-	// ConvoWindow is the coordinator's pipelined in-flight bound.
-	ConvoWindow int
-	// SubmitTimeout bounds each round's client collection (default 2s;
-	// rounds close early once every client submitted).
-	SubmitTimeout time.Duration
-	// ShardTimeout bounds each shard RPC (0 = wait forever).
-	ShardTimeout time.Duration
 	// Net is the network every node listens on and dials through; nil
-	// means a fresh in-memory transport.Mem.
+	// means a fresh in-memory transport.Mem. A transport.Faulty or
+	// transport.MITM wrapper acts only on the addresses a test names, so
+	// passing one here disturbs exactly the legs that end there.
 	Net transport.Network
-	// ShardDialNet is what the last server dials shards through (nil =
-	// Net). Wrap Net in a transport.Faulty here to hold a round in
-	// flight at the shard leg while a test kills a node upstream.
-	ShardDialNet transport.Network
 	// StateDir, if set, gives every node a durable round-state file, a
 	// roundstate.Counters — the coordinator's entry.rounds, each chain
 	// server's server-<i>.rounds, each shard's shard-<i>.round — so
@@ -70,36 +64,23 @@ type ChainNetConfig struct {
 	// intact, exactly as the production `-round-state` wiring. Empty
 	// runs every node memory-only (the replay-window control).
 	StateDir string
-	// ConvoNoise, if set, replaces the Mu-based fixed conversation
-	// noise with an arbitrary distribution (e.g. the production
-	// truncated Laplace) on every noisy mixing server; Mu is then
-	// ignored. The last server never adds conversation noise (§8.2)
-	// under either path.
-	ConvoNoise noise.Distribution
-	// NoiseSrc seeds the noisy servers' ConvoNoise draws, for
-	// reproducible experiments (nil = crypto/rand). Callers sharing one
-	// seeded source across servers or across deployments must make it
-	// safe for concurrent use.
-	NoiseSrc noise.Source
-	// NoisyServers lists the chain positions that add conversation
-	// noise; nil means every mixing (non-last) server, the production
-	// wiring. The adversarial eval harness (internal/eval) narrows this
-	// to model §4.2's compromised servers withholding their own noise.
-	// Last-server positions are ignored: it never adds convo noise.
+	// NoisyServers lists the chain positions that keep Chain.ConvoNoise;
+	// nil means every mixing (non-last) server, the production wiring.
+	// The adversarial eval harness (internal/eval) narrows this to model
+	// §4.2's compromised servers withholding their own noise. The last
+	// server never adds conversation noise (§8.2) either way.
 	NoisyServers []int
-	// ConvoObserver, if set, receives the dead-drop access histogram
-	// of every conversation round that reaches the last server's
-	// exchange — the compromised-last-server tap of the eval harness.
-	// It fires after the harness's internal round log, before the
-	// exchange runs.
-	ConvoObserver func(round uint64, m1, m2, more int)
-	// ShardPolicy is handed to the last server's shard router:
-	// mixnet.ShardAbort (the default) or mixnet.ShardDegrade. Ignored
-	// when Shards == 0.
-	ShardPolicy mixnet.ShardPolicy
-	// OnShardDegraded is handed to the last server's shard router; it
-	// fires once per zero-filled shard per round under ShardDegrade.
-	OnShardDegraded func(round uint64, shard int, addr string, err error)
+	// Chain is every chain server's config. NewChainNet fills in
+	// Position, ChainPubs, Priv, Net, NextAddr, RoundState and, on the
+	// last server, the shards' addresses and keys. The last server's
+	// ConvoObserver is chained after the harness's own round log (see
+	// ExchangedRounds).
+	Chain mixnet.Config
+	// Entry is the coordinator's config. NewChainNet fills in Net,
+	// ChainAddr, ChainPub, FrontIdentity and RoundState; a zero
+	// SubmitTimeout is 2s here (rounds close early once every client
+	// submitted).
+	Entry coordinator.Config
 }
 
 // ChainNet is a running fully networked chain.
@@ -178,12 +159,6 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 	if cfg.Net == nil {
 		cfg.Net = transport.NewMem()
 	}
-	if cfg.ShardDialNet == nil {
-		cfg.ShardDialNet = cfg.Net
-	}
-	if cfg.SubmitTimeout == 0 {
-		cfg.SubmitTimeout = 2 * time.Second
-	}
 
 	pubs, privs, err := mixnet.NewChainKeys(cfg.Servers)
 	if err != nil {
@@ -224,7 +199,6 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 			sc := mixnet.ShardConfig{
 				Index:      i,
 				NumShards:  cfg.Shards,
-				Workers:    cfg.Workers,
 				Identity:   shardPrivs[i],
 				Authorized: []box.PublicKey{pubs[cfg.Servers-1]},
 			}
@@ -249,45 +223,32 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 	// Chain servers, each listening for its predecessor and dialing its
 	// successor over the wire.
 	for i := cfg.Servers - 1; i >= 0; i-- {
-		mc := mixnet.Config{
-			Position:  i,
-			ChainPubs: pubs,
-			Priv:      privs[i],
-			Workers:   cfg.Workers,
+		mc := cfg.Chain
+		mc.Position = i
+		mc.ChainPubs = pubs
+		mc.Priv = privs[i]
+		mc.Net = cfg.Net
+		if !cn.noisyServer(i) {
+			mc.ConvoNoise = nil
 		}
 		if i == cfg.Servers-1 {
-			if cfg.Shards > 0 {
-				mc.Net = cfg.ShardDialNet
-				mc.ShardAddrs = cn.ShardAddrs
-				mc.ShardPubs = cn.ShardPubs
-				mc.ShardTimeout = cfg.ShardTimeout
-				mc.ShardPolicy = cfg.ShardPolicy
-				mc.OnShardDegraded = cfg.OnShardDegraded
-			}
+			mc.ShardAddrs, mc.ShardPubs = cn.ShardAddrs, cn.ShardPubs
 			// Every round number that reaches the exchange lands in the
 			// harness's round log — the matrix's "never repeats on the
 			// wire" assertion reads it back via ExchangedRounds. The
-			// caller's observer (the eval harness's adversary tap) is
+			// template's observer (the eval harness's adversary tap) is
 			// chained after it.
+			observe := cfg.Chain.ConvoObserver
 			mc.ConvoObserver = func(round uint64, m1, m2, more int) {
 				cn.roundMu.Lock()
 				cn.rounds = append(cn.rounds, round)
 				cn.roundMu.Unlock()
-				if cfg.ConvoObserver != nil {
-					cfg.ConvoObserver(round, m1, m2, more)
+				if observe != nil {
+					observe(round, m1, m2, more)
 				}
 			}
 		} else {
-			mc.Net = cfg.Net
 			mc.NextAddr = cn.ServerAddrs[i+1]
-			if cn.noisyServer(i) {
-				if cfg.ConvoNoise != nil {
-					mc.ConvoNoise = cfg.ConvoNoise
-					mc.NoiseSrc = cfg.NoiseSrc
-				} else if cfg.Mu > 0 {
-					mc.ConvoNoise = noise.Fixed{N: cfg.Mu}
-				}
-			}
 		}
 		cn.nodes = append(cn.nodes, &node{
 			addrs:     []string{cn.ServerAddrs[i]},
@@ -308,12 +269,12 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 
 	// The entry server; with a frontend tier it owns a second listener,
 	// for the frontends' authenticated pipes.
-	cc := coordinator.Config{
-		Net:           cfg.Net,
-		ChainAddr:     cn.ServerAddrs[0],
-		ChainPub:      pubs[0],
-		SubmitTimeout: cfg.SubmitTimeout,
-		ConvoWindow:   cfg.ConvoWindow,
+	cc := cfg.Entry
+	cc.Net = cfg.Net
+	cc.ChainAddr = cn.ServerAddrs[0]
+	cc.ChainPub = pubs[0]
+	if cc.SubmitTimeout == 0 {
+		cc.SubmitTimeout = 2 * time.Second
 	}
 	entryAddrs := []string{cn.EntryAddr}
 	var frontPub box.PublicKey
@@ -516,15 +477,7 @@ func (cn *ChainNet) Close() {
 // noisyServer reports whether chain position i should add conversation
 // noise under cfg.NoisyServers (nil = every mixing server).
 func (cn *ChainNet) noisyServer(i int) bool {
-	if cn.cfg.NoisyServers == nil {
-		return true
-	}
-	for _, p := range cn.cfg.NoisyServers {
-		if p == i {
-			return true
-		}
-	}
-	return false
+	return cn.cfg.NoisyServers == nil || slices.Contains(cn.cfg.NoisyServers, i)
 }
 
 // ExchangedRounds returns every round number that reached the last
@@ -593,7 +546,7 @@ func (cn *ChainNet) WaitReady(clients int, timeout time.Duration) error {
 // announced round completes with every client participating and every
 // client receives every round's reply; it returns the delivered round
 // numbers in delivery order. Rounds run through the coordinator's
-// pipeline when the net was built with ConvoWindow > 1.
+// pipeline when the net was built with Entry.ConvoWindow > 1.
 func (cn *ChainNet) RunRounds(clients, n int) ([]uint64, error) {
 	var (
 		mu          sync.Mutex

@@ -19,8 +19,10 @@ import (
 	"time"
 
 	"vuvuzela/internal/convo"
+	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/mixnet"
+	"vuvuzela/internal/noise"
 	"vuvuzela/internal/onion"
 	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
@@ -164,7 +166,7 @@ func replayConvoRound(t *testing.T, conn *wire.Conn, round uint64) {
 func TestChainNetHealthyRounds(t *testing.T) {
 	defer LeakCheck(t)()
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 3, Shards: 2, Mu: 1, ConvoWindow: 2,
+		Servers: 3, Shards: 2, Chain: fixedNoise(1), Entry: coordinator.Config{ConvoWindow: 2},
 		StateDir: t.TempDir(),
 	})
 	if err != nil {
@@ -220,7 +222,7 @@ func TestChainRestartMatrix(t *testing.T) {
 			t.Run(ro.name+"/"+phase, func(t *testing.T) {
 				defer LeakCheck(t)()
 				cn, err := NewChainNet(ChainNetConfig{
-					Servers: 3, Shards: 2, Mu: 1, ConvoWindow: 2,
+					Servers: 3, Shards: 2, Chain: fixedNoise(1), Entry: coordinator.Config{ConvoWindow: 2},
 					StateDir: t.TempDir(),
 				})
 				if err != nil {
@@ -328,13 +330,11 @@ func TestChainRestartMatrix(t *testing.T) {
 func gatedChainNet(t *testing.T) (*ChainNet, *transport.Faulty, func()) {
 	t.Helper()
 	const shardTimeout = 300 * time.Millisecond
-	mem := transport.NewMem()
-	faulty := transport.NewFaulty(mem)
+	faulty := transport.NewFaulty(transport.NewMem())
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 3, Shards: 1, Mu: 1,
-		Net: mem, ShardDialNet: faulty,
-		ShardTimeout: shardTimeout,
-		StateDir:     t.TempDir(),
+		Servers: 3, Shards: 1, Net: faulty,
+		Chain:    mixnet.Config{ConvoNoise: noise.Fixed{N: 1}, ShardTimeout: shardTimeout},
+		StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +553,7 @@ func TestChainRestartMidRoundEntry(t *testing.T) {
 // entry, a restart wedges the deployment.
 func TestChainRestartEntryWithoutStateWedges(t *testing.T) {
 	defer LeakCheck(t)()
-	cn, err := NewChainNet(ChainNetConfig{Servers: 2, Shards: 1, Mu: 1})
+	cn, err := NewChainNet(ChainNetConfig{Servers: 2, Shards: 1, Chain: fixedNoise(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +586,7 @@ func TestChainRestartEntryWithoutStateWedges(t *testing.T) {
 func TestChainFullRestartReplayProtection(t *testing.T) {
 	defer LeakCheck(t)()
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 3, Shards: 2, Mu: 1, ConvoWindow: 2,
+		Servers: 3, Shards: 2, Chain: fixedNoise(1), Entry: coordinator.Config{ConvoWindow: 2},
 		StateDir: t.TempDir(),
 	})
 	if err != nil {
@@ -630,7 +630,7 @@ func TestChainFullRestartReplayProtection(t *testing.T) {
 // replay window this PR closes. The exchange log shows the repeat.
 func TestChainFullRestartWithoutStateReplays(t *testing.T) {
 	defer LeakCheck(t)()
-	cn, err := NewChainNet(ChainNetConfig{Servers: 3, Shards: 2, Mu: 1})
+	cn, err := NewChainNet(ChainNetConfig{Servers: 3, Shards: 2, Chain: fixedNoise(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,14 +671,12 @@ func TestChainFullRestartWithoutStateReplays(t *testing.T) {
 func TestChainRestartPipelinedWindowDrains(t *testing.T) {
 	defer LeakCheck(t)()
 	const shardTimeout = 300 * time.Millisecond
-	mem := transport.NewMem()
-	faulty := transport.NewFaulty(mem)
+	faulty := transport.NewFaulty(transport.NewMem())
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 3, Shards: 1, Mu: 1, ConvoWindow: 3,
-		Net: mem, ShardDialNet: faulty,
-		ShardTimeout:  shardTimeout,
-		SubmitTimeout: 100 * time.Millisecond,
-		StateDir:      t.TempDir(),
+		Servers: 3, Shards: 1, Net: faulty,
+		Chain:    mixnet.Config{ConvoNoise: noise.Fixed{N: 1}, ShardTimeout: shardTimeout},
+		Entry:    coordinator.Config{ConvoWindow: 3, SubmitTimeout: 100 * time.Millisecond},
+		StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -714,4 +712,10 @@ func TestChainRestartPipelinedWindowDrains(t *testing.T) {
 		t.Fatalf("pipelined rounds after restart: %v", err)
 	}
 	assertStrictlyIncreasing(t, cn.ExchangedRounds())
+}
+
+// fixedNoise is a chain template whose mixing servers each add exactly mu
+// conversation noise requests per round.
+func fixedNoise(mu int) mixnet.Config {
+	return mixnet.Config{ConvoNoise: noise.Fixed{N: mu}}
 }

@@ -7,13 +7,15 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"vuvuzela/internal/coordinator"
 )
 
 // TestFrontNetRounds: a two-frontend deployment completes pipelined
 // rounds with every client participating and every reply delivered —
 // the same guarantee RunRounds enforces for the direct topology.
 func TestFrontNetRounds(t *testing.T) {
-	cn, err := NewChainNet(ChainNetConfig{Servers: 2, Frontends: 2, ConvoWindow: 2})
+	cn, err := NewChainNet(ChainNetConfig{Servers: 2, Frontends: 2, Entry: coordinator.Config{ConvoWindow: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/onion"
 	"vuvuzela/internal/parallel"
-	"vuvuzela/internal/transport"
 )
 
 // MeasureDHThroughput benchmarks this machine's aggregate X25519
@@ -75,23 +74,9 @@ func (p MeasuredPoint) Throughput() float64 {
 	return float64(p.Msgs) / p.Latency.Seconds()
 }
 
-// measuredChain serves a fresh chain on its own in-memory network, wired as
-// separate processes would be (mixnet.StartChain). The returned stop must
-// be called: fig9/fig11 and the benchmarks build one chain per point.
-func measuredChain(servers int, base mixnet.Config, sink mixnet.BucketSink) (*mixnet.Server, []box.PublicKey, func(), error) {
-	pubs, privs, err := mixnet.NewChainKeys(servers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	chain, _, stop, err := mixnet.StartChain(transport.NewMem(), pubs, privs, base, sink)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return chain[0], pubs, stop, nil
-}
-
-// MeasureConvoRound runs one real conversation round through a served
-// chain: `users` conversing clients (half pairs exchanging messages),
+// MeasureConvoRound runs one real conversation round through a fresh
+// ChainNet, timed at its head (cn.Servers[0]): `users` conversing
+// clients (half pairs exchanging messages),
 // fixed noise µ per mixing server (the paper's evaluation also fixes noise
 // at exactly µ, §8.1). Request building is excluded from the timing — the
 // paper measures server-side round latency with client load generated by
@@ -106,20 +91,21 @@ func MeasureConvoRound(users, mu, servers int) (MeasuredPoint, error) {
 // worker-pool size per server (0 = all cores) — used by the worker-
 // scaling ablation bench.
 func MeasureConvoRoundWorkers(users, mu, servers, workers int) (MeasuredPoint, error) {
-	head, pubs, stop, err := measuredChain(servers, mixnet.Config{
-		ConvoNoise: noise.Fixed{N: mu},
-		Workers:    workers,
-	}, nil)
+	cn, err := NewChainNet(ChainNetConfig{
+		Servers: servers,
+		Chain:   mixnet.Config{ConvoNoise: noise.Fixed{N: mu}, Workers: workers},
+	})
 	if err != nil {
 		return MeasuredPoint{}, err
 	}
-	defer stop()
+	defer cn.Close()
 
 	const round = 2
-	onions, err := conversingOnions(users, round, pubs)
+	onions, err := conversingOnions(users, round, cn.Pubs)
 	if err != nil {
 		return MeasuredPoint{}, err
 	}
+	head := cn.Servers[0]
 	if _, err := head.ConvoRound(round-1, nil); err != nil {
 		return MeasuredPoint{}, fmt.Errorf("sim: warm-up round: %w", err)
 	}
@@ -197,13 +183,15 @@ func conversingOnions(users int, round uint64, pubs []box.PublicKey) ([][]byte, 
 // round 2 is timed.
 func MeasureDialRound(users int, dialingFraction float64, muD int, m uint32, servers int) (MeasuredPoint, error) {
 	store := &captureSink{}
-	head, pubs, stop, err := measuredChain(servers, mixnet.Config{
-		DialNoise: noise.Fixed{N: muD},
-	}, store)
+	cn, err := NewChainNet(ChainNetConfig{
+		Servers: servers,
+		Chain:   mixnet.Config{DialNoise: noise.Fixed{N: muD}, Buckets: store},
+	})
 	if err != nil {
 		return MeasuredPoint{}, err
 	}
-	defer stop()
+	defer cn.Close()
+	head, pubs := cn.Servers[0], cn.Pubs
 
 	const round = 2
 	dialers := int(float64(users) * dialingFraction)

@@ -10,6 +10,7 @@ import (
 	"vuvuzela/internal/convo"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/mixnet"
+	"vuvuzela/internal/noise"
 	"vuvuzela/internal/onion"
 	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
@@ -133,11 +134,15 @@ func TestMixedBatchThroughChain(t *testing.T) {
 	var mu sync.Mutex
 	var hist [][3]int
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 3, Mu: 4, Workers: 2, Net: mitm,
-		ConvoObserver: func(_ uint64, m1, m2, more int) {
-			mu.Lock()
-			hist = append(hist, [3]int{m1, m2, more})
-			mu.Unlock()
+		Servers: 3, Net: mitm,
+		Chain: mixnet.Config{
+			ConvoNoise: noise.Fixed{N: 4},
+			Workers:    2,
+			ConvoObserver: func(_ uint64, m1, m2, more int) {
+				mu.Lock()
+				hist = append(hist, [3]int{m1, m2, more})
+				mu.Unlock()
+			},
 		},
 	})
 	if err != nil {

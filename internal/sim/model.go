@@ -4,9 +4,11 @@
 //
 // Two modes compose:
 //
-//   - Measured: real rounds run through the actual mixnet at laptop scale
-//     (measure.go), verifying the linear scaling the figures rest on and
-//     calibrating this machine's crypto throughput.
+//   - Measured: real rounds at laptop scale (measure.go), each entered
+//     at the head of a fresh ChainNet — the same served, secured chain
+//     every other in-process deployment runs — verifying the linear
+//     scaling the figures rest on and calibrating this machine's crypto
+//     throughput.
 //
 //   - Modeled: an analytic cost model (this file) driven by
 //     Diffie-Hellman operation counts — the cost the paper identifies as
@@ -15,16 +17,17 @@
 //     either to the paper's testbed (340,000 DH ops/sec per 36-core
 //     server) or to this machine's measured throughput.
 //
-// The substitution (simulated testbed → model + scaled measurement) is
-// recorded in DESIGN.md; EXPERIMENTS.md compares model output against
-// every number the paper reports.
+// The paper's testbed is replaced by the model plus scaled measurement;
+// `go run ./cmd/vuvuzela-bench all` prints each figure beside the
+// paper's anchor numbers.
 //
 // The package is also the one in-memory deployment harness (chainnet.go,
 // swarm.go): ChainNet runs every role of a deployment in one process as
 // a table of nodes named by listen address — Nodes, Kill, Restart — with
 // one self-healing client population, Swarm, and WaitReady to tell when
 // the entry tier has re-formed. The fault suites here, internal/eval's
-// adversarial experiments and the root benchmarks all drive that harness.
+// adversarial experiments, the measured figures, the root benchmarks
+// and the public facade all drive that harness.
 package sim
 
 import (

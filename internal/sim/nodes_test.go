@@ -8,6 +8,8 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"vuvuzela/internal/coordinator"
 )
 
 // TestEveryNodeLifecycle drives each node of a full deployment through
@@ -17,7 +19,7 @@ import (
 func TestEveryNodeLifecycle(t *testing.T) {
 	defer LeakCheck(t)()
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 3, Shards: 2, Frontends: 2, ConvoWindow: 2,
+		Servers: 3, Shards: 2, Frontends: 2, Entry: coordinator.Config{ConvoWindow: 2},
 		StateDir: t.TempDir(),
 	})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"vuvuzela/internal/mixnet"
+	"vuvuzela/internal/noise"
 	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
 )
@@ -50,7 +51,7 @@ func shardRoundTrip(t *testing.T, conn *wire.Conn, round uint64, shard uint32) *
 func TestShardCrashRestartRejoins(t *testing.T) {
 	defer LeakCheck(t)()
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 2, Shards: 2, Mu: 1,
+		Servers: 2, Shards: 2, Chain: fixedNoise(1),
 		StateDir: t.TempDir(),
 	})
 	if err != nil {
@@ -89,7 +90,7 @@ func TestShardCrashRestartRejoins(t *testing.T) {
 func TestShardRestartStaleReplayAborts(t *testing.T) {
 	defer LeakCheck(t)()
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 2, Shards: 2, Mu: 1,
+		Servers: 2, Shards: 2, Chain: fixedNoise(1),
 		StateDir: t.TempDir(),
 	})
 	if err != nil {
@@ -128,7 +129,7 @@ func TestShardRestartStaleReplayAborts(t *testing.T) {
 // persistence closes.
 func TestShardRestartWithoutStateReplays(t *testing.T) {
 	defer LeakCheck(t)()
-	cn, err := NewChainNet(ChainNetConfig{Servers: 2, Shards: 2, Mu: 1})
+	cn, err := NewChainNet(ChainNetConfig{Servers: 2, Shards: 2, Chain: fixedNoise(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,18 +157,18 @@ func TestShardRestartWithoutStateReplays(t *testing.T) {
 // abort.
 func TestShardCrashDuringOutageThenRejoin(t *testing.T) {
 	defer LeakCheck(t)()
-	mem := transport.NewMem()
-	faulty := transport.NewFaulty(mem)
+	faulty := transport.NewFaulty(transport.NewMem())
 	var degraded []int
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 2, Shards: 2, Mu: 1,
-		Net:          mem,
-		ShardDialNet: faulty,
-		ShardPolicy:  mixnet.ShardDegrade,
-		StateDir:     t.TempDir(),
-		OnShardDegraded: func(round uint64, shard int, addr string, err error) {
-			degraded = append(degraded, shard)
+		Servers: 2, Shards: 2, Net: faulty,
+		Chain: mixnet.Config{
+			ConvoNoise:  noise.Fixed{N: 1},
+			ShardPolicy: mixnet.ShardDegrade,
+			OnShardDegraded: func(round uint64, shard int, addr string, err error) {
+				degraded = append(degraded, shard)
+			},
 		},
+		StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

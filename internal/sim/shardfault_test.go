@@ -175,17 +175,17 @@ func faultNet(t *testing.T, shards int, timeout time.Duration) (*ChainNet, *tran
 func faultNetPolicy(t *testing.T, shards int, timeout time.Duration, policy mixnet.ShardPolicy,
 	onDegraded func(round uint64, shard int, addr string, err error)) (*ChainNet, *transport.Faulty) {
 	t.Helper()
-	mem := transport.NewMem()
-	faulty := transport.NewFaulty(mem)
+	faulty := transport.NewFaulty(transport.NewMem())
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers:         2,
-		Shards:          shards,
-		Mu:              2,
-		ShardTimeout:    timeout,
-		ShardPolicy:     policy,
-		OnShardDegraded: onDegraded,
-		Net:             mem,
-		ShardDialNet:    faulty,
+		Servers: 2,
+		Shards:  shards,
+		Net:     faulty,
+		Chain: mixnet.Config{
+			ConvoNoise:      noise.Fixed{N: 2},
+			ShardTimeout:    timeout,
+			ShardPolicy:     policy,
+			OnShardDegraded: onDegraded,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -550,16 +550,16 @@ func TestShardFaultMatrixDegrade(t *testing.T) {
 // the next round over a fresh connection.
 func TestShardLegMITMTamperAbortsRound(t *testing.T) {
 	defer LeakCheck(t)()
-	mem := transport.NewMem()
-	mitm := transport.NewMITM(mem)
+	mitm := transport.NewMITM(transport.NewMem())
 	var armed atomic.Bool
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 2, Shards: 3, Mu: 2,
-		ShardPolicy:  mixnet.ShardDegrade,
-		Net:          mem,
-		ShardDialNet: mitm,
-		OnShardDegraded: func(round uint64, shard int, addr string, err error) {
-			t.Errorf("round %d degraded shard %d around an active tamper: %v", round, shard, err)
+		Servers: 2, Shards: 3, Net: mitm,
+		Chain: mixnet.Config{
+			ConvoNoise:  noise.Fixed{N: 2},
+			ShardPolicy: mixnet.ShardDegrade,
+			OnShardDegraded: func(round uint64, shard int, addr string, err error) {
+				t.Errorf("round %d degraded shard %d around an active tamper: %v", round, shard, err)
+			},
 		},
 	})
 	if err != nil {
@@ -597,7 +597,7 @@ func TestShardLegMITMTamperAbortsRound(t *testing.T) {
 // shuts down without leaking goroutines — the LeakCheck is the assertion.
 func TestShardFanoutClosesClean(t *testing.T) {
 	defer LeakCheck(t)()
-	cn, err := NewChainNet(ChainNetConfig{Servers: 3, Shards: 4, Mu: 1})
+	cn, err := NewChainNet(ChainNetConfig{Servers: 3, Shards: 4, Chain: fixedNoise(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"vuvuzela/internal/convo"
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/transport"
 )
 
@@ -67,11 +68,11 @@ func TestSwarmAnswersEveryAnnouncement(t *testing.T) {
 	hist := make(map[uint64][2]int)
 	cn, err := NewChainNet(ChainNetConfig{
 		Servers: 2, Frontends: 2,
-		ConvoObserver: func(round uint64, m1, m2, more int) {
+		Chain: mixnet.Config{ConvoObserver: func(round uint64, m1, m2, more int) {
 			histMu.Lock()
 			hist[round] = [2]int{m1, m2}
 			histMu.Unlock()
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

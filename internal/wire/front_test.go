@@ -29,7 +29,7 @@ func TestCheckFrontBatch(t *testing.T) {
 		{"count mismatch", FrontBatchMessage(ProtoConvo, 1, 2, onions(3)), 2, false},
 		{"undercount", FrontBatchMessage(ProtoConvo, 1, 3, onions(2)), 1, false},
 		{"huge M overflow", &Message{Kind: KindFrontBatch, Proto: ProtoConvo, M: 1 << 23, Body: onions(4)}, 1 << 10, false},
-		{"M beyond frame bound", &Message{Kind: KindFrontBatch, Proto: ProtoConvo, M: maxBodyParts + 1, Body: nil}, 1, false},
+		{"M beyond frame bound", &Message{Kind: KindFrontBatch, Proto: ProtoConvo, M: MaxBodyParts + 1, Body: nil}, 1, false},
 		{"ok single", FrontBatchMessage(ProtoConvo, 1, 2, onions(2)), 1, true},
 		{"ok multi-exchange", FrontBatchMessage(ProtoConvo, 1, 2, onions(6)), 3, true},
 		{"ok empty", FrontBatchMessage(ProtoDial, 1, 0, nil), 1, true},

@@ -179,7 +179,7 @@ func CheckFrontBatch(m *Message, perClient int) error {
 		return fmt.Errorf("%w: unknown proto %d", ErrFrontFrame, m.Proto)
 	case perClient < 1:
 		return fmt.Errorf("%w: invalid per-client onion count %d", ErrFrontFrame, perClient)
-	case m.M > maxBodyParts:
+	case m.M > MaxBodyParts:
 		return fmt.Errorf("%w: client count %d exceeds the frame bound", ErrFrontFrame, m.M)
 	case int64(m.M)*int64(perClient) != int64(len(m.Body)):
 		return fmt.Errorf("%w: %d onions for %d clients × %d per client", ErrFrontFrame, len(m.Body), m.M, perClient)
@@ -251,8 +251,10 @@ const (
 	// from malformed peers. Large rounds are still comfortably within
 	// this (1M onions × ~420 B ≈ 420 MB < 1 GB).
 	MaxFrameSize = 1 << 30
-	// maxBodyParts bounds the number of slices in one frame.
-	maxBodyParts = 1 << 24
+	// MaxBodyParts bounds the number of slices in one frame: a round's
+	// batch, real onions plus noise, must fit it (config.Chain.Validate
+	// refuses noise parameters that cannot).
+	MaxBodyParts = 1 << 24
 )
 
 var (
@@ -304,7 +306,7 @@ func Decode(buf []byte) (*Message, error) {
 	m.M = binary.BigEndian.Uint32(buf[10:14])
 	m.Bucket = binary.BigEndian.Uint32(buf[14:18])
 	count := binary.BigEndian.Uint32(buf[18:22])
-	if count > maxBodyParts {
+	if count > MaxBodyParts {
 		return nil, ErrMalformed
 	}
 	rest := buf[22:]

@@ -6,14 +6,15 @@
 // by minimizing the observable variables of its protocols and covering
 // them with Laplace noise sized by differential privacy.
 //
-// This package is the public facade. It re-exports the key types, wires
-// a complete deployment together inside one process (the production
-// wiring over an in-memory transport; the cmd/ binaries run the same
-// nodes over TCP), and exposes the privacy-analysis toolkit used
-// to choose noise parameters. The building blocks live in internal/
-// packages: the NaCl crypto suite, onion encryption, the mixnet chain
-// server, the conversation and dialing protocols, the entry-server
-// coordinator, the invitation CDN, and the evaluation harness.
+// This package is the public facade. It re-exports the key types, runs
+// a complete deployment inside one process — internal/sim's ChainNet,
+// the production wiring over an in-memory transport (the cmd/ binaries
+// run the same nodes over TCP), plus the CDN and real clients — and
+// exposes the privacy-analysis toolkit used to choose noise parameters.
+// The building blocks live in internal/ packages: the NaCl crypto suite,
+// onion encryption, the mixnet chain server, the conversation and
+// dialing protocols, the entry-server coordinator, the invitation CDN,
+// and the evaluation harness.
 //
 // A minimal session looks like:
 //
@@ -42,6 +43,7 @@ import (
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
+	"vuvuzela/internal/sim"
 	"vuvuzela/internal/transport"
 )
 
@@ -138,28 +140,28 @@ type Options struct {
 var DefaultConvoNoise = NoiseParams{Mu: 300000, B: 13800}
 
 // DefaultDialNoise is the paper's production dialing noise (µ=13,000;
-// §8.1, with the b=770 correction documented in EXPERIMENTS.md).
+// §8.1). The paper prints b=7,700, which gives a per-round δ ≈ 0.09; b=770
+// covers its ≈3,500 dialing rounds (internal/privacy's
+// TestPaperDialConfigurations).
 var DefaultDialNoise = NoiseParams{Mu: 13000, B: 770}
 
 // Network is a complete Vuvuzela deployment inside one process, wired
-// exactly as the production binaries are: the chain servers, the CDN and
-// the entry-server coordinator each listen on an in-memory transport,
-// the coordinator dials server 0, every server dials its successor, and
-// every one of those legs runs inside transport.Secure keyed by the chain
-// descriptor — only the transport under the wire protocol differs from a
-// TCP deployment.
+// exactly as the production binaries are: it is a sim.ChainNet — the
+// chain servers and the entry-server coordinator each listening on an
+// in-memory transport, the coordinator dialing server 0, every server
+// dialing its successor, every one of those legs inside transport.Secure
+// keyed by the chain descriptor — plus the CDN on "cdn" and real
+// clients. Only the transport under the wire protocol differs from a TCP
+// deployment.
 type Network struct {
 	// Chain holds the servers' public keys in chain order; clients
 	// onion-encrypt for these.
 	Chain []PublicKey
 
 	mem       *transport.Mem
-	co        *coordinator.Coordinator
-	store     *cdn.Store
+	cn        *sim.ChainNet
+	cdn       net.Listener
 	exchanges uint32
-	// stop closes everything NewInProcessNetwork started besides co, in
-	// reverse order: the two listeners, then the chain.
-	stop []func()
 
 	mu      sync.Mutex
 	clients []*Client
@@ -183,56 +185,35 @@ func NewInProcessNetwork(opts Options) (*Network, error) {
 		opts.SubmitTimeout = 5 * time.Second
 	}
 
-	pubs, privs, err := mixnet.NewChainKeys(opts.Servers)
-	if err != nil {
-		return nil, err
-	}
-	n := &Network{Chain: pubs, mem: transport.NewMem(), store: cdn.NewStore(0), exchanges: opts.ConvoExchanges}
-	_, addrs, stopChain, err := mixnet.StartChain(n.mem, pubs, privs, mixnet.Config{
-		ConvoNoise: opts.ConvoNoise.dist(),
-		DialNoise:  opts.DialNoise.dist(),
-		Workers:    opts.Workers,
-	}, n.store)
-	if err != nil {
-		return nil, err
-	}
-	n.stop = append(n.stop, stopChain)
-	n.co, err = coordinator.New(coordinator.Config{
-		Net:            n.mem,
-		ChainAddr:      addrs[0],
-		ChainPub:       pubs[0],
-		DialBuckets:    opts.DialBuckets,
-		AutoBuckets:    opts.AutoBuckets,
-		AutoBucketsMu:  opts.DialNoise.Mu,
-		ConvoExchanges: opts.ConvoExchanges,
-		SubmitTimeout:  opts.SubmitTimeout,
-		ConvoWindow:    opts.ConvoWindow,
+	mem, store := transport.NewMem(), cdn.NewStore(0)
+	cn, err := sim.NewChainNet(sim.ChainNetConfig{
+		Servers: opts.Servers,
+		Net:     mem,
+		Chain: mixnet.Config{
+			ConvoNoise: opts.ConvoNoise.dist(),
+			DialNoise:  opts.DialNoise.dist(),
+			Workers:    opts.Workers,
+			Buckets:    store,
+		},
+		Entry: coordinator.Config{
+			DialBuckets:    opts.DialBuckets,
+			AutoBuckets:    opts.AutoBuckets,
+			AutoBucketsMu:  opts.DialNoise.Mu,
+			ConvoExchanges: opts.ConvoExchanges,
+			SubmitTimeout:  opts.SubmitTimeout,
+			ConvoWindow:    opts.ConvoWindow,
+		},
 	})
 	if err != nil {
-		n.stopAll()
 		return nil, err
 	}
-	if err := n.serve("entry", n.co.Serve); err != nil {
-		n.Close()
-		return nil, err
-	}
-	if err := n.serve("cdn", n.store.Serve); err != nil {
-		n.Close()
-		return nil, err
-	}
-	return n, nil
-}
-
-// serve listens on addr, hands the listener to accept on its own
-// goroutine, and registers the listener's close with stop.
-func (n *Network) serve(addr string, accept func(net.Listener) error) error {
-	l, err := n.mem.Listen(addr)
+	l, err := mem.Listen("cdn")
 	if err != nil {
-		return err
+		cn.Close()
+		return nil, err
 	}
-	go accept(l)
-	n.stop = append(n.stop, func() { l.Close() })
-	return nil
+	go store.Serve(l)
+	return &Network{Chain: cn.Pubs, mem: mem, cn: cn, cdn: l, exchanges: opts.ConvoExchanges}, nil
 }
 
 // NewClient connects a client with keys derived from name (deterministic,
@@ -244,12 +225,13 @@ func (n *Network) NewClient(name string) (*Client, error) {
 
 // NewClientWithKeys connects a client with explicit keys.
 func (n *Network) NewClientWithKeys(pub PublicKey, priv PrivateKey) (*Client, error) {
-	want := n.co.NumClients() + 1
+	co := n.cn.Coord
+	want := co.NumClients() + 1
 	c, err := client.Dial(client.Config{
 		Pub: pub, Priv: priv,
 		ChainPubs:        n.Chain,
 		Net:              n.mem,
-		EntryAddr:        "entry",
+		EntryAddr:        n.cn.EntryAddr,
 		CDNAddr:          "cdn",
 		MaxConversations: int(max(1, n.exchanges)),
 	})
@@ -259,7 +241,7 @@ func (n *Network) NewClientWithKeys(pub PublicKey, priv PrivateKey) (*Client, er
 	// Wait for the coordinator to register the connection so the next
 	// round includes this client.
 	deadline := time.Now().Add(2 * time.Second)
-	for n.co.NumClients() < want {
+	for co.NumClients() < want {
 		if time.Now().After(deadline) {
 			c.Close()
 			return nil, fmt.Errorf("vuvuzela: client registration timed out")
@@ -275,7 +257,7 @@ func (n *Network) NewClientWithKeys(pub PublicKey, priv PrivateKey) (*Client, er
 // RunConvoRound executes one conversation round across all connected
 // clients and returns the round number and participant count.
 func (n *Network) RunConvoRound(ctx context.Context) (uint64, int, error) {
-	return n.co.RunConvoRound(ctx)
+	return n.cn.Coord.RunConvoRound(ctx)
 }
 
 // RunConvoRounds executes `rounds` consecutive conversation rounds with
@@ -283,40 +265,24 @@ func (n *Network) RunConvoRound(ctx context.Context) (uint64, int, error) {
 // collection with round r's chain traversal. It returns each round's
 // participant count.
 func (n *Network) RunConvoRounds(ctx context.Context, rounds int) ([]int, error) {
-	return n.co.RunConvoRounds(ctx, rounds)
+	return n.cn.Coord.RunConvoRounds(ctx, rounds)
 }
 
 // RunDialRound executes one dialing round.
 func (n *Network) RunDialRound(ctx context.Context) (uint64, int, error) {
-	return n.co.RunDialRound(ctx)
+	return n.cn.Coord.RunDialRound(ctx)
 }
 
 // StartRounds drives rounds continuously on the given intervals until the
-// context is cancelled (0 disables a protocol's timer).
+// context is cancelled (0 disables a protocol's timer): the coordinator's
+// own timer mode, so conversation rounds pipeline up to
+// Options.ConvoWindow deep.
 func (n *Network) StartRounds(ctx context.Context, convoEvery, dialEvery time.Duration) {
-	if convoEvery > 0 {
-		go n.roundLoop(ctx, convoEvery, func() { n.co.RunConvoRound(ctx) })
-	}
-	if dialEvery > 0 {
-		go n.roundLoop(ctx, dialEvery, func() { n.co.RunDialRound(ctx) })
-	}
+	n.cn.Coord.Start(ctx, convoEvery, dialEvery)
 }
 
-func (n *Network) roundLoop(ctx context.Context, every time.Duration, fn func()) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			fn()
-		}
-	}
-}
-
-// Close shuts the deployment down: the clients, the coordinator, its
-// listeners and every chain server.
+// Close shuts the deployment down: the clients, every node of the
+// deployment and the CDN.
 func (n *Network) Close() {
 	n.mu.Lock()
 	clients := n.clients
@@ -324,14 +290,8 @@ func (n *Network) Close() {
 	for _, c := range clients {
 		c.Close()
 	}
-	n.co.Close()
-	n.stopAll()
-}
-
-func (n *Network) stopAll() {
-	for i := len(n.stop) - 1; i >= 0; i-- {
-		n.stop[i]()
-	}
+	n.cn.Close()
+	n.cdn.Close()
 }
 
 // PrivacyGuarantee is an (ε, δ) differential-privacy guarantee; see
