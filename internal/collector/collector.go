@@ -1,13 +1,14 @@
 // Package collector is the client-facing half of Vuvuzela's entry tier
 // (paper §7), written once for both places it runs: the coordinator, for
 // its direct clients and its frontend pipes together, and every entry
-// frontend, for its clients. It owns the three things a listener that
-// multiplexes clients into rounds needs:
+// frontend, for its clients. It owns the member-facing half of every
+// round of either protocol:
 //
 //   - Conn, the bounded-queue writer: a stalled peer is shed, never
 //     waited on (§9);
-//   - Round, the announce-time membership of one round: who may submit,
-//     who is still outstanding, and the batch flattened in snapshot order;
+//   - Round, the announce-time membership of one round, and its three
+//     steps: Announce to the snapshot, Collect the submissions (the batch
+//     flattened in snapshot order), and Reply to each contributor;
 //   - the read loop that routes each submission to its pending round and
 //     removes a departed member from every pending round, so churn closes
 //     a round early instead of burning the submit timeout.
@@ -22,7 +23,9 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"time"
 
+	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/wire"
 )
 
@@ -48,7 +51,11 @@ type Conn struct {
 	out    chan *wire.Message
 	closed chan struct{}
 	once   sync.Once
-	front  bool
+	// front marks an entry-frontend pipe: its submissions arrive as one
+	// wire.KindFrontBatch per round and its replies leave as
+	// wire.KindFrontReplies. key is the pipe's authenticated static key.
+	front bool
+	key   box.PublicKey
 }
 
 // NewConn starts the writer for conn with a queue of the given depth.
@@ -111,11 +118,6 @@ func (c *Conn) Close() {
 // Closed is closed once the connection is.
 func (c *Conn) Closed() <-chan struct{} { return c.closed }
 
-// Front reports whether the member is an entry-frontend pipe: its
-// submissions arrive as one wire.KindFrontBatch per round and its replies
-// leave as wire.KindFrontReplies.
-func (c *Conn) Front() bool { return c.front }
-
 // Collector is the set of connected round members of one listener tier
 // and the rounds currently collecting from them.
 type Collector struct {
@@ -149,23 +151,32 @@ func (co *Collector) NumClients() int {
 	return len(co.members) - co.fronts
 }
 
-// NumFronts returns the number of connected frontend pipes.
-func (co *Collector) NumFronts() int {
+// Fronts returns the authenticated keys of the connected frontend pipes,
+// one per pipe. A key names its frontend process, so a caller can tell a
+// live frontend's pipe from a dead one's that has not been noticed yet.
+func (co *Collector) Fronts() []box.PublicKey {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	return co.fronts
+	keys := make([]box.PublicKey, 0, co.fronts)
+	for c := range co.members {
+		if c.front {
+			keys = append(keys, c.key)
+		}
+	}
+	return keys
 }
 
 // ServeClient serves one accepted client connection until it ends. This
 // is the one place a plaintext client stream is framed, so every
 // connection it registers carries the client-leg frame limit (maxOnion).
-func (co *Collector) ServeClient(raw net.Conn) { co.serve(wire.NewConn(raw), false) }
+func (co *Collector) ServeClient(raw net.Conn) { co.serve(wire.NewConn(raw), false, box.PublicKey{}) }
 
-// ServeFront serves one authenticated frontend pipe until it ends. A
-// pipe is a round member like a direct client: it is announced to, counts
-// once toward round completion, and must answer each announcement with
-// exactly one wire.KindFrontBatch — possibly empty.
-func (co *Collector) ServeFront(conn *wire.Conn) { co.serve(conn, true) }
+// ServeFront serves one authenticated frontend pipe, whose peer proved
+// key in the handshake, until it ends. A pipe is a round member like a
+// direct client: it is announced to, counts once toward round completion,
+// and must answer each announcement with exactly one wire.KindFrontBatch —
+// possibly empty.
+func (co *Collector) ServeFront(conn *wire.Conn, key box.PublicKey) { co.serve(conn, true, key) }
 
 // serve registers the connection and runs its read loop: each
 // submission — wire.KindSubmit from a client, wire.KindFrontBatch from a
@@ -177,7 +188,7 @@ func (co *Collector) ServeFront(conn *wire.Conn) { co.serve(conn, true) }
 // addressed to it. A late, duplicate or non-member submission is
 // per-message noise and keeps the connection. On disconnect every
 // pending round is told.
-func (co *Collector) serve(conn *wire.Conn, front bool) {
+func (co *Collector) serve(conn *wire.Conn, front bool, key box.PublicKey) {
 	co.mu.Lock()
 	if co.closed || (!front && co.max > 0 && len(co.members)-co.fronts >= co.max) {
 		co.mu.Unlock()
@@ -185,7 +196,7 @@ func (co *Collector) serve(conn *wire.Conn, front bool) {
 		return
 	}
 	c := NewConn(conn, clientQueue)
-	c.front = front
+	c.front, c.key = front, key
 	co.members[c] = struct{}{}
 	if front {
 		co.fronts++
@@ -324,13 +335,49 @@ func (co *Collector) Open(proto wire.Proto, round uint64, perClient int) *Round 
 	return r
 }
 
-// Members returns the round's announce-time snapshot, the connections
-// the announcement goes to.
-func (r *Round) Members() []*Conn { return r.snapshot }
+// Announce sends the round's announcement, M = m, to every member of its
+// snapshot. A frontend pipe's copy also carries budget — how long the
+// caller will collect — in Bucket (milliseconds), so the frontend closes
+// its partial batch before the caller stops waiting for it; a client's
+// never does, so a client cannot tell which tier it dialed. The pipe copy
+// is built only when the snapshot holds a pipe.
+func (r *Round) Announce(m uint32, budget time.Duration) {
+	ann := &wire.Message{Kind: wire.KindAnnounce, Proto: r.proto, Round: r.round, M: m}
+	var pipeAnn *wire.Message
+	for _, c := range r.snapshot {
+		msg := ann
+		if c.front {
+			if pipeAnn == nil {
+				cp := *ann
+				cp.Bucket = uint32(budget / time.Millisecond)
+				pipeAnn = &cp
+			}
+			msg = pipeAnn
+		}
+		c.Deliver(msg)
+	}
+}
 
-// Full is closed once every member has submitted or disconnected (at
-// once, for a round with no members).
-func (r *Round) Full() <-chan struct{} { return r.full }
+// Collect waits until every member has submitted or disconnected, or
+// budget elapses, and then finishes the round (Finish). If stop or done
+// closes first — the caller's two reasons to give up, say its context and
+// its own Close — the round is abandoned instead and ok is false.
+func (r *Round) Collect(budget time.Duration, stop, done <-chan struct{}) (batch [][]byte, parts []Part, ok bool) {
+	timer := time.NewTimer(budget)
+	defer timer.Stop()
+	select {
+	case <-r.full:
+	case <-timer.C:
+	case <-stop:
+		r.abandon()
+		return nil, nil, false
+	case <-done:
+		r.abandon()
+		return nil, nil, false
+	}
+	batch, parts = r.Finish()
+	return batch, parts, true
+}
 
 // Round-membership rejections. The read loop treats these as per-message
 // noise (drop the submission, keep the connection): none of them
@@ -421,10 +468,36 @@ func (r *Round) Finish() ([][]byte, []Part) {
 	return batch, parts
 }
 
-// Abandon retires the round without building a batch. A dead round left
+// Reply delivers a finished round's result to its contributors, parts as
+// Finish returned them. A client gets a wire.KindReply with M = m: in a
+// conversation round its own slice of replies (m is the exchange count),
+// in a dialing round the bodiless acknowledgement that the round's
+// buckets are published (m is the bucket count). A frontend pipe gets one
+// wire.KindFrontReplies for all its clients: in a conversation round its
+// whole slice with M the number of clients behind it, for the frontend to
+// split; in a dialing round the acknowledgement with M = m.
+func Reply(parts []Part, proto wire.Proto, round uint64, m uint32, replies [][]byte) {
+	off := 0
+	for _, p := range parts {
+		msg := &wire.Message{Kind: wire.KindReply, Proto: proto, Round: round, M: m}
+		if proto == wire.ProtoConvo {
+			msg.Body = replies[off : off+p.Onions]
+			off += p.Onions
+		}
+		if p.Conn.front {
+			msg.Kind = wire.KindFrontReplies
+			if proto == wire.ProtoConvo {
+				msg.M = uint32(p.Onions) / m
+			}
+		}
+		p.Conn.Deliver(msg)
+	}
+}
+
+// abandon retires the round without building a batch. A dead round left
 // pending would keep absorbing submissions, eating onions that clients
 // meant for the next live round.
-func (r *Round) Abandon() {
+func (r *Round) abandon() {
 	r.retire()
 	r.close()
 }

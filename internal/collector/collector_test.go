@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"os"
@@ -13,22 +14,38 @@ import (
 	"vuvuzela/internal/wire"
 )
 
-// member registers a connection with co the way serve does, without a
-// read loop: the membership rules are driven directly below.
-func member(t *testing.T, co *Collector) *Conn {
+// tap registers a member of co the way serve does, without a read loop
+// or a writer: the membership rules are driven directly, and each
+// *wire.Message delivered to the member waits in its queue as built.
+func tap(t *testing.T, co *Collector, front bool) *Conn {
 	t.Helper()
 	ours, theirs := net.Pipe()
 	t.Cleanup(func() { ours.Close(); theirs.Close() })
-	c := NewConn(wire.NewConn(ours), 1)
+	c := &Conn{conn: wire.NewConn(ours), out: make(chan *wire.Message, 4), closed: make(chan struct{}), front: front}
 	co.mu.Lock()
 	co.members[c] = struct{}{}
+	if front {
+		co.fronts++
+	}
 	co.mu.Unlock()
 	return c
 }
 
+// next returns the message queued for c.
+func next(t *testing.T, c *Conn) *wire.Message {
+	t.Helper()
+	select {
+	case m := <-c.out:
+		return m
+	default:
+		t.Fatal("nothing delivered")
+		return nil
+	}
+}
+
 func isFull(r *Round) bool {
 	select {
-	case <-r.Full():
+	case <-r.full:
 		return true
 	default:
 		return false
@@ -91,13 +108,51 @@ func TestRoundMembership(t *testing.T) {
 		{
 			name: "abandoned round absorbs nothing",
 			run: func(t *testing.T, r *Round, a, b, late *Conn) {
-				r.Abandon()
+				r.abandon()
 				if err := r.record(a, onion("a")); !errors.Is(err, errRoundClosed) {
 					t.Fatalf("record after abandon: %v", err)
 				}
 				r.drop(b)
 			},
 			wantFull: false, wantBatch: nil,
+		},
+		{
+			name: "collect abandons on stop",
+			run: func(t *testing.T, r *Round, a, b, late *Conn) {
+				stop := make(chan struct{})
+				close(stop)
+				if _, _, ok := r.Collect(time.Hour, stop, nil); ok {
+					t.Fatal("Collect finished a round whose stop channel closed")
+				}
+				if err := r.record(a, onion("a")); !errors.Is(err, errRoundClosed) {
+					t.Fatalf("record after stop: %v", err)
+				}
+			},
+			wantFull: false, wantBatch: nil,
+		},
+		{
+			name: "collect abandons on done",
+			run: func(t *testing.T, r *Round, a, b, late *Conn) {
+				done := make(chan struct{})
+				close(done)
+				if _, _, ok := r.Collect(time.Hour, nil, done); ok {
+					t.Fatal("Collect finished a round whose done channel closed")
+				}
+				if err := r.record(a, onion("a")); !errors.Is(err, errRoundClosed) {
+					t.Fatalf("record after done: %v", err)
+				}
+			},
+			wantFull: false, wantBatch: nil,
+		},
+		{
+			name: "collect finishes with what arrived when the budget elapses",
+			run: func(t *testing.T, r *Round, a, b, late *Conn) {
+				r.record(a, onion("a"))
+				if batch, parts, ok := r.Collect(time.Millisecond, nil, nil); !ok || len(batch) != 1 || len(parts) != 1 {
+					t.Fatalf("Collect = %q in %d parts, ok %v; want a's submission", batch, len(parts), ok)
+				}
+			},
+			wantFull: false, wantBatch: []string{"a"},
 		},
 		{
 			name: "superseded round is closed",
@@ -109,7 +164,7 @@ func TestRoundMembership(t *testing.T) {
 				if r.co.Pending(wire.ProtoConvo) != next {
 					t.Fatal("newer round is not the pending one")
 				}
-				next.Abandon()
+				next.abandon()
 			},
 			wantFull: false, wantBatch: nil,
 		},
@@ -117,11 +172,11 @@ func TestRoundMembership(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			co := New(0)
-			a, b := member(t, co), member(t, co)
+			a, b := tap(t, co, false), tap(t, co, false)
 			r := co.Open(wire.ProtoConvo, 7, 1)
-			late := member(t, co)
-			if co.Pending(wire.ProtoConvo) != r || len(r.Members()) != 2 {
-				t.Fatalf("round not pending over the 2 members: %d", len(r.Members()))
+			late := tap(t, co, false)
+			if co.Pending(wire.ProtoConvo) != r || len(r.snapshot) != 2 {
+				t.Fatalf("round not pending over the 2 members: %d", len(r.snapshot))
 			}
 			tc.run(t, r, a, b, late)
 			if isFull(r) != tc.wantFull {
@@ -145,6 +200,70 @@ func TestRoundMembership(t *testing.T) {
 			}
 			if err := r.record(b, onion("b")); !errors.Is(err, errRoundClosed) {
 				t.Fatalf("record after finish: %v", err)
+			}
+		})
+	}
+}
+
+// TestAnnounceReply pins the frames a round member is sent, for a client
+// and a frontend pipe in each protocol: the announcement (Kind, M, Bucket)
+// and the reply (Kind, M, body slice). A client's are the same from the
+// coordinator and from a frontend; a pipe's are what the frontend splits
+// among its own clients.
+func TestAnnounceReply(t *testing.T) {
+	const budget = 1500 * time.Millisecond
+	replies := [][]byte{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}
+	cases := []struct {
+		name  string
+		front bool
+		proto wire.Proto
+		m     uint32
+		// onions is the member's share of the batch, which follows a
+		// client's two.
+		onions     int
+		wantBucket uint32
+		wantKind   wire.Kind
+		wantM      uint32
+		wantBody   [][]byte
+	}{
+		{"client/convo", false, wire.ProtoConvo, 2, 2, 0, wire.KindReply, 2, replies[2:4]},
+		{"pipe/convo", true, wire.ProtoConvo, 2, 6, 1500, wire.KindFrontReplies, 3, replies[2:8]},
+		{"client/dial", false, wire.ProtoDial, 7, 1, 0, wire.KindReply, 7, nil},
+		{"pipe/dial", true, wire.ProtoDial, 7, 3, 1500, wire.KindFrontReplies, 7, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			co := New(0)
+			lead, c := tap(t, co, false), tap(t, co, tc.front)
+			r := co.Open(tc.proto, 9, 1)
+			r.Announce(tc.m, budget)
+			leadAnn, ann := next(t, lead), next(t, c)
+			for _, a := range []*wire.Message{leadAnn, ann} {
+				if a.Kind != wire.KindAnnounce || a.Proto != tc.proto || a.Round != 9 || a.M != tc.m || len(a.Body) != 0 {
+					t.Fatalf("announcement %+v", a)
+				}
+			}
+			if leadAnn.Bucket != 0 || ann.Bucket != tc.wantBucket {
+				t.Fatalf("announced budget %d to a client, %d to the member; want 0, %d", leadAnn.Bucket, ann.Bucket, tc.wantBucket)
+			}
+			// A snapshot without a pipe gets one message, and no copy.
+			if shared := leadAnn == ann; shared == tc.front {
+				t.Fatalf("client and member share one announcement: %v, want %v", shared, !tc.front)
+			}
+
+			Reply([]Part{{Conn: lead, Onions: 2}, {Conn: c, Onions: tc.onions}}, tc.proto, 9, tc.m, replies)
+			next(t, lead)
+			got := next(t, c)
+			if got.Kind != tc.wantKind || got.Proto != tc.proto || got.Round != 9 || got.M != tc.wantM || got.Bucket != 0 {
+				t.Fatalf("reply %+v, want kind %d, M %d", got, tc.wantKind, tc.wantM)
+			}
+			if len(got.Body) != len(tc.wantBody) {
+				t.Fatalf("reply body of %d, want %d", len(got.Body), len(tc.wantBody))
+			}
+			for i := range got.Body {
+				if !bytes.Equal(got.Body[i], tc.wantBody[i]) {
+					t.Fatalf("reply entry %d is %v, want %v: not the member's slice", i, got.Body[i], tc.wantBody[i])
+				}
 			}
 		})
 	}
@@ -234,7 +353,7 @@ func TestClientFrameLimit(t *testing.T) {
 			}
 		}
 		select {
-		case <-r.Full():
+		case <-r.full:
 		case <-time.After(2 * time.Second):
 			t.Fatal("a submission of exactly the announced shape was not recorded")
 		}
@@ -250,7 +369,7 @@ func TestClientFrameLimit(t *testing.T) {
 
 	// A smaller round (dialing) in between does not lower the limit, and a
 	// client that connects after the raise starts with it.
-	co.Open(wire.ProtoDial, 1, 1).Abandon()
+	co.Open(wire.ProtoDial, 1, 1).abandon()
 	late, _ := client(t, co)
 	r = co.Open(wire.ProtoConvo, 2, perClient)
 	submit(t, r, 2, early, late)

@@ -4,27 +4,28 @@
 // demultiplexes the results back.
 //
 // The entry tier is split in two so collection scales horizontally:
-// the coordinator keeps the round clock, the collect→chain→fanout
-// pipeline, durable round state, and the chain RPC; any number of
-// stateless entry frontends (internal/frontend) hold the bulk of the
-// client connections and forward one validated partial batch per round
-// over an authenticated pipe (ServeFrontends, wire.KindFrontBatch).
-// Clients may also connect to the coordinator directly (Serve) — small
-// deployments and tests skip the frontend tier entirely.
+// the coordinator keeps the round clock, the round driver, durable round
+// state, and the chain RPC; any number of stateless entry frontends
+// (internal/frontend) hold the bulk of the client connections and forward
+// one validated partial batch per round over an authenticated pipe
+// (ServeFrontends, wire.KindFrontBatch). Clients may also connect to the
+// coordinator directly (Serve) — small deployments and tests skip the
+// frontend tier entirely.
 //
-// Both ends of the coordinator are shared code. Round collection — the
-// bounded writer queues, the announce-time membership of a round, the
-// read loop — is internal/collector, the same code a frontend runs for
-// its clients; direct clients and frontend pipes are members of one
-// collector. The entry leg into the chain is a mixnet.ChainLeg, one
-// mixnet.Peer per protocol: the type behind every chain hop and shard
-// leg, with the one redial-and-resend policy (docs/WIRE.md §2.2).
+// Both ends of the coordinator are shared code. The member-facing half of
+// a round — announce, collect, reply, over bounded writer queues — is
+// internal/collector, the same code a frontend runs for its clients;
+// direct clients and frontend pipes are members of one collector. The
+// entry leg into the chain is a mixnet.ChainLeg, one mixnet.Peer per
+// protocol: the type behind every chain hop and shard leg, with the one
+// redial-and-resend policy (docs/WIRE.md §2.2).
 //
-// It coordinates both protocols: conversation rounds (with a reply path)
-// and dialing rounds (publish-only; clients fetch buckets from the CDN).
-// Rounds can be driven on timers (Start) or stepped manually
-// (RunConvoRound/RunDialRound), which tests and the evaluation harness
-// use for determinism.
+// One round driver serves both protocols — conversation rounds (with a
+// reply path) and dialing rounds (publish-only; clients fetch buckets
+// from the CDN): collect → forward → reply. It runs one round at a time
+// (RunConvoRound / RunDialRound, which tests and the evaluation harness
+// use for determinism) or as a pipeline with rounds in flight
+// (RunConvoRounds, and timer mode, Start, for both protocols).
 package coordinator
 
 import (
@@ -60,11 +61,6 @@ type Config struct {
 	// fails the handshake instead of handing the batch to an impostor
 	// (docs/THREAT_MODEL.md).
 	ChainPub box.PublicKey
-	// Identity is the coordinator's own key for the entry leg. The chain
-	// does not authorize specific entry keys (the entry server is
-	// untrusted, §7), so this may be left zero and New generates a fresh
-	// one per process.
-	Identity box.PrivateKey
 
 	// FrontIdentity is the coordinator's key for the frontend pipe
 	// listener (ServeFrontends). Frontends authenticate the coordinator
@@ -104,7 +100,7 @@ type Config struct {
 	SubmitTimeout time.Duration
 
 	// ConvoWindow is the maximum number of conversation rounds in flight
-	// at once in RunConvoRounds: with a window of w, round r+1's
+	// at once in RunConvoRounds and timer mode: with a window of w, round r+1's
 	// collection overlaps round r's chain traversal and reply fanout, up
 	// to w rounds announced but not yet delivered. 0 or 1 runs rounds
 	// strictly serially. Rounds still enter the chain in submission
@@ -143,12 +139,18 @@ type Coordinator struct {
 	// chain is the entry leg into server 0.
 	chain mixnet.ChainLeg
 
-	mu     sync.Mutex
-	convoR uint64
-	dialR  uint64
+	mu sync.Mutex
+	// last is the highest round number announced, per protocol.
+	last map[wire.Proto]uint64
 
 	closeOnce sync.Once
 	closeCh   chan struct{}
+}
+
+// counters names each protocol's counter in the durable round state.
+var counters = map[wire.Proto]string{
+	wire.ProtoConvo: roundstate.ConvoCounter,
+	wire.ProtoDial:  roundstate.DialCounter,
 }
 
 // New creates a coordinator.
@@ -159,15 +161,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ChainPub == (box.PublicKey{}) {
 		return nil, errors.New("coordinator: the chain needs the first server's public key (Config.ChainPub)")
 	}
-	if cfg.Identity == (box.PrivateKey{}) {
-		// The chain accepts any client key on the entry leg; a fresh
-		// per-process identity keeps the channel keyed without any
-		// registration step.
-		_, priv, err := box.GenerateKey(nil)
-		if err != nil {
-			return nil, fmt.Errorf("coordinator: generating entry identity: %w", err)
-		}
-		cfg.Identity = priv
+	// The chain accepts any client key on the entry leg (the entry server
+	// is untrusted, §7); a fresh per-process identity keeps the channel
+	// keyed without any registration step.
+	_, identity, err := box.GenerateKey(nil)
+	if err != nil {
+		return nil, fmt.Errorf("coordinator: generating entry identity: %w", err)
 	}
 	if cfg.DialBuckets == 0 {
 		cfg.DialBuckets = 1
@@ -185,15 +184,17 @@ func New(cfg Config) (*Coordinator, error) {
 		// The entry leg always runs inside transport.Secure: the Peer
 		// verifies it reached the server holding ChainPub before the first
 		// onion crosses the wire.
-		chain:   mixnet.NewChainLeg(cfg.Net, cfg.ChainAddr, cfg.Identity, cfg.ChainPub),
+		chain:   mixnet.NewChainLeg(cfg.Net, cfg.ChainAddr, identity, cfg.ChainPub),
+		last:    make(map[wire.Proto]uint64, len(counters)),
 		closeCh: make(chan struct{}),
 	}
 	if cfg.RoundState != nil {
 		// Resume numbering after the highest rounds a previous process
 		// announced: those round numbers are burned whether or not their
 		// batches ever reached the chain.
-		co.convoR = cfg.RoundState.Last(roundstate.ConvoCounter)
-		co.dialR = cfg.RoundState.Last(roundstate.DialCounter)
+		for proto, name := range counters {
+			co.last[proto] = cfg.RoundState.Last(name)
+		}
 	}
 	return co, nil
 }
@@ -204,7 +205,11 @@ func New(cfg Config) (*Coordinator, error) {
 func (co *Coordinator) NumClients() int { return co.col.NumClients() }
 
 // NumFrontends returns the number of connected entry-frontend pipes.
-func (co *Coordinator) NumFrontends() int { return co.col.NumFronts() }
+func (co *Coordinator) NumFrontends() int { return len(co.col.Fronts()) }
+
+// FrontendKeys returns the authenticated key of each connected
+// entry-frontend pipe (a frontend's PipeKey), one per pipe.
+func (co *Coordinator) FrontendKeys() []box.PublicKey { return co.col.Fronts() }
 
 // Serve accepts client connections until the listener closes.
 func (co *Coordinator) Serve(l net.Listener) error {
@@ -236,39 +241,17 @@ func (co *Coordinator) handleFrontend(raw net.Conn) {
 	if mixnet.HandshakeWithin(sec) != nil {
 		return
 	}
-	co.col.ServeFront(wire.NewConn(sec))
+	co.col.ServeFront(wire.NewConn(sec), sec.Peer())
 }
 
-// commitRound burns a round number durably before any client sees its
-// announcement (write-ahead). A commit failure fails the round — the
-// in-memory counter has already moved past the number, so the round is
-// skipped, never reused — and round numbering stays monotonic across a
-// crash at any instant.
-func (co *Coordinator) commitRound(counter string, round uint64) error {
-	if co.cfg.RoundState == nil {
-		return nil
-	}
-	if err := co.cfg.RoundState.Commit(counter, round); err != nil {
-		return fmt.Errorf("coordinator: cannot persist %s round %d: %w", counter, round, err)
-	}
-	return nil
-}
-
-// countClients sums the end clients behind a round's contributors: one
-// per direct client, the KindFrontBatch M (its onions over perClient)
-// per frontend.
-func countClients(parts []collector.Part, perClient int) int {
-	n := 0
-	for _, p := range parts {
-		n += p.Onions / perClient
-	}
-	return n
-}
-
-// convoRound carries one conversation round between the pipeline stages:
-// collect → chain-RPC → reply-fanout.
-type convoRound struct {
-	round uint64
+// round carries one round of either protocol through collect → forward
+// → reply.
+type round struct {
+	proto wire.Proto
+	n     uint64
+	// m is the announced M: the exchange count of a conversation round,
+	// the bucket count of a dialing round.
+	m     uint32
 	batch [][]byte
 	parts []collector.Part
 	// participants is the number of end clients in the batch — direct
@@ -276,80 +259,102 @@ type convoRound struct {
 	participants int
 }
 
-// collectConvo is the first pipeline stage: announce the next round
-// number and gather submissions. The returned convoRound always has its
-// round number set, even on error.
-func (co *Coordinator) collectConvo(ctx context.Context) (*convoRound, error) {
+// collect opens the next round of rd.proto into rd: it burns the round
+// number, announces it, and gathers the submissions of every directly
+// connected client and frontend pipe. The round number is set first, so
+// a failed round still names it.
+func (co *Coordinator) collect(ctx context.Context, rd *round) error {
+	proto := rd.proto
 	co.mu.Lock()
-	co.convoR++
-	cr := &convoRound{round: co.convoR}
+	co.last[proto]++
+	rd.n = co.last[proto]
 	co.mu.Unlock()
-	if err := co.commitRound(roundstate.ConvoCounter, cr.round); err != nil {
-		return cr, err
+	// Write-ahead: the number is on disk before any client sees it. A
+	// refused commit fails the round; the counter has already moved past
+	// the number, so it is skipped, never reused, and numbering stays
+	// monotonic across a crash at any instant.
+	if rs := co.cfg.RoundState; rs != nil {
+		if err := rs.Commit(counters[proto], rd.n); err != nil {
+			return fmt.Errorf("coordinator: cannot persist %s round %d: %w", counters[proto], rd.n, err)
+		}
 	}
 
-	k := int(co.cfg.ConvoExchanges)
-	batch, parts, err := co.collect(ctx, wire.ProtoConvo, cr.round, co.cfg.ConvoExchanges, k)
-	if err != nil {
-		return cr, err
+	perClient := 1 // one invitation onion per client in a dialing round
+	if proto == wire.ProtoConvo {
+		rd.m = co.cfg.ConvoExchanges
+		perClient = int(rd.m)
+	} else {
+		rd.m = co.cfg.DialBuckets
+		if co.cfg.AutoBuckets > 0 && co.cfg.AutoBucketsMu > 0 {
+			// §5.4: m = n·f/µ, proposed per round from the current
+			// population so each bucket carries roughly equal real and
+			// noise invitations. n counts direct clients only — end
+			// clients behind frontends are known only after collection,
+			// one round too late for the announcement.
+			rd.m = dial.OptimalBuckets(co.col.NumClients(), co.cfg.AutoBuckets, co.cfg.AutoBucketsMu)
+		}
 	}
-	cr.batch, cr.parts = batch, parts
-	cr.participants = countClients(parts, k)
-	return cr, nil
+	r := co.col.Open(proto, rd.n, perClient)
+	r.Announce(rd.m, co.cfg.SubmitTimeout)
+	batch, parts, ok := r.Collect(co.cfg.SubmitTimeout, ctx.Done(), co.closeCh)
+	if !ok {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return errors.New("coordinator: closed")
+	}
+	rd.batch, rd.parts = batch, parts
+	for _, p := range parts {
+		rd.participants += p.Onions / perClient
+	}
+	return nil
 }
 
-// chainConvo is the second pipeline stage: forward the batch through the
-// server chain and validate the reply batch shape. Calls for consecutive
-// rounds must stay ordered — the chain enforces strictly increasing
-// rounds — so callers run this stage on a single goroutine.
-func (co *Coordinator) chainConvo(cr *convoRound) ([][]byte, error) {
-	replies, err := co.chain.Forward(wire.ProtoConvo, cr.round, 0, cr.batch, nil)
+// forward sends the round's batch through the chain and returns the
+// replies (none for dialing). Calls for consecutive rounds of one
+// protocol must stay ordered — the chain enforces strictly increasing
+// rounds — so callers forward each protocol's rounds from one goroutine.
+func (co *Coordinator) forward(rd *round) ([][]byte, error) {
+	var m uint32 // a conversation batch into server 0 carries M = 0
+	if rd.proto == wire.ProtoDial {
+		m = rd.m
+	}
+	replies, err := co.chain.Forward(rd.proto, rd.n, m, rd.batch, nil)
 	if err != nil {
 		return nil, err
 	}
-	if len(replies) != len(cr.batch) {
-		return nil, fmt.Errorf("coordinator: chain returned %d replies for %d requests", len(replies), len(cr.batch))
+	if rd.proto == wire.ProtoConvo && len(replies) != len(rd.batch) {
+		return nil, fmt.Errorf("coordinator: chain returned %d replies for %d requests", len(replies), len(rd.batch))
 	}
 	return replies, nil
-}
-
-// fanoutConvo is the third pipeline stage: deliver each participant's
-// slice of the reply batch — a KindReply per direct client, one
-// KindFrontReplies carrying the whole partial-batch slice per frontend
-// (the frontend demuxes it to its own clients).
-func (co *Coordinator) fanoutConvo(cr *convoRound, replies [][]byte) {
-	off := 0
-	for _, p := range cr.parts {
-		slice := replies[off : off+p.Onions]
-		off += p.Onions
-		var msg *wire.Message
-		if p.Conn.Front() {
-			clients := uint32(p.Onions) / co.cfg.ConvoExchanges
-			msg = wire.FrontRepliesMessage(wire.ProtoConvo, cr.round, clients, slice)
-		} else {
-			msg = &wire.Message{
-				Kind: wire.KindReply, Proto: wire.ProtoConvo, Round: cr.round,
-				M: co.cfg.ConvoExchanges, Body: slice,
-			}
-		}
-		p.Conn.Deliver(msg)
-	}
 }
 
 // RunConvoRound executes one conversation round: announce, collect,
 // forward through the chain, and deliver replies. It returns the round
 // number and how many clients participated.
 func (co *Coordinator) RunConvoRound(ctx context.Context) (round uint64, participants int, err error) {
-	cr, err := co.collectConvo(ctx)
-	if err != nil {
-		return cr.round, 0, err
+	return co.run(ctx, wire.ProtoConvo)
+}
+
+// RunDialRound executes one dialing round: announce (with the bucket
+// count m), collect, forward, and acknowledge so clients know the round's
+// buckets are published.
+func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, participants int, err error) {
+	return co.run(ctx, wire.ProtoDial)
+}
+
+// run executes one round of proto through collect → forward → reply.
+func (co *Coordinator) run(ctx context.Context, proto wire.Proto) (uint64, int, error) {
+	rd := round{proto: proto}
+	if err := co.collect(ctx, &rd); err != nil {
+		return rd.n, 0, err
 	}
-	replies, err := co.chainConvo(cr)
+	replies, err := co.forward(&rd)
 	if err != nil {
-		return cr.round, cr.participants, err
+		return rd.n, rd.participants, err
 	}
-	co.fanoutConvo(cr, replies)
-	return cr.round, cr.participants, nil
+	collector.Reply(rd.parts, proto, rd.n, rd.m, replies)
+	return rd.n, rd.participants, nil
 }
 
 // RunConvoRounds executes n consecutive conversation rounds with up to
@@ -368,13 +373,13 @@ func (co *Coordinator) RunConvoRounds(ctx context.Context, n int) ([]int, error)
 
 	errCh := make(chan error, 2)
 	i := 0
-	co.runConvoPipeline(ctx, convoStageHooks{
+	co.pipeline(ctx, wire.ProtoConvo, co.cfg.ConvoWindow, stageHooks{
 		// next runs on the collector goroutine; i is touched nowhere else.
 		next: func() bool { i++; return i <= n },
 		onCollectErr: func(_ uint64, err error) bool {
 			// Stop announcing, but no cancel(): rounds already collected
 			// gathered real client submissions and must still be
-			// forwarded and fanned out.
+			// forwarded and replied to.
 			errCh <- err
 			return false
 		},
@@ -383,10 +388,10 @@ func (co *Coordinator) RunConvoRounds(ctx context.Context, n int) ([]int, error)
 			cancel()
 			return false
 		},
-		// onDelivered runs on the goroutine runConvoPipeline blocks, so
-		// the append is race-free.
-		onDelivered: func(cr *convoRound) {
-			participants = append(participants, cr.participants)
+		// onDelivered runs on the goroutine pipeline blocks, so the
+		// append is race-free.
+		onDelivered: func(rd *round) {
+			participants = append(participants, rd.participants)
 		},
 	})
 	select {
@@ -403,10 +408,10 @@ func (co *Coordinator) RunConvoRounds(ctx context.Context, n int) ([]int, error)
 	return participants, nil
 }
 
-// convoStageHooks parameterizes runConvoPipeline for its two callers:
-// RunConvoRounds (bounded round count, abort on failure) and timer
-// mode's convoPipeline (ticker-paced, report failures and keep going).
-type convoStageHooks struct {
+// stageHooks parameterizes pipeline for its two callers: RunConvoRounds
+// (bounded round count, abort on failure) and timer mode (ticker-paced,
+// report failures and keep going).
+type stageHooks struct {
 	// next blocks until another round should be announced; false stops
 	// announcing (already-collected rounds still drain). Runs on the
 	// collector goroutine.
@@ -414,202 +419,122 @@ type convoStageHooks struct {
 	// onCollectErr receives a collection failure; false stops
 	// announcing. Collection fails only on context cancellation,
 	// coordinator close, or a round-state commit failure.
-	onCollectErr func(round uint64, err error) bool
+	onCollectErr func(n uint64, err error) bool
 	// onChainErr receives a chain failure; false aborts the chain stage
-	// (rounds already delivered still fan out), true skips the round
-	// and keeps forwarding later ones.
-	onChainErr func(round uint64, err error) bool
-	// onDelivered observes each round after its replies fanned out; may
-	// be nil. Runs on the caller's goroutine.
-	onDelivered func(cr *convoRound)
+	// (rounds already delivered still get their replies), true skips the
+	// round and keeps forwarding later ones.
+	onChainErr func(n uint64, err error) bool
+	// onDelivered observes each round after its replies went out; may be
+	// nil. Runs on the caller's goroutine.
+	onDelivered func(rd *round)
 }
 
-// runConvoPipeline is the shared three-stage conversation pipeline:
-// collect → chain → fanout, with at most ConvoWindow rounds in flight
-// (slots are taken before announcing and released after fanout; a window
-// of 1 runs whole rounds one after another). The chain stage is a single
+// pipeline is the round driver with rounds in flight: collect → forward
+// → reply for proto, with at most window rounds in flight (slots are
+// taken before announcing and released after the replies; a window of 1
+// runs whole rounds one after another). The forward stage is a single
 // goroutine forwarding rounds in collection order, so the mixnet's
 // strictly-increasing round check stays satisfied. Blocks until every
 // stage has drained.
-func (co *Coordinator) runConvoPipeline(ctx context.Context, h convoStageHooks) {
-	window := co.cfg.ConvoWindow
-	type chained struct {
-		cr      *convoRound
+func (co *Coordinator) pipeline(ctx context.Context, proto wire.Proto, window int, h stageHooks) {
+	type forwarded struct {
+		rd      *round
 		replies [][]byte
 	}
 	var (
 		inflight  = make(chan struct{}, window)
-		collected = make(chan *convoRound, window)
-		delivered = make(chan chained, window)
+		collected = make(chan *round, window)
+		delivered = make(chan forwarded, window)
 	)
 
 	go func() {
 		defer close(collected)
 		for h.next() {
 			// No closeCh case here: a coordinator Close must surface as
-			// collectConvo's error (via onCollectErr) rather than
-			// stopping the collector silently — RunConvoRounds' callers
-			// are owed that error. Slots always free because the fanout
-			// stage keeps draining.
+			// collect's error (via onCollectErr) rather than stopping the
+			// collector silently — RunConvoRounds' callers are owed that
+			// error. Slots always free because the reply stage keeps
+			// draining.
 			select {
 			case inflight <- struct{}{}:
 			case <-ctx.Done():
 				return
 			}
-			cr, err := co.collectConvo(ctx)
-			if err != nil {
-				stop := !h.onCollectErr(cr.round, err)
+			rd := &round{proto: proto}
+			if err := co.collect(ctx, rd); err != nil {
+				stop := !h.onCollectErr(rd.n, err)
 				<-inflight
 				if stop {
 					return
 				}
 				continue
 			}
-			collected <- cr
+			collected <- rd
 		}
 	}()
 
 	go func() {
 		defer close(delivered)
-		for cr := range collected {
+		for rd := range collected {
 			if ctx.Err() != nil {
 				return
 			}
-			replies, err := co.chainConvo(cr)
+			replies, err := co.forward(rd)
 			if err != nil {
-				if !h.onChainErr(cr.round, err) {
+				if !h.onChainErr(rd.n, err) {
 					return
 				}
 				<-inflight
 				continue
 			}
-			delivered <- chained{cr, replies}
+			delivered <- forwarded{rd, replies}
 		}
 	}()
 
 	for d := range delivered {
-		co.fanoutConvo(d.cr, d.replies)
+		collector.Reply(d.rd.parts, proto, d.rd.n, d.rd.m, d.replies)
 		if h.onDelivered != nil {
-			h.onDelivered(d.cr)
+			h.onDelivered(d.rd)
 		}
 		<-inflight
 	}
-}
-
-// RunDialRound executes one dialing round: announce (with the bucket
-// count m), collect, forward, and acknowledge so clients know the round's
-// buckets are published.
-func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, participants int, err error) {
-	co.mu.Lock()
-	co.dialR++
-	round = co.dialR
-	co.mu.Unlock()
-	if err := co.commitRound(roundstate.DialCounter, round); err != nil {
-		return round, 0, err
-	}
-
-	m := co.cfg.DialBuckets
-	if co.cfg.AutoBuckets > 0 && co.cfg.AutoBucketsMu > 0 {
-		// §5.4: m = n·f/µ, proposed per round from the current
-		// population so each bucket carries roughly equal real and noise
-		// invitations. n counts direct clients only — end clients behind
-		// frontends are known only after collection, one round too late
-		// for the announcement.
-		m = dial.OptimalBuckets(co.col.NumClients(), co.cfg.AutoBuckets, co.cfg.AutoBucketsMu)
-	}
-	subs, parts, err := co.collect(ctx, wire.ProtoDial, round, m, 1)
-	if err != nil {
-		return round, 0, err
-	}
-	if _, err := co.chain.Forward(wire.ProtoDial, round, m, subs, nil); err != nil {
-		return round, countClients(parts, 1), err
-	}
-	for _, p := range parts {
-		var msg *wire.Message
-		if p.Conn.Front() {
-			// The dial acknowledgement on the frontend pipe: M echoes
-			// the bucket count, no body; the frontend fans out a
-			// KindReply ack to each of its clients.
-			msg = wire.FrontRepliesMessage(wire.ProtoDial, round, m, nil)
-		} else {
-			msg = &wire.Message{Kind: wire.KindReply, Proto: wire.ProtoDial, Round: round, M: m}
-		}
-		p.Conn.Deliver(msg)
-	}
-	return round, countClients(parts, 1), nil
-}
-
-// collect announces a round and gathers submissions from every directly
-// connected client and frontend pipe, returning the flattened batch and
-// the snapshot-ordered contributors (each owning a contiguous slice of
-// the batch).
-func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint64, m uint32, perClient int) ([][]byte, []collector.Part, error) {
-	r := co.col.Open(proto, round, perClient)
-
-	announce := &wire.Message{Kind: wire.KindAnnounce, Proto: proto, Round: round, M: m}
-	// The frontend copy carries the coordinator's submit-timeout budget
-	// in Bucket (milliseconds) so frontends close their partial batch
-	// before the coordinator gives up on them; clients ignore the field.
-	frontAnnounce := *announce
-	frontAnnounce.Bucket = uint32(co.cfg.SubmitTimeout / time.Millisecond)
-	for _, c := range r.Members() {
-		msg := announce
-		if c.Front() {
-			msg = &frontAnnounce
-		}
-		c.Deliver(msg)
-	}
-
-	timer := time.NewTimer(co.cfg.SubmitTimeout)
-	defer timer.Stop()
-	select {
-	case <-r.Full():
-	case <-timer.C:
-	case <-ctx.Done():
-		r.Abandon()
-		return nil, nil, ctx.Err()
-	case <-co.closeCh:
-		r.Abandon()
-		return nil, nil, errors.New("coordinator: closed")
-	}
-	batch, parts := r.Finish()
-	return batch, parts, nil
 }
 
 // Start drives rounds on timers until the context is cancelled or the
 // coordinator closes: a conversation round every convoEvery and a
 // dialing round every dialEvery; 0 disables a protocol's timer. The paper's
 // prototype uses sub-minute conversation rounds (§5.2) and 10-minute
-// dialing rounds (§8.3). Conversation rounds run through the same
-// collect → chain → fanout pipeline as RunConvoRounds, so with
-// ConvoWindow > 1 round r+1's announcement and collection overlap round
-// r's chain traversal.
+// dialing rounds (§8.3). Both protocols run through the pipeline
+// RunConvoRounds uses: conversation rounds at ConvoWindow, so with a
+// window above 1 round r+1's announcement and collection overlap round
+// r's chain traversal, and dialing rounds one at a time.
 // Round failures are transient — the next tick starts a fresh round —
 // but each one is surfaced through Config.OnRoundError so a persistent
 // cause (an unreachable chain, a dead dead-drop shard) is visible
 // instead of silently swallowed.
 func (co *Coordinator) Start(ctx context.Context, convoEvery, dialEvery time.Duration) {
 	if convoEvery > 0 {
-		go co.convoPipeline(ctx, convoEvery)
+		go co.timed(ctx, wire.ProtoConvo, co.cfg.ConvoWindow, convoEvery)
 	}
 	if dialEvery > 0 {
-		go co.loop(ctx, dialEvery, func() {
-			round, _, err := co.RunDialRound(ctx)
-			co.reportRoundError(wire.ProtoDial, round, err)
-		})
+		go co.timed(ctx, wire.ProtoDial, 1, dialEvery)
 	}
 }
 
-// convoPipeline is timer mode's conversation driver: the shared
-// runConvoPipeline stages, paced by a ticker of period every. Unlike
-// RunConvoRounds — whose callers want the error — a failed round here,
-// in collection (a refused round-state commit) or in the chain, is
-// reported through OnRoundError and the pipeline keeps ticking; only
-// shutdown (context or Close) ends it, through next.
-func (co *Coordinator) convoPipeline(ctx context.Context, every time.Duration) {
+// timed is timer mode's driver for one protocol: the pipeline, paced by
+// a ticker of period every. Unlike RunConvoRounds — whose callers want
+// the error — a failed round here, in collection (a refused round-state
+// commit) or in the chain, is reported through OnRoundError and the
+// pipeline keeps ticking; only shutdown (context or Close) ends it,
+// through next.
+func (co *Coordinator) timed(ctx context.Context, proto wire.Proto, window int, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
-	co.runConvoPipeline(ctx, convoStageHooks{
+	report := func(n uint64, err error) bool {
+		co.reportRoundError(proto, n, err)
+		return true
+	}
+	co.pipeline(ctx, proto, window, stageHooks{
 		next: func() bool {
 			select {
 			case <-ctx.Done():
@@ -620,14 +545,8 @@ func (co *Coordinator) convoPipeline(ctx context.Context, every time.Duration) {
 				return true
 			}
 		},
-		onCollectErr: func(round uint64, err error) bool {
-			co.reportRoundError(wire.ProtoConvo, round, err)
-			return true
-		},
-		onChainErr: func(round uint64, err error) bool {
-			co.reportRoundError(wire.ProtoConvo, round, err)
-			return true
-		},
+		onCollectErr: report,
+		onChainErr:   report,
 	})
 }
 
@@ -641,21 +560,6 @@ func (co *Coordinator) reportRoundError(proto wire.Proto, round uint64, err erro
 		return
 	}
 	co.cfg.OnRoundError(proto, round, err)
-}
-
-func (co *Coordinator) loop(ctx context.Context, interval time.Duration, fn func()) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-co.closeCh:
-			return
-		case <-t.C:
-			fn()
-		}
-	}
 }
 
 // Close disconnects all clients and the chain.

@@ -25,10 +25,12 @@
 // dropped and its clients miss the round), and Config.MaxClients
 // refuses connections beyond the cap at accept time.
 //
-// The client side — writer queues, round membership, the read loop and
-// its churn handling — is internal/collector, the code the coordinator
-// runs for its own direct clients; what is written here is the pipe: the
-// long-lived dial to the coordinator and the demux of its reply slices.
+// The client side of every round — announce, collect, reply, over
+// bounded writer queues, with the read loop and its churn handling — is
+// internal/collector, the code the coordinator runs for its own direct
+// clients; what is written here is the pipe: the long-lived dial to the
+// coordinator, which rounds it announces, and which clients its reply
+// slices belong to.
 package frontend
 
 import (
@@ -67,10 +69,6 @@ type Config struct {
 	// authenticating this key, so a misdirected dial fails the
 	// handshake instead of handing client onions to an impostor.
 	CoordPub box.PublicKey
-	// Identity is the frontend's own pipe key. The coordinator accepts
-	// any frontend identity (frontends are untrusted, §7), so this may
-	// be left zero and New generates a fresh one per process.
-	Identity box.PrivateKey
 
 	// MaxClients, if positive, is the load-shedding cap: connections
 	// beyond it are refused at accept time so an overloaded frontend
@@ -85,6 +83,11 @@ type Config struct {
 // Frontend is a running entry frontend.
 type Frontend struct {
 	cfg Config
+	// pub and priv are the pipe identity, fresh per process: the
+	// coordinator accepts any frontend key (frontends are untrusted, §7),
+	// and a key it has seen names this process, never a predecessor.
+	pub  box.PublicKey
+	priv box.PrivateKey
 	// col holds the clients and collects each round's partial batch.
 	col *collector.Collector
 
@@ -110,18 +113,17 @@ func New(cfg Config) (*Frontend, error) {
 	if cfg.CoordPub == (box.PublicKey{}) {
 		return nil, errors.New("frontend: coordinator pipe key required (Config.CoordPub)")
 	}
-	if cfg.Identity == (box.PrivateKey{}) {
-		_, priv, err := box.GenerateKey(nil)
-		if err != nil {
-			return nil, fmt.Errorf("frontend: generating pipe identity: %w", err)
-		}
-		cfg.Identity = priv
+	pub, priv, err := box.GenerateKey(nil)
+	if err != nil {
+		return nil, fmt.Errorf("frontend: generating pipe identity: %w", err)
 	}
 	if cfg.ReconnectDelay == 0 {
 		cfg.ReconnectDelay = DefaultReconnectDelay
 	}
 	return &Frontend{
 		cfg:     cfg,
+		pub:     pub,
+		priv:    priv,
 		col:     collector.New(cfg.MaxClients),
 		await:   make(map[roundKey]*sentRound),
 		closeCh: make(chan struct{}),
@@ -131,12 +133,10 @@ func New(cfg Config) (*Frontend, error) {
 // NumClients returns the number of connected clients.
 func (f *Frontend) NumClients() int { return f.col.NumClients() }
 
-// Connected reports whether the coordinator pipe is currently up.
-func (f *Frontend) Connected() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pipe != nil
-}
+// PipeKey returns the public key this frontend authenticates its pipe
+// with: the key the coordinator lists for it (coordinator.FrontendKeys)
+// once the pipe is registered.
+func (f *Frontend) PipeKey() box.PublicKey { return f.pub }
 
 // Serve accepts client connections until the listener closes.
 // Connections beyond Config.MaxClients are refused immediately
@@ -174,7 +174,7 @@ func (f *Frontend) runPipe(ctx context.Context) {
 	// The one secured dial outside mixnet.Peer: the pipe is long-lived
 	// and the coordinator speaks first on it, so it is neither lazy nor
 	// request/response, and the handshake runs eagerly under a deadline.
-	sec := transport.SecureClient(raw, f.cfg.Identity, f.cfg.CoordPub)
+	sec := transport.SecureClient(raw, f.priv, f.cfg.CoordPub)
 	if mixnet.HandshakeWithin(sec) != nil {
 		return
 	}
@@ -249,16 +249,9 @@ func (f *Frontend) startRound(p *collector.Conn, ann *wire.Message) {
 	}
 	perClient := perClientFor(ann)
 	r := f.col.Open(ann.Proto, ann.Round, perClient)
-
-	// Relay the announcement with the budget hint zeroed: the
-	// client-facing wire is identical to a direct coordinator
-	// connection.
-	relay := *ann
-	relay.Bucket = 0
-	for _, c := range r.Members() {
-		c.Deliver(&relay)
-	}
-
+	// The snapshot holds clients only, so no budget reaches the wire: the
+	// relayed announcement is identical to a direct coordinator one.
+	r.Announce(ann.M, 0)
 	go f.collectRound(p, r, roundKey{ann.Proto, ann.Round}, perClient, budget)
 }
 
@@ -278,19 +271,10 @@ func perClientFor(ann *wire.Message) int {
 // the coordinator close the round early instead of waiting out the
 // submit timeout on an idle frontend.
 func (f *Frontend) collectRound(p *collector.Conn, r *collector.Round, key roundKey, perClient int, budget time.Duration) {
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
-	select {
-	case <-r.Full():
-	case <-timer.C:
-	case <-p.Closed():
-		r.Abandon()
-		return
-	case <-f.closeCh:
-		r.Abandon()
+	onions, order, ok := r.Collect(budget, p.Closed(), f.closeCh)
+	if !ok {
 		return
 	}
-	onions, order := r.Finish()
 
 	sr := &sentRound{perClient: perClient, order: order}
 	f.mu.Lock()
@@ -342,22 +326,11 @@ func (f *Frontend) deliver(msg *wire.Message) error {
 	if err := wire.CheckFrontReplies(msg, msg.Proto, msg.Round, want); err != nil {
 		return err
 	}
-
-	if msg.Proto == wire.ProtoDial {
-		// The dial acknowledgement: fan a KindReply ack with the bucket
-		// count to every client in the batch.
-		for _, part := range sr.order {
-			part.Conn.Deliver(&wire.Message{Kind: wire.KindReply, Proto: wire.ProtoDial, Round: msg.Round, M: msg.M})
-		}
-		return nil
+	m := msg.M // dialing: the bucket count the coordinator acknowledged
+	if msg.Proto == wire.ProtoConvo {
+		m = uint32(sr.perClient)
 	}
-	k := sr.perClient
-	for i, part := range sr.order {
-		part.Conn.Deliver(&wire.Message{
-			Kind: wire.KindReply, Proto: wire.ProtoConvo, Round: msg.Round,
-			M: uint32(k), Body: msg.Body[i*k : (i+1)*k],
-		})
-	}
+	collector.Reply(sr.order, msg.Proto, msg.Round, m, msg.Body)
 	return nil
 }
 

@@ -26,6 +26,37 @@ func shardOfRequest(b []byte, n int) int {
 	return deaddrop.ShardOf(id, n)
 }
 
+// degradeLog is a Config.OnShardDegraded hook that collects the shards
+// each Exchange degraded, in report order (ascending), and passes every
+// report on to then (nil: none).
+type degradeLog struct {
+	then func(round uint64, shard int, addr string, err error)
+
+	mu     sync.Mutex
+	shards []int
+}
+
+func (l *degradeLog) hook(round uint64, shard int, addr string, err error) {
+	l.mu.Lock()
+	l.shards = append(l.shards, shard)
+	l.mu.Unlock()
+	if l.then != nil {
+		l.then(round, shard, addr, err)
+	}
+}
+
+// exchange runs one round on router and returns its replies with the
+// shards degraded during it.
+func (l *degradeLog) exchange(router *ShardRouter, round uint64, reqs [][]byte) ([][]byte, []int, error) {
+	l.mu.Lock()
+	l.shards = nil
+	l.mu.Unlock()
+	replies, err := router.Exchange(round, reqs)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return replies, l.shards, err
+}
+
 // TestDegradeZeroFailuresIdentical: ShardPolicy=Degrade with every shard
 // healthy is byte-identical to the sequential path — the policy is free
 // until a fault actually happens.
@@ -33,14 +64,15 @@ func TestDegradeZeroFailuresIdentical(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(21))
 	for _, shards := range []int{1, 4, 5} {
 		fix := startShards(t, shards)
-		router := fix.routerOn(t, fix.mem, 0, ShardDegrade, func(round uint64, shard int, addr string, err error) {
+		dlog := &degradeLog{then: func(round uint64, shard int, addr string, err error) {
 			t.Errorf("healthy round degraded shard %d: %v", shard, err)
-		})
+		}}
+		router := fix.routerOn(t, fix.mem, 0, ShardDegrade, dlog.hook)
 		for trial := 0; trial < 4; trial++ {
 			round := uint64(trial + 1)
 			reqs := mixedRequests(rng, 80)
 			want := convo.Service{}.Process(round, reqs)
-			got, degraded, err := router.ExchangeInfo(round, reqs)
+			got, degraded, err := dlog.exchange(router, round, reqs)
 			if err != nil {
 				t.Fatalf("shards=%d: %v", shards, err)
 			}
@@ -71,14 +103,15 @@ func TestDegradeZeroFillsDeadShards(t *testing.T) {
 		faulty := transport.NewFaulty(fix.mem)
 		var mu sync.Mutex
 		reported := make(map[int]error)
-		router := fix.routerOn(t, faulty, 0, ShardDegrade, func(round uint64, shard int, addr string, err error) {
+		dlog := &degradeLog{then: func(round uint64, shard int, addr string, err error) {
 			mu.Lock()
 			defer mu.Unlock()
 			if addr != fix.addrs[shard] {
 				t.Errorf("callback addr %q for shard %d, want %q", addr, shard, fix.addrs[shard])
 			}
 			reported[shard] = err
-		})
+		}}
+		router := fix.routerOn(t, faulty, 0, ShardDegrade, dlog.hook)
 
 		dead := make(map[int]bool)
 		for _, s := range kill {
@@ -89,7 +122,7 @@ func TestDegradeZeroFillsDeadShards(t *testing.T) {
 		round := uint64(1)
 		reqs := mixedRequests(rng, 150)
 		want := convo.Service{}.Process(round, reqs)
-		got, degraded, err := router.ExchangeInfo(round, reqs)
+		got, degraded, err := dlog.exchange(router, round, reqs)
 		if err != nil {
 			t.Fatalf("kill=%v: degraded round failed: %v", kill, err)
 		}
@@ -129,7 +162,7 @@ func TestDegradeZeroFillsDeadShards(t *testing.T) {
 		}
 		round = 2
 		want = convo.Service{}.Process(round, reqs)
-		got, degraded, err = router.ExchangeInfo(round, reqs)
+		got, degraded, err = dlog.exchange(router, round, reqs)
 		if err != nil {
 			t.Fatalf("kill=%v: healed round failed: %v", kill, err)
 		}
@@ -154,17 +187,18 @@ func TestDegradeHungShardZeroFilled(t *testing.T) {
 	fix := startShards(t, shards)
 	defer fix.stop()
 	faulty := transport.NewFaulty(fix.mem)
-	router := fix.routerOn(t, faulty, 200*time.Millisecond, ShardDegrade, nil)
+	dlog := &degradeLog{}
+	router := fix.routerOn(t, faulty, 200*time.Millisecond, ShardDegrade, dlog.hook)
 	defer router.Close()
 
 	reqs := mixedRequests(mrand.New(mrand.NewSource(5)), 60)
-	if _, degraded, err := router.ExchangeInfo(1, reqs); err != nil || len(degraded) != 0 {
+	if _, degraded, err := dlog.exchange(router, 1, reqs); err != nil || len(degraded) != 0 {
 		t.Fatalf("healthy round: degraded=%v err=%v", degraded, err)
 	}
 
 	faulty.Hang(fix.addrs[1])
 	start := time.Now()
-	_, degraded, err := router.ExchangeInfo(2, reqs)
+	_, degraded, err := dlog.exchange(router, 2, reqs)
 	if err != nil {
 		t.Fatalf("round with hung shard failed under Degrade: %v", err)
 	}
@@ -198,7 +232,7 @@ func TestDegradeNeverMasksAuthFailure(t *testing.T) {
 	})
 	defer router.Close()
 
-	_, _, err := router.ExchangeInfo(1, mixedRequests(mrand.New(mrand.NewSource(7)), 100))
+	_, err := router.Exchange(1, mixedRequests(mrand.New(mrand.NewSource(7)), 100))
 	if err == nil {
 		t.Fatal("round with tampered shard traffic succeeded under Degrade")
 	}
@@ -220,16 +254,17 @@ func TestDegradeStillRejectsStaleRound(t *testing.T) {
 	const shards = 3
 	fix := startShards(t, shards)
 	defer fix.stop()
-	router := fix.routerOn(t, fix.mem, 0, ShardDegrade, func(round uint64, shard int, addr string, err error) {
+	dlog := &degradeLog{then: func(round uint64, shard int, addr string, err error) {
 		t.Errorf("stale-round rejection on shard %d was degraded around: %v", shard, err)
-	})
+	}}
+	router := fix.routerOn(t, fix.mem, 0, ShardDegrade, dlog.hook)
 	defer router.Close()
 
 	reqs := mixedRequests(mrand.New(mrand.NewSource(13)), 40)
 	if _, err := router.Exchange(5, reqs); err != nil {
 		t.Fatalf("round 5: %v", err)
 	}
-	_, degraded, err := router.ExchangeInfo(5, reqs)
+	_, degraded, err := dlog.exchange(router, 5, reqs)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("replayed round under Degrade returned %v, want RemoteError", err)
@@ -278,18 +313,18 @@ func TestDegradeNeverMasksMalformedFrames(t *testing.T) {
 		}
 	}()
 
+	dlog := &degradeLog{then: func(round uint64, shard int, addr string, err error) {
+		t.Errorf("malformed-frame misbehavior on shard %d was degraded around: %v", shard, err)
+	}}
 	router, err := NewShardRouter(Config{
 		Net: mem, ShardAddrs: []string{"garbage"}, ShardPubs: []box.PublicKey{evilPub},
-		Priv: routerPriv, ShardPolicy: ShardDegrade,
-		OnShardDegraded: func(round uint64, shard int, addr string, err error) {
-			t.Errorf("malformed-frame misbehavior on shard %d was degraded around: %v", shard, err)
-		},
+		Priv: routerPriv, ShardPolicy: ShardDegrade, OnShardDegraded: dlog.hook,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer router.Close()
-	_, degraded, err := router.ExchangeInfo(1, mixedRequests(mrand.New(mrand.NewSource(17)), 20))
+	_, degraded, err := dlog.exchange(router, 1, mixedRequests(mrand.New(mrand.NewSource(17)), 20))
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("authenticated garbage frames returned %v, want RemoteError", err)
@@ -403,16 +438,18 @@ func TestSilentPlaintextShardDegradesNotLeaks(t *testing.T) {
 		}
 	}()
 
+	dlog := &degradeLog{}
 	router, err := NewShardRouter(Config{
 		Net: mem, ShardAddrs: []string{"mute"}, ShardPubs: []box.PublicKey{plainPub},
 		Priv: routerPriv, ShardTimeout: time.Second, ShardPolicy: ShardDegrade,
+		OnShardDegraded: dlog.hook,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer router.Close()
 	reqs := mixedRequests(mrand.New(mrand.NewSource(16)), 20)
-	replies, degraded, err := router.ExchangeInfo(1, reqs)
+	replies, degraded, err := dlog.exchange(router, 1, reqs)
 	if err != nil {
 		t.Fatalf("silent peer under Degrade: %v", err)
 	}

@@ -310,17 +310,10 @@ func degradable(err error) bool {
 // *RemoteError naming the shard: by then at least one shard has consumed
 // the round number, so the predecessor must not blindly retry — the same
 // contract as a failed chain hop. Under ShardDegrade, a shard that is
-// unreachable or silent is zero-filled instead (see ExchangeInfo);
-// authentication failures and shard-side rejections abort either way.
+// unreachable or silent is zero-filled instead, and reported through
+// Config.OnShardDegraded in ascending shard order; authentication failures
+// and shard-side rejections abort either way.
 func (r *ShardRouter) Exchange(round uint64, requests [][]byte) ([][]byte, error) {
-	replies, _, err := r.ExchangeInfo(round, requests)
-	return replies, err
-}
-
-// ExchangeInfo is Exchange also reporting which shards were degraded
-// (zero-filled) this round, in ascending shard order; the list is empty
-// for a fully healthy round and always empty under ShardAbort.
-func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, []int, error) {
 	n := len(r.cfg.ShardAddrs)
 	// Partition by drop-ID prefix, preserving arrival order within each
 	// shard — the property that makes per-shard pairing identical to the
@@ -355,20 +348,19 @@ func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, [
 	// timed out — Degrade must never mask a forging shard.
 	for s, err := range errs {
 		if err != nil && !degradable(err) {
-			return nil, nil, &RemoteError{
+			return nil, &RemoteError{
 				Addr: r.cfg.ShardAddrs[s],
 				Msg:  fmt.Sprintf("shard %d: %v", s, err),
 				Err:  err,
 			}
 		}
 	}
-	var degraded []int
 	for s, err := range errs {
 		if err == nil {
 			continue
 		}
 		if r.cfg.ShardPolicy != ShardDegrade {
-			return nil, nil, &RemoteError{
+			return nil, &RemoteError{
 				Addr: r.cfg.ShardAddrs[s],
 				Msg:  fmt.Sprintf("shard %d: %v", s, err),
 				Err:  err,
@@ -382,7 +374,6 @@ func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, [
 			zeros[i] = make([]byte, convo.SealedSize)
 		}
 		perShard[s] = zeros
-		degraded = append(degraded, s)
 		if r.cfg.OnShardDegraded != nil {
 			r.cfg.OnShardDegraded(round, s, r.cfg.ShardAddrs[s], err)
 		}
@@ -396,7 +387,7 @@ func (r *ShardRouter) ExchangeInfo(round uint64, requests [][]byte) ([][]byte, [
 		}
 		out[i] = perShard[shardOf[i]][subIdx[i]]
 	}
-	return out, degraded, nil
+	return out, nil
 }
 
 // rpc runs one shard's round trip through its Peer and sorts the failure

@@ -507,35 +507,38 @@ func (cn *ChainNet) ClientAddrs() []string {
 }
 
 // WaitReady blocks until exactly `clients` clients are registered across
-// the coordinator and the live frontends and every live frontend's pipe
-// is connected at both ends — before that, an announcement misses
-// somebody — or fails when the timeout expires. With the entry down there is no
-// coordinator to announce a round, which is an error at once.
+// the coordinator and the live frontends and the coordinator holds the
+// pipes of exactly the live frontends — before that, an announcement
+// misses somebody — or fails when the timeout expires. With the entry
+// down there is no coordinator to announce a round, which is an error at
+// once.
 func (cn *ChainNet) WaitReady(clients int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		if cn.Coord == nil {
 			return errors.New("sim: entry is down")
 		}
-		registered, live, dialed := cn.Coord.NumClients(), 0, 0
+		// Pipes are matched by key, not counted: the coordinator may still
+		// hold a just-killed frontend's pipe while a live one's is not
+		// registered yet, and a round announced then reaches the dead pipe
+		// only.
+		pipes := cn.Coord.FrontendKeys()
+		registered, live, piped := cn.Coord.NumClients(), 0, 0
 		for _, fe := range cn.Fronts {
 			if fe != nil {
 				live++
 				registered += fe.NumClients()
-				if fe.Connected() {
-					dialed++
+				if slices.Contains(pipes, fe.PipeKey()) {
+					piped++
 				}
 			}
 		}
-		// Both ends must agree: the coordinator alone may still be counting
-		// the pipe of a frontend that was just killed.
-		pipes := cn.Coord.NumFrontends()
-		if registered == clients && pipes == live && dialed == live {
+		if registered == clients && piped == live && len(pipes) == live {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("sim: %d of %d clients registered and %d of %d frontend pipes connected after %v",
-				registered, clients, pipes, live, timeout)
+			return fmt.Errorf("sim: %d of %d clients registered and %d of %d frontend pipes connected (%d held) after %v",
+				registered, clients, piped, live, len(pipes), timeout)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -49,16 +49,22 @@ func TestCheckFrontBatch(t *testing.T) {
 	}
 }
 
+// frontReplies builds the coordinator→frontend reply-slice frame the way
+// the entry tier sends it (collector.Reply).
+func frontReplies(proto Proto, round uint64, m uint32, replies [][]byte) *Message {
+	return &Message{Kind: KindFrontReplies, Proto: proto, Round: round, M: m, Body: replies}
+}
+
 // TestCheckFrontReplies pins the reply-slice validator: round, proto,
 // and length must all echo the forwarded batch, so a stale or misrouted
 // slice drops the pipe instead of shifting replies between rounds.
 func TestCheckFrontReplies(t *testing.T) {
 	replies := [][]byte{{1}, {2}}
-	good := FrontRepliesMessage(ProtoConvo, 7, 0, replies)
+	good := frontReplies(ProtoConvo, 7, 0, replies)
 	if err := CheckFrontReplies(good, ProtoConvo, 7, 2); err != nil {
 		t.Fatalf("valid replies rejected: %v", err)
 	}
-	ack := FrontRepliesMessage(ProtoDial, 3, 16, nil)
+	ack := frontReplies(ProtoDial, 3, 16, nil)
 	if err := CheckFrontReplies(ack, ProtoDial, 3, 0); err != nil {
 		t.Fatalf("valid dial ack rejected: %v", err)
 	}
@@ -68,9 +74,9 @@ func TestCheckFrontReplies(t *testing.T) {
 	}{
 		{"nil", nil},
 		{"wrong kind", &Message{Kind: KindReplies, Proto: ProtoConvo, Round: 7, Body: replies}},
-		{"wrong proto", FrontRepliesMessage(ProtoDial, 7, 0, replies)},
-		{"stale round", FrontRepliesMessage(ProtoConvo, 6, 0, replies)},
-		{"short body", FrontRepliesMessage(ProtoConvo, 7, 0, replies[:1])},
+		{"wrong proto", frontReplies(ProtoDial, 7, 0, replies)},
+		{"stale round", frontReplies(ProtoConvo, 6, 0, replies)},
+		{"short body", frontReplies(ProtoConvo, 7, 0, replies[:1])},
 	}
 	for _, tc := range bad {
 		if err := CheckFrontReplies(tc.m, ProtoConvo, 7, 2); err == nil {
@@ -86,8 +92,8 @@ func TestCheckFrontReplies(t *testing.T) {
 func TestFrontFramesRoundTrip(t *testing.T) {
 	msgs := []*Message{
 		FrontBatchMessage(ProtoConvo, 12, 2, [][]byte{{1}, {2}}),
-		FrontRepliesMessage(ProtoConvo, 12, 0, [][]byte{{3}, {4}}),
-		FrontRepliesMessage(ProtoDial, 5, 8, nil),
+		frontReplies(ProtoConvo, 12, 0, [][]byte{{3}, {4}}),
+		frontReplies(ProtoDial, 5, 8, nil),
 	}
 	for _, m := range msgs {
 		got, err := Decode(m.Encode())

@@ -263,14 +263,14 @@ func FuzzCheckFrontBatch(f *testing.F) {
 // count. Seeds cover a stale reply slice (previous round's frame against
 // the current round), a cross-protocol slice, and truncations.
 func FuzzCheckFrontReplies(f *testing.F) {
-	valid := FrontRepliesMessage(ProtoConvo, 7, 2, [][]byte{{1}, {2}}).Encode()
+	valid := frontReplies(ProtoConvo, 7, 2, [][]byte{{1}, {2}}).Encode()
 	f.Add(valid, uint8(ProtoConvo), uint64(7), uint16(2))
 	// Stale reply slice: round-7 replies replayed against round 8.
 	f.Add(valid, uint8(ProtoConvo), uint64(8), uint16(2))
 	// Cross-protocol: convo replies against a dial round.
 	f.Add(valid, uint8(ProtoDial), uint64(7), uint16(2))
 	// Dialing acknowledgement: M echoes the bucket count, empty body.
-	f.Add(FrontRepliesMessage(ProtoDial, 3, 5, nil).Encode(), uint8(ProtoDial), uint64(3), uint16(0))
+	f.Add(frontReplies(ProtoDial, 3, 5, nil).Encode(), uint8(ProtoDial), uint64(3), uint16(0))
 	f.Add(valid[:11], uint8(ProtoConvo), uint64(7), uint16(2))
 	f.Add([]byte{}, uint8(0), uint64(0), uint16(0))
 

@@ -71,7 +71,8 @@ const (
 	KindFrontBatch
 	// KindFrontReplies: coordinator → entry frontend. The frontend's
 	// slice of the round's replies, aligned with its KindFrontBatch
-	// order (conversation), or the round acknowledgement with M echoing
+	// order, M the number of clients behind the frontend (conversation),
+	// or the round acknowledgement with M echoing
 	// the bucket count and an empty body (dialing).
 	KindFrontReplies
 )
@@ -185,13 +186,6 @@ func CheckFrontBatch(m *Message, perClient int) error {
 		return fmt.Errorf("%w: %d onions for %d clients × %d per client", ErrFrontFrame, len(m.Body), m.M, perClient)
 	}
 	return nil
-}
-
-// FrontRepliesMessage builds the coordinator→frontend frame carrying the
-// frontend's slice of a round's replies (conversation) or the round
-// acknowledgement with m echoing the bucket count (dialing, empty body).
-func FrontRepliesMessage(proto Proto, round uint64, m uint32, replies [][]byte) *Message {
-	return &Message{Kind: KindFrontReplies, Proto: proto, Round: round, M: m, Body: replies}
 }
 
 // CheckFrontReplies validates the coordinator's reply slice for a round
