@@ -76,8 +76,7 @@ func main() {
 // checkKey refuses to run with a key that does not match the published
 // chain entry.
 func checkKey(priv box.PrivateKey, want config.Key, what string) {
-	pub, err := box.PublicKeyOf(&priv)
-	if err != nil || pub != box.PublicKey(want) {
+	if box.PublicKeyOf(&priv) != box.PublicKey(want) {
 		log.Fatalf("private key does not match chain.json entry for %s", what)
 	}
 }

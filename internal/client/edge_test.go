@@ -185,16 +185,11 @@ func TestGoBackNWindowFull(t *testing.T) {
 	}
 }
 
-// seededStream is a fixed byte stream that answers crypto/ecdh's one-byte
-// coin-flip reads (inside onion.Wrap's key generation) without advancing,
-// so that the two onion builders below draw the same keys.
+// seededStream is a fixed byte stream, so that the two onion builders
+// below draw the same keys.
 type seededStream struct{ pos int }
 
 func (r *seededStream) Read(p []byte) (int, error) {
-	if len(p) == 1 {
-		p[0] = 0
-		return 1, nil
-	}
 	for i := range p {
 		p[i] = byte((r.pos+i)*13 + 5)
 	}

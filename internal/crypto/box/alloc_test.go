@@ -6,21 +6,43 @@ package box
 
 import "testing"
 
-// TestPeerAgreeAllocs: a key agreement with a parsed Peer — every layer of
-// every noise onion — allocates nothing: the scalar is drawn through the
-// caller's key storage, and both mults run on tables built ahead.
+// TestPeerAgreeAllocs: agreeing a path's keys with parsed Peers — every
+// noise onion — allocates nothing: both mults of every layer run on tables
+// built ahead, in one batch, and the keys are written into the caller's
+// agreements. Nor does a parsed key's exchange, alone or in a batch: the
+// ladder works on the stack.
 func TestPeerAgreeAllocs(t *testing.T) {
-	pub, _ := mustKeyPair(t)
-	peer, err := NewPeer(&pub)
+	pubs := make([]PublicKey, MaxBatch)
+	for i := range pubs {
+		pubs[i], _ = mustKeyPair(t)
+	}
+	peers, err := NewPeers(pubs[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shared [KeySize]byte
+	a := make([]Agreement, len(peers))
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := peer.Agree(&shared, nil); err != nil {
+		if err := Agree(a, peers); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("Peer.Agree allocates %.0f times, want 0", n)
+		t.Errorf("Agree over a two-layer path allocates %.0f times, want 0", n)
+	}
+
+	_, priv := mustKeyPair(t)
+	key := NewDHKey(&priv)
+	shared := make([][KeySize]byte, MaxBatch)
+	ptrs := make([]*PublicKey, MaxBatch)
+	for i := range ptrs {
+		ptrs[i] = &pubs[i]
+	}
+	errs := make([]error, MaxBatch)
+	if n := testing.AllocsPerRun(20, func() {
+		if err := key.PrecomputeInto(&shared[0], ptrs[0]); err != nil {
+			t.Fatal(err)
+		}
+		key.PrecomputeBatch(shared, ptrs, errs)
+	}); n != 0 {
+		t.Errorf("PrecomputeInto and PrecomputeBatch allocate %.0f times, want 0", n)
 	}
 }

@@ -2,11 +2,11 @@
 // (crypto_box) and secret-key authenticated encryption (crypto_secretbox),
 // the primitives Vuvuzela uses for all message encryption (paper §7).
 //
-// The construction is exactly NaCl's: X25519 Diffie-Hellman (via the
-// standard library's crypto/ecdh), HSalsa20 key derivation, and
-// XSalsa20-Poly1305 authenticated encryption using the Salsa20 and Poly1305
-// implementations in sibling packages. Ciphertexts are laid out as
-// tag(16) || encrypted-payload, NaCl's "boxed" order.
+// The construction is exactly NaCl's: X25519 Diffie-Hellman (on
+// internal/crypto/x25519, the one Curve25519 kernel), HSalsa20 key
+// derivation, and XSalsa20-Poly1305 authenticated encryption using the
+// Salsa20 and Poly1305 implementations in sibling packages. Ciphertexts
+// are laid out as tag(16) || encrypted-payload, NaCl's "boxed" order.
 //
 // The package also provides an anonymous sealed box (ephemeral-sender box)
 // used for dialing invitations (§5.2): 32-byte ephemeral public key
@@ -19,36 +19,30 @@
 // Diffie-Hellman runs on a parsed handle: a DHKey for your own key, a Peer
 // for a fixed other side.
 //
-// A DHKey is a private key parsed once. It exists because of a cost
-// crypto/ecdh hides: NewPrivateKey derives and stores the public key
-// eagerly, one base-point scalar mult, so building the ecdh key from raw
-// bytes for each exchange doubles the Curve25519 work — and that work is
-// what sets a server's round latency (§8.2). Whoever uses a key more than
-// once (a chain server unwrapping a batch, a client scanning an invitation
-// bucket, a handshake) holds a DHKey and pays one mult per exchange; a
-// freshly generated ephemeral key stays a DHKey from generation to its one
-// exchange, two mults instead of three. The raw-key functions (Precompute,
-// PublicKeyOf, GenerateKey) are few-line wrappers that parse and delegate,
-// and DHKey.PrecomputeInto writes the key into the caller's storage so
-// that a server agreeing one per onion allocates none of its own. A DHKey
-// holds secret key material, like the PrivateKey it was parsed from: it
-// has no String method and must not be logged or compared; compare
-// Public() values.
+// A DHKey is a private key with its public half derived once, on the
+// generator's comb table. Whoever uses a key more than once (a chain
+// server unwrapping a batch, a client scanning an invitation bucket, a
+// handshake) holds a DHKey and pays one ladder per exchange: the other
+// side's key is first seen in the exchange. PrecomputeInto writes the key
+// into the caller's storage and allocates nothing; PrecomputeBatch agrees
+// up to MaxBatch peers' keys under one field inversion, the chunks a
+// server unwraps its onions in. The raw-key functions (Precompute,
+// PublicKeyOf, GenerateKey) are few-line wrappers that parse and delegate.
+// A DHKey holds secret key material, like the PrivateKey it was parsed
+// from: it has no String method and must not be logged or compared;
+// compare Public() values.
 //
 // A Peer is a public key parsed once for a party that many fresh
 // ephemeral keys agree with: a mixing server's downstream chain, a
 // client's whole chain. Both scalar mults of such an agreement have a
-// fixed base, the generator and the peer's key, so Peer.Agree runs them on
-// comb tables built ahead (internal/crypto/x25519; the generator's once
-// per process, the peer's by NewPeer) at about half the ladder's cost, and
-// returns the bytes an ephemeral DHKey's PrecomputeInto would. Every
-// exchange whose base is someone's fresh ephemeral key — a server
-// unwrapping an onion, OpenAnonymous, the transport handshake — and the
-// one-shot SealAnonymous stay on crypto/ecdh.
+// fixed base, the generator and the peer's key, so Agree runs them on comb
+// tables built ahead (the generator's once per process, the peer's by
+// NewPeer) at about half the ladder's cost, a whole onion path's
+// agreements in one batch, and gives the keys an ephemeral DHKey's
+// PrecomputeInto would.
 package box
 
 import (
-	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -88,59 +82,41 @@ var (
 	ErrKeyExchange = errors.New("box: key exchange failed")
 )
 
-var curve = ecdh.X25519()
-
 // DHKey is a parsed X25519 private key: the handle every Diffie-Hellman
 // in this package runs on (see the package comment). It holds secret key
 // material — never log it, never compare it; compare Public() values
 // instead. A DHKey is immutable after construction, so any number of
 // goroutines may share one.
 type DHKey struct {
-	sk  *ecdh.PrivateKey
+	sk  [KeySize]byte
 	pub PublicKey
 }
 
-// NewDHKey parses a raw private key. This is where crypto/ecdh derives
-// the public key (one base-point scalar mult), so parse a long-lived key
-// once and keep the handle.
-func NewDHKey(priv *PrivateKey) (*DHKey, error) {
-	k := new(DHKey)
-	if err := k.parse(priv); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// parse is NewDHKey into k; split out so NewDHKey inlines and a
-// parse-use-discard caller's handle stays on its stack.
-func (k *DHKey) parse(priv *PrivateKey) error {
-	sk, err := curve.NewPrivateKey(priv[:])
-	if err != nil {
-		return err
-	}
-	k.set(sk)
-	return nil
+// NewDHKey parses a raw private key, deriving its public half (one comb
+// mult). Every 32-byte value is a private key.
+func NewDHKey(priv *PrivateKey) *DHKey {
+	k := &DHKey{sk: *priv}
+	k.derive()
+	return k
 }
 
 // GenerateDHKey creates a fresh key using entropy from r (crypto/rand.Reader
-// if r is nil), drawn as one KeySize-byte read.
+// if r is nil), drawn as one KeySize-byte read and nothing else, so a
+// seeded stream gives the same key on every run.
 func GenerateDHKey(r io.Reader) (*DHKey, error) {
 	if r == nil {
 		r = rand.Reader
 	}
-	sk, err := curve.GenerateKey(r)
-	if err != nil {
+	k := new(DHKey)
+	if _, err := io.ReadFull(r, k.sk[:]); err != nil {
 		return nil, err
 	}
-	k := new(DHKey)
-	k.set(sk)
+	k.derive()
 	return k, nil
 }
 
-func (k *DHKey) set(sk *ecdh.PrivateKey) {
-	k.sk = sk
-	copy(k.pub[:], sk.PublicKey().Bytes())
-}
+// derive sets k's public half from its private key.
+func (k *DHKey) derive() { x25519.BaseTable().Mul((*[KeySize]byte)(&k.pub), &k.sk) }
 
 // Public returns the public key corresponding to k.
 func (k *DHKey) Public() PublicKey { return k.pub }
@@ -160,22 +136,45 @@ func (k *DHKey) Precompute(peersPublic *PublicKey) (*[KeySize]byte, error) {
 }
 
 // PrecomputeInto is Precompute writing the shared key into storage the
-// caller owns — a server unwrapping a batch keeps one slab of keys per
-// round. What still allocates is inside crypto/ecdh: the parsed peer key
-// (2) and the raw shared secret (1). peersPublic is handed to crypto/ecdh
-// through an interface, so a stack value passed here moves to the heap;
-// point it at bytes that already live there.
+// caller owns, a batch of one (PrecomputeBatch). It allocates nothing.
 func (k *DHKey) PrecomputeInto(shared *[KeySize]byte, peersPublic *PublicKey) error {
-	pk, err := curve.NewPublicKey(peersPublic[:])
-	if err != nil {
-		return ErrKeyExchange
+	var key [1][KeySize]byte
+	var err [1]error
+	k.PrecomputeBatch(key[:], []*PublicKey{peersPublic}, err[:])
+	*shared = key[0]
+	return err[0]
+}
+
+// MaxBatch is the most exchanges one PrecomputeBatch call takes.
+const MaxBatch = x25519.MaxBatch
+
+// PrecomputeBatch is PrecomputeInto for up to MaxBatch peers at once, one
+// ladder each and one field inversion for all: shared[i] gets the key k
+// shares with *peers[i], and errs[i] is ErrKeyExchange where that exchange
+// yields the all-zero secret (shared[i] is then meaningless) and nil
+// elsewhere. A low-order peer key changes no other element's result. It
+// allocates nothing.
+func (k *DHKey) PrecomputeBatch(shared [][KeySize]byte, peers []*PublicKey, errs []error) {
+	var out, points [MaxBatch]*[KeySize]byte
+	for i := range peers {
+		out[i], points[i] = &shared[i], (*[KeySize]byte)(peers[i])
 	}
-	dh, err := k.sk.ECDH(pk)
-	if err != nil {
+	x25519.Ladder(out[:len(peers)], &k.sk, points[:len(peers)])
+	for i := range peers {
+		errs[i] = deriveKey(&shared[i])
+	}
+}
+
+// deriveKey replaces the raw X25519 secret in key with its NaCl box key,
+// HSalsa20(secret, 0), refusing the all-zero secret of a low-order peer
+// with ErrKeyExchange.
+func deriveKey(key *[KeySize]byte) error {
+	var zero [KeySize]byte
+	if subtle.ConstantTimeCompare(key[:], zero[:]) == 1 {
 		return ErrKeyExchange
 	}
 	var zeros [16]byte
-	salsa.HSalsa20(shared, (*[KeySize]byte)(dh), &zeros)
+	salsa.HSalsa20(key, key, &zeros)
 	return nil
 }
 
@@ -211,34 +210,41 @@ func NewPeers(pubs []PublicKey) ([]*Peer, error) {
 	return peers, nil
 }
 
-// Agree draws a fresh ephemeral key from rng (crypto/rand.Reader if nil)
-// as one KeySize-byte read, writes the NaCl box key it shares with p into
-// shared — HSalsa20(X25519(e, p), 0), what the ephemeral DHKey's
-// PrecomputeInto would give — and returns the ephemeral public key. It
-// allocates nothing. A low-order peer key yields the all-zero secret and
-// ErrKeyExchange; on any error shared is zeroed.
-func (p *Peer) Agree(shared *[KeySize]byte, rng io.Reader) (PublicKey, error) {
-	if rng == nil {
-		rng = rand.Reader
+// Agreement is one ephemeral key agreement with a Peer (Agree).
+type Agreement struct {
+	// Key holds a fresh ephemeral private key going in, and the NaCl box
+	// key it shares with the peer coming out.
+	Key [KeySize]byte
+	// Public is the ephemeral public key, set by Agree.
+	Public PublicKey
+}
+
+// Agree completes a[i] with peers[i] for every i, giving the keys an
+// ephemeral DHKey's PrecomputeInto would: both scalar mults of each run on
+// comb tables, up to MaxBatch/2 agreements under one field inversion. It
+// allocates nothing. A low-order peer key yields the all-zero secret: its
+// agreement's Key is zeroed and Agree returns ErrKeyExchange.
+func Agree(a []Agreement, peers []*Peer) error {
+	var err error
+	for len(a) > 0 {
+		n := min(len(a), MaxBatch/2)
+		var out, scalars [MaxBatch]*[KeySize]byte
+		var tables [MaxBatch]*x25519.Table
+		for i := range n {
+			// The comb reads every scalar before it writes: the secret
+			// replaces the private key.
+			out[2*i], tables[2*i], scalars[2*i] = (*[KeySize]byte)(&a[i].Public), x25519.BaseTable(), &a[i].Key
+			out[2*i+1], tables[2*i+1], scalars[2*i+1] = &a[i].Key, peers[i].table, &a[i].Key
+		}
+		x25519.MulBatch(out[:2*n], tables[:2*n], scalars[:2*n])
+		for i := range n {
+			if e := deriveKey(&a[i].Key); e != nil {
+				err = e
+			}
+		}
+		a, peers = a[n:], peers[n:]
 	}
-	// The scalar is read through shared: a local array handed to an
-	// io.Reader would move to the heap.
-	if _, err := io.ReadFull(rng, shared[:]); err != nil {
-		clear(shared[:])
-		return PublicKey{}, err
-	}
-	var epub PublicKey
-	var dh [KeySize]byte
-	x25519.BaseTable().Mul((*[KeySize]byte)(&epub), shared)
-	p.table.Mul(&dh, shared)
-	var zero [KeySize]byte
-	if subtle.ConstantTimeCompare(dh[:], zero[:]) == 1 {
-		clear(shared[:])
-		return PublicKey{}, ErrKeyExchange
-	}
-	var zeros [16]byte
-	salsa.HSalsa20(shared, &dh, &zeros)
-	return epub, nil
+	return err
 }
 
 // GenerateKey creates a fresh X25519 key pair using entropy from r
@@ -248,9 +254,7 @@ func GenerateKey(r io.Reader) (PublicKey, PrivateKey, error) {
 	if err != nil {
 		return PublicKey{}, PrivateKey{}, err
 	}
-	var priv PrivateKey
-	copy(priv[:], k.sk.Bytes())
-	return k.pub, priv, nil
+	return k.pub, k.sk, nil
 }
 
 // KeyPairFromSeed derives a deterministic key pair from a 32-byte seed.
@@ -258,32 +262,17 @@ func GenerateKey(r io.Reader) (PublicKey, PrivateKey, error) {
 // distribution of seeds is acceptable.
 func KeyPairFromSeed(seed []byte) (PublicKey, PrivateKey) {
 	priv := PrivateKey(sha256.Sum256(seed))
-	k, err := NewDHKey(&priv)
-	if err != nil {
-		// A 32-byte input is always a valid X25519 private key.
-		panic("box: impossible: " + err.Error())
-	}
-	return k.pub, priv
+	return PublicKeyOf(&priv), priv
 }
 
 // PublicKeyOf returns the public key corresponding to a private key.
-func PublicKeyOf(priv *PrivateKey) (PublicKey, error) {
-	k, err := NewDHKey(priv)
-	if err != nil {
-		return PublicKey{}, err
-	}
-	return k.pub, nil
-}
+func PublicKeyOf(priv *PrivateKey) PublicKey { return NewDHKey(priv).pub }
 
 // Precompute is DHKey.Precompute for a raw private key. It parses priv on
 // every call (two scalar mults in all); callers that use a key more than
 // once should hold a DHKey.
 func Precompute(peersPublic *PublicKey, priv *PrivateKey) (*[KeySize]byte, error) {
-	k, err := NewDHKey(priv)
-	if err != nil {
-		return nil, ErrKeyExchange
-	}
-	return k.Precompute(peersPublic)
+	return NewDHKey(priv).Precompute(peersPublic)
 }
 
 // Seal encrypts and authenticates msg with XSalsa20-Poly1305 under the

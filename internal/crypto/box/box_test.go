@@ -133,10 +133,7 @@ func TestKeyPairFromSeedDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced the same key")
 	}
 	// The derived public key must match PublicKeyOf.
-	pub, err := PublicKeyOf(&s1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pub := PublicKeyOf(&s1)
 	if pub != p1 {
 		t.Fatal("PublicKeyOf disagrees with KeyPairFromSeed")
 	}
@@ -157,10 +154,7 @@ func TestSealAnonymousRoundTrip(t *testing.T) {
 	if len(msg) == 32 && len(ct) != 80 {
 		t.Fatalf("invitation size %d, want 80 (paper §8.1)", len(ct))
 	}
-	r, err := NewDHKey(&rPriv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewDHKey(&rPriv)
 	pt, err := r.OpenAnonymous(ct, &rPub)
 	if err != nil {
 		t.Fatal(err)
@@ -177,10 +171,7 @@ func TestOpenAnonymousWrongKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := NewDHKey(&oPriv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := NewDHKey(&oPriv)
 	if _, err := o.OpenAnonymous(ct, &oPub); err == nil {
 		t.Fatal("wrong recipient opened anonymous box")
 	}

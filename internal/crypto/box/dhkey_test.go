@@ -2,7 +2,11 @@ package box
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
+	"fmt"
+	mrand "math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -25,10 +29,7 @@ var lowOrderPoints = []string{
 // ErrKeyExchange by the parsed key and by every raw-key wrapper over it.
 func TestPrecomputeRejectsLowOrderPeer(t *testing.T) {
 	pub, priv := mustKeyPair(t)
-	key, err := NewDHKey(&priv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := NewDHKey(&priv)
 	for _, h := range lowOrderPoints {
 		var peer PublicKey
 		copy(peer[:], fromHex(t, h))
@@ -55,9 +56,9 @@ func TestPrecomputeRejectsLowOrderPeer(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		var shared [KeySize]byte
-		if _, err := p.Agree(&shared, nil); !errors.Is(err, ErrKeyExchange) || shared != ([KeySize]byte{}) {
-			t.Errorf("peer %s: Peer.Agree: %v, want ErrKeyExchange and a zeroed key", h, err)
+		a := []Agreement{{Key: priv}}
+		if err := Agree(a, []*Peer{p}); !errors.Is(err, ErrKeyExchange) || a[0].Key != ([KeySize]byte{}) {
+			t.Errorf("peer %s: Agree: %v, want ErrKeyExchange and a zeroed key", h, err)
 		}
 	}
 }
@@ -67,10 +68,7 @@ func TestPrecomputeRejectsLowOrderPeer(t *testing.T) {
 // every goroutine the same answers as the raw-key path.
 func TestDHKeyShared(t *testing.T) {
 	rPub, rPriv := mustKeyPair(t)
-	key, err := NewDHKey(&rPriv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := NewDHKey(&rPriv)
 	peerPub, _ := mustKeyPair(t)
 	want, err := Precompute(&peerPub, &rPriv)
 	if err != nil {
@@ -110,10 +108,7 @@ func TestDHKeyShared(t *testing.T) {
 // server's key.
 func TestPeerShared(t *testing.T) {
 	sPub, sPriv := mustKeyPair(t)
-	server, err := NewDHKey(&sPriv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	server := NewDHKey(&sPriv)
 	peer, err := NewPeer(&sPub)
 	if err != nil {
 		t.Fatal(err)
@@ -124,19 +119,134 @@ func TestPeerShared(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				var shared [KeySize]byte
-				epub, err := peer.Agree(&shared, nil)
-				if err != nil {
+				a := []Agreement{{}}
+				rand.Read(a[0].Key[:])
+				if err := Agree(a, []*Peer{peer}); err != nil {
 					t.Errorf("Agree: %v", err)
 					return
 				}
-				want, err := server.Precompute(&epub)
-				if err != nil || *want != shared {
-					t.Errorf("the server derives another key from %x: %v", epub, err)
+				want, err := server.Precompute(&a[0].Public)
+				if err != nil || *want != a[0].Key {
+					t.Errorf("the server derives another key from %x: %v", a[0].Public, err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// countedStream is a seeded ChaCha8 stream that counts the bytes read.
+type countedStream struct {
+	src *mrand.ChaCha8
+	n   int
+}
+
+func (r *countedStream) Read(p []byte) (int, error) {
+	r.n += len(p)
+	return r.src.Read(p)
+}
+
+// TestGenerateDHKeySeeded: a key drawn from a seeded stream is a function
+// of the stream alone — one KeySize-byte read and nothing else — so two
+// identical streams give identical keys, which is what makes a seeded
+// benchmark's onions the same bytes on every run.
+func TestGenerateDHKeySeeded(t *testing.T) {
+	const keys = 64
+	a := &countedStream{src: mrand.NewChaCha8([32]byte{'s', 'e', 'e', 'd'})}
+	b := &countedStream{src: mrand.NewChaCha8([32]byte{'s', 'e', 'e', 'd'})}
+	for i := 0; i < keys; i++ {
+		ka, err := GenerateDHKey(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb, err := GenerateDHKey(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ka.Public() != kb.Public() {
+			t.Fatalf("key %d differs between two identical streams", i)
+		}
+	}
+	if a.n != keys*KeySize || b.n != keys*KeySize {
+		t.Fatalf("%d keys read %d and %d bytes, want %d", keys, a.n, b.n, keys*KeySize)
+	}
+}
+
+// TestBatchMatchesSingle holds both batched exchanges to their batches of
+// one, with hostile keys in the batch: PrecomputeBatch (the ladder, one
+// private key against up to MaxBatch onions' ephemeral keys) and Agree
+// (the comb, up to MaxBatch/2 agreements of two mults each). A low-order
+// or zero key fails its own element with ErrKeyExchange wherever it sits
+// and changes no other element's key.
+func TestBatchMatchesSingle(t *testing.T) {
+	_, priv := mustKeyPair(t)
+	key := NewDHKey(&priv)
+	var bad []PublicKey
+	for _, h := range lowOrderPoints {
+		if h[:2] != "ec" { // a twist point, which NewPeer refuses
+			bad = append(bad, PublicKey(fromHex(t, h)))
+		}
+	}
+	all := make([]int, MaxBatch)
+	for i := range all {
+		all[i] = i
+	}
+	for _, row := range []struct {
+		n   int
+		bad []int
+	}{
+		{1, nil}, {2, nil}, {15, nil}, {16, nil},
+		{1, []int{0}}, {2, []int{0}}, {15, []int{0, 7}}, {16, []int{0, 7, 15}}, {16, all},
+	} {
+		t.Run(fmt.Sprintf("n=%d/bad=%v", row.n, row.bad), func(t *testing.T) {
+			peers := make([]PublicKey, row.n)
+			for i := range peers {
+				peers[i], _ = mustKeyPair(t)
+			}
+			isBad := make([]bool, row.n)
+			for j, i := range row.bad {
+				peers[i], isBad[i] = bad[j%len(bad)], true
+			}
+
+			shared := make([][KeySize]byte, row.n)
+			ptrs := make([]*PublicKey, row.n)
+			for i := range peers {
+				ptrs[i] = &peers[i]
+			}
+			errs := make([]error, row.n)
+			key.PrecomputeBatch(shared, ptrs, errs)
+			for i := range peers {
+				var want [KeySize]byte
+				wantErr := key.PrecomputeInto(&want, &peers[i])
+				if isBad[i] != errors.Is(errs[i], ErrKeyExchange) || (wantErr == nil) != (errs[i] == nil) {
+					t.Fatalf("PrecomputeBatch element %d: %v, alone %v, bad %v", i, errs[i], wantErr, isBad[i])
+				}
+				if errs[i] == nil && shared[i] != want {
+					t.Fatalf("PrecomputeBatch element %d differs from the key agreed alone", i)
+				}
+			}
+
+			parsed, err := NewPeers(peers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := make([]Agreement, row.n)
+			for i := range a {
+				rand.Read(a[i].Key[:])
+			}
+			scalars := slices.Clone(a)
+			err = Agree(a, parsed)
+			if (err != nil) != (len(row.bad) > 0) || (err != nil && !errors.Is(err, ErrKeyExchange)) {
+				t.Fatalf("Agree: %v, with %d bad keys", err, len(row.bad))
+			}
+			for i := range a {
+				one := []Agreement{scalars[i]}
+				oneErr := Agree(one, parsed[i:i+1])
+				if a[i] != one[0] || isBad[i] != (oneErr != nil) {
+					t.Fatalf("Agree element %d differs from the agreement alone (%v), bad %v", i, oneErr, isBad[i])
+				}
+			}
+		})
+	}
 }

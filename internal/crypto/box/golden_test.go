@@ -89,10 +89,7 @@ func TestGoldenSeededIdentities(t *testing.T) {
 		t.Fatal("precompute asymmetric")
 	}
 	// And the same bytes from a parsed key.
-	bob, err := NewDHKey(&bPriv)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bob := NewDHKey(&bPriv)
 	shared3, err := bob.Precompute(&aPub)
 	if err != nil {
 		t.Fatal(err)

@@ -2,18 +2,21 @@ package ref25519
 
 import (
 	"crypto/rand"
+	"errors"
 	"testing"
 
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/crypto/salsa"
+	"vuvuzela/internal/crypto/x25519"
 )
 
 // TestPrecomputeMatchesReferenceConstruction validates the full NaCl
 // "beforenm" pipeline against independent parts: the production
-// Precompute (crypto/ecdh + HSalsa20) — through a parsed DHKey and through
-// the raw-key wrapper — must equal HSalsa20 applied to the from-scratch
-// RFC 7748 ladder's raw shared secret. This ties together every DH code
-// path in the repository.
+// Precompute (internal/crypto/x25519's ladder + HSalsa20) — through a
+// parsed DHKey and through the raw-key wrapper, whose public half comes
+// from the kernel's comb — must equal HSalsa20 applied to the from-scratch
+// RFC 7748 ladder's raw shared secret. With TestLadderMatchesReference
+// this ties every DH code path in the repository to this package.
 func TestPrecomputeMatchesReferenceConstruction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		alicePub, alicePriv, err := box.GenerateKey(rand.Reader)
@@ -29,10 +32,7 @@ func TestPrecomputeMatchesReferenceConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alice, err := box.NewDHKey(&alicePriv)
-		if err != nil {
-			t.Fatal(err)
-		}
+		alice := box.NewDHKey(&alicePriv)
 		if alice.Public() != alicePub {
 			t.Fatalf("iteration %d: parsed key's public half %x, generated %x", i, alice.Public(), alicePub)
 		}
@@ -66,6 +66,38 @@ func TestPrecomputeMatchesReferenceConstruction(t *testing.T) {
 		}
 		if *back != ref {
 			t.Fatal("reverse direction disagrees with reference")
+		}
+	}
+}
+
+// TestLadderMatchesReference holds the production ladder to the
+// from-scratch one, error for error, over random scalar/point pairs —
+// about half of them twist points, which the ladder takes like any other —
+// and the low-order points: the reference's error is the production
+// ladder's all-zero output and box's ErrKeyExchange.
+func TestLadderMatchesReference(t *testing.T) {
+	points := make([][32]byte, 300)
+	for i := range points {
+		rand.Read(points[i][:])
+	}
+	for _, h := range []string{
+		"0000000000000000000000000000000000000000000000000000000000000000",
+		"0100000000000000000000000000000000000000000000000000000000000000",
+		"e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+		"5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+		"ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+	} {
+		points = append(points, fromHex(t, h))
+	}
+	for i := range points {
+		var scalar [32]byte
+		rand.Read(scalar[:])
+		want, refErr := X25519(&scalar, &points[i])
+		var got [32]byte
+		x25519.Ladder([]*[32]byte{&got}, &scalar, []*[32]byte{&points[i]})
+		_, boxErr := box.Precompute((*box.PublicKey)(&points[i]), (*box.PrivateKey)(&scalar))
+		if got != want || (refErr != nil) != errors.Is(boxErr, box.ErrKeyExchange) {
+			t.Fatalf("scalar %x, u=%x: ladder %x (box %v), reference %x (%v)", scalar, points[i], got, boxErr, want, refErr)
 		}
 	}
 }

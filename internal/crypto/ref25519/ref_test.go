@@ -1,12 +1,13 @@
 // Package ref25519 is a from-scratch reference implementation of the X25519
 // function from RFC 7748, built on math/big.
 //
-// The production code path uses the standard library's crypto/ecdh (which
-// Vuvuzela's prototype also relied on via Go's optimized Curve25519
-// assembly, paper §7). This package exists so the repository contains a
-// complete, independently-written implementation of every cryptographic
-// primitive the system depends on; tests cross-check it against crypto/ecdh,
-// the RFC 7748 vectors and the production box.Precompute. It is not
+// The production code path is internal/crypto/x25519, the standard
+// library's ladder and field assembly ported beside a fixed-base comb (as
+// Vuvuzela's prototype relied on Go's optimized Curve25519 assembly, paper
+// §7). This package exists so the repository contains a complete,
+// independently-written implementation of every cryptographic primitive
+// the system depends on; tests cross-check it against crypto/ecdh, the RFC
+// 7748 vectors, the production ladder and box.Precompute. It is not
 // constant-time and is compiled into tests only: no binary carries it.
 package ref25519
 

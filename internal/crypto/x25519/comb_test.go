@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math/big"
 	"slices"
+	"sync"
 	"testing"
 
 	"vuvuzela/internal/crypto/box"
@@ -72,12 +73,31 @@ func ladder(t testing.TB, scalar, u *[32]byte) ([32]byte, error) {
 	return [32]byte(out), nil
 }
 
+// one is a batch of one, for the ladder.
+func one(scalar, u *[32]byte) [32]byte {
+	var out [32]byte
+	x25519.Ladder([]*[32]byte{&out}, scalar, []*[32]byte{u})
+	return out
+}
+
+// checkLadder holds the ladder to crypto/ecdh's, error for error: an
+// error there is the all-zero output here.
+func checkLadder(t testing.TB, scalar, u *[32]byte) {
+	t.Helper()
+	want, err := ladder(t, scalar, u)
+	if got := one(scalar, u); got != want {
+		t.Fatalf("scalar %x, u=%x: ladder %x, crypto/ecdh %x (%v)", scalar, u, got, want, err)
+	}
+}
+
 // check is the differential: the comb refuses u exactly when u is a twist
 // point, and otherwise the base and peer tables give the ladder's bytes —
-// and so do box.NewPeer and Agree, error for error, against the ephemeral
-// DHKey's Precompute under the same scalar.
+// and so do box.NewPeer and box.Agree, error for error, against the
+// ephemeral DHKey's Precompute under the same scalar. The ported ladder
+// gives crypto/ecdh's bytes for every u, twist points included.
 func check(t testing.TB, scalar, u *[32]byte) {
 	t.Helper()
+	checkLadder(t, scalar, u)
 	twist := onTwist(u)
 	table, err := x25519.NewTable(u)
 	if (err != nil) != twist {
@@ -109,13 +129,70 @@ func check(t testing.TB, scalar, u *[32]byte) {
 	}
 
 	wantKey, wantErr := box.Precompute((*box.PublicKey)(u), (*box.PrivateKey)(scalar))
-	var shared [box.KeySize]byte
-	epub, err := peer.Agree(&shared, bytes.NewReader(scalar[:]))
+	a := []box.Agreement{{Key: *scalar}}
+	err = box.Agree(a, []*box.Peer{peer})
 	if (err != nil) != (wantErr != nil) || (err != nil && !errors.Is(err, box.ErrKeyExchange)) {
 		t.Fatalf("scalar %x, u=%x: Agree error %v, Precompute error %v", scalar, u, err, wantErr)
 	}
-	if err == nil && (shared != *wantKey || [32]byte(epub) != pub) {
-		t.Fatalf("scalar %x, u=%x: Agree gave key %x under %x, want %x under %x", scalar, u, shared, epub, *wantKey, pub)
+	if err == nil && (a[0].Key != *wantKey || [32]byte(a[0].Public) != pub) {
+		t.Fatalf("scalar %x, u=%x: Agree gave key %x under %x, want %x under %x", scalar, u, a[0].Key, a[0].Public, *wantKey, pub)
+	}
+}
+
+// honest is MaxBatch honest public keys and their tables, built once.
+var honest = sync.OnceValue(func() (h struct {
+	points [x25519.MaxBatch][32]byte
+	tables [x25519.MaxBatch]*x25519.Table
+}) {
+	for i := range h.points {
+		pub, _ := box.KeyPairFromSeed([]byte{'h', byte(i)})
+		h.points[i] = pub
+		var err error
+		if h.tables[i], err = x25519.NewTable(&h.points[i]); err != nil {
+			panic(err)
+		}
+	}
+	return h
+})
+
+// checkBatched is the batch differential: u sits at positions 0, 7 and 15
+// of a full ladder batch (one scalar) and, where it has a table, of a full
+// comb batch (a scalar per pair), honest points filling the rest; every
+// element must be its batch of one, so a u that is low-order, zero or
+// anything else changes no other element.
+func checkBatched(t testing.TB, scalar, u *[32]byte) {
+	t.Helper()
+	h := honest()
+	table, tableErr := x25519.NewTable(u)
+	var out [x25519.MaxBatch][32]byte
+	var outs, points, scalars [x25519.MaxBatch]*[32]byte
+	var tables [x25519.MaxBatch]*x25519.Table
+	var keys [x25519.MaxBatch][32]byte
+	for i := range points {
+		outs[i], points[i], tables[i] = &out[i], &h.points[i], h.tables[i]
+		keys[i] = *scalar
+		keys[i][i] ^= 0x55
+		scalars[i] = &keys[i]
+	}
+	for _, i := range []int{0, 7, 15} {
+		points[i] = u
+		if tableErr == nil {
+			tables[i] = table
+		}
+	}
+	x25519.Ladder(outs[:], scalar, points[:])
+	for i := range out {
+		if want := one(scalar, points[i]); out[i] != want {
+			t.Fatalf("scalar %x, u=%x: ladder batch element %d is %x, alone %x", scalar, u, i, out[i], want)
+		}
+	}
+	x25519.MulBatch(outs[:], tables[:], scalars[:])
+	for i := range out {
+		var want [32]byte
+		tables[i].Mul(&want, scalars[i])
+		if out[i] != want {
+			t.Fatalf("scalar %x, u=%x: comb batch element %d is %x, alone %x", scalar, u, i, out[i], want)
+		}
 	}
 }
 
@@ -159,19 +236,68 @@ func specialU(t testing.TB) []special {
 	return out
 }
 
+// rfc7748 is RFC 7748 §5.2's two single-exchange vectors.
+var rfc7748 = []struct{ scalar, u, out string }{
+	{"a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+		"e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
+		"c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"},
+	{"4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
+		"e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
+		"95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"},
+}
+
+// TestLadderMatchesECDH holds the ported ladder to RFC 7748 and to
+// crypto/ecdh's: §5.2's vectors, its 1- and 1000-iteration ones, the
+// special u values under the clamping-edge scalars and random ones, and
+// random scalar/point pairs, twist points included.
+func TestLadderMatchesECDH(t *testing.T) {
+	for _, v := range rfc7748 {
+		scalar, u, out := hex32(t, v.scalar), hex32(t, v.u), hex32(t, v.out)
+		if got := one(&scalar, &u); got != out {
+			t.Fatalf("ladder %x, RFC 7748 %x", got, out)
+		}
+		checkLadder(t, &scalar, &u)
+	}
+	// k = u = 9; each iteration sets k, u = X25519(k, u), k.
+	k, u := [32]byte{9}, [32]byte{9}
+	for i := 1; i <= 1000; i++ {
+		k, u = one(&k, &u), k
+		want := map[int]string{
+			1:    "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079",
+			1000: "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51",
+		}[i]
+		if want != "" && k != hex32(t, want) {
+			t.Fatalf("after %d iterations: %x, RFC 7748 %s", i, k, want)
+		}
+	}
+
+	var zeros, ones [32]byte
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	for _, s := range specialU(t) {
+		checkLadder(t, &zeros, &s.u)
+		checkLadder(t, &ones, &s.u)
+		for i := 0; i < 4; i++ {
+			var scalar [32]byte
+			rand.Read(scalar[:])
+			checkLadder(t, &scalar, &s.u)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		var scalar, u [32]byte
+		rand.Read(scalar[:])
+		rand.Read(u[:])
+		checkLadder(t, &scalar, &u)
+	}
+}
+
 // TestCombMatchesECDH holds the comb to crypto/ecdh's ladder: RFC 7748
 // §5.2's vectors, the special u values under the clamping-edge scalars
 // (all zeros, all 0xff) and random ones, random scalar/point pairs — half
 // of them on the twist — and honest public keys, which are never refused.
 func TestCombMatchesECDH(t *testing.T) {
-	for _, v := range []struct{ scalar, u, out string }{
-		{"a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
-			"e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
-			"c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"},
-		{"4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
-			"e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
-			"95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"},
-	} {
+	for _, v := range rfc7748 {
 		scalar, u, out := hex32(t, v.scalar), hex32(t, v.u), hex32(t, v.out)
 		if want, err := ladder(t, &scalar, &u); err != nil || want != out {
 			t.Fatalf("ladder disagrees with RFC 7748: %x, %v", want, err)
@@ -224,8 +350,8 @@ func TestCombMatchesECDH(t *testing.T) {
 	}
 }
 
-// FuzzComb is TestCombMatchesECDH's differential over fuzzed (scalar, u)
-// pairs.
+// FuzzComb is TestCombMatchesECDH's differential, and the batch
+// differential, over fuzzed (scalar, u) pairs.
 func FuzzComb(f *testing.F) {
 	ones := bytes.Repeat([]byte{0xff}, 32)
 	for _, s := range specialU(f) {
@@ -237,6 +363,7 @@ func FuzzComb(f *testing.F) {
 			t.Skip()
 		}
 		check(t, (*[32]byte)(scalar), (*[32]byte)(u))
+		checkBatched(t, (*[32]byte)(scalar), (*[32]byte)(u))
 	})
 }
 
@@ -264,17 +391,49 @@ func BenchmarkMul(b *testing.B) {
 	}
 }
 
+// BenchmarkLadder is one exchange, a batch of one; BenchmarkLadderECDH is
+// the standard library's for the same exchange.
 func BenchmarkLadder(b *testing.B) {
+	var scalar [32]byte
+	rand.Read(scalar[:])
+	u := honest().points[0]
+	for b.Loop() {
+		one(&scalar, &u)
+	}
+}
+
+func BenchmarkLadderECDH(b *testing.B) {
 	var scalar [32]byte
 	rand.Read(scalar[:])
 	k, err := ecdh.X25519().NewPrivateKey(scalar[:])
 	if err != nil {
 		b.Fatal(err)
 	}
-	peer := k.PublicKey()
+	u := honest().points[0]
+	peer, err := ecdh.X25519().NewPublicKey(u[:])
+	if err != nil {
+		b.Fatal(err)
+	}
 	for b.Loop() {
 		if _, err := k.ECDH(peer); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLadderBatch is MaxBatch exchanges under one scalar, as a server
+// unwraps a chunk of onions; against MaxBatch × BenchmarkLadder it is what
+// sharing one inversion saves.
+func BenchmarkLadderBatch(b *testing.B) {
+	var scalar [32]byte
+	rand.Read(scalar[:])
+	h := honest()
+	var out [x25519.MaxBatch][32]byte
+	var outs, points [x25519.MaxBatch]*[32]byte
+	for i := range points {
+		outs[i], points[i] = &out[i], &h.points[i]
+	}
+	for b.Loop() {
+		x25519.Ladder(outs[:], &scalar, points[:])
 	}
 }

@@ -3,8 +3,10 @@
 // license that can be found in the LICENSE file.
 
 // Ported from the Go 1.24 standard library,
-// crypto/internal/fips140/edwards25519/field (fe.go, fe_generic.go): the
-// generic code only, trimmed to what the comb calls.
+// crypto/internal/fips140/edwards25519/field (fe.go, fe_generic.go),
+// trimmed to what the comb and the ladder call. The generic multiply and
+// square are the field on every GOARCH but amd64 (fe_other.go); on amd64
+// they are the reference the assembly is tested against.
 
 package x25519
 
@@ -236,6 +238,51 @@ func (v *fieldElement) Select(a, b *fieldElement, cond int) *fieldElement {
 	return v
 }
 
+// Swap swaps v and u if cond == 1 or leaves them unchanged if cond == 0.
+func (v *fieldElement) Swap(u *fieldElement, cond int) {
+	m := mask64Bits(cond)
+	t := m & (v.l0 ^ u.l0)
+	v.l0 ^= t
+	u.l0 ^= t
+	t = m & (v.l1 ^ u.l1)
+	v.l1 ^= t
+	u.l1 ^= t
+	t = m & (v.l2 ^ u.l2)
+	v.l2 ^= t
+	u.l2 ^= t
+	t = m & (v.l3 ^ u.l3)
+	v.l3 ^= t
+	u.l3 ^= t
+	t = m & (v.l4 ^ u.l4)
+	v.l4 ^= t
+	u.l4 ^= t
+}
+
+// Mult32 sets v = x * y, and returns v.
+func (v *fieldElement) Mult32(x *fieldElement, y uint32) *fieldElement {
+	x0lo, x0hi := mul51(x.l0, y)
+	x1lo, x1hi := mul51(x.l1, y)
+	x2lo, x2hi := mul51(x.l2, y)
+	x3lo, x3hi := mul51(x.l3, y)
+	x4lo, x4hi := mul51(x.l4, y)
+	v.l0 = x0lo + 19*x4hi // carried over per the reduction identity
+	v.l1 = x1lo + x0hi
+	v.l2 = x2lo + x1hi
+	v.l3 = x3lo + x2hi
+	v.l4 = x4lo + x3hi
+	// The hi portions are going to be only 32 bits, plus any previous excess,
+	// so we can skip the carry propagation.
+	return v
+}
+
+// mul51 returns lo + hi * 2⁵¹ = a * b.
+func mul51(a uint64, b uint32) (lo uint64, hi uint64) {
+	mh, ml := bits.Mul64(a, uint64(b))
+	lo = ml & maskLow51Bits
+	hi = (mh << 13) | (ml >> 51)
+	return
+}
+
 // Pow22523 set v = x^((p-5)/8), and returns v. (p-5)/8 is 2^252-3.
 func (v *fieldElement) Pow22523(x *fieldElement) *fieldElement {
 	var t0, t1, t2 fieldElement
@@ -354,7 +401,7 @@ func shiftRightBy51(a uint128) uint64 {
 	return (a.hi << (64 - 51)) | (a.lo >> 51)
 }
 
-func feMul(v, a, b *fieldElement) {
+func feMulGeneric(v, a, b *fieldElement) {
 	a0 := a.l0
 	a1 := a.l1
 	a2 := a.l2
@@ -485,7 +532,7 @@ func feMul(v, a, b *fieldElement) {
 	v.carryPropagate()
 }
 
-func feSquare(v, a *fieldElement) {
+func feSquareGeneric(v, a *fieldElement) {
 	l0 := a.l0
 	l1 := a.l1
 	l2 := a.l2

@@ -2,31 +2,47 @@
 // Use of this source code is governed by a BSD-style
 // license that can be found in the LICENSE file.
 
-// Package x25519 computes X25519(k, P) — RFC 7748's function, byte for
-// byte what crypto/ecdh's ladder returns — for a point P known ahead of
-// time, at about half the ladder's cost. A Table holds 32 × 8 affine
-// multiples of P on edwards25519, and Mul adds up one entry per signed
-// radix-16 digit of the clamped scalar, then maps the sum back to its
-// Montgomery u: the standard library's ScalarBaseMult, applied to any
-// point. The clamped scalar is below 2^255, so it is used unreduced, which
-// is what keeps the result exact for a P with a small-order component.
+// Package x25519 is the one X25519 kernel: every Curve25519 scalar mult
+// in this system runs here, computing RFC 7748's X25519(k, P) — byte for
+// byte what crypto/ecdh returns, all zeros for the low-order results it
+// refuses. It multiplies two ways, on one field.
 //
-// Two kinds of P are fixed in this system: the generator (BaseTable, the
-// ephemeral half of every key agreement) and each downstream chain
-// server's long-term key (NewTable, one per key, built once). Every
-// exchange whose P is someone's fresh ephemeral key stays on crypto/ecdh.
+// The ladder (Ladder) takes any P: the Montgomery ladder, ported from
+// crypto/ecdh, for a P first seen in the exchange — the ephemeral key of an
+// onion being unwrapped, of an anonymous box being opened, of a handshake.
 //
-// Mul is constant-time in the scalar: 64 additions and 4 doublings in
-// every call, each lookup reading all 8 entries of its row and keeping one
-// by masked selects, a masked negation for the digit's sign, and no load
-// or branch indexed by a secret (docs/THREAT_MODEL.md §2). A Table is
-// public data — multiples of a public point — and NewTable's branches
+// The comb (Table, MulBatch) is for a P known ahead of time, at about half
+// the ladder's cost. A Table holds 32 × 8 affine multiples of P on
+// edwards25519, and the comb adds up one entry per signed radix-16 digit of
+// the clamped scalar, then maps the sum back to its Montgomery u: the
+// standard library's ScalarBaseMult, applied to any point. The clamped
+// scalar is below 2^255, so it is used unreduced, which is what keeps the
+// result exact for a P with a small-order component. Two kinds of P are
+// fixed in this system: the generator (BaseTable, every public key) and
+// each downstream chain server's long-term key (NewTable, one per key,
+// built once).
+//
+// Both take a batch of up to MaxBatch products and end it with one field
+// inversion (Montgomery's trick): a ladder batch is one scalar against
+// several points, a comb batch several (table, scalar) pairs, and a single
+// product is a batch of one. A product that is the identity — a low-order
+// or zero P, which a hostile client may pick as its own ephemeral key — has
+// its denominator replaced by 1 and its output forced to zeros, both by
+// masked selects, so it cannot change any other product of its batch.
+//
+// Both are constant-time in the scalar (docs/THREAT_MODEL.md §2). The
+// ladder runs 255 fixed steps, swapping by masks. The comb does 64
+// additions and 4 doublings in every call, each lookup reading all 8
+// entries of its row and keeping one by masked selects, a masked negation
+// for the digit's sign, and no load or branch indexed by a secret. A Table
+// is public data — multiples of a public point — and NewTable's branches
 // depend only on u.
 //
-// The field and Edwards arithmetic are ported from the Go 1.24 standard
-// library (crypto/internal/fips140/edwards25519 and its field package),
-// generic Go only, trimmed to what the comb calls; the Go Authors' notice
-// stays on each ported file.
+// The field, the ladder and the Edwards arithmetic are ported from the Go
+// 1.24 standard library (crypto/ecdh, crypto/internal/fips140/edwards25519
+// and its field package), trimmed to what this package calls; on amd64 the
+// field multiply and square are the library's own assembly (fe_amd64.s).
+// The Go Authors' notice stays on each ported file.
 package x25519
 
 import (
@@ -60,9 +76,7 @@ func NewTable(u *[32]byte) (*Table, error) {
 }
 
 // build fills t from p: every multiple in extended coordinates first, then
-// all 256 Z inverted at once (Montgomery's trick: one field inversion and
-// three multiplications per entry, where one inversion per entry would cost
-// five times as much).
+// all 256 Z inverted at once.
 func (t *Table) build(p *point) {
 	var pts [32 * 8]point
 	var q projCached
@@ -86,24 +100,72 @@ func (t *Table) build(p *point) {
 		pts[(i+1)*8].fromP1xP1(sum.Double(&dbl))
 	}
 
-	// acc[k] = Z_0 · … · Z_k. No Z is zero: edwards25519's addition law is
-	// complete.
-	var acc [len(pts)]fieldElement
-	acc[0] = pts[0].z
-	for k := 1; k < len(pts); k++ {
-		acc[k].Multiply(&acc[k-1], &pts[k].z)
+	// No Z is zero: edwards25519's addition law is complete.
+	var zInv, acc [len(pts)]fieldElement
+	for k := range pts {
+		zInv[k] = pts[k].z
 	}
-	var inv, zInv fieldElement
-	inv.Invert(&acc[len(pts)-1])
-	for k := len(pts) - 1; k >= 0; k-- {
-		if k == 0 {
-			zInv = inv
-		} else {
-			zInv.Multiply(&inv, &acc[k-1])
-			inv.Multiply(&inv, &pts[k].z)
-		}
-		t.rows[k/8].points[k%8].fromP3(&pts[k], &zInv)
+	invertAll(zInv[:], acc[:])
+	for k := range pts {
+		t.rows[k/8].points[k%8].fromP3(&pts[k], &zInv[k])
 	}
+}
+
+// invertAll sets every z[k] to 1/z[k] with one field inversion and three
+// multiplications per element (Montgomery's trick); acc, as long as z,
+// holds the running products. No z[k] may be zero: one would zero them
+// all.
+func invertAll(z, acc []fieldElement) {
+	// acc[k] = z_0 · … · z_k.
+	acc[0] = z[0]
+	for k := 1; k < len(z); k++ {
+		acc[k].Multiply(&acc[k-1], &z[k])
+	}
+	var inv, zk fieldElement
+	inv.Invert(&acc[len(z)-1])
+	for k := len(z) - 1; k > 0; k-- {
+		// inv = 1/(z_0 · … · z_k).
+		zk = z[k]
+		z[k].Multiply(&inv, &acc[k-1])
+		inv.Multiply(&inv, &zk)
+	}
+	z[0] = inv
+}
+
+// MaxBatch is the most products one Ladder or MulBatch call takes.
+const MaxBatch = 16
+
+// divide writes num[i]/den[i] to out[i] for every i of a batch, with one
+// inversion for all of them. A zero den[i] is the identity, whose X25519
+// output is all zeros: its den is replaced by 1 and its output forced to
+// zeros, both by masked selects, so it cannot zero the product every other
+// element's inverse is recovered from, and which element it was is never
+// branched on.
+func divide(out []*[32]byte, num, den []fieldElement) {
+	if len(den) == 0 {
+		return
+	}
+	var zero [MaxBatch]int
+	var acc [MaxBatch]fieldElement
+	for i := range den {
+		zero[i] = den[i].Equal(feZero)
+		den[i].Select(feOne, &den[i], zero[i])
+	}
+	invertAll(den, acc[:len(den)])
+	for i := range den {
+		num[i].Multiply(&num[i], &den[i])
+		num[i].Select(feZero, &num[i], zero[i])
+		num[i].Bytes(out[i])
+	}
+}
+
+// clamp returns RFC 7748's clamped copy of scalar.
+func clamp(scalar *[32]byte) [32]byte {
+	e := *scalar
+	e[0] &= 248
+	e[31] &= 127
+	e[31] |= 64
+	return e
 }
 
 var baseTable = sync.OnceValue(func() *Table {
@@ -118,14 +180,28 @@ var baseTable = sync.OnceValue(func() *Table {
 // first call.
 func BaseTable() *Table { return baseTable() }
 
-// Mul sets dst to X25519(scalar, P) for the table's P: the u-coordinate of
-// [clamp(scalar)]P, all zeros for the identity (the output crypto/ecdh
-// refuses as low order). It runs in time independent of scalar.
+// Mul sets dst to X25519(scalar, P) for the table's P: a batch of one.
 func (t *Table) Mul(dst, scalar *[32]byte) {
-	e := *scalar
-	e[0] &= 248
-	e[31] &= 127
-	e[31] |= 64
+	MulBatch([]*[32]byte{dst}, []*Table{t}, []*[32]byte{scalar})
+}
+
+// MulBatch sets out[i] to X25519(*scalars[i], P) for the P of tables[i],
+// for every i, up to MaxBatch pairs: the u-coordinate of
+// [clamp(scalar)]P, all zeros for the identity (the output crypto/ecdh
+// refuses as low order). Every output is written after every input is
+// read, so out may alias scalars. It runs in time independent of the
+// scalars.
+func MulBatch(out []*[32]byte, tables []*Table, scalars []*[32]byte) {
+	var num, den [MaxBatch]fieldElement
+	for i, t := range tables {
+		t.mul(&num[i], &den[i], scalars[i])
+	}
+	divide(out, num[:len(tables)], den[:len(tables)])
+}
+
+// mul sets num/den to the u-coordinate of [clamp(scalar)]P.
+func (t *Table) mul(num, den *fieldElement, scalar *[32]byte) {
+	e := clamp(scalar)
 	digits := signedRadix16(&e)
 
 	// Write e = sum(e_i * 16^i) so e*P = sum(P*e_i*16^i), grouping even
@@ -165,13 +241,9 @@ func (t *Table) Mul(dst, scalar *[32]byte) {
 		v.fromP1xP1(tmp1.AddAffine(&v, multiple))
 	}
 
-	// u = (1 + y) / (1 − y) = (Z + Y) / (Z − Y); the identity has Z = Y,
-	// and inverting zero gives zero.
-	var num, den fieldElement
+	// u = (1 + y) / (1 − y) = (Z + Y) / (Z − Y); the identity has Z = Y.
 	num.Add(&v.z, &v.y)
 	den.Subtract(&v.z, &v.y)
-	num.Multiply(&num, den.Invert(&den))
-	num.Bytes(dst)
 }
 
 // signedRadix16 returns the signed radix-16 digits of b, a little-endian

@@ -92,11 +92,7 @@ func (inv *Invitation) Seal(recipient *box.PublicKey, rng io.Reader) ([]byte, er
 // downloaded bucket (§5.1: "tries to decrypt every invitation to find any
 // that are meant for them").
 func OpenInvitation(sealed []byte, recipientPub *box.PublicKey, recipientPriv *box.PrivateKey) (*Invitation, bool) {
-	key, err := box.NewDHKey(recipientPriv)
-	if err != nil {
-		return nil, false
-	}
-	return openInvitation(sealed, recipientPub, key)
+	return openInvitation(sealed, recipientPub, box.NewDHKey(recipientPriv))
 }
 
 // openInvitation is OpenInvitation with the recipient's key already
@@ -281,10 +277,7 @@ func (g NoiseGen) Fill(dst [][]byte, counts []int) {
 // ScanBucket trial-decrypts every invitation in a downloaded bucket and
 // returns those addressed to the recipient.
 func ScanBucket(bucket [][]byte, recipientPub *box.PublicKey, recipientPriv *box.PrivateKey) []*Invitation {
-	key, err := box.NewDHKey(recipientPriv)
-	if err != nil {
-		return nil
-	}
+	key := box.NewDHKey(recipientPriv)
 	var out []*Invitation
 	for _, sealed := range bucket {
 		if inv, ok := openInvitation(sealed, recipientPub, key); ok {

@@ -15,15 +15,15 @@ import (
 )
 
 // TestRoundAllocs pins what a warm conversation round costs a server per
-// onion: the 3 allocations of crypto/ecdh's key exchange and nothing else.
-// A mixing hop and the last hop are driven together over transport.Mem
-// from an entry leg — received frames recycled, each layer unwrapped where
-// it arrived, keys and replies in one buffer per round — with batches of
-// two sizes: the difference is 6 per onion, 3 for each hop, and what is
-// left is a per-round constant (the frame-sized buffers, the slices of
-// views, the permutation, the dead-drop table, the worker goroutines).
-// Cover traffic is pinned apart, in TestSealNoiseAllocs: its paths are
-// agreed off the round's path, by the pool's refill.
+// onion: nothing. A mixing hop and the last hop are driven together over
+// transport.Mem from an entry leg — received frames recycled, each layer
+// unwrapped where it arrived with its key agreed on the stack, keys and
+// replies in one buffer per round — with batches of two sizes: the
+// difference is what an onion costs, and what is left is a per-round
+// constant (the frame-sized buffers and slabs, the slices of views, the
+// permutation, the dead-drop table). Cover traffic is pinned apart, in
+// TestSealNoiseAllocs: its paths are agreed off the round's path, by the
+// pool's refill.
 func TestRoundAllocs(t *testing.T) {
 	pubs, privs, err := NewChainKeys(2)
 	if err != nil {
@@ -57,11 +57,11 @@ func TestRoundAllocs(t *testing.T) {
 	perOnion := (b - a) / (large - small)
 	fixed := a - perOnion*small
 	t.Logf("a round of two hops allocates %.2f per onion + %.0f", perOnion, fixed)
-	if perOnion > 6.05 {
-		t.Errorf("two hops allocate %.2f times per onion, want 6 (3 per hop, all crypto/ecdh)", perOnion)
+	if perOnion > 0.05 {
+		t.Errorf("two hops allocate %.2f times per onion, want 0", perOnion)
 	}
-	if fixed > 150 {
-		t.Errorf("two hops allocate %.0f times per round besides, want at most 150", fixed)
+	if fixed > 60 {
+		t.Errorf("two hops allocate %.0f times per round besides, want at most 60", fixed)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestSealNoiseAllocs(t *testing.T) {
 // TestPathAgreeAllocs: agreeing a noise onion's path — what the pool's
 // refill and a short round's inline top-up do by the hundred — allocates
 // the path and nothing else, at any depth: the downstream keys are parsed
-// once, at NewServer, and each layer's agreement runs on their tables
-// (box.Peer.Agree). On crypto/ecdh it was 10.5 per layer + 1.
+// once, at NewServer, and all of a path's agreements run on their tables
+// in one batch (box.Agree).
 func TestPathAgreeAllocs(t *testing.T) {
 	pubs, privs, err := NewChainKeys(3)
 	if err != nil {

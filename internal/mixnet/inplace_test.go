@@ -3,6 +3,8 @@ package mixnet
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"vuvuzela/internal/convo"
@@ -122,48 +124,127 @@ func TestExportedRoundsLeaveCallerBytes(t *testing.T) {
 // TestRefusedOnionUntouchedZeroReply: the in-place round writes nothing
 // into an onion whose layer does not authenticate, and answers it — like a
 // malformed or wrong-size one — with zeros of exactly the layer's reply
-// size in its own slot, whichever hop refuses it.
+// size in its own slot, whichever hop refuses it. An onion keyed by a
+// low-order point — a hostile client picks its own ephemeral key — is
+// refused at the hop that agrees a key with it and changes no other key of
+// its batched agreement: in a served round of two full chunks (32 onions
+// on two workers), wherever in its chunk it sits, every honest onion gets
+// its partner's message back.
 func TestRefusedOnionUntouchedZeroReply(t *testing.T) {
-	servers, pubs, _, _, _ := reuseChain(t, noise.Fixed{N: 2}, nil)
-	alice, bob := newUser(t, "alice"), newUser(t, "bob")
-	a, aKeys, aSecret := alice.convoOnion(t, 1, pubs, &bob.pub, []byte("m1"))
-	b, _, _ := bob.convoOnion(t, 1, pubs, &alice.pub, []byte("m2"))
-	forged := bytes.Clone(a)
-	forged[len(forged)/2] ^= 1
-	stale1, keys1 := staleAt(t, 1, pubs, 1)
-	stale2, keys2 := staleAt(t, 1, pubs, 2)
-	long := append(bytes.Clone(b), 0)
-	// The raw slices are kept: the round replaces the batch's elements.
-	raw := [][]byte{forged, a, []byte{}, stale1, b, stale2, long[:len(long):len(long)], make([]byte, onion.LayerOverhead-1)}
-	before := cloneAll(raw)
+	servers, pubs, addrs, mem, _ := reuseChain(t, noise.Fixed{N: 2}, nil)
+	size := convo.SealedSize + 3*box.Overhead
+	zeros := make([]byte, size)
+	t.Run("refused at every hop", func(t *testing.T) {
+		alice, bob := newUser(t, "alice"), newUser(t, "bob")
+		a, aKeys, aSecret := alice.convoOnion(t, 1, pubs, &bob.pub, []byte("m1"))
+		b, _, _ := bob.convoOnion(t, 1, pubs, &alice.pub, []byte("m2"))
+		forged := bytes.Clone(a)
+		forged[len(forged)/2] ^= 1
+		stale1, keys1 := staleAt(t, 1, pubs, 1)
+		stale2, keys2 := staleAt(t, 1, pubs, 2)
+		long := append(bytes.Clone(b), 0)
+		// The raw slices are kept: the round replaces the batch's elements.
+		raw := [][]byte{forged, a, []byte{}, stale1, b, stale2, long[:len(long):len(long)], make([]byte, onion.LayerOverhead-1)}
+		before := cloneAll(raw)
 
-	replies, err := servers[0].convoRound(1, append([][]byte(nil), raw...))
+		replies, err := servers[0].convoRound(1, append([][]byte(nil), raw...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, 2, 6, 7} { // refused at this hop
+			if !bytes.Equal(raw[i], before[i]) {
+				t.Fatalf("onion %d was refused yet modified in place", i)
+			}
+			if !bytes.Equal(replies[i], zeros) {
+				t.Fatalf("reply %d to a refused onion is not %d zero bytes", i, size)
+			}
+		}
+		// Refused further down: every hop before sealed its layer over the
+		// refusing hop's zeros.
+		for i, keys := range map[int][]*[box.KeySize]byte{3: keys1, 5: keys2} {
+			checkZeroReply(t, replies[i], 1, keys, size)
+		}
+		if msg, ok := alice.readReply(t, 1, aKeys, aSecret, &bob.pub, replies[1]); !ok || string(msg) != "m2" {
+			t.Fatalf("alice got %q ok=%v", msg, ok)
+		}
+	})
+
+	_, entryPriv := box.KeyPairFromSeed([]byte("low-order-entry"))
+	leg := NewChainLeg(mem, addrs[0], entryPriv, pubs[0])
+	defer leg.Close()
+	const round, n = 2, 2 * box.MaxBatch
+	// Fifteen conversing pairs fill 30 slots; the hostile onions take
+	// position p of each chunk.
+	type sender struct {
+		u, peer *user
+		onion   []byte
+		keys    []*[box.KeySize]byte
+		secret  *[32]byte
+	}
+	senders := make([]sender, n-2)
+	for i := range senders {
+		senders[i].u = newUser(t, fmt.Sprintf("pair-%d-%d", i/2, i%2))
+	}
+	for i := range senders {
+		s := &senders[i]
+		s.peer = senders[i^1].u
+		s.onion, s.keys, s.secret = s.u.convoOnion(t, round, pubs, &s.peer.pub, []byte(fmt.Sprintf("from %d", i)))
+	}
+	// One hostile onion is keyed by an order-8 point at hop 0, the other by
+	// u = 0 at hop 1.
+	lowOrder0, _ := hex.DecodeString("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800")
+	hostile0, _ := staleAt(t, round, pubs, 0)
+	copy(hostile0, lowOrder0)
+	inner := make([]byte, onion.Size(convo.RequestSize, len(pubs)-1))
+	rand.Read(inner[box.KeySize:])
+	hostile1, keys1, err := onion.Wrap(inner, round, 0, pubs[:1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := convo.SealedSize + 3*box.Overhead
-	zeros := make([]byte, size)
-	for _, i := range []int{0, 2, 6, 7} { // refused at this hop
-		if !bytes.Equal(raw[i], before[i]) {
-			t.Fatalf("onion %d was refused yet modified in place", i)
-		}
-		if !bytes.Equal(replies[i], zeros) {
-			t.Fatalf("reply %d to a refused onion is not %d zero bytes", i, size)
-		}
+	for p := 0; p < box.MaxBatch; p++ {
+		t.Run(fmt.Sprintf("low-order key at chunk position %d", p), func(t *testing.T) {
+			batch := make([][]byte, 0, n)
+			at := make([]int, 0, len(senders))
+			for len(batch) < n {
+				switch len(batch) {
+				case p:
+					batch = append(batch, hostile0)
+				case box.MaxBatch + p:
+					batch = append(batch, hostile1)
+				default:
+					at = append(at, len(batch))
+					batch = append(batch, senders[len(at)-1].onion)
+				}
+			}
+			replies, err := leg.Forward(wire.ProtoConvo, round, 0, batch, nil)
+			if err != nil || len(replies) != n {
+				t.Fatalf("%d replies, %v", len(replies), err)
+			}
+			if !bytes.Equal(replies[p], zeros) {
+				t.Fatal("the onion with a low-order key at hop 0 is not answered with zeros")
+			}
+			checkZeroReply(t, replies[box.MaxBatch+p], round, keys1, size)
+			for i, slot := range at {
+				s := &senders[i]
+				want := fmt.Sprintf("from %d", i^1)
+				if msg, ok := s.u.readReply(t, round, s.keys, s.secret, &s.peer.pub, replies[slot]); !ok || string(msg) != want {
+					t.Fatalf("sender %d in slot %d got %q ok=%v, want %q", i, slot, msg, ok, want)
+				}
+			}
+		})
 	}
-	// Refused further down: every hop before sealed its layer over the
-	// refusing hop's zeros.
-	for i, keys := range map[int][]*[box.KeySize]byte{3: keys1, 5: keys2} {
-		inner, err := onion.UnwrapReply(replies[i], 1, 0, keys)
-		if err != nil || len(replies[i]) != size {
-			t.Fatalf("reply %d (%d bytes): %v", i, len(replies[i]), err)
-		}
-		if !convo.IsZeroReply(inner) || len(inner) != size-len(keys)*box.Overhead {
-			t.Fatalf("reply %d: hop %d did not answer %d zero bytes", i, len(keys), size-len(keys)*box.Overhead)
-		}
+}
+
+// checkZeroReply: a reply to an onion of round `round` refused after
+// len(keys) hops opens under their keys to that hop's zeros.
+func checkZeroReply(t *testing.T, reply []byte, round uint64, keys []*[box.KeySize]byte, size int) {
+	t.Helper()
+	inner, err := onion.UnwrapReply(reply, round, 0, keys)
+	if err != nil || len(reply) != size {
+		t.Fatalf("reply (%d bytes): %v", len(reply), err)
 	}
-	if msg, ok := alice.readReply(t, 1, aKeys, aSecret, &bob.pub, replies[1]); !ok || string(msg) != "m2" {
-		t.Fatalf("alice got %q ok=%v", msg, ok)
+	if !convo.IsZeroReply(inner) || len(inner) != size-len(keys)*box.Overhead {
+		t.Fatalf("hop %d did not answer %d zero bytes", len(keys), size-len(keys)*box.Overhead)
 	}
 }
 

@@ -19,9 +19,10 @@
 // same bytes, and keep one buffer per round for the reply keys, one for
 // the cover traffic and one for the replies — those two, being sent, are
 // always fresh, so a refused onion's reply slot is zeros and never an
-// earlier round's bytes. Per onion that leaves the three allocations of
-// crypto/ecdh's key exchange (TestRoundAllocs). The exported ConvoRound
-// and DialRound copy the caller's batch once and run the same round.
+// earlier round's bytes. Per onion that leaves nothing to allocate: the
+// key exchanges run on the stack, in chunks (TestRoundAllocs). The
+// exported ConvoRound and DialRound copy the caller's batch once and run
+// the same round.
 //
 // A server always runs over a transport.Network (Serve/handleConn,
 // speaking the wire protocol to its predecessor and successor): TCP in a
@@ -50,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -213,10 +215,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Position < 0 || cfg.Position >= len(cfg.ChainPubs) {
 		return nil, fmt.Errorf("mixnet: position %d out of range for chain of %d", cfg.Position, len(cfg.ChainPubs))
 	}
-	key, err := box.NewDHKey(&cfg.Priv)
-	if err != nil {
-		return nil, fmt.Errorf("mixnet: server private key invalid: %w", err)
-	}
+	key := box.NewDHKey(&cfg.Priv)
 	if key.Public() != cfg.ChainPubs[cfg.Position] {
 		return nil, fmt.Errorf("mixnet: private key does not match chain descriptor position %d", cfg.Position)
 	}
@@ -226,6 +225,7 @@ func NewServer(cfg Config) (*Server, error) {
 		if cfg.NextAddr == "" || cfg.Net == nil {
 			return nil, ErrNoSuccessor
 		}
+		var err error
 		if downstream, err = box.NewPeers(cfg.ChainPubs[cfg.Position+1:]); err != nil {
 			return nil, fmt.Errorf("mixnet: downstream chain key: %w", err)
 		}
@@ -327,11 +327,22 @@ func cloneBatch(batch [][]byte) [][]byte {
 // compacts the batch to the inner onions that authenticated, in arrival
 // order: idx[j] is the slot real[j] arrived in, keys[idx[j]] the key its
 // reply is sealed with. An onion that fails is left exactly as it arrived.
+//
+// Each worker takes chunks of min(box.MaxBatch, ⌈n/workers⌉) onions, their
+// key agreements batched under one field inversion: full batches where the
+// round is large, and never fewer chunks than workers, so a small round
+// leaves no core idle.
 func (s *Server) unwrapBatch(round uint64, onions [][]byte) (real [][]byte, idx []int, keys [][box.KeySize]byte) {
 	keys = make([][box.KeySize]byte, len(onions))
-	parallel.For(len(onions), s.cfg.Workers, func(i int) {
+	workers := s.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	chunk := max(1, min(box.MaxBatch, (len(onions)+workers-1)/workers))
+	parallel.For((len(onions)+chunk-1)/chunk, workers, func(c int) {
+		lo, hi := c*chunk, min((c+1)*chunk, len(onions))
 		// A nil inner onion marks the failure.
-		onions[i], _ = onion.UnwrapInPlace(onions[i], s.key, &keys[i], round, s.cfg.Position)
+		onion.UnwrapBatchInPlace(onions[lo:hi], s.key, keys[lo:hi], round, s.cfg.Position)
 	})
 	idx = make([]int, 0, len(onions))
 	real = onions[:0]

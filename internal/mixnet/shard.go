@@ -142,9 +142,6 @@ func NewShardServer(cfg ShardConfig) (*ShardServer, error) {
 	if cfg.Identity == (box.PrivateKey{}) {
 		return nil, errors.New("mixnet: shard server needs an identity key")
 	}
-	if _, err := box.PublicKeyOf(&cfg.Identity); err != nil {
-		return nil, fmt.Errorf("mixnet: shard identity key invalid: %w", err)
-	}
 	if len(cfg.Authorized) == 0 {
 		return nil, errors.New("mixnet: shard server needs at least one authorized router key")
 	}
@@ -261,9 +258,6 @@ func NewShardRouter(cfg Config) (*ShardRouter, error) {
 	}
 	if cfg.Priv == (box.PrivateKey{}) {
 		return nil, errors.New("mixnet: shard router needs an identity key")
-	}
-	if _, err := box.PublicKeyOf(&cfg.Priv); err != nil {
-		return nil, fmt.Errorf("mixnet: shard router identity key invalid: %w", err)
 	}
 	if cfg.ShardPolicy != ShardAbort && cfg.ShardPolicy != ShardDegrade {
 		return nil, fmt.Errorf("mixnet: unknown shard policy %d", int(cfg.ShardPolicy))

@@ -6,30 +6,24 @@ package onion
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"vuvuzela/internal/crypto/box"
 )
 
 // TestUnwrapAllocs pins what a server pays per onion, unwrapping in the
-// frame it received with its key parsed once: 3, all inside crypto/ecdh
-// (the onion's ephemeral key parsed, 2, and the raw shared secret, 1) —
-// the ephemeral key is read where it lies, the reply key and the inner
-// onion are written into memory the round already owns. The copying
-// Unwrap adds its copy of the onion and the reply key it returns (5); the
-// raw-key UnwrapLayer adds the private key's parse, where crypto/ecdh
-// derives and stores the public key (9).
+// frame it received with its key parsed once: nothing — the ephemeral key
+// is read where it lies, the ladder works on the stack, and the reply key
+// and the inner onion are written into memory the round already owns. The
+// copying Unwrap adds its copy of the onion and the reply key it returns
+// (2); the raw-key UnwrapLayer parses the private key on its stack (2).
 func TestUnwrapAllocs(t *testing.T) {
 	pubs, privs := testChain(t, 3)
 	wire, _, err := Wrap(make([]byte, 256), 9, 0, pubs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := box.NewDHKey(&privs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := box.NewDHKey(&privs[0])
 	// One fresh onion per run, copied outside the measured function: the
 	// in-place path consumes the bytes it is handed.
 	const runs = 100
@@ -55,8 +49,8 @@ func TestUnwrapAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if inPlace != 3 || parsed != 5 || raw != 9 {
-		t.Fatalf("per onion, UnwrapInPlace allocates %.0f times (want 3), Unwrap %.0f (want 5), UnwrapLayer %.0f (want 9)", inPlace, parsed, raw)
+	if inPlace != 0 || parsed != 2 || raw != 2 {
+		t.Fatalf("per onion, UnwrapInPlace allocates %.0f times (want 0), Unwrap %.0f (want 2), UnwrapLayer %.0f (want 2)", inPlace, parsed, raw)
 	}
 }
 
@@ -87,45 +81,27 @@ func TestReplyAllocs(t *testing.T) {
 	}
 }
 
-// meanAllocs is testing.AllocsPerRun without its rounding down to a whole
-// number: crypto/ecdh's GenerateKey allocates one extra byte on a coin
-// flip, so wrapping costs a half-integer mean per layer.
-func meanAllocs(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
-}
-
 // TestWrapAllocs pins the allocation cost of building an onion. A noise
 // onion — what a mixing server builds by the hundred per round — is
 // NewPath over parsed peers, whose agreements allocate nothing, then Seal:
-// the path and the onion, 2 at any depth (it was 10.5 per layer + 2 on
-// crypto/ecdh's ladder). A client's one-shot Wrap of raw keys stays on the
-// ladder, each layer's key agreed into the path's own storage: a mean of
-// 9.5 per layer (the ephemeral key's generation, with a coin-flip byte,
-// and the exchange) + 3 (the path, the onion, the key slice), where it was
-// 10.5 + 2.
+// the path and the onion, 2 at any depth. A client's one-shot Wrap of raw
+// keys agrees each layer on the ladder into the path's own storage: 1 per
+// layer (the ephemeral key, drawn through an io.Reader) + 3 (the path, the
+// onion, the key slice).
 func TestWrapAllocs(t *testing.T) {
 	pubs, _ := testChain(t, 3)
 	peers := testPeers(t, pubs)
 	payload := make([]byte, 272)
-	const slack = 0.25 // the coin flips average out to ±0.03 over 1000 runs
-	wrap3 := meanAllocs(1000, func() {
+	wrap3 := testing.AllocsPerRun(100, func() {
 		if _, _, err := Wrap(payload, 9, 0, pubs, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if wrap3 > 3*9.5+3+slack {
-		t.Errorf("Wrap over 3 layers allocates %.2f times, want at most 31.5", wrap3)
+	if wrap3 != 3+3 {
+		t.Errorf("Wrap over 3 layers allocates %.0f times, want 6", wrap3)
 	}
 	for layers := 1; layers <= 3; layers++ {
-		got := meanAllocs(1000, func() {
+		got := testing.AllocsPerRun(100, func() {
 			path, err := NewPath(peers[3-layers:], nil)
 			if err != nil {
 				t.Fatal(err)
@@ -133,7 +109,7 @@ func TestWrapAllocs(t *testing.T) {
 			path.Seal(payload, 9, 3-layers)
 		})
 		if got != 2 {
-			t.Errorf("NewPath + Seal over %d layers allocates %.2f times, want 2", layers, got)
+			t.Errorf("NewPath + Seal over %d layers allocates %.0f times, want 2", layers, got)
 		}
 	}
 }

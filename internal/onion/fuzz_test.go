@@ -16,10 +16,7 @@ import (
 // this key, round and layer, and must leave a refused onion as it was.
 func FuzzUnwrapLayer(f *testing.F) {
 	pub, priv := box.KeyPairFromSeed([]byte("fuzz-unwrap-server"))
-	key, err := box.NewDHKey(&priv)
-	if err != nil {
-		f.Fatal(err)
-	}
+	key := box.NewDHKey(&priv)
 	const round, layer = 5, 1
 	// A fixed reader: fuzz workers are separate processes and must all
 	// build the same valid onion.
@@ -81,10 +78,7 @@ func FuzzPathSeal(f *testing.F) {
 	var keys [3]*box.DHKey
 	for i := range pubs {
 		pub, priv := box.KeyPairFromSeed([]byte{'f', 'u', 'z', 'z', '-', 's', 'e', 'a', 'l', byte(i)})
-		key, err := box.NewDHKey(&priv)
-		if err != nil {
-			f.Fatal(err)
-		}
+		key := box.NewDHKey(&priv)
 		pubs[i], keys[i] = pub, key
 	}
 	f.Add([]byte("fuzz payload"), uint8(3), uint64(5), uint8(0))

@@ -21,10 +21,7 @@ func TestUnwrapInPlace(t *testing.T) {
 	buf := bytes.Clone(wire)
 	cur := buf
 	for layer := range privs {
-		key, err := box.NewDHKey(&privs[layer])
-		if err != nil {
-			t.Fatal(err)
-		}
+		key := box.NewDHKey(&privs[layer])
 		var shared [box.KeySize]byte
 		inner, err := UnwrapInPlace(cur, key, &shared, 4, layer)
 		if err != nil {
@@ -48,10 +45,7 @@ func TestUnwrapInPlace(t *testing.T) {
 // received, and a forged onion must not come out of the attempt changed.
 func TestFailedUnwrapLeavesOnionUntouched(t *testing.T) {
 	pubs, privs := testChain(t, 2)
-	key, err := box.NewDHKey(&privs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := box.NewDHKey(&privs[0])
 	wire, _, err := Wrap(make([]byte, 272), 7, 0, pubs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -96,10 +90,7 @@ func flip(b []byte, i int) []byte {
 // the first saw.
 func TestCopyingEntryPointsLeaveInput(t *testing.T) {
 	pubs, privs := testChain(t, 3)
-	key, err := box.NewDHKey(&privs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := box.NewDHKey(&privs[0])
 	wire, keys, err := Wrap([]byte("twice"), 2, 0, pubs, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -19,22 +19,25 @@
 // runs the Diffie-Hellman (nearly all of the cost, and independent of
 // round and payload), Path.Seal encrypts a payload under it. NewPath takes
 // the servers as box.Peers, parsed once, so both scalar mults of every
-// layer run on fixed-base tables; a mixing server calls it for its cover
-// traffic ahead of the round (mixnet), a client for each round's onions.
-// Wrap is the same two steps for raw public keys and a one-shot caller:
-// it agrees each layer on crypto/ecdh's ladder, where a table would cost
-// more than it saves, and seals with the same Path.Seal.
+// layer run on fixed-base tables, all in one batch (box.Agree); a mixing
+// server calls it for its cover traffic ahead of the round (mixnet), a
+// client for each round's onions. Wrap is the same two steps for raw
+// public keys and a one-shot caller: it agrees each layer on the ladder,
+// where a table would cost more than it saves, and seals with the same
+// Path.Seal.
 //
-// Each direction is written once, in place: UnwrapInPlace decrypts a layer
-// where the onion lies (writing nothing unless it authenticates),
+// Each direction is written once, in place: UnwrapBatchInPlace decrypts a
+// chunk of onions where they lie (writing nothing into one that does not
+// authenticate), their key agreements batched under one field inversion;
 // Path.SealInPlace and SealReplyInto encrypt into memory the caller owns,
-// so a server's round allocates per onion only what crypto/ecdh does.
-// Unwrap, UnwrapLayer, Seal, SealReply and UnwrapReply are the same
-// functions on a copy, for callers that keep their input.
+// so a server's round allocates nothing per onion. UnwrapInPlace is a
+// chunk of one, and Unwrap, UnwrapLayer, Seal, SealReply and UnwrapReply
+// are the same functions on a copy, for callers that keep their input.
 package onion
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -92,13 +95,6 @@ func deriveNonce(dir byte, round uint64, layer int) [box.NonceSize]byte {
 	return nonce
 }
 
-// hop is one layer of a Path: the layer's ephemeral public key and the
-// key agreed between it and that layer's server.
-type hop struct {
-	epub box.PublicKey
-	key  [box.KeySize]byte
-}
-
 // Path is the key agreement for one onion, done ahead of the payload: a
 // fresh ephemeral key per layer and the shared key each one agrees with
 // its server. It is nearly all of an onion's cost and depends only on the
@@ -109,22 +105,27 @@ type hop struct {
 // keys are linkable on the wire and repeat a (key, nonce) pair within a
 // round.
 type Path struct {
-	hops []hop
+	// hops holds one agreement per layer, in chain order.
+	hops []box.Agreement
 }
 
 // NewPath agrees keys with the servers whose parsed public keys are given
-// in chain order (box.Peer: each agreement's two scalar mults run on
-// fixed-base tables). It draws one box.KeySize-byte ephemeral key per
-// layer from rng (crypto/rand if nil), innermost layer first — the stream
-// Wrap draws — and allocates the path and nothing else.
+// in chain order (box.Agree: every layer's two scalar mults run on
+// fixed-base tables, in one batch). It draws one box.KeySize-byte
+// ephemeral key per layer from rng (crypto/rand if nil), innermost layer
+// first — the stream Wrap draws — and allocates the path and nothing else.
 func NewPath(peers []*box.Peer, rng io.Reader) (Path, error) {
-	hops := make([]hop, len(peers))
-	for i := len(peers) - 1; i >= 0; i-- {
-		epub, err := peers[i].Agree(&hops[i].key, rng)
-		if err != nil {
+	if rng == nil {
+		rng = rand.Reader
+	}
+	hops := make([]box.Agreement, len(peers))
+	for i := len(hops) - 1; i >= 0; i-- {
+		if _, err := io.ReadFull(rng, hops[i].Key[:]); err != nil {
 			return Path{}, err
 		}
-		hops[i].epub = epub
+	}
+	if err := box.Agree(hops, peers); err != nil {
+		return Path{}, err
 	}
 	return Path{hops: hops}, nil
 }
@@ -135,7 +136,7 @@ func NewPath(peers []*box.Peer, rng io.Reader) (Path, error) {
 func (p Path) Keys() []*[box.KeySize]byte {
 	keys := make([]*[box.KeySize]byte, len(p.hops))
 	for i := range p.hops {
-		keys[i] = &p.hops[i].key
+		keys[i] = &p.hops[i].Key
 	}
 	return keys
 }
@@ -160,9 +161,9 @@ func (p Path) Seal(payload []byte, round uint64, startLayer int) []byte {
 func (p Path) SealInPlace(onion []byte, round uint64, startLayer int) {
 	for i := len(p.hops) - 1; i >= 0; i-- {
 		layer := onion[i*LayerOverhead:]
-		copy(layer[:box.KeySize], p.hops[i].epub[:])
+		copy(layer[:box.KeySize], p.hops[i].Public[:])
 		nonce := requestNonce(round, startLayer+i)
-		box.SealInto(layer[box.KeySize:], layer[LayerOverhead:], &nonce, &p.hops[i].key)
+		box.SealInto(layer[box.KeySize:], layer[LayerOverhead:], &nonce, &p.hops[i].Key)
 	}
 }
 
@@ -177,20 +178,19 @@ func (p Path) SealInPlace(onion []byte, round uint64, startLayer int) {
 // match pubs, which the caller needs to unwrap the layered reply. It is
 // the one-shot form of NewPath followed by Seal, for raw keys: a table
 // per key would cost more than it saves once, so each layer generates an
-// ephemeral box.DHKey and agrees on crypto/ecdh's ladder. Under a stream
-// that answers crypto/ecdh's one-byte coin-flip reads without advancing,
-// its bytes are NewPath's (TestPathSealMatchesWrap).
+// ephemeral box.DHKey and agrees on the ladder. From the same stream its
+// bytes are NewPath's (TestPathSealMatchesWrap).
 func Wrap(payload []byte, round uint64, startLayer int, pubs []box.PublicKey, rng io.Reader) ([]byte, []*[box.KeySize]byte, error) {
-	path := Path{hops: make([]hop, len(pubs))}
+	path := Path{hops: make([]box.Agreement, len(pubs))}
 	for i := len(pubs) - 1; i >= 0; i-- {
 		eph, err := box.GenerateDHKey(rng)
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := eph.PrecomputeInto(&path.hops[i].key, &pubs[i]); err != nil {
+		if err := eph.PrecomputeInto(&path.hops[i].Key, &pubs[i]); err != nil {
 			return nil, nil, err
 		}
-		path.hops[i].epub = eph.Public()
+		path.hops[i].Public = eph.Public()
 	}
 	return path.Seal(payload, round, startLayer), path.Keys(), nil
 }
@@ -202,22 +202,51 @@ func Wrap(payload []byte, round uint64, startLayer int, pubs []box.PublicKey, rn
 // onion[LayerOverhead:], and the key to seal the reply with is written to
 // shared. Nothing is written into onion unless the layer authenticates —
 // a failed attempt leaves it bit for bit as it was; shared is then
-// meaningless.
+// meaningless. It is UnwrapBatchInPlace on a chunk of one.
 func UnwrapInPlace(onion []byte, key *box.DHKey, shared *[box.KeySize]byte, round uint64, layer int) ([]byte, error) {
 	if len(onion) < LayerOverhead {
 		return nil, ErrTooShort
 	}
-	// The ephemeral key is read where it lies: a copy would move to the
-	// heap (box.DHKey.PrecomputeInto).
-	if err := key.PrecomputeInto(shared, (*box.PublicKey)(onion[:box.KeySize])); err != nil {
+	chunk, keys := [][]byte{onion}, [][box.KeySize]byte{{}}
+	UnwrapBatchInPlace(chunk, key, keys, round, layer)
+	if chunk[0] == nil {
 		return nil, ErrDecrypt
 	}
+	*shared = keys[0]
+	return chunk[0], nil
+}
+
+// UnwrapBatchInPlace is UnwrapInPlace for every onion of a chunk: onions[i]
+// is replaced by its inner onion, or by nil where it is refused (too short,
+// a low-order ephemeral key, or a layer that does not authenticate), and
+// shared[i] gets its reply key. The ephemeral keys are read where they lie
+// and agreed box.MaxBatch at a time under one field inversion
+// (box.DHKey.PrecomputeBatch); a refused onion changes no other onion's
+// key.
+func UnwrapBatchInPlace(onions [][]byte, key *box.DHKey, shared [][box.KeySize]byte, round uint64, layer int) {
 	nonce := requestNonce(round, layer)
-	inner := onion[LayerOverhead:]
-	if err := box.OpenInto(inner, onion[box.KeySize:], &nonce, shared); err != nil {
-		return nil, ErrDecrypt
+	// A too-short onion is agreed on the zero key, which is refused.
+	var zero box.PublicKey
+	for len(onions) > 0 {
+		n := min(len(onions), box.MaxBatch)
+		var epubs [box.MaxBatch]*box.PublicKey
+		var errs [box.MaxBatch]error
+		for i, o := range onions[:n] {
+			epubs[i] = &zero
+			if len(o) >= LayerOverhead {
+				epubs[i] = (*box.PublicKey)(o[:box.KeySize])
+			}
+		}
+		key.PrecomputeBatch(shared[:n], epubs[:n], errs[:n])
+		for i, o := range onions[:n] {
+			if errs[i] != nil || box.OpenInto(o[LayerOverhead:], o[box.KeySize:], &nonce, &shared[i]) != nil {
+				onions[i] = nil
+			} else {
+				onions[i] = o[LayerOverhead:]
+			}
+		}
+		onions, shared = onions[n:], shared[n:]
 	}
-	return inner, nil
 }
 
 // Unwrap is UnwrapInPlace on a copy of the onion, for callers that keep
@@ -232,13 +261,10 @@ func Unwrap(onion []byte, key *box.DHKey, round uint64, layer int) (inner []byte
 }
 
 // UnwrapLayer is Unwrap for a raw private key, parsed on every call; a
-// server unwrapping a batch parses its key once and calls UnwrapInPlace.
+// server unwrapping a batch parses its key once and calls
+// UnwrapBatchInPlace.
 func UnwrapLayer(onion []byte, priv *box.PrivateKey, round uint64, layer int) ([]byte, *[box.KeySize]byte, error) {
-	key, err := box.NewDHKey(priv)
-	if err != nil {
-		return nil, nil, ErrDecrypt
-	}
-	return Unwrap(onion, key, round, layer)
+	return Unwrap(onion, box.NewDHKey(priv), round, layer)
 }
 
 // SealReplyInto encrypts a reply payload as server `layer` under the

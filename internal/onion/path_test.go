@@ -18,10 +18,7 @@ func layeredWrap(t *testing.T, payload []byte, round uint64, startLayer int, pub
 	for i := len(pubs) - 1; i >= 0; i-- {
 		var esk box.PrivateKey
 		rng.Read(esk[:])
-		epub, err := box.PublicKeyOf(&esk)
-		if err != nil {
-			t.Fatal(err)
-		}
+		epub := box.PublicKeyOf(&esk)
 		shared, err := box.Precompute(&pubs[i], &esk)
 		if err != nil {
 			t.Fatal(err)

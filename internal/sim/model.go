@@ -121,7 +121,9 @@ func (m CostModel) DialLatency(users int, muD float64, buckets uint32, servers i
 //
 //	(U + 2µ·(s−1)) · s / rate
 //
-// For 2M users, µ=300K, 3 servers: (3.2M × 3)/340K ≈ 28 s.
+// For 2M users, µ=300K, 3 servers: (3.2M × 3)/340K ≈ 28 s. The floor
+// counts unwraps only — one exchange per onion per server, none for
+// wrapping the noise — each at the batched cost MeasureDHThroughput times.
 func (m CostModel) CryptoLowerBound(users int, mu float64, servers int) time.Duration {
 	batch := float64(users) + 2*mu*float64(servers-1)
 	secs := batch * float64(servers) / m.DHOpsPerSec

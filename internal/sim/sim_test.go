@@ -303,9 +303,10 @@ func TestLinearFit(t *testing.T) {
 
 // TestMeasuredRoundNotBelowFloor: CryptoLowerBound calibrated on this
 // machine must stay a lower bound for a round measured on this machine.
-// It would not if MeasureDHThroughput timed more than the one scalar mult
-// a server pays per onion (the raw-key box.Precompute costs two): a round
-// of this shape measures ≈1.2× its floor, and ≈0.6× that doubled one.
+// It would not if MeasureDHThroughput timed more than the batched scalar
+// mult a server pays per onion (the raw-key box.Precompute costs two): a
+// round of this shape measures ≈1.2× its floor, and ≈0.6× that doubled
+// one.
 // Throughput is measured on both sides of every round and the faster
 // figure taken, and the median of five trials is judged, because a shared
 // CI box changes speed by that much from one second to the next.

@@ -220,10 +220,7 @@ func authErr(format string, args ...any) error {
 }
 
 func (s *Secure) clientHandshake() error {
-	id, err := box.NewDHKey(&s.priv)
-	if err != nil {
-		return authErr("own key invalid: %v", err)
-	}
+	id := box.NewDHKey(&s.priv)
 	pub := id.Public()
 	eph, err := box.GenerateDHKey(nil)
 	if err != nil {
@@ -275,10 +272,7 @@ func (s *Secure) clientHandshake() error {
 }
 
 func (s *Secure) serverHandshake() error {
-	id, err := box.NewDHKey(&s.priv)
-	if err != nil {
-		return authErr("own key invalid: %v", err)
-	}
+	id := box.NewDHKey(&s.priv)
 	pub := id.Public()
 	msg1, err := s.readFrame()
 	if err != nil {
