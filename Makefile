@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 # The most non-test Go lines `make loc` may report (ROADMAP aim 2). A PR
 # that needs more raises this in its own diff, where a reviewer sees it.
-LOC_CEILING = 15817
+LOC_CEILING = 15812
 
 .PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build arm64 test race allocs shardtest restart-matrix fuzz bench-smoke bench bench-privacy eval-smoke figures-smoke example-smoke loc loc-check clean
 
@@ -75,7 +75,9 @@ shardtest:
 # The chain-wide crash/restart matrix and every other durable round-state
 # suite at full depth under the race detector: kill/restart of the entry,
 # each chain server, and each shard — before a round, mid-round, and
-# between pipelined rounds — plus the no-persistence replay controls.
+# between pipelined rounds — plus the no-persistence replay controls, and
+# a real client rejoining on its own after its entry or frontend restarts
+# or its connection is cut.
 restart-matrix:
 	$(GO) test -race -run 'Restart|Rejoin|RoundState|Reissues' -timeout 5m ./...
 

@@ -1,19 +1,21 @@
 // Package client implements the full Vuvuzela client (paper §3, §7): it
-// holds the user's long-term keys, keeps a connection to the entry server,
-// answers every round announcement with exactly one fixed-size request
-// (real or fake — Algorithm 1 steps 1a/1b), manages the active
-// conversation, dials through the dialing protocol, downloads and
-// trial-decrypts invitation buckets from the CDN, and implements the
-// client-side retransmission the paper defers to the client ("Vuvuzela
-// deals with these issues through retransmission at a higher level (in
-// the client itself)", §3.1).
+// holds the user's long-term keys, keeps a connection to the entry server
+// (redialing it whenever it drops), answers every round announcement with
+// exactly one fixed-size request (real or fake — Algorithm 1 steps
+// 1a/1b), manages the active conversation, dials through the dialing
+// protocol, downloads and trial-decrypts invitation buckets from the CDN,
+// and implements the client-side retransmission the paper defers to the
+// client ("Vuvuzela deals with these issues through retransmission at a
+// higher level (in the client itself)", §3.1).
 package client
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"time"
 
 	"vuvuzela/internal/cdn"
 	"vuvuzela/internal/convo"
@@ -102,6 +104,17 @@ const eventBuf = 256
 // responses from previous rounds" (§8.3).
 const sendWindow = 4
 
+// The redial backoff: after losing a connection that carried a message a
+// client redials at once, otherwise (a failed dial, or an entry that
+// accepts and closes at once, as a full frontend sheds a client) after
+// twice its last wait, from redialMin up to redialMax. A round's members
+// are fixed at its announcement, so a round announced in the up to
+// redialMax before a client is back runs without it.
+const (
+	redialMin = 2 * time.Millisecond
+	redialMax = 250 * time.Millisecond
+)
+
 // pendingMsg is an assigned-but-unacknowledged outgoing message.
 type pendingMsg struct {
 	seq  uint32
@@ -122,12 +135,11 @@ type conversation struct {
 }
 
 // pendingSlot remembers one exchange slot of a submitted conversation
-// round until its reply arrives.
+// round until its reply arrives; a fake request's slot has no secret.
 type pendingSlot struct {
 	keys   []*[box.KeySize]byte
 	secret *[32]byte
 	peer   box.PublicKey
-	active bool
 }
 
 // Client is a running Vuvuzela client.
@@ -136,18 +148,24 @@ type Client struct {
 	// chain is cfg.ChainPubs parsed once: every round's onions agree
 	// their keys on its tables.
 	chain  []*box.Peer
-	entry  *wire.Conn
 	events chan Event
 
-	mu       sync.Mutex
+	// pending is the reply state of the submitted conversation rounds,
+	// by round. Only the loop touches it.
+	pending map[uint64][]pendingSlot
+
+	mu sync.Mutex
+	// entry is the current entry connection. Only the loop replaces it,
+	// under mu, so the loop reads it without.
+	entry    *wire.Conn
 	actives  []*conversation // active conversations, slot order
 	current  *conversation   // target of Send
 	convos   map[box.PublicKey]*conversation
 	dialTo   []box.PublicKey // queued outgoing invitations
-	pending  map[uint64][]pendingSlot
 	closed   bool
 	closeCh  chan struct{}
 	closeOne sync.Once
+	done     chan struct{} // closed when the loop returns
 
 	cdnMu   sync.Mutex
 	cdnConn *wire.Conn
@@ -185,21 +203,24 @@ func Dial(cfg Config) (*Client, error) {
 		convos:  make(map[box.PublicKey]*conversation),
 		pending: make(map[uint64][]pendingSlot),
 		closeCh: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	go c.loop()
 	return c, nil
 }
 
-// Events returns the channel of client events. The application must drain
-// it; the client drops events when the buffer is full rather than stall
-// the round loop (rounds are time-critical: a client that misses the
-// submission window loses the round).
+// Events returns the channel of client events, closed once the client is
+// closed. The application must drain it; the client drops events when the
+// buffer is full rather than stall the round loop (rounds are
+// time-critical: a client that misses the submission window loses the
+// round).
 func (c *Client) Events() <-chan Event { return c.events }
 
 // PublicKey returns the client's long-term public key.
 func (c *Client) PublicKey() box.PublicKey { return c.cfg.Pub }
 
-// emit delivers an event without blocking the round loop.
+// emit delivers an event without blocking the round loop; only the loop
+// calls it.
 func (c *Client) emit(e Event) {
 	select {
 	case c.events <- e:
@@ -234,16 +255,12 @@ func (c *Client) StartConversation(peer box.PublicKey) error {
 		conv = &conversation{peer: peer, secret: secret, nextSeq: 1, cursor: 1}
 		c.convos[peer] = conv
 	}
-	for _, a := range c.actives {
-		if a == conv {
-			c.current = conv
-			return nil
+	if !slices.Contains(c.actives, conv) {
+		if len(c.actives) >= c.cfg.MaxConversations {
+			return ErrTooManyConversations
 		}
+		c.actives = append(c.actives, conv)
 	}
-	if len(c.actives) >= c.cfg.MaxConversations {
-		return ErrTooManyConversations
-	}
-	c.actives = append(c.actives, conv)
 	c.current = conv
 	return nil
 }
@@ -253,36 +270,25 @@ func (c *Client) StartConversation(peer box.PublicKey) error {
 func (c *Client) EndConversation() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.current != nil {
-		c.removeActive(c.current)
-		c.current = nil
-	}
-	if c.current == nil && len(c.actives) > 0 {
-		c.current = c.actives[len(c.actives)-1]
-	}
+	c.end(c.current)
 }
 
 // EndConversationWith deactivates the conversation with a specific peer.
 func (c *Client) EndConversationWith(peer box.PublicKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if conv := c.convos[peer]; conv != nil {
-		c.removeActive(conv)
-		if c.current == conv {
-			c.current = nil
-			if len(c.actives) > 0 {
-				c.current = c.actives[len(c.actives)-1]
-			}
-		}
-	}
+	c.end(c.convos[peer])
 }
 
-// removeActive drops conv from the active slots. Callers hold c.mu.
-func (c *Client) removeActive(conv *conversation) {
-	for i, a := range c.actives {
-		if a == conv {
-			c.actives = append(c.actives[:i], c.actives[i+1:]...)
-			return
+// end drops conv (nil is a no-op) from the active slots; if it was the
+// target of Send, the most recently started active conversation becomes
+// the target. Callers hold c.mu.
+func (c *Client) end(conv *conversation) {
+	c.actives = slices.DeleteFunc(c.actives, func(a *conversation) bool { return a == conv })
+	if c.current == conv {
+		c.current = nil
+		if len(c.actives) > 0 {
+			c.current = c.actives[len(c.actives)-1]
 		}
 	}
 }
@@ -329,14 +335,7 @@ func (c *Client) SendTo(peer box.PublicKey, text string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	conv := c.convos[peer]
-	active := false
-	for _, a := range c.actives {
-		if a == conv {
-			active = true
-			break
-		}
-	}
-	if conv == nil || !active {
+	if conv == nil || !slices.Contains(c.actives, conv) {
 		return ErrNoConversation
 	}
 	conv.sendQ = append(conv.sendQ, []byte(text))
@@ -355,36 +354,88 @@ func (c *Client) QueueLen() int {
 	return n
 }
 
-// Close disconnects the client.
+// Close disconnects the client, stopping any redial, and returns once its
+// loop has exited (after a dial already in progress returns).
 func (c *Client) Close() error {
 	c.closeOne.Do(func() {
 		c.mu.Lock()
 		c.closed = true
+		entry := c.entry
 		c.mu.Unlock()
 		close(c.closeCh)
-		c.entry.Close()
+		entry.Close()
 		c.cdnMu.Lock()
 		if c.cdnConn != nil {
 			c.cdnConn.Close()
 		}
 		c.cdnMu.Unlock()
 	})
+	<-c.done
 	return nil
 }
 
-// loop is the client's reactor: it answers round announcements and
-// processes replies.
+// loop is the client's reactor: it serves the entry connection and, when
+// the connection drops other than through Close, reports the loss and
+// redials. The conversations and their go-back-N state carry over; the
+// reply state of the rounds submitted on the dead connection does not, so
+// their messages are retransmitted like any other unacknowledged ones.
 func (c *Client) loop() {
+	defer close(c.done)
+	defer close(c.events)
+	var wait time.Duration // before the next dial; see redialMin
+	for {
+		heard, err := c.serve()
+		select {
+		case <-c.closeCh:
+			return
+		default:
+		}
+		c.emit(ErrorEvent{Err: err})
+		clear(c.pending)
+		if heard {
+			wait = 0
+		}
+		if !c.redial(&wait) {
+			return
+		}
+	}
+}
+
+// redial reconnects to the entry address on the backoff from *wait until
+// a dial succeeds or Close is called, and reports which.
+func (c *Client) redial(wait *time.Duration) bool {
+	for {
+		if *wait > 0 {
+			select {
+			case <-c.closeCh:
+				return false
+			case <-time.After(*wait):
+			}
+		}
+		*wait = min(max(2**wait, redialMin), redialMax)
+		if raw, err := c.cfg.Net.Dial(c.cfg.EntryAddr); err == nil {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if c.closed {
+				raw.Close()
+				return false
+			}
+			c.entry = wire.NewConn(raw)
+			return true
+		}
+	}
+}
+
+// serve answers round announcements and processes replies on the current
+// entry connection until it fails; heard reports whether the connection
+// carried any message.
+func (c *Client) serve() (heard bool, err error) {
 	for {
 		msg, err := c.entry.Recv()
 		if err != nil {
-			select {
-			case <-c.closeCh:
-			default:
-				c.emit(ErrorEvent{Err: err})
-			}
-			return
+			return heard, err
 		}
+		heard = true
 		switch {
 		case msg.Kind == wire.KindAnnounce && msg.Proto == wire.ProtoConvo:
 			c.onConvoAnnounce(msg.Round, msg.M)
@@ -409,38 +460,25 @@ func (c *Client) onConvoAnnounce(round uint64, exchanges uint32) {
 	c.mu.Lock()
 	slots := make([]pendingSlot, k)
 	bodies := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		if i < len(c.actives) {
-			conv := c.actives[i]
-			slots[i] = pendingSlot{secret: conv.secret, peer: conv.peer, active: true}
-			bodies[i] = conv.roundPayload()
-		}
+	for i, conv := range c.actives[:min(k, len(c.actives))] {
+		slots[i] = pendingSlot{secret: conv.secret, peer: conv.peer}
+		bodies[i] = conv.roundPayload()
 	}
 	c.mu.Unlock()
 
 	onions := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		var req *convo.Request
-		var err error
-		if slots[i].active {
-			req, err = convo.BuildRequest(slots[i].secret, round, &c.cfg.Pub, bodies[i])
-		} else {
-			req, err = convo.BuildRequest(nil, round, nil, nil)
+	for i := range slots {
+		// A slot without a secret gets the fake request (step 1b).
+		req, err := convo.BuildRequest(slots[i].secret, round, &c.cfg.Pub, bodies[i])
+		if err == nil {
+			onions[i], slots[i].keys, err = c.wrap(req.Marshal(), round, nil)
 		}
 		if err != nil {
 			c.emit(ErrorEvent{Err: err})
 			return
 		}
-		wireOnion, keys, err := c.wrap(req.Marshal(), round, nil)
-		if err != nil {
-			c.emit(ErrorEvent{Err: err})
-			return
-		}
-		slots[i].keys = keys
-		onions[i] = wireOnion
 	}
 
-	c.mu.Lock()
 	c.pending[round] = slots
 	// Bound pending state: replies arrive in round order, so anything
 	// older than the protocol's in-flight window is lost.
@@ -449,12 +487,12 @@ func (c *Client) onConvoAnnounce(round uint64, exchanges uint32) {
 			delete(c.pending, r)
 		}
 	}
-	c.mu.Unlock()
+	c.submit(wire.ProtoConvo, round, onions)
+}
 
-	err := c.entry.Send(&wire.Message{
-		Kind: wire.KindSubmit, Proto: wire.ProtoConvo, Round: round,
-		Body: onions,
-	})
+// submit sends one round's requests to the entry.
+func (c *Client) submit(proto wire.Proto, round uint64, onions [][]byte) {
+	err := c.entry.Send(&wire.Message{Kind: wire.KindSubmit, Proto: proto, Round: round, Body: onions})
 	if err != nil {
 		c.emit(ErrorEvent{Err: err})
 	}
@@ -474,10 +512,8 @@ func (c *Client) wrap(payload []byte, round uint64, rng io.Reader) ([]byte, []*[
 // onConvoReply unwraps a round's replies and feeds each slot's
 // conversation state machine.
 func (c *Client) onConvoReply(msg *wire.Message) {
-	c.mu.Lock()
 	slots := c.pending[msg.Round]
 	delete(c.pending, msg.Round)
-	c.mu.Unlock()
 	if slots == nil || len(msg.Body) != len(slots) {
 		return
 	}
@@ -487,7 +523,7 @@ func (c *Client) onConvoReply(msg *wire.Message) {
 			c.emit(ErrorEvent{Err: err})
 			continue
 		}
-		if slot.active {
+		if slot.secret != nil {
 			if payload, ok := convo.OpenReply(slot.secret, msg.Round, &slot.peer, innermost); ok {
 				c.handlePeerPayload(slot.peer, payload, msg.Round)
 			}
@@ -582,13 +618,7 @@ func (c *Client) onDialAnnounce(round uint64, m uint32) {
 		c.emit(ErrorEvent{Err: err})
 		return
 	}
-	err = c.entry.Send(&wire.Message{
-		Kind: wire.KindSubmit, Proto: wire.ProtoDial, Round: round,
-		Body: [][]byte{wireOnion},
-	})
-	if err != nil {
-		c.emit(ErrorEvent{Err: err})
-	}
+	c.submit(wire.ProtoDial, round, [][]byte{wireOnion})
 }
 
 // onDialComplete downloads and scans the user's invitation bucket for a

@@ -180,7 +180,7 @@ func TestMessageQueueing(t *testing.T) {
 }
 
 // TestRetransmission: Alice sends while Bob is not yet in the
-// conversation; once Bob joins, stop-and-wait retransmission delivers the
+// conversation; once Bob joins, go-back-N retransmission delivers the
 // message exactly once.
 func TestRetransmission(t *testing.T) {
 	tn := newTestNet(t)

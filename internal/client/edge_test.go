@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/onion"
 	"vuvuzela/internal/transport"
+	"vuvuzela/internal/wire"
 )
 
 // TestClientWithoutCDN: a client configured without a CDN address still
@@ -227,6 +229,108 @@ func TestClientOnionMatchesWrap(t *testing.T) {
 	for i := range wantKeys {
 		if *gotKeys[i] != *wantKeys[i] {
 			t.Fatalf("layer %d: reply keys differ", i)
+		}
+	}
+}
+
+// TestRedialUntilClose: when the entry drops a connection that carried a
+// message the client reports it and dials the same address again at once;
+// an entry that accepts and closes at once is redialed on the doubling
+// backoff, not in a busy loop; while the entry stays down the client keeps
+// redialing, and Close still returns promptly, with the client's loop
+// gone.
+func TestRedialUntilClose(t *testing.T) {
+	mem := transport.NewMem()
+	l, err := mem.Listen("entry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mem's Dial returns only once the listener accepts, so each accepted
+	// connection is one dial of the client's.
+	accepted := make(chan net.Conn, 2)
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+		}
+	}()
+	pubs, _, err := mixnet.NewChainKeys(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(Config{ChainPubs: pubs, Net: mem, EntryAddr: "entry"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := func() {
+		t.Helper()
+		select {
+		case e := <-c.Events():
+			if _, ok := e.(ErrorEvent); !ok {
+				t.Fatalf("event %T, want an ErrorEvent for the lost connection", e)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("the lost connection was not reported")
+		}
+	}
+
+	redialed := func() (net.Conn, time.Time) {
+		t.Helper()
+		select {
+		case conn := <-accepted:
+			return conn, time.Now()
+		case <-time.After(2 * time.Second):
+			t.Fatal("the client did not redial")
+			return nil, time.Time{}
+		}
+	}
+
+	// A connection that carried a message (one the client ignores) drops.
+	first := <-accepted
+	if err := wire.NewConn(first).Send(&wire.Message{Kind: wire.KindError}); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	dropped()
+
+	// The entry now accepts and closes at once, as a full frontend sheds a
+	// client: the k-th such close is followed by a wait of redialMin·2^(k-1).
+	conn, at := redialed()
+	for k := 1; k <= 5; k++ {
+		conn.Close()
+		prev := at
+		conn, at = redialed()
+		if gap, want := at.Sub(prev), redialMin<<(k-1); gap < want {
+			t.Fatalf("redial %d after a connection that carried nothing came after %v, want at least %v", k, gap, want)
+		}
+	}
+
+	// The entry goes down for good: every redial now fails.
+	l.Close()
+	conn.Close()
+	dropped()
+	// Let a few redials fail, so Close most likely lands in a backoff wait.
+	time.Sleep(100 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close hung while the client was redialing")
+	}
+	// Events holds the losses not read above, then must be closed.
+	for n := 0; ; n++ {
+		if _, open := <-c.Events(); !open {
+			break
+		}
+		if n == eventBuf {
+			t.Fatal("events still open after Close: the client's loop is running")
 		}
 	}
 }

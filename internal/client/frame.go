@@ -9,9 +9,11 @@ import (
 
 // The client embeds a small reliability header inside each 240-byte
 // conversation payload, implementing the retransmission layer the paper
-// assigns to the client (§3.1). The frame is stop-and-wait: at most one
-// unacknowledged data message per direction, matching the protocol's one
-// exchange per round.
+// assigns to the client (§3.1). Retransmission is go-back-N: each
+// conversation sends one frame per round, with up to sendWindow data
+// messages in flight unacknowledged per direction; a receiver delivers
+// only the next sequence in order, and once a sender's window is sent
+// without ack progress it resends from the oldest unacknowledged message.
 //
 // Frame layout (inside the convo payload):
 //

@@ -182,18 +182,21 @@ func (b *Buckets) Invitations(i uint32) [][]byte {
 // the last one) must add a random number of noise invitations to every
 // invitation dead drop").
 type Service struct {
-	// Noise is the per-bucket noise distribution.
-	Noise noise.Distribution
-	// Src is the Laplace randomness source; nil means crypto/rand.
-	Src noise.Source
 	// Rand supplies noise invitation bytes; nil means crypto/rand.
 	Rand io.Reader
 }
 
-// Process files one round's innermost dialing requests into m buckets and
+// Process is File without any noise of the last server's own.
+func (s Service) Process(round uint64, m uint32, requests [][]byte) *Buckets {
+	return s.File(round, m, requests, nil)
+}
+
+// File files one round's innermost dialing requests into m buckets, adds
+// counts[i] noise invitations to bucket i (counts from NoiseGen.Draw, so
+// the caller can bound the noise before any of it is allocated), and
 // returns the published buckets. Malformed requests and out-of-range
 // buckets are discarded (out-of-range includes the no-op bucket).
-func (s Service) Process(round uint64, m uint32, requests [][]byte) *Buckets {
+func (s Service) File(round uint64, m uint32, requests [][]byte, counts []int) *Buckets {
 	rng := s.Rand
 	if rng == nil {
 		rng = rand.Reader
@@ -207,16 +210,12 @@ func (s Service) Process(round uint64, m uint32, requests [][]byte) *Buckets {
 			data[bucket] = append(data[bucket], b[bucketPrefix:]...)
 		}
 	}
-	// Last server's own noise, directly into each bucket.
-	if s.Noise != nil {
-		for i := uint32(0); i < m; i++ {
-			n := s.Noise.Sample(s.Src)
-			blob := make([]byte, n*InvitationSize)
-			if _, err := io.ReadFull(rng, blob); err != nil {
-				panic("dial: randomness source failed: " + err.Error())
-			}
-			data[i] = append(data[i], blob...)
+	for i, n := range counts {
+		blob := make([]byte, n*InvitationSize)
+		if _, err := io.ReadFull(rng, blob); err != nil {
+			panic("dial: randomness source failed: " + err.Error())
 		}
+		data[i] = append(data[i], blob...)
 	}
 	return &Buckets{Round: round, M: m, Data: data}
 }
@@ -234,7 +233,8 @@ type NoiseGen struct {
 // Generate returns the round's noise requests for m buckets, as views
 // into one buffer: Draw, then Fill.
 func (g NoiseGen) Generate(m uint32) [][]byte {
-	counts, total := g.Draw(m)
+	counts := make([]int, m)
+	total := g.Draw(counts)
 	out := make([][]byte, total)
 	buf := make([]byte, total*RequestSize)
 	for i := range out {
@@ -244,15 +244,15 @@ func (g NoiseGen) Generate(m uint32) [][]byte {
 	return out
 }
 
-// Draw samples how many noise invitations each of the m buckets gets
-// this round, and their total.
-func (g NoiseGen) Draw(m uint32) (counts []int, total int) {
-	counts = make([]int, m)
+// Draw samples how many noise invitations each bucket gets this round,
+// counts[i] for bucket i, and returns their total. The caller owns counts,
+// so a draw allocates nothing.
+func (g NoiseGen) Draw(counts []int) (total int) {
 	for i := range counts {
 		counts[i] = g.Dist.Sample(g.Src)
 		total += counts[i]
 	}
-	return counts, total
+	return total
 }
 
 // Fill writes the noise requests of one Draw into dst, whose elements are

@@ -192,8 +192,10 @@ func TestServiceFilesAndDiscards(t *testing.T) {
 	real, _ := BuildRequest(&senderPub, &rPub, m, nil)
 	idle, _ := BuildRequest(&senderPub, nil, m, nil)
 
-	svc := Service{Noise: noise.Fixed{N: 2}, Rand: rand.New(rand.NewSource(1))}
-	buckets := svc.Process(7, m, [][]byte{real.Marshal(), idle.Marshal(), {1, 2, 3}})
+	counts := make([]int, m)
+	NoiseGen{Dist: noise.Fixed{N: 2}}.Draw(counts)
+	svc := Service{Rand: rand.New(rand.NewSource(1))}
+	buckets := svc.File(7, m, [][]byte{real.Marshal(), idle.Marshal(), {1, 2, 3}}, counts)
 
 	if buckets.Round != 7 || buckets.M != m {
 		t.Fatal("bucket metadata wrong")

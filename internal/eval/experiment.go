@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"vuvuzela/internal/convo"
 	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/mixnet"
@@ -187,7 +186,10 @@ func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, 
 	defer cn.Close()
 
 	clients := e.buildClients(conversing)
-	sw := cn.NewSwarm(clients, nil)
+	sw, err := cn.NewSwarm(clients, nil)
+	if err != nil {
+		return nil, 0, err
+	}
 	defer sw.Close()
 	run := &Run{Chain: cn, Conversing: conversing, Rounds: e.Rounds, sw: sw, clients: len(clients)}
 	if err := run.WaitReady(5 * time.Second); err != nil {
@@ -230,27 +232,20 @@ func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, 
 	return obs, failed, nil
 }
 
-// buildClients derives the swarm population: Alice and Bob (with real
-// dead-drop secrets only in the talking world) followed by IdleClients
-// idle cover clients.
+// buildClients derives the swarm population: Alice and Bob (each the
+// other's peer only in the talking world) followed by IdleClients idle
+// cover clients.
 func (e Experiment) buildClients(conversing bool) []sim.SwarmClient {
-	alicePub, alicePriv := box.KeyPairFromSeed([]byte("eval-alice"))
-	bobPub, bobPriv := box.KeyPairFromSeed([]byte("eval-bob"))
-	clients := []sim.SwarmClient{{Pub: alicePub}, {Pub: bobPub}}
-	if conversing {
-		// DeriveSecret cannot fail on seed-derived curve keys.
-		if secretA, err := convo.DeriveSecret(&alicePriv, &bobPub); err == nil {
-			clients[0].Secret = secretA
-			clients[0].Msg = []byte("hi")
-		}
-		if secretB, err := convo.DeriveSecret(&bobPriv, &alicePub); err == nil {
-			clients[1].Secret = secretB
-			clients[1].Msg = []byte("hi")
-		}
-	}
+	names := []string{"eval-alice", "eval-bob"}
 	for i := 0; i < e.IdleClients; i++ {
-		pub, _ := box.KeyPairFromSeed([]byte(fmt.Sprintf("eval-idle-%d", i)))
-		clients = append(clients, sim.SwarmClient{Pub: pub})
+		names = append(names, fmt.Sprintf("eval-idle-%d", i))
+	}
+	clients := make([]sim.SwarmClient, len(names))
+	for i, name := range names {
+		clients[i].Pub, clients[i].Priv = box.KeyPairFromSeed([]byte(name))
+	}
+	if conversing {
+		clients[0].Peer, clients[1].Peer = &clients[1].Pub, &clients[0].Pub
 	}
 	return clients
 }

@@ -121,3 +121,62 @@ func TestRemoteErrorSurfacedByForward(t *testing.T) {
 		t.Fatalf("round 2 after remote error: %v", err)
 	}
 }
+
+// TestDialRoundTooLargeRefused: position 0 accepts any entry key, so a
+// hostile entry can announce any bucket count. More buckets than a frame
+// has parts are refused before the round is consumed; per-bucket noise
+// that could not travel in one frame, on a mixing server or on the last
+// one, is refused once drawn and before any of it is allocated. Either
+// way the entry gets a KindError, and an honest round still succeeds on
+// the same connection.
+func TestDialRoundTooLargeRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		servers  int
+		noise    noise.Distribution
+		m        uint32
+		consumed bool
+	}{
+		{"buckets beyond a frame, no noise", 2, nil, wire.MaxBodyParts + 1, false},
+		{"mixing server's noise beyond a frame", 2, noise.Fixed{N: 4}, 1 << 21, true},
+		{"last server's noise beyond a frame", 1, noise.Fixed{N: 8}, 1 << 21, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			network := transport.NewMem()
+			pubs, privs, err := NewChainKeys(tc.servers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, addrs, stop, err := StartChain(network, pubs, privs, Config{DialNoise: tc.noise}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stop()
+			conn := dialEntry(t, network, addrs[0], pubs[0])
+			defer conn.Close()
+			send := func(round uint64, m uint32) *wire.Message {
+				t.Helper()
+				if err := conn.Send(&wire.Message{Kind: wire.KindBatch, Proto: wire.ProtoDial, Round: round, M: m}); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := conn.Recv()
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				return resp
+			}
+
+			resp := send(1, tc.m)
+			if resp.Kind != wire.KindError || !strings.Contains(resp.ErrorString(), "frame") {
+				t.Fatalf("M = %d: kind %d (%q), want an error naming the frame", tc.m, resp.Kind, resp.ErrorString())
+			}
+			honest := uint64(1)
+			if tc.consumed {
+				honest = 2
+			}
+			if resp := send(honest, 1); resp.Kind != wire.KindReplies {
+				t.Fatalf("honest round %d after the refusal: kind %d (%q)", honest, resp.Kind, resp.ErrorString())
+			}
+		})
+	}
+}

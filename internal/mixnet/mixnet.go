@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -201,6 +202,9 @@ var (
 	// ErrNoSuccessor rejects a non-last server configured without a
 	// successor to dial (Config.Net and Config.NextAddr).
 	ErrNoSuccessor = errors.New("mixnet: no successor configured")
+	// ErrRoundTooLarge rejects a dialing round with more buckets than a
+	// frame has parts, or with noise that would not fit one frame.
+	ErrRoundTooLarge = errors.New("mixnet: dialing round does not fit one frame")
 )
 
 // NewServer validates the configuration and returns a Server. The
@@ -492,28 +496,48 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 // dialRound is the one dialing round, over onions as its working memory
 // (see convoRound).
 func (s *Server) dialRound(round uint64, m uint32, onions [][]byte) error {
+	// The bucket count comes from the untrusted entry (§7) and sizes
+	// per-bucket work on every server: it is bounded before the round is
+	// consumed, so an honest retry can still use the round number.
+	if m > wire.MaxBodyParts {
+		return fmt.Errorf("mixnet: server %d: %w: %d buckets", s.cfg.Position, ErrRoundTooLarge, m)
+	}
 	if err := s.checkRound(wire.ProtoDial, round); err != nil {
 		return err
 	}
 	fwd, _, _ := s.unwrapBatch(round, onions)
 
+	// Per-bucket noise (§5.3) is drawn, with the counts of up to 64
+	// buckets on the stack, and bounded to one frame before any of it is
+	// allocated: the last server files its own into the buckets, a mixing
+	// server seals its noise beside the real onions.
+	gen := dial.NoiseGen{Dist: s.cfg.DialNoise, Src: s.cfg.NoiseSrc}
+	var small [64]int
+	var counts []int
+	if gen.Dist != nil {
+		counts = slices.Grow(small[:0], int(m))[:m]
+	}
+	total := gen.Draw(counts)
+	parts, bytes := total, total*dial.InvitationSize
+	if !s.last {
+		parts, bytes = len(fwd)+total, total*onion.Size(dial.RequestSize, s.chainLen()-s.cfg.Position-1)
+		for _, o := range fwd {
+			bytes += len(o)
+		}
+	}
+	if !wire.FitsFrame(parts, bytes) {
+		return fmt.Errorf("mixnet: server %d: %w: %d parts, %d bytes", s.cfg.Position, ErrRoundTooLarge, parts, bytes)
+	}
+
 	if s.last {
-		// File invitations into buckets; the service adds the last
-		// server's own per-bucket noise (§5.3) and the sink publishes to
-		// the CDN (§5.5).
-		svc := dial.Service{Noise: s.cfg.DialNoise, Src: s.cfg.NoiseSrc}
-		buckets := svc.Process(round, m, fwd)
+		// The sink publishes the buckets to the CDN (§5.5).
+		buckets := dial.Service{}.File(round, m, fwd, counts)
 		if s.cfg.Buckets != nil {
 			s.cfg.Buckets.Publish(buckets)
 		}
 		return nil
 	}
-
-	// Mixing servers add per-bucket noise invitations sealed for the
-	// remaining chain.
-	if s.cfg.DialNoise != nil {
-		gen := dial.NoiseGen{Dist: s.cfg.DialNoise, Src: s.cfg.NoiseSrc}
-		counts, total := gen.Draw(m)
+	if gen.Dist != nil {
 		noiseOnions, err := s.sealNoise(s.pool.getDial, total, dial.RequestSize, round,
 			func(payloads [][]byte) { gen.Fill(payloads, counts) })
 		if err != nil {

@@ -545,7 +545,8 @@ func (cn *ChainNet) WaitReady(clients int, timeout time.Duration) error {
 }
 
 // RunRounds drives n conversation rounds through the entry tier with a
-// fresh Swarm of `clients` idle clients. It fails unless every
+// fresh Swarm of `clients` idle clients, each sending as many requests
+// per round as the entry announces. It fails unless every
 // announced round completes with every client participating and every
 // client receives every round's reply; it returns the delivered round
 // numbers in delivery order. Rounds run through the coordinator's
@@ -560,7 +561,7 @@ func (cn *ChainNet) RunRounds(clients, n int) ([]uint64, error) {
 	if outstanding == 0 {
 		close(allIn)
 	}
-	sw := cn.NewSwarm(make([]SwarmClient, clients), func(client int, round uint64) {
+	sw, err := cn.NewSwarm(make([]SwarmClient, clients), func(client int, round uint64) {
 		mu.Lock()
 		defer mu.Unlock()
 		if client == 0 {
@@ -570,6 +571,9 @@ func (cn *ChainNet) RunRounds(clients, n int) ([]uint64, error) {
 			close(allIn)
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	defer sw.Close()
 	if err := cn.WaitReady(clients, 5*time.Second); err != nil {
 		return nil, err

@@ -2,13 +2,15 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"vuvuzela/internal/convo"
+	"vuvuzela/internal/client"
+	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/transport"
@@ -81,21 +83,16 @@ func TestSwarmAnswersEveryAnnouncement(t *testing.T) {
 
 	alicePub, alicePriv := box.KeyPairFromSeed([]byte("swarm-alice"))
 	bobPub, bobPriv := box.KeyPairFromSeed([]byte("swarm-bob"))
-	secretA, err := convo.DeriveSecret(&alicePriv, &bobPub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secretB, err := convo.DeriveSecret(&bobPriv, &alicePub)
-	if err != nil {
-		t.Fatal(err)
-	}
 	clients := []SwarmClient{
-		{Pub: alicePub, Secret: secretA, Msg: []byte("hi bob")},
-		{Pub: bobPub, Secret: secretB, Msg: []byte("hi alice")},
+		{Pub: alicePub, Priv: alicePriv, Peer: &bobPub},
+		{Pub: bobPub, Priv: bobPriv, Peer: &alicePub},
 		{}, {}, {},
 	}
 	var replies replyLog
-	sw := cn.NewSwarm(clients, replies.onReply)
+	sw, err := cn.NewSwarm(clients, replies.onReply)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sw.Close()
 	if err := cn.WaitReady(len(clients), 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -152,7 +149,10 @@ func TestSwarmKickedClientRedials(t *testing.T) {
 	}
 	defer cn.Close()
 	var replies replyLog
-	sw := cn.NewSwarm(make([]SwarmClient, 3), replies.onReply)
+	sw, err := cn.NewSwarm(make([]SwarmClient, 3), replies.onReply)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sw.Close()
 	if err := cn.WaitReady(3, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -198,8 +198,8 @@ func (n *failCountingNet) Dial(addr string) (net.Conn, error) {
 
 // TestSwarmCloseDuringRedialStorm: with the entry dead every dial fails
 // and every client spins in its redial loop; Close must still return
-// promptly and leave no goroutine behind — whether the clients lost a
-// connection or never had one.
+// promptly and leave no goroutine behind. A swarm that cannot make its
+// first dials is refused by NewSwarm, with nothing left running.
 func TestSwarmCloseDuringRedialStorm(t *testing.T) {
 	defer LeakCheck(t)()
 	network := &failCountingNet{Network: transport.NewMem()}
@@ -210,25 +210,203 @@ func TestSwarmCloseDuringRedialStorm(t *testing.T) {
 	defer cn.Close()
 
 	const clients = 8
-	connected := cn.NewSwarm(make([]SwarmClient, clients), nil)
+	connected, err := cn.NewSwarm(make([]SwarmClient, clients), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := cn.WaitReady(clients, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	cn.Kill(cn.EntryAddr)
-	neverConnected := cn.NewSwarm(make([]SwarmClient, clients), nil)
+	if sw, err := cn.NewSwarm(make([]SwarmClient, clients), nil); err == nil {
+		sw.Close()
+		t.Fatal("NewSwarm with the entry down succeeded")
+	}
 	base := network.failed.Load()
 	waitFor(t, "the redial storm", func() bool { return network.failed.Load() >= base+10*clients })
 
-	for name, sw := range map[string]*Swarm{"connected": connected, "never connected": neverConnected} {
-		closed := make(chan struct{})
-		go func() {
-			sw.Close()
-			close(closed)
-		}()
-		select {
-		case <-closed:
-		case <-time.After(2 * time.Second):
-			t.Fatalf("Close of the %s swarm hung in the redial storm", name)
+	closed := make(chan struct{})
+	go func() {
+		connected.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close of the swarm hung in the redial storm")
+	}
+}
+
+// histLog records the last server's dead-drop histogram per round.
+type histLog struct {
+	mu   sync.Mutex
+	hist map[uint64][2]int
+}
+
+func (h *histLog) observe(round uint64, m1, m2, more int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.hist == nil {
+		h.hist = make(map[uint64][2]int)
+	}
+	h.hist[round] = [2]int{m1, m2}
+}
+
+func (h *histLog) get(round uint64) [2]int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.hist[round]
+}
+
+// conversingPair is a Swarm's Alice and Bob, each the other's peer.
+func conversingPair() []SwarmClient {
+	alicePub, alicePriv := box.KeyPairFromSeed([]byte("pair-alice"))
+	bobPub, bobPriv := box.KeyPairFromSeed([]byte("pair-bob"))
+	return []SwarmClient{
+		{Pub: alicePub, Priv: alicePriv, Peer: &bobPub},
+		{Pub: bobPub, Priv: bobPriv, Peer: &alicePub},
+	}
+}
+
+// TestRunRoundsTwoExchanges: when the entry announces two exchanges per
+// client, every swarm client submits both, directly and through
+// frontends, and a conversing pair fills one dead drop twice while its
+// second slots, like the idle client's, go out as fakes.
+func TestRunRoundsTwoExchanges(t *testing.T) {
+	for _, frontends := range []int{0, 2} {
+		t.Run(fmt.Sprintf("%d frontends", frontends), func(t *testing.T) {
+			defer LeakCheck(t)()
+			var hist histLog
+			cn, err := NewChainNet(ChainNetConfig{
+				Servers: 2, Frontends: frontends,
+				Chain: mixnet.Config{ConvoObserver: hist.observe},
+				Entry: coordinator.Config{ConvoExchanges: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cn.Close()
+			if _, err := cn.RunRounds(3, 2); err != nil {
+				t.Fatal(err)
+			}
+
+			sw, err := cn.NewSwarm(append(conversingPair(), SwarmClient{}), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sw.Close()
+			if err := cn.WaitReady(3, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			round, n, err := cn.Coord.RunConvoRound(context.Background())
+			if err != nil || n != 3 {
+				t.Fatalf("%d participants (err %v), want 3", n, err)
+			}
+			if got, want := hist.get(round), [2]int{4, 1}; got != want {
+				t.Fatalf("histogram m1/m2 = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// converse runs conversation rounds until `to` receives text, failing if
+// a round does not count `clients` participants or text has not arrived
+// after ten rounds.
+func converse(t *testing.T, cn *ChainNet, to *client.Client, text string, clients int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for i := 0; i < 10; i++ {
+		round, n, err := cn.Coord.RunConvoRound(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if n != clients {
+			t.Fatalf("round %d counted %d participants, want %d", round, n, clients)
+		}
+		for replied := false; !replied; {
+			select {
+			case e := <-to.Events():
+				switch e := e.(type) {
+				case client.MessageEvent:
+					if e.Text == text {
+						return
+					}
+				case client.ConvoRoundEvent:
+					replied = e.Round == round
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("no reply to round %d", round)
+			}
+		}
+	}
+	t.Fatalf("%q did not arrive in ten rounds", text)
+}
+
+// TestClientRejoins: a real client comes back on its own — nothing
+// redials it but the client — after its entry restarts, after its
+// frontend restarts, and after a kick. The entry tier registers it again,
+// the rounds count it, and a message sent afterwards is delivered.
+func TestClientRejoins(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		frontends int
+		fault     func(t *testing.T, cn *ChainNet, sw *Swarm)
+	}{
+		{"entry restart", 0, func(t *testing.T, cn *ChainNet, _ *Swarm) {
+			if err := cn.Restart(cn.EntryAddr); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"frontend restart", 1, func(t *testing.T, cn *ChainNet, _ *Swarm) {
+			if err := cn.Restart(cn.FrontAddrs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"kick", 0, func(t *testing.T, cn *ChainNet, sw *Swarm) {
+			sw.Kick(0)
+			// The coordinator learns of the dead connection asynchronously:
+			// a round may still count the kicked connection instead of the
+			// new one. The client is back once a round counts both.
+			waitFor(t, "the kicked client to participate again", func() bool {
+				if err := cn.WaitReady(2, 5*time.Second); err != nil {
+					t.Fatal(err)
+				}
+				_, n, err := cn.Coord.RunConvoRound(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n == 2
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer LeakCheck(t)()
+			cn, err := NewChainNet(ChainNetConfig{Servers: 2, Frontends: tc.frontends, StateDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cn.Close()
+			sw, err := cn.NewSwarm(conversingPair(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sw.Close()
+			alice, bob := sw.members[0].c, sw.members[1].c
+
+			exchange := func(text string) {
+				t.Helper()
+				if err := cn.WaitReady(2, 5*time.Second); err != nil {
+					t.Fatalf("%s the fault: %v", text, err)
+				}
+				if err := alice.Send(text); err != nil {
+					t.Fatal(err)
+				}
+				converse(t, cn, bob, text, 2)
+			}
+			exchange("before")
+			tc.fault(t, cn, sw)
+			exchange("after")
+		})
 	}
 }

@@ -259,6 +259,13 @@ var (
 	ErrMalformed = errors.New("wire: malformed frame")
 )
 
+// FitsFrame reports whether a body of `parts` parts holding `bytes` bytes
+// in all fits one frame: at most MaxBodyParts parts, and at most
+// MaxFrameSize encoded.
+func FitsFrame(parts, bytes int) bool {
+	return parts <= MaxBodyParts && headerSize+4*parts+bytes <= MaxFrameSize
+}
+
 // size returns the encoded payload size of m (excluding the frame length
 // prefix).
 func (m *Message) size() int {
