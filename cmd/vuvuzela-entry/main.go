@@ -1,6 +1,7 @@
 // vuvuzela-entry runs the untrusted entry server (paper §7): it maintains
 // client connections, announces rounds on timers, batches client requests
-// into the chain, and demultiplexes replies.
+// into the chain, and demultiplexes replies. It is wired from chain.json
+// by internal/deploy.
 //
 // Usage:
 //
@@ -15,7 +16,7 @@ import (
 
 	"vuvuzela/internal/config"
 	"vuvuzela/internal/coordinator"
-	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/roundstate"
 	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
@@ -35,38 +36,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var frontKey box.PrivateKey
-	if chain.EntryFrontAddr != "" {
-		if *keyPath == "" {
-			log.Fatalf("chain config names frontend pipe %s but no -key file was given", chain.EntryFrontAddr)
-		}
-		k, err := config.LoadServerKey(*keyPath)
-		if err != nil {
+	var key *config.ServerKey
+	if *keyPath != "" {
+		if key, err = config.LoadServerKey(*keyPath); err != nil {
 			log.Fatal(err)
 		}
-		frontKey = box.PrivateKey(k.PrivateKey)
 	}
-	var store *roundstate.Counters
-	if *roundState != "" {
-		store, err = roundstate.OpenCounters(*roundState)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("round state in %s (resuming after convo round %d, dial round %d)",
-			*roundState, store.Last(roundstate.ConvoCounter), store.Last(roundstate.DialCounter))
-	} else {
-		log.Printf("WARNING: no -round-state file; restarting this entry against a durable chain re-issues consumed round numbers and wedges")
-	}
-	co, err := coordinator.New(coordinator.Config{
-		//vuvuzela:allow plaintexttransport substrate only: the coordinator wraps every chain dial in transport.SecureClient keyed to ChainPub
-		Net:           transport.TCP{},
-		ChainAddr:     chain.Servers[0].Addr,
-		ChainPub:      box.PublicKey(chain.Servers[0].PublicKey),
-		DialBuckets:   chain.DialBuckets,
+	//vuvuzela:allow plaintexttransport substrate only: the chain leg and the frontend pipes run inside transport.Secure; clients are untrusted and their requests arrive onion-sealed for the chain
+	tcp := transport.TCP{}
+	role, err := deploy.Entry(chain, key, tcp, coordinator.Config{
 		SubmitTimeout: *submitTimeout,
 		ConvoWindow:   *convoWindow,
-		RoundState:    store,
-		FrontIdentity: frontKey,
 		OnRoundError: func(proto wire.Proto, round uint64, err error) {
 			// Round failures are transient (the next tick retries with a
 			// fresh round), but a persistent cause — unreachable chain,
@@ -81,28 +61,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	l, err := transport.TCP{}.Listen(chain.EntryAddr) //vuvuzela:allow plaintexttransport client-facing listener; clients are untrusted and their requests arrive onion-sealed for the chain
+	ls, err := deploy.Listen(tcp, role.Addrs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if chain.EntryFrontAddr != "" {
-		fl, err := transport.TCP{}.Listen(chain.EntryFrontAddr) //vuvuzela:allow plaintexttransport substrate only: ServeFrontends wraps every accepted pipe in transport.Secure keyed to the entry.key identity
+	var store *roundstate.Counters
+	if *roundState != "" {
+		store, err = roundstate.OpenCounters(*roundState)
 		if err != nil {
 			log.Fatal(err)
 		}
-		go func() {
-			if err := co.ServeFrontends(fl); err != nil {
-				log.Fatal(err)
-			}
-		}()
-		log.Printf("frontend pipes on %s", chain.EntryFrontAddr)
+		log.Printf("round state in %s (resuming after convo round %d, dial round %d)",
+			*roundState, store.Last(roundstate.ConvoCounter), store.Last(roundstate.DialCounter))
+	} else {
+		log.Printf("WARNING: no -round-state file; restarting this entry against a durable chain re-issues consumed round numbers and wedges")
 	}
-	log.Printf("vuvuzela entry server on %s → chain head %s (convo %v, dial %v)",
-		chain.EntryAddr, chain.Servers[0].Addr, *convoEvery, *dialEvery)
-
-	co.Start(context.Background(), *convoEvery, *dialEvery)
-	if err := co.Serve(l); err != nil {
+	co, done, err := role.Boot(store, ls)
+	if err != nil {
 		log.Fatal(err)
 	}
+	if len(role.Addrs) > 1 {
+		log.Printf("frontend pipes on %s", role.Addrs[1])
+	}
+	log.Printf("vuvuzela entry server on %s → chain head %s (convo %v, dial %v)",
+		role.Addrs[0], chain.Servers[0].Addr, *convoEvery, *dialEvery)
+
+	co.(*coordinator.Coordinator).Start(context.Background(), *convoEvery, *dialEvery)
+	log.Fatal(<-done)
 }

@@ -4,7 +4,8 @@
 // forwards them as one partial batch over an authenticated pipe to the
 // entry server. Frontends keep no round state, so any number of them can
 // run behind one entry and a crashed frontend is replaced by simply
-// starting another (clients reconnect to any live one).
+// starting another (clients reconnect to any live one). It is wired from
+// chain.json by internal/deploy.
 //
 // Like the entry server itself, a frontend is untrusted (paper §7):
 // everything it handles is onion-sealed for the chain, so a malicious
@@ -16,12 +17,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"log"
 
 	"vuvuzela/internal/config"
-	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/frontend"
 	"vuvuzela/internal/transport"
 )
@@ -37,38 +37,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if chain.EntryFrontAddr == "" {
-		log.Fatalf("chain config %s has no entry_front_addr; regenerate it with vuvuzela-keygen chain -frontends N", *chainPath)
-	}
-	addr := *listen
-	if addr == "" {
-		if *index < 0 || *index >= len(chain.Frontends) {
-			log.Fatalf("-index %d out of range: chain config lists %d frontends", *index, len(chain.Frontends))
-		}
-		addr = chain.Frontends[*index]
-	}
-
-	fe, err := frontend.New(frontend.Config{
-		//vuvuzela:allow plaintexttransport substrate only: the frontend wraps its coordinator pipe in transport.SecureClient keyed to the chain's entry_front_key
-		Net:        transport.TCP{},
-		CoordAddr:  chain.EntryFrontAddr,
-		CoordPub:   box.PublicKey(chain.EntryFrontKey),
-		MaxClients: *maxClients,
-	})
+	//vuvuzela:allow plaintexttransport substrate only: the pipe runs inside transport.Secure keyed to the chain's entry_front_key; clients are untrusted and their requests arrive onion-sealed for the chain
+	tcp := transport.TCP{}
+	role, err := deploy.Frontend(chain, *index, tcp, frontend.Config{MaxClients: *maxClients})
 	if err != nil {
 		log.Fatal(err)
 	}
-	l, err := transport.TCP{}.Listen(addr) //vuvuzela:allow plaintexttransport client-facing listener; clients are untrusted and their requests arrive onion-sealed for the chain
+	if *listen != "" {
+		role.Addrs = []string{*listen}
+	}
+	ls, err := deploy.Listen(tcp, role.Addrs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	go func() {
-		if err := fe.Serve(l); err != nil {
-			log.Fatal(err)
-		}
-	}()
-	log.Printf("vuvuzela frontend on %s → entry pipe %s", addr, chain.EntryFrontAddr)
-	if err := fe.Run(context.Background()); err != nil {
+	_, done, err := role.Boot(nil, ls)
+	if err != nil {
 		log.Fatal(err)
 	}
+	log.Printf("vuvuzela frontend on %s → entry pipe %s", role.Addrs[0], chain.EntryFrontAddr)
+	log.Fatal(<-done)
 }

@@ -1,6 +1,8 @@
 // vuvuzela-keygen generates deployment key material: a chain config with
-// fresh server key pairs, per-server private key files, and user identity
-// files registered into a PKI directory.
+// fresh server key pairs and per-server private key files — written as
+// internal/deploy's generator lays them out, the same generator the
+// in-process harness runs — and user identity files registered into a
+// PKI directory.
 //
 // Usage:
 //
@@ -16,6 +18,7 @@ import (
 
 	"vuvuzela/internal/config"
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/pki"
 )
 
@@ -41,104 +44,53 @@ func usage() {
 }
 
 func chainCmd(args []string) {
+	d := deploy.Defaults
 	fs := flag.NewFlagSet("chain", flag.ExitOnError)
-	servers := fs.Int("servers", 3, "number of chain servers")
-	shards := fs.Int("shards", 0, "networked dead-drop shard servers behind the last server (0 = in-process exchange)")
-	frontends := fs.Int("frontends", 0, "stateless entry frontends in front of the entry server (0 = clients connect to the entry directly)")
+	fs.IntVar(&d.Servers, "servers", d.Servers, "number of chain servers")
+	fs.IntVar(&d.Shards, "shards", d.Shards, "networked dead-drop shard servers behind the last server (0 = in-process exchange)")
+	fs.IntVar(&d.Frontends, "frontends", d.Frontends, "stateless entry frontends in front of the entry server (0 = clients connect to the entry directly)")
 	out := fs.String("out", ".", "output directory")
-	host := fs.String("host", "127.0.0.1", "host for generated addresses")
-	basePort := fs.Int("base-port", 2719, "first server port (entry uses base-port-1, CDN uses base-port+servers, shards follow the CDN)")
-	mu := fs.Float64("mu", 300000, "conversation noise mean µ per mixing server")
-	b := fs.Float64("b", 13800, "conversation noise scale b")
-	dialMu := fs.Float64("dial-mu", 13000, "dialing noise mean µ per bucket")
-	dialB := fs.Float64("dial-b", 770, "dialing noise scale b")
-	dialBuckets := fs.Uint("dial-buckets", 1, "invitation dead drop count m")
+	fs.StringVar(&d.Host, "host", d.Host, "host for generated addresses")
+	fs.IntVar(&d.BasePort, "base-port", d.BasePort, "first server port (entry uses base-port-1, CDN uses base-port+servers, shards follow the CDN)")
+	fs.Float64Var(&d.ConvoMu, "mu", d.ConvoMu, "conversation noise mean µ per mixing server")
+	fs.Float64Var(&d.ConvoB, "b", d.ConvoB, "conversation noise scale b")
+	fs.Float64Var(&d.DialMu, "dial-mu", d.DialMu, "dialing noise mean µ per bucket")
+	fs.Float64Var(&d.DialB, "dial-b", d.DialB, "dialing noise scale b")
+	dialBuckets := fs.Uint("dial-buckets", uint(d.DialBuckets), "invitation dead drop count m")
 	fs.Parse(args)
+	d.DialBuckets = uint32(*dialBuckets)
 
+	chain, keys, err := deploy.Generate(d)
+	if err != nil {
+		fatal(err)
+	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	chain := &config.Chain{
-		EntryAddr:    fmt.Sprintf("%s:%d", *host, *basePort-1),
-		ConvoNoiseMu: *mu, ConvoNoiseB: *b,
-		DialNoiseMu: *dialMu, DialNoiseB: *dialB,
-		DialBuckets: uint32(*dialBuckets),
-	}
-	for i := 0; i < *servers; i++ {
-		pub, priv, err := box.GenerateKey(nil)
-		if err != nil {
+	save := func(name string, v any, note string) string {
+		path := filepath.Join(*out, name)
+		if err := config.Save(path, v); err != nil {
 			fatal(err)
 		}
-		srv := config.Server{
-			Addr:      fmt.Sprintf("%s:%d", *host, *basePort+i),
-			PublicKey: config.Key(pub),
-		}
-		if i == *servers-1 {
-			srv.CDNAddr = fmt.Sprintf("%s:%d", *host, *basePort+*servers)
-		}
-		chain.Servers = append(chain.Servers, srv)
-		keyPath := filepath.Join(*out, fmt.Sprintf("server-%d.key", i))
-		if err := config.Save(keyPath, &config.ServerKey{Position: i, PrivateKey: config.Key(priv)}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", keyPath)
+		fmt.Printf("wrote %s%s\n", path, note)
+		return path
 	}
-	// Shard servers take ports above the CDN and get key files named
-	// shard-K.key; -mode shard validates the key against the chain entry
-	// the same way chain servers do.
-	for i := 0; i < *shards; i++ {
-		pub, priv, err := box.GenerateKey(nil)
-		if err != nil {
-			fatal(err)
-		}
-		chain.Shards = append(chain.Shards, config.Server{
-			Addr:      fmt.Sprintf("%s:%d", *host, *basePort+*servers+1+i),
-			PublicKey: config.Key(pub),
-		})
-		keyPath := filepath.Join(*out, fmt.Sprintf("shard-%d.key", i))
-		if err := config.Save(keyPath, &config.ServerKey{Position: i, PrivateKey: config.Key(priv)}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", keyPath)
+	for i := range keys.Servers {
+		save(fmt.Sprintf("server-%d.key", i), &keys.Servers[i], "")
 	}
-	// Frontends take ports above the shards; the entry's frontend-pipe
-	// listener sits below the client-facing entry port, and its private
-	// key goes to entry.key (the frontends hold no long-term keys — they
-	// are untrusted like the entry itself, §7).
-	if *frontends > 0 {
-		pub, priv, err := box.GenerateKey(nil)
-		if err != nil {
-			fatal(err)
-		}
-		chain.EntryFrontAddr = fmt.Sprintf("%s:%d", *host, *basePort-2)
-		chain.EntryFrontKey = config.Key(pub)
-		for i := 0; i < *frontends; i++ {
-			chain.Frontends = append(chain.Frontends,
-				fmt.Sprintf("%s:%d", *host, *basePort+*servers+1+*shards+i))
-		}
-		keyPath := filepath.Join(*out, "entry.key")
-		if err := config.Save(keyPath, &config.ServerKey{Position: -1, PrivateKey: config.Key(priv)}); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", keyPath)
+	for i := range keys.Shards {
+		save(fmt.Sprintf("shard-%d.key", i), &keys.Shards[i], "")
 	}
-	// The same validation LoadChain applies on every read: no zero or
-	// duplicated keys, no empty addresses. The chain keys the
-	// authenticated router↔shard channels, so a bad descriptor must die
-	// here, not at the first round.
-	if err := chain.Validate(); err != nil {
-		fatal(fmt.Errorf("generated chain failed validation: %w", err))
+	if keys.Entry != nil {
+		save("entry.key", keys.Entry, "")
 	}
-	chainPath := filepath.Join(*out, "chain.json")
-	if err := config.Save(chainPath, chain); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d servers, %d shards, %d frontends, entry %s)\n", chainPath, *servers, *shards, *frontends, chain.EntryAddr)
-	if *frontends > 0 {
+	chainPath := save("chain.json", chain, fmt.Sprintf(" (%d servers, %d shards, %d frontends, entry %s)",
+		d.Servers, d.Shards, d.Frontends, chain.EntryAddr))
+	if d.Frontends > 0 {
 		fmt.Printf("frontends authenticate the entry's pipe key; run each with\n  vuvuzela-frontend -chain %s -index I\nand the entry with -key %s\n",
 			chainPath, filepath.Join(*out, "entry.key"))
 	}
-	if *shards > 0 {
+	if d.Shards > 0 {
 		fmt.Printf("shard servers authenticate the last server's key; run each with\n  vuvuzela-server -chain %s -key %s -mode shard\n",
 			chainPath, filepath.Join(*out, "shard-K.key"))
 	}

@@ -4,7 +4,8 @@
 // 2); the last server in the chain additionally hosts the invitation CDN
 // and the dead-drop exchange. When the chain config lists shard servers,
 // the last server instead fans the exchange out to them by drop-ID
-// prefix, and each shard runs as its own process in shard mode.
+// prefix, and each shard runs as its own process in shard mode. Either
+// role is wired from chain.json by internal/deploy.
 //
 // Usage:
 //
@@ -19,11 +20,9 @@ import (
 	"os"
 	"time"
 
-	"vuvuzela/internal/cdn"
 	"vuvuzela/internal/config"
-	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/mixnet"
-	"vuvuzela/internal/noise"
 	"vuvuzela/internal/roundstate"
 	"vuvuzela/internal/transport"
 )
@@ -63,22 +62,58 @@ func main() {
 		log.Fatalf("unknown -shard-policy %q (want abort or degrade)", *shardPolicy)
 	}
 
+	//vuvuzela:allow plaintexttransport substrate only: every chain, shard and entry leg runs inside transport.Secure; the CDN serves public invitation buckets, nothing confidential
+	tcp := transport.TCP{}
+	var role deploy.Role
 	switch *mode {
 	case "chain":
-		runChain(chain, key, *fixedNoise, *workers, *shardTimeout, policy, *roundState)
+		role, err = deploy.Server(chain, key, tcp, mixnet.Config{
+			Workers:      *workers,
+			ShardTimeout: *shardTimeout,
+			ShardPolicy:  policy,
+			OnShardDegraded: func(round uint64, shard int, addr string, err error) {
+				log.Printf("round %d: degraded around shard %d (%s): %v", round, shard, addr, err)
+			},
+		}, *fixedNoise)
 	case "shard":
-		runShard(chain, key, *shardIndex, *roundState)
+		if *shardIndex >= 0 {
+			key.Position = *shardIndex // shard key files record their index as Position
+		}
+		role, err = deploy.Shard(chain, key, mixnet.ShardConfig{})
 	default:
 		log.Fatalf("unknown -mode %q (want chain or shard)", *mode)
 	}
-}
-
-// checkKey refuses to run with a key that does not match the published
-// chain entry.
-func checkKey(priv box.PrivateKey, want config.Key, what string) {
-	if box.PublicKeyOf(&priv) != box.PublicKey(want) {
-		log.Fatalf("private key does not match chain.json entry for %s", what)
+	if err != nil {
+		log.Fatal(err)
 	}
+	ls, err := deploy.Listen(tcp, role.Addrs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, done, err := role.Boot(openRoundState(*roundState), ls)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	if *mode == "shard" {
+		router := chain.Servers[len(chain.Servers)-1].PublicKey
+		log.Printf("vuvuzela dead-drop shard %d/%d listening on %s (authenticated; router key %x...)",
+			key.Position, len(chain.Shards), role.Addrs[0], router[:4])
+		log.Fatal(<-done)
+	}
+	what := "mixing"
+	if key.Position == len(chain.Servers)-1 {
+		what = "last (dead drops)"
+		if n := len(chain.Shards); n > 0 {
+			what = fmt.Sprintf("last (routing dead drops to %d shards)", n)
+		}
+	}
+	if len(role.Addrs) > 1 {
+		log.Printf("serving invitation buckets on %s", role.Addrs[1])
+	}
+	log.Printf("vuvuzela server %d/%d (%s) listening on %s, convo noise µ=%.0f",
+		key.Position, len(chain.Servers), what, role.Addrs[0], chain.ConvoNoiseMu)
+	log.Fatal(<-done)
 }
 
 // openRoundState opens the -round-state file of either mode and logs where
@@ -96,127 +131,4 @@ func openRoundState(path string) *roundstate.Counters {
 	log.Printf("round state in %s (resuming after convo round %d, dial round %d)",
 		path, store.Last(roundstate.ConvoCounter), store.Last(roundstate.DialCounter))
 	return store
-}
-
-func runChain(chain *config.Chain, key *config.ServerKey, fixedNoise bool, workers int, shardTimeout time.Duration, policy mixnet.ShardPolicy, statePath string) {
-	pos := key.Position
-	if pos < 0 || pos >= len(chain.Servers) {
-		log.Fatalf("key position %d out of range for %d-server chain", pos, len(chain.Servers))
-	}
-	priv := box.PrivateKey(key.PrivateKey)
-	checkKey(priv, chain.Servers[pos].PublicKey, fmt.Sprintf("position %d", pos))
-
-	var convoNoise, dialNoise noise.Distribution
-	if fixedNoise {
-		convoNoise = noise.Fixed{N: int(chain.ConvoNoiseMu)}
-		dialNoise = noise.Fixed{N: int(chain.DialNoiseMu)}
-	} else {
-		convoNoise = noise.Laplace{Mu: chain.ConvoNoiseMu, B: chain.ConvoNoiseB}
-		dialNoise = noise.Laplace{Mu: chain.DialNoiseMu, B: chain.DialNoiseB}
-	}
-
-	cfg := mixnet.Config{
-		Position:   pos,
-		ChainPubs:  chain.PublicKeys(),
-		Priv:       priv,
-		ConvoNoise: convoNoise,
-		DialNoise:  dialNoise,
-		Workers:    workers,
-		//vuvuzela:allow plaintexttransport substrate only: mixnet wraps every successor and shard dial in transport.SecureClient
-		Net: transport.TCP{},
-	}
-	last := pos == len(chain.Servers)-1
-	var store *cdn.Store
-	if last {
-		store = cdn.NewStore(0)
-		cfg.Buckets = store
-		cfg.ShardAddrs = chain.ShardAddrs()
-		cfg.ShardPubs = chain.ShardKeys()
-		cfg.ShardTimeout = shardTimeout
-		cfg.ShardPolicy = policy
-		cfg.OnShardDegraded = func(round uint64, shard int, addr string, err error) {
-			log.Printf("round %d: degraded around shard %d (%s): %v", round, shard, addr, err)
-		}
-	} else {
-		cfg.NextAddr = chain.Servers[pos+1].Addr
-	}
-
-	cfg.RoundState = openRoundState(statePath)
-	srv, err := mixnet.NewServer(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if last && chain.CDNAddr() != "" {
-		//vuvuzela:allow plaintexttransport the CDN serves public invitation buckets; there is nothing confidential on this leg
-		cdnL, err := transport.TCP{}.Listen(chain.CDNAddr())
-		if err != nil {
-			log.Fatal(err)
-		}
-		go func() {
-			if err := store.Serve(cdnL); err != nil {
-				log.Printf("cdn: %v", err)
-			}
-		}()
-		log.Printf("serving invitation buckets on %s", chain.CDNAddr())
-	}
-
-	//vuvuzela:allow plaintexttransport substrate only: mixnet.Serve wraps every accepted connection in transport.Secure before parsing a frame
-	l, err := transport.TCP{}.Listen(chain.Servers[pos].Addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	role := "mixing"
-	if last {
-		role = "last (dead drops)"
-		if n := len(chain.Shards); n > 0 {
-			role = fmt.Sprintf("last (routing dead drops to %d shards)", n)
-		}
-	}
-	log.Printf("vuvuzela server %d/%d (%s) listening on %s, convo noise µ=%.0f",
-		pos, len(chain.Servers), role, chain.Servers[pos].Addr, chain.ConvoNoiseMu)
-	if err := srv.Serve(l); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-func runShard(chain *config.Chain, key *config.ServerKey, index int, statePath string) {
-	if len(chain.Shards) == 0 {
-		log.Fatal("chain config lists no shard servers; generate one with vuvuzela-keygen chain -shards N")
-	}
-	if index < 0 {
-		index = key.Position // shard key files record their index as Position
-	}
-	if index < 0 || index >= len(chain.Shards) {
-		log.Fatalf("shard index %d out of range for %d shards", index, len(chain.Shards))
-	}
-	priv := box.PrivateKey(key.PrivateKey)
-	checkKey(priv, chain.Shards[index].PublicKey, fmt.Sprintf("shard %d", index))
-
-	// Only the last chain server — the shard router — may drive rounds
-	// on this shard; its key comes from the same descriptor clients use.
-	routerKey := box.PublicKey(chain.Servers[len(chain.Servers)-1].PublicKey)
-	cfg := mixnet.ShardConfig{
-		Index:      index,
-		NumShards:  len(chain.Shards),
-		Identity:   priv,
-		Authorized: []box.PublicKey{routerKey},
-	}
-	cfg.RoundState = openRoundState(statePath)
-	ss, err := mixnet.NewShardServer(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	//vuvuzela:allow plaintexttransport substrate only: ShardServer.Serve wraps every accepted connection in transport.SecureServer keyed to the authorized routers
-	l, err := transport.TCP{}.Listen(chain.Shards[index].Addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("vuvuzela dead-drop shard %d/%d listening on %s (authenticated; router key %x...)",
-		index, len(chain.Shards), chain.Shards[index].Addr, routerKey[:4])
-	if err := ss.Serve(l); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

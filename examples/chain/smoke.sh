@@ -5,7 +5,8 @@
 # and runs the smoke driver, which connects one client to each
 # frontend, dials one user from the other, and exchanges a message
 # each way over the fully authenticated chain. Exits non-zero if any
-# process dies or the messages do not arrive.
+# process dies or the messages do not arrive, or if the entry accepts a
+# key that is not its pipe key.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
@@ -35,6 +36,19 @@ echo "== generating config (base port $BASE_PORT)"
     -base-port "$BASE_PORT" -mu 20 -b 5 -dial-mu 5 -dial-b 2
 "$WORK/bin/vuvuzela-keygen" user -name alice -out "$WORK/deploy"
 "$WORK/bin/vuvuzela-keygen" user -name bob -out "$WORK/deploy"
+
+# Negative row: an entry given another role's key must refuse it at once
+# (its pipe could never authenticate to a frontend), not run without a
+# word. timeout's 124 means it was still running after 1 s.
+echo "== checking that the entry refuses server-0.key as its pipe key"
+status=0
+timeout 1 "$WORK/bin/vuvuzela-entry" -chain "$WORK/deploy/chain.json" \
+    -key "$WORK/deploy/server-0.key" >"$WORK/entry-wrong-key.log" 2>&1 || status=$?
+if [ "$status" -eq 0 ] || [ "$status" -eq 124 ]; then
+    echo "== vuvuzela-entry with server-0.key did not exit non-zero within 1 s (status $status):"
+    cat "$WORK/entry-wrong-key.log"
+    exit 1
+fi
 
 echo "== starting shards, servers, entry, frontends"
 for i in 0 1; do

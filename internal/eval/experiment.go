@@ -56,7 +56,8 @@ type Experiment struct {
 	// Scenario is the workload/fault pattern (zero value = baseline).
 	Scenario Scenario
 	// SubmitTimeout bounds each round's client collection (default
-	// 2s; rounds close early once every client submitted).
+	// coordinator.New's; rounds close early once every client
+	// submitted).
 	SubmitTimeout time.Duration
 }
 
@@ -162,18 +163,10 @@ func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, 
 		Entry:        coordinator.Config{SubmitTimeout: e.SubmitTimeout},
 	}
 
-	base := transport.NewMem()
-	var tap *wireTrace
+	var mitm *transport.MITM
 	if e.Adversary == WireObserver {
-		mitm := transport.NewMITM(base)
-		tap = &wireTrace{}
-		// The chain head's address predates the deployment (sim names
-		// servers "server-<i>"), and the intercept must be installed
-		// before the coordinator's first dial.
-		mitm.Intercept("server-0", tap.rewriter())
+		mitm = transport.NewMITM(transport.NewMem())
 		cfg.Net = mitm
-	} else {
-		cfg.Net = base
 	}
 	if e.Scenario.Configure != nil {
 		e.Scenario.Configure(&cfg)
@@ -184,6 +177,13 @@ func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, 
 		return nil, 0, err
 	}
 	defer cn.Close()
+	var tap *wireTrace
+	if mitm != nil {
+		// The entry dials the chain head at its first round, so the tap
+		// on that leg is in place before any record crosses it.
+		tap = &wireTrace{}
+		mitm.Intercept(cn.ServerAddrs[0], tap.rewriter())
+	}
 
 	clients := e.buildClients(conversing)
 	sw, err := cn.NewSwarm(clients, nil)

@@ -646,8 +646,9 @@ func (s *Server) Close() error {
 }
 
 // NewChainKeys generates a fresh key chain of n servers, returning the
-// public chain and each server's private key. Used by tests, examples,
-// and the keygen tool.
+// public chain and each server's private key, for tests that stand up a
+// bare chain. A deployment's keys come with its descriptor, from
+// internal/deploy's generator.
 func NewChainKeys(n int) ([]box.PublicKey, []box.PrivateKey, error) {
 	pubs := make([]box.PublicKey, n)
 	privs := make([]box.PrivateKey, n)

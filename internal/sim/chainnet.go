@@ -2,20 +2,21 @@ package sim
 
 // ChainNet is the package's one deployment harness: a coordinator
 // (entry server), every chain server, and optionally networked dead-drop
-// shard servers and entry frontends, all wired over an in-memory
-// transport exactly as the production processes are over TCP — entry
-// dials server 0, server i dials server i+1, the last server fans out to
-// the shards, every leg inside transport.Secure. Every process is one
-// row of a node table, named by its listen address (the name
-// transport.Faulty and transport.MITM use for the leg that ends there),
-// and Kill / Restart take that name: with a StateDir, each node persists
-// its round state the same way the real binaries do with -round-state,
-// so a restart exercises the durable rejoin path for every role. It is
-// the one in-process deployment: the fault suites, internal/eval, the
-// measured figures (measure.go) and the public facade
-// (vuvuzela.NewInProcessNetwork) all stand theirs up here.
+// shard servers and entry frontends, generated by vuvuzela-keygen's
+// generator and booted by internal/deploy exactly as the production
+// binaries are, over an in-memory transport: entry dials server 0, server
+// i dials server i+1, the last server fans out to the shards and serves
+// the CDN, every leg inside transport.Secure. Every process is one row of
+// a node table, named by its listen address (the name transport.Faulty
+// and transport.MITM use for the leg that ends there), and Kill / Restart
+// take that name: with a StateDir, each node persists its round state as
+// the binaries do with -round-state. It is the one in-process deployment:
+// the fault suites, internal/eval, the measured figures (measure.go) and
+// the public facade (vuvuzela.NewInProcessNetwork) all stand theirs up
+// here.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -28,6 +29,7 @@ import (
 
 	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/frontend"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/roundstate"
@@ -35,10 +37,9 @@ import (
 )
 
 // ChainNetConfig describes a fully networked in-memory deployment: its
-// topology and substrate, plus one template per role. What a role is
-// configured with — noise, workers, shard policy, submit timeout, the
-// pipelining window, the roles' own hooks — is that role's Config, set
-// in the template; NewChainNet fills in only the wiring.
+// topology and substrate, plus a template per role for what no flag
+// expresses. Keys, addresses and defaults come from the descriptor and
+// internal/deploy, as in a real deployment.
 type ChainNetConfig struct {
 	// Servers is the chain length (>= 1).
 	Servers int
@@ -49,13 +50,12 @@ type ChainNetConfig struct {
 	// the coordinator; 0 keeps every client directly on the coordinator
 	// (the pre-split topology). With frontends, a Swarm distributes its
 	// clients round-robin over the live frontends, and the coordinator
-	// additionally listens on FrontPipeAddr for their authenticated
-	// pipes.
+	// additionally listens for their authenticated pipes.
 	Frontends int
 	// Net is the network every node listens on and dials through; nil
-	// means a fresh in-memory transport.Mem. A transport.Faulty or
-	// transport.MITM wrapper acts only on the addresses a test names, so
-	// passing one here disturbs exactly the legs that end there.
+	// means a fresh in-memory transport.Mem. It is an option for the fault
+	// wrappers: a transport.Faulty or transport.MITM acts only on the
+	// addresses a test names, disturbing exactly the legs that end there.
 	Net transport.Network
 	// StateDir, if set, gives every node a durable round-state file, a
 	// roundstate.Counters — the coordinator's entry.rounds, each chain
@@ -65,21 +65,21 @@ type ChainNetConfig struct {
 	// runs every node memory-only (the replay-window control).
 	StateDir string
 	// NoisyServers lists the chain positions that keep Chain.ConvoNoise;
-	// nil means every mixing (non-last) server, the production wiring.
-	// The adversarial eval harness (internal/eval) narrows this to model
-	// §4.2's compromised servers withholding their own noise. The last
-	// server never adds conversation noise (§8.2) either way.
+	// nil means every mixing (non-last) server, the production wiring. It
+	// is an option for internal/eval, which narrows it to model §4.2's
+	// compromised servers withholding their noise. The last server never
+	// adds conversation noise (§8.2) either way.
 	NoisyServers []int
-	// Chain is every chain server's config. NewChainNet fills in
-	// Position, ChainPubs, Priv, Net, NextAddr, RoundState and, on the
-	// last server, the shards' addresses and keys. The last server's
-	// ConvoObserver is chained after the harness's own round log (see
-	// ExchangedRounds).
+	// Chain is every chain server's template, for what no flag expresses:
+	// noise distributions (the suites' noise.Fixed, eval's seeded draws;
+	// nil adds none), NoiseSrc, OnShardDegraded. The last server's
+	// ConvoObserver (eval's adversary tap) is chained after the harness's
+	// own round log (see ExchangedRounds).
 	Chain mixnet.Config
-	// Entry is the coordinator's config. NewChainNet fills in Net,
-	// ChainAddr, ChainPub, FrontIdentity and RoundState; a zero
-	// SubmitTimeout is 2s here (rounds close early once every client
-	// submitted).
+	// Entry is the coordinator's template, for what no flag expresses —
+	// the facade's ConvoExchanges and AutoBuckets — and the flags a suite
+	// sets (SubmitTimeout, ConvoWindow); its DialBuckets is the
+	// descriptor's dial_buckets.
 	Entry coordinator.Config
 }
 
@@ -107,9 +107,9 @@ type ChainNet struct {
 	Fronts []*frontend.Frontend
 	// EntryAddr is the coordinator's client-facing listen address.
 	EntryAddr string
-	// FrontPipeAddr is the coordinator's frontend-pipe listen address
-	// (set when Frontends > 0).
-	FrontPipeAddr string
+	// CDNAddr is where the last chain server serves invitation buckets;
+	// it goes down and comes back with that server.
+	CDNAddr string
 	// FrontAddrs are the frontends' client-facing listen addresses.
 	FrontAddrs []string
 	// ServerAddrs are the chain servers' listen addresses, in chain
@@ -125,12 +125,11 @@ type ChainNet struct {
 	rounds  []uint64
 }
 
-// node is one process of the deployment. What differs between the roles
-// is data here, so the kill and restart order is written once, in kill
-// and ChainNet.Restart.
+// node is one process of the deployment: a deploy.Role and its lifecycle.
+// What differs between the roles is data here, so the kill and restart
+// order is written once, in kill and ChainNet.Restart.
 type node struct {
-	// addrs are the listen addresses; addrs[0] names the node.
-	addrs []string
+	deploy.Role
 	// statePath is the durable round-state file ("" = memory-only).
 	statePath string
 	// stopFirst has Restart kill the running process before its
@@ -138,9 +137,6 @@ type node struct {
 	// state a replay could target, and two processes of one frontend
 	// would both hold a pipe into the coordinator.
 	stopFirst bool
-	// boot builds a fresh process around the just-opened round state
-	// (nil when memory-only) and serves it on ls, one listener per addr.
-	boot func(state *roundstate.Counters, ls []net.Listener) (io.Closer, error)
 	// set publishes the process in its exported slot (Coord, Servers[i],
 	// ...); nil clears the slot.
 	set func(proc io.Closer)
@@ -150,89 +146,64 @@ type node struct {
 	state *roundstate.Counters
 }
 
-// NewChainNet starts the shard servers, the chain servers (each on its
-// own listener, last server first), the coordinator, and the frontends.
+// NewChainNet generates the deployment's descriptor and starts the shard
+// servers, the chain servers (each on its own listener, last server
+// first), the coordinator, and the frontends.
 func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
-	if cfg.Servers < 1 || cfg.Shards < 0 {
-		return nil, fmt.Errorf("sim: chain net needs >= 1 server and >= 0 shards, got %d/%d", cfg.Servers, cfg.Shards)
-	}
 	if cfg.Net == nil {
 		cfg.Net = transport.NewMem()
 	}
-
-	pubs, privs, err := mixnet.NewChainKeys(cfg.Servers)
+	layout := deploy.Defaults
+	layout.Servers, layout.Shards, layout.Frontends = cfg.Servers, cfg.Shards, cfg.Frontends
+	layout.ConvoMu, layout.DialMu = 0, 0
+	layout.DialBuckets = cmp.Or(cfg.Entry.DialBuckets, layout.DialBuckets)
+	chain, keys, err := deploy.Generate(layout)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	cn := &ChainNet{
-		Pubs: pubs, Privs: privs,
-		EntryAddr: "entry",
-		Servers:   make([]*mixnet.Server, cfg.Servers),
-		Shards:    make([]*mixnet.ShardServer, cfg.Shards),
-		Fronts:    make([]*frontend.Frontend, cfg.Frontends),
-		cfg:       cfg,
+		Pubs:        chain.PublicKeys(),
+		Servers:     make([]*mixnet.Server, len(chain.Servers)),
+		Shards:      make([]*mixnet.ShardServer, len(chain.Shards)),
+		ShardPubs:   chain.ShardKeys(),
+		Fronts:      make([]*frontend.Frontend, len(chain.Frontends)),
+		EntryAddr:   chain.EntryAddr,
+		CDNAddr:     chain.CDNAddr(),
+		FrontAddrs:  chain.Frontends,
+		ServerAddrs: make([]string, len(chain.Servers)),
+		ShardAddrs:  chain.ShardAddrs(),
+		cfg:         cfg,
 	}
-	for i := 0; i < cfg.Servers; i++ {
-		cn.ServerAddrs = append(cn.ServerAddrs, fmt.Sprintf("server-%d", i))
+	for i, s := range chain.Servers {
+		cn.ServerAddrs[i] = s.Addr
+		cn.Privs = append(cn.Privs, box.PrivateKey(keys.Servers[i].PrivateKey))
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		cn.ShardAddrs = append(cn.ShardAddrs, fmt.Sprintf("shard-%d", i))
-	}
-	for i := 0; i < cfg.Frontends; i++ {
-		cn.FrontAddrs = append(cn.FrontAddrs, fmt.Sprintf("front-%d", i))
-	}
-	statePath := func(name string) string {
-		if cfg.StateDir == "" {
-			return ""
-		}
-		return filepath.Join(cfg.StateDir, name)
-	}
-
-	// Dead-drop shard servers, each authorizing the last chain server's key.
-	if cfg.Shards > 0 {
-		shardPubs, shardPrivs, err := mixnet.NewChainKeys(cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		cn.ShardPubs = shardPubs
-		for i := 0; i < cfg.Shards; i++ {
-			sc := mixnet.ShardConfig{
-				Index:      i,
-				NumShards:  cfg.Shards,
-				Identity:   shardPrivs[i],
-				Authorized: []box.PublicKey{pubs[cfg.Servers-1]},
+	// add appends the node of a role a deploy function placed, its round
+	// state in the StateDir file named name. A node without one, a
+	// frontend, stops before its replacement starts.
+	var errs []error
+	add := func(name string, set func(io.Closer)) func(deploy.Role, error) {
+		return func(role deploy.Role, err error) {
+			errs = append(errs, err)
+			n := &node{Role: role, stopFirst: name == "", set: set}
+			if name != "" && cfg.StateDir != "" {
+				n.statePath = filepath.Join(cfg.StateDir, name)
 			}
-			cn.nodes = append(cn.nodes, &node{
-				addrs:     []string{cn.ShardAddrs[i]},
-				statePath: statePath(fmt.Sprintf("shard-%d.round", i)),
-				boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, error) {
-					sc := sc
-					sc.RoundState = state
-					ss, err := mixnet.NewShardServer(sc)
-					if err != nil {
-						return nil, err
-					}
-					go ss.Serve(ls[0])
-					return ss, nil
-				},
-				set: func(proc io.Closer) { cn.Shards[i], _ = proc.(*mixnet.ShardServer) },
-			})
+			cn.nodes = append(cn.nodes, n)
 		}
 	}
-
-	// Chain servers, each listening for its predecessor and dialing its
-	// successor over the wire.
-	for i := cfg.Servers - 1; i >= 0; i-- {
+	for i := range keys.Shards {
+		add(fmt.Sprintf("shard-%d.round", i), func(p io.Closer) { cn.Shards[i], _ = p.(*mixnet.ShardServer) })(
+			deploy.Shard(chain, &keys.Shards[i], mixnet.ShardConfig{}))
+	}
+	// Chain servers run in the fixed-noise mode over the descriptor's
+	// µ = 0, so a template distribution left nil adds no noise.
+	for i := len(chain.Servers) - 1; i >= 0; i-- {
 		mc := cfg.Chain
-		mc.Position = i
-		mc.ChainPubs = pubs
-		mc.Priv = privs[i]
-		mc.Net = cfg.Net
-		if !cn.noisyServer(i) {
+		if cfg.NoisyServers != nil && !slices.Contains(cfg.NoisyServers, i) {
 			mc.ConvoNoise = nil
 		}
-		if i == cfg.Servers-1 {
-			mc.ShardAddrs, mc.ShardPubs = cn.ShardAddrs, cn.ShardPubs
+		if i == len(chain.Servers)-1 {
 			// Every round number that reaches the exchange lands in the
 			// harness's round log — the matrix's "never repeats on the
 			// wire" assertion reads it back via ExchangedRounds. The
@@ -247,87 +218,18 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 					observe(round, m1, m2, more)
 				}
 			}
-		} else {
-			mc.NextAddr = cn.ServerAddrs[i+1]
 		}
-		cn.nodes = append(cn.nodes, &node{
-			addrs:     []string{cn.ServerAddrs[i]},
-			statePath: statePath(fmt.Sprintf("server-%d.rounds", i)),
-			boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, error) {
-				mc := mc
-				mc.RoundState = state
-				srv, err := mixnet.NewServer(mc)
-				if err != nil {
-					return nil, err
-				}
-				go srv.Serve(ls[0])
-				return srv, nil
-			},
-			set: func(proc io.Closer) { cn.Servers[i], _ = proc.(*mixnet.Server) },
-		})
+		add(fmt.Sprintf("server-%d.rounds", i), func(p io.Closer) { cn.Servers[i], _ = p.(*mixnet.Server) })(
+			deploy.Server(chain, &keys.Servers[i], cfg.Net, mc, true))
 	}
-
-	// The entry server; with a frontend tier it owns a second listener,
-	// for the frontends' authenticated pipes.
-	cc := cfg.Entry
-	cc.Net = cfg.Net
-	cc.ChainAddr = cn.ServerAddrs[0]
-	cc.ChainPub = pubs[0]
-	if cc.SubmitTimeout == 0 {
-		cc.SubmitTimeout = 2 * time.Second
+	add("entry.rounds", func(p io.Closer) { cn.Coord, _ = p.(*coordinator.Coordinator) })(
+		deploy.Entry(chain, keys.Entry, cfg.Net, cfg.Entry))
+	for i := range chain.Frontends {
+		add("", func(p io.Closer) { cn.Fronts[i], _ = p.(*frontend.Frontend) })(
+			deploy.Frontend(chain, i, cfg.Net, frontend.Config{}))
 	}
-	entryAddrs := []string{cn.EntryAddr}
-	var frontPub box.PublicKey
-	if cfg.Frontends > 0 {
-		pub, priv, err := box.GenerateKey(nil)
-		if err != nil {
-			return nil, err
-		}
-		frontPub, cc.FrontIdentity = pub, priv
-		cn.FrontPipeAddr = "entry-front"
-		entryAddrs = append(entryAddrs, cn.FrontPipeAddr)
-	}
-	cn.nodes = append(cn.nodes, &node{
-		addrs:     entryAddrs,
-		statePath: statePath("entry.rounds"),
-		boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, error) {
-			cc := cc
-			cc.RoundState = state
-			co, err := coordinator.New(cc)
-			if err != nil {
-				return nil, err
-			}
-			go co.Serve(ls[0])
-			if len(ls) > 1 {
-				go co.ServeFrontends(ls[1])
-			}
-			return co, nil
-		},
-		set: func(proc io.Closer) { cn.Coord, _ = proc.(*coordinator.Coordinator) },
-	})
-
-	// The entry frontends, each holding its own slice of the clients.
-	fc := frontend.Config{
-		Net:            cfg.Net,
-		CoordAddr:      cn.FrontPipeAddr,
-		CoordPub:       frontPub,
-		ReconnectDelay: 50 * time.Millisecond,
-	}
-	for i := 0; i < cfg.Frontends; i++ {
-		cn.nodes = append(cn.nodes, &node{
-			addrs:     []string{cn.FrontAddrs[i]},
-			stopFirst: true,
-			boot: func(_ *roundstate.Counters, ls []net.Listener) (io.Closer, error) {
-				fe, err := frontend.New(fc)
-				if err != nil {
-					return nil, err
-				}
-				go fe.Serve(ls[0])
-				go fe.Run(context.Background()) // until fe.Close
-				return fe, nil
-			},
-			set: func(proc io.Closer) { cn.Fronts[i], _ = proc.(*frontend.Frontend) },
-		})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 
 	for _, n := range cn.nodes {
@@ -357,16 +259,11 @@ func (cn *ChainNet) start(n *node) error {
 		}
 		n.state = state
 	}
-	ls := make([]net.Listener, 0, len(n.addrs))
-	for _, addr := range n.addrs {
-		l, err := cn.cfg.Net.Listen(addr)
-		if err != nil {
-			closeListeners(ls)
-			return err
-		}
-		ls = append(ls, l)
+	ls, err := deploy.Listen(cn.cfg.Net, n.Addrs)
+	if err != nil {
+		return err
 	}
-	proc, err := n.boot(n.state, ls)
+	proc, _, err := n.Boot(n.state, ls)
 	if err != nil {
 		closeListeners(ls)
 		return err
@@ -401,7 +298,7 @@ func (n *node) kill() {
 // node returns the node listening on addr, or nil.
 func (cn *ChainNet) node(addr string) *node {
 	for _, n := range cn.nodes {
-		for _, a := range n.addrs {
+		for _, a := range n.Addrs {
 			if a == addr {
 				return n
 			}
@@ -418,7 +315,7 @@ func (cn *ChainNet) node(addr string) *node {
 func (cn *ChainNet) Nodes() []string {
 	addrs := make([]string, len(cn.nodes))
 	for i, n := range cn.nodes {
-		addrs[i] = n.addrs[0]
+		addrs[i] = n.Addrs[0]
 	}
 	return addrs
 }
@@ -472,12 +369,6 @@ func (cn *ChainNet) Close() {
 	for i := len(cn.nodes) - 1; i >= 0; i-- {
 		cn.nodes[i].kill()
 	}
-}
-
-// noisyServer reports whether chain position i should add conversation
-// noise under cfg.NoisyServers (nil = every mixing server).
-func (cn *ChainNet) noisyServer(i int) bool {
-	return cn.cfg.NoisyServers == nil || slices.Contains(cn.cfg.NoisyServers, i)
 }
 
 // ExchangedRounds returns every round number that reached the last

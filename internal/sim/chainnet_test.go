@@ -200,17 +200,17 @@ func TestChainRestartMatrix(t *testing.T) {
 		restart func(cn *ChainNet) error
 		// deadHop is the address a round's failure must name while the
 		// node is down ("" = the round cannot even be driven).
-		deadHop string
+		deadHop func(cn *ChainNet) string
 		// replayInto directs the post-restart stale-replay probe: a chain
 		// position, or -1 for the shard, or -2 for none (entry).
 		replayInto int
 	}
 	roles := []role{
-		{"entry", func(cn *ChainNet) { cn.Kill(cn.EntryAddr) }, func(cn *ChainNet) error { return cn.Restart(cn.EntryAddr) }, "", -2},
-		{"server-head", func(cn *ChainNet) { cn.Kill(cn.ServerAddrs[0]) }, func(cn *ChainNet) error { return cn.Restart(cn.ServerAddrs[0]) }, "server-0", 0},
-		{"server-middle", func(cn *ChainNet) { cn.Kill(cn.ServerAddrs[1]) }, func(cn *ChainNet) error { return cn.Restart(cn.ServerAddrs[1]) }, "server-1", 1},
-		{"server-last", func(cn *ChainNet) { cn.Kill(cn.ServerAddrs[2]) }, func(cn *ChainNet) error { return cn.Restart(cn.ServerAddrs[2]) }, "server-2", 2},
-		{"shard", func(cn *ChainNet) { cn.Kill(cn.ShardAddrs[1]) }, func(cn *ChainNet) error { return cn.Restart(cn.ShardAddrs[1]) }, "shard-1", -1},
+		{"entry", func(cn *ChainNet) { cn.Kill(cn.EntryAddr) }, func(cn *ChainNet) error { return cn.Restart(cn.EntryAddr) }, func(*ChainNet) string { return "" }, -2},
+		{"server-head", func(cn *ChainNet) { cn.Kill(cn.ServerAddrs[0]) }, func(cn *ChainNet) error { return cn.Restart(cn.ServerAddrs[0]) }, func(cn *ChainNet) string { return cn.ServerAddrs[0] }, 0},
+		{"server-middle", func(cn *ChainNet) { cn.Kill(cn.ServerAddrs[1]) }, func(cn *ChainNet) error { return cn.Restart(cn.ServerAddrs[1]) }, func(cn *ChainNet) string { return cn.ServerAddrs[1] }, 1},
+		{"server-last", func(cn *ChainNet) { cn.Kill(cn.ServerAddrs[2]) }, func(cn *ChainNet) error { return cn.Restart(cn.ServerAddrs[2]) }, func(cn *ChainNet) string { return cn.ServerAddrs[2] }, 2},
+		{"shard", func(cn *ChainNet) { cn.Kill(cn.ShardAddrs[1]) }, func(cn *ChainNet) error { return cn.Restart(cn.ShardAddrs[1]) }, func(cn *ChainNet) string { return cn.ShardAddrs[1] }, -1},
 	}
 	phases := []string{"before-rounds", "down-mid-round", "between-pipelined"}
 	if testing.Short() {
@@ -253,8 +253,8 @@ func TestChainRestartMatrix(t *testing.T) {
 					if err == nil {
 						t.Fatalf("round with %s dead succeeded", ro.name)
 					}
-					if ro.deadHop != "" && !strings.Contains(err.Error(), ro.deadHop) {
-						t.Fatalf("failure %q does not name the dead hop %s", err, ro.deadHop)
+					if hop := ro.deadHop(cn); hop != "" && !strings.Contains(err.Error(), hop) {
+						t.Fatalf("failure %q does not name the dead hop %s", err, hop)
 					}
 
 					if err := ro.restart(cn); err != nil {
@@ -380,7 +380,7 @@ func TestChainRestartMidRoundServer(t *testing.T) {
 	if !errors.As(err, &remote) {
 		t.Fatalf("mid-round kill returned %v, want a RemoteError", err)
 	}
-	if !strings.Contains(err.Error(), "server-1") {
+	if !strings.Contains(err.Error(), cn.ServerAddrs[1]) {
 		t.Fatalf("failure %q does not name the restarted hop", err)
 	}
 	if !strings.Contains(err.Error(), "round") {

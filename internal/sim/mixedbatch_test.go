@@ -130,7 +130,6 @@ func mixedBatch(t *testing.T, round uint64, pubs []box.PublicKey) []mixedSlot {
 // parent commit.
 func TestMixedBatchThroughChain(t *testing.T) {
 	mitm := transport.NewMITM(transport.NewMem())
-	counts := countLegs(mitm, "server-0", "server-1", "server-2")
 	var mu sync.Mutex
 	var hist [][3]int
 	cn, err := NewChainNet(ChainNetConfig{
@@ -149,6 +148,7 @@ func TestMixedBatchThroughChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cn.Close()
+	counts := countLegs(mitm, cn.ServerAddrs...)
 	_, entryPriv := box.KeyPairFromSeed([]byte("mixed-entry"))
 	entry := &mixnet.Peer{Net: mitm, Addr: cn.ServerAddrs[0], Priv: entryPriv, Pub: cn.Pubs[0]}
 	defer entry.Close()
@@ -197,9 +197,9 @@ func TestMixedBatchThroughChain(t *testing.T) {
 	}
 	// Handshake, then per round the frame's first 64 KiB and its rest.
 	parent := map[string]legCount{
-		"server-0": {records: [2]int{5, 5}, bytes: [2]int{226223, 167168}},
-		"server-1": {records: [2]int{5, 5}, bytes: [2]int{204831, 160832}},
-		"server-2": {records: [2]int{5, 5}, bytes: [2]int{182967, 155896}},
+		cn.ServerAddrs[0]: {records: [2]int{5, 5}, bytes: [2]int{226223, 167168}},
+		cn.ServerAddrs[1]: {records: [2]int{5, 5}, bytes: [2]int{204831, 160832}},
+		cn.ServerAddrs[2]: {records: [2]int{5, 5}, bytes: [2]int{182967, 155896}},
 	}
 	for addr, got := range counts() {
 		if got != parent[addr] {

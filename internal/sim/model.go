@@ -25,7 +25,11 @@
 // swarm.go): ChainNet runs every role of a deployment in one process as
 // a table of nodes named by listen address — Nodes, Kill, Restart — with
 // one self-healing client population, Swarm, and WaitReady to tell when
-// the entry tier has re-formed. The fault suites here, internal/eval's
+// the entry tier has re-formed. Its nodes are wired exactly as the
+// production binaries are: it generates a chain descriptor with
+// vuvuzela-keygen's generator and boots every role through the same
+// internal/deploy functions as vuvuzela-server, -entry and -frontend,
+// over an in-memory transport. The fault suites here, internal/eval's
 // adversarial experiments, the measured figures, the root benchmarks
 // and the public facade all drive that harness.
 package sim

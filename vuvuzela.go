@@ -8,8 +8,9 @@
 //
 // This package is the public facade. It re-exports the key types, runs
 // a complete deployment inside one process — internal/sim's ChainNet,
-// the production wiring over an in-memory transport (the cmd/ binaries
-// run the same nodes over TCP), plus the CDN and real clients — and
+// whose nodes internal/deploy boots from a chain descriptor exactly as
+// the cmd/ binaries boot theirs from chain.json, over an in-memory
+// transport instead of TCP, plus real clients — and
 // exposes the privacy-analysis toolkit used to choose noise parameters.
 // The building blocks live in internal/ packages: the NaCl crypto suite,
 // onion encryption, the mixnet chain server, the conversation and
@@ -32,16 +33,14 @@ package vuvuzela
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
-	"vuvuzela/internal/cdn"
 	"vuvuzela/internal/client"
 	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/mixnet"
-	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
 	"vuvuzela/internal/sim"
 	"vuvuzela/internal/transport"
@@ -95,13 +94,6 @@ type NoiseParams struct {
 	Fixed bool    // always add exactly Mu noise instead of sampling
 }
 
-func (p NoiseParams) dist() noise.Distribution {
-	if p.Fixed {
-		return noise.Fixed{N: int(p.Mu)}
-	}
-	return noise.Laplace{Mu: p.Mu, B: p.B}
-}
-
 // Options configures a deployment.
 type Options struct {
 	// Servers is the chain length (default 3, the paper's configuration).
@@ -146,13 +138,14 @@ var DefaultConvoNoise = NoiseParams{Mu: 300000, B: 13800}
 var DefaultDialNoise = NoiseParams{Mu: 13000, B: 770}
 
 // Network is a complete Vuvuzela deployment inside one process, wired
-// exactly as the production binaries are: it is a sim.ChainNet — the
-// chain servers and the entry-server coordinator each listening on an
+// exactly as the production binaries are: it is a sim.ChainNet, whose
+// every node internal/deploy boots from a generated chain descriptor —
+// the chain servers and the entry-server coordinator each listening on an
 // in-memory transport, the coordinator dialing server 0, every server
 // dialing its successor, every one of those legs inside transport.Secure
-// keyed by the chain descriptor — plus the CDN on "cdn" and real
-// clients. Only the transport under the wire protocol differs from a TCP
-// deployment.
+// keyed by the descriptor, the CDN on the last server's cdn_addr — plus
+// real clients. Only the transport under the wire protocol differs from
+// a TCP deployment.
 type Network struct {
 	// Chain holds the servers' public keys in chain order; clients
 	// onion-encrypt for these.
@@ -160,7 +153,6 @@ type Network struct {
 
 	mem       *transport.Mem
 	cn        *sim.ChainNet
-	cdn       net.Listener
 	exchanges uint32
 
 	mu      sync.Mutex
@@ -178,22 +170,15 @@ func NewInProcessNetwork(opts Options) (*Network, error) {
 	if opts.DialNoise == nil {
 		opts.DialNoise = &NoiseParams{Mu: 50, B: 10}
 	}
-	if opts.DialBuckets == 0 {
-		opts.DialBuckets = 1
-	}
-	if opts.SubmitTimeout == 0 {
-		opts.SubmitTimeout = 5 * time.Second
-	}
 
-	mem, store := transport.NewMem(), cdn.NewStore(0)
+	mem := transport.NewMem()
 	cn, err := sim.NewChainNet(sim.ChainNetConfig{
 		Servers: opts.Servers,
 		Net:     mem,
 		Chain: mixnet.Config{
-			ConvoNoise: opts.ConvoNoise.dist(),
-			DialNoise:  opts.DialNoise.dist(),
+			ConvoNoise: deploy.Noise(opts.ConvoNoise.Mu, opts.ConvoNoise.B, opts.ConvoNoise.Fixed),
+			DialNoise:  deploy.Noise(opts.DialNoise.Mu, opts.DialNoise.B, opts.DialNoise.Fixed),
 			Workers:    opts.Workers,
-			Buckets:    store,
 		},
 		Entry: coordinator.Config{
 			DialBuckets:    opts.DialBuckets,
@@ -207,13 +192,7 @@ func NewInProcessNetwork(opts Options) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := mem.Listen("cdn")
-	if err != nil {
-		cn.Close()
-		return nil, err
-	}
-	go store.Serve(l)
-	return &Network{Chain: cn.Pubs, mem: mem, cn: cn, cdn: l, exchanges: opts.ConvoExchanges}, nil
+	return &Network{Chain: cn.Pubs, mem: mem, cn: cn, exchanges: opts.ConvoExchanges}, nil
 }
 
 // NewClient connects a client with keys derived from name (deterministic,
@@ -232,7 +211,7 @@ func (n *Network) NewClientWithKeys(pub PublicKey, priv PrivateKey) (*Client, er
 		ChainPubs:        n.Chain,
 		Net:              n.mem,
 		EntryAddr:        n.cn.EntryAddr,
-		CDNAddr:          "cdn",
+		CDNAddr:          n.cn.CDNAddr,
 		MaxConversations: int(max(1, n.exchanges)),
 	})
 	if err != nil {
@@ -281,8 +260,8 @@ func (n *Network) StartRounds(ctx context.Context, convoEvery, dialEvery time.Du
 	n.cn.Coord.Start(ctx, convoEvery, dialEvery)
 }
 
-// Close shuts the deployment down: the clients, every node of the
-// deployment and the CDN.
+// Close shuts the deployment down: the clients and every node of the
+// deployment, the CDN with the last server.
 func (n *Network) Close() {
 	n.mu.Lock()
 	clients := n.clients
@@ -291,7 +270,6 @@ func (n *Network) Close() {
 		c.Close()
 	}
 	n.cn.Close()
-	n.cdn.Close()
 }
 
 // PrivacyGuarantee is an (ε, δ) differential-privacy guarantee; see

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/sim"
 )
 
@@ -179,14 +180,15 @@ func TestKeyHelpers(t *testing.T) {
 	}
 }
 
-// TestNoiseParamsDist covers both distribution modes.
+// TestNoiseParamsDist covers both distribution modes, which a Network's
+// servers draw from deploy.Noise as vuvuzela-server does.
 func TestNoiseParamsDist(t *testing.T) {
 	fixed := NoiseParams{Mu: 42, Fixed: true}
-	if got := fixed.dist().Sample(nil); got != 42 {
+	if got := deploy.Noise(fixed.Mu, fixed.B, fixed.Fixed).Sample(nil); got != 42 {
 		t.Fatalf("fixed sample = %d", got)
 	}
 	lap := NoiseParams{Mu: 100, B: 10}
-	if got := lap.dist().Sample(nil); got < 0 {
+	if got := deploy.Noise(lap.Mu, lap.B, lap.Fixed).Sample(nil); got < 0 {
 		t.Fatalf("laplace sample negative: %d", got)
 	}
 }
