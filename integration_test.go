@@ -46,7 +46,7 @@ func newTCPDeployment(t *testing.T, servers int) *tcpDeployment {
 	}
 	d.cdnAddr = cdnL.Addr().String()
 	d.listeners = append(d.listeners, cdnL)
-	go store.Serve(cdnL)
+	go mixnet.ServeLoop(cdnL, nil, store.Handle)
 
 	// Chain servers back to front, each on its own TCP port.
 	addrs := make([]string, servers)

@@ -77,20 +77,11 @@ func (s *Store) Bucket(round uint64, idx uint32) ([]byte, bool) {
 	return b.Data[idx], true
 }
 
-// Serve answers bucket-fetch requests (wire.KindBucketReq) on the
-// listener until it closes. A missing bucket yields an empty blob, which
-// clients treat as "no invitations".
-func (s *Store) Serve(l net.Listener) error {
-	for {
-		raw, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go s.handleConn(wire.NewConn(raw))
-	}
-}
-
-func (s *Store) handleConn(c *wire.Conn) {
+// Handle answers one connection's bucket fetches (wire.KindBucketReq),
+// as the last server's mixnet.Server.ServeBuckets handler. A missing
+// bucket yields an empty blob, which clients treat as "no invitations".
+func (s *Store) Handle(raw net.Conn) {
+	c := wire.NewConn(raw)
 	defer c.Close()
 	// Anyone can dial this listener and a KindBucketReq has no body: a
 	// longer frame is refused before anything is allocated for it.

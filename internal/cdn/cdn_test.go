@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vuvuzela/internal/dial"
+	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
 )
@@ -75,7 +76,7 @@ func TestServeFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go s.Serve(l)
+	go mixnet.ServeLoop(l, nil, s.Handle)
 
 	raw, err := net.Dial("cdn")
 	if err != nil {
@@ -120,7 +121,7 @@ func TestServeRefusesOversizedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go s.Serve(l)
+	go mixnet.ServeLoop(l, nil, s.Handle)
 
 	raw, err := net.Dial("cdn")
 	if err != nil {

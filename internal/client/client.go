@@ -13,9 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"slices"
 	"sync"
-	"time"
 
 	"vuvuzela/internal/cdn"
 	"vuvuzela/internal/convo"
@@ -104,17 +104,6 @@ const eventBuf = 256
 // responses from previous rounds" (§8.3).
 const sendWindow = 4
 
-// The redial backoff: after losing a connection that carried a message a
-// client redials at once, otherwise (a failed dial, or an entry that
-// accepts and closes at once, as a full frontend sheds a client) after
-// twice its last wait, from redialMin up to redialMax. A round's members
-// are fixed at its announcement, so a round announced in the up to
-// redialMax before a client is back runs without it.
-const (
-	redialMin = 2 * time.Millisecond
-	redialMax = 250 * time.Millisecond
-)
-
 // pendingMsg is an assigned-but-unacknowledged outgoing message.
 type pendingMsg struct {
 	seq  uint32
@@ -162,8 +151,7 @@ type Client struct {
 	current  *conversation   // target of Send
 	convos   map[box.PublicKey]*conversation
 	dialTo   []box.PublicKey // queued outgoing invitations
-	closed   bool
-	closeCh  chan struct{}
+	closeCh  chan struct{}   // closed under mu
 	closeOne sync.Once
 	done     chan struct{} // closed when the loop returns
 
@@ -198,14 +186,13 @@ func Dial(cfg Config) (*Client, error) {
 	c := &Client{
 		cfg:     cfg,
 		chain:   chain,
-		entry:   wire.NewConn(raw),
 		events:  make(chan Event, eventBuf),
 		convos:  make(map[box.PublicKey]*conversation),
 		pending: make(map[uint64][]pendingSlot),
 		closeCh: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	go c.loop()
+	go c.loop(raw)
 	return c, nil
 }
 
@@ -359,11 +346,12 @@ func (c *Client) QueueLen() int {
 func (c *Client) Close() error {
 	c.closeOne.Do(func() {
 		c.mu.Lock()
-		c.closed = true
+		close(c.closeCh)
 		entry := c.entry
 		c.mu.Unlock()
-		close(c.closeCh)
-		entry.Close()
+		if entry != nil {
+			entry.Close()
+		}
 		c.cdnMu.Lock()
 		if c.cdnConn != nil {
 			c.cdnConn.Close()
@@ -374,66 +362,44 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// loop is the client's reactor: it serves the entry connection and, when
-// the connection drops other than through Close, reports the loss and
-// redials. The conversations and their go-back-N state carry over; the
-// reply state of the rounds submitted on the dead connection does not, so
-// their messages are retransmitted like any other unacknowledged ones.
-func (c *Client) loop() {
+// loop is the client's reactor: it serves the entry connection Dial
+// opened and, when a connection drops other than through Close, redials
+// the entry address on transport.Redial's backoff. A round's members are
+// fixed at its announcement, so a round announced before the client is
+// back runs without it.
+func (c *Client) loop(raw net.Conn) {
 	defer close(c.done)
 	defer close(c.events)
-	var wait time.Duration // before the next dial; see redialMin
-	for {
-		heard, err := c.serve()
-		select {
-		case <-c.closeCh:
-			return
-		default:
-		}
-		c.emit(ErrorEvent{Err: err})
-		clear(c.pending)
-		if heard {
-			wait = 0
-		}
-		if !c.redial(&wait) {
-			return
-		}
-	}
+	transport.Redial(c.cfg.Net, c.cfg.EntryAddr, raw, c.closeCh, c.serve)
 }
 
-// redial reconnects to the entry address on the backoff from *wait until
-// a dial succeeds or Close is called, and reports which.
-func (c *Client) redial(wait *time.Duration) bool {
-	for {
-		if *wait > 0 {
-			select {
-			case <-c.closeCh:
-				return false
-			case <-time.After(*wait):
-			}
-		}
-		*wait = min(max(2**wait, redialMin), redialMax)
-		if raw, err := c.cfg.Net.Dial(c.cfg.EntryAddr); err == nil {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			if c.closed {
-				raw.Close()
-				return false
-			}
-			c.entry = wire.NewConn(raw)
-			return true
-		}
+// serve answers round announcements and processes replies on one entry
+// connection until it fails, then reports the loss; heard reports whether
+// the connection carried any message. The conversations and their
+// go-back-N state carry over to the next connection; the reply state of
+// the rounds submitted on this one does not, so their messages are
+// retransmitted like any other unacknowledged ones.
+func (c *Client) serve(raw net.Conn) (heard bool) {
+	c.mu.Lock()
+	select {
+	case <-c.closeCh:
+		c.mu.Unlock()
+		raw.Close()
+		return false
+	default:
 	}
-}
-
-// serve answers round announcements and processes replies on the current
-// entry connection until it fails; heard reports whether the connection
-// carried any message.
-func (c *Client) serve() (heard bool, err error) {
+	c.entry = wire.NewConn(raw)
+	c.mu.Unlock()
 	for {
 		msg, err := c.entry.Recv()
 		if err != nil {
-			return heard, err
+			select {
+			case <-c.closeCh:
+			default:
+				c.emit(ErrorEvent{Err: err})
+			}
+			clear(c.pending)
+			return heard
 		}
 		heard = true
 		switch {

@@ -59,7 +59,7 @@ func newTestNet(t *testing.T) *testNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go store.Serve(cdnL)
+	go mixnet.ServeLoop(cdnL, nil, store.Handle)
 	t.Cleanup(func() { cdnL.Close() })
 
 	return &testNet{net: net, chain: pubs, co: co, store: store}

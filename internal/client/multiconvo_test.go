@@ -50,7 +50,7 @@ func newMultiNet(t *testing.T, exchanges uint32) *testNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go store.Serve(cdnL)
+	go mixnet.ServeLoop(cdnL, nil, store.Handle)
 	t.Cleanup(func() { cdnL.Close() })
 	return &testNet{net: net, chain: pubs, co: co, store: store}
 }

@@ -394,10 +394,9 @@ func TestFrontPipeMITMTamperRecovery(t *testing.T) {
 	co, pubs, frontPub := frontRig(t, mem)
 
 	fe, err := frontend.New(frontend.Config{
-		Net:            mitm,
-		CoordAddr:      "entry-front",
-		CoordPub:       frontPub,
-		ReconnectDelay: 20 * time.Millisecond,
+		Net:       mitm,
+		CoordAddr: "entry-front",
+		CoordPub:  frontPub,
 	})
 	if err != nil {
 		t.Fatal(err)

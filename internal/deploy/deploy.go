@@ -124,7 +124,7 @@ func Server(c *config.Chain, key *config.ServerKey, nw transport.Network, opts m
 		if err != nil {
 			return nil, nil, fmt.Errorf("deploy: chain server %d: %w", pos, err)
 		}
-		return srv, serve(ls, srv.Serve, store.Serve), nil
+		return srv, serve(ls, srv.Serve, func(l net.Listener) error { return srv.ServeBuckets(l, store.Handle) }), nil
 	}}, nil
 }
 

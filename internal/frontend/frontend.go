@@ -14,10 +14,12 @@
 // Frontends keep zero durable round state: the coordinator owns the
 // round clock, the pipeline, and the chain RPC, so any number of
 // frontends can be added, restarted, or lost mid-deployment. A frontend
-// whose pipe drops keeps its clients connected and reconnects with
-// backoff; its clients simply miss rounds until the pipe returns. Like
-// the entry tier as a whole, frontends are untrusted (paper §7): they
-// see only sealed onions and learn nothing the coordinator would not.
+// whose pipe drops keeps its clients connected and redials on the
+// client's backoff (transport.Redial: at once after a pipe that carried a
+// round, otherwise 2 ms doubling to 250 ms); its clients simply miss
+// rounds until the pipe returns. Like the entry tier as a whole,
+// frontends are untrusted (paper §7): they see only sealed onions and
+// learn nothing the coordinator would not.
 //
 // Overload is shed, never queued unboundedly: client writer queues are
 // bounded (a stalled client is dropped, as at the coordinator), the
@@ -53,9 +55,6 @@ import (
 // budget.
 const DefaultCollectBudget = 2 * time.Second
 
-// DefaultReconnectDelay is the pause between pipe reconnection attempts.
-const DefaultReconnectDelay = 500 * time.Millisecond
-
 // Config describes an entry frontend.
 type Config struct {
 	// Net is the transport used to dial the coordinator's frontend
@@ -75,8 +74,8 @@ type Config struct {
 	// degrades by turning clients away, not by slowing every round.
 	MaxClients int
 
-	// ReconnectDelay is the pause between pipe reconnection attempts
-	// (0 uses DefaultReconnectDelay).
+	// ReconnectDelay is unused: the pipe redials on transport.Redial's
+	// backoff. It remains only for bench/, which sets it.
 	ReconnectDelay time.Duration
 }
 
@@ -117,9 +116,6 @@ func New(cfg Config) (*Frontend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("frontend: generating pipe identity: %w", err)
 	}
-	if cfg.ReconnectDelay == 0 {
-		cfg.ReconnectDelay = DefaultReconnectDelay
-	}
 	return &Frontend{
 		cfg:     cfg,
 		pub:     pub,
@@ -147,63 +143,53 @@ func (f *Frontend) Serve(l net.Listener) error {
 }
 
 // Run maintains the coordinator pipe until the context is cancelled or
-// the frontend closes: dial, authenticate, serve rounds, and on any
-// pipe failure drop the rounds in flight and reconnect after
-// ReconnectDelay. Clients stay connected across pipe outages — they
-// miss rounds until the pipe returns, the same degradation as a slow
-// network.
+// the frontend closes: dial, authenticate, serve rounds, and on any pipe
+// failure drop the rounds in flight and redial on transport.Redial's
+// backoff (the entry down or a refused handshake: up to 250 ms). Clients
+// stay connected across pipe outages, missing rounds until it returns.
 func (f *Frontend) Run(ctx context.Context) error {
-	for {
-		f.runPipe(ctx)
+	stop := make(chan struct{})
+	go func() {
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
 		case <-f.closeCh:
-			return nil
-		case <-time.After(f.cfg.ReconnectDelay):
 		}
-	}
+		// Tear the pipe down, so runPipe's Recv loop unblocks.
+		f.mu.Lock()
+		close(stop)
+		if f.pipe != nil {
+			f.pipe.Close()
+		}
+		f.mu.Unlock()
+	}()
+	raw, _ := f.cfg.Net.Dial(f.cfg.CoordAddr) // nil if it failed: Redial backs off
+	transport.Redial(f.cfg.Net, f.cfg.CoordAddr, raw, stop, func(c net.Conn) bool { return f.runPipe(c, stop) })
+	return ctx.Err()
 }
 
-// runPipe serves one pipe connection to completion.
-func (f *Frontend) runPipe(ctx context.Context) {
-	raw, err := f.cfg.Net.Dial(f.cfg.CoordAddr)
-	if err != nil {
-		return
-	}
+// runPipe serves one pipe connection to completion and reports whether
+// it carried an announcement or a reply slice.
+func (f *Frontend) runPipe(raw net.Conn, stop <-chan struct{}) (heard bool) {
 	// The one secured dial outside mixnet.Peer: the pipe is long-lived
 	// and the coordinator speaks first on it, so it is neither lazy nor
 	// request/response, and the handshake runs eagerly under a deadline.
 	sec := transport.SecureClient(raw, f.priv, f.cfg.CoordPub)
 	if mixnet.HandshakeWithin(sec) != nil {
-		return
+		return false
 	}
 
 	conn := wire.NewConn(sec)
 	p := collector.NewConn(conn, wire.MaxRoundsInFlight)
 	f.mu.Lock()
 	select {
-	case <-f.closeCh:
+	case <-stop:
 		f.mu.Unlock()
 		p.Close()
-		return
+		return false
 	default:
 	}
 	f.pipe = p
 	f.mu.Unlock()
-
-	// Tear the pipe down when the frontend closes or the context ends,
-	// so the Recv loop below unblocks.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-f.closeCh:
-		case <-stop:
-		}
-		p.Close()
-	}()
 
 	for {
 		msg, err := conn.Recv()
@@ -212,8 +198,10 @@ func (f *Frontend) runPipe(ctx context.Context) {
 		}
 		switch msg.Kind {
 		case wire.KindAnnounce:
+			heard = true
 			f.startRound(p, msg)
 		case wire.KindFrontReplies:
+			heard = true
 			if err := f.deliver(msg); err != nil {
 				// The coordinator broke the reply framing; a corrupted
 				// demux would misroute onions between clients, so drop
@@ -233,6 +221,7 @@ func (f *Frontend) runPipe(ctx context.Context) {
 	// forgotten. Their clients miss the round.
 	f.await = make(map[roundKey]*sentRound)
 	f.mu.Unlock()
+	return heard
 }
 
 // startRound begins collecting one round announced on the pipe. A

@@ -79,9 +79,6 @@ func newTierK(t *testing.T, feCfg frontend.Config, exchanges uint32) *tier {
 	feCfg.Net = net
 	feCfg.CoordAddr = "entry-front"
 	feCfg.CoordPub = frontPub
-	if feCfg.ReconnectDelay == 0 {
-		feCfg.ReconnectDelay = 50 * time.Millisecond
-	}
 	fe, err := frontend.New(feCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -578,7 +578,14 @@ func (e *RemoteError) Unwrap() error { return e.Err }
 // Serve accepts connections from the predecessor (or the entry server for
 // server 0) and processes batches until the listener closes.
 func (s *Server) Serve(l net.Listener) error {
-	return ServeLoop(l, s.closeCh, s.handleConn)
+	return ServeLoop(l, s.closeCh, s.accepted.track(s.handleConn))
+}
+
+// ServeBuckets serves the invitation CDN this last server publishes to on
+// l, each connection by handle (cdn.Store.Handle), until l closes. Close
+// severs them with the chain leg's: no client reads a dead process's store.
+func (s *Server) ServeBuckets(l net.Listener, handle func(net.Conn)) error {
+	return ServeLoop(l, s.closeCh, s.accepted.track(handle))
 }
 
 // handleConn serves one predecessor (or entry) connection. The raw
@@ -593,7 +600,7 @@ func (s *Server) handleConn(raw net.Conn) {
 	} else {
 		sc = transport.SecureServer(raw, s.cfg.Priv, []box.PublicKey{s.cfg.ChainPubs[s.cfg.Position-1]})
 	}
-	s.accepted.serve(sc, DefaultHandshakeTimeout, s.answer)
+	serveConn(sc, DefaultHandshakeTimeout, s.answer)
 }
 
 // answer runs one received batch through the round, with the received

@@ -304,20 +304,45 @@ func ServeLoop(l net.Listener, closeCh <-chan struct{}, handle func(net.Conn)) e
 	}
 }
 
-// connSet is the accepting side of a Peer's leg, shared by chain and
-// shard servers. It tracks the accepted connections so that closeAll
-// severs them: a "crashed" server must not keep serving rounds through
-// connections accepted before the crash (the sim harnesses rely on Close
-// being a faithful process kill).
+// connSet is the accepting side of a chain or shard server process: of
+// each Peer leg it serves, and of the last server's CDN. Handlers wrapped
+// by track are tracked so that closeAll severs their connections: a
+// "crashed" server must not keep serving rounds, or a dead store's
+// buckets, through connections accepted before the crash (the sim
+// harnesses rely on Close being a faithful process kill).
 type connSet struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 }
 
-// serve answers one accepted connection's requests until it ends; answer
-// reporting false ends it. The answer is returned by value so that it
-// stays on this loop's stack. One deadline (0 = DefaultHandshakeTimeout)
+// track wraps handle for ServeLoop: closeAll severs every connection
+// handle is serving, and one accepted after closeAll is closed unserved.
+func (cs *connSet) track(handle func(net.Conn)) func(net.Conn) {
+	return func(c net.Conn) {
+		cs.mu.Lock()
+		if cs.closed {
+			cs.mu.Unlock()
+			c.Close()
+			return
+		}
+		if cs.conns == nil {
+			cs.conns = make(map[net.Conn]struct{})
+		}
+		cs.conns[c] = struct{}{}
+		cs.mu.Unlock()
+		defer func() {
+			cs.mu.Lock()
+			delete(cs.conns, c)
+			cs.mu.Unlock()
+		}()
+		handle(c)
+	}
+}
+
+// serveConn answers one accepted connection's requests until it ends;
+// answer reporting false ends it. The answer is returned by value so that
+// it stays on this loop's stack. One deadline (0 = DefaultHandshakeTimeout)
 // covers the handshake, which the first Recv runs, and stays armed until
 // the peer's FIRST authenticated frame: the handshake hello alone is
 // replayable by a network observer (it completes the server's side without
@@ -329,23 +354,7 @@ type connSet struct {
 // working memory — a chain server unwraps the batch in place in it — and
 // is valid only until its answer is sent, so an answer must not alias it
 // beyond the bytes Send copies out.
-func (cs *connSet) serve(sc *transport.Secure, timeout time.Duration, answer func(*wire.Message) (wire.Message, bool)) {
-	cs.mu.Lock()
-	if cs.closed {
-		cs.mu.Unlock()
-		sc.Close()
-		return
-	}
-	if cs.conns == nil {
-		cs.conns = make(map[net.Conn]struct{})
-	}
-	cs.conns[sc] = struct{}{}
-	cs.mu.Unlock()
-	defer func() {
-		cs.mu.Lock()
-		delete(cs.conns, sc)
-		cs.mu.Unlock()
-	}()
+func serveConn(sc *transport.Secure, timeout time.Duration, answer func(*wire.Message) (wire.Message, bool)) {
 	if timeout <= 0 {
 		timeout = DefaultHandshakeTimeout
 	}

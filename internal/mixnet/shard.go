@@ -186,14 +186,14 @@ func (s *ShardServer) ExchangeRound(round uint64, requests [][]byte) ([][]byte, 
 // listener closes. Each accepted connection must complete the
 // authenticated handshake before any frame reaches the exchange.
 func (s *ShardServer) Serve(l net.Listener) error {
-	return ServeLoop(l, s.closeCh, s.handleConn)
+	return ServeLoop(l, s.closeCh, s.accepted.track(s.handleConn))
 }
 
 func (s *ShardServer) handleConn(raw net.Conn) {
 	sc := transport.SecureServer(raw, s.cfg.Identity, s.cfg.Authorized)
 	// The replies alias the request (each is its drop partner's payload),
-	// which connSet.serve recycles only after they have been sent.
-	s.accepted.serve(sc, s.cfg.HandshakeTimeout, s.answer)
+	// which serveConn recycles only after they have been sent.
+	serveConn(sc, s.cfg.HandshakeTimeout, s.answer)
 }
 
 // answer exchanges one received shard round. A mismatch or a failed

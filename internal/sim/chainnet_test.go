@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"vuvuzela/internal/client"
 	"vuvuzela/internal/convo"
 	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
@@ -501,6 +502,70 @@ func TestChainRestartMidRoundLastServer(t *testing.T) {
 	wantRounds(t, rounds, 3)
 	assertStrictlyIncreasing(t, cn.ExchangedRounds())
 	replayConvoRound(t, dialServerAsPredecessor(t, cn, last), 2)
+}
+
+// TestChainRestartLastServerCDN: the last server hosts the invitation
+// CDN, so its restart takes down the CDN connections its clients hold.
+// Alice invites Bob in a dialing round, the last server restarts, and
+// Alice invites Bob again: Bob must find the second invitation too, in
+// the new process's store, not miss it reading the dead one's, which no
+// round publishes to any more.
+func TestChainRestartLastServerCDN(t *testing.T) { restartLastServerCDN(t) }
+
+func restartLastServerCDN(t *testing.T) {
+	cn, err := NewChainNet(ChainNetConfig{Servers: 2, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	dial := func(seed string) *client.Client {
+		pub, priv := box.KeyPairFromSeed([]byte(seed))
+		c, err := client.Dial(client.Config{
+			Pub: pub, Priv: priv, ChainPubs: cn.Pubs,
+			Net: cn.cfg.Net, EntryAddr: cn.EntryAddr, CDNAddr: cn.CDNAddr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	alice, bob := dial("cdn-alice"), dial("cdn-bob")
+	defer alice.Close()
+	defer bob.Close()
+
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			if err := cn.Restart(cn.ServerAddrs[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cn.WaitReady(2, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		alice.DialUser(bob.PublicKey())
+		round, n, err := cn.Coord.RunDialRound(context.Background())
+		if err != nil || n != 2 {
+			t.Fatalf("dialing round: %d participants, err %v", n, err)
+		}
+		// Bob's DialRoundEvent follows the scan of his bucket.
+		invited := false
+		for scanned := false; !scanned; {
+			select {
+			case e := <-bob.Events():
+				switch e := e.(type) {
+				case client.InvitationEvent:
+					invited = invited || e.Round == round && e.From == alice.PublicKey()
+				case client.DialRoundEvent:
+					scanned = e.Round == round
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("bob did not finish dialing round %d", round)
+			}
+		}
+		if !invited {
+			t.Fatalf("dialing round %d (restarts of the last server: %d): bob found no invitation from alice", round, i)
+		}
+	}
 }
 
 // TestChainRestartMidRoundEntry: the coordinator is killed while its

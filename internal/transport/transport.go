@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 )
 
 // Network creates listeners and dials peers by address.
@@ -28,6 +29,42 @@ func (TCP) Listen(addr string) (net.Listener, error) { return net.Listen("tcp", 
 
 // Dial implements Network.
 func (TCP) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+
+// The redial backoff (docs/WIRE.md §2.2; see Redial).
+const (
+	redialMin = 2 * time.Millisecond
+	redialMax = 250 * time.Millisecond
+)
+
+// Redial keeps one long-lived connection to addr up until stop closes,
+// for the dials that are not a mixnet.Peer leg: a client's to its entry,
+// a frontend's pipe to the coordinator. It hands each connection to serve
+// — conn first, unless nil — and dials again once serve returns: at once
+// if serve reports that the connection carried a message, otherwise (a
+// failed dial or handshake, a peer that accepts and closes at once) after
+// twice the last wait, from redialMin up to redialMax. A dial in progress
+// when stop closes still completes, so serve must check for itself that
+// its owner is closed.
+func Redial(nw Network, addr string, conn net.Conn, stop <-chan struct{}, serve func(net.Conn) (heard bool)) {
+	var wait time.Duration
+	for {
+		wait = min(max(2*wait, redialMin), redialMax)
+		if conn != nil && serve(conn) {
+			wait = 0
+		}
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		select {
+		case <-stop:
+			return
+		case <-time.After(wait):
+		}
+		conn, _ = nw.Dial(addr)
+	}
+}
 
 // Mem is an in-process network: addresses are arbitrary names, and
 // connections are synchronous net.Pipe pairs.

@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestMemListenDial(t *testing.T) {
@@ -188,5 +189,90 @@ func TestTCPLoopback(t *testing.T) {
 	}
 	if string(buf) != "ping" {
 		t.Fatalf("got %q", buf)
+	}
+}
+
+// TestRedialBackoff: Redial serves the connection it is handed first and
+// dials again at once after a connection that carried a message; the k-th
+// connection in a row that carried nothing is followed by a wait of at
+// least redialMin·2^(k−1), capped at redialMax, so a peer that accepts
+// and closes at once costs no busy loop; one that carries a message
+// resets the backoff; and a closed stop ends a wait between failed dials.
+func TestRedialBackoff(t *testing.T) {
+	m := NewMem()
+	l, err := m.Listen("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			if _, err := l.Accept(); err != nil {
+				return
+			}
+		}
+	}()
+	type call struct {
+		at    time.Time
+		heard chan bool
+	}
+	calls := make(chan call)
+	stop, returned := make(chan struct{}), make(chan struct{})
+	first, _ := net.Pipe()
+	go func() {
+		defer close(returned)
+		Redial(m, "peer", first, stop, func(c net.Conn) bool {
+			defer c.Close()
+			cl := call{time.Now(), make(chan bool)}
+			calls <- cl
+			return <-cl.heard
+		})
+	}()
+	// end has the connection served by cl return heard, and returns the
+	// gap before the next connection is served.
+	end := func(cl *call, heard bool) time.Duration {
+		t.Helper()
+		at := time.Now()
+		cl.heard <- heard
+		select {
+		case *cl = <-calls:
+			return cl.at.Sub(at)
+		case <-time.After(2 * time.Second):
+			t.Fatal("Redial did not redial")
+			return 0
+		}
+	}
+
+	cl := <-calls // first, served without a dial
+	if gap := end(&cl, true); gap >= redialMax {
+		t.Fatalf("redial after a connection that carried a message came after %v", gap)
+	}
+	for k := 1; k <= 10; k++ {
+		gap, want := end(&cl, false), min(redialMin<<(k-1), redialMax)
+		if gap < want {
+			t.Fatalf("redial %d after a connection that carried nothing came after %v, want at least %v", k, gap, want)
+		}
+		// Uncapped, the tenth wait would be 1024 ms.
+		if k == 10 && gap >= 4*redialMax {
+			t.Fatalf("redial %d came after %v: the backoff is not capped at %v", k, gap, redialMax)
+		}
+	}
+	if gap := end(&cl, true); gap >= redialMax {
+		t.Fatalf("redial after a connection that carried a message came after %v: the backoff was not reset", gap)
+	}
+
+	// The peer goes down for good: every dial fails until stop closes.
+	l.Close()
+	cl.heard <- false
+	time.Sleep(100 * time.Millisecond)
+	close(stop)
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Redial did not return after stop closed")
+	}
+	select {
+	case <-calls:
+		t.Fatal("Redial served a connection after the peer went down")
+	default:
 	}
 }
