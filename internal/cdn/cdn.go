@@ -109,7 +109,7 @@ func (s *Store) Handle(raw net.Conn) {
 }
 
 // Fetch retrieves one bucket over an established wire connection — the
-// client side of Serve.
+// client side of Store.Handle.
 func Fetch(c *wire.Conn, round uint64, bucket uint32) ([]byte, error) {
 	if err := c.Send(&wire.Message{Kind: wire.KindBucketReq, Proto: wire.ProtoDial, Round: round, Bucket: bucket}); err != nil {
 		return nil, err

@@ -5,7 +5,6 @@
 package convo
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -316,10 +315,4 @@ func mustRead(rng io.Reader, b []byte) {
 		// guarantee; refuse.
 		panic("convo: randomness source failed: " + err.Error())
 	}
-}
-
-// IsZeroReply reports whether a reply is the all-zero "empty" payload
-// returned for unmatched drops.
-func IsZeroReply(reply []byte) bool {
-	return bytes.Count(reply, []byte{0}) == len(reply)
 }

@@ -190,7 +190,7 @@ func TestRequestMarshalParse(t *testing.T) {
 		t.Fatal("layout mismatch")
 	}
 	replies := Service{}.Process(11, [][]byte{wire, wire[:RequestSize-1], wire})
-	if !bytes.Equal(replies[0], req.Sealed[:]) || !bytes.Equal(replies[2], req.Sealed[:]) || !IsZeroReply(replies[1]) {
+	if !bytes.Equal(replies[0], req.Sealed[:]) || !bytes.Equal(replies[2], req.Sealed[:]) || !bytes.Equal(replies[1], make([]byte, len(replies[1]))) {
 		t.Fatal("exchange did not pair the two well-formed requests around the short one")
 	}
 }
@@ -243,7 +243,7 @@ func TestEndToEndExchange(t *testing.T) {
 		t.Fatalf("bob: %q %v", msg, ok)
 	}
 	// The fake request's reply must be zeros (single access).
-	if !IsZeroReply(replies[1]) {
+	if !bytes.Equal(replies[1], make([]byte, len(replies[1]))) {
 		t.Fatal("fake request got a non-zero reply")
 	}
 	// A zero reply never opens as a message.
@@ -271,7 +271,7 @@ func TestServiceMalformedRequest(t *testing.T) {
 	if len(replies) != 1 || len(replies[0]) != SealedSize {
 		t.Fatal("malformed request did not get a fixed-size zero reply")
 	}
-	if !IsZeroReply(replies[0]) {
+	if !bytes.Equal(replies[0], make([]byte, len(replies[0]))) {
 		t.Fatal("malformed request reply not zero")
 	}
 }

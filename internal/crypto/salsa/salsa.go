@@ -1,6 +1,6 @@
 // Package salsa implements the Salsa20 stream cipher family: the Salsa20
-// core function, the HSalsa20 key-derivation function, and the XSalsa20
-// stream cipher with its 192-bit extended nonce.
+// keystream, the HSalsa20 key-derivation function, and the XSalsa20
+// stream cipher's 192-bit extended nonce (DeriveX).
 //
 // XSalsa20 is the cipher used by NaCl's box and secretbox constructions,
 // which Vuvuzela uses for all message encryption (paper §7). The
@@ -28,15 +28,6 @@ const BlockSize = 64
 
 // sigma is the Salsa20 constant "expand 32-byte k" for 256-bit keys.
 var sigma = [4]uint32{0x61707865, 0x3320646e, 0x79622d32, 0x6b206574}
-
-// quarterRound computes the Salsa20 quarter-round on (y0, y1, y2, y3).
-func quarterRound(y0, y1, y2, y3 uint32) (uint32, uint32, uint32, uint32) {
-	y1 ^= bits.RotateLeft32(y0+y3, 7)
-	y2 ^= bits.RotateLeft32(y1+y0, 9)
-	y3 ^= bits.RotateLeft32(y2+y1, 13)
-	y0 ^= bits.RotateLeft32(y3+y2, 18)
-	return y0, y1, y2, y3
-}
 
 // rounds applies the Salsa20 double-round function n/2 times to the state.
 func rounds(x *[16]uint32, n int) {
@@ -93,21 +84,6 @@ func rounds(x *[16]uint32, n int) {
 	x[4], x[5], x[6], x[7] = x4, x5, x6, x7
 	x[8], x[9], x[10], x[11] = x8, x9, x10, x11
 	x[12], x[13], x[14], x[15] = x12, x13, x14, x15
-}
-
-// Core applies the Salsa20 core (hash) function to a 64-byte input,
-// producing 64 bytes of output: 20 rounds followed by addition of the
-// input state, exactly as in §9 of the Salsa20 specification.
-func Core(out, in *[64]byte) {
-	var x, orig [16]uint32
-	for i := range x {
-		x[i] = binary.LittleEndian.Uint32(in[4*i:])
-		orig[i] = x[i]
-	}
-	rounds(&x, 20)
-	for i := range x {
-		binary.LittleEndian.PutUint32(out[4*i:], x[i]+orig[i])
-	}
 }
 
 // KeyStreamBlock computes the 64-byte Salsa20 keystream block for the given
@@ -207,14 +183,4 @@ func XORKeyStream(dst, src []byte, key *[KeySize]byte, nonce *[NonceSize]byte, c
 		dst = dst[n:]
 		src = src[n:]
 	}
-}
-
-// XORKeyStreamX encrypts or decrypts src with plain XSalsa20 (keystream
-// starting at block 0) under the given key and 24-byte extended nonce,
-// writing to dst. This matches NaCl's crypto_stream_xsalsa20_xor. Note that
-// secretbox does NOT use this directly: it reserves block 0 for the
-// Poly1305 key (see the box package).
-func XORKeyStreamX(dst, src []byte, key *[KeySize]byte, nonce *[XNonceSize]byte) {
-	subKey, subNonce := DeriveX(key, nonce)
-	XORKeyStream(dst, src, &subKey, &subNonce, 0)
 }

@@ -2,9 +2,35 @@ package salsa
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
+
+// quarterRound computes the Salsa20 quarter-round on (y0, y1, y2, y3).
+func quarterRound(y0, y1, y2, y3 uint32) (uint32, uint32, uint32, uint32) {
+	y1 ^= bits.RotateLeft32(y0+y3, 7)
+	y2 ^= bits.RotateLeft32(y1+y0, 9)
+	y3 ^= bits.RotateLeft32(y2+y1, 13)
+	y0 ^= bits.RotateLeft32(y3+y2, 18)
+	return y0, y1, y2, y3
+}
+
+// Core applies the Salsa20 core (hash) function to a 64-byte input,
+// producing 64 bytes of output: 20 rounds followed by addition of the
+// input state, exactly as in §9 of the Salsa20 specification.
+func Core(out, in *[64]byte) {
+	var x, orig [16]uint32
+	for i := range x {
+		x[i] = binary.LittleEndian.Uint32(in[4*i:])
+		orig[i] = x[i]
+	}
+	rounds(&x, 20)
+	for i := range x {
+		binary.LittleEndian.PutUint32(out[4*i:], x[i]+orig[i])
+	}
+}
 
 // TestQuarterRoundZero checks the identity case from §3 of the Salsa20
 // specification: quarterround(0,0,0,0) = (0,0,0,0).
@@ -178,10 +204,11 @@ func TestHSalsa20Deterministic(t *testing.T) {
 // ciphertexts.
 func TestXSalsaRoundTrip(t *testing.T) {
 	f := func(key [KeySize]byte, nonce [XNonceSize]byte, msg []byte) bool {
+		subKey, subNonce := DeriveX(&key, &nonce)
 		ct := make([]byte, len(msg))
-		XORKeyStreamX(ct, msg, &key, &nonce)
+		XORKeyStream(ct, msg, &subKey, &subNonce, 0)
 		pt := make([]byte, len(msg))
-		XORKeyStreamX(pt, ct, &key, &nonce)
+		XORKeyStream(pt, ct, &subKey, &subNonce, 0)
 		return bytes.Equal(pt, msg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -224,6 +251,7 @@ func BenchmarkXSalsa20_256B(b *testing.B) {
 	buf := make([]byte, 256)
 	b.SetBytes(256)
 	for i := 0; i < b.N; i++ {
-		XORKeyStreamX(buf, buf, &key, &nonce)
+		subKey, subNonce := DeriveX(&key, &nonce)
+		XORKeyStream(buf, buf, &subKey, &subNonce, 0)
 	}
 }

@@ -78,9 +78,6 @@ func (t *Table) Add(id ID, payload []byte) int {
 	return idx
 }
 
-// Len returns the number of requests added.
-func (t *Table) Len() int { return len(t.payloads) }
-
 // Exchange performs the round's dead-drop matching and returns one reply
 // per request, aligned with Add order. Requests on a drop are paired in
 // arrival order (1st with 2nd, 3rd with 4th, ...); a paired request

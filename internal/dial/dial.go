@@ -87,16 +87,8 @@ func (inv *Invitation) Seal(recipient *box.PublicKey, rng io.Reader) ([]byte, er
 	return box.SealAnonymous(inv.Sender[:], recipient, rng)
 }
 
-// OpenInvitation attempts to decrypt one sealed invitation with the
-// recipient's key pair. Clients call this on every invitation in their
-// downloaded bucket (§5.1: "tries to decrypt every invitation to find any
-// that are meant for them").
-func OpenInvitation(sealed []byte, recipientPub *box.PublicKey, recipientPriv *box.PrivateKey) (*Invitation, bool) {
-	return openInvitation(sealed, recipientPub, box.NewDHKey(recipientPriv))
-}
-
-// openInvitation is OpenInvitation with the recipient's key already
-// parsed, so ScanBucket pays for the parse once per bucket.
+// openInvitation attempts to decrypt one sealed invitation with the
+// recipient's key, parsed once per bucket by ScanBucket.
 func openInvitation(sealed []byte, recipientPub *box.PublicKey, key *box.DHKey) (*Invitation, bool) {
 	if len(sealed) != InvitationSize {
 		return nil, false
@@ -275,7 +267,8 @@ func (g NoiseGen) Fill(dst [][]byte, counts []int) {
 }
 
 // ScanBucket trial-decrypts every invitation in a downloaded bucket and
-// returns those addressed to the recipient.
+// returns those addressed to the recipient (§5.1: the client "tries to
+// decrypt every invitation to find any that are meant for them").
 func ScanBucket(bucket [][]byte, recipientPub *box.PublicKey, recipientPriv *box.PrivateKey) []*Invitation {
 	key := box.NewDHKey(recipientPriv)
 	var out []*Invitation

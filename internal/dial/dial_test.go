@@ -115,7 +115,7 @@ func TestInvitationRoundTrip(t *testing.T) {
 	if len(sealed) != InvitationSize {
 		t.Fatalf("sealed size %d, want %d", len(sealed), InvitationSize)
 	}
-	got, ok := OpenInvitation(sealed, &rPub, &rPriv)
+	got, ok := openInvitation(sealed, &rPub, box.NewDHKey(&rPriv))
 	if !ok {
 		t.Fatal("recipient failed to open invitation")
 	}
@@ -125,7 +125,7 @@ func TestInvitationRoundTrip(t *testing.T) {
 
 	// A different user cannot open it.
 	oPub, oPriv := box.KeyPairFromSeed([]byte("other"))
-	if _, ok := OpenInvitation(sealed, &oPub, &oPriv); ok {
+	if _, ok := openInvitation(sealed, &oPub, box.NewDHKey(&oPriv)); ok {
 		t.Fatal("wrong recipient opened invitation")
 	}
 }
@@ -165,7 +165,7 @@ func TestBuildRequestRealAndIdle(t *testing.T) {
 	if real.Bucket != BucketOf(&rPub, m) {
 		t.Fatal("real request targets wrong bucket")
 	}
-	if inv, ok := OpenInvitation(real.Sealed[:], &rPub, &rPriv); !ok || inv.Sender != senderPub {
+	if inv, ok := openInvitation(real.Sealed[:], &rPub, box.NewDHKey(&rPriv)); !ok || inv.Sender != senderPub {
 		t.Fatal("recipient cannot open built invitation")
 	}
 
@@ -251,7 +251,7 @@ func TestNoiseUndecryptable(t *testing.T) {
 	reqs := g.Generate(1)
 	rPub, rPriv := box.KeyPairFromSeed([]byte("callee"))
 	for _, b := range reqs {
-		if _, ok := OpenInvitation(b[RequestSize-InvitationSize:], &rPub, &rPriv); ok {
+		if _, ok := openInvitation(b[RequestSize-InvitationSize:], &rPub, box.NewDHKey(&rPriv)); ok {
 			t.Fatal("noise invitation decrypted successfully")
 		}
 	}

@@ -60,9 +60,6 @@ func FeatureM2(o Observation) int { return o.M2 }
 // round it should carry no signal at all.
 func FeatureBytes(o Observation) int { return o.Bytes }
 
-// FeatureRecords counts transport records on the tapped leg per round.
-func FeatureRecords(o Observation) int { return o.Records }
-
 // Advantage scores the threshold distinguisher "guess talking iff
 // feature(obs) >= threshold" over per-round observations from the two
 // worlds: |P[guess talking | talking] − P[guess talking | idle]|.

@@ -203,8 +203,8 @@ func TestAdvantageHelpers(t *testing.T) {
 	if got := Advantage(FeatureM2, 3, nil, idle); got != 0 {
 		t.Fatalf("advantage with empty world: %.2f, want 0", got)
 	}
-	o := Observation{M1: 7, M2: 3, Records: 9, Bytes: 1024}
-	if FeatureM2(o) != 3 || FeatureBytes(o) != 1024 || FeatureRecords(o) != 9 {
+	o := Observation{M1: 7, M2: 3, Bytes: 1024}
+	if FeatureM2(o) != 3 || FeatureBytes(o) != 1024 {
 		t.Fatal("feature accessors misread the observation")
 	}
 }

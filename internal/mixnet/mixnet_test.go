@@ -148,7 +148,7 @@ func TestConvoRoundExchange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chain %d: carol unwrap: %v", n, err)
 		}
-		if !convo.IsZeroReply(innermost) {
+		if !bytes.Equal(innermost, make([]byte, len(innermost))) {
 			t.Fatalf("chain %d: carol's reply not zero", n)
 		}
 	}

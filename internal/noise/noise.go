@@ -72,15 +72,6 @@ func (l Laplace) Sample(src Source) int {
 	return int(math.Ceil(v))
 }
 
-// CDF evaluates the (untruncated) Laplace cumulative distribution function
-// at x; used by the privacy analysis and by statistical tests.
-func (l Laplace) CDF(x float64) float64 {
-	if x < l.Mu {
-		return 0.5 * math.Exp((x-l.Mu)/l.B)
-	}
-	return 1 - 0.5*math.Exp(-(x-l.Mu)/l.B)
-}
-
 // Fixed is a degenerate "distribution" that always returns N. The paper's
 // evaluation configures servers to add exactly µ noise "to not let noise
 // affect the clarity of the graphs" (§8.1); Fixed reproduces that mode.

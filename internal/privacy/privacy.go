@@ -48,17 +48,6 @@ func DialRound(p Params) Guarantee {
 	}
 }
 
-// ConvoParamsFor inverts Theorem 1 (Equation 1 in §6.2): the noise
-// parameters needed for a single-round target (ε, δ):
-//
-//	b = 4/ε,  µ = 2 − 4·ln(δ)/ε.
-func ConvoParamsFor(g Guarantee) Params {
-	return Params{
-		B:  4 / g.Eps,
-		Mu: 2 - 4*math.Log(g.Delta)/g.Eps,
-	}
-}
-
 // Compose applies Theorem 2 (advanced adaptive composition, Theorem 3.20
 // of Dwork & Roth) to a per-round guarantee over k rounds with free
 // parameter d > 0:
@@ -78,7 +67,8 @@ const DefaultD = 1e-5
 
 // MaxRounds returns the largest k such that Compose(g, k, d) stays within
 // target (ε′, δ′). Both ε′ and δ′ are monotonically increasing in k, so a
-// binary search applies. Returns 0 if even one round exceeds the target.
+// binary search applies. Returns 0 if even one round exceeds the target,
+// and at most 2^40, the largest k it checks, when the target is that lax.
 func MaxRounds(g Guarantee, target Guarantee, d float64) int {
 	within := func(k int) bool {
 		c := Compose(g, k, d)
@@ -92,7 +82,7 @@ func MaxRounds(g Guarantee, target Guarantee, d float64) int {
 		lo = hi
 		hi *= 2
 		if hi > 1<<40 {
-			return hi // effectively unbounded
+			return lo // effectively unbounded
 		}
 	}
 	for lo+1 < hi {

@@ -28,20 +28,6 @@ func TestDialRoundFormulas(t *testing.T) {
 	}
 }
 
-// TestEquationOneInverts verifies Equation 1 inverts Theorem 1.
-func TestEquationOneInverts(t *testing.T) {
-	for _, g := range []Guarantee{{Eps: 0.001, Delta: 1e-9}, {Eps: 3e-4, Delta: 1e-10}} {
-		p := ConvoParamsFor(g)
-		back := ConvoRound(p)
-		if math.Abs(back.Eps-g.Eps)/g.Eps > 1e-9 {
-			t.Fatalf("eps roundtrip: %v -> %v", g.Eps, back.Eps)
-		}
-		if math.Abs(back.Delta-g.Delta)/g.Delta > 1e-9 {
-			t.Fatalf("delta roundtrip: %v -> %v", g.Delta, back.Delta)
-		}
-	}
-}
-
 // TestPaperConvoConfigurations reproduces §6.4: the three noise
 // distributions (µ=150K, b=7,300), (µ=300K, b=13,800), (µ=450K, b=20,000)
 // support roughly 70,000 / 250,000 / 500,000 rounds at ε′=ln2, δ′=10⁻⁴.
@@ -139,13 +125,25 @@ func TestMaxRoundsZeroForWeakNoise(t *testing.T) {
 	}
 }
 
-// TestMaxRoundsEffectivelyUnbounded: absurdly strong noise against a lax
-// target exercises the early-exit cap instead of searching forever.
+// TestMaxRoundsEffectivelyUnbounded: strong noise against a lax target
+// exercises the early-exit cap instead of searching forever, and the capped
+// k still meets the target: a per-round ε of 1.2e-7 stays within ln 2 at
+// 2^40 rounds but not at 2^41.
 func TestMaxRoundsEffectivelyUnbounded(t *testing.T) {
-	g := ConvoRound(Params{Mu: 1e9, B: 1e7})
-	k := MaxRounds(g, Guarantee{Eps: 1e6, Delta: 0.5}, 1e-9)
-	if k < 1<<32 {
-		t.Fatalf("expected effectively unbounded k, got %d", k)
+	for _, c := range []struct {
+		g, target Guarantee
+		d         float64
+	}{
+		{ConvoRound(Params{Mu: 1e9, B: 1e7}), Guarantee{Eps: 1e6, Delta: 0.5}, 1e-9},
+		{Guarantee{Eps: 1.2e-7}, target, DefaultD},
+	} {
+		k := MaxRounds(c.g, c.target, c.d)
+		if k < 1<<32 {
+			t.Fatalf("expected effectively unbounded k, got %d", k)
+		}
+		if got := Compose(c.g, k, c.d); got.Eps > c.target.Eps || got.Delta > c.target.Delta {
+			t.Fatalf("MaxRounds = %d, but %d rounds compose to %+v, beyond the target %+v", k, k, got, c.target)
+		}
 	}
 }
 

@@ -238,39 +238,3 @@ func MeasureDialRound(users int, dialingFraction float64, muD int, m uint32, ser
 	}
 	return MeasuredPoint{Users: users, Mu: muD, Servers: servers, Latency: elapsed, Msgs: dialers}, nil
 }
-
-// LinearFit fits y = a·x + b by least squares and returns a, b, and R².
-// The figure tests use it to verify the linear user scaling the paper
-// reports ("Vuvuzela's costs scale linearly with the number of requests
-// processed", §8.2).
-func LinearFit(xs, ys []float64) (a, b, r2 float64) {
-	n := float64(len(xs))
-	if n < 2 {
-		return 0, 0, 0
-	}
-	var sx, sy, sxx, sxy, syy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-		syy += ys[i] * ys[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, 0
-	}
-	a = (n*sxy - sx*sy) / den
-	b = (sy - a*sx) / n
-	ssTot := syy - sy*sy/n
-	if ssTot == 0 {
-		return a, b, 1
-	}
-	var ssRes float64
-	for i := range xs {
-		d := ys[i] - (a*xs[i] + b)
-		ssRes += d * d
-	}
-	r2 = 1 - ssRes/ssTot
-	return a, b, r2
-}
