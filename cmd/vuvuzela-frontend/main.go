@@ -28,8 +28,7 @@ import (
 
 func main() {
 	chainPath := flag.String("chain", "chain.json", "chain config file")
-	index := flag.Int("index", 0, "which entry in the chain config's frontends list this process serves")
-	listen := flag.String("listen", "", "client-facing listen address (overrides the frontends list entry)")
+	index := flag.Int("index", 0, "which entry in the chain config's frontends list this process serves, on that entry's address")
 	maxClients := flag.Int("max-clients", 0, "shed client connections beyond this count (0 = unlimited)")
 	flag.Parse()
 
@@ -42,9 +41,6 @@ func main() {
 	role, err := deploy.Frontend(chain, *index, tcp, frontend.Config{MaxClients: *maxClients})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *listen != "" {
-		role.Addrs = []string{*listen}
 	}
 	ls, err := deploy.Listen(tcp, role.Addrs)
 	if err != nil {

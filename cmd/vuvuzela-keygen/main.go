@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -30,7 +32,9 @@ func main() {
 	case "chain":
 		chainCmd(os.Args[2:])
 	case "user":
-		userCmd(os.Args[2:])
+		if err := userCmd(os.Args[2:]); err != nil {
+			fatal(err)
+		}
 	default:
 		usage()
 	}
@@ -90,43 +94,46 @@ func chainCmd(args []string) {
 		fmt.Printf("frontends authenticate the entry's pipe key; run each with\n  vuvuzela-frontend -chain %s -index I\nand the entry with -key %s\n",
 			chainPath, filepath.Join(*out, "entry.key"))
 	}
-	if d.Shards > 0 {
-		fmt.Printf("shard servers authenticate the last server's key; run each with\n  vuvuzela-server -chain %s -key %s -mode shard\n",
-			chainPath, filepath.Join(*out, "shard-K.key"))
-	}
+	fmt.Printf("a key's place in chain.json is its role; run every chain server and shard with its own key:\n  vuvuzela-server -chain %s -key %s\n",
+		chainPath, filepath.Join(*out, "NAME.key"))
 }
 
-func userCmd(args []string) {
-	fs := flag.NewFlagSet("user", flag.ExitOnError)
-	name := fs.String("name", "", "username")
-	out := fs.String("out", ".", "output directory")
-	fs.Parse(args)
+// userCmd writes a user's identity file and registers the user in the
+// directory users.json, which it starts only where none exists: a
+// directory that does not load is an error, with no file written.
+func userCmd(args []string) error {
+	flags := flag.NewFlagSet("user", flag.ExitOnError)
+	name := flags.String("name", "", "username")
+	out := flags.String("out", ".", "output directory")
+	flags.Parse(args)
 	if *name == "" {
 		usage()
 	}
 
+	dirPath := filepath.Join(*out, "users.json")
+	dir, err := pki.Load(dirPath)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		dir = pki.NewDirectory()
+	case err != nil:
+		return fmt.Errorf("%w; nothing written (repair or move it, then register %q again)", err, *name)
+	}
 	pub, priv, err := box.GenerateKey(nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	keyPath := filepath.Join(*out, *name+".key")
 	if err := config.Save(keyPath, &config.UserKey{
 		Name: *name, PublicKey: config.Key(pub), PrivateKey: config.Key(priv),
 	}); err != nil {
-		fatal(err)
-	}
-
-	// Register into the shared directory, creating it if needed.
-	dirPath := filepath.Join(*out, "users.json")
-	dir, err := pki.Load(dirPath)
-	if err != nil {
-		dir = pki.NewDirectory()
+		return err
 	}
 	dir.Register(*name, pub)
 	if err := dir.Save(dirPath); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("wrote %s and registered %q in %s\n", keyPath, *name, dirPath)
+	return nil
 }
 
 func fatal(err error) {

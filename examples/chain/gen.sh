@@ -21,13 +21,13 @@ go build -o "$OUT/bin/" "$REPO/cmd/vuvuzela-keygen" "$REPO/cmd/vuvuzela-server" 
 
 echo
 echo "Generated $OUT/. Start the deployment (each line its own terminal, any order):"
-echo "  ./run-shard.sh 0        # dead-drop shard 0"
-echo "  ./run-shard.sh 1        # dead-drop shard 1"
-echo "  ./run-server.sh 2       # last server (shard router + CDN)"
-echo "  ./run-server.sh 1       # middle server"
-echo "  ./run-server.sh 0       # first server (entry leg)"
-echo "  ./run-entry.sh          # entry server (round timers + frontend pipes)"
-echo "  ./run-frontend.sh 0     # stateless entry frontend 0"
-echo "  ./run-frontend.sh 1     # stateless entry frontend 1"
+echo "  ./run-server.sh shard-0   # dead-drop shard 0"
+echo "  ./run-server.sh shard-1   # dead-drop shard 1"
+echo "  ./run-server.sh server-2  # last server (shard router + CDN)"
+echo "  ./run-server.sh server-1  # middle server"
+echo "  ./run-server.sh server-0  # first server (entry leg)"
+echo "  ./run-entry.sh            # entry server (round timers + frontend pipes)"
+echo "  ./run-frontend.sh 0       # stateless entry frontend 0"
+echo "  ./run-frontend.sh 1       # stateless entry frontend 1"
 echo "then talk (clients connect through the frontends; see chain.json):"
 echo "  $OUT/bin/vuvuzela-client -chain $OUT/chain.json -key $OUT/alice.key -users $OUT/users.json"

@@ -74,7 +74,7 @@ type Chain struct {
 	// them, entry connects to Servers[0].
 	Servers []Server `json:"servers"`
 	// Shards lists the last server's networked dead-drop shard servers
-	// (`vuvuzela-server -mode shard`), in shard-index order. Empty means
+	// (`vuvuzela-server` given a shard's key), in shard-index order. Empty means
 	// the last server runs the exchange in-process. Each entry carries
 	// the shard's listen address and its long-term key (shard servers
 	// hold keys like chain servers do, so a deployment can authenticate
@@ -241,9 +241,11 @@ func checkNoise(proto string, mu, b, perMu float64) error {
 	return nil
 }
 
-// ServerKey is a server's private key file.
+// ServerKey is a server's private key file: a chain server's, a shard's
+// or the entry's frontend-pipe key. It names no role; the role is the
+// one whose public key in the Chain is this key's public half. Files
+// written before that rule may carry a "position", which loading ignores.
 type ServerKey struct {
-	Position   int `json:"position"`    // index into Chain.Servers; -1 for the entry's frontend-pipe key, which belongs to no chain position
 	PrivateKey Key `json:"private_key"` // the server's long-term private key
 }
 

@@ -52,14 +52,14 @@ func TestKeyFilesRoundTrip(t *testing.T) {
 	pub, priv := box.KeyPairFromSeed([]byte("u"))
 
 	skPath := filepath.Join(dir, "server.key")
-	if err := Save(skPath, &ServerKey{Position: 2, PrivateKey: Key(priv)}); err != nil {
+	if err := Save(skPath, &ServerKey{PrivateKey: Key(priv)}); err != nil {
 		t.Fatal(err)
 	}
 	sk, err := LoadServerKey(skPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sk.Position != 2 || sk.PrivateKey != Key(priv) {
+	if sk.PrivateKey != Key(priv) {
 		t.Fatal("server key mismatch")
 	}
 

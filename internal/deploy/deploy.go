@@ -9,7 +9,9 @@
 // A role function takes the descriptor, the role's key or index, the
 // network it dials over and a template of the role's Config holding its
 // flags or a harness's hooks. It checks the key against the descriptor,
-// fills in every field the descriptor determines, and returns a Role.
+// fills in every field the descriptor determines, and returns a Role. A
+// server's key is its place: its public half names the one chain server
+// or shard of the descriptor the process runs.
 package deploy
 
 import (
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 
 	"vuvuzela/internal/cdn"
 	"vuvuzela/internal/config"
@@ -33,6 +36,10 @@ import (
 
 // Role is one process of a deployment, placed by the descriptor.
 type Role struct {
+	// Name says which process of the descriptor Server found for its
+	// key ("chain server 1/3", "dead-drop shard 0/2"), for the start-up
+	// line; the other roles' functions leave it empty.
+	Name string
 	// Addrs are the addresses the process listens on, the first naming
 	// it; Boot takes one listener per address, in this order.
 	Addrs []string
@@ -81,41 +88,48 @@ func Noise(mu, b float64, fixed bool) noise.Distribution {
 	return noise.Laplace{Mu: mu, B: b}
 }
 
-// checkKey refuses a private key whose public half is not the one the
-// descriptor lists for role.
-func checkKey(key *config.ServerKey, want config.Key, role string) error {
+// publicKey is key's public half, as the descriptor lists it.
+func publicKey(key *config.ServerKey) config.Key {
 	priv := box.PrivateKey(key.PrivateKey)
-	if box.PublicKeyOf(&priv) != box.PublicKey(want) {
-		return fmt.Errorf("deploy: the key is not %s: its public half does not match the chain descriptor", role)
-	}
-	return nil
+	return config.Key(box.PublicKeyOf(&priv))
 }
 
-// Server is chain server key.Position of c (vuvuzela-server; opts holds
-// -workers, -shard-timeout, -shard-policy). It fills in the position, the
-// chain's keys, key's private half, nw and the successor's address; on
-// the last server the shards' addresses and keys and, when c names a
-// cdn_addr, an invitation CDN served there. A noise distribution opts
-// leaves nil draws c's µ and b, exactly µ when fixedNoise. Boot refuses a
-// key that is not c's for the position (mixnet.NewServer).
+// Server is the process of c that key names (vuvuzela-server): the chain
+// server or dead-drop shard whose public key in c is key's public half.
+// Validate refuses a key listed twice, so the key alone places the
+// process; a key c lists for neither is refused.
+//
+// A chain server takes opts (-workers, -shard-timeout, -shard-policy) and
+// is filled in with its position, the chain's keys, key's private half,
+// nw and the successor's address; on the last server the shards'
+// addresses and keys and, when c names a cdn_addr, an invitation CDN
+// served there. A noise distribution opts leaves nil draws c's µ and b,
+// exactly µ when fixedNoise. A shard takes none of opts, nw and
+// fixedNoise (see shard).
 func Server(c *config.Chain, key *config.ServerKey, nw transport.Network, opts mixnet.Config, fixedNoise bool) (Role, error) {
-	pos := key.Position
-	if pos < 0 || pos >= len(c.Servers) {
-		return Role{}, fmt.Errorf("deploy: chain server key position %d out of range for a %d-server chain", pos, len(c.Servers))
+	pub := publicKey(key)
+	has := func(s config.Server) bool { return s.PublicKey == pub }
+	if i := slices.IndexFunc(c.Shards, has); i >= 0 {
+		return shard(c, i, key), nil
+	}
+	pos := slices.IndexFunc(c.Servers, has)
+	if pos < 0 {
+		return Role{}, errors.New("deploy: the key is not in chain.json: its public half is no chain server's or shard's")
 	}
 	opts.Position, opts.ChainPubs, opts.Priv, opts.Net = pos, c.PublicKeys(), box.PrivateKey(key.PrivateKey), nw
 	opts.ConvoNoise = cmp.Or(opts.ConvoNoise, Noise(c.ConvoNoiseMu, c.ConvoNoiseB, fixedNoise))
 	opts.DialNoise = cmp.Or(opts.DialNoise, Noise(c.DialNoiseMu, c.DialNoiseB, fixedNoise))
-	addrs := []string{c.Servers[pos].Addr}
+	name, addrs := fmt.Sprintf("chain server %d/%d", pos, len(c.Servers)), []string{c.Servers[pos].Addr}
 	if pos < len(c.Servers)-1 {
 		opts.NextAddr = c.Servers[pos+1].Addr
 	} else {
 		opts.ShardAddrs, opts.ShardPubs = c.ShardAddrs(), c.ShardKeys()
+		name += fmt.Sprintf(" (last, %d dead-drop shards)", len(c.Shards))
 		if c.CDNAddr() != "" {
 			addrs = append(addrs, c.CDNAddr())
 		}
 	}
-	return Role{Addrs: addrs, Boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, <-chan error, error) {
+	return Role{Name: name, Addrs: addrs, Boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, <-chan error, error) {
 		cfg := opts
 		cfg.RoundState = state
 		store := cdn.NewStore(0) // a restarted process's CDN starts empty
@@ -128,32 +142,24 @@ func Server(c *config.Chain, key *config.ServerKey, nw transport.Network, opts m
 	}}, nil
 }
 
-// Shard is dead-drop shard key.Position of c (vuvuzela-server -mode
-// shard). It refuses a key that is not c's for that shard, and fills in
-// the index, the shard count, key's private half and, as the one key
-// allowed to drive its rounds, the last chain server's.
-func Shard(c *config.Chain, key *config.ServerKey, opts mixnet.ShardConfig) (Role, error) {
-	i := key.Position
-	switch {
-	case len(c.Shards) == 0:
-		return Role{}, errors.New("deploy: the chain descriptor lists no shard servers; generate one with vuvuzela-keygen chain -shards N")
-	case i < 0 || i >= len(c.Shards):
-		return Role{}, fmt.Errorf("deploy: shard index %d out of range for %d shards", i, len(c.Shards))
+// shard is Server for dead-drop shard i of c: it fills in the index, the
+// shard count, key's private half and, as the one key allowed to drive
+// its rounds, the last chain server's.
+func shard(c *config.Chain, i int, key *config.ServerKey) Role {
+	cfg := mixnet.ShardConfig{
+		Index: i, NumShards: len(c.Shards), Identity: box.PrivateKey(key.PrivateKey),
+		Authorized: []box.PublicKey{box.PublicKey(c.Servers[len(c.Servers)-1].PublicKey)},
 	}
-	if err := checkKey(key, c.Shards[i].PublicKey, fmt.Sprintf("shard %d's", i)); err != nil {
-		return Role{}, err
-	}
-	opts.Index, opts.NumShards, opts.Identity = i, len(c.Shards), box.PrivateKey(key.PrivateKey)
-	opts.Authorized = []box.PublicKey{box.PublicKey(c.Servers[len(c.Servers)-1].PublicKey)}
-	return Role{Addrs: []string{c.Shards[i].Addr}, Boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, <-chan error, error) {
-		cfg := opts
+	name := fmt.Sprintf("dead-drop shard %d/%d", i, len(c.Shards))
+	return Role{Name: name, Addrs: []string{c.Shards[i].Addr}, Boot: func(state *roundstate.Counters, ls []net.Listener) (io.Closer, <-chan error, error) {
+		cfg := cfg
 		cfg.RoundState = state
 		ss, err := mixnet.NewShardServer(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("deploy: shard %d: %w", i, err)
 		}
 		return ss, serve(ls, ss.Serve), nil
-	}}, nil
+	}}
 }
 
 // Entry is the entry server of c (vuvuzela-entry; opts holds
@@ -169,8 +175,8 @@ func Entry(c *config.Chain, key *config.ServerKey, nw transport.Network, opts co
 		if key == nil {
 			return Role{}, fmt.Errorf("deploy: the chain descriptor names a frontend pipe on %s, and the entry has no key for it", c.EntryFrontAddr)
 		}
-		if err := checkKey(key, c.EntryFrontKey, "the entry's pipe key (entry_front_key)"); err != nil {
-			return Role{}, err
+		if publicKey(key) != c.EntryFrontKey {
+			return Role{}, errors.New("deploy: the key is not the entry's pipe key (entry_front_key): its public half does not match the chain descriptor")
 		}
 		opts.FrontIdentity = box.PrivateKey(key.PrivateKey)
 		addrs = append(addrs, c.EntryFrontAddr)
@@ -233,8 +239,8 @@ var Defaults = Layout{
 // Keys are a generated deployment's private keys, one key file each.
 type Keys struct {
 	Servers []config.ServerKey // server-<i>.key, by position
-	Shards  []config.ServerKey // shard-<i>.key, each with its shard index as Position
-	Entry   *config.ServerKey  // entry.key (Position -1), the frontend pipe's; nil without frontends
+	Shards  []config.ServerKey // shard-<i>.key, by index
+	Entry   *config.ServerKey  // entry.key, the frontend pipe's; nil without frontends
 }
 
 // Generate draws fresh keys for l and lays its addresses out on l.Host:
@@ -255,7 +261,7 @@ func Generate(l Layout) (*config.Chain, *Keys, error) {
 				return nil, nil, err
 			}
 			servers = append(servers, config.Server{Addr: addr(port + i), PublicKey: config.Key(pub)})
-			keys = append(keys, config.ServerKey{Position: i, PrivateKey: config.Key(priv)})
+			keys = append(keys, config.ServerKey{PrivateKey: config.Key(priv)})
 		}
 		return servers, keys, nil
 	}
@@ -283,7 +289,7 @@ func Generate(l Layout) (*config.Chain, *Keys, error) {
 			return nil, nil, err
 		}
 		c.EntryFrontAddr, c.EntryFrontKey = pipe[0].Addr, pipe[0].PublicKey
-		keys.Entry = &config.ServerKey{Position: -1, PrivateKey: entry[0].PrivateKey}
+		keys.Entry = &entry[0]
 		for i := range l.Frontends {
 			c.Frontends = append(c.Frontends, addr(l.BasePort+l.Servers+1+l.Shards+i))
 		}

@@ -2,6 +2,7 @@ package deploy_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"vuvuzela/internal/config"
 	"vuvuzela/internal/coordinator"
+	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/transport"
@@ -21,20 +23,22 @@ var small = deploy.Layout{
 	ConvoMu: 20, ConvoB: 5, DialMu: 5, DialB: 2, DialBuckets: 1,
 }
 
-// keyedRole is one keyed role's function, over nw.
+// keyedRole is one of the two role functions that take a server key,
+// over nw.
 type keyedRole func(c *config.Chain, key *config.ServerKey, nw transport.Network) (deploy.Role, error)
 
 // boot starts one keyed role of c with key on an in-memory network, then
-// stops it: the error is the role function's or Boot's.
-func boot(start keyedRole, c *config.Chain, key *config.ServerKey) error {
+// stops it: the address it listened on first, or the role function's or
+// Boot's error.
+func boot(start keyedRole, c *config.Chain, key *config.ServerKey) (string, error) {
 	mem := transport.NewMem()
 	role, err := start(c, key, mem)
 	if err != nil {
-		return err
+		return "", err
 	}
 	ls, err := deploy.Listen(mem, role.Addrs)
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer func() {
 		for _, l := range ls {
@@ -43,66 +47,87 @@ func boot(start keyedRole, c *config.Chain, key *config.ServerKey) error {
 	}()
 	proc, _, err := role.Boot(nil, ls)
 	if err != nil {
-		return err
+		return "", err
 	}
-	return proc.Close()
+	return role.Addrs[0], proc.Close()
 }
 
-func chainServer(c *config.Chain, key *config.ServerKey, nw transport.Network) (deploy.Role, error) {
+func server(c *config.Chain, key *config.ServerKey, nw transport.Network) (deploy.Role, error) {
 	return deploy.Server(c, key, nw, mixnet.Config{}, false)
-}
-
-func shard(c *config.Chain, key *config.ServerKey, _ transport.Network) (deploy.Role, error) {
-	return deploy.Shard(c, key, mixnet.ShardConfig{})
 }
 
 func entry(c *config.Chain, key *config.ServerKey, nw transport.Network) (deploy.Role, error) {
 	return deploy.Entry(c, key, nw, coordinator.Config{})
 }
 
-// TestKeyChecks: every keyed role boots with its own key from a
-// generated descriptor and refuses every other role's key from the same
-// descriptor with an error naming the role — the entry's pipe key
-// included, which no constructor checks on its own.
+// oldFormat writes key as a key file of the format that also recorded a
+// "position", here a wrong one, and reads it back.
+func oldFormat(t *testing.T, key config.ServerKey, position int) *config.ServerKey {
+	path := filepath.Join(t.TempDir(), "old.key")
+	data := fmt.Sprintf(`{"position": %d, "private_key": "%x"}`, position, key.PrivateKey[:])
+	if err := os.WriteFile(path, []byte(data), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	k, err := config.LoadServerKey(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestKeyChecks: a server key is its place in the descriptor. Every key
+// Generate returns boots exactly its own role — a chain server's or a
+// shard's through Server, at its own address, the entry's pipe key
+// through Entry — and the other function refuses it; Server refuses a key
+// from another deployment naming chain.json; and a key file in the old
+// format boots the role its key names, whatever position it records.
 func TestKeyChecks(t *testing.T) {
 	c, keys, err := deploy.Generate(small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type labeled struct {
-		role string
-		key  *config.ServerKey
+	_, foreign, err := deploy.Generate(small)
+	if err != nil {
+		t.Fatal(err)
 	}
-	all := []labeled{
-		{"server", &keys.Servers[0]}, {"server", &keys.Servers[1]},
-		{"shard", &keys.Shards[0]},
-		{"entry", keys.Entry},
+	starts := []keyedRole{server, entry}
+	refusals := []string{"chain.json", "the entry's pipe key (entry_front_key)"}
+	// owner indexes starts: the one function that boots key, at addr;
+	// -1 is none.
+	type keyRow struct {
+		key   *config.ServerKey
+		owner int
+		addr  string
 	}
-	rows := []struct {
-		role  string
-		start keyedRole
-		own   *config.ServerKey
-		names string
+	groups := []struct {
+		name string
+		rows []keyRow
 	}{
-		{"server", chainServer, &keys.Servers[1], "chain server"},
-		{"shard", shard, &keys.Shards[0], "shard"},
-		{"entry", entry, keys.Entry, "the entry's pipe key (entry_front_key)"},
+		{"server", []keyRow{{&keys.Servers[0], 0, c.Servers[0].Addr}, {&keys.Servers[1], 0, c.Servers[1].Addr}}},
+		{"shard", []keyRow{{&keys.Shards[0], 0, c.Shards[0].Addr}}},
+		{"entry", []keyRow{{keys.Entry, 1, c.EntryAddr}}},
+		{"foreign", []keyRow{{&foreign.Servers[0], -1, ""}, {&foreign.Shards[0], -1, ""}, {foreign.Entry, -1, ""}}},
+		{"old-format", []keyRow{
+			{oldFormat(t, keys.Servers[1], 0), 0, c.Servers[1].Addr},
+			{oldFormat(t, keys.Shards[0], 1), 0, c.Shards[0].Addr},
+			{oldFormat(t, keys.Servers[0], -1), 0, c.Servers[0].Addr},
+		}},
 	}
-	for _, row := range rows {
-		t.Run(row.role, func(t *testing.T) {
-			if err := boot(row.start, c, row.own); err != nil {
-				t.Fatalf("own key refused: %v", err)
-			}
-			for _, other := range all {
-				if other.role == row.role {
-					continue
-				}
-				err := boot(row.start, c, other.key)
-				if err == nil {
-					t.Fatalf("%s key (position %d) booted the %s", other.role, other.key.Position, row.role)
-				}
-				if !strings.Contains(err.Error(), row.names) {
-					t.Fatalf("%s key refused with %q, which does not name %q", other.role, err, row.names)
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			for i, row := range g.rows {
+				for f, start := range starts {
+					addr, err := boot(start, c, row.key)
+					switch {
+					case f == row.owner && err != nil:
+						t.Fatalf("key %d refused: %v", i, err)
+					case f == row.owner && addr != row.addr:
+						t.Fatalf("key %d booted the role on %s, want %s", i, addr, row.addr)
+					case f != row.owner && err == nil:
+						t.Fatalf("key %d booted a second role, on %s", i, addr)
+					case f != row.owner && !strings.Contains(err.Error(), refusals[f]):
+						t.Fatalf("key %d refused with %q, which does not name %q", i, err, refusals[f])
+					}
 				}
 			}
 		})
@@ -148,17 +173,17 @@ func TestGenerateRoundTrip(t *testing.T) {
 	}
 	for i := range keys.Servers {
 		k := reload(fmt.Sprintf("server-%d.key", i), &keys.Servers[i])
-		if err := boot(chainServer, back, k); err != nil {
+		if _, err := boot(server, back, k); err != nil {
 			t.Fatalf("server-%d.key: %v", i, err)
 		}
 	}
 	for i := range keys.Shards {
 		k := reload(fmt.Sprintf("shard-%d.key", i), &keys.Shards[i])
-		if err := boot(shard, back, k); err != nil {
+		if _, err := boot(server, back, k); err != nil {
 			t.Fatalf("shard-%d.key: %v", i, err)
 		}
 	}
-	if err := boot(entry, back, reload("entry.key", keys.Entry)); err != nil {
+	if _, err := boot(entry, back, reload("entry.key", keys.Entry)); err != nil {
 		t.Fatalf("entry.key: %v", err)
 	}
 }
@@ -182,8 +207,18 @@ func TestGenerateLayout(t *testing.T) {
 	if got != want {
 		t.Fatalf("layout\n got %s\nwant %s", got, want)
 	}
-	positions := fmt.Sprint(keys.Servers[2].Position, keys.Shards[1].Position, keys.Entry.Position)
-	if positions != "2 1 -1" {
-		t.Fatalf("key file positions (server 2, shard 1, entry) = %s, want 2 1 -1", positions)
+	// The key files carry no place: keygen names them by the order here.
+	for name, pair := range map[string]struct {
+		key *config.ServerKey
+		pub config.Key
+	}{
+		"server-2": {&keys.Servers[2], c.Servers[2].PublicKey},
+		"shard-1":  {&keys.Shards[1], c.Shards[1].PublicKey},
+		"entry":    {keys.Entry, c.EntryFrontKey},
+	} {
+		priv := box.PrivateKey(pair.key.PrivateKey)
+		if config.Key(box.PublicKeyOf(&priv)) != pair.pub {
+			t.Fatalf("%s.key's public half is not its place's key in the chain", name)
+		}
 	}
 }

@@ -101,7 +101,7 @@ type Config struct {
 	Workers int
 
 	// ShardAddrs, set only on the last server, lists the networked
-	// dead-drop shard servers (`vuvuzela-server -mode shard`): the
+	// dead-drop shard servers (`vuvuzela-server -key shard-<i>.key`): the
 	// exchange is partitioned by drop-ID prefix and fanned out over Net
 	// instead of running in-process. One address is the degenerate case
 	// and remains byte-identical to the in-process path.

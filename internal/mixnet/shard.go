@@ -114,7 +114,7 @@ type ShardConfig struct {
 const DefaultHandshakeTimeout = 10 * time.Second
 
 // ShardServer is one running dead-drop shard process
-// (`vuvuzela-server -mode shard`). It speaks only the shard leg of the
+// (`vuvuzela-server -key shard-<i>.key`). It speaks only the shard leg of the
 // wire protocol: KindShardRound in, KindShardReply (or KindError) out,
 // always inside an authenticated transport.Secure channel — a peer that
 // cannot prove an authorized key gets nothing, and a tampered or

@@ -194,7 +194,7 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 	}
 	for i := range keys.Shards {
 		add(fmt.Sprintf("shard-%d.round", i), func(p io.Closer) { cn.Shards[i], _ = p.(*mixnet.ShardServer) })(
-			deploy.Shard(chain, &keys.Shards[i], mixnet.ShardConfig{}))
+			deploy.Server(chain, &keys.Shards[i], cfg.Net, mixnet.Config{}, true))
 	}
 	// Chain servers run in the fixed-noise mode over the descriptor's
 	// µ = 0, so a template distribution left nil adds no noise.
