@@ -321,8 +321,8 @@ type privacyBaseline struct {
 
 // privacyEval runs the internal/eval adversarial harness against full
 // in-memory deployments: the §4.2 compromised-server distinguisher and a
-// wire observer, each across fault scenarios (shard degradation, client
-// churn, mid-run restarts, mixed dial+convo load), scored as empirical
+// wire observer, each across fault scenarios (client churn, mid-run
+// restarts, mixed dial+convo load), scored as empirical
 // distinguishing advantage against the (ε,δ) bound internal/privacy
 // derives for the configured noise. Every number is a measurement of the
 // leakage THREAT_MODEL.md claims, not a restatement of it. -quick
@@ -340,7 +340,6 @@ func privacyEval() {
 		exp       eval.Experiment
 	}{
 		{"baseline", eval.CompromisedServers, eval.Experiment{Scenario: eval.Baseline()}},
-		{"degrade", eval.CompromisedServers, eval.Experiment{Shards: 2, Scenario: eval.DegradedShards(1)}},
 		{"churn", eval.CompromisedServers, eval.Experiment{IdleClients: 3, Scenario: eval.ClientChurn()}},
 		{"restart", eval.CompromisedServers, eval.Experiment{Frontends: 2, IdleClients: 2, Scenario: eval.MidRunRestart()}},
 		{"mixed", eval.CompromisedServers, eval.Experiment{Scenario: eval.MixedLoad(2)}},

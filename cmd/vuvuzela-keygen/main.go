@@ -2,7 +2,9 @@
 // fresh server key pairs and per-server private key files — written as
 // internal/deploy's generator lays them out, the same generator the
 // in-process harness runs — and user identity files registered into a
-// PKI directory.
+// PKI directory. It never overwrites: if any file it would write exists,
+// or the user is already registered, it exits non-zero having written
+// nothing (delete the old deployment directory to regenerate).
 //
 // Usage:
 //
@@ -30,7 +32,9 @@ func main() {
 	}
 	switch os.Args[1] {
 	case "chain":
-		chainCmd(os.Args[2:])
+		if err := chainCmd(os.Args[2:]); err != nil {
+			fatal(err)
+		}
 	case "user":
 		if err := userCmd(os.Args[2:]); err != nil {
 			fatal(err)
@@ -47,7 +51,9 @@ func usage() {
 	os.Exit(2)
 }
 
-func chainCmd(args []string) {
+// chainCmd writes a generated deployment's key files and chain.json into
+// -out, refusing with nothing written if any of them exists.
+func chainCmd(args []string) error {
 	d := deploy.Defaults
 	fs := flag.NewFlagSet("chain", flag.ExitOnError)
 	fs.IntVar(&d.Servers, "servers", d.Servers, "number of chain servers")
@@ -66,41 +72,67 @@ func chainCmd(args []string) {
 
 	chain, keys, err := deploy.Generate(d)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
+	type file struct {
+		name string
+		v    any
 	}
-	save := func(name string, v any, note string) string {
-		path := filepath.Join(*out, name)
-		if err := config.Save(path, v); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s%s\n", path, note)
-		return path
-	}
+	var files []file
 	for i := range keys.Servers {
-		save(fmt.Sprintf("server-%d.key", i), &keys.Servers[i], "")
+		files = append(files, file{fmt.Sprintf("server-%d.key", i), &keys.Servers[i]})
 	}
 	for i := range keys.Shards {
-		save(fmt.Sprintf("shard-%d.key", i), &keys.Shards[i], "")
+		files = append(files, file{fmt.Sprintf("shard-%d.key", i), &keys.Shards[i]})
 	}
 	if keys.Entry != nil {
-		save("entry.key", keys.Entry, "")
+		files = append(files, file{"entry.key", keys.Entry})
 	}
-	chainPath := save("chain.json", chain, fmt.Sprintf(" (%d servers, %d shards, %d frontends, entry %s)",
-		d.Servers, d.Shards, d.Frontends, chain.EntryAddr))
+	files = append(files, file{"chain.json", chain})
+	for _, f := range files {
+		if err := refuseExisting(filepath.Join(*out, f.name)); err != nil {
+			return err
+		}
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
+	}
+	for _, f := range files {
+		path := filepath.Join(*out, f.name)
+		if err := config.Save(path, f.v); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", path)
+	}
+	chainPath := filepath.Join(*out, "chain.json")
+	fmt.Printf("chain.json: %d servers, %d shards, %d frontends, entry %s\n", d.Servers, d.Shards, d.Frontends, chain.EntryAddr)
 	if d.Frontends > 0 {
 		fmt.Printf("frontends authenticate the entry's pipe key; run each with\n  vuvuzela-frontend -chain %s -index I\nand the entry with -key %s\n",
 			chainPath, filepath.Join(*out, "entry.key"))
 	}
 	fmt.Printf("a key's place in chain.json is its role; run every chain server and shard with its own key:\n  vuvuzela-server -chain %s -key %s\n",
 		chainPath, filepath.Join(*out, "NAME.key"))
+	return nil
+}
+
+// refuseExisting fails if path exists (or cannot be checked): keygen
+// never replaces a live key or descriptor.
+func refuseExisting(path string) error {
+	_, err := os.Lstat(path)
+	switch {
+	case err == nil:
+		return fmt.Errorf("%s exists; nothing written (delete the old files to generate new ones)", path)
+	case errors.Is(err, fs.ErrNotExist):
+		return nil
+	default:
+		return err
+	}
 }
 
 // userCmd writes a user's identity file and registers the user in the
 // directory users.json, which it starts only where none exists: a
-// directory that does not load is an error, with no file written.
+// directory that does not load, a name it already holds and an existing
+// NAME.key are each an error, with no file written.
 func userCmd(args []string) error {
 	flags := flag.NewFlagSet("user", flag.ExitOnError)
 	name := flags.String("name", "", "username")
@@ -118,11 +150,17 @@ func userCmd(args []string) error {
 	case err != nil:
 		return fmt.Errorf("%w; nothing written (repair or move it, then register %q again)", err, *name)
 	}
+	if _, err := dir.Lookup(*name); err == nil {
+		return fmt.Errorf("%q is already registered in %s; nothing written", *name, dirPath)
+	}
+	keyPath := filepath.Join(*out, *name+".key")
+	if err := refuseExisting(keyPath); err != nil {
+		return err
+	}
 	pub, priv, err := box.GenerateKey(nil)
 	if err != nil {
 		return err
 	}
-	keyPath := filepath.Join(*out, *name+".key")
 	if err := config.Save(keyPath, &config.UserKey{
 		Name: *name, PublicKey: config.Key(pub), PrivateKey: config.Key(priv),
 	}); err != nil {

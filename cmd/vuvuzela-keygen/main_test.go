@@ -57,3 +57,76 @@ func TestUserKeepsUnreadableDirectory(t *testing.T) {
 		}
 	}
 }
+
+// snapshot reads every file in dir, by name.
+func snapshot(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return files
+}
+
+// TestKeygenNeverOverwrites: a second chain or user run over live
+// material fails and writes nothing, where it once replaced every key and
+// chain.json, or a user's key and directory entry, without a word. Any
+// one existing target is enough to refuse: a lone key file, a lone
+// chain.json, a lone users.json entry.
+func TestKeygenNeverOverwrites(t *testing.T) {
+	out := t.TempDir()
+	chain := []string{"-servers", "2", "-shards", "1", "-frontends", "1", "-out", out}
+	if err := chainCmd(chain); err != nil {
+		t.Fatal(err)
+	}
+	if err := userCmd([]string{"-name", "alice", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshot(t, out)
+
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s over existing material succeeded", what)
+		}
+		after := snapshot(t, out)
+		if len(after) != len(before) {
+			t.Fatalf("%s: %d files, want %d", what, len(after), len(before))
+		}
+		for name, b := range before {
+			if !bytes.Equal(after[name], b) {
+				t.Fatalf("%s rewrote %s", what, name)
+			}
+		}
+	}
+	refused("chain", chainCmd(chain))
+	refused("user", userCmd([]string{"-name", "alice", "-out", out}))
+
+	// One target left is enough: only chain.json, only shard-0.key, only
+	// alice's users.json entry (her key file gone).
+	for _, keep := range []string{"chain.json", "shard-0.key"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, keep), before[keep], 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if err := chainCmd([]string{"-servers", "2", "-shards", "1", "-frontends", "1", "-out", dir}); err == nil {
+			t.Fatalf("chain over a lone %s succeeded", keep)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+			t.Fatalf("chain over a lone %s left %d files", keep, len(entries))
+		}
+	}
+	if err := os.Remove(filepath.Join(out, "alice.key")); err != nil {
+		t.Fatal(err)
+	}
+	delete(before, "alice.key")
+	refused("user already in users.json", userCmd([]string{"-name", "alice", "-out", out}))
+}

@@ -7,7 +7,9 @@
 // server in the chain additionally hosts the invitation CDN and the
 // dead-drop exchange. When the chain config lists shard servers, the
 // last server instead fans the exchange out to them by drop-ID prefix,
-// and each shard runs as its own process.
+// and each shard runs as its own process. A shard that fails fails the
+// round, like a failed chain hop. Every chain server draws its noise from
+// chain.json's Laplace(µ, b) (Algorithm 2 step 2).
 //
 // Usage:
 //
@@ -31,10 +33,8 @@ import (
 func main() {
 	chainPath := flag.String("chain", "chain.json", "chain config file")
 	keyPath := flag.String("key", "", "private key file of a chain server or shard listed in the chain config")
-	fixedNoise := flag.Bool("fixed-noise", false, "add exactly µ noise instead of sampling Laplace (evaluation mode, §8.1)")
 	workers := flag.Int("workers", 0, "crypto worker goroutines (chain server; 0 = all cores)")
-	shardTimeout := flag.Duration("shard-timeout", time.Minute, "per-round RPC timeout to each shard server (last server only; 0 = wait forever)")
-	shardPolicy := flag.String("shard-policy", "abort", `"abort" fails the round on any shard failure; "degrade" zero-fills an unreachable shard's replies and completes the round (authentication failures still abort; zero-filled replies are observable round metadata — see README)`)
+	shardTimeout := flag.Duration("shard-timeout", time.Minute, "per-round RPC timeout to each shard server; a shard that exceeds it fails the round (last server only; 0 = wait forever)")
 	roundState := flag.String("round-state", "", `file durably recording the last-committed rounds, so a restarted server rejoins without replaying consumed rounds (chain server or shard; empty = in-memory only; strongly recommended in production — see docs/THREAT_MODEL.md)`)
 	flag.Parse()
 	if *keyPath == "" {
@@ -51,26 +51,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var policy mixnet.ShardPolicy
-	switch *shardPolicy {
-	case "abort":
-		policy = mixnet.ShardAbort
-	case "degrade":
-		policy = mixnet.ShardDegrade
-	default:
-		log.Fatalf("unknown -shard-policy %q (want abort or degrade)", *shardPolicy)
-	}
-
 	//vuvuzela:allow plaintexttransport substrate only: every chain, shard and entry leg runs inside transport.Secure; the CDN serves public invitation buckets, nothing confidential
 	tcp := transport.TCP{}
-	role, err := deploy.Server(chain, key, tcp, mixnet.Config{
-		Workers:      *workers,
-		ShardTimeout: *shardTimeout,
-		ShardPolicy:  policy,
-		OnShardDegraded: func(round uint64, shard int, addr string, err error) {
-			log.Printf("round %d: degraded around shard %d (%s): %v", round, shard, addr, err)
-		},
-	}, *fixedNoise)
+	role, err := deploy.Server(chain, key, tcp, mixnet.Config{Workers: *workers, ShardTimeout: *shardTimeout})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,8 @@
 # user identities. Noise parameters are scaled far below the paper's
 # production values (µ=300,000) so the example runs instantly on a
 # laptop; see docs/THREAT_MODEL.md before shrinking noise in a real
-# deployment.
+# deployment. vuvuzela-keygen never overwrites: delete $OUT (deploy/) to
+# regenerate.
 set -euo pipefail
 cd "$(dirname "$0")"
 REPO=../..

@@ -13,5 +13,4 @@ name=${1:?usage: run-server.sh server-INDEX|shard-INDEX}
 exec "${OUT:-deploy}/bin/vuvuzela-server" \
     -chain "${OUT:-deploy}/chain.json" \
     -key "${OUT:-deploy}/$name.key" \
-    -fixed-noise \
     -round-state "${OUT:-deploy}/$name.rounds"

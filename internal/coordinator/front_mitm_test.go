@@ -5,9 +5,8 @@ package coordinator
 // leg. A forged or replayed KindFrontBatch must poison the pipe before
 // it reaches the round, a reordered KindFrontReplies/announce stream
 // must poison the frontend side, an impersonated coordinator must fail
-// the handshake, and — the property the degrade policy leans on — an
-// attacked pipe must look like an attack (ErrAuth), never like a
-// frontend crash (EOF).
+// the handshake, and an attacked pipe must look like an attack
+// (ErrAuth), never like a frontend crash (EOF).
 
 import (
 	"context"

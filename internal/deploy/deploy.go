@@ -78,16 +78,6 @@ func serve(ls []net.Listener, loops ...func(net.Listener) error) <-chan error {
 	return done
 }
 
-// Noise is one protocol's cover-traffic distribution: Laplace(µ, b)
-// truncated at zero (Algorithm 2 step 2) or, when fixed, exactly µ — the
-// paper's evaluation mode (§8.1; vuvuzela-server -fixed-noise).
-func Noise(mu, b float64, fixed bool) noise.Distribution {
-	if fixed {
-		return noise.Fixed{N: int(mu)}
-	}
-	return noise.Laplace{Mu: mu, B: b}
-}
-
 // publicKey is key's public half, as the descriptor lists it.
 func publicKey(key *config.ServerKey) config.Key {
 	priv := box.PrivateKey(key.PrivateKey)
@@ -99,14 +89,15 @@ func publicKey(key *config.ServerKey) config.Key {
 // Validate refuses a key listed twice, so the key alone places the
 // process; a key c lists for neither is refused.
 //
-// A chain server takes opts (-workers, -shard-timeout, -shard-policy) and
-// is filled in with its position, the chain's keys, key's private half,
-// nw and the successor's address; on the last server the shards'
-// addresses and keys and, when c names a cdn_addr, an invitation CDN
-// served there. A noise distribution opts leaves nil draws c's µ and b,
-// exactly µ when fixedNoise. A shard takes none of opts, nw and
-// fixedNoise (see shard).
-func Server(c *config.Chain, key *config.ServerKey, nw transport.Network, opts mixnet.Config, fixedNoise bool) (Role, error) {
+// A chain server takes opts (-workers, -shard-timeout) and is filled in
+// with its position, the chain's keys, key's private half, nw and the
+// successor's address; on the last server the shards' addresses and keys
+// and, when c names a cdn_addr, an invitation CDN served there. A noise
+// distribution opts leaves nil draws Laplace(µ, b) with c's µ and b
+// (Algorithm 2 step 2); Validate refuses b ≤ 0, so every such server's
+// noise is differentially private. A shard takes neither opts nor nw
+// (see shard).
+func Server(c *config.Chain, key *config.ServerKey, nw transport.Network, opts mixnet.Config) (Role, error) {
 	pub := publicKey(key)
 	has := func(s config.Server) bool { return s.PublicKey == pub }
 	if i := slices.IndexFunc(c.Shards, has); i >= 0 {
@@ -117,8 +108,8 @@ func Server(c *config.Chain, key *config.ServerKey, nw transport.Network, opts m
 		return Role{}, errors.New("deploy: the key is not in chain.json: its public half is no chain server's or shard's")
 	}
 	opts.Position, opts.ChainPubs, opts.Priv, opts.Net = pos, c.PublicKeys(), box.PrivateKey(key.PrivateKey), nw
-	opts.ConvoNoise = cmp.Or(opts.ConvoNoise, Noise(c.ConvoNoiseMu, c.ConvoNoiseB, fixedNoise))
-	opts.DialNoise = cmp.Or(opts.DialNoise, Noise(c.DialNoiseMu, c.DialNoiseB, fixedNoise))
+	opts.ConvoNoise = cmp.Or[noise.Distribution](opts.ConvoNoise, noise.Laplace{Mu: c.ConvoNoiseMu, B: c.ConvoNoiseB})
+	opts.DialNoise = cmp.Or[noise.Distribution](opts.DialNoise, noise.Laplace{Mu: c.DialNoiseMu, B: c.DialNoiseB})
 	name, addrs := fmt.Sprintf("chain server %d/%d", pos, len(c.Servers)), []string{c.Servers[pos].Addr}
 	if pos < len(c.Servers)-1 {
 		opts.NextAddr = c.Servers[pos+1].Addr

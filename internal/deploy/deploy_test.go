@@ -53,7 +53,7 @@ func boot(start keyedRole, c *config.Chain, key *config.ServerKey) (string, erro
 }
 
 func server(c *config.Chain, key *config.ServerKey, nw transport.Network) (deploy.Role, error) {
-	return deploy.Server(c, key, nw, mixnet.Config{}, false)
+	return deploy.Server(c, key, nw, mixnet.Config{})
 }
 
 func entry(c *config.Chain, key *config.ServerKey, nw transport.Network) (deploy.Role, error) {

@@ -168,10 +168,6 @@ func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, 
 		mitm = transport.NewMITM(transport.NewMem())
 		cfg.Net = mitm
 	}
-	if e.Scenario.Configure != nil {
-		e.Scenario.Configure(&cfg)
-	}
-
 	cn, err := sim.NewChainNet(cfg)
 	if err != nil {
 		return nil, 0, err
@@ -195,12 +191,6 @@ func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, 
 	if err := run.WaitReady(5 * time.Second); err != nil {
 		return nil, 0, err
 	}
-	if e.Scenario.Start != nil {
-		if err := e.Scenario.Start(run); err != nil {
-			return nil, 0, fmt.Errorf("scenario %q start: %w", e.Scenario.Name, err)
-		}
-	}
-
 	var obs []Observation
 	failed := 0
 	for i := 0; i < e.Rounds; i++ {

@@ -4,13 +4,12 @@ import (
 	"context"
 	"time"
 
-	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/sim"
 )
 
 // Run is one world's live deployment, handed to Scenario hooks so they
-// can inject faults — kill shards, bounce nodes, churn clients — while
-// the experiment drives rounds.
+// can inject faults — bounce nodes, churn clients — while the experiment
+// drives rounds.
 type Run struct {
 	// Chain is the deployment under attack.
 	Chain *sim.ChainNet
@@ -60,12 +59,6 @@ func (r *Run) RunDialRound() error {
 type Scenario struct {
 	// Name labels the scenario in results and BENCH_privacy.json.
 	Name string
-	// Configure, if set, mutates the deployment config before it boots
-	// (e.g. forcing a shard policy). It runs once per world.
-	Configure func(cfg *sim.ChainNetConfig)
-	// Start, if set, runs once per world after the deployment is up
-	// and every client is registered, before the first round.
-	Start func(r *Run) error
 	// BeforeRound, if set, runs before round i (0-based) of each
 	// world. Returning an error aborts the world.
 	BeforeRound func(r *Run, i int) error
@@ -75,30 +68,6 @@ type Scenario struct {
 // load.
 func Baseline() Scenario {
 	return Scenario{Name: "baseline"}
-}
-
-// DegradedShards kills `dead` shard servers before the first round and
-// runs the whole experiment under mixnet.ShardDegrade, so every round
-// completes with the dead shards' replies zero-filled — measuring
-// whether degrade mode changes what the §4.2 adversary sees
-// (THREAT_MODEL.md §4: the histogram is computed before replies fan
-// out, so it must not).
-func DegradedShards(dead int) Scenario {
-	return Scenario{
-		Name: "degrade",
-		Configure: func(cfg *sim.ChainNetConfig) {
-			if cfg.Shards < dead+1 {
-				cfg.Shards = dead + 1
-			}
-			cfg.Chain.ShardPolicy = mixnet.ShardDegrade
-		},
-		Start: func(r *Run) error {
-			for i := 0; i < dead; i++ {
-				r.Chain.Kill(r.Chain.ShardAddrs[i])
-			}
-			return nil
-		},
-	}
 }
 
 // ClientChurn kicks one idle cover client before every round; the

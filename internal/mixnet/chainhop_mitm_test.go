@@ -3,7 +3,7 @@ package mixnet
 // Adversarial tests for the chain-hop leg (server i → server i+1): the
 // same MITM harness PR 3 pointed at the router↔shard leg, now aimed at
 // the inter-server hop, plus impersonation and plaintext-refusal checks
-// for the entry leg. Together with degrade_test.go and the sim chain
+// for the entry leg. Together with shard_test.go and the sim chain
 // matrix, every networked leg has a tamper/replay/swap suite.
 
 import (

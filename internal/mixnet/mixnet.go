@@ -116,15 +116,6 @@ type Config struct {
 	// A shard that exceeds it aborts the round with a RemoteError naming
 	// the shard, instead of wedging the whole chain.
 	ShardTimeout time.Duration
-	// ShardPolicy selects how the router treats a failed shard:
-	// ShardAbort (default) fails the round, ShardDegrade zero-fills the
-	// dead shard's replies and completes the round for everyone else.
-	// Authentication failures abort under either policy.
-	ShardPolicy ShardPolicy
-	// OnShardDegraded, if set on the last server, receives every shard
-	// the router degraded around (ShardDegrade only) — the same style of
-	// out-of-band reporting as coordinator.Config.OnRoundError.
-	OnShardDegraded func(round uint64, shard int, addr string, err error)
 
 	// Net is the byte-stream substrate this server dials its successor
 	// (and, on the last server, its shards) over. Required, with NextAddr,

@@ -268,10 +268,9 @@ func TestPeerPolicy(t *testing.T) {
 // TestReplySizePolicy: a successor or a shard that answers with the right
 // number of replies, one of them the wrong size, said something wrong with
 // the right key: the round fails as ErrBadResponse (carrying
-// ErrReplyMismatch), is never resent and — on the shard leg — never
-// degraded around. Before the check the off-size reply was sealed and
-// passed upstream with a nil error; sealing into fixed-size slots, it
-// would be a panic.
+// ErrReplyMismatch) and is never resent. Before the check the off-size
+// reply was sealed and passed upstream with a nil error; sealing into
+// fixed-size slots, it would be a panic.
 func TestReplySizePolicy(t *testing.T) {
 	resize := func(kind wire.Kind, size, delta int) func(int, *wire.Message) (*wire.Message, bool) {
 		return func(_ int, req *wire.Message) (*wire.Message, bool) {
@@ -315,10 +314,8 @@ func TestReplySizePolicy(t *testing.T) {
 			pub, priv := box.KeyPairFromSeed([]byte("leg-remote"))
 			_, myPriv := box.KeyPairFromSeed([]byte("leg-peer"))
 			remote := startLegRemote(t, mem, "remote", priv, false, resize(wire.KindShardReply, convo.SealedSize, delta))
-			var degraded atomic.Int32
 			router, err := NewShardRouter(Config{
 				Net: mem, ShardAddrs: []string{"remote"}, ShardPubs: []box.PublicKey{pub}, Priv: myPriv,
-				ShardPolicy: ShardDegrade, OnShardDegraded: func(uint64, int, string, error) { degraded.Add(1) },
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -330,8 +327,8 @@ func TestReplySizePolicy(t *testing.T) {
 			if replies != nil || !errors.As(err, &asRemote) || !errors.Is(err, ErrBadResponse) || !errors.Is(err, ErrReplyMismatch) {
 				t.Fatalf("exchange with an off-size reply returned %d replies, %v", len(replies), err)
 			}
-			if d, r := remote.counts(); d != 1 || r != 1 || degraded.Load() != 0 {
-				t.Fatalf("%d dials, %d sends, %d degraded: want 1, 1, 0", d, r, degraded.Load())
+			if d, r := remote.counts(); d != 1 || r != 1 {
+				t.Fatalf("%d dials and %d sends, want 1 and 1: a wrong answer is never resent", d, r)
 			}
 		})
 	}
@@ -373,16 +370,13 @@ func (n *cutNet) Dial(addr string) (net.Conn, error) {
 	return c, err
 }
 
-// TestDegradeCutAfterDeliveryAborts pins the one place the unified leg
-// policy changed what ShardDegrade does. The connection to a live shard
-// is cut after the shard consumed the round but before its reply
-// arrived. The router's Peer resends once, as every leg does; the shard's
-// strictly-increasing round check refuses the round it already ran; and
-// an authenticated refusal is never degraded around, so the round aborts.
-// (The shard-leg client this replaced never resent after a successful
-// send and zero-filled here.) A shard that is dead or unreachable — the
-// resend cannot reach it either — still degrades.
-func TestDegradeCutAfterDeliveryAborts(t *testing.T) {
+// TestShardCutAfterDeliveryFailsRound: the connection to a live shard is
+// cut after the shard consumed the round but before its reply arrived.
+// The router's Peer resends once, as every leg does; the shard's
+// strictly-increasing round check refuses the round it already ran; so
+// the round fails naming the shard and the refusal, and the next round
+// completes on the resend's connection.
+func TestShardCutAfterDeliveryFailsRound(t *testing.T) {
 	fix := startShards(t, 2)
 	defer fix.stop()
 	cut := &cutNet{Network: fix.mem, conns: make(map[string]net.Conn)}
@@ -400,8 +394,7 @@ func TestDegradeCutAfterDeliveryAborts(t *testing.T) {
 		}
 		return [][]byte{rec}
 	})
-	var degraded atomic.Int32
-	router := fix.routerOn(t, mitm, 0, ShardDegrade, func(uint64, int, string, error) { degraded.Add(1) })
+	router := fix.routerOn(t, mitm, 0)
 	defer router.Close()
 
 	// Requests for both shards, so shard 1 has something to consume.
@@ -418,9 +411,6 @@ func TestDegradeCutAfterDeliveryAborts(t *testing.T) {
 	}
 	if !strings.Contains(remote.Msg, ErrRoundReplay.Error()) {
 		t.Fatalf("abort cause %q is not the shard's replay refusal", remote.Msg)
-	}
-	if n := degraded.Load(); n != 0 {
-		t.Fatalf("router degraded around %d shards; a refusal must abort", n)
 	}
 	// The resend's connection is healthy: the next round completes on it.
 	if _, err := router.Exchange(2, reqs); err != nil {

@@ -18,11 +18,10 @@
 // without key material, so an active attacker on this leg can neither
 // read dead-drop sub-batches nor forge, replay, or reorder them.
 //
-// Shard failures follow the ShardPolicy: Abort (default) fails the round
-// on any shard failure; Degrade zero-fills an unreachable shard's replies
-// so the surviving shards' traffic still completes. Authentication
-// failures and shard-side rejections are NEVER degraded around — a
-// forging or misbehaving shard aborts the round under either policy.
+// A shard that fails fails the round, the contract of a failed chain hop:
+// the round completes across every shard or not at all (THREAT_MODEL.md
+// §4). When one round has several failures, a forging or refusing shard
+// is reported ahead of one that was merely unreachable.
 
 package mixnet
 
@@ -31,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,36 +42,6 @@ import (
 	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
 )
-
-// ShardPolicy selects how the router treats a shard that fails during a
-// round.
-type ShardPolicy int
-
-const (
-	// ShardAbort (the default) fails the whole round on any shard
-	// failure — the behavior of a failed chain hop.
-	ShardAbort ShardPolicy = iota
-	// ShardDegrade zero-fills an unreachable shard's replies (in exact
-	// request order) so the round completes for the surviving shards.
-	// Only connection-level failures — a dead, unreachable, or silent
-	// shard — are degradable; authentication failures and shard-side
-	// rejections abort the round under this policy too. Note the
-	// anonymity caveat: which replies are zero-filled is observable
-	// round metadata (see README and PAPER.md §5).
-	ShardDegrade
-)
-
-// String names the policy for logs and flag output.
-func (p ShardPolicy) String() string {
-	switch p {
-	case ShardAbort:
-		return "abort"
-	case ShardDegrade:
-		return "degrade"
-	default:
-		return fmt.Sprintf("ShardPolicy(%d)", int(p))
-	}
-}
 
 // ShardConfig describes one networked dead-drop shard server.
 type ShardConfig struct {
@@ -168,8 +138,7 @@ func (s *ShardServer) LastRound() uint64 {
 // strictly increasing, mirroring the chain servers: a shard never
 // processes the same round twice, which is what makes any retry of a
 // delivered round fail cleanly instead of double-exchanging. The check
-// does not care which policy the router runs — a stale round is rejected
-// under Degrade too.
+// rejects a stale round whatever the router's reason for sending it.
 func (s *ShardServer) ExchangeRound(round uint64, requests [][]byte) ([][]byte, error) {
 	// Write-ahead: the round is consumed BEFORE the dead drops are
 	// touched. A crash after this point loses the round (the router's one
@@ -227,8 +196,8 @@ func (s *ShardServer) Close() error {
 // channels, and merges the replies back into exact request order.
 type ShardRouter struct {
 	// cfg is the last server's Config, of which the router reads Net,
-	// ShardAddrs, ShardPubs, Priv (the key the shards authorize),
-	// ShardTimeout, ShardPolicy and OnShardDegraded.
+	// ShardAddrs, ShardPubs, Priv (the key the shards authorize) and
+	// ShardTimeout.
 	cfg Config
 	// peers holds the leg to each shard, in shard-index order. The shard
 	// leg is the one leg with a per-round Timeout (a shard answers from
@@ -259,9 +228,6 @@ func NewShardRouter(cfg Config) (*ShardRouter, error) {
 	if cfg.Priv == (box.PrivateKey{}) {
 		return nil, errors.New("mixnet: shard router needs an identity key")
 	}
-	if cfg.ShardPolicy != ShardAbort && cfg.ShardPolicy != ShardDegrade {
-		return nil, fmt.Errorf("mixnet: unknown shard policy %d", int(cfg.ShardPolicy))
-	}
 	r := &ShardRouter{cfg: cfg, peers: make([]*Peer, len(cfg.ShardAddrs))}
 	for s, addr := range cfg.ShardAddrs {
 		r.peers[s] = &Peer{
@@ -276,17 +242,16 @@ func NewShardRouter(cfg Config) (*ShardRouter, error) {
 // or malforms the round — a replay rejection, a desynchronized stream, a
 // short reply batch. The shard spoke, with a verified key, and what it
 // said was wrong: that is misbehavior or consumed round state, never a
-// network failure, so it is never degradable.
+// network failure.
 type refusedError struct{ err error }
 
 func (e *refusedError) Error() string { return e.err.Error() }
 func (e *refusedError) Unwrap() error { return e.err }
 
-// degradable reports whether err is the kind of failure ShardDegrade may
-// zero-fill around: the shard was unreachable or silent. Authentication
-// failures (someone on the wire is forging) and refused rounds (the
-// shard answered and rejected) always abort.
-func degradable(err error) bool {
+// outage reports whether err only says the shard was unreachable or
+// silent, as opposed to an authentication failure (someone on the wire is
+// forging) or a refused round (the shard answered and rejected).
+func outage(err error) bool {
 	if errors.Is(err, transport.ErrAuth) {
 		return false
 	}
@@ -300,13 +265,10 @@ func degradable(err error) bool {
 // exactly as convo.Service does, so the networked path stays
 // byte-identical to the sequential one.
 //
-// Under ShardAbort, any shard failure aborts the round with a
-// *RemoteError naming the shard: by then at least one shard has consumed
-// the round number, so the predecessor must not blindly retry — the same
-// contract as a failed chain hop. Under ShardDegrade, a shard that is
-// unreachable or silent is zero-filled instead, and reported through
-// Config.OnShardDegraded in ascending shard order; authentication failures
-// and shard-side rejections abort either way.
+// Any shard failure fails the round with a *RemoteError naming the shard:
+// by then at least one shard has consumed the round number, so the
+// predecessor must not blindly retry — the same contract as a failed
+// chain hop.
 func (r *ShardRouter) Exchange(round uint64, requests [][]byte) ([][]byte, error) {
 	n := len(r.cfg.ShardAddrs)
 	// Partition by drop-ID prefix, preserving arrival order within each
@@ -336,40 +298,19 @@ func (r *ShardRouter) Exchange(round uint64, requests [][]byte) ([][]byte, error
 		perShard[s], errs[s] = r.rpc(s, round, subs[s])
 	})
 
-	// Hard failures first, regardless of policy, scanning all shards in
-	// index order (deterministic): an authentication failure or a
-	// shard-side rejection aborts the round even if other shards merely
-	// timed out — Degrade must never mask a forging shard.
-	for s, err := range errs {
-		if err != nil && !degradable(err) {
-			return nil, &RemoteError{
-				Addr: r.cfg.ShardAddrs[s],
-				Msg:  fmt.Sprintf("shard %d: %v", s, err),
-				Err:  err,
-			}
-		}
+	// Name the failure that matters most, scanning in shard order
+	// (deterministic): an authentication failure or a shard-side
+	// rejection ahead of any outage, so a shard that merely timed out can
+	// never hide a forging one in the same round.
+	failed := slices.IndexFunc(errs, func(err error) bool { return err != nil && !outage(err) })
+	if failed < 0 {
+		failed = slices.IndexFunc(errs, func(err error) bool { return err != nil })
 	}
-	for s, err := range errs {
-		if err == nil {
-			continue
-		}
-		if r.cfg.ShardPolicy != ShardDegrade {
-			return nil, &RemoteError{
-				Addr: r.cfg.ShardAddrs[s],
-				Msg:  fmt.Sprintf("shard %d: %v", s, err),
-				Err:  err,
-			}
-		}
-		// Zero-fill the dead shard's replies in exact request order, so
-		// the merge below stays aligned and the surviving shards'
-		// replies are byte-identical to a healthy round's.
-		zeros := make([][]byte, len(subs[s]))
-		for i := range zeros {
-			zeros[i] = make([]byte, convo.SealedSize)
-		}
-		perShard[s] = zeros
-		if r.cfg.OnShardDegraded != nil {
-			r.cfg.OnShardDegraded(round, s, r.cfg.ShardAddrs[s], err)
+	if failed >= 0 {
+		return nil, &RemoteError{
+			Addr: r.cfg.ShardAddrs[failed],
+			Msg:  fmt.Sprintf("shard %d: %v", failed, errs[failed]),
+			Err:  errs[failed],
 		}
 	}
 
@@ -385,7 +326,7 @@ func (r *ShardRouter) Exchange(round uint64, requests [][]byte) ([][]byte, error
 }
 
 // rpc runs one shard's round trip through its Peer and sorts the failure
-// for the Abort/Degrade merge. Whatever an authenticated shard said that
+// for Exchange's report. Whatever an authenticated shard said that
 // was not a valid reply — an echoed rejection (the round number was
 // consumed), a frame that authenticated but does not parse or does not
 // answer the request, a short reply batch, a reply of the wrong size — is

@@ -83,25 +83,22 @@ func addrName(i int) string {
 }
 
 // router builds a ShardRouter over the fixture's shards with the given
-// timeout and policy.
-func (fix *shardFixture) router(t testing.TB, timeout time.Duration, policy ShardPolicy) *ShardRouter {
+// timeout.
+func (fix *shardFixture) router(t testing.TB, timeout time.Duration) *ShardRouter {
 	t.Helper()
-	return fix.routerOn(t, fix.mem, timeout, policy, nil)
+	return fix.routerOn(t, fix.mem, timeout)
 }
 
 // routerOn is router dialing through an alternate network (a Faulty or
 // MITM wrapper around the fixture's Mem).
-func (fix *shardFixture) routerOn(t testing.TB, net transport.Network, timeout time.Duration, policy ShardPolicy,
-	onDegraded func(round uint64, shard int, addr string, err error)) *ShardRouter {
+func (fix *shardFixture) routerOn(t testing.TB, net transport.Network, timeout time.Duration) *ShardRouter {
 	t.Helper()
 	r, err := NewShardRouter(Config{
-		Net:             net,
-		ShardAddrs:      fix.addrs,
-		ShardPubs:       fix.shardPubs,
-		Priv:            fix.routerPriv,
-		ShardTimeout:    timeout,
-		ShardPolicy:     policy,
-		OnShardDegraded: onDegraded,
+		Net:          net,
+		ShardAddrs:   fix.addrs,
+		ShardPubs:    fix.shardPubs,
+		Priv:         fix.routerPriv,
+		ShardTimeout: timeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +147,7 @@ func TestShardRouterEquivalence(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 8, 5} {
 		fix := startShards(t, shards)
-		router := fix.router(t, 0, ShardAbort)
+		router := fix.router(t, 0)
 		for trial := 0; trial < trials; trial++ {
 			round := uint64(trial + 1)
 			reqs := mixedRequests(rng, rng.Intn(200))
@@ -178,7 +175,7 @@ func TestShardRouterEquivalence(t *testing.T) {
 func TestShardRouterEmptyRound(t *testing.T) {
 	fix := startShards(t, 3)
 	defer fix.stop()
-	router := fix.router(t, 0, ShardAbort)
+	router := fix.router(t, 0)
 	defer router.Close()
 	replies, err := router.Exchange(1, nil)
 	if err != nil {
@@ -191,11 +188,13 @@ func TestShardRouterEmptyRound(t *testing.T) {
 
 // TestShardRoundReplayRejected: a shard refuses to process the same round
 // twice, and the router surfaces that as a RemoteError naming the shard —
-// the guard that makes retrying a consumed round fail cleanly.
+// the guard that makes retrying a consumed round fail cleanly. The
+// refusal is the shard's own, not a transport authentication failure: a
+// consumed round is never silently re-answered.
 func TestShardRoundReplayRejected(t *testing.T) {
 	fix := startShards(t, 2)
 	defer fix.stop()
-	router := fix.router(t, 0, ShardAbort)
+	router := fix.router(t, 0)
 	defer router.Close()
 
 	reqs := mixedRequests(mrand.New(mrand.NewSource(3)), 40)
@@ -207,9 +206,45 @@ func TestShardRoundReplayRejected(t *testing.T) {
 	if !errors.As(err, &remote) {
 		t.Fatalf("replayed round returned %v, want RemoteError", err)
 	}
+	if errors.Is(err, transport.ErrAuth) {
+		t.Fatalf("replay rejection misclassified as transport auth failure: %v", err)
+	}
 	// The connection must remain usable for the next (valid) round.
 	if _, err := router.Exchange(6, reqs); err != nil {
 		t.Fatalf("round after replay rejection: %v", err)
+	}
+}
+
+// TestDegradeStillRejectsStaleRound: a consumed round number — the same
+// round again, or any earlier one — fails the whole round with the
+// shard's rejection, and is never answered around: a consumed round must
+// not be silently re-answered. Fresh rounds work afterwards.
+func TestDegradeStillRejectsStaleRound(t *testing.T) {
+	const shards = 3
+	fix := startShards(t, shards)
+	defer fix.stop()
+	router := fix.router(t, 0)
+	defer router.Close()
+
+	reqs := mixedRequests(mrand.New(mrand.NewSource(13)), 40)
+	if _, err := router.Exchange(5, reqs); err != nil {
+		t.Fatalf("round 5: %v", err)
+	}
+	for _, stale := range []uint64{5, 4, 1} {
+		replies, err := router.Exchange(stale, reqs)
+		var remote *RemoteError
+		if !errors.As(err, &remote) {
+			t.Fatalf("stale round %d returned %v, want RemoteError", stale, err)
+		}
+		if replies != nil {
+			t.Fatalf("stale round %d answered with %d replies", stale, len(replies))
+		}
+		if errors.Is(err, transport.ErrAuth) {
+			t.Fatalf("stale round %d rejection misclassified as transport auth failure: %v", stale, err)
+		}
+	}
+	if _, err := router.Exchange(6, reqs); err != nil {
+		t.Fatalf("round 6 after rejected stale rounds: %v", err)
 	}
 }
 
@@ -575,10 +610,6 @@ func TestShardConfigValidation(t *testing.T) {
 		ShardPubs: []box.PublicKey{shardPub}}); err == nil {
 		t.Fatal("router without an identity key accepted")
 	}
-	if _, err := NewShardRouter(Config{Net: mem, ShardAddrs: []string{"x"},
-		ShardPubs: []box.PublicKey{shardPub}, Priv: routerPriv, ShardPolicy: ShardPolicy(99)}); err == nil {
-		t.Fatal("unknown shard policy accepted")
-	}
 
 	pubs, privs, _ := NewChainKeys(2)
 	if _, err := NewServer(Config{
@@ -599,5 +630,201 @@ func TestShardConfigValidation(t *testing.T) {
 		ShardAddrs: []string{"s0"},
 	}); err == nil {
 		t.Fatal("last server with shard addresses but no shard keys accepted")
+	}
+}
+
+// tamperAfterHandshake corrupts every server→client record on the leg to
+// addr after the handshake, so the router's record layer rejects the
+// shard's reply.
+func tamperAfterHandshake(mitm *transport.MITM, addr string) {
+	mitm.Intercept(addr, func(dir transport.Direction, index int, rec []byte) [][]byte {
+		if dir == transport.ServerToClient && index >= 1 {
+			rec[0] ^= 0x55
+		}
+		return [][]byte{rec}
+	})
+}
+
+// TestShardTamperedTrafficAuthFails: with one shard's traffic tampered by
+// a MITM, the round fails with an authentication error naming that shard,
+// even though at the wire level the shard merely looks unreachable.
+func TestShardTamperedTrafficAuthFails(t *testing.T) {
+	const shards = 4
+	fix := startShards(t, shards)
+	defer fix.stop()
+	mitm := transport.NewMITM(fix.mem)
+	tamperAfterHandshake(mitm, fix.addrs[2])
+	router := fix.routerOn(t, mitm, 0)
+	defer router.Close()
+
+	_, err := router.Exchange(1, mixedRequests(mrand.New(mrand.NewSource(7)), 100))
+	if !errors.Is(err, transport.ErrAuth) {
+		t.Fatalf("tampered shard traffic returned %v, want an ErrAuth-classified RemoteError", err)
+	}
+	var remote *RemoteError
+	if !errors.As(err, &remote) || remote.Addr != fix.addrs[2] {
+		t.Fatalf("auth failure did not name the tampered shard: %v", err)
+	}
+}
+
+// TestShardAuthFailureReportedAheadOfOutage: when one round has both an
+// outage (shard 0 unreachable) and an authentication failure (shard 2's
+// traffic tampered), the round reports the authentication failure — an
+// outage at a lower index must never hide a forging shard.
+func TestShardAuthFailureReportedAheadOfOutage(t *testing.T) {
+	const shards = 4
+	fix := startShards(t, shards)
+	defer fix.stop()
+	mitm := transport.NewMITM(fix.mem)
+	tamperAfterHandshake(mitm, fix.addrs[2])
+	faulty := transport.NewFaulty(mitm)
+	faulty.Break(fix.addrs[0])
+	router := fix.routerOn(t, faulty, 0)
+	defer router.Close()
+
+	_, err := router.Exchange(1, mixedRequests(mrand.New(mrand.NewSource(9)), 100))
+	if !errors.Is(err, transport.ErrAuth) {
+		t.Fatalf("round with a dead and a tampered shard returned %v, want ErrAuth", err)
+	}
+	var remote *RemoteError
+	if !errors.As(err, &remote) || remote.Addr != fix.addrs[2] {
+		t.Fatalf("round did not name the tampered shard %q: %v", fix.addrs[2], err)
+	}
+}
+
+// TestShardMalformedFramesRefused: an authenticated shard whose response
+// passes the record layer but fails the wire-frame parser is misbehaving,
+// not unreachable — the round fails with wire.ErrMalformed in the chain.
+func TestShardMalformedFramesRefused(t *testing.T) {
+	mem := transport.NewMem()
+	routerPub, routerPriv := testRouterKeys(t)
+	evilPub, evilPriv := box.KeyPairFromSeed([]byte("garbage-shard"))
+	l, err := mem.Listen("garbage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			raw, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				sc := transport.SecureServer(raw, evilPriv, []box.PublicKey{routerPub})
+				defer sc.Close()
+				// Consume the round frame, then answer with authenticated
+				// bytes that are not a parseable wire frame.
+				if _, err := wire.NewConn(sc).Recv(); err != nil {
+					return
+				}
+				sc.Write([]byte{0, 0, 0, 2, 0xab, 0xcd})
+			}()
+		}
+	}()
+
+	router, err := NewShardRouter(Config{
+		Net: mem, ShardAddrs: []string{"garbage"}, ShardPubs: []box.PublicKey{evilPub}, Priv: routerPriv,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	_, err = router.Exchange(1, mixedRequests(mrand.New(mrand.NewSource(17)), 20))
+	var remote *RemoteError
+	if !errors.As(err, &remote) {
+		t.Fatalf("authenticated garbage frames returned %v, want RemoteError", err)
+	}
+	if !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("garbage frames returned %v, want wire.ErrMalformed in the chain", err)
+	}
+}
+
+// TestShardDeadShardFailsRound: a dead shard fails the round with a
+// RemoteError naming it, the contract of a failed chain hop.
+func TestShardDeadShardFailsRound(t *testing.T) {
+	const shards = 3
+	fix := startShards(t, shards)
+	defer fix.stop()
+	faulty := transport.NewFaulty(fix.mem)
+	router := fix.routerOn(t, faulty, 0)
+	defer router.Close()
+
+	faulty.Break(fix.addrs[0])
+	_, err := router.Exchange(1, mixedRequests(mrand.New(mrand.NewSource(2)), 30))
+	var remote *RemoteError
+	if !errors.As(err, &remote) {
+		t.Fatalf("dead shard returned %v, want RemoteError", err)
+	}
+	if remote.Addr != fix.addrs[0] {
+		t.Fatalf("RemoteError names %q, want %q", remote.Addr, fix.addrs[0])
+	}
+}
+
+// TestPlaintextShardRefusedByRouter: a shard that answers in the
+// plaintext wire protocol (the pre-hardening behavior) cannot complete a
+// round — the router's secured channel classifies its response as an
+// authentication failure, not an outage. No request sub-batch ever
+// reaches it: the only thing the router sends before authentication
+// completes is the handshake hello.
+func TestPlaintextShardRefusedByRouter(t *testing.T) {
+	mem := transport.NewMem()
+	_, routerPriv := testRouterKeys(t)
+	plainPub, _ := box.KeyPairFromSeed([]byte("plaintext-shard"))
+	l, err := mem.Listen("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			raw, err := l.Accept()
+			if err != nil {
+				return
+			}
+			// A legacy plaintext shard: it treats the handshake hello as
+			// a frame and answers with a plaintext reply frame, marked
+			// 0xAA so any leak into the round output would be visible.
+			go func() {
+				conn := wire.NewConn(raw)
+				defer conn.Close()
+				conn.Recv()
+				replies := [][]byte{bytes.Repeat([]byte{0xAA}, convo.SealedSize)}
+				conn.Send(wire.ShardReplyMessage(1, 0, replies))
+			}()
+		}
+	}()
+
+	router, err := NewShardRouter(Config{
+		Net: mem, ShardAddrs: []string{"plain"}, ShardPubs: []box.PublicKey{plainPub},
+		Priv: routerPriv, ShardTimeout: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	_, err = router.Exchange(1, mixedRequests(mrand.New(mrand.NewSource(6)), 20))
+	if !errors.Is(err, transport.ErrAuth) {
+		t.Fatalf("plaintext shard response returned %v, want ErrAuth", err)
+	}
+}
+
+// TestSecureShardRefusesPlaintextRouter: the mirror image — a secured
+// shard server never answers a plaintext router; the frames die in the
+// handshake.
+func TestSecureShardRefusesPlaintextRouter(t *testing.T) {
+	fix := startShards(t, 2)
+	defer fix.stop()
+	raw, err := fix.mem.Dial(addrName(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.SetDeadline(time.Now().Add(2 * time.Second))
+	conn := wire.NewConn(raw)
+	defer conn.Close()
+	if err := conn.Send(wire.ShardRoundMessage(1, 0, nil)); err == nil {
+		if _, err := conn.Recv(); err == nil {
+			t.Fatal("secured shard answered a plaintext router")
+		}
 	}
 }

@@ -82,9 +82,10 @@ type Fixed struct {
 // Sample returns the fixed count.
 func (f Fixed) Sample(Source) int { return f.N }
 
-// Distribution is the interface shared by Laplace and Fixed, letting the
-// protocol stack switch between real sampling and the paper's fixed-noise
-// evaluation mode.
+// Distribution is the interface shared by Laplace and Fixed. Every
+// production server draws Laplace from the chain descriptor; Fixed, the
+// paper's evaluation device, is for tests, internal/eval, internal/sim
+// and the benchmark.
 type Distribution interface {
 	// Sample draws one noise count, clamped to be non-negative.
 	Sample(Source) int

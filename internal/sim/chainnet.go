@@ -8,12 +8,12 @@ package sim
 // i dials server i+1, the last server fans out to the shards and serves
 // the CDN, every leg inside transport.Secure. Every process is one row of
 // a node table, named by its listen address (the name transport.Faulty
-// and transport.MITM use for the leg that ends there), and Kill / Restart
-// take that name: with a StateDir, each node persists its round state as
-// the binaries do with -round-state. It is the one in-process deployment:
-// the fault suites, internal/eval, the measured figures (measure.go) and
-// the public facade (vuvuzela.NewInProcessNetwork) all stand theirs up
-// here.
+// and transport.MITM use for the leg that ends there), and Restart (and,
+// in this package's tests, Kill) take that name: with a StateDir, each
+// node persists its round state as the binaries do with -round-state. It
+// is the one in-process deployment: the fault suites, internal/eval, the
+// measured figures (measure.go) and the public facade
+// (vuvuzela.NewInProcessNetwork) all stand theirs up here.
 
 import (
 	"cmp"
@@ -32,6 +32,7 @@ import (
 	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/frontend"
 	"vuvuzela/internal/mixnet"
+	"vuvuzela/internal/noise"
 	"vuvuzela/internal/roundstate"
 	"vuvuzela/internal/transport"
 )
@@ -72,9 +73,9 @@ type ChainNetConfig struct {
 	NoisyServers []int
 	// Chain is every chain server's template, for what no flag expresses:
 	// noise distributions (the suites' noise.Fixed, eval's seeded draws;
-	// nil adds none), NoiseSrc, OnShardDegraded. The last server's
-	// ConvoObserver (eval's adversary tap) is chained after the harness's
-	// own round log (see ExchangedRounds).
+	// nil adds none), NoiseSrc. The last server's ConvoObserver (eval's
+	// adversary tap) is chained after the harness's own round log (see
+	// ExchangedRounds).
 	Chain mixnet.Config
 	// Entry is the coordinator's template, for what no flag expresses —
 	// the facade's ConvoExchanges and AutoBuckets — and the flags a suite
@@ -155,7 +156,6 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 	}
 	layout := deploy.Defaults
 	layout.Servers, layout.Shards, layout.Frontends = cfg.Servers, cfg.Shards, cfg.Frontends
-	layout.ConvoMu, layout.DialMu = 0, 0
 	layout.DialBuckets = cmp.Or(cfg.Entry.DialBuckets, layout.DialBuckets)
 	chain, keys, err := deploy.Generate(layout)
 	if err != nil {
@@ -194,14 +194,17 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 	}
 	for i := range keys.Shards {
 		add(fmt.Sprintf("shard-%d.round", i), func(p io.Closer) { cn.Shards[i], _ = p.(*mixnet.ShardServer) })(
-			deploy.Server(chain, &keys.Shards[i], cfg.Net, mixnet.Config{}, true))
+			deploy.Server(chain, &keys.Shards[i], cfg.Net, mixnet.Config{}))
 	}
-	// Chain servers run in the fixed-noise mode over the descriptor's
-	// µ = 0, so a template distribution left nil adds no noise.
+	// A template distribution left nil adds no noise: it is passed as an
+	// explicit noise.Fixed{}, as is the noise of a server NoisyServers
+	// silences, where deploy.Server would draw the descriptor's Laplace.
 	for i := len(chain.Servers) - 1; i >= 0; i-- {
 		mc := cfg.Chain
+		mc.ConvoNoise = cmp.Or[noise.Distribution](mc.ConvoNoise, noise.Fixed{})
+		mc.DialNoise = cmp.Or[noise.Distribution](mc.DialNoise, noise.Fixed{})
 		if cfg.NoisyServers != nil && !slices.Contains(cfg.NoisyServers, i) {
-			mc.ConvoNoise = nil
+			mc.ConvoNoise = noise.Fixed{}
 		}
 		if i == len(chain.Servers)-1 {
 			// Every round number that reaches the exchange lands in the
@@ -220,7 +223,7 @@ func NewChainNet(cfg ChainNetConfig) (*ChainNet, error) {
 			}
 		}
 		add(fmt.Sprintf("server-%d.rounds", i), func(p io.Closer) { cn.Servers[i], _ = p.(*mixnet.Server) })(
-			deploy.Server(chain, &keys.Servers[i], cfg.Net, mc, true))
+			deploy.Server(chain, &keys.Servers[i], cfg.Net, mc))
 	}
 	add("entry.rounds", func(p io.Closer) { cn.Coord, _ = p.(*coordinator.Coordinator) })(
 		deploy.Entry(chain, keys.Entry, cfg.Net, cfg.Entry))
@@ -309,7 +312,7 @@ func (cn *ChainNet) node(addr string) *node {
 
 // Nodes names every process of the deployment by its listen address
 // (the entry by EntryAddr), in boot order: shards, chain servers last
-// first, the entry, frontends. These are the names Kill and Restart
+// first, the entry, frontends. These are the names Restart and Kill
 // take, and the ones transport.Faulty and transport.MITM give the legs
 // that end at each node.
 func (cn *ChainNet) Nodes() []string {
@@ -318,18 +321,6 @@ func (cn *ChainNet) Nodes() []string {
 		addrs[i] = n.Addrs[0]
 	}
 	return addrs
-}
-
-// Kill simulates the process listening on addr crashing: its listeners
-// and every connection are severed, its exported slot (Coord,
-// Servers[i], ...) goes nil, and its round-state lock is released.
-// Clients and any in-flight round observe the death; the node stays
-// down until Restart. An unknown address or a node already down is a
-// no-op.
-func (cn *ChainNet) Kill(addr string) {
-	if n := cn.node(addr); n != nil {
-		n.kill()
-	}
 }
 
 // Restart simulates the process listening on addr crashing (if still

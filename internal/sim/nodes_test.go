@@ -12,6 +12,18 @@ import (
 	"vuvuzela/internal/coordinator"
 )
 
+// Kill simulates the process listening on addr crashing: its listeners
+// and every connection are severed, its exported slot (Coord,
+// Servers[i], ...) goes nil, and its round-state lock is released.
+// Clients and any in-flight round observe the death; the node stays
+// down until Restart. An unknown address or a node already down is a
+// no-op. Only this package's tests kill a node without restarting it.
+func (cn *ChainNet) Kill(addr string) {
+	if n := cn.node(addr); n != nil {
+		n.kill()
+	}
+}
+
 // TestEveryNodeLifecycle drives each node of a full deployment through
 // Restart, and through Kill then Restart, with rounds before and after
 // each: the deployment must re-form every time, and no round number may

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"vuvuzela/internal/mixnet"
-	"vuvuzela/internal/noise"
 	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
 )
@@ -85,8 +83,7 @@ func TestShardCrashRestartRejoins(t *testing.T) {
 // TestShardRestartStaleReplayAborts: after the restart, replaying an
 // already-consumed round — even from a peer holding the real router
 // key — is rejected from the durable counter, and the rejection is an
-// authenticated shard-side refusal (KindError), which the router never
-// degrades around.
+// authenticated shard-side refusal (KindError), which fails the round.
 func TestShardRestartStaleReplayAborts(t *testing.T) {
 	defer LeakCheck(t)()
 	cn, err := NewChainNet(ChainNetConfig{
@@ -150,25 +147,15 @@ func TestShardRestartWithoutStateReplays(t *testing.T) {
 }
 
 // TestShardCrashDuringOutageThenRejoin: the shard dies (connection-level
-// fault), rounds continue under ShardPolicy=Degrade with its replies
-// zero-filled, then a restarted process rejoins behind on rounds — its
-// durable counter is older than the chain's current round, which is
-// exactly the rejoin case, and must be accepted while stale rounds still
-// abort.
+// fault) and every round while it is down fails naming it; then a
+// restarted process rejoins behind on rounds — its durable counter is
+// older than the chain's current round, which is exactly the rejoin case,
+// and must be accepted while stale rounds are still refused.
 func TestShardCrashDuringOutageThenRejoin(t *testing.T) {
 	defer LeakCheck(t)()
 	faulty := transport.NewFaulty(transport.NewMem())
-	var degraded []int
 	cn, err := NewChainNet(ChainNetConfig{
-		Servers: 2, Shards: 2, Net: faulty,
-		Chain: mixnet.Config{
-			ConvoNoise:  noise.Fixed{N: 1},
-			ShardPolicy: mixnet.ShardDegrade,
-			OnShardDegraded: func(round uint64, shard int, addr string, err error) {
-				degraded = append(degraded, shard)
-			},
-		},
-		StateDir: t.TempDir(),
+		Servers: 2, Shards: 2, Net: faulty, Chain: fixedNoise(1), StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,17 +167,11 @@ func TestShardCrashDuringOutageThenRejoin(t *testing.T) {
 	}
 
 	// Crash: sever the shard and blackhole its address. Rounds 2 and 3
-	// degrade around it.
+	// fail, each naming it.
 	faulty.Break(cn.ShardAddrs[0])
 	cn.Kill(cn.ShardAddrs[0])
 	for round := uint64(2); round <= 3; round++ {
-		pairs := buildPairs(t, cn, round, 6, 2)
-		if _, err := runPairsRound(t, cn, round, pairs); err != nil {
-			t.Fatalf("degraded round %d: %v", round, err)
-		}
-	}
-	if len(degraded) == 0 {
-		t.Fatal("no degradation reported while the shard was down")
+		wantRemoteVia(t, runRound(t, cn, round), cn.ServerAddrs[1], cn.ShardAddrs[0], "shard 0")
 	}
 
 	// Recover: restart the process and heal the network. The shard's
@@ -203,14 +184,10 @@ func TestShardCrashDuringOutageThenRejoin(t *testing.T) {
 	if got := cn.Shards[0].LastRound(); got != 1 {
 		t.Fatalf("restarted shard resumed at round %d, want 1", got)
 	}
-	degraded = degraded[:0]
 	if err := runRound(t, cn, 4); err != nil {
 		t.Fatalf("round 4 after rejoin: %v", err)
 	}
-	if len(degraded) != 0 {
-		t.Fatalf("round 4 degraded shards %v after the shard rejoined", degraded)
-	}
-	// And the missed rounds are gone for good: replaying one aborts.
+	// And the missed rounds are gone for good: replaying one is refused.
 	conn := dialShardAsRouter(t, cn, 0)
 	if resp := shardRoundTrip(t, conn, 1, 0); resp.Kind != wire.KindError {
 		t.Fatalf("stale round replay after rejoin got kind %d, want error", resp.Kind)

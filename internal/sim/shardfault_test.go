@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"vuvuzela/internal/convo"
 	"vuvuzela/internal/crypto/box"
-	"vuvuzela/internal/deaddrop"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/onion"
@@ -22,8 +20,7 @@ import (
 // conversation round through a 3-server chain whose last hop fans out to
 // networked shard servers — over authenticated channels — is
 // byte-identical to the last server's own sequential table, for 1, 2, 4,
-// 8, and a non-power-of-two shard count, and under BOTH shard policies
-// (Degrade with zero failures must change nothing). The batch mixes real
+// 8, and a non-power-of-two shard count. The batch mixes real
 // conversations, an idle (fake-request) client, and malformed onions.
 func TestShardFanoutChainEquivalence(t *testing.T) {
 	defer LeakCheck(t)()
@@ -48,22 +45,19 @@ func TestShardFanoutChainEquivalence(t *testing.T) {
 		t.Fatalf("%d replies for %d onions", len(want), len(onions))
 	}
 
-	// Networked fan-out at several widths, same keys, same onions, both
-	// policies.
+	// Networked fan-out at several widths, same keys, same onions.
 	shardCounts := []int{1, 2, 4, 8, 5}
 	if testing.Short() {
 		shardCounts = []int{1, 4}
 	}
 	for _, shards := range shardCounts {
-		for _, policy := range []mixnet.ShardPolicy{mixnet.ShardAbort, mixnet.ShardDegrade} {
-			head, stop := shardFanoutWithKeys(t, pubs, privs, mu, shards, policy)
-			got, err := head.ConvoRound(round, onions)
-			stop()
-			if err != nil {
-				t.Fatalf("shards=%d policy=%v: %v", shards, policy, err)
-			}
-			compareReplies(t, "networked", got, want)
+		head, stop := shardFanoutWithKeys(t, pubs, privs, mu, shards)
+		got, err := head.ConvoRound(round, onions)
+		stop()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
+		compareReplies(t, "networked", got, want)
 	}
 }
 
@@ -131,10 +125,10 @@ func chainWithKeys(t *testing.T, mem *transport.Mem, pubs []box.PublicKey, privs
 // `shards` networked shard servers.
 // Shard identities are deterministic per index; the last chain server's
 // key is the authorized router key, as in production.
-func shardFanoutWithKeys(t *testing.T, pubs []box.PublicKey, privs []box.PrivateKey, mu, shards int, policy mixnet.ShardPolicy) (*mixnet.Server, func()) {
+func shardFanoutWithKeys(t *testing.T, pubs []box.PublicKey, privs []box.PrivateKey, mu, shards int) (*mixnet.Server, func()) {
 	t.Helper()
 	mem := transport.NewMem()
-	base := mixnet.Config{ConvoNoise: noise.Fixed{N: mu}, ShardPolicy: policy}
+	base := mixnet.Config{ConvoNoise: noise.Fixed{N: mu}}
 	var stops []func()
 	for i := 0; i < shards; i++ {
 		shardPub, shardPriv := box.KeyPairFromSeed([]byte("equiv-shard-" + string(rune('0'+i))))
@@ -169,23 +163,12 @@ func shardFanoutWithKeys(t *testing.T, pubs []box.PublicKey, privs []box.Private
 // transport.Faulty dialer, so tests can kill/hang individual shards.
 func faultNet(t *testing.T, shards int, timeout time.Duration) (*ChainNet, *transport.Faulty) {
 	t.Helper()
-	return faultNetPolicy(t, shards, timeout, mixnet.ShardAbort, nil)
-}
-
-func faultNetPolicy(t *testing.T, shards int, timeout time.Duration, policy mixnet.ShardPolicy,
-	onDegraded func(round uint64, shard int, addr string, err error)) (*ChainNet, *transport.Faulty) {
-	t.Helper()
 	faulty := transport.NewFaulty(transport.NewMem())
 	cn, err := NewChainNet(ChainNetConfig{
 		Servers: 2,
 		Shards:  shards,
 		Net:     faulty,
-		Chain: mixnet.Config{
-			ConvoNoise:      noise.Fixed{N: 2},
-			ShardTimeout:    timeout,
-			ShardPolicy:     policy,
-			OnShardDegraded: onDegraded,
-		},
+		Chain:   mixnet.Config{ConvoNoise: noise.Fixed{N: 2}, ShardTimeout: timeout},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,98 +197,6 @@ func wantRemoteVia(t *testing.T, err error, hop string, want ...string) {
 			t.Fatalf("RemoteError cause %q does not carry %q", remote.Msg, w)
 		}
 	}
-}
-
-// convoPair is one conversing pair's round state: the onions to submit
-// and what each side needs to decode its reply.
-type convoPair struct {
-	seedA, seedB string
-	shard        int // which shard the pair's dead drop routes to
-	oA, oB       []byte
-	aKeys, bKeys []*[32]byte
-	sA, sB       *[32]byte
-	aPub, bPub   box.PublicKey
-}
-
-// buildPairs constructs `n` conversing pairs for a round and computes
-// which shard each pair's drop routes to, so fault tests can predict
-// exactly which conversations a dead shard takes down.
-func buildPairs(t *testing.T, cn *ChainNet, round uint64, n, shards int) []*convoPair {
-	t.Helper()
-	pairs := make([]*convoPair, n)
-	for i := range pairs {
-		p := &convoPair{
-			seedA: "fault-a-" + string(rune('0'+i)),
-			seedB: "fault-b-" + string(rune('0'+i)),
-		}
-		var aPriv, bPriv box.PrivateKey
-		p.aPub, aPriv = box.KeyPairFromSeed([]byte(p.seedA))
-		p.bPub, bPriv = box.KeyPairFromSeed([]byte(p.seedB))
-		var err error
-		p.sA, err = convo.DeriveSecret(&aPriv, &p.bPub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.sB, err = convo.DeriveSecret(&bPriv, &p.aPub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqA, err := convo.BuildRequest(p.sA, round, &p.aPub, []byte("ping"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqB, err := convo.BuildRequest(p.sB, round, &p.bPub, []byte("pong"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var id deaddrop.ID
-		copy(id[:], reqA.Marshal()[:deaddrop.IDSize])
-		p.shard = deaddrop.ShardOf(id, shards)
-		p.oA, p.aKeys, err = onion.Wrap(reqA.Marshal(), round, 0, cn.Pubs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.oB, p.bKeys, err = onion.Wrap(reqB.Marshal(), round, 0, cn.Pubs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs[i] = p
-	}
-	return pairs
-}
-
-// runPairsRound submits every pair's onions in one round and returns
-// each pair's decode outcome: true if the pair exchanged ping/pong.
-func runPairsRound(t *testing.T, cn *ChainNet, round uint64, pairs []*convoPair) ([]bool, error) {
-	t.Helper()
-	onions := make([][]byte, 0, 2*len(pairs))
-	for _, p := range pairs {
-		onions = append(onions, p.oA, p.oB)
-	}
-	replies, err := cn.Servers[0].ConvoRound(round, onions)
-	if err != nil {
-		return nil, err
-	}
-	if len(replies) != len(onions) {
-		t.Fatalf("round %d: %d replies for %d onions", round, len(replies), len(onions))
-	}
-	ok := make([]bool, len(pairs))
-	for i, p := range pairs {
-		innerA, errA := onion.UnwrapReply(replies[2*i], round, 0, p.aKeys)
-		innerB, errB := onion.UnwrapReply(replies[2*i+1], round, 0, p.bKeys)
-		if errA != nil || errB != nil {
-			// The reply onion itself must always decode — zero-filling
-			// happens inside the sealed payload.
-			t.Fatalf("round %d pair %d: reply onion broken: %v/%v", round, i, errA, errB)
-		}
-		msgA, okA := convo.OpenReply(p.sA, round, &p.bPub, innerA)
-		msgB, okB := convo.OpenReply(p.sB, round, &p.aPub, innerB)
-		ok[i] = okA && okB && string(msgA) == "pong" && string(msgB) == "ping"
-		if okA != okB {
-			t.Fatalf("round %d pair %d: asymmetric outcome %v/%v — replies reordered?", round, i, okA, okB)
-		}
-	}
-	return ok, nil
 }
 
 // runRound drives one conversation round with a fresh conversing pair and
@@ -439,128 +330,18 @@ func TestShardFaultErroringShard(t *testing.T) {
 	}
 }
 
-// TestShardFaultMatrixDegrade is the chain-level fault matrix: with
-// k-of-n shards killed or hung under ShardPolicy=Degrade, the round
-// completes end to end; every pair whose drop lives on a surviving shard
-// exchanges its messages exactly as in a healthy round (no reordering),
-// every pair on a dead shard observes a missing dead drop (the
-// zero-filled payload fails to authenticate), the degraded set matches
-// the fault set, and the harness shuts down without leaking goroutines.
-func TestShardFaultMatrixDegrade(t *testing.T) {
-	defer LeakCheck(t)()
-	const shards = 5
-	matrix := []struct {
-		name string
-		kill []int
-		hang []int
-	}{
-		{"one-killed", []int{2}, nil},
-		{"two-killed", []int{0, 4}, nil},
-		{"one-hung", nil, []int{1}},
-		{"killed-and-hung", []int{3}, []int{0}},
-	}
-	for _, tc := range matrix {
-		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			degraded := make(map[int]bool)
-			cn, faulty := faultNetPolicy(t, shards, 300*time.Millisecond, mixnet.ShardDegrade,
-				func(round uint64, shard int, addr string, err error) {
-					mu.Lock()
-					degraded[shard] = true
-					mu.Unlock()
-				})
-			defer cn.Close()
-
-			// Round 1: healthy; every pair converses.
-			pairs := buildPairs(t, cn, 1, 10, shards)
-			ok, err := runPairsRound(t, cn, 1, pairs)
-			if err != nil {
-				t.Fatalf("healthy round: %v", err)
-			}
-			for i, o := range ok {
-				if !o {
-					t.Fatalf("healthy round: pair %d failed to converse", i)
-				}
-			}
-			if len(degraded) != 0 {
-				t.Fatalf("healthy round degraded shards %v", degraded)
-			}
-
-			dead := make(map[int]bool)
-			for _, s := range tc.kill {
-				faulty.Break(cn.ShardAddrs[s])
-				dead[s] = true
-			}
-			for _, s := range tc.hang {
-				faulty.Hang(cn.ShardAddrs[s])
-				dead[s] = true
-			}
-
-			// Round 2: degraded; outcomes split exactly along shard
-			// liveness.
-			pairs2 := buildPairs(t, cn, 2, 10, shards)
-			ok2, err := runPairsRound(t, cn, 2, pairs2)
-			if err != nil {
-				t.Fatalf("degraded round: %v", err)
-			}
-			for i, p := range pairs2 {
-				if dead[p.shard] && ok2[i] {
-					t.Fatalf("pair %d on dead shard %d still conversed", i, p.shard)
-				}
-				if !dead[p.shard] && !ok2[i] {
-					t.Fatalf("pair %d on healthy shard %d lost its messages", i, p.shard)
-				}
-			}
-			mu.Lock()
-			for s := range dead {
-				if !degraded[s] {
-					t.Errorf("dead shard %d not reported degraded", s)
-				}
-			}
-			for s := range degraded {
-				if !dead[s] {
-					t.Errorf("healthy shard %d reported degraded", s)
-				}
-			}
-			mu.Unlock()
-
-			// Round 3: healed; everything converses again.
-			for s := range dead {
-				faulty.Restore(cn.ShardAddrs[s])
-			}
-			pairs3 := buildPairs(t, cn, 3, 6, shards)
-			ok3, err := runPairsRound(t, cn, 3, pairs3)
-			if err != nil {
-				t.Fatalf("healed round: %v", err)
-			}
-			for i, o := range ok3 {
-				if !o {
-					t.Fatalf("healed round: pair %d failed to converse", i)
-				}
-			}
-		})
-	}
-}
-
 // TestShardLegMITMTamperAbortsRound: end-to-end through the chain, a
 // man-in-the-middle flipping one byte of the (encrypted) router→shard
-// traffic aborts the round with an authentication error — even under
-// ShardPolicy=Degrade, because the shard's authenticated alert tells the
-// router the leg is under attack, not down. Disarming the tap recovers
-// the next round over a fresh connection.
+// traffic aborts the round with an authentication error — the shard's
+// authenticated alert tells the router the leg is under attack, not down.
+// Disarming the tap recovers the next round over a fresh connection.
 func TestShardLegMITMTamperAbortsRound(t *testing.T) {
 	defer LeakCheck(t)()
 	mitm := transport.NewMITM(transport.NewMem())
 	var armed atomic.Bool
 	cn, err := NewChainNet(ChainNetConfig{
 		Servers: 2, Shards: 3, Net: mitm,
-		Chain: mixnet.Config{
-			ConvoNoise:  noise.Fixed{N: 2},
-			ShardPolicy: mixnet.ShardDegrade,
-			OnShardDegraded: func(round uint64, shard int, addr string, err error) {
-				t.Errorf("round %d degraded shard %d around an active tamper: %v", round, shard, err)
-			},
-		},
+		Chain: mixnet.Config{ConvoNoise: noise.Fixed{N: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,8 @@
 // Crypto failures surface as ErrAuth; plain I/O errors (deadlines,
 // injected faults, closed peers) pass through unchanged so callers can
 // tell "the network failed" from "someone is forging traffic" — the
-// distinction the shard router's degradation policy depends on.
+// distinction that lets the shard router report an attack ahead of an
+// outage.
 //
 // The exact handshake transcript, record framing, nonce schedule, and
 // alert semantics are specified byte-for-byte in docs/WIRE.md; the
@@ -86,8 +87,8 @@ const (
 	// peer over the still-intact opposite direction before hanging up —
 	// the way TLS sends a fatal alert. Without it, a man-in-the-middle
 	// tampering with one direction would be indistinguishable from the
-	// peer crashing, and a degradation policy would wrongly zero-fill
-	// around an active attack. An attacker can still SUPPRESS the alert
+	// peer crashing, and a failed round would report an active attack
+	// as an outage. An attacker can still SUPPRESS the alert
 	// (turning the failure into an apparent outage — plain denial of
 	// service, which cutting the wire achieves anyway), but can never
 	// forge one: alerts are sealed under the session key like any

@@ -151,7 +151,7 @@ func TestSecureWrongServerKeyRefused(t *testing.T) {
 
 // TestSecureDeadlinePassthrough: deadline expiry on an established
 // channel surfaces as os.ErrDeadlineExceeded, NOT as ErrAuth — the
-// degradation policy keys off that distinction.
+// shard router's failure report keys off that distinction.
 func TestSecureDeadlinePassthrough(t *testing.T) {
 	client, server, _, _ := securePipe(t)
 	done := make(chan struct{})

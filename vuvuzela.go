@@ -39,8 +39,8 @@ import (
 	"vuvuzela/internal/client"
 	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
-	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/mixnet"
+	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
 	"vuvuzela/internal/sim"
 	"vuvuzela/internal/transport"
@@ -85,13 +85,10 @@ func KeyPairFromSeed(seed string) (PublicKey, PrivateKey) {
 }
 
 // NoiseParams selects a cover-traffic distribution: Laplace(Mu, B)
-// truncated at zero (paper Algorithm 2 step 2). If Fixed is true the
-// servers always add exactly Mu noise requests — the paper's evaluation
-// mode (§8.1).
+// truncated at zero (paper Algorithm 2 step 2).
 type NoiseParams struct {
-	Mu    float64 // mean (location)
-	B     float64 // scale
-	Fixed bool    // always add exactly Mu noise instead of sampling
+	Mu float64 // mean (location)
+	B  float64 // scale
 }
 
 // Options configures a deployment.
@@ -176,8 +173,8 @@ func NewInProcessNetwork(opts Options) (*Network, error) {
 		Servers: opts.Servers,
 		Net:     mem,
 		Chain: mixnet.Config{
-			ConvoNoise: deploy.Noise(opts.ConvoNoise.Mu, opts.ConvoNoise.B, opts.ConvoNoise.Fixed),
-			DialNoise:  deploy.Noise(opts.DialNoise.Mu, opts.DialNoise.B, opts.DialNoise.Fixed),
+			ConvoNoise: noise.Laplace{Mu: opts.ConvoNoise.Mu, B: opts.ConvoNoise.B},
+			DialNoise:  noise.Laplace{Mu: opts.DialNoise.Mu, B: opts.DialNoise.B},
 			Workers:    opts.Workers,
 		},
 		Entry: coordinator.Config{

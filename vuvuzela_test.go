@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/sim"
 )
 
@@ -180,19 +179,6 @@ func TestKeyHelpers(t *testing.T) {
 	}
 }
 
-// TestNoiseParamsDist covers both distribution modes, which a Network's
-// servers draw from deploy.Noise as vuvuzela-server does.
-func TestNoiseParamsDist(t *testing.T) {
-	fixed := NoiseParams{Mu: 42, Fixed: true}
-	if got := deploy.Noise(fixed.Mu, fixed.B, fixed.Fixed).Sample(nil); got != 42 {
-		t.Fatalf("fixed sample = %d", got)
-	}
-	lap := NoiseParams{Mu: 100, B: 10}
-	if got := deploy.Noise(lap.Mu, lap.B, lap.Fixed).Sample(nil); got < 0 {
-		t.Fatalf("laplace sample negative: %d", got)
-	}
-}
-
 // TestNetworkCloseStopsEverything: the chain behind a Network is served —
 // listeners, accept loops, one handler per hop connection — so Close must
 // stop all of it, not only the coordinator: after a conversation and a
@@ -201,8 +187,8 @@ func TestNoiseParamsDist(t *testing.T) {
 func TestNetworkCloseStopsEverything(t *testing.T) {
 	defer sim.LeakCheck(t)()
 	small := Options{
-		ConvoNoise: &NoiseParams{Mu: 3, Fixed: true},
-		DialNoise:  &NoiseParams{Mu: 2, Fixed: true},
+		ConvoNoise: &NoiseParams{Mu: 3, B: 1},
+		DialNoise:  &NoiseParams{Mu: 2, B: 1},
 	}
 	net, err := NewInProcessNetwork(small)
 	if err != nil {
