@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 # The most non-test Go lines `make loc` may report (ROADMAP aim 2). A PR
 # that needs more raises this in its own diff, where a reviewer sees it.
-LOC_CEILING = 15494
+LOC_CEILING = 15426
 
 .PHONY: check vet vuvuzela-vet staticcheck govulncheck lint deadcode build arm64 test race allocs shardtest restart-matrix vtime fuzz bench-smoke bench bench-privacy eval-smoke figures-smoke example-smoke loc loc-check clean
 
@@ -129,9 +129,15 @@ bench-smoke:
 	cd bench && $(GO) vet . && GOMAXPROCS=1 $(GO) test . && $(GO) run vuvuzela/cmd/vuvuzela-vet .
 
 # Boots the examples/chain deployment (3 servers + 2 shards + entry, all
-# real processes on loopback TCP) and exchanges a message through it.
+# real processes on loopback TCP) and exchanges a message through it,
+# then runs each in-process example on the public facade, each of which
+# must exit 0 (about 3 s together).
 example-smoke:
 	./examples/chain/smoke.sh
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/dialing
+	$(GO) run ./examples/privacy-budget
+	$(GO) run ./examples/traffic-analysis
 
 # Short benchmark pass over the scalability-critical paths and the secure
 # record layer (MB/s and allocs/record).

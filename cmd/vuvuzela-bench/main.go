@@ -6,7 +6,7 @@
 // stack on this machine (each at the head of a fresh sim.ChainNet;
 // `make figures-smoke` is the CI-sized run). `attack` and `privacy` are
 // both internal/eval: `attack` is the §4.2 discard attack on
-// eval.Experiment's default topology, with and without noise; `privacy`
+// eval.Experiment's topology, with and without noise; `privacy`
 // scores it across fault
 // scenarios and adversary positions and, with -json, regenerates
 // BENCH_privacy.json (`make eval-smoke` is its -quick form).
@@ -31,6 +31,7 @@ import (
 	"os"
 	"time"
 
+	"vuvuzela/internal/dial"
 	"vuvuzela/internal/eval"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
@@ -284,14 +285,16 @@ func bandwidth() {
 }
 
 func buckets() {
+	const users, dialing, mu = 1000000, 0.05, 13000
 	header("§5.4: invitation dead-drop count tradeoff (1M users, 5% dialing, µd=13K)")
 	fmt.Printf("  %4s %16s %22s %12s\n", "m", "client DL/round", "server noise (invites)", "load factor")
-	for _, p := range sim.BucketTradeoff(1000000, 0.05, 13000, 3, []uint32{1, 2, 3, 4, 8, 16}) {
+	for _, p := range sim.BucketTradeoff(users, dialing, mu, 3, []uint32{1, 2, 3, 4, 8, 16}) {
 		fmt.Printf("  %4d %13.2f MB %22d %11.1fx\n",
 			p.M, float64(p.ClientBytes)/1e6, p.ServerNoiseInvitations, p.LoadFactor)
 	}
-	fmt.Println("  paper: m = n·f/µ balances the two; at the optimum each bucket")
-	fmt.Println("  holds roughly equal real and (per-server) noise invitations")
+	fmt.Printf("  optimum m = n·f/µ = %d: each bucket then holds roughly equal real\n", dial.OptimalBuckets(users, dialing, mu))
+	fmt.Println("  and (per-server) noise invitations; a deployment states its m as")
+	fmt.Println("  chain.json's dial_buckets (vuvuzela-keygen chain -dial-buckets)")
 }
 
 // privacyPoint is one scenario's measured distinguishing advantage for
@@ -334,16 +337,19 @@ func privacyEval() {
 	if *quick {
 		rounds = 6
 	}
+	// Each row's noise seed is its own, so adding, deleting or reordering
+	// a row leaves every other row's draws as they were.
 	scenarios := []struct {
 		name      string
 		adversary eval.Position
+		seed      int64
 		exp       eval.Experiment
 	}{
-		{"baseline", eval.CompromisedServers, eval.Experiment{Scenario: eval.Baseline()}},
-		{"churn", eval.CompromisedServers, eval.Experiment{IdleClients: 3, Scenario: eval.ClientChurn()}},
-		{"restart", eval.CompromisedServers, eval.Experiment{Frontends: 2, IdleClients: 2, Scenario: eval.MidRunRestart()}},
-		{"mixed", eval.CompromisedServers, eval.Experiment{Scenario: eval.MixedLoad(2)}},
-		{"wire-observer", eval.WireObserver, eval.Experiment{Scenario: eval.Baseline()}},
+		{"baseline", eval.CompromisedServers, 100, eval.Experiment{Scenario: eval.Baseline()}},
+		{"churn", eval.CompromisedServers, 101, eval.Experiment{IdleClients: 3, Scenario: eval.ClientChurn()}},
+		{"restart", eval.CompromisedServers, 102, eval.Experiment{Frontends: 2, IdleClients: 2, Scenario: eval.MidRunRestart()}},
+		{"mixed", eval.CompromisedServers, 103, eval.Experiment{Scenario: eval.MixedLoad(2)}},
+		{"wire-observer", eval.WireObserver, 104, eval.Experiment{Scenario: eval.Baseline()}},
 	}
 
 	g, _ := eval.Experiment{Noise: lap}.Guarantee()
@@ -355,11 +361,11 @@ func privacyEval() {
 	fmt.Printf("  Laplace(µ=%.0f, b=%.0f): ε=%.3f δ=%.4f per round → advantage bound %.3f\n",
 		lap.Mu, lap.B, g.Eps, g.Delta, bound)
 	fmt.Printf("  %d rounds per world, two-world distinguisher per scenario:\n", rounds)
-	for i, sc := range scenarios {
+	for _, sc := range scenarios {
 		exp := sc.exp
 		exp.Rounds = rounds
 		exp.Noise = lap
-		exp.NoiseSrc = rand.New(rand.NewSource(int64(100 + i)))
+		exp.NoiseSrc = rand.New(rand.NewSource(sc.seed))
 		exp.Adversary = sc.adversary
 		res, err := exp.Run()
 		if err != nil {
@@ -398,8 +404,9 @@ func privacyEval() {
 
 func attack() {
 	header("§4.2: discard attack — adversary advantage with and without noise")
-	// eval.Experiment's defaults are the attack's topology: 3 servers, the
-	// target pair as the only clients, noise from the honest middle server.
+	// eval.Experiment's topology is the attack's: 3 servers, noise from the
+	// honest middle server; its zero value has the target pair as the only
+	// clients.
 	res, err := eval.Experiment{Rounds: 60}.Run()
 	if err != nil {
 		fmt.Println("  error:", err)

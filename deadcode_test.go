@@ -31,22 +31,23 @@ import (
 var deadcodeAllow = map[string]string{
 	// Harness: code that exists for the tests and the in-process
 	// deployment, not for an operator's binary.
-	"vuvuzela/internal/mixnet.StartChain":                 "harness: coordinator's and client's in-package tests start a chain with it; importing sim or deploy there is an import cycle",
-	"vuvuzela/internal/mixnet.NewChainKeys":               "harness: the keys StartChain's callers hand their clients",
-	"vuvuzela/internal/mixnet.(*Server).LastRound":        "harness: the restart matrices' durable-counter oracle",
-	"vuvuzela/internal/mixnet.(*ShardServer).LastRound":   "harness: the restart matrices' durable-counter oracle",
-	"vuvuzela/internal/sim.(*ChainNet).Nodes":             "harness: the suites' list of every process to kill or restart",
-	"vuvuzela/internal/sim.(*ChainNet).ExchangedRounds":   "harness: the restart matrix's check that no round is exchanged twice",
-	"vuvuzela/internal/sim.(*ChainNet).RunRounds":         "harness: the suites' back-to-back rounds with a swarm attached",
-	"internal/sim/leak.go":                                "harness: the suites' goroutine-leak check",
-	"internal/transport/faulty.go":                        "harness: fault and MITM injection for the in-process suites",
-	"vuvuzela/internal/vet/vettest":                       "harness: runs each analyzer over its fixtures",
-	"vuvuzela/internal/vet/loader.LoadFixture":            "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.checkFixture":           "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.fixtureImporter.Import": "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.stdImporter":            "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.fixtureGoFiles":         "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.isDir":                  "harness: the fixture path, which only vettest reaches",
+	"vuvuzela/internal/mixnet.StartChain":                         "harness: coordinator's and client's in-package tests start a chain with it; importing sim or deploy there is an import cycle",
+	"vuvuzela/internal/mixnet.NewChainKeys":                       "harness: the keys StartChain's callers hand their clients",
+	"vuvuzela/internal/mixnet.(*Server).LastRound":                "harness: the restart matrices' durable-counter oracle",
+	"vuvuzela/internal/mixnet.(*ShardServer).LastRound":           "harness: the restart matrices' durable-counter oracle",
+	"vuvuzela/internal/sim.(*ChainNet).Nodes":                     "harness: the suites' list of every process to kill or restart",
+	"vuvuzela/internal/sim.(*ChainNet).ExchangedRounds":           "harness: the restart matrix's check that no round is exchanged twice",
+	"vuvuzela/internal/sim.(*ChainNet).RunRounds":                 "harness: the suites' back-to-back rounds with a swarm attached",
+	"vuvuzela/internal/coordinator.(*Coordinator).RunConvoRounds": "harness: `sim.ChainNet.RunRounds`' pipelined rounds",
+	"internal/sim/leak.go":                                        "harness: the suites' goroutine-leak check",
+	"internal/transport/faulty.go":                                "harness: fault and MITM injection for the in-process suites",
+	"vuvuzela/internal/vet/vettest":                               "harness: runs each analyzer over its fixtures",
+	"vuvuzela/internal/vet/loader.LoadFixture":                    "harness: the fixture path, which only vettest reaches",
+	"vuvuzela/internal/vet/loader.checkFixture":                   "harness: the fixture path, which only vettest reaches",
+	"vuvuzela/internal/vet/loader.fixtureImporter.Import":         "harness: the fixture path, which only vettest reaches",
+	"vuvuzela/internal/vet/loader.stdImporter":                    "harness: the fixture path, which only vettest reaches",
+	"vuvuzela/internal/vet/loader.fixtureGoFiles":                 "harness: the fixture path, which only vettest reaches",
+	"vuvuzela/internal/vet/loader.isDir":                          "harness: the fixture path, which only vettest reaches",
 
 	// Interface: methods that exist to satisfy an interface, whichever of
 	// them a binary happens to call.
@@ -65,14 +66,12 @@ var deadcodeAllow = map[string]string{
 
 	// Facade API: the root package's API for library users, which no
 	// binary of this module happens to call.
-	"vuvuzela.GenerateKeyPair":                                    "facade API: a library user's key pair",
-	"vuvuzela.(*Network).StartRounds":                             "facade API: timer-driven rounds on an in-process network",
-	"vuvuzela.(*Network).RunConvoRounds":                          "facade API: rounds driven back to back",
-	"vuvuzela/internal/coordinator.(*Coordinator).RunConvoRounds": "facade API: reached only through Network.RunConvoRounds",
-	"vuvuzela/internal/client.(*Client).QueueLen":                 "facade API: a method of the aliased vuvuzela.Client",
-	"vuvuzela/internal/client.(*Client).ActivePeer":               "facade API: a method of the aliased vuvuzela.Client",
-	"vuvuzela/internal/client.(*Client).ActivePeers":              "facade API: a method of the aliased vuvuzela.Client",
-	"vuvuzela/internal/client.(*Client).EndConversationWith":      "facade API: a method of the aliased vuvuzela.Client",
+	"vuvuzela.GenerateKeyPair":                               "facade API: a library user's key pair",
+	"vuvuzela.(*Network).StartRounds":                        "facade API: timer-driven rounds on an in-process network",
+	"vuvuzela/internal/client.(*Client).QueueLen":            "facade API: a method of the aliased vuvuzela.Client",
+	"vuvuzela/internal/client.(*Client).ActivePeer":          "facade API: a method of the aliased vuvuzela.Client",
+	"vuvuzela/internal/client.(*Client).ActivePeers":         "facade API: a method of the aliased vuvuzela.Client",
+	"vuvuzela/internal/client.(*Client).EndConversationWith": "facade API: a method of the aliased vuvuzela.Client",
 }
 
 func TestEveryFunctionLinked(t *testing.T) {

@@ -164,7 +164,7 @@ const MaxServers = 64
 // that is not a curve25519 point has no private half any server could
 // hold, yet clients and mixing servers would wrap toward it every round.
 // The noise parameters of both protocols must give differential privacy
-// at all (checkNoise). LoadChain applies it to every chain read from
+// at all (CheckNoise). LoadChain applies it to every chain read from
 // disk, and keygen to every chain it writes.
 func (c *Chain) Validate() error {
 	if len(c.Servers) == 0 {
@@ -218,18 +218,18 @@ func (c *Chain) Validate() error {
 	}
 	// A mixing server's conversation noise is singles plus pairs, ≈ 2µ
 	// requests a round; its dialing noise is µ per bucket.
-	if err := checkNoise("convo", c.ConvoNoiseMu, c.ConvoNoiseB, 2); err != nil {
+	if err := CheckNoise("convo", c.ConvoNoiseMu, c.ConvoNoiseB, 2); err != nil {
 		return err
 	}
-	return checkNoise("dial", c.DialNoiseMu, c.DialNoiseB, float64(max(1, c.DialBuckets)))
+	return CheckNoise("dial", c.DialNoiseMu, c.DialNoiseB, float64(max(1, c.DialBuckets)))
 }
 
-// checkNoise refuses one protocol's Laplace(µ, b) unless it is noise: a b
+// CheckNoise refuses one protocol's Laplace(µ, b) unless it is noise: a b
 // that is not a finite positive number voids the privacy accounting (at
 // b = 0 every server adds exactly µ, which hides nothing), a µ that is not
 // a number or negative adds none, and a µ whose round of noise — µ times
 // perMu requests — cannot fit one wire frame would fail every round.
-func checkNoise(proto string, mu, b, perMu float64) error {
+func CheckNoise(proto string, mu, b, perMu float64) error {
 	switch {
 	case !(b > 0) || math.IsInf(b, 1):
 		return fmt.Errorf("config: %s_noise_b is %v, want a finite b > 0 (b = 0 is no differential privacy)", proto, b)

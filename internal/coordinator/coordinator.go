@@ -38,7 +38,6 @@ import (
 
 	"vuvuzela/internal/collector"
 	"vuvuzela/internal/crypto/box"
-	"vuvuzela/internal/dial"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/roundstate"
 	"vuvuzela/internal/transport"
@@ -71,19 +70,10 @@ type Config struct {
 	FrontIdentity box.PrivateKey
 
 	// DialBuckets is the number of invitation dead drops (m) announced
-	// for each dialing round (§5.4). Defaults to 1, the optimum at small
-	// scale (§7). Set AutoBuckets to let the coordinator compute it.
+	// for each dialing round (§5.4): chain.json's dial_buckets, which
+	// deploy.Entry fills in. Defaults to 1, the optimum at small scale
+	// (§7).
 	DialBuckets uint32
-
-	// AutoBuckets, if positive, enables the paper's adaptive bucket
-	// count (§5.4, left unimplemented in the prototype): each dialing
-	// round uses m = n·f/µ, where n is the connected client count, f is
-	// AutoBuckets (the assumed dialing fraction), and µ is
-	// AutoBucketsMu (the per-bucket noise mean).
-	AutoBuckets float64
-	// AutoBucketsMu is the per-bucket noise mean µ used by the
-	// AutoBuckets formula above.
-	AutoBucketsMu float64
 
 	// ConvoExchanges is the fixed number of conversation exchanges every
 	// client performs per round — the §9 "multiple conversations"
@@ -285,14 +275,6 @@ func (co *Coordinator) collect(ctx context.Context, rd *round) error {
 		perClient = int(rd.m)
 	} else {
 		rd.m = co.cfg.DialBuckets
-		if co.cfg.AutoBuckets > 0 && co.cfg.AutoBucketsMu > 0 {
-			// §5.4: m = n·f/µ, proposed per round from the current
-			// population so each bucket carries roughly equal real and
-			// noise invitations. n counts direct clients only — end
-			// clients behind frontends are known only after collection,
-			// one round too late for the announcement.
-			rd.m = dial.OptimalBuckets(co.col.NumClients(), co.cfg.AutoBuckets, co.cfg.AutoBucketsMu)
-		}
 	}
 	r := co.col.Open(proto, rd.n, perClient)
 	r.Announce(rd.m, co.cfg.SubmitTimeout)

@@ -271,11 +271,11 @@ func TestLateSubmissionDropped(t *testing.T) {
 	}
 }
 
-// TestAutoBuckets: with AutoBuckets enabled the announced m tracks the
-// §5.4 formula from the live client count.
-func TestAutoBuckets(t *testing.T) {
-	// f=1 (every client dials), µ=2 → m = clients/2.
-	r := newRig(t, Config{AutoBuckets: 1.0, AutoBucketsMu: 2, SubmitTimeout: 150 * time.Millisecond})
+// TestDialAnnouncesDialBuckets: every dialing round announces the
+// configured bucket count m (chain.json's dial_buckets), whatever the
+// number of connected clients.
+func TestDialAnnouncesDialBuckets(t *testing.T) {
+	r := newRig(t, Config{DialBuckets: 4, SubmitTimeout: 150 * time.Millisecond})
 	conns := make([]*wire.Conn, 6)
 	for i := range conns {
 		conns[i] = r.rawClient(t, i+1)
@@ -285,11 +285,8 @@ func TestAutoBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ann.Proto != wire.ProtoDial {
-		t.Fatalf("expected dial announce, got proto %d", ann.Proto)
-	}
-	if ann.M != 3 { // 6 clients × 1.0 / 2 = 3
-		t.Fatalf("auto m = %d, want 3", ann.M)
+	if ann.Proto != wire.ProtoDial || ann.M != 4 {
+		t.Fatalf("dial announce: proto %d, m = %d, want proto %d, m = 4", ann.Proto, ann.M, wire.ProtoDial)
 	}
 }
 

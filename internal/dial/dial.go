@@ -54,8 +54,9 @@ func BucketOf(pk *box.PublicKey, m uint32) uint32 {
 // optimum collapses to a single bucket (§7). Degenerate parameters (no
 // users, a non-positive or NaN µ or fraction) also yield one bucket,
 // and the result saturates at MaxUint32 — the conversion of an
-// out-of-range float to uint32 is otherwise unspecified, and the
-// coordinator feeds this straight into a round announcement.
+// out-of-range float to uint32 is otherwise unspecified. A deployment
+// states its m once, as chain.json's dial_buckets; `vuvuzela-bench
+// buckets` prints this optimum for the paper's scale.
 func OptimalBuckets(users int, dialingFraction, mu float64) uint32 {
 	if mu <= 0 || users <= 0 || dialingFraction <= 0 || math.IsNaN(mu) || math.IsNaN(dialingFraction) {
 		return 1

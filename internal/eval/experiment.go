@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/noise"
@@ -17,18 +16,16 @@ import (
 )
 
 // Experiment is a two-world adversarial evaluation against a full
-// sim.ChainNet deployment. The same deployment, scenario, and noise
-// parameters run once with Alice and Bob conversing and once with
-// everyone idle; the adversary's per-round observations from the two
-// worlds are scored with the best threshold distinguisher.
+// sim.ChainNet deployment in §4.2's topology: three chain servers, the
+// first and last the adversary's, noise only from the honest middle one
+// (the adversary's first server withholds its noise, and the last never
+// adds any). The same deployment, scenario, and noise parameters run
+// once with Alice and Bob conversing and once with everyone idle; the
+// adversary's per-round observations from the two worlds are scored with
+// the best threshold distinguisher.
 type Experiment struct {
 	// Rounds is the number of conversation rounds observed per world.
 	Rounds int
-	// Servers is the chain length (default 3 — the §4.2 topology).
-	Servers int
-	// Shards is the number of networked dead-drop shards behind the
-	// last server (0 keeps the exchange in-process).
-	Shards int
 	// Frontends is the number of stateless entry frontends (0 puts
 	// every client directly on the coordinator).
 	Frontends int
@@ -37,14 +34,9 @@ type Experiment struct {
 	// server, so 0 models the strongest attack; scenarios that need a
 	// population to churn set it higher.
 	IdleClients int
-	// Noise is the honest servers' conversation noise distribution
-	// (nil = none, the broken-mixnet control).
+	// Noise is the honest middle server's conversation noise
+	// distribution (nil = none, the broken-mixnet control).
 	Noise noise.Distribution
-	// NoisyServers lists the chain positions that draw Noise. Nil
-	// defaults to the honest middle servers only — positions
-	// 1..Servers-2 — because the §4.2 adversary's first server
-	// withholds its noise and the last never adds any.
-	NoisyServers []int
 	// NoiseSrc seeds the noise draws for reproducible runs (nil =
 	// crypto/rand). The experiment serializes access, so a plain
 	// seeded math/rand source is fine; both worlds share it, in
@@ -55,10 +47,6 @@ type Experiment struct {
 	Adversary Position
 	// Scenario is the workload/fault pattern (zero value = baseline).
 	Scenario Scenario
-	// SubmitTimeout bounds each round's client collection (default
-	// coordinator.New's; rounds close early once every client
-	// submitted).
-	SubmitTimeout time.Duration
 }
 
 // Result is the outcome of one two-world experiment.
@@ -110,12 +98,6 @@ func (e Experiment) Run() (*Result, error) {
 	if e.Rounds < 1 {
 		return nil, fmt.Errorf("eval: experiment needs >= 1 round, got %d", e.Rounds)
 	}
-	if e.Servers == 0 {
-		e.Servers = 3
-	}
-	if e.Servers < 2 {
-		return nil, fmt.Errorf("eval: experiment needs >= 2 chain servers, got %d", e.Servers)
-	}
 	var src noise.Source
 	if e.NoiseSrc != nil {
 		src = &lockedSource{src: e.NoiseSrc}
@@ -138,29 +120,15 @@ func (e Experiment) Run() (*Result, error) {
 	return res, nil
 }
 
-// noisyServers resolves the default: every honest middle position.
-func (e Experiment) noisyServers() []int {
-	if e.NoisyServers != nil {
-		return e.NoisyServers
-	}
-	mid := make([]int, 0, e.Servers)
-	for i := 1; i < e.Servers-1; i++ {
-		mid = append(mid, i)
-	}
-	return mid
-}
-
 // runWorld boots one deployment, runs the scenario and the rounds, and
 // returns the adversary's observations plus the failed-round count.
 func (e Experiment) runWorld(src noise.Source, conversing bool) ([]Observation, int, error) {
 	hist := &histTap{obs: make(map[uint64]Observation)}
 	cfg := sim.ChainNetConfig{
-		Servers:      e.Servers,
-		Shards:       e.Shards,
+		Servers:      3,
 		Frontends:    e.Frontends,
-		NoisyServers: e.noisyServers(),
+		NoisyServers: []int{1},
 		Chain:        mixnet.Config{ConvoNoise: e.Noise, NoiseSrc: src, ConvoObserver: hist.observe},
-		Entry:        coordinator.Config{SubmitTimeout: e.SubmitTimeout},
 	}
 
 	var mitm *transport.MITM

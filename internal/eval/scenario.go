@@ -106,10 +106,8 @@ func MidRunRestart() Scenario {
 					return err
 				}
 			}
-			if len(r.Chain.Servers) >= 3 {
-				if err := r.Chain.Restart(r.Chain.ServerAddrs[1]); err != nil {
-					return err
-				}
+			if err := r.Chain.Restart(r.Chain.ServerAddrs[1]); err != nil {
+				return err
 			}
 			return r.WaitReady(5 * time.Second)
 		},

@@ -78,9 +78,9 @@ type ChainNetConfig struct {
 	// ExchangedRounds).
 	Chain mixnet.Config
 	// Entry is the coordinator's template, for what no flag expresses —
-	// the facade's ConvoExchanges and AutoBuckets — and the flags a suite
-	// sets (SubmitTimeout, ConvoWindow); its DialBuckets is the
-	// descriptor's dial_buckets.
+	// a suite's ConvoExchanges — and the flags a suite sets
+	// (SubmitTimeout, ConvoWindow); its DialBuckets is the descriptor's
+	// dial_buckets, the facade's Options.DialBuckets.
 	Entry coordinator.Config
 }
 

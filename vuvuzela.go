@@ -12,6 +12,10 @@
 // the cmd/ binaries boot theirs from chain.json, over an in-memory
 // transport instead of TCP, plus real clients — and
 // exposes the privacy-analysis toolkit used to choose noise parameters.
+// The in-process deployment is the paper's prototype (§7): three servers,
+// one conversation exchange per client per round, one round of each
+// protocol at a time. Its options are the two protocols' noise and the
+// dialing bucket count m, which become its chain descriptor's.
 // The building blocks live in internal/ packages: the NaCl crypto suite,
 // onion encryption, the mixnet chain server, the conversation and
 // dialing protocols, the entry-server coordinator, the invitation CDN,
@@ -37,8 +41,10 @@ import (
 	"time"
 
 	"vuvuzela/internal/client"
+	"vuvuzela/internal/config"
 	"vuvuzela/internal/coordinator"
 	"vuvuzela/internal/crypto/box"
+	"vuvuzela/internal/deploy"
 	"vuvuzela/internal/mixnet"
 	"vuvuzela/internal/noise"
 	"vuvuzela/internal/privacy"
@@ -93,46 +99,30 @@ type NoiseParams struct {
 
 // Options configures a deployment.
 type Options struct {
-	// Servers is the chain length (default 3, the paper's configuration).
-	Servers int
 	// ConvoNoise is each mixing server's conversation cover traffic.
 	// Default: the paper's µ=300,000, b=13,800 scaled DOWN for laptop use
 	// is deliberately NOT applied — the default is Laplace(µ=500, b=100),
 	// suitable for in-process experimentation. Production deployments
-	// should use privacy.BestScale / DefaultConvoNoise.
+	// should use PlanConvoNoise / DefaultConvoNoise.
 	ConvoNoise *NoiseParams
 	// DialNoise is the per-bucket dialing noise (default Laplace(50, 10)
 	// for in-process use; the paper's production value is µ=13,000).
 	DialNoise *NoiseParams
-	// DialBuckets is the number of invitation dead drops m (default 1).
+	// DialBuckets is the number of invitation dead drops m (default 1)
+	// every dialing round announces: the descriptor's dial_buckets.
 	DialBuckets uint32
-	// AutoBuckets, if positive, enables the §5.4 adaptive bucket count:
-	// each dialing round uses m = clients·AutoBuckets/DialNoise.Mu.
-	AutoBuckets float64
-	// ConvoExchanges is the fixed number of conversation exchanges every
-	// client performs per round — the §9 multiple-conversations
-	// extension (default 1, the paper's prototype).
-	ConvoExchanges uint32
-	// SubmitTimeout bounds how long a round waits for stragglers.
-	SubmitTimeout time.Duration
-	// Workers bounds per-server crypto parallelism (0 = all cores).
-	Workers int
-	// ConvoWindow is the number of conversation rounds RunConvoRounds
-	// may keep in flight at once: round r+1 collects submissions while
-	// round r traverses the chain (0 or 1 = strictly serial rounds).
-	ConvoWindow int
 }
 
 // DefaultConvoNoise is the paper's production conversation noise:
 // µ=300,000, b=13,800, supporting ≈250,000 rounds at ε′=ln2, δ′=10⁻⁴
-// (§6.4).
-var DefaultConvoNoise = NoiseParams{Mu: 300000, B: 13800}
+// (§6.4). It is vuvuzela-keygen chain's default.
+var DefaultConvoNoise = NoiseParams{Mu: deploy.Defaults.ConvoMu, B: deploy.Defaults.ConvoB}
 
 // DefaultDialNoise is the paper's production dialing noise (µ=13,000;
-// §8.1). The paper prints b=7,700, which gives a per-round δ ≈ 0.09; b=770
-// covers its ≈3,500 dialing rounds (internal/privacy's
-// TestPaperDialConfigurations).
-var DefaultDialNoise = NoiseParams{Mu: 13000, B: 770}
+// §8.1), vuvuzela-keygen chain's default. The paper prints b=7,700, which
+// gives a per-round δ ≈ 0.09; b=770 covers its ≈3,500 dialing rounds
+// (internal/privacy's TestPaperDialConfigurations).
+var DefaultDialNoise = NoiseParams{Mu: deploy.Defaults.DialMu, B: deploy.Defaults.DialB}
 
 // Network is a complete Vuvuzela deployment inside one process, wired
 // exactly as the production binaries are: it is a sim.ChainNet, whose
@@ -148,48 +138,44 @@ type Network struct {
 	// onion-encrypt for these.
 	Chain []PublicKey
 
-	mem       *transport.Mem
-	cn        *sim.ChainNet
-	exchanges uint32
+	mem *transport.Mem
+	cn  *sim.ChainNet
 
 	mu      sync.Mutex
 	clients []*Client
 }
 
 // NewInProcessNetwork assembles a full deployment inside the process.
+// It refuses the noise chain.json's Validate refuses (config.CheckNoise):
+// at b = 0, for one, every round adds exactly µ, which hides nothing.
 func NewInProcessNetwork(opts Options) (*Network, error) {
-	if opts.Servers <= 0 {
-		opts.Servers = 3
-	}
 	if opts.ConvoNoise == nil {
 		opts.ConvoNoise = &NoiseParams{Mu: 500, B: 100}
 	}
 	if opts.DialNoise == nil {
 		opts.DialNoise = &NoiseParams{Mu: 50, B: 10}
 	}
+	if err := config.CheckNoise("convo", opts.ConvoNoise.Mu, opts.ConvoNoise.B, 2); err != nil {
+		return nil, fmt.Errorf("vuvuzela: %w", err)
+	}
+	if err := config.CheckNoise("dial", opts.DialNoise.Mu, opts.DialNoise.B, float64(max(1, opts.DialBuckets))); err != nil {
+		return nil, fmt.Errorf("vuvuzela: %w", err)
+	}
 
 	mem := transport.NewMem()
 	cn, err := sim.NewChainNet(sim.ChainNetConfig{
-		Servers: opts.Servers,
+		Servers: deploy.Defaults.Servers,
 		Net:     mem,
 		Chain: mixnet.Config{
 			ConvoNoise: noise.Laplace{Mu: opts.ConvoNoise.Mu, B: opts.ConvoNoise.B},
 			DialNoise:  noise.Laplace{Mu: opts.DialNoise.Mu, B: opts.DialNoise.B},
-			Workers:    opts.Workers,
 		},
-		Entry: coordinator.Config{
-			DialBuckets:    opts.DialBuckets,
-			AutoBuckets:    opts.AutoBuckets,
-			AutoBucketsMu:  opts.DialNoise.Mu,
-			ConvoExchanges: opts.ConvoExchanges,
-			SubmitTimeout:  opts.SubmitTimeout,
-			ConvoWindow:    opts.ConvoWindow,
-		},
+		Entry: coordinator.Config{DialBuckets: opts.DialBuckets},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Network{Chain: cn.Pubs, mem: mem, cn: cn, exchanges: opts.ConvoExchanges}, nil
+	return &Network{Chain: cn.Pubs, mem: mem, cn: cn}, nil
 }
 
 // NewClient connects a client with keys derived from name (deterministic,
@@ -205,11 +191,10 @@ func (n *Network) NewClientWithKeys(pub PublicKey, priv PrivateKey) (*Client, er
 	want := co.NumClients() + 1
 	c, err := client.Dial(client.Config{
 		Pub: pub, Priv: priv,
-		ChainPubs:        n.Chain,
-		Net:              n.mem,
-		EntryAddr:        n.cn.EntryAddr,
-		CDNAddr:          n.cn.CDNAddr,
-		MaxConversations: int(max(1, n.exchanges)),
+		ChainPubs: n.Chain,
+		Net:       n.mem,
+		EntryAddr: n.cn.EntryAddr,
+		CDNAddr:   n.cn.CDNAddr,
 	})
 	if err != nil {
 		return nil, err
@@ -236,14 +221,6 @@ func (n *Network) RunConvoRound(ctx context.Context) (uint64, int, error) {
 	return n.cn.Coord.RunConvoRound(ctx)
 }
 
-// RunConvoRounds executes `rounds` consecutive conversation rounds with
-// up to Options.ConvoWindow rounds in flight, overlapping round r+1's
-// collection with round r's chain traversal. It returns each round's
-// participant count.
-func (n *Network) RunConvoRounds(ctx context.Context, rounds int) ([]int, error) {
-	return n.cn.Coord.RunConvoRounds(ctx, rounds)
-}
-
 // RunDialRound executes one dialing round.
 func (n *Network) RunDialRound(ctx context.Context) (uint64, int, error) {
 	return n.cn.Coord.RunDialRound(ctx)
@@ -251,8 +228,7 @@ func (n *Network) RunDialRound(ctx context.Context) (uint64, int, error) {
 
 // StartRounds drives rounds continuously on the given intervals until the
 // context is cancelled (0 disables a protocol's timer): the coordinator's
-// own timer mode, so conversation rounds pipeline up to
-// Options.ConvoWindow deep.
+// own timer mode, one round of each protocol at a time.
 func (n *Network) StartRounds(ctx context.Context, convoEvery, dialEvery time.Duration) {
 	n.cn.Coord.Start(ctx, convoEvery, dialEvery)
 }

@@ -214,3 +214,32 @@ func TestNetworkCloseStopsEverything(t *testing.T) {
 	}
 	again.Close()
 }
+
+// TestNoiseThatHidesNothingRefused: the facade refuses the noise that
+// chain.json's Validate refuses, for either protocol. At b = 0 every
+// round adds exactly µ, which hides nothing.
+func TestNoiseThatHidesNothingRefused(t *testing.T) {
+	bad := map[string]NoiseParams{
+		"b=0":  {Mu: 7, B: 0},
+		"b<0":  {Mu: 7, B: -1},
+		"bNaN": {Mu: 7, B: math.NaN()},
+		"mu<0": {Mu: -1, B: 2},
+	}
+	for name, p := range bad {
+		for _, proto := range []string{"convo", "dial"} {
+			t.Run(proto+"/"+name, func(t *testing.T) {
+				opts := Options{}
+				if proto == "convo" {
+					opts.ConvoNoise = &p
+				} else {
+					opts.DialNoise = &p
+				}
+				net, err := NewInProcessNetwork(opts)
+				if err == nil {
+					net.Close()
+					t.Fatalf("%s noise %+v accepted", proto, p)
+				}
+			})
+		}
+	}
+}
