@@ -9,6 +9,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"vuvuzela/internal/crypto/x25519"
 )
 
 // lowOrderPoints are the X25519 public keys whose shared secret is
@@ -178,8 +180,10 @@ func TestGenerateDHKeySeeded(t *testing.T) {
 // private key against up to MaxBatch onions' ephemeral keys) and Agree
 // (the comb, up to MaxBatch/2 agreements of two mults each). A low-order
 // or zero key fails its own element with ErrKeyExchange wherever it sits
-// and changes no other element's key.
-func TestBatchMatchesSingle(t *testing.T) {
+// and changes no other element's key. The ladder runs both its paths.
+func TestBatchMatchesSingle(t *testing.T) { ladderPaths(t, batchMatchesSingle) }
+
+func batchMatchesSingle(t *testing.T) {
 	_, priv := mustKeyPair(t)
 	key := NewDHKey(&priv)
 	var bad []PublicKey
@@ -249,4 +253,21 @@ func TestBatchMatchesSingle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ladderPaths runs f on x25519.Ladder's IFMA kernel (on a CPU without
+// one, an "ifma" row skips, naming what the CPU lacks) and again as
+// "scalar", on the scalar code, forced.
+func ladderPaths(t *testing.T, f func(t *testing.T)) {
+	if x25519.IFMA {
+		f(t)
+	} else {
+		t.Run("ifma", func(t *testing.T) { t.Skip("no IFMA kernel: " + x25519.WhyNoIFMA) })
+	}
+	t.Run("scalar", func(t *testing.T) {
+		saved := x25519.IFMA
+		defer func() { x25519.IFMA = saved }()
+		x25519.IFMA = false
+		f(t)
+	})
 }

@@ -74,8 +74,12 @@ func TestPrecomputeMatchesReferenceConstruction(t *testing.T) {
 // from-scratch one, error for error, over random scalar/point pairs —
 // about half of them twist points, which the ladder takes like any other —
 // and the low-order points: the reference's error is the production
-// ladder's all-zero output and box's ErrKeyExchange.
-func TestLadderMatchesReference(t *testing.T) {
+// ladder's all-zero output and box's ErrKeyExchange. The ladder runs both
+// its paths, each point batched with the next, so the IFMA path runs it in
+// a lane.
+func TestLadderMatchesReference(t *testing.T) { ladderPaths(t, ladderMatchesReference) }
+
+func ladderMatchesReference(t *testing.T) {
 	points := make([][32]byte, 300)
 	for i := range points {
 		rand.Read(points[i][:])
@@ -93,11 +97,28 @@ func TestLadderMatchesReference(t *testing.T) {
 		var scalar [32]byte
 		rand.Read(scalar[:])
 		want, refErr := X25519(&scalar, &points[i])
-		var got [32]byte
-		x25519.Ladder([]*[32]byte{&got}, &scalar, []*[32]byte{&points[i]})
+		var got, next [32]byte
+		x25519.Ladder([]*[32]byte{&got, &next}, &scalar, []*[32]byte{&points[i], &points[(i+1)%len(points)]})
 		_, boxErr := box.Precompute((*box.PublicKey)(&points[i]), (*box.PrivateKey)(&scalar))
 		if got != want || (refErr != nil) != errors.Is(boxErr, box.ErrKeyExchange) {
 			t.Fatalf("scalar %x, u=%x: ladder %x (box %v), reference %x (%v)", scalar, points[i], got, boxErr, want, refErr)
 		}
 	}
+}
+
+// ladderPaths runs f on x25519.Ladder's IFMA kernel (on a CPU without
+// one, an "ifma" row skips, naming what the CPU lacks) and again as
+// "scalar", on the scalar code, forced.
+func ladderPaths(t *testing.T, f func(t *testing.T)) {
+	if x25519.IFMA {
+		f(t)
+	} else {
+		t.Run("ifma", func(t *testing.T) { t.Skip("no IFMA kernel: " + x25519.WhyNoIFMA) })
+	}
+	t.Run("scalar", func(t *testing.T) {
+		saved := x25519.IFMA
+		defer func() { x25519.IFMA = saved }()
+		x25519.IFMA = false
+		f(t)
+	})
 }

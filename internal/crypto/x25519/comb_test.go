@@ -80,13 +80,40 @@ func one(scalar, u *[32]byte) [32]byte {
 	return out
 }
 
+// forceScalar makes Ladder run its scalar code until restore is called.
+func forceScalar() (restore func()) {
+	saved := x25519.IFMA
+	x25519.IFMA = false
+	return func() { x25519.IFMA = saved }
+}
+
+// paths runs f on Ladder's IFMA kernel (on a CPU without one, an "ifma"
+// row skips, naming what the CPU lacks) and again as "scalar", on the
+// scalar code, forced.
+func paths(t *testing.T, f func(t *testing.T)) {
+	if x25519.IFMA {
+		f(t)
+	} else {
+		t.Run("ifma", func(t *testing.T) { t.Skip("no IFMA kernel: " + x25519.WhyNoIFMA) })
+	}
+	t.Run("scalar", func(t *testing.T) {
+		defer forceScalar()()
+		f(t)
+	})
+}
+
 // checkLadder holds the ladder to crypto/ecdh's, error for error: an
-// error there is the all-zero output here.
+// error there is the all-zero output here. u runs alone and in a pair, so
+// on the IFMA path it runs on the scalar ladder (a group of one) and in a
+// lane.
 func checkLadder(t testing.TB, scalar, u *[32]byte) {
 	t.Helper()
 	want, err := ladder(t, scalar, u)
-	if got := one(scalar, u); got != want {
-		t.Fatalf("scalar %x, u=%x: ladder %x, crypto/ecdh %x (%v)", scalar, u, got, want, err)
+	var got, other [32]byte
+	h := honest()
+	x25519.Ladder([]*[32]byte{&got, &other}, scalar, []*[32]byte{u, &h.points[0]})
+	if alone := one(scalar, u); alone != want || got != want {
+		t.Fatalf("scalar %x, u=%x: ladder %x, in a pair %x, crypto/ecdh %x (%v)", scalar, u, alone, got, want, err)
 	}
 }
 
@@ -249,8 +276,10 @@ var rfc7748 = []struct{ scalar, u, out string }{
 // TestLadderMatchesECDH holds the ported ladder to RFC 7748 and to
 // crypto/ecdh's: §5.2's vectors, its 1- and 1000-iteration ones, the
 // special u values under the clamping-edge scalars and random ones, and
-// random scalar/point pairs, twist points included.
-func TestLadderMatchesECDH(t *testing.T) {
+// random scalar/point pairs, twist points included; on both paths.
+func TestLadderMatchesECDH(t *testing.T) { paths(t, ladderMatchesECDH) }
+
+func ladderMatchesECDH(t *testing.T) {
 	for _, v := range rfc7748 {
 		scalar, u, out := hex32(t, v.scalar), hex32(t, v.u), hex32(t, v.out)
 		if got := one(&scalar, &u); got != out {
@@ -351,8 +380,11 @@ func TestCombMatchesECDH(t *testing.T) {
 }
 
 // FuzzComb is TestCombMatchesECDH's differential, and the batch
-// differential, over fuzzed (scalar, u) pairs.
+// differential on both of Ladder's paths, over fuzzed (scalar, u) pairs.
 func FuzzComb(f *testing.F) {
+	if !x25519.IFMA {
+		f.Log("no IFMA kernel, the batch differential runs the scalar code twice: " + x25519.WhyNoIFMA)
+	}
 	ones := bytes.Repeat([]byte{0xff}, 32)
 	for _, s := range specialU(f) {
 		f.Add(ones, s.u[:])
@@ -364,6 +396,53 @@ func FuzzComb(f *testing.F) {
 		}
 		check(t, (*[32]byte)(scalar), (*[32]byte)(u))
 		checkBatched(t, (*[32]byte)(scalar), (*[32]byte)(u))
+		defer forceScalar()()
+		checkBatched(t, (*[32]byte)(scalar), (*[32]byte)(u))
+	})
+}
+
+// TestLadderLanes holds every batch size from 1 to MaxBatch to crypto/ecdh
+// element by element, on both paths, across the 8-lane groups' edges: all
+// honest points, then a low-order or zero point in each position in turn,
+// each batch once into separate outputs and once with out aliasing points.
+func TestLadderLanes(t *testing.T) {
+	var scalar [32]byte
+	rand.Read(scalar[:])
+	var low [][32]byte
+	for _, s := range specialU(t) {
+		if _, err := ladder(t, &scalar, &s.u); err != nil {
+			low = append(low, s.u)
+		}
+	}
+	if len(low) < 8 {
+		t.Fatalf("%d low-order u among the special values", len(low))
+	}
+	h := honest()
+	paths(t, func(t *testing.T) {
+		for n := 1; n <= x25519.MaxBatch; n++ {
+			for bad := -1; bad < n; bad++ {
+				pts := slices.Clone(h.points[:n])
+				if bad >= 0 {
+					pts[bad] = low[(n+bad)%len(low)]
+				}
+				want := make([][32]byte, n)
+				for i := range pts {
+					want[i], _ = ladder(t, &scalar, &pts[i])
+				}
+				out := make([][32]byte, n)
+				outs, ptrs := make([]*[32]byte, n), make([]*[32]byte, n)
+				for i := range pts {
+					outs[i], ptrs[i] = &out[i], &pts[i]
+				}
+				x25519.Ladder(outs, &scalar, ptrs)
+				x25519.Ladder(ptrs, &scalar, ptrs)
+				for i := range pts {
+					if out[i] != want[i] || pts[i] != want[i] {
+						t.Fatalf("n=%d, low-order at %d: element %d is %x (aliased %x), crypto/ecdh %x", n, bad, i, out[i], pts[i], want[i])
+					}
+				}
+			}
+		}
 	})
 }
 
@@ -391,8 +470,21 @@ func BenchmarkMul(b *testing.B) {
 	}
 }
 
-// BenchmarkLadder is one exchange, a batch of one; BenchmarkLadderECDH is
-// the standard library's for the same exchange.
+// benchPaths runs f as "ifma", on Ladder's IFMA kernel where the CPU has
+// one, and as "scalar", on its scalar code, forced.
+func benchPaths(b *testing.B, f func(b *testing.B)) {
+	if x25519.IFMA {
+		b.Run("ifma", f)
+	}
+	b.Run("scalar", func(b *testing.B) {
+		defer forceScalar()()
+		f(b)
+	})
+}
+
+// BenchmarkLadder is one exchange, a batch of one, which runs the scalar
+// ladder on every path; BenchmarkLadderECDH is the standard library's for
+// the same exchange.
 func BenchmarkLadder(b *testing.B) {
 	var scalar [32]byte
 	rand.Read(scalar[:])
@@ -422,8 +514,9 @@ func BenchmarkLadderECDH(b *testing.B) {
 }
 
 // BenchmarkLadderBatch is MaxBatch exchanges under one scalar, as a server
-// unwraps a chunk of onions; against MaxBatch × BenchmarkLadder it is what
-// sharing one inversion saves.
+// unwraps a chunk of onions: on the IFMA kernel two groups of 8, and on the
+// scalar code, against MaxBatch × BenchmarkLadder, what sharing one
+// inversion saves.
 func BenchmarkLadderBatch(b *testing.B) {
 	var scalar [32]byte
 	rand.Read(scalar[:])
@@ -433,7 +526,9 @@ func BenchmarkLadderBatch(b *testing.B) {
 	for i := range points {
 		outs[i], points[i] = &out[i], &h.points[i]
 	}
-	for b.Loop() {
-		x25519.Ladder(outs[:], &scalar, points[:])
-	}
+	benchPaths(b, func(b *testing.B) {
+		for b.Loop() {
+			x25519.Ladder(outs[:], &scalar, points[:])
+		}
+	})
 }

@@ -11,14 +11,34 @@ package x25519
 // or zero point). Every output is written after every input is read, so
 // out may alias points or scalar. It runs in time independent of scalar
 // and of which points are low-order.
+//
+// Where IFMA is set it runs the points in groups of 8, one ladder per lane
+// of the AVX-512 IFMA kernel, a last partial group padded, except that a
+// group of one runs the scalar ladder, which is faster than a padded group
+// (BenchmarkLadderLanes against BenchmarkLadder). Elsewhere it runs the
+// points one by one.
 func Ladder(out []*[32]byte, scalar *[32]byte, points []*[32]byte) {
 	e := clamp(scalar)
 	var x, z [MaxBatch]fieldElement
-	for i, u := range points {
-		ladder(&x[i], &z[i], &e, u)
+	n := len(points)
+	for i := 0; i < n; {
+		if IFMA && n-i > 1 {
+			ladderLanes(x[i:], z[i:], &e, points[i:min(i+8, n)])
+			i += 8
+		} else {
+			ladder(&x[i], &z[i], &e, points[i])
+			i++
+		}
 	}
-	divide(out, x[:len(points)], z[:len(points)])
+	divide(out, x[:n], z[:n])
 }
+
+// IFMA is whether Ladder runs its 8-lane AVX-512 IFMA kernel
+// (ladder8_amd64.s), and WhyNoIFMA, where it does not, says why: the CPUID
+// or XCR0 bit this CPU lacks, or the GOARCH. Both are set once, from the
+// CPU. Tests clear IFMA to force the scalar code, and restore it; nothing
+// may set it.
+var IFMA, WhyNoIFMA = detectIFMA()
 
 // ladder sets x/z, in projective coordinates, to the u of [e]P for the
 // clamped scalar e and the point whose u-coordinate is u: crypto/ecdh's

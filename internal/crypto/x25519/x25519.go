@@ -10,6 +10,10 @@
 // The ladder (Ladder) takes any P: the Montgomery ladder, ported from
 // crypto/ecdh, for a P first seen in the exchange — the ephemeral key of an
 // onion being unwrapped, of an anonymous box being opened, of a handshake.
+// On an amd64 CPU with AVX-512 IFMA it runs eight ladders at once, one per
+// 64-bit lane of a ZMM register (ladder8_amd64.s, emitted by
+// _asm/ladder8.go): a ladder batch has one scalar, so every lane swaps on
+// the same bit and the lanes never diverge.
 //
 // The comb (Table, MulBatch) is for a P known ahead of time, at about half
 // the ladder's cost. A Table holds 32 × 8 affine multiples of P on
@@ -31,7 +35,11 @@
 // masked selects, so it cannot change any other product of its batch.
 //
 // Both are constant-time in the scalar (docs/THREAT_MODEL.md §2). The
-// ladder runs 255 fixed steps, swapping by masks. The comb does 64
+// ladder runs 255 fixed steps, swapping by masks. On the IFMA kernel every
+// lane runs the same 255 steps, each swap is a mask broadcast to all lanes
+// from the scalar bit, no load or branch is indexed by a secret, and
+// VPMADD52LUQ/HUQ take the same time whatever their operands; which path
+// runs depends only on the CPU and the public batch size. The comb does 64
 // additions and 4 doublings in every call, each lookup reading all 8
 // entries of its row and keeping one by masked selects, a masked negation
 // for the digit's sign, and no load or branch indexed by a secret. A Table

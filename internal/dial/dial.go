@@ -8,6 +8,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 
@@ -121,28 +122,48 @@ func (r *Request) Marshal() []byte {
 // BuildRequest assembles a client's dialing request for a round. If
 // recipient is non-nil, it seals an invitation carrying senderPub to the
 // recipient's bucket; if recipient is nil it builds the idle request: a
-// random (undecryptable) invitation addressed to the no-op bucket, so
-// dialing and idling are indistinguishable upstream of the last server.
+// random payload sealed the same way to a random u, addressed to the
+// no-op bucket. So dialing and idling are indistinguishable upstream of
+// the last server, and take the same scalar mults: the entry, which sees
+// when each client submits, cannot time who dials.
 func BuildRequest(senderPub *box.PublicKey, recipient *box.PublicKey, m uint32, rng io.Reader) (*Request, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	var req Request
+	req := Request{Bucket: NoOpBucket}
+	var sealed []byte
+	var err error
 	if recipient == nil {
-		req.Bucket = NoOpBucket
-		if _, err := io.ReadFull(rng, req.Sealed[:]); err != nil {
-			return nil, err
-		}
-		return &req, nil
+		sealed, err = sealNoOp(rng)
+	} else {
+		req.Bucket = BucketOf(recipient, m)
+		inv := Invitation{Sender: *senderPub}
+		sealed, err = inv.Seal(recipient, rng)
 	}
-	inv := Invitation{Sender: *senderPub}
-	sealed, err := inv.Seal(recipient, rng)
 	if err != nil {
 		return nil, err
 	}
-	req.Bucket = BucketOf(recipient, m)
 	copy(req.Sealed[:], sealed)
 	return &req, nil
+}
+
+// sealNoOp seals a random payload to a random u, drawing both again in
+// the negligible case of a low-order u, which SealAnonymous refuses.
+func sealNoOp(rng io.Reader) ([]byte, error) {
+	for {
+		var inv Invitation
+		var u box.PublicKey
+		if _, err := io.ReadFull(rng, inv.Sender[:]); err != nil {
+			return nil, err
+		}
+		if _, err := io.ReadFull(rng, u[:]); err != nil {
+			return nil, err
+		}
+		sealed, err := inv.Seal(&u, rng)
+		if !errors.Is(err, box.ErrKeyExchange) {
+			return sealed, err
+		}
+	}
 }
 
 // Buckets holds one dialing round's published invitation dead drops:

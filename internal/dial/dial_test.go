@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	mrand "math/rand/v2"
 	"testing"
 
 	"vuvuzela/internal/crypto/box"
@@ -178,6 +179,30 @@ func TestBuildRequestRealAndIdle(t *testing.T) {
 	}
 	if len(idle.Marshal()) != len(real.Marshal()) {
 		t.Fatal("idle and real requests differ in size")
+	}
+}
+
+// TestNoOpRequestSeals replays the idle request: under a seeded reader its
+// bytes are box.SealAnonymous of the stream's first 32 bytes to its next
+// 32, on the rest of the same stream. So it costs the ephemeral key and the
+// DH a real invitation costs, and the entry cannot time who dials.
+func TestNoOpRequestSeals(t *testing.T) {
+	seed := [32]byte{'n', 'o', '-', 'o', 'p'}
+	idle, err := BuildRequest(nil, nil, 3, mrand.NewChaCha8(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := mrand.NewChaCha8(seed)
+	var payload [InvitationPayloadSize]byte
+	var u box.PublicKey
+	stream.Read(payload[:])
+	stream.Read(u[:])
+	want, err := box.SealAnonymous(payload[:], &u, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Bucket != NoOpBucket || !bytes.Equal(idle.Sealed[:], want) {
+		t.Fatalf("idle request %x to bucket %d, want SealAnonymous's %x to the no-op bucket", idle.Sealed, idle.Bucket, want)
 	}
 }
 
