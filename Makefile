@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 # The most non-test Go lines `make loc` may report (ROADMAP aim 2). A PR
 # that needs more raises this in its own diff, where a reviewer sees it.
-LOC_CEILING = 15932
+LOC_CEILING = 16295
 
 .PHONY: check vet vuvuzela-vet staticcheck govulncheck lint deadcode build arm64 test race allocs shardtest restart-matrix vtime fuzz bench-smoke bench bench-privacy eval-smoke figures-smoke example-smoke loc loc-check ct clean
 
@@ -140,10 +140,12 @@ example-smoke:
 	$(GO) run ./examples/traffic-analysis
 
 # The constant-time gate (docs/THREAT_MODEL.md §2): a dudect-style Welch-t
-# test of x25519.Ladder on its IFMA kernel and on its scalar code, fixed
-# versus random scalars and zero versus random points, with a positive
-# control that must be detected. It measures wall time (about 45 s), so it
-# is build-tagged out of `test` and is no part of `check` or CI.
+# test of x25519.Ladder and x25519.MulBatch on their IFMA kernels and on
+# their scalar code — fixed versus random scalars, zero versus random
+# points, and comb groups on the generator's table and on a peer's — with
+# a positive control for each that must be detected. It measures wall time
+# (about 70 s), so it is build-tagged out of `test` and is no part of
+# `check` or CI.
 ct:
 	$(GO) vet -tags ct ./internal/crypto/x25519
 	$(GO) test -tags ct -count=1 -run TestConstantTime -v ./internal/crypto/x25519

@@ -37,9 +37,10 @@
 // client's whole chain. Both scalar mults of such an agreement have a
 // fixed base, the generator and the peer's key, so Agree runs them on comb
 // tables built ahead (the generator's once per process, the peer's by
-// NewPeer) at about half the ladder's cost, a whole onion path's
-// agreements in one batch, and gives the keys an ephemeral DHKey's
-// PrecomputeInto would.
+// NewPeer), a whole onion path's agreements or a chunk of paths' in one
+// call, and gives the keys an ephemeral DHKey's PrecomputeInto would. On
+// a CPU with AVX-512 IFMA the comb runs 8 products of one table at once,
+// so Agree orders its products by table.
 package box
 
 import (
@@ -48,6 +49,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"io"
+	"slices"
 
 	"vuvuzela/internal/crypto/poly1305"
 	"vuvuzela/internal/crypto/salsa"
@@ -219,32 +221,60 @@ type Agreement struct {
 	Public PublicKey
 }
 
-// Agree completes a[i] with peers[i] for every i, giving the keys an
-// ephemeral DHKey's PrecomputeInto would: both scalar mults of each run on
-// comb tables, up to MaxBatch/2 agreements under one field inversion. It
-// allocates nothing. A low-order peer key yields the all-zero secret: its
+// Agree completes a[i] with peers[i%len(peers)] for every i — a path's
+// agreements, or several paths' one after another — giving the keys an
+// ephemeral DHKey's PrecomputeInto would. Both scalar mults of each run on
+// comb tables, ordered by table — every generator product first, then
+// each peer's products together — so that x25519.MulBatch finds full lane
+// groups, MaxBatch products under one field inversion. It allocates
+// nothing. A low-order peer key yields the all-zero secret: its
 // agreement's Key is zeroed and Agree returns ErrKeyExchange.
 func Agree(a []Agreement, peers []*Peer) error {
-	var err error
-	for len(a) > 0 {
-		n := min(len(a), MaxBatch/2)
-		var out, scalars [MaxBatch]*[KeySize]byte
-		var tables [MaxBatch]*x25519.Table
-		for i := range n {
-			// The comb reads every scalar before it writes: the secret
-			// replaces the private key.
-			out[2*i], tables[2*i], scalars[2*i] = (*[KeySize]byte)(&a[i].Public), x25519.BaseTable(), &a[i].Key
-			out[2*i+1], tables[2*i+1], scalars[2*i+1] = &a[i].Key, peers[i].table, &a[i].Key
+	var b combBatch
+	for i := range a {
+		b.add((*[KeySize]byte)(&a[i].Public), x25519.BaseTable(), &a[i].Key)
+	}
+	for i, p := range peers {
+		if slices.Index(peers[:i], p) >= 0 {
+			continue
 		}
-		x25519.MulBatch(out[:2*n], tables[:2*n], scalars[:2*n])
-		for i := range n {
-			if e := deriveKey(&a[i].Key); e != nil {
-				err = e
+		for j := i; j < len(a); j++ {
+			if peers[j%len(peers)] == p {
+				// The secret replaces the private key, which its
+				// generator product has read by now: in an earlier batch
+				// or this one, and MulBatch reads before it writes.
+				b.add(&a[j].Key, p.table, &a[j].Key)
 			}
 		}
-		a, peers = a[n:], peers[n:]
+	}
+	b.flush()
+	var err error
+	for i := range a {
+		if e := deriveKey(&a[i].Key); e != nil {
+			err = e
+		}
 	}
 	return err
+}
+
+// combBatch gathers comb products for x25519.MulBatch, running each full
+// batch as it fills.
+type combBatch struct {
+	n            int
+	out, scalars [MaxBatch]*[KeySize]byte
+	tables       [MaxBatch]*x25519.Table
+}
+
+func (b *combBatch) add(out *[KeySize]byte, t *x25519.Table, scalar *[KeySize]byte) {
+	b.out[b.n], b.tables[b.n], b.scalars[b.n] = out, t, scalar
+	if b.n++; b.n == MaxBatch {
+		b.flush()
+	}
+}
+
+func (b *combBatch) flush() {
+	x25519.MulBatch(b.out[:b.n], b.tables[:b.n], b.scalars[:b.n])
+	b.n = 0
 }
 
 // GenerateKey creates a fresh X25519 key pair using entropy from r

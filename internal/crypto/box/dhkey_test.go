@@ -178,10 +178,11 @@ func TestGenerateDHKeySeeded(t *testing.T) {
 // TestBatchMatchesSingle holds both batched exchanges to their batches of
 // one, with hostile keys in the batch: PrecomputeBatch (the ladder, one
 // private key against up to MaxBatch onions' ephemeral keys) and Agree
-// (the comb, up to MaxBatch/2 agreements of two mults each). A low-order
-// or zero key fails its own element with ErrKeyExchange wherever it sits
-// and changes no other element's key. The ladder runs both its paths.
-func TestBatchMatchesSingle(t *testing.T) { ladderPaths(t, batchMatchesSingle) }
+// (the comb, two mults per agreement, grouped by table), the latter also
+// as a chunk of two-layer paths, a[i] with peers[i%2]. A low-order or
+// zero key fails its own element with ErrKeyExchange wherever it sits
+// and changes no other element's key. Both run both their paths.
+func TestBatchMatchesSingle(t *testing.T) { ifmaPaths(t, batchMatchesSingle) }
 
 func batchMatchesSingle(t *testing.T) {
 	_, priv := mustKeyPair(t)
@@ -251,14 +252,29 @@ func batchMatchesSingle(t *testing.T) {
 					t.Fatalf("Agree element %d differs from the agreement alone (%v), bad %v", i, oneErr, isBad[i])
 				}
 			}
+			if row.n < 2 {
+				return
+			}
+			chunk := slices.Clone(scalars)
+			chunkErr := Agree(chunk, parsed[:2])
+			if (chunkErr != nil) != (isBad[0] || isBad[1]) {
+				t.Fatalf("Agree as a chunk: %v, bad peers %v", chunkErr, isBad[:2])
+			}
+			for i := range chunk {
+				one := []Agreement{scalars[i]}
+				Agree(one, parsed[i%2:i%2+1])
+				if chunk[i] != one[0] {
+					t.Fatalf("Agree as a chunk: element %d differs from the agreement alone", i)
+				}
+			}
 		})
 	}
 }
 
-// ladderPaths runs f on x25519.Ladder's IFMA kernel (on a CPU without
-// one, an "ifma" row skips, naming what the CPU lacks) and again as
-// "scalar", on the scalar code, forced.
-func ladderPaths(t *testing.T, f func(t *testing.T)) {
+// ifmaPaths runs f on x25519's IFMA kernels, the ladder's and the comb's
+// (on a CPU without them, an "ifma" row skips, naming what the CPU lacks)
+// and again as "scalar", on the scalar code, forced.
+func ifmaPaths(t *testing.T, f func(t *testing.T)) {
 	if x25519.IFMA {
 		f(t)
 	} else {

@@ -1,12 +1,15 @@
 //go:build ignore
 
-// ladder8 emits ladder8_amd64.s: eight X25519 Montgomery ladders under one
-// scalar, one per 64-bit lane of a ZMM register, on AVX-512 IFMA. Run it
-// from internal/crypto/x25519:
+// ladder8 emits the AVX-512 IFMA kernels, eight X25519 scalar mults at
+// once, one per 64-bit lane of a ZMM register: ladder8_amd64.s, eight
+// Montgomery ladders under one scalar, and comb8_amd64.s, eight combs over
+// one table, a scalar per lane. Run it from internal/crypto/x25519, once
+// per kernel:
 //
-//	go run ./_asm/ladder8.go > ladder8_amd64.s
+//	go run ./_asm/ladder8.go ladder8 > ladder8_amd64.s
+//	go run ./_asm/ladder8.go comb8 > comb8_amd64.s
 //
-// TestLadder8Generated reruns it and compares the output with the file.
+// TestLadder8Generated reruns it and compares the output with the files.
 //
 // A field element of eight lanes is five ZMM registers, limb-major, in
 // radix 2^51 like fieldElement. VPMADD52LUQ/VPMADD52HUQ add the low and
@@ -20,7 +23,8 @@
 // 2^52 and its high half below 2^50 + 2^17, so a column of at most five
 // products is below 5·2^52 + 2·5·(2^50 + 2^17) < 2^55, a folded column
 // below 2^55 + 19·2^55 < 2^60, and its carry below 2^9, 19·2^9 < 2^14 at
-// limb 0. A sum is below 2^53 before its carry, which adds at most 3·19.
+// limb 0. A sum is below 2^53 before its carry, which adds at most 3·19;
+// the comb's 2a ± b below 2^54, which adds at most 7·19.
 package main
 
 import (
@@ -38,27 +42,40 @@ func op(ins string, args ...string) { fmt.Fprintf(w, "\t%s %s\n", ins, strings.J
 
 func comment(format string, args ...any) { fmt.Fprintf(w, "\n\t// "+format+"\n", args...) }
 
-// fe8 is the offset of one element of the ladder's state, ladder8State in
-// ladder8_amd64.go, at DI: seven elements of five 64-byte limbs, then the
-// clamped scalar.
-type fe8 int
+// fe8 is one element of a kernel's state at DI: its name and offset,
+// five 64-byte limbs.
+type fe8 struct {
+	name string
+	off  int
+}
 
-const (
-	x1 fe8 = iota * 320
-	x2
-	z2
-	x3
-	z3
-	t0
-	t1
-	scalarOffset = 7 * 320
+// el is the element named name, the i'th of its state.
+func el(name string, i int) fe8 { return fe8{name, i * 320} }
+
+func (e fe8) String() string { return e.name }
+
+func (e fe8) limb(i int) string { return fmt.Sprintf("%d(DI)", e.off+64*i) }
+
+// The ladder's state, ladder8State in ladder8_amd64.go: seven elements,
+// then the clamped scalar.
+var x1, x2, z2, x3, z3, t0, t1 = el("x1", 0), el("x2", 1), el("z2", 2), el("x3", 3), el("z3", 4), el("t0", 5), el("t1", 6)
+
+const scalarOffset = 7 * 320
+
+// The comb's state, comb8State in comb8_amd64.go: the sum v in extended
+// coordinates, the entry q added to it, temporaries, then the digits.
+var (
+	vx, vy, vz, vt = el("x", 0), el("y", 1), el("z", 2), el("t", 3)
+	qp, qm, qt     = el("q.YplusX", 4), el("q.YminusX", 5), el("q.T2d", 6)
+	ta, tb         = el("a", 7), el("b", 8)
+	pp, mm, tt     = el("PP", 9), el("MM", 10), el("TT", 11)
+	px, py, pz, pt = el("X", 12), el("Y", 13), el("Z", 14), el("T", 15)
 )
 
-func (e fe8) String() string { return [...]string{"x1", "x2", "z2", "x3", "z3", "t0", "t1"}[e/320] }
+const digitsOffset = 16 * 320
 
-func (e fe8) limb(i int) string { return fmt.Sprintf("%d(DI)", int(e)+64*i) }
-
-// Constants, broadcast once: Z26–Z31 are never allocated.
+// Constants, broadcast once: Z26–Z31 are never allocated. The comb holds
+// other values in Z30 and Z31 (ones, zero).
 const (
 	mask51   = "Z26" // 2^51 − 1
 	k19      = "Z27" // 19
@@ -248,12 +265,19 @@ func stepHead() {
 }
 
 // sumDiff sets s = a + b and d = a − b.
-func sumDiff(s, d, a, b fe8) {
-	comment("%v = %v + %v, %v = %v − %v", s, a, b, d, a, b)
+func sumDiff(s, d, a, b fe8) { linear(s, d, a, b, 1) }
+
+// linear sets s = k·a + b and d = k·a − b, for k = 1 or 2.
+func linear(s, d, a, b fe8, k int) {
+	k2 := map[int]string{1: "", 2: "2·"}[k]
+	comment("%v = %s%v + %v, %v = %s%v − %v", s, k2, a, b, d, k2, a, b)
 	A, B, S, D, tmp := regs(0, 5), regs(5, 5), regs(10, 5), regs(15, 5), regs(20, 5)
 	load(A, a)
 	load(B, b)
 	for i := range 5 {
+		if k == 2 {
+			op("VPADDQ", A[i], A[i], A[i])
+		}
 		add(S[i], A[i], B[i])
 		sub(i, D[i], A[i], B[i])
 	}
@@ -293,10 +317,29 @@ func subMulAdd() {
 }
 
 func main() {
-	fmt.Fprint(w, `// Code generated by go run ./_asm/ladder8.go. DO NOT EDIT.
+	kernels := map[string]func(){"ladder8": ladder8, "comb8": comb8}
+	if len(os.Args) != 2 || kernels[os.Args[1]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: go run ./_asm/ladder8.go ladder8|comb8")
+		os.Exit(2)
+	}
+	fmt.Fprintf(w, "// Code generated by go run ./_asm/ladder8.go %s. DO NOT EDIT.\n\n#include \"textflag.h\"\n", os.Args[1])
+	kernels[os.Args[1]]()
+	w.Flush()
+}
 
-#include "textflag.h"
+// constants broadcasts the field's constants, and z30 to Z30.
+func constants(z30 uint64) {
+	for _, c := range []struct {
+		reg string
+		v   uint64
+	}{{mask51, 1<<51 - 1}, {k19, 19}, {twoP0, 1<<52 - 38}, {twoP, 1<<52 - 2}, {k121666, z30}} {
+		op("MOVQ", fmt.Sprintf("$0x%x", c.v), "AX")
+		op("VPBROADCASTQ", "AX", c.reg)
+	}
+}
 
+func ladder8() {
+	fmt.Fprint(w, `
 // func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
@@ -319,13 +362,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 TEXT ·ladder8(SB), NOSPLIT, $0-8
 	MOVQ s+0(FP), DI
 `)
-	for _, c := range []struct {
-		reg string
-		v   uint64
-	}{{mask51, 1<<51 - 1}, {k19, 19}, {twoP0, 1<<52 - 38}, {twoP, 1<<52 - 2}, {k121666, 121666}} {
-		op("MOVQ", fmt.Sprintf("$0x%x", c.v), "AX")
-		op("VPBROADCASTQ", "AX", c.reg)
-	}
+	constants(121666)
 
 	comment("R8 is the bit position, 254 down to 0; R9 the previous bit.")
 	op("MOVQ", "$254", "R8")
@@ -374,5 +411,132 @@ TEXT ·ladder8(SB), NOSPLIT, $0-8
 	}
 	op("VZEROUPPER")
 	op("RET")
-	w.Flush()
+}
+
+// The comb's registers besides the field's constants: Z30 holds 1 in
+// every lane, Z31 0.
+const (
+	ones = "Z30"
+	zero = "Z31"
+)
+
+// rowSize is one row of a Table: 8 entries of three elements of five
+// 8-byte limbs (Table in x25519.go).
+const rowSize = 8 * 3 * 5 * 8
+
+// selectEntry sets q, in each lane, to the entry of the row at R10 that
+// the lane's digit of step R8 names: the identity for 0, |d|·Q negated for
+// d < 0. Every entry is broadcast to every lane by an unmasked load, and
+// each lane keeps its own by a register move under the mask of a compare
+// against its |d|; the sign is a masked swap and negation. No load,
+// branch or address depends on a digit.
+func selectEntry() {
+	comment("q = the row's entry for each lane's digit: all 8 broadcast, each kept by a compare mask; then negated where the digit is")
+	q, d, abs, j, tmp := regs(0, 15), "Z15", "Z16", "Z17", "Z18"
+	op("VPMOVSXBQ", fmt.Sprintf("%d(DI)(R8*8)", digitsOffset), d)
+	op("VPABSQ", d, abs)
+	op("VPCMPGTQ", d, zero, "K2")
+	for k, r := range q {
+		if k%5 == 0 && k < 10 {
+			op("VMOVDQA64", ones, r)
+		} else {
+			op("VPXORQ", r, r, r)
+		}
+	}
+	op("VPXORQ", j, j, j)
+	for e := range 8 {
+		op("VPADDQ", ones, j, j)
+		op("VPCMPEQQ", j, abs, "K1")
+		for k, r := range q {
+			op("VPBROADCASTQ", fmt.Sprintf("%d(R10)", e*rowSize/8+k*8), tmp)
+			op("VMOVDQA64", tmp, "K1", r)
+		}
+	}
+	for i := range 5 {
+		p, m, t := q[i], q[5+i], q[10+i]
+		op("VMOVDQA64", p, tmp)
+		op("VMOVDQA64", m, "K2", p)
+		op("VMOVDQA64", tmp, "K2", m)
+		if i == 0 {
+			op("VPSUBQ", t, twoP0, tmp)
+		} else {
+			op("VPSUBQ", t, twoP, tmp)
+		}
+		op("VMOVDQA64", tmp, "K2", t)
+	}
+	carry(q[10:], regs(15, 5))
+	store(qp, q[:5])
+	store(qm, q[5:10])
+	store(qt, q[10:])
+}
+
+// addAffine sets v = v + q (projP1xP1.AddAffine, then point.fromP1xP1).
+func addAffine() {
+	sumDiff(ta, tb, vy, vx)
+	mul(pp, ta, qp)
+	mul(mm, tb, qm)
+	mul(tt, vt, qt)
+	sumDiff(py, px, pp, mm)
+	linear(pz, pt, vz, tt, 2)
+	fromP1xP1()
+}
+
+// double sets v = 2·v (projP1xP1.Double, then point.fromP1xP1); b takes
+// the sums and differences nothing reads.
+func double() {
+	sqr(pp, vx)
+	sqr(mm, vy)
+	sqr(tt, vz)
+	sumDiff(ta, tb, vx, vy)
+	sqr(ta, ta)
+	sumDiff(py, pz, mm, pp)
+	sumDiff(tb, px, ta, py)
+	linear(tb, pt, tt, pz, 2)
+	fromP1xP1()
+}
+
+func fromP1xP1() {
+	mul(vx, px, pt)
+	mul(vy, py, pz)
+	mul(vz, pz, pt)
+	mul(vt, px, py)
+}
+
+// comb8 emits the comb of Table.mul for 8 lanes over one table: 64 steps,
+// each adding one row's entry, the odd digits' 32 first, then v = 16·v
+// between them, all lanes in lockstep.
+func comb8() {
+	fmt.Fprint(w, `
+// func comb8(s *comb8State, t *Table)
+TEXT ·comb8(SB), NOSPLIT, $0-16
+	MOVQ s+0(FP), DI
+	MOVQ t+8(FP), SI
+`)
+	constants(1)
+	op("VPXORQ", zero, zero, zero)
+
+	comment("R8 is the step, 0 to 63, whose digits are at 8·R8 in the state; R10 the row, from SI; both are public.")
+	op("XORQ", "R8", "R8")
+	op("MOVQ", "SI", "R10")
+	fmt.Fprint(w, "\nstep:\n")
+	op("CMPQ", "R8", "$32")
+	op("JNE", "add")
+	comment("after the odd digits' 32 steps, v = 16·v, and the rows start over")
+	op("MOVQ", "SI", "R10")
+	op("MOVQ", "$4", "R9")
+	fmt.Fprint(w, "\ndouble:\n")
+	double()
+	fmt.Fprint(w, "\n")
+	op("DECQ", "R9")
+	op("JNZ", "double")
+	fmt.Fprint(w, "\nadd:\n")
+	selectEntry()
+	addAffine()
+	fmt.Fprint(w, "\n")
+	op("ADDQ", fmt.Sprintf("$%d", rowSize), "R10")
+	op("INCQ", "R8")
+	op("CMPQ", "R8", "$64")
+	op("JLT", "step")
+	op("VZEROUPPER")
+	op("RET")
 }

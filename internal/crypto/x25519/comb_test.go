@@ -80,16 +80,17 @@ func one(scalar, u *[32]byte) [32]byte {
 	return out
 }
 
-// forceScalar makes Ladder run its scalar code until restore is called.
+// forceScalar makes Ladder and MulBatch run their scalar code until
+// restore is called.
 func forceScalar() (restore func()) {
 	saved := x25519.IFMA
 	x25519.IFMA = false
 	return func() { x25519.IFMA = saved }
 }
 
-// paths runs f on Ladder's IFMA kernel (on a CPU without one, an "ifma"
-// row skips, naming what the CPU lacks) and again as "scalar", on the
-// scalar code, forced.
+// paths runs f on the IFMA kernels, the ladder's and the comb's (on a CPU
+// without them, an "ifma" row skips, naming what the CPU lacks) and again
+// as "scalar", on the scalar code, forced.
 func paths(t *testing.T, f func(t *testing.T)) {
 	if x25519.IFMA {
 		f(t)
@@ -324,8 +325,11 @@ func ladderMatchesECDH(t *testing.T) {
 // TestCombMatchesECDH holds the comb to crypto/ecdh's ladder: RFC 7748
 // §5.2's vectors, the special u values under the clamping-edge scalars
 // (all zeros, all 0xff) and random ones, random scalar/point pairs — half
-// of them on the twist — and honest public keys, which are never refused.
-func TestCombMatchesECDH(t *testing.T) {
+// of them on the twist — and honest public keys, which are never refused;
+// on both paths.
+func TestCombMatchesECDH(t *testing.T) { paths(t, combMatchesECDH) }
+
+func combMatchesECDH(t *testing.T) {
 	for _, v := range rfc7748 {
 		scalar, u, out := hex32(t, v.scalar), hex32(t, v.u), hex32(t, v.out)
 		if want, err := ladder(t, &scalar, &u); err != nil || want != out {
@@ -379,11 +383,12 @@ func TestCombMatchesECDH(t *testing.T) {
 	}
 }
 
-// FuzzComb is TestCombMatchesECDH's differential, and the batch
-// differential on both of Ladder's paths, over fuzzed (scalar, u) pairs.
+// FuzzComb is TestCombMatchesECDH's differential and the batch
+// differential, on the IFMA kernels and again on the scalar code, over
+// fuzzed (scalar, u) pairs.
 func FuzzComb(f *testing.F) {
 	if !x25519.IFMA {
-		f.Log("no IFMA kernel, the batch differential runs the scalar code twice: " + x25519.WhyNoIFMA)
+		f.Log("no IFMA kernel, the differentials run the scalar code twice: " + x25519.WhyNoIFMA)
 	}
 	ones := bytes.Repeat([]byte{0xff}, 32)
 	for _, s := range specialU(f) {
@@ -397,6 +402,7 @@ func FuzzComb(f *testing.F) {
 		check(t, (*[32]byte)(scalar), (*[32]byte)(u))
 		checkBatched(t, (*[32]byte)(scalar), (*[32]byte)(u))
 		defer forceScalar()()
+		check(t, (*[32]byte)(scalar), (*[32]byte)(u))
 		checkBatched(t, (*[32]byte)(scalar), (*[32]byte)(u))
 	})
 }
@@ -446,6 +452,88 @@ func TestLadderLanes(t *testing.T) {
 	})
 }
 
+// TestCombLanes holds every batch size from 1 to MaxBatch to crypto/ecdh
+// element by element, on both paths, across the lane groups' edges: the
+// products on the base table, on one peer's, alternating between the two
+// (interleaved) and in two runs (grouped). A zero output comes only from
+// a low-order table, all of whose products are zero, so a low-order
+// table takes each position in turn, alone (a group of its own) and with
+// the next position too (a group of two lanes). Each batch runs once into
+// separate outputs and once with out aliasing scalars.
+func TestCombLanes(t *testing.T) {
+	h := honest()
+	base, peer := x25519.BaseTable(), h.tables[0]
+	var lowT []*x25519.Table
+	for _, s := range specialU(t) {
+		var zero [32]byte
+		if _, err := ladder(t, &zero, &s.u); err != nil && !s.twist {
+			tab, err := x25519.NewTable(&s.u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lowT = append(lowT, tab)
+		}
+	}
+	if len(lowT) < 8 {
+		t.Fatalf("%d low-order u among the special values", len(lowT))
+	}
+	// crypto/ecdh's output for each position's scalar on each honest
+	// table; a low-order table's is all zeros.
+	var scalars, wantBase, wantPeer [x25519.MaxBatch][32]byte
+	for i := range scalars {
+		rand.Read(scalars[i][:])
+		wantBase[i], _ = ladder(t, &scalars[i], &[32]byte{9})
+		wantPeer[i], _ = ladder(t, &scalars[i], &h.points[0])
+	}
+	layouts := map[string]func(i, n int) bool{ // whether product i of n is the peer's
+		"base":        func(i, n int) bool { return false },
+		"peer":        func(i, n int) bool { return true },
+		"interleaved": func(i, n int) bool { return i%2 == 1 },
+		"grouped":     func(i, n int) bool { return i >= n/2 },
+	}
+	paths(t, func(t *testing.T) {
+		for name, isPeer := range layouts {
+			for n := 1; n <= x25519.MaxBatch; n++ {
+				for bad := -1; bad < n; bad++ {
+					for _, pair := range []bool{false, true} {
+						if pair && (bad < 0 || bad+1 == n) {
+							continue
+						}
+						tables := make([]*x25519.Table, n)
+						want := make([][32]byte, n)
+						for i := range tables {
+							tables[i], want[i] = base, wantBase[i]
+							if isPeer(i, n) {
+								tables[i], want[i] = peer, wantPeer[i]
+							}
+						}
+						if bad >= 0 {
+							low := lowT[(n+bad)%len(lowT)]
+							tables[bad], want[bad] = low, [32]byte{}
+							if pair {
+								tables[bad+1], want[bad+1] = low, [32]byte{}
+							}
+						}
+						keys := slices.Clone(scalars[:n])
+						out := make([][32]byte, n)
+						outs, ptrs := make([]*[32]byte, n), make([]*[32]byte, n)
+						for i := range keys {
+							outs[i], ptrs[i] = &out[i], &keys[i]
+						}
+						x25519.MulBatch(outs, tables, ptrs)
+						x25519.MulBatch(ptrs, tables, ptrs)
+						for i := range keys {
+							if out[i] != want[i] || keys[i] != want[i] {
+								t.Fatalf("%s, n=%d, low-order at %d (pair %v): element %d is %x (aliased %x), crypto/ecdh %x", name, n, bad, pair, i, out[i], keys[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkNewTable is what a downstream key costs a server once, at
 // NewServer (box.NewPeer): it bounds setup_s.
 func BenchmarkNewTable(b *testing.B) {
@@ -470,8 +558,8 @@ func BenchmarkMul(b *testing.B) {
 	}
 }
 
-// benchPaths runs f as "ifma", on Ladder's IFMA kernel where the CPU has
-// one, and as "scalar", on its scalar code, forced.
+// benchPaths runs f as "ifma", on the IFMA kernels where the CPU has
+// them, and as "scalar", on the scalar code, forced.
 func benchPaths(b *testing.B, f func(b *testing.B)) {
 	if x25519.IFMA {
 		b.Run("ifma", f)
@@ -529,6 +617,29 @@ func BenchmarkLadderBatch(b *testing.B) {
 	benchPaths(b, func(b *testing.B) {
 		for b.Loop() {
 			x25519.Ladder(outs[:], &scalar, points[:])
+		}
+	})
+}
+
+// BenchmarkMulBatch is MaxBatch comb products, 8 on the generator's table
+// and 8 on one peer's, as box.Agree orders a chunk of eight one-layer
+// noise paths: on the IFMA kernel two full groups, and on the scalar
+// code, against MaxBatch × BenchmarkMul, what sharing one inversion saves.
+func BenchmarkMulBatch(b *testing.B) {
+	h := honest()
+	var out, keys [x25519.MaxBatch][32]byte
+	var outs, scalars [x25519.MaxBatch]*[32]byte
+	var tables [x25519.MaxBatch]*x25519.Table
+	for i := range tables {
+		rand.Read(keys[i][:])
+		outs[i], scalars[i], tables[i] = &out[i], &keys[i], x25519.BaseTable()
+		if i >= x25519.MaxBatch/2 {
+			tables[i] = h.tables[0]
+		}
+	}
+	benchPaths(b, func(b *testing.B) {
+		for b.Loop() {
+			x25519.MulBatch(outs[:], tables[:], scalars[:])
 		}
 	})
 }

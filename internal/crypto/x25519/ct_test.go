@@ -3,9 +3,9 @@
 package x25519
 
 // The constant-time gate, `make ct`: a dudect-style test (Reparaz, Balasch
-// and Verbauwhede, "Dude, is my code constant time?", DATE 2017) of
-// Ladder, on both its paths. It measures wall time, so it is build-tagged
-// out of tier-1 and CI.
+// and Verbauwhede, "Dude, is my code constant time?", DATE 2017) of Ladder
+// and MulBatch, each on both its paths. It measures wall time, so it is
+// build-tagged out of tier-1 and CI.
 
 import (
 	"crypto/rand"
@@ -30,17 +30,31 @@ const (
 	ctLeak = 0.02
 )
 
-// ctInput is one prepared call: the scalar and a group of 8 points.
+// ctInput is one prepared call: the scalar and a group of 8 points for
+// Ladder, or in points the 8 scalars of a MulBatch group.
 type ctInput struct {
 	class  int
 	scalar [32]byte
 	points [8][32]byte
 }
 
+// ctCall is the call each input is timed on.
+type ctCall func(outs []*[32]byte, in *ctInput, pts []*[32]byte)
+
+func ctLadder(outs []*[32]byte, in *ctInput, pts []*[32]byte) { Ladder(outs, &in.scalar, pts) }
+
+// ctComb is a MulBatch group of 8 on table, one scalar per lane.
+func ctComb(table *Table) ctCall {
+	tables := [8]*Table{table, table, table, table, table, table, table, table}
+	return func(outs []*[32]byte, _ *ctInput, scalars []*[32]byte) { MulBatch(outs, tables[:], scalars) }
+}
+
 // TestConstantTime holds Ladder's timing to one distribution across fixed
-// versus random scalars and zero versus random points, on the IFMA kernel
-// and on the scalar code; and shows, on each, that an injected leak of
-// ctLeak of a call is detected at this run size.
+// versus random scalars and zero versus random points, and MulBatch's
+// across fixed versus random scalars on a group of the generator's table
+// and on one of a peer's, on the IFMA kernels and on the scalar code; and
+// shows, for each of Ladder and MulBatch on each path, that an injected
+// leak of ctLeak of a call is detected at this run size.
 func TestConstantTime(t *testing.T) {
 	for _, path := range []string{"ifma", "scalar"} {
 		t.Run(path, func(t *testing.T) {
@@ -64,30 +78,55 @@ func TestConstantTime(t *testing.T) {
 					in.points = [8][32]byte{}
 				}
 			}
+			// The comb's 8 scalars, in points: all fixed in class 0.
+			combScalars := func(in *ctInput) {
+				if in.class == 0 {
+					in.points = [8][32]byte{fixed, fixed, fixed, fixed, fixed, fixed, fixed, fixed}
+				}
+			}
+			var pub [32]byte
+			BaseTable().Mul(&pub, &[32]byte{7})
+			peer, err := NewTable(&pub)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-			ts, median := ctRun(scalars, 0)
-			tp, _ := ctRun(points, 0)
+			ts, median := ctRun(ctLadder, scalars, 0)
+			tp, _ := ctRun(ctLadder, points, 0)
 			muls := int(ctLeak * median.Seconds() / feMulCost())
-			tc, _ := ctRun(scalars, muls)
-			t.Logf("median call %v; |t|: fixed vs random scalar %.1f, zero vs random point %.1f, positive control (%d feMul, %.0f%% of a call) %.1f",
+			tc, _ := ctRun(ctLadder, scalars, muls)
+			t.Logf("Ladder: median call %v; |t|: fixed vs random scalar %.1f, zero vs random point %.1f, positive control (%d feMul, %.0f%% of a call) %.1f",
 				median, ts, tp, muls, 100*ctLeak, tc)
 			if ts > ctThreshold || tp > ctThreshold {
 				t.Errorf("|t| above %.1f: Ladder's time depends on its input", ctThreshold)
 			}
 			if tc <= ctThreshold {
-				t.Errorf("the positive control read |t| = %.1f ≤ %.1f: this run cannot detect a leak of %.0f%% of a call", tc, ctThreshold, 100*ctLeak)
+				t.Errorf("Ladder's positive control read |t| = %.1f ≤ %.1f: this run cannot detect a leak of %.0f%% of a call", tc, ctThreshold, 100*ctLeak)
+			}
+
+			tb, median := ctRun(ctComb(BaseTable()), combScalars, 0)
+			tpeer, _ := ctRun(ctComb(peer), combScalars, 0)
+			muls = int(ctLeak * median.Seconds() / feMulCost())
+			tc, _ = ctRun(ctComb(BaseTable()), combScalars, muls)
+			t.Logf("MulBatch: median call %v; |t|: fixed vs random scalars, base table %.1f, peer table %.1f, positive control (%d feMul, %.0f%% of a call) %.1f",
+				median, tb, tpeer, muls, 100*ctLeak, tc)
+			if tb > ctThreshold || tpeer > ctThreshold {
+				t.Errorf("|t| above %.1f: MulBatch's time depends on its scalars", ctThreshold)
+			}
+			if tc <= ctThreshold {
+				t.Errorf("MulBatch's positive control read |t| = %.1f ≤ %.1f: this run cannot detect a leak of %.0f%% of a call", tc, ctThreshold, 100*ctLeak)
 			}
 		})
 	}
 }
 
 // ctRun prepares ctMeasurements inputs, random scalars and points with a
-// random class each and class 0's then set by class, and times one Ladder
-// call on each, in order, adding leak field multiplies after class 0's.
+// random class each and class 0's then set by class, and times one call
+// on each, in order, adding leak field multiplies after class 0's.
 // It returns the largest |t| of Welch's test between the classes, over
 // the raw times and the times cropped at several percentiles, and the
 // median call.
-func ctRun(class func(*ctInput), leak int) (float64, time.Duration) {
+func ctRun(call ctCall, class func(*ctInput), leak int) (float64, time.Duration) {
 	rng := mrand.New(mrand.NewPCG(mrand.Uint64(), mrand.Uint64()))
 	in := make([]ctInput, ctMeasurements)
 	for i := range in {
@@ -118,7 +157,7 @@ func ctRun(class func(*ctInput), leak int) (float64, time.Duration) {
 			extra = leak
 		}
 		start := time.Now()
-		Ladder(outs[:], &in[i].scalar, pts[:])
+		call(outs[:], &in[i], pts[:])
 		for k := 0; k < extra; k++ {
 			feMul(&a, &a, &b)
 		}

@@ -33,11 +33,11 @@ func Ladder(out []*[32]byte, scalar *[32]byte, points []*[32]byte) {
 	divide(out, x[:n], z[:n])
 }
 
-// IFMA is whether Ladder runs its 8-lane AVX-512 IFMA kernel
-// (ladder8_amd64.s), and WhyNoIFMA, where it does not, says why: the CPUID
-// or XCR0 bit this CPU lacks, or the GOARCH. Both are set once, from the
-// CPU. Tests clear IFMA to force the scalar code, and restore it; nothing
-// may set it.
+// IFMA is whether Ladder and MulBatch run their 8-lane AVX-512 IFMA
+// kernels (ladder8_amd64.s, comb8_amd64.s), and WhyNoIFMA, where they do
+// not, says why: the CPUID or XCR0 bit this CPU lacks, or the GOARCH. Both
+// are set once, from the CPU. Tests clear IFMA to force the scalar code,
+// and restore it; nothing may set it.
 var IFMA, WhyNoIFMA = detectIFMA()
 
 // ladder sets x/z, in projective coordinates, to the u of [e]P for the

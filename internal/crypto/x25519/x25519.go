@@ -15,16 +15,19 @@
 // _asm/ladder8.go): a ladder batch has one scalar, so every lane swaps on
 // the same bit and the lanes never diverge.
 //
-// The comb (Table, MulBatch) is for a P known ahead of time, at about half
-// the ladder's cost. A Table holds 32 × 8 affine multiples of P on
-// edwards25519, and the comb adds up one entry per signed radix-16 digit of
-// the clamped scalar, then maps the sum back to its Montgomery u: the
-// standard library's ScalarBaseMult, applied to any point. The clamped
+// The comb (Table, MulBatch) is for a P known ahead of time, at about 0.4
+// of the ladder's cost per product on either path (BenchmarkMulBatch
+// against BenchmarkLadderBatch). A Table holds 32 × 8 affine multiples of
+// P on edwards25519, and the comb adds up one entry per signed radix-16
+// digit of the clamped scalar, then maps the sum back to its Montgomery u:
+// the standard library's ScalarBaseMult, applied to any point. The clamped
 // scalar is below 2^255, so it is used unreduced, which is what keeps the
 // result exact for a P with a small-order component. Two kinds of P are
 // fixed in this system: the generator (BaseTable, every public key) and
 // each downstream chain server's long-term key (NewTable, one per key,
-// built once).
+// built once). On the IFMA CPUs it runs eight combs at once over one table
+// (comb8_amd64.s, from the same generator), each lane under its own
+// scalar: MulBatch groups its products by table.
 //
 // Both take a batch of up to MaxBatch products and end it with one field
 // inversion (Montgomery's trick): a ladder batch is one scalar against
@@ -42,9 +45,12 @@
 // runs depends only on the CPU and the public batch size. The comb does 64
 // additions and 4 doublings in every call, each lookup reading all 8
 // entries of its row and keeping one by masked selects, a masked negation
-// for the digit's sign, and no load or branch indexed by a secret. A Table
-// is public data — multiples of a public point — and NewTable's branches
-// depend only on u.
+// for the digit's sign, and no load or branch indexed by a secret. On the
+// IFMA kernel every lane runs those same steps; each step broadcasts all
+// 8 entries of its row to every lane and each lane keeps its own by a
+// move under the mask of a compare against its digit, and the grouping
+// by table is public. A Table is public data — multiples of a public
+// point — and NewTable's branches depend only on u.
 //
 // The field, the ladder and the Edwards arithmetic are ported from the Go
 // 1.24 standard library (crypto/ecdh, crypto/internal/fips140/edwards25519
@@ -199,10 +205,37 @@ func (t *Table) Mul(dst, scalar *[32]byte) {
 // refuses as low order). Every output is written after every input is
 // read, so out may alias scalars. It runs in time independent of the
 // scalars.
+//
+// Where IFMA is set it groups the products by table, which is public,
+// and runs each group 8 at a time on the comb's IFMA kernel, a last
+// partial group padded: even a group of one costs less padded than on the
+// scalar comb (BenchmarkCombLanes). Elsewhere it runs the products one by
+// one.
 func MulBatch(out []*[32]byte, tables []*Table, scalars []*[32]byte) {
 	var num, den [MaxBatch]fieldElement
+	var grouped [MaxBatch]bool
 	for i, t := range tables {
-		t.mul(&num[i], &den[i], scalars[i])
+		switch {
+		case !IFMA:
+			t.mul(&num[i], &den[i], scalars[i])
+		case !grouped[i]:
+			// t's products from i on, 8 lanes at a time.
+			var lanes [8]int
+			g := 0
+			for j := i; j < len(tables); j++ {
+				if tables[j] != t {
+					continue
+				}
+				grouped[j], lanes[g] = true, j
+				if g++; g == len(lanes) {
+					t.mulLanes(num[:], den[:], lanes[:], scalars)
+					g = 0
+				}
+			}
+			if g > 0 {
+				t.mulLanes(num[:], den[:], lanes[:g], scalars)
+			}
+		}
 	}
 	divide(out, num[:len(tables)], den[:len(tables)])
 }

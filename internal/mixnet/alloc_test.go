@@ -100,12 +100,13 @@ func TestSealNoiseAllocs(t *testing.T) {
 	}
 }
 
-// TestPathAgreeAllocs: agreeing a noise onion's path — what the pool's
-// refill and a short round's inline top-up do by the hundred — allocates
-// the path and nothing else, at any depth: the downstream keys are parsed
-// once, at NewServer, and all of a path's agreements run on their tables
-// in one batch (box.Agree).
-func TestPathAgreeAllocs(t *testing.T) {
+// TestAgreePathsAllocs: agreeing noise paths — what the pool's refill and
+// a short round's inline top-up do by the hundred — costs the same few
+// allocations for 64 two-layer paths as for 8: the downstream keys are
+// parsed once, at NewServer, and the paths are agreed in chunks of
+// onion.PathChunk, all their agreements in one slab and each chunk's keys
+// drawn at once and agreed in one box.Agree.
+func TestAgreePathsAllocs(t *testing.T) {
 	pubs, privs, err := NewChainKeys(3)
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +125,7 @@ func TestPathAgreeAllocs(t *testing.T) {
 			}
 		})
 	}
-	few, many := cost(10), cost(110)
-	if perPath := (many - few) / 100; perPath != 1 {
-		t.Fatalf("a two-layer noise path allocates %.2f times, want 1", perPath)
+	if few, many := cost(8), cost(64); few != many || many > 8 {
+		t.Fatalf("agreeing 8 two-layer noise paths allocates %.0f times and 64 %.0f: want the same, at most 8", few, many)
 	}
 }

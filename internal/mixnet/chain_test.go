@@ -167,7 +167,9 @@ func TestStartChain(t *testing.T) {
 // 0 the moment its batch arrives. Close must return only after the refill
 // goroutines have exited (they would otherwise burn CPU into whatever
 // runs next and outlive the keys they hold), and the round it cut off
-// must fail with an error, not hang or panic.
+// must fail with an error, not hang or panic. The refill is deepened far
+// past the round's own 150 paths, so that it is still running when the
+// batch arrives however fast paths are agreed.
 func TestCloseWaitsForNoiseRefill(t *testing.T) {
 	defer sim.LeakCheck(t)()
 	mem := transport.NewMem()
@@ -206,6 +208,7 @@ func TestCloseWaitsForNoiseRefill(t *testing.T) {
 		after <- mixnet.RefillsRunning(first)
 	}()
 
+	mixnet.DeepenRefill(first, 1<<20)
 	if _, err := first.ConvoRound(1, nil); err == nil {
 		t.Fatal("a round whose server closed under it reported success")
 	}

@@ -8,3 +8,12 @@ func RefillsRunning(s *Server) int {
 	defer s.pool.mu.Unlock()
 	return s.pool.running
 }
+
+// DeepenRefill makes s's noise-path pool refill as if its last dialing
+// round had taken n paths, on top of whatever the next conversation round
+// takes: a refill of more paths than a test will wait for.
+func DeepenRefill(s *Server, n int) {
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	s.pool.dial = n
+}

@@ -5,7 +5,7 @@
 // then unshuffles, strips its noise, and seals each reply on the way back.
 //
 // Algorithm 2 step 2 reads "seal noise under pre-agreed paths" here: the
-// key agreement behind a noise onion (onion.NewPath) depends only on the
+// key agreement behind a noise onion (onion.NewPaths) depends only on the
 // downstream public keys, so a mixing server keeps a pool of agreed paths
 // (pathPool), refilled while it waits on its successor, and a round only
 // draws its noise counts, generates the payloads and seals them
@@ -457,7 +457,8 @@ func checkReplies(replies [][]byte, n, size int) error {
 // one fresh buffer, each under a path of its own from the pool (get is the
 // pool's get or getDial, by the round's protocol): fill writes the
 // payloads, payloadLen bytes each, into the onions' tails, and every onion
-// is then sealed where it lies.
+// is then sealed where it lies and its path wiped: noise replies are
+// dropped unread, and the rest of the path's chunk may still be pooled.
 func (s *Server) sealNoise(get func(int) ([]onion.Path, error), n, payloadLen int, round uint64, fill func(payloads [][]byte)) ([][]byte, error) {
 	paths, err := get(n)
 	if err != nil {
@@ -472,6 +473,7 @@ func (s *Server) sealNoise(get func(int) ([]onion.Path, error), n, payloadLen in
 	fill(payloads)
 	parallel.For(n, s.cfg.Workers, func(i int) {
 		paths[i].SealInPlace(onions[i], round, s.cfg.Position+1)
+		paths[i].Wipe()
 	})
 	return onions, nil
 }

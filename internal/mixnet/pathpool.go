@@ -19,10 +19,16 @@ import (
 // together); nothing about the next round is drawn, sealed or numbered
 // ahead of it, and paths serve both protocols alike.
 //
+// Paths are agreed in chunks of onion.PathChunk, by the refill and by a
+// get the pool falls short for alike, so each chunk's agreements fill the
+// comb's lanes.
+//
 // Its shared keys tell noise from real onions on the wire for as long as
 // they are held: the pool lives in memory only, is handed to no log,
-// metric or store, gives each path out once, and is dropped on close
-// (docs/THREAT_MODEL.md §3, "Pre-agreed noise paths").
+// metric or store, gives each path out once, and is dropped on close.
+// Paths of one chunk share a slab, so a path handed out stays reachable
+// while the rest of its chunk is held: sealNoise wipes each path once it
+// is sealed (docs/THREAT_MODEL.md §3, "Pre-agreed noise paths").
 type pathPool struct {
 	// peers is the rest of the chain, in order, parsed once by NewServer.
 	peers []*box.Peer
@@ -36,9 +42,9 @@ type pathPool struct {
 	// convo and dial are what the last get and the last getDial asked
 	// for: a refill restores their sum.
 	convo, dial int
-	// running counts the refill goroutines; outside mu each of them is
-	// agreeing exactly one path.
-	running int
+	// running counts the refill goroutines, and agreeing the paths they
+	// are agreeing outside mu: each a chunk of at most onion.PathChunk.
+	running, agreeing int
 	// inline counts the paths gets agreed on the spot because the pool
 	// fell short.
 	inline int
@@ -77,41 +83,66 @@ func (pl *pathPool) take(last *int, n int) ([]onion.Path, error) {
 	pl.inline += n - held
 	pl.mu.Unlock()
 
-	err := parallel.ForErr(n-held, pl.workers, func(i int) (err error) {
-		out[held+i], err = onion.NewPath(pl.peers, nil)
-		return err
-	})
-	if err != nil {
-		return nil, err
+	// The shortfall, split among the workers in parts of whole chunks.
+	if short := out[held:]; len(short) > 0 {
+		chunks := (len(short) + onion.PathChunk - 1) / onion.PathChunk
+		part := (chunks + pl.workers - 1) / pl.workers * onion.PathChunk
+		err := parallel.ForErr((len(short)+part-1)/part, pl.workers, func(i int) error {
+			return onion.NewPaths(short[i*part:min((i+1)*part, len(short))], pl.peers)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	for !pl.closed && pl.running < pl.workers && len(pl.paths)+pl.running < pl.convo+pl.dial {
+	for pl.running < pl.workers {
+		k := pl.claim()
+		if k == 0 {
+			break
+		}
 		pl.running++
 		pl.refills.Add(1)
-		go pl.refill()
+		go pl.refill(k)
 	}
 	return out, nil
 }
 
-// refill agrees paths one at a time, appending each as it is ready so a
-// round that arrives mid-refill takes what there is, until the pool and
-// the other refill goroutines between them cover convo + dial or the pool
-// closes.
+// claim hands a refill goroutine its next chunk, with mu held: as many
+// paths as the pool and the chunks in hand fall short of convo + dial, up
+// to onion.PathChunk, so the last chunk is the exact shortfall; none once
+// the pool is closed.
+func (pl *pathPool) claim() int {
+	if pl.closed {
+		return 0
+	}
+	k := max(0, min(onion.PathChunk, pl.convo+pl.dial-len(pl.paths)-pl.agreeing))
+	pl.agreeing += k
+	return k
+}
+
+// refill agrees the chunk of k paths it was handed, appends it so a round
+// that arrives mid-refill takes what there is, and claims the next, until
+// the pool and the other refill goroutines' chunks between them cover
+// convo + dial or the pool closes.
 // A failed agreement ends it quietly: the next get meets the same failure
 // inline and reports it to its round.
-func (pl *pathPool) refill() {
+func (pl *pathPool) refill(k int) {
 	defer pl.refills.Done()
+	var chunk [onion.PathChunk]onion.Path
 	for {
-		path, err := onion.NewPath(pl.peers, nil)
+		err := onion.NewPaths(chunk[:k], pl.peers)
 		pl.mu.Lock()
+		pl.agreeing -= k
 		if err == nil && !pl.closed {
-			pl.paths = append(pl.paths, path)
+			pl.paths = append(pl.paths, chunk[:k]...)
 		}
-		// Go round again only if the pool plus the one path each of the
-		// other refills has in hand still falls short.
-		if err != nil || pl.closed || len(pl.paths)+pl.running-1 >= pl.convo+pl.dial {
+		clear(chunk[:k])
+		if k = 0; err == nil {
+			k = pl.claim()
+		}
+		if k == 0 {
 			pl.running--
 			pl.mu.Unlock()
 			return

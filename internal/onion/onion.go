@@ -19,12 +19,12 @@
 // runs the Diffie-Hellman (nearly all of the cost, and independent of
 // round and payload), Path.Seal encrypts a payload under it. NewPath takes
 // the servers as box.Peers, parsed once, so both scalar mults of every
-// layer run on fixed-base tables, all in one batch (box.Agree); a mixing
-// server calls it for its cover traffic ahead of the round (mixnet), a
-// client for each round's onions. Wrap is the same two steps for raw
-// public keys and a one-shot caller: it agrees each layer on the ladder,
-// where a table would cost more than it saves, and seals with the same
-// Path.Seal.
+// layer run on fixed-base tables, all in one batch (box.Agree). A client
+// calls it for each round's onions; a mixing server agrees its cover
+// traffic's paths ahead of the round (mixnet) with NewPaths, in chunks
+// that fill the comb's lanes. Wrap is the same two steps for raw public
+// keys and a one-shot caller: it agrees each layer on the ladder, where a
+// table would cost more than it saves, and seals with the same Path.Seal.
 //
 // Each direction is written once, in place: UnwrapBatchInPlace decrypts a
 // chunk of onions where they lie (writing nothing into one that does not
@@ -129,6 +129,58 @@ func NewPath(peers []*box.Peer, rng io.Reader) (Path, error) {
 	}
 	return Path{hops: hops}, nil
 }
+
+// PathChunk is how many paths NewPaths agrees in one box.Agree: 8, so
+// that each table's products fill the comb's 8 lanes.
+const PathChunk = 8
+
+// NewPaths sets every paths[i] to a fresh path to peers, as len(paths)
+// NewPath calls on crypto/rand would, but in chunks of PathChunk: all the
+// paths' agreements are one slab, and each chunk draws its keys in one
+// read (for paths of up to 8 layers) and agrees them in one box.Agree.
+// Paths of one slab keep each other's keys reachable: a holder that must
+// not keep a spent path's keys Wipes it.
+func NewPaths(paths []Path, peers []*box.Peer) error {
+	layers := len(peers)
+	slab := make([]box.Agreement, len(paths)*layers)
+	for first := 0; first < len(paths); first += PathChunk {
+		last := min(first+PathChunk, len(paths))
+		if err := agreeChunk(paths[first:last], slab[first*layers:last*layers], peers); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// agreeChunk sets paths to fresh paths to peers, their agreements in hops.
+func agreeChunk(paths []Path, hops []box.Agreement, peers []*box.Peer) error {
+	layers := len(peers)
+	// Each path's keys innermost layer first, as NewPath reads them.
+	var keys [PathChunk * 8 * box.KeySize]byte
+	for done := 0; done < len(hops); {
+		n := min(len(hops)-done, len(keys)/box.KeySize)
+		if _, err := rand.Read(keys[:n*box.KeySize]); err != nil {
+			return err
+		}
+		for i := done; i < done+n; i++ {
+			path, layer := i/layers, layers-1-i%layers
+			copy(hops[path*layers+layer].Key[:], keys[(i-done)*box.KeySize:])
+		}
+		done += n
+	}
+	clear(keys[:])
+	if err := box.Agree(hops, peers); err != nil {
+		return err
+	}
+	for p := range paths {
+		paths[p] = Path{hops: hops[p*layers : (p+1)*layers]}
+	}
+	return nil
+}
+
+// Wipe zeroes the path's keys, once it is sealed and its reply will not
+// be read.
+func (p Path) Wipe() { clear(p.hops) }
 
 // Keys returns the path's per-layer shared keys in chain order, which the
 // sender needs to unwrap the layered reply (UnwrapReply). They alias the

@@ -109,3 +109,54 @@ func TestNewPathRejectsBadKey(t *testing.T) {
 		t.Fatal("Wrap agreed a key with the all-zero public key")
 	}
 }
+
+// TestNewPaths: paths agreed in chunks — counts on both sides of a
+// chunk's edge — are NewPath's in all but the reads: each seals an onion
+// every layer unwraps, the reply opens under its keys, no ephemeral key
+// repeats, and a low-order server key fails the lot. Wipe then zeroes a
+// path's keys.
+func TestNewPaths(t *testing.T) {
+	pubs, privs := testChain(t, 3)
+	peers := testPeers(t, pubs)
+	const round = 7
+	seen := make(map[box.PublicKey]bool)
+	for _, n := range []int{0, 1, PathChunk - 1, PathChunk, PathChunk + 1, 2*PathChunk + 3} {
+		paths := make([]Path, n)
+		if err := NewPaths(paths, peers[1:]); err != nil {
+			t.Fatal(err)
+		}
+		for i, path := range paths {
+			o := path.Seal([]byte("noise"), round, 1)
+			keys := make([]*[box.KeySize]byte, 2)
+			for layer := 1; layer < 3; layer++ {
+				epub := box.PublicKey(o[:box.KeySize])
+				if seen[epub] {
+					t.Fatalf("n=%d: path %d repeats an ephemeral key", n, i)
+				}
+				seen[epub] = true
+				var err error
+				if o, keys[layer-1], err = UnwrapLayer(o, &privs[layer], round, layer); err != nil {
+					t.Fatalf("n=%d: path %d, layer %d: %v", n, i, layer, err)
+				}
+			}
+			if string(o) != "noise" {
+				t.Fatalf("n=%d: path %d carried %q", n, i, o)
+			}
+			reply := SealReply(SealReply([]byte("r"), keys[1], round, 2), keys[0], round, 1)
+			if got, err := UnwrapReply(reply, round, 1, path.Keys()); err != nil || string(got) != "r" {
+				t.Fatalf("n=%d: path %d's reply: %q, %v", n, i, got, err)
+			}
+			path.Wipe()
+			for _, k := range path.Keys() {
+				if *k != [box.KeySize]byte{} {
+					t.Fatalf("n=%d: path %d keeps a key after Wipe", n, i)
+				}
+			}
+		}
+	}
+
+	pubs[2] = box.PublicKey{}
+	if err := NewPaths(make([]Path, PathChunk+1), testPeers(t, pubs[1:])); err == nil {
+		t.Fatal("NewPaths agreed keys with the all-zero public key")
+	}
+}
