@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 # The most non-test Go lines `make loc` may report (ROADMAP aim 2). A PR
 # that needs more raises this in its own diff, where a reviewer sees it.
-LOC_CEILING = 16295
+LOC_CEILING = 16134
 
 .PHONY: check vet vuvuzela-vet staticcheck govulncheck lint deadcode build arm64 test race allocs shardtest restart-matrix vtime fuzz bench-smoke bench bench-privacy eval-smoke figures-smoke example-smoke loc loc-check ct clean
 

@@ -28,12 +28,13 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"vuvuzela/internal/vet/analysis"
 	"vuvuzela/internal/vet/analyzers/consttime"
@@ -55,13 +56,6 @@ var analyzers = []*analysis.Analyzer{
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// finding is one printable diagnostic with its source analyzer.
-type finding struct {
-	pos      token.Position
-	analyzer string
-	msg      string
 }
 
 // run executes the multichecker and returns the process exit status;
@@ -90,55 +84,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-
-	var findings []finding
+	var findings []analysis.Finding
 	for _, pkg := range pkgs {
-		allows, malformed := analysis.CollectAllows(pkg.Fset, pkg.Files, known)
-		for _, a := range analyzers {
-			var diags []analysis.Diagnostic
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-			}
-			if err := a.Run(pass); err != nil {
-				fmt.Fprintf(stderr, "vuvuzela-vet: %s: %s: %v\n", a.Name, pkg.ImportPath, err)
-				return 2
-			}
-			for _, d := range analysis.Filter(pkg.Fset, a.Name, diags, allows) {
-				findings = append(findings, finding{pkg.Fset.Position(d.Pos), a.Name, d.Message})
-			}
+		found, err := analysis.Check(analyzers, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
+		if err != nil {
+			fmt.Fprintf(stderr, "vuvuzela-vet: %v\n", err)
+			return 2
 		}
-		for _, d := range malformed {
-			findings = append(findings, finding{pkg.Fset.Position(d.Pos), "allowlist", d.Message})
-		}
-		for _, d := range analysis.UnusedAllows(allows) {
-			findings = append(findings, finding{pkg.Fset.Position(d.Pos), "allowlist", d.Message})
-		}
+		findings = append(findings, found...)
 	}
 
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.pos.Filename != b.pos.Filename {
-			return a.pos.Filename < b.pos.Filename
-		}
-		if a.pos.Line != b.pos.Line {
-			return a.pos.Line < b.pos.Line
-		}
-		if a.pos.Column != b.pos.Column {
-			return a.pos.Column < b.pos.Column
-		}
-		return a.analyzer < b.analyzer
+	slices.SortStableFunc(findings, func(a, b analysis.Finding) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer),
+		)
 	})
 	for _, f := range findings {
-		fmt.Fprintf(stdout, "%s: %s: %s\n", f.pos, f.analyzer, f.msg)
+		fmt.Fprintf(stdout, "%s: %s: %s\n", f.Pos, f.Analyzer, f.Message)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "vuvuzela-vet: %d findings\n", len(findings))

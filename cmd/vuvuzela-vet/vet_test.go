@@ -12,14 +12,15 @@ import (
 	"vuvuzela/internal/vet/vettest"
 )
 
-// The fixtures live in a GOPATH-style tree under testdata/src. Paths
-// beginning with vuvuzela/ impersonate real module packages so the
-// analyzers' path-scoping is exercised exactly as in production.
-const src = "testdata/src"
+// The fixtures are one module named vuvuzela, loaded by the driver's
+// own loader. Packages under vuvuzela/internal impersonate real module
+// packages so the analyzers' path-scoping is exercised exactly as in
+// production; those under vuvuzela/outside match no analyzer's scope.
+const src = "testdata/src/vuvuzela"
 
 func TestPlaintextTransport(t *testing.T) {
-	vettest.Run(t, plaintexttransport.Analyzer, src, "ptt/bad")
-	vettest.Run(t, plaintexttransport.Analyzer, src, "ptt/allowed")
+	vettest.Run(t, plaintexttransport.Analyzer, src, "vuvuzela/outside/ptt/bad")
+	vettest.Run(t, plaintexttransport.Analyzer, src, "vuvuzela/outside/ptt/allowed")
 	vettest.Run(t, plaintexttransport.Analyzer, src, "vuvuzela/internal/transport")
 	vettest.Run(t, plaintexttransport.Analyzer, src, "vuvuzela/internal/sim")
 }
@@ -27,24 +28,24 @@ func TestPlaintextTransport(t *testing.T) {
 func TestCryptorand(t *testing.T) {
 	vettest.Run(t, cryptorand.Analyzer, src, "vuvuzela/internal/noise")
 	vettest.Run(t, cryptorand.Analyzer, src, "vuvuzela/internal/shuffle")
-	vettest.Run(t, cryptorand.Analyzer, src, "cr/outside")
+	vettest.Run(t, cryptorand.Analyzer, src, "vuvuzela/outside/cr/outside")
 }
 
 func TestConsttime(t *testing.T) {
 	vettest.Run(t, consttime.Analyzer, src, "vuvuzela/internal/crypto/ct")
 	vettest.Run(t, consttime.Analyzer, src, "vuvuzela/internal/wire")
-	vettest.Run(t, consttime.Analyzer, src, "ct/outside")
+	vettest.Run(t, consttime.Analyzer, src, "vuvuzela/outside/ct/outside")
 }
 
 func TestErrclass(t *testing.T) {
 	vettest.Run(t, errclass.Analyzer, src, "vuvuzela/internal/mixnet")
 	vettest.Run(t, errclass.Analyzer, src, "vuvuzela/internal/coordinator")
-	vettest.Run(t, errclass.Analyzer, src, "ec/outside")
+	vettest.Run(t, errclass.Analyzer, src, "vuvuzela/outside/ec/outside")
 }
 
 func TestDoccov(t *testing.T) {
-	vettest.Run(t, doccov.Analyzer, src, "dc/bad")
-	vettest.Run(t, doccov.Analyzer, src, "dc/allowed")
+	vettest.Run(t, doccov.Analyzer, src, "vuvuzela/outside/dc/bad")
+	vettest.Run(t, doccov.Analyzer, src, "vuvuzela/outside/dc/allowed")
 }
 
 // TestLiveTreeClean is the acceptance gate in miniature: the

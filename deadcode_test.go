@@ -42,12 +42,6 @@ var deadcodeAllow = map[string]string{
 	"internal/sim/leak.go":                                        "harness: the suites' goroutine-leak check",
 	"internal/transport/faulty.go":                                "harness: fault and MITM injection for the in-process suites",
 	"vuvuzela/internal/vet/vettest":                               "harness: runs each analyzer over its fixtures",
-	"vuvuzela/internal/vet/loader.LoadFixture":                    "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.checkFixture":                   "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.fixtureImporter.Import":         "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.stdImporter":                    "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.fixtureGoFiles":                 "harness: the fixture path, which only vettest reaches",
-	"vuvuzela/internal/vet/loader.isDir":                          "harness: the fixture path, which only vettest reaches",
 
 	// Interface: methods that exist to satisfy an interface, whichever of
 	// them a binary happens to call.

@@ -109,7 +109,9 @@ func (s *Store) Handle(raw net.Conn) {
 }
 
 // Fetch retrieves one bucket over an established wire connection — the
-// client side of Store.Handle.
+// client side of Store.Handle. A response that does not echo the
+// requested round and bucket is wire.ErrMalformed: its blob belongs to
+// some other request.
 func Fetch(c *wire.Conn, round uint64, bucket uint32) ([]byte, error) {
 	if err := c.Send(&wire.Message{Kind: wire.KindBucketReq, Proto: wire.ProtoDial, Round: round, Bucket: bucket}); err != nil {
 		return nil, err
@@ -118,7 +120,7 @@ func Fetch(c *wire.Conn, round uint64, bucket uint32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.Kind != wire.KindBucketResp || len(resp.Body) == 0 {
+	if resp.Kind != wire.KindBucketResp || resp.Round != round || resp.Bucket != bucket || len(resp.Body) == 0 {
 		return nil, wire.ErrMalformed
 	}
 	return resp.Body[0], nil

@@ -3,6 +3,7 @@ package cdn
 import (
 	"bytes"
 	"errors"
+	"net"
 	"os"
 	"runtime"
 	"testing"
@@ -150,5 +151,35 @@ func TestServeRefusesOversizedFrame(t *testing.T) {
 	defer conn.Close()
 	if got, err := Fetch(conn, 3, 0); err != nil || string(got) != "zero" {
 		t.Fatalf("fetch after the refused frame: %q %v", got, err)
+	}
+}
+
+// TestFetchRefusesWrongEcho: a bucket response for another round or
+// another bucket is refused, not handed to the client as the bucket it
+// asked for.
+func TestFetchRefusesWrongEcho(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		round  uint64
+		bucket uint32
+	}{
+		{"other round", 4, 1},
+		{"other bucket", 3, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			go func() {
+				c := wire.NewConn(server)
+				defer c.Close()
+				if _, err := c.Recv(); err != nil {
+					return
+				}
+				c.Send(&wire.Message{Kind: wire.KindBucketResp, Proto: wire.ProtoDial, Round: tc.round, Bucket: tc.bucket, Body: [][]byte{[]byte("blob")}})
+			}()
+			if blob, err := Fetch(wire.NewConn(client), 3, 1); !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("Fetch(round 3, bucket 1) answered with round %d, bucket %d: %q, %v; want wire.ErrMalformed", tc.round, tc.bucket, blob, err)
+			}
+		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 // line or alone just above it.
 const AllowPrefix = "//vuvuzela:allow"
 
-// Allow is one parsed `//vuvuzela:allow` comment.
-type Allow struct {
+// allow is one parsed `//vuvuzela:allow` comment.
+type allow struct {
 	// Analyzer is the name of the analyzer being suppressed.
 	Analyzer string
 	// Reason is the mandatory justification (rest of the comment).
@@ -29,16 +29,16 @@ type Allow struct {
 	// Line is the comment's line; the allow covers diagnostics on
 	// Line and Line+1.
 	Line int
-	// Used is set by Filter when the allow suppressed a diagnostic.
+	// Used is set by filter when the allow suppressed a diagnostic.
 	Used bool
 }
 
-// CollectAllows extracts every `//vuvuzela:allow` comment from files.
+// collectAllows extracts every `//vuvuzela:allow` comment from files.
 // Malformed entries — a missing analyzer name, an analyzer not in
-// known, or an empty reason — are returned as diagnostics so the driver
-// treats them as findings rather than silently ignoring them.
-func CollectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) ([]*Allow, []Diagnostic) {
-	var allows []*Allow
+// known, or an empty reason — are returned as diagnostics so Check
+// reports them as findings rather than silently ignoring them.
+func collectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) ([]*allow, []Diagnostic) {
+	var allows []*allow
 	var bad []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -60,7 +60,7 @@ func CollectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				allows = append(allows, &Allow{
+				allows = append(allows, &allow{
 					Analyzer: fields[0],
 					Reason:   strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), fields[0])),
 					Pos:      c.Pos(),
@@ -73,10 +73,10 @@ func CollectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 	return allows, bad
 }
 
-// Filter drops from diags every diagnostic covered by an allow for
+// filter drops from diags every diagnostic covered by an allow for
 // analyzer name (same file, same line as the comment or the line below
 // it), marking those allows Used. It returns the surviving diagnostics.
-func Filter(fset *token.FileSet, name string, diags []Diagnostic, allows []*Allow) []Diagnostic {
+func filter(fset *token.FileSet, name string, diags []Diagnostic, allows []*allow) []Diagnostic {
 	var kept []Diagnostic
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
@@ -94,10 +94,10 @@ func Filter(fset *token.FileSet, name string, diags []Diagnostic, allows []*Allo
 	return kept
 }
 
-// UnusedAllows returns one diagnostic per allow that never suppressed
+// unusedAllows returns one diagnostic per allow that never suppressed
 // anything: a stale entry hides nothing today but would silently mask a
-// future regression at that site, so the driver fails on it.
-func UnusedAllows(allows []*Allow) []Diagnostic {
+// future regression at that site, so Check reports it.
+func unusedAllows(allows []*allow) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range allows {
 		if !a.Used {

@@ -40,7 +40,7 @@ func c() {}
 //vuvuzela:allow consttime handshake transcript is attacker-visible
 func d() {}
 `)
-	allows, bad := CollectAllows(fset, files, map[string]bool{"consttime": true})
+	allows, bad := collectAllows(fset, files, map[string]bool{"consttime": true})
 	if len(allows) != 1 {
 		t.Fatalf("want 1 well-formed allow, got %d", len(allows))
 	}
@@ -74,7 +74,7 @@ var a = 1 // diagnostic target on the line below the comment
 
 var b = 2 //vuvuzela:allow consttime reason two
 `)
-	allows, bad := CollectAllows(fset, files, map[string]bool{"consttime": true})
+	allows, bad := collectAllows(fset, files, map[string]bool{"consttime": true})
 	if len(bad) != 0 || len(allows) != 2 {
 		t.Fatalf("allows=%d bad=%v", len(allows), bad)
 	}
@@ -83,11 +83,11 @@ var b = 2 //vuvuzela:allow consttime reason two
 	mk := func(line int) Diagnostic {
 		return Diagnostic{Pos: posAtLine(fset, files[0], line), Message: "x"}
 	}
-	kept := Filter(fset, "consttime", []Diagnostic{mk(4), mk(6), mk(1)}, allows)
+	kept := filter(fset, "consttime", []Diagnostic{mk(4), mk(6), mk(1)}, allows)
 	if len(kept) != 1 || fset.Position(kept[0].Pos).Line != 1 {
 		t.Fatalf("kept = %v", kept)
 	}
-	if u := UnusedAllows(allows); len(u) != 0 {
+	if u := unusedAllows(allows); len(u) != 0 {
 		t.Fatalf("unexpected unused allows: %v", u)
 	}
 }
@@ -98,15 +98,15 @@ func TestFilterIsPerAnalyzer(t *testing.T) {
 //vuvuzela:allow consttime this names a different analyzer
 var a = 1
 `)
-	allows, bad := CollectAllows(fset, files, map[string]bool{"consttime": true, "cryptorand": true})
+	allows, bad := collectAllows(fset, files, map[string]bool{"consttime": true, "cryptorand": true})
 	if len(bad) != 0 || len(allows) != 1 {
 		t.Fatalf("allows=%d bad=%v", len(allows), bad)
 	}
 	d := Diagnostic{Pos: posAtLine(fset, files[0], 4), Message: "x"}
-	if kept := Filter(fset, "cryptorand", []Diagnostic{d}, allows); len(kept) != 1 {
+	if kept := filter(fset, "cryptorand", []Diagnostic{d}, allows); len(kept) != 1 {
 		t.Fatalf("allow for consttime suppressed a cryptorand diagnostic")
 	}
-	if u := UnusedAllows(allows); len(u) != 1 {
+	if u := unusedAllows(allows); len(u) != 1 {
 		t.Fatalf("want the consttime allow reported unused, got %v", u)
 	}
 }

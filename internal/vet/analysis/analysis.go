@@ -6,9 +6,10 @@
 // could be ported to the real framework by changing only imports.
 //
 // An Analyzer inspects one type-checked package at a time (a Pass) and
-// reports Diagnostics. The driver — not the analyzer — is responsible for
-// the `//vuvuzela:allow` suppression comments (see allow.go) so that
-// every analyzer gets identical allowlist semantics for free.
+// reports Diagnostics. Check — not the analyzer — applies the
+// `//vuvuzela:allow` suppression comments (see allow.go), so every
+// analyzer gets identical allowlist semantics for free, and the driver
+// and the fixture tests run the same code.
 package analysis
 
 import (
@@ -57,12 +58,61 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Diagnostic is one finding: a position inside the pass's FileSet and a
-// human-readable message. The analyzer name is attached by the driver.
+// human-readable message. Check attaches the analyzer name.
 type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Pos
 	// Message explains the violated invariant and the fix.
 	Message string
+}
+
+// Finding is one diagnostic that survived the allowlist, labelled with
+// the analyzer that reported it ("allowlist" for a malformed or unused
+// `//vuvuzela:allow` entry).
+type Finding struct {
+	// Pos locates the finding.
+	Pos token.Position
+	// Analyzer names the reporting analyzer.
+	Analyzer string
+	// Message explains the violated invariant and the fix.
+	Message string
+}
+
+// Check runs analyzers over one type-checked package and applies the
+// allowlist: a finding covered by a justified entry for its analyzer is
+// dropped, and an entry that is malformed, names an analyzer outside
+// analyzers, or suppresses nothing is a finding of its own. An
+// analyzer's error aborts the check.
+func Check(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
+	known := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
+	allows, malformed := collectAllows(fset, files, known)
+	var findings []Finding
+	add := func(analyzer string, diags []Diagnostic) {
+		for _, d := range diags {
+			findings = append(findings, Finding{fset.Position(d.Pos), analyzer, d.Message})
+		}
+	}
+	for _, a := range analyzers {
+		var diags []Diagnostic
+		pass := &Pass{
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Report:    func(d Diagnostic) { diags = append(diags, d) },
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path(), err)
+		}
+		add(a.Name, filter(fset, a.Name, diags, allows))
+	}
+	add("allowlist", malformed)
+	add("allowlist", unusedAllows(allows))
+	return findings, nil
 }
 
 // IsNamedPkg reports whether path is exactly prefix or a subpackage of

@@ -21,8 +21,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // Package is one loaded, type-checked production package ready for the
@@ -154,154 +152,4 @@ func check(fset *token.FileSet, imp types.Importer, importPath, dir string, goFi
 		Types:      tpkg,
 		Info:       info,
 	}, nil
-}
-
-// LoadFixture type-checks one fixture package for the analyzer tests:
-// srcRoot is a GOPATH-style tree (testdata/src), importPath names a
-// directory beneath it, and imports resolve fixture-locally first (so
-// fixtures can impersonate module packages like vuvuzela/internal/
-// transport) and fall back to standard-library export data.
-func LoadFixture(srcRoot, importPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	local := make(map[string]*types.Package)
-	std, err := stdImporter(fset, srcRoot, importPath)
-	if err != nil {
-		return nil, err
-	}
-	return checkFixture(fset, srcRoot, importPath, local, std)
-}
-
-// checkFixture recursively type-checks importPath under srcRoot,
-// memoizing fixture-local packages in local.
-func checkFixture(fset *token.FileSet, srcRoot, importPath string, local map[string]*types.Package, std types.Importer) (*Package, error) {
-	dir := filepath.Join(srcRoot, filepath.FromSlash(importPath))
-	names, err := fixtureGoFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	pkg, err := check(fset, fixtureImporter{fset, srcRoot, local, std}, importPath, dir, names)
-	if err != nil {
-		return nil, err
-	}
-	local[importPath] = pkg.Types
-	return pkg, nil
-}
-
-// fixtureImporter resolves fixture-local packages from source and
-// everything else from standard-library export data.
-type fixtureImporter struct {
-	fset    *token.FileSet
-	srcRoot string
-	local   map[string]*types.Package
-	std     types.Importer
-}
-
-// Import implements types.Importer.
-func (fi fixtureImporter) Import(path string) (*types.Package, error) {
-	if p, ok := fi.local[path]; ok {
-		return p, nil
-	}
-	if dir := filepath.Join(fi.srcRoot, filepath.FromSlash(path)); isDir(dir) {
-		pkg, err := checkFixture(fi.fset, fi.srcRoot, path, fi.local, fi.std)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return fi.std.Import(path)
-}
-
-// stdImporter builds an export-data importer for every non-local import
-// reachable from importPath's fixture tree, via one `go list -export`
-// invocation over the collected roots.
-func stdImporter(fset *token.FileSet, srcRoot, importPath string) (types.Importer, error) {
-	need := make(map[string]bool)
-	var walk func(path string) error
-	seen := make(map[string]bool)
-	walk = func(path string) error {
-		if seen[path] {
-			return nil
-		}
-		seen[path] = true
-		dir := filepath.Join(srcRoot, filepath.FromSlash(path))
-		names, err := fixtureGoFiles(dir)
-		if err != nil {
-			return err
-		}
-		for _, name := range names {
-			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, name), nil, parser.ImportsOnly)
-			if err != nil {
-				return err
-			}
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if isDir(filepath.Join(srcRoot, filepath.FromSlash(p))) {
-					if err := walk(p); err != nil {
-						return err
-					}
-				} else {
-					need[p] = true
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(importPath); err != nil {
-		return nil, err
-	}
-	if len(need) == 0 {
-		return exportImporter(fset, nil), nil
-	}
-	paths := make([]string, 0, len(need))
-	for p := range need {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	cmd := exec.Command("go", append([]string{"list", "-export", "-json", "-deps", "--"}, paths...)...)
-	out, err := cmd.Output()
-	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-			return nil, fmt.Errorf("go list (fixture deps): %v: %s", err, bytes.TrimSpace(ee.Stderr))
-		}
-		return nil, fmt.Errorf("go list (fixture deps): %w", err)
-	}
-	exports := make(map[string]string)
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exportImporter(fset, exports), nil
-}
-
-// fixtureGoFiles lists the non-test .go files of a fixture directory.
-func fixtureGoFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if n := e.Name(); !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
-			names = append(names, n)
-		}
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in fixture %s", dir)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// isDir reports whether path exists and is a directory.
-func isDir(path string) bool {
-	fi, err := os.Stat(path)
-	return err == nil && fi.IsDir()
 }

@@ -1,11 +1,12 @@
-// Package vettest runs one vet analyzer over a GOPATH-style fixture
-// tree and checks its diagnostics against `// want "regexp"` comments,
-// mirroring golang.org/x/tools/go/analysis/analysistest for the in-repo
-// framework. Allowlist comments are applied exactly as the
-// cmd/vuvuzela-vet driver applies them — suppressed findings must have
-// no want, and stale or malformed `//vuvuzela:allow` entries surface as
-// diagnostics from the pseudo-analyzer "allowlist" that fixtures can
-// want like any other finding.
+// Package vettest runs one vet analyzer over a fixture package and
+// checks its diagnostics against `// want "regexp"` comments, mirroring
+// golang.org/x/tools/go/analysis/analysistest for the in-repo
+// framework. The fixture is loaded by loader.Load and checked by
+// analysis.Check, the cmd/vuvuzela-vet driver's own path, so allowlist
+// comments apply exactly as in production: suppressed findings must
+// have no want, and stale or malformed `//vuvuzela:allow` entries
+// surface as diagnostics from the pseudo-analyzer "allowlist" that
+// fixtures can want like any other finding.
 package vettest
 
 import (
@@ -27,50 +28,22 @@ import (
 // the flagged declaration.
 var wantRe = regexp.MustCompile(`//\s*want(?::[a-z0-9]+)?[ \t]+(.*)$`)
 
-// Run loads srcRoot/importPath as a fixture package, applies the
-// analyzer plus the driver's allowlist semantics, and reports any
+// Run loads importPath from the fixture module at moduleDir, applies
+// the analyzer plus the driver's allowlist semantics, and reports any
 // mismatch against the fixture's `// want` comments as test failures.
-func Run(t *testing.T, a *analysis.Analyzer, srcRoot, importPath string) {
+func Run(t *testing.T, a *analysis.Analyzer, moduleDir, importPath string) {
 	t.Helper()
-	pkg, err := loader.LoadFixture(srcRoot, importPath)
+	pkgs, err := loader.Load(moduleDir, importPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", importPath, err)
 	}
-
-	type labeled struct {
-		analyzer string
-		msg      string
-		file     string
-		line     int
+	if len(pkgs) != 1 {
+		t.Fatalf("fixture %s matched %d packages, want 1", importPath, len(pkgs))
 	}
-	var got []labeled
-	add := func(name string, d analysis.Diagnostic) {
-		pos := pkg.Fset.Position(d.Pos)
-		got = append(got, labeled{name, d.Message, pos.Filename, pos.Line})
-	}
-
-	var raw []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		Report:    func(d analysis.Diagnostic) { raw = append(raw, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-
-	allows, malformed := analysis.CollectAllows(pkg.Fset, pkg.Files, map[string]bool{a.Name: true})
-	for _, d := range analysis.Filter(pkg.Fset, a.Name, raw, allows) {
-		add(a.Name, d)
-	}
-	for _, d := range malformed {
-		add("allowlist", d)
-	}
-	for _, d := range analysis.UnusedAllows(allows) {
-		add("allowlist", d)
+	pkg := pkgs[0]
+	got, err := analysis.Check([]*analysis.Analyzer{a}, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Collect wants per file:line.
@@ -102,7 +75,7 @@ func Run(t *testing.T, a *analysis.Analyzer, srcRoot, importPath string) {
 		for _, re := range res {
 			matched := false
 			for i, d := range got {
-				if !used[i] && d.file == k.file && d.line == k.line && re.MatchString(d.msg) {
+				if !used[i] && d.Pos.Filename == k.file && d.Pos.Line == k.line && re.MatchString(d.Message) {
 					used[i] = true
 					matched = true
 					break
@@ -115,7 +88,7 @@ func Run(t *testing.T, a *analysis.Analyzer, srcRoot, importPath string) {
 	}
 	for i, d := range got {
 		if !used[i] {
-			t.Errorf("%s:%d: unexpected diagnostic from %s: %s", d.file, d.line, d.analyzer, d.msg)
+			t.Errorf("%s:%d: unexpected diagnostic from %s: %s", d.Pos.Filename, d.Pos.Line, d.Analyzer, d.Message)
 		}
 	}
 }

@@ -43,8 +43,9 @@ const (
 	// KindReplies: server i+1 → server i. The batch's replies, aligned
 	// with the forwarded batch order.
 	KindReplies
-	// KindBuckets: last server → CDN. A dialing round's bucket blobs.
-	KindBuckets
+	// 6 is reserved, never sent: a retired last server → CDN push, left
+	// blank so the kinds after it keep their values (docs/WIRE.md §2.1).
+	_
 	// KindBucketReq: client → CDN. Fetch one bucket of a round.
 	KindBucketReq
 	// KindBucketResp: CDN → client. The requested bucket blob.

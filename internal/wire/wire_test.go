@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"os"
+	"regexp"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -236,5 +239,41 @@ func TestConnRecvLimit(t *testing.T) {
 				t.Fatalf("Recv = %+v, %v; want %v", got, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestKindValues pins every live Kind to its row of docs/WIRE.md §2.1,
+// so that retiring a kind leaves a blank in the iota list instead of
+// renumbering the kinds after it.
+func TestKindValues(t *testing.T) {
+	live := map[string]Kind{
+		"KindAnnounce":     KindAnnounce,
+		"KindSubmit":       KindSubmit,
+		"KindReply":        KindReply,
+		"KindBatch":        KindBatch,
+		"KindReplies":      KindReplies,
+		"KindBucketReq":    KindBucketReq,
+		"KindBucketResp":   KindBucketResp,
+		"KindError":        KindError,
+		"KindShardRound":   KindShardRound,
+		"KindShardReply":   KindShardReply,
+		"KindFrontBatch":   KindFrontBatch,
+		"KindFrontReplies": KindFrontReplies,
+	}
+	doc, err := os.ReadFile("../../docs/WIRE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile(`(?m)^\| (\d+) +\| (Kind\w+) +\|`).FindAllStringSubmatch(string(doc), -1)
+	if len(rows) != len(live) {
+		t.Fatalf("WIRE.md §2.1 lists %d kinds, the code %d", len(rows), len(live))
+	}
+	for _, row := range rows {
+		k, ok := live[row[2]]
+		if !ok {
+			t.Errorf("WIRE.md lists %s, which the code does not define", row[2])
+		} else if v, _ := strconv.Atoi(row[1]); int(k) != v {
+			t.Errorf("%s = %d, WIRE.md says %d", row[2], k, v)
+		}
 	}
 }
