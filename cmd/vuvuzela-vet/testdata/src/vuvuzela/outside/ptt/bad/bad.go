@@ -19,10 +19,10 @@ type Config struct {
 
 // Offenders exercises every flagged construction form.
 func Offenders(ctx context.Context) {
-	_, _ = net.Dial("tcp", "example.com:80")            // want `net.Dial constructs a plaintext network path`
-	_, _ = net.Listen("tcp", ":0")                      // want `net.Listen constructs a plaintext network path`
-	_, _ = net.DialTimeout("tcp", ":0", time.Second)    // want `net.DialTimeout constructs a plaintext network path`
-	_, _ = net.ListenPacket("udp", ":0")                // want `net.ListenPacket constructs a plaintext network path`
+	_, _ = net.Dial("tcp", "example.com:80")         // want `net.Dial constructs a plaintext network path`
+	_, _ = net.Listen("tcp", ":0")                   // want `net.Listen constructs a plaintext network path`
+	_, _ = net.DialTimeout("tcp", ":0", time.Second) // want `net.DialTimeout constructs a plaintext network path`
+	_, _ = net.ListenPacket("udp", ":0")             // want `net.ListenPacket constructs a plaintext network path`
 	var d net.Dialer
 	_, _ = d.DialContext(ctx, "tcp", ":0") // want `net.DialContext constructs a plaintext network path`
 	cfg := Config{Net: transport.TCP{}}    // want `transport.TCP is the plaintext substrate`

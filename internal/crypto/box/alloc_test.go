@@ -4,7 +4,10 @@
 // builds (`make allocs`).
 package box
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestPeerAgreeAllocs: agreeing a path's keys with parsed Peers — every
 // noise onion — allocates nothing: both mults of every layer run on tables
@@ -45,4 +48,28 @@ func TestPeerAgreeAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("PrecomputeInto and PrecomputeBatch allocate %.0f times, want 0", n)
 	}
+}
+
+// TestSealOpenAllocs: sealing and opening into the caller's buffers
+// allocates nothing at any length, on salsa's kernel and on its block
+// loop: the first keystream pass and the rest's lie on the stack.
+func TestSealOpenAllocs(t *testing.T) {
+	salsaPaths(t, func(t *testing.T) {
+		var key [KeySize]byte
+		var nonce [NonceSize]byte
+		for _, n := range []int{0, 31, 32, 300, 64 << 10} {
+			t.Run(fmt.Sprint(n), func(t *testing.T) {
+				msg := make([]byte, n)
+				ct := make([]byte, Overhead+n)
+				if a := testing.AllocsPerRun(20, func() {
+					SealInto(ct, msg, &nonce, &key)
+					if err := OpenInto(msg, ct, &nonce, &key); err != nil {
+						t.Fatal(err)
+					}
+				}); a != 0 {
+					t.Errorf("SealInto and OpenInto of %d bytes allocate %.0f times, want 0", n, a)
+				}
+			})
+		}
+	})
 }

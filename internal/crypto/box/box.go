@@ -321,30 +321,40 @@ func SealInto(out, msg []byte, nonce *[NonceSize]byte, key *[KeySize]byte) {
 	if len(out) != Overhead+len(msg) {
 		panic("box: bad output buffer size")
 	}
-	subKey, subNonce := salsa.DeriveX(key, nonce)
-
-	// Keystream block 0: bytes 0..31 are the Poly1305 key, bytes 32..63
-	// mask the first 32 bytes of plaintext.
-	var block0 [salsa.BlockSize]byte
-	salsa.KeyStreamBlock(&block0, &subKey, &subNonce, 0)
-	var polyKey [poly1305.KeySize]byte
-	copy(polyKey[:], block0[:32])
-
+	var s stream
+	s.start(len(msg), nonce, key)
 	ct := out[Overhead:]
-	n := len(msg)
-	if n > 32 {
-		n = 32
-	}
-	for i := 0; i < n; i++ {
-		ct[i] = msg[i] ^ block0[32+i]
-	}
-	if len(msg) > 32 {
-		salsa.XORKeyStream(ct[32:], msg[32:], &subKey, &subNonce, 1)
-	}
+	s.xor(ct, msg)
+	poly1305.Sum((*[poly1305.TagSize]byte)(out), ct, s.polyKey())
+}
 
-	var tag [poly1305.TagSize]byte
-	poly1305.Sum(&tag, ct, &polyKey)
-	copy(out[:Overhead], tag[:])
+// stream is one box's XSalsa20 keystream. Its first pass, ks, from block
+// 0, is computed in one salsa.KeyStream call for every message length: 32
+// bytes of Poly1305 key, then the mask of the message's first
+// salsa.PassSize-32 bytes. Any rest runs through salsa.XORKeyStream from
+// block 16 on.
+type stream struct {
+	ks       [salsa.PassSize]byte
+	subKey   [salsa.KeySize]byte
+	subNonce [salsa.NonceSize]byte
+}
+
+// start derives the Salsa20 key and nonce and computes the first pass's
+// first 32+n bytes, at most all of it, for a message of n bytes.
+func (s *stream) start(n int, nonce *[NonceSize]byte, key *[KeySize]byte) {
+	s.subKey, s.subNonce = salsa.DeriveX(key, nonce)
+	salsa.KeyStream(&s.ks, min(32+n, salsa.PassSize), &s.subKey, &s.subNonce, 0)
+}
+
+func (s *stream) polyKey() *[poly1305.KeySize]byte { return (*[poly1305.KeySize]byte)(s.ks[:32]) }
+
+// xor sets dst to src XOR the keystream from byte 32 on. dst may alias src
+// exactly.
+func (s *stream) xor(dst, src []byte) {
+	n := subtle.XORBytes(dst, src, s.ks[32:])
+	if n < len(src) {
+		salsa.XORKeyStream(dst[n:], src[n:], &s.subKey, &s.subNonce, salsa.PassSize/salsa.BlockSize)
+	}
 }
 
 // Open authenticates and decrypts a box produced by Seal, returning the
@@ -372,30 +382,13 @@ func OpenInto(out, ct []byte, nonce *[NonceSize]byte, key *[KeySize]byte) error 
 	if len(out) != len(ct)-Overhead {
 		panic("box: bad output buffer size")
 	}
-	subKey, subNonce := salsa.DeriveX(key, nonce)
-
-	var block0 [salsa.BlockSize]byte
-	salsa.KeyStreamBlock(&block0, &subKey, &subNonce, 0)
-	var polyKey [poly1305.KeySize]byte
-	copy(polyKey[:], block0[:32])
-
-	var tag [poly1305.TagSize]byte
-	copy(tag[:], ct[:Overhead])
 	body := ct[Overhead:]
-	if !poly1305.Verify(&tag, body, &polyKey) {
+	var s stream
+	s.start(len(body), nonce, key)
+	if !poly1305.Verify((*[poly1305.TagSize]byte)(ct), body, s.polyKey()) {
 		return ErrDecrypt
 	}
-
-	n := len(body)
-	if n > 32 {
-		n = 32
-	}
-	for i := 0; i < n; i++ {
-		out[i] = body[i] ^ block0[32+i]
-	}
-	if len(body) > 32 {
-		salsa.XORKeyStream(out[32:], body[32:], &subKey, &subNonce, 1)
-	}
+	s.xor(out, body)
 	return nil
 }
 

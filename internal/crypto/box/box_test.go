@@ -16,7 +16,9 @@ func mustKeyPair(t *testing.T) (PublicKey, PrivateKey) {
 	return pub, priv
 }
 
-func TestSealOpenRoundTrip(t *testing.T) {
+func TestSealOpenRoundTrip(t *testing.T) { salsaPaths(t, sealOpenRoundTrip) }
+
+func sealOpenRoundTrip(t *testing.T) {
 	var key [KeySize]byte
 	var nonce [NonceSize]byte
 	rand.Read(key[:])
@@ -264,23 +266,27 @@ func BenchmarkPrecompute(b *testing.B) {
 }
 
 func BenchmarkSeal256B(b *testing.B) {
-	var key [KeySize]byte
-	var nonce [NonceSize]byte
-	msg := make([]byte, 256)
-	b.SetBytes(256)
-	for i := 0; i < b.N; i++ {
-		Seal(msg, &nonce, &key)
-	}
+	salsaBenchPaths(b, func(b *testing.B) {
+		var key [KeySize]byte
+		var nonce [NonceSize]byte
+		msg := make([]byte, 256)
+		b.SetBytes(256)
+		for b.Loop() {
+			Seal(msg, &nonce, &key)
+		}
+	})
 }
 
 func BenchmarkOpen256B(b *testing.B) {
-	var key [KeySize]byte
-	var nonce [NonceSize]byte
-	ct := Seal(make([]byte, 256), &nonce, &key)
-	b.SetBytes(256)
-	for i := 0; i < b.N; i++ {
-		if _, err := Open(ct, &nonce, &key); err != nil {
-			b.Fatal(err)
+	salsaBenchPaths(b, func(b *testing.B) {
+		var key [KeySize]byte
+		var nonce [NonceSize]byte
+		ct := Seal(make([]byte, 256), &nonce, &key)
+		b.SetBytes(256)
+		for b.Loop() {
+			if _, err := Open(ct, &nonce, &key); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }

@@ -23,7 +23,9 @@ func fromHex(t *testing.T, s string) []byte {
 	return b
 }
 
-func TestGoldenSecretbox(t *testing.T) {
+func TestGoldenSecretbox(t *testing.T) { salsaPaths(t, goldenSecretbox) }
+
+func goldenSecretbox(t *testing.T) {
 	var key [KeySize]byte
 	var nonce [NonceSize]byte
 	for i := range key {
@@ -45,7 +47,9 @@ func TestGoldenSecretbox(t *testing.T) {
 	}
 }
 
-func TestGoldenXSalsa20Keystream(t *testing.T) {
+func TestGoldenXSalsa20Keystream(t *testing.T) { salsaPaths(t, goldenXSalsa20Keystream) }
+
+func goldenXSalsa20Keystream(t *testing.T) {
 	var key [32]byte
 	var nonce [24]byte
 	for i := range key {

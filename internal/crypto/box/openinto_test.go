@@ -9,7 +9,9 @@ import (
 // TestOpenInto verifies the zero-copy OpenInto path agrees with Open,
 // including the documented in-place mode (out exactly overlapping
 // ct[Overhead:]).
-func TestOpenInto(t *testing.T) {
+func TestOpenInto(t *testing.T) { salsaPaths(t, openInto) }
+
+func openInto(t *testing.T) {
 	var key [KeySize]byte
 	var nonce [NonceSize]byte
 	copy(key[:], bytes.Repeat([]byte{7}, KeySize))
@@ -40,7 +42,9 @@ func TestOpenInto(t *testing.T) {
 // TestOpenIntoRejectsCorrupt flips each byte of a box and checks
 // OpenInto fails with ErrDecrypt while leaving the output buffer
 // untouched (a reused record buffer must never hold forged bytes).
-func TestOpenIntoRejectsCorrupt(t *testing.T) {
+func TestOpenIntoRejectsCorrupt(t *testing.T) { salsaPaths(t, openIntoRejectsCorrupt) }
+
+func openIntoRejectsCorrupt(t *testing.T) {
 	var key [KeySize]byte
 	var nonce [NonceSize]byte
 	key[3] = 1

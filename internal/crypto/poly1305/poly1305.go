@@ -1,13 +1,17 @@
 // Package poly1305 implements the Poly1305 one-time message authentication
 // code, as used by NaCl's box and secretbox constructions (paper §7).
 //
-// Two independent implementations are provided: the fast path uses 26-bit
-// limbs with 64-bit accumulators; a slow reference built on math/big is
-// exported for cross-checking in tests. A Poly1305 key MUST be used to
-// authenticate at most one message.
+// The accumulator is three 64-bit limbs, multiplied by r's two with
+// bits.Mul64 and reduced modulo 2^130 − 5 after every block, in Go on
+// every GOARCH; a slow reference built on math/big cross-checks it in
+// tests. A Poly1305 key MUST be used to authenticate at most one message.
 package poly1305
 
-import "encoding/binary"
+import (
+	"crypto/subtle"
+	"encoding/binary"
+	"math/bits"
+)
 
 // KeySize is the Poly1305 one-time key size in bytes.
 const KeySize = 32
@@ -17,142 +21,77 @@ const TagSize = 16
 
 // Sum computes the Poly1305 authenticator of msg under the given one-time
 // key and writes it to out. The first 16 bytes of key are the clamped
-// polynomial evaluation point r; the last 16 bytes are the pad s.
+// polynomial evaluation point r; the last 16 bytes are the pad s. It runs
+// in time that depends on len(msg) alone.
 func Sum(out *[TagSize]byte, msg []byte, key *[KeySize]byte) {
-	// Load and clamp r per the Poly1305 specification, split into 26-bit
-	// limbs r0..r4.
-	t0 := binary.LittleEndian.Uint32(key[0:])
-	t1 := binary.LittleEndian.Uint32(key[4:])
-	t2 := binary.LittleEndian.Uint32(key[8:])
-	t3 := binary.LittleEndian.Uint32(key[12:])
+	// Clamping clears the top four bits of both of r's limbs, so no column
+	// of h·r below overflows.
+	r0 := binary.LittleEndian.Uint64(key[0:]) & 0x0ffffffc0fffffff
+	r1 := binary.LittleEndian.Uint64(key[8:]) & 0x0ffffffc0ffffffc
 
-	r0 := uint64(t0 & 0x3ffffff)
-	r1 := uint64((t0>>26 | t1<<6) & 0x3ffff03)
-	r2 := uint64((t1>>20 | t2<<12) & 0x3ffc0ff)
-	r3 := uint64((t2>>14 | t3<<18) & 0x3f03fff)
-	r4 := uint64((t3 >> 8) & 0x00fffff)
-
-	// Precomputed 5*r for the modular reduction by 2^130-5.
-	s1 := r1 * 5
-	s2 := r2 * 5
-	s3 := r3 * 5
-	s4 := r4 * 5
-
-	var h0, h1, h2, h3, h4 uint64
-
+	// h = h2·2^128 + h1·2^64 + h0, h2 at most 5 between blocks.
+	var h0, h1, h2 uint64
 	for len(msg) > 0 {
-		var blk [17]byte
-		var n int
+		// Add the block, with its 2^(8·len) bit: 2^128 for a full block.
+		var c uint64
 		if len(msg) >= TagSize {
-			n = TagSize
-			copy(blk[:16], msg[:16])
-			blk[16] = 1 // the 2^128 bit for full blocks
+			h0, c = bits.Add64(h0, binary.LittleEndian.Uint64(msg[0:]), 0)
+			h1, c = bits.Add64(h1, binary.LittleEndian.Uint64(msg[8:]), c)
+			h2 += c + 1
+			msg = msg[TagSize:]
 		} else {
-			n = len(msg)
+			var blk [TagSize]byte
 			copy(blk[:], msg)
-			blk[n] = 1 // pad short final block with a 1 bit then zeros
+			blk[len(msg)] = 1
+			h0, c = bits.Add64(h0, binary.LittleEndian.Uint64(blk[0:]), 0)
+			h1, c = bits.Add64(h1, binary.LittleEndian.Uint64(blk[8:]), c)
+			h2 += c
+			msg = nil
 		}
-		msg = msg[n:]
 
-		// Add the 129/130-bit block value into h, in 26-bit limbs.
-		b0 := binary.LittleEndian.Uint32(blk[0:])
-		b1 := binary.LittleEndian.Uint32(blk[4:])
-		b2 := binary.LittleEndian.Uint32(blk[8:])
-		b3 := binary.LittleEndian.Uint32(blk[12:])
-		top := uint64(blk[16])
+		// t = h·r in four limbs. h2 ≤ 7 and r's limbs are below 2^60, so
+		// h2·r0 and h2·r1 fit one word and no two-word column sum carries
+		// out.
+		hi00, lo00 := bits.Mul64(h0, r0)
+		hi10, lo10 := bits.Mul64(h1, r0)
+		hi01, lo01 := bits.Mul64(h0, r1)
+		hi11, lo11 := bits.Mul64(h1, r1)
+		m1lo, c := bits.Add64(lo10, lo01, 0)
+		m1hi := hi10 + hi01 + c
+		m2lo, c := bits.Add64(lo11, h2*r0, 0)
+		m2hi := hi11 + c
+		t0 := lo00
+		t1, c := bits.Add64(m1lo, hi00, 0)
+		t2, c := bits.Add64(m2lo, m1hi, c)
+		t3 := h2*r1 + m2hi + c
 
-		h0 += uint64(b0 & 0x3ffffff)
-		h1 += uint64((b0>>26 | b1<<6) & 0x3ffffff)
-		h2 += uint64((b1>>20 | b2<<12) & 0x3ffffff)
-		h3 += uint64((b2>>14 | b3<<18) & 0x3ffffff)
-		h4 += uint64(b3>>8) | top<<24
-
-		// h *= r mod 2^130-5. Products of 26-bit limbs plus carries fit
-		// comfortably in 64 bits (max ~2^58 per column with 5 terms).
-		d0 := h0*r0 + h1*s4 + h2*s3 + h3*s2 + h4*s1
-		d1 := h0*r1 + h1*r0 + h2*s4 + h3*s3 + h4*s2
-		d2 := h0*r2 + h1*r1 + h2*r0 + h3*s4 + h4*s3
-		d3 := h0*r3 + h1*r2 + h2*r1 + h3*r0 + h4*s4
-		d4 := h0*r4 + h1*r3 + h2*r2 + h3*r1 + h4*r0
-
-		// Carry propagation back to 26-bit limbs.
-		c := d0 >> 26
-		h0 = d0 & 0x3ffffff
-		d1 += c
-		c = d1 >> 26
-		h1 = d1 & 0x3ffffff
-		d2 += c
-		c = d2 >> 26
-		h2 = d2 & 0x3ffffff
-		d3 += c
-		c = d3 >> 26
-		h3 = d3 & 0x3ffffff
-		d4 += c
-		c = d4 >> 26
-		h4 = d4 & 0x3ffffff
-		h0 += c * 5
-		c = h0 >> 26
-		h0 &= 0x3ffffff
-		h1 += c
+		// Reduce by 2^130 ≡ 5: h = t mod 2^130 plus 5·(t >> 130), added
+		// as cc = 4·(t >> 130), the bits of t from 2^130 up in place,
+		// and cc >> 2.
+		h0, h1, h2 = t0, t1, t2&3
+		cc0, cc1 := t2&^3, t3
+		h0, c = bits.Add64(h0, cc0, 0)
+		h1, c = bits.Add64(h1, cc1, c)
+		h2 += c
+		h0, c = bits.Add64(h0, cc0>>2|cc1<<62, 0)
+		h1, c = bits.Add64(h1, cc1>>2, c)
+		h2 += c
 	}
 
-	// Final full reduction: propagate carries, then conditionally subtract
-	// the modulus 2^130-5.
-	c := h1 >> 26
-	h1 &= 0x3ffffff
-	h2 += c
-	c = h2 >> 26
-	h2 &= 0x3ffffff
-	h3 += c
-	c = h3 >> 26
-	h3 &= 0x3ffffff
-	h4 += c
-	c = h4 >> 26
-	h4 &= 0x3ffffff
-	h0 += c * 5
-	c = h0 >> 26
-	h0 &= 0x3ffffff
-	h1 += c
+	// h < 6·2^128 < 2p: subtract p = 2^130 − 5 once, and keep the
+	// difference unless it borrows, by mask rather than by branch.
+	g0, b := bits.Sub64(h0, 0xfffffffffffffffb, 0)
+	g1, b := bits.Sub64(h1, 0xffffffffffffffff, b)
+	_, b = bits.Sub64(h2, 3, b)
+	keep := -b // all ones if h < p
+	h0 = h0&keep | g0&^keep
+	h1 = h1&keep | g1&^keep
 
-	// Compute h + -p = h - (2^130 - 5) and select it if non-negative.
-	g0 := h0 + 5
-	c = g0 >> 26
-	g0 &= 0x3ffffff
-	g1 := h1 + c
-	c = g1 >> 26
-	g1 &= 0x3ffffff
-	g2 := h2 + c
-	c = g2 >> 26
-	g2 &= 0x3ffffff
-	g3 := h3 + c
-	c = g3 >> 26
-	g3 &= 0x3ffffff
-	g4 := h4 + c - (1 << 26)
-
-	// If g4's sign bit (bit 63) is clear, h >= p, so use g.
-	mask := (g4 >> 63) - 1 // all ones if h >= p, else zero
-	h0 = (h0 &^ mask) | (g0 & mask)
-	h1 = (h1 &^ mask) | (g1 & mask)
-	h2 = (h2 &^ mask) | (g2 & mask)
-	h3 = (h3 &^ mask) | (g3 & mask)
-	h4 = (h4 &^ mask) | (g4 & mask)
-
-	// Serialize h back to 128 bits.
-	u0 := uint32(h0) | uint32(h1)<<26
-	u1 := uint32(h1>>6) | uint32(h2)<<20
-	u2 := uint32(h2>>12) | uint32(h3)<<14
-	u3 := uint32(h3>>18) | uint32(h4)<<8
-
-	// Add the pad s (mod 2^128).
-	p0 := uint64(u0) + uint64(binary.LittleEndian.Uint32(key[16:]))
-	p1 := uint64(u1) + uint64(binary.LittleEndian.Uint32(key[20:])) + p0>>32
-	p2 := uint64(u2) + uint64(binary.LittleEndian.Uint32(key[24:])) + p1>>32
-	p3 := uint64(u3) + uint64(binary.LittleEndian.Uint32(key[28:])) + p2>>32
-
-	binary.LittleEndian.PutUint32(out[0:], uint32(p0))
-	binary.LittleEndian.PutUint32(out[4:], uint32(p1))
-	binary.LittleEndian.PutUint32(out[8:], uint32(p2))
-	binary.LittleEndian.PutUint32(out[12:], uint32(p3))
+	// Add the pad s mod 2^128.
+	h0, c := bits.Add64(h0, binary.LittleEndian.Uint64(key[16:]), 0)
+	h1, _ = bits.Add64(h1, binary.LittleEndian.Uint64(key[24:]), c)
+	binary.LittleEndian.PutUint64(out[0:], h0)
+	binary.LittleEndian.PutUint64(out[8:], h1)
 }
 
 // Verify reports whether tag is a valid Poly1305 authenticator for msg under
@@ -160,9 +99,5 @@ func Sum(out *[TagSize]byte, msg []byte, key *[KeySize]byte) {
 func Verify(tag *[TagSize]byte, msg []byte, key *[KeySize]byte) bool {
 	var expect [TagSize]byte
 	Sum(&expect, msg, key)
-	var diff byte
-	for i := range expect {
-		diff |= expect[i] ^ tag[i]
-	}
-	return diff == 0
+	return subtle.ConstantTimeCompare(expect[:], tag[:]) == 1
 }

@@ -158,6 +158,33 @@ func TestZeroKeyZeroTagPlusPad(t *testing.T) {
 	}
 }
 
+// FuzzSum holds Sum to the math/big reference over fuzzed keys and
+// messages up to 2 KiB. The seeds put r and s at their limbs' edges: all
+// ones before clamping, zero, and r = 1 under two all-ones blocks, which
+// leaves h at p + 3 for the final reduction.
+func FuzzSum(f *testing.F) {
+	ones := bytes.Repeat([]byte{0xff}, 2<<10)
+	f.Add(ones[:KeySize], ones[:2<<10])
+	f.Add(ones[:KeySize], ones[:17])
+	f.Add(make([]byte, KeySize), ones[:33])
+	rOne := make([]byte, KeySize)
+	rOne[0] = 1
+	copy(rOne[16:], ones)
+	f.Add(rOne, ones[:32])
+	f.Add(rOne, []byte{})
+	f.Fuzz(func(t *testing.T, key, msg []byte) {
+		if len(key) != KeySize || len(msg) > 2<<10 {
+			t.Skip()
+		}
+		var got, want [TagSize]byte
+		Sum(&got, msg, (*[KeySize]byte)(key))
+		refSum(&want, msg, (*[KeySize]byte)(key))
+		if got != want {
+			t.Fatalf("len %d: Sum %x, reference %x", len(msg), got, want)
+		}
+	})
+}
+
 func BenchmarkSum256B(b *testing.B) {
 	var key [KeySize]byte
 	var tag [TagSize]byte

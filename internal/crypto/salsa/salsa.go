@@ -7,11 +7,18 @@
 // implementation follows Bernstein's Salsa20 specification and the NaCl
 // construction of XSalsa20 exactly, so ciphertexts are interoperable with
 // NaCl.
+//
+// On an amd64 CPU with AVX512F the keystream is computed sixteen
+// consecutive blocks at a time, one per 32-bit lane of a ZMM register
+// (AVX512); elsewhere one block at a time.
 package salsa
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"math/bits"
+
+	"vuvuzela/internal/crypto/cpu"
 )
 
 // KeySize is the Salsa20 key size in bytes.
@@ -86,27 +93,25 @@ func rounds(x *[16]uint32, n int) {
 	x[12], x[13], x[14], x[15] = x12, x13, x14, x15
 }
 
+// input returns the Salsa20 input block of key and the 8 bytes of nonce
+// in words 6 and 7, with words 8 and 9, the block counter, zero.
+func input(key *[KeySize]byte, nonce *[NonceSize]byte) [16]uint32 {
+	var x [16]uint32
+	x[0], x[5], x[10], x[15] = sigma[0], sigma[1], sigma[2], sigma[3]
+	for i := range 4 {
+		x[1+i] = binary.LittleEndian.Uint32(key[4*i:])
+		x[11+i] = binary.LittleEndian.Uint32(key[16+4*i:])
+	}
+	x[6] = binary.LittleEndian.Uint32(nonce[0:])
+	x[7] = binary.LittleEndian.Uint32(nonce[4:])
+	return x
+}
+
 // KeyStreamBlock computes the 64-byte Salsa20 keystream block for the given
 // key, 8-byte nonce, and 64-bit block counter.
 func KeyStreamBlock(out *[BlockSize]byte, key *[KeySize]byte, nonce *[NonceSize]byte, counter uint64) {
-	var x [16]uint32
-	x[0] = sigma[0]
-	x[1] = binary.LittleEndian.Uint32(key[0:])
-	x[2] = binary.LittleEndian.Uint32(key[4:])
-	x[3] = binary.LittleEndian.Uint32(key[8:])
-	x[4] = binary.LittleEndian.Uint32(key[12:])
-	x[5] = sigma[1]
-	x[6] = binary.LittleEndian.Uint32(nonce[0:])
-	x[7] = binary.LittleEndian.Uint32(nonce[4:])
-	x[8] = uint32(counter)
-	x[9] = uint32(counter >> 32)
-	x[10] = sigma[2]
-	x[11] = binary.LittleEndian.Uint32(key[16:])
-	x[12] = binary.LittleEndian.Uint32(key[20:])
-	x[13] = binary.LittleEndian.Uint32(key[24:])
-	x[14] = binary.LittleEndian.Uint32(key[28:])
-	x[15] = sigma[3]
-
+	x := input(key, nonce)
+	x[8], x[9] = uint32(counter), uint32(counter>>32)
 	orig := x
 	rounds(&x, 20)
 	for i := range x {
@@ -119,24 +124,9 @@ func KeyStreamBlock(out *[BlockSize]byte, key *[KeySize]byte, nonce *[NonceSize]
 // the final addition of the input state and outputs words 0, 5, 10, 15, 6,
 // 7, 8, 9 of the final state.
 func HSalsa20(out *[32]byte, key *[KeySize]byte, in *[16]byte) {
-	var x [16]uint32
-	x[0] = sigma[0]
-	x[1] = binary.LittleEndian.Uint32(key[0:])
-	x[2] = binary.LittleEndian.Uint32(key[4:])
-	x[3] = binary.LittleEndian.Uint32(key[8:])
-	x[4] = binary.LittleEndian.Uint32(key[12:])
-	x[5] = sigma[1]
-	x[6] = binary.LittleEndian.Uint32(in[0:])
-	x[7] = binary.LittleEndian.Uint32(in[4:])
+	x := input(key, (*[NonceSize]byte)(in[:8]))
 	x[8] = binary.LittleEndian.Uint32(in[8:])
 	x[9] = binary.LittleEndian.Uint32(in[12:])
-	x[10] = sigma[2]
-	x[11] = binary.LittleEndian.Uint32(key[16:])
-	x[12] = binary.LittleEndian.Uint32(key[20:])
-	x[13] = binary.LittleEndian.Uint32(key[24:])
-	x[14] = binary.LittleEndian.Uint32(key[28:])
-	x[15] = sigma[3]
-
 	rounds(&x, 20)
 
 	binary.LittleEndian.PutUint32(out[0:], x[0])
@@ -160,27 +150,51 @@ func DeriveX(key *[KeySize]byte, nonce *[XNonceSize]byte) (subKey [KeySize]byte,
 	return subKey, subNonce
 }
 
+// AVX512 is whether KeyStream and XORKeyStream run the AVX-512 kernel
+// (salsa16_amd64.s, generated by _asm/salsa16.go), sixteen blocks a pass,
+// and WhyNoAVX512, where they do not, says why: the CPUID or XCR0 bit this
+// CPU lacks, or the GOARCH. Both are set once, from the CPU. Tests clear
+// AVX512 to force the scalar block loop, and restore it; nothing may set
+// it.
+var AVX512, WhyNoAVX512 = cpu.AVX512(cpu.AVX512F)
+
+// PassSize is the keystream one pass of the AVX-512 kernel computes:
+// sixteen blocks.
+const PassSize = 16 * BlockSize
+
+// KeyStream fills at least the first n bytes of ks, n ≤ PassSize, with
+// the Salsa20 keystream of key and the 8-byte nonce from the given block
+// counter on: where AVX512 is set all of ks, in one kernel pass, and
+// elsewhere only the blocks the n bytes cover, one at a time. Block i of
+// the pass has counter+i, modulo 2^64.
+func KeyStream(ks *[PassSize]byte, n int, key *[KeySize]byte, nonce *[NonceSize]byte, counter uint64) {
+	if AVX512 {
+		x := input(key, nonce)
+		x[8], x[9] = uint32(counter), uint32(counter>>32)
+		salsa16(ks, &x)
+		return
+	}
+	for i := 0; i < n; i += BlockSize {
+		KeyStreamBlock((*[BlockSize]byte)(ks[i:]), key, nonce, counter)
+		counter++
+	}
+}
+
 // XORKeyStream XORs src with the Salsa20 keystream generated from key and
 // the 8-byte nonce, starting at the given block counter, writing the result
 // to dst. dst must be at least as long as src and may alias src exactly.
 // The counter increments once per 64-byte block; it is the caller's
 // responsibility not to let (counter, nonce) pairs repeat under one key.
+// It runs KeyStream a PassSize at a time.
 func XORKeyStream(dst, src []byte, key *[KeySize]byte, nonce *[NonceSize]byte, counter uint64) {
 	if len(dst) < len(src) {
 		panic("salsa: dst shorter than src")
 	}
-	var ks [BlockSize]byte
+	var ks [PassSize]byte
 	for len(src) > 0 {
-		KeyStreamBlock(&ks, key, nonce, counter)
-		counter++
-		n := len(src)
-		if n > BlockSize {
-			n = BlockSize
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = src[i] ^ ks[i]
-		}
-		dst = dst[n:]
-		src = src[n:]
+		n := min(len(src), PassSize)
+		KeyStream(&ks, n, key, nonce, counter)
+		subtle.XORBytes(dst, src[:n], ks[:n])
+		dst, src, counter = dst[n:], src[n:], counter+PassSize/BlockSize
 	}
 }

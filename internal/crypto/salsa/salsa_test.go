@@ -121,7 +121,9 @@ func TestKeyStreamBlockNonceChangesOutput(t *testing.T) {
 
 // TestXORKeyStreamRoundTrip verifies that encrypting twice with the same
 // parameters is the identity, across lengths spanning block boundaries.
-func TestXORKeyStreamRoundTrip(t *testing.T) {
+func TestXORKeyStreamRoundTrip(t *testing.T) { paths(t, xorKeyStreamRoundTrip) }
+
+func xorKeyStreamRoundTrip(t *testing.T) {
 	var key [KeySize]byte
 	var nonce [NonceSize]byte
 	for i := range key {
@@ -148,7 +150,9 @@ func TestXORKeyStreamRoundTrip(t *testing.T) {
 
 // TestXORKeyStreamCounterContinuity verifies that encrypting a message in
 // two pieces with the correct counters equals encrypting it in one shot.
-func TestXORKeyStreamCounterContinuity(t *testing.T) {
+func TestXORKeyStreamCounterContinuity(t *testing.T) { paths(t, xorKeyStreamCounterContinuity) }
+
+func xorKeyStreamCounterContinuity(t *testing.T) {
 	var key [KeySize]byte
 	var nonce [NonceSize]byte
 	key[0] = 0xaa
@@ -168,7 +172,9 @@ func TestXORKeyStreamCounterContinuity(t *testing.T) {
 }
 
 // TestXORKeyStreamInPlace verifies exact aliasing works.
-func TestXORKeyStreamInPlace(t *testing.T) {
+func TestXORKeyStreamInPlace(t *testing.T) { paths(t, xorKeyStreamInPlace) }
+
+func xorKeyStreamInPlace(t *testing.T) {
 	var key [KeySize]byte
 	var nonce [NonceSize]byte
 	msg := []byte("attack at dawn, attack at dawn, attack at dawn!!")
@@ -202,7 +208,9 @@ func TestHSalsa20Deterministic(t *testing.T) {
 // TestXSalsaRoundTrip is a property test: for arbitrary keys, nonces and
 // messages, decrypt(encrypt(m)) == m, and distinct nonces yield distinct
 // ciphertexts.
-func TestXSalsaRoundTrip(t *testing.T) {
+func TestXSalsaRoundTrip(t *testing.T) { paths(t, xsalsaRoundTrip) }
+
+func xsalsaRoundTrip(t *testing.T) {
 	f := func(key [KeySize]byte, nonce [XNonceSize]byte, msg []byte) bool {
 		subKey, subNonce := DeriveX(&key, &nonce)
 		ct := make([]byte, len(msg))
@@ -237,21 +245,47 @@ func TestDeriveXDistinctNonceHalves(t *testing.T) {
 	}
 }
 
+// BenchmarkCore is one step of KeyStream's loop: a pass of sixteen blocks
+// on the kernel, one block on the scalar code.
 func BenchmarkCore(b *testing.B) {
-	var in, out [64]byte
-	b.SetBytes(64)
-	for i := 0; i < b.N; i++ {
-		Core(&out, &in)
-	}
+	benchPaths(b, func(b *testing.B) {
+		n := BlockSize
+		if AVX512 {
+			n = PassSize
+		}
+		var ks [PassSize]byte
+		var key [KeySize]byte
+		var nonce [NonceSize]byte
+		b.SetBytes(int64(n))
+		for b.Loop() {
+			KeyStream(&ks, n, &key, &nonce, 0)
+		}
+	})
 }
 
 func BenchmarkXSalsa20_256B(b *testing.B) {
-	var key [KeySize]byte
-	var nonce [XNonceSize]byte
-	buf := make([]byte, 256)
-	b.SetBytes(256)
-	for i := 0; i < b.N; i++ {
-		subKey, subNonce := DeriveX(&key, &nonce)
-		XORKeyStream(buf, buf, &subKey, &subNonce, 0)
-	}
+	benchPaths(b, func(b *testing.B) {
+		var key [KeySize]byte
+		var nonce [XNonceSize]byte
+		buf := make([]byte, 256)
+		b.SetBytes(256)
+		for b.Loop() {
+			subKey, subNonce := DeriveX(&key, &nonce)
+			XORKeyStream(buf, buf, &subKey, &subNonce, 0)
+		}
+	})
+}
+
+// BenchmarkXORKeyStream64KiB is a record-sized message: 64 kernel passes,
+// or 1024 blocks.
+func BenchmarkXORKeyStream64KiB(b *testing.B) {
+	benchPaths(b, func(b *testing.B) {
+		var key [KeySize]byte
+		var nonce [NonceSize]byte
+		buf := make([]byte, 64<<10)
+		b.SetBytes(int64(len(buf)))
+		for b.Loop() {
+			XORKeyStream(buf, buf, &key, &nonce, 0)
+		}
+	})
 }

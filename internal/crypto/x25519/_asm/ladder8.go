@@ -340,24 +340,6 @@ func constants(z30 uint64) {
 
 func ladder8() {
 	fmt.Fprint(w, `
-// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, a+8(FP)
-	MOVL BX, b+12(FP)
-	MOVL CX, c+16(FP)
-	MOVL DX, d+20(FP)
-	RET
-
-// func xgetbv() (eax uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	RET
-
 // func ladder8(s *ladder8State)
 TEXT ·ladder8(SB), NOSPLIT, $0-8
 	MOVQ s+0(FP), DI

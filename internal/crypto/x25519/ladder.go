@@ -6,6 +6,8 @@
 
 package x25519
 
+import "vuvuzela/internal/crypto/cpu"
+
 // Ladder sets out[i] to X25519(scalar, *points[i]) for every i, up to
 // MaxBatch points: all zeros where the result is the identity (a low-order
 // or zero point). Every output is written after every input is read, so
@@ -38,7 +40,7 @@ func Ladder(out []*[32]byte, scalar *[32]byte, points []*[32]byte) {
 // not, says why: the CPUID or XCR0 bit this CPU lacks, or the GOARCH. Both
 // are set once, from the CPU. Tests clear IFMA to force the scalar code,
 // and restore it; nothing may set it.
-var IFMA, WhyNoIFMA = detectIFMA()
+var IFMA, WhyNoIFMA = cpu.AVX512(cpu.AVX512F, cpu.AVX512IFMA)
 
 // ladder sets x/z, in projective coordinates, to the u of [e]P for the
 // clamped scalar e and the point whose u-coordinate is u: crypto/ecdh's

@@ -20,30 +20,6 @@ type ladder8State struct {
 //go:noescape
 func ladder8(s *ladder8State)
 
-func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-
-func xgetbv() (eax uint32)
-
-// detectIFMA reports whether this CPU and its OS run ladder8, and if not,
-// the bit that either lacks.
-func detectIFMA() (bool, string) {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false, "no CPUID leaf 7"
-	}
-	if _, _, c, _ := cpuid(1, 0); c&(1<<27) == 0 {
-		return false, "no OSXSAVE (CPUID.1:ECX[27])"
-	}
-	if _, b, _, _ := cpuid(7, 0); b&(1<<16) == 0 {
-		return false, "no AVX512F (CPUID.(EAX=7,ECX=0):EBX[16])"
-	} else if b&(1<<21) == 0 {
-		return false, "no AVX512IFMA (CPUID.(EAX=7,ECX=0):EBX[21])"
-	}
-	if xgetbv()&0xe6 != 0xe6 {
-		return false, "the OS does not save opmask and ZMM state (XCR0 & 0xE6 != 0xE6)"
-	}
-	return true, ""
-}
-
 // ladderLanes sets x[i]/z[i] as ladder does for each of up to 8 points, in
 // one ladder8 call; spare lanes run u = 9 and are dropped.
 func ladderLanes(x, z []fieldElement, e *[32]byte, points []*[32]byte) {
